@@ -36,12 +36,17 @@ class BnBNode:
     depth: int = field(compare=False, default=0)
 
 
-def allocate(problem: Problem, centers, time_budget: float | None = None) -> Assignment:
+def allocate(problem: Problem, centers, time_budget: float | None = None, *, distances=None) -> Assignment:
+    """Optimal memberships for fixed centers.
+
+    ``distances`` is the (n, k) matrix of raw distances to ``centers`` when
+    the caller already holds it; otherwise it is computed here.
+    """
     if problem.capacity is None:
-        return allocate_uncapacitated(problem, centers)
+        return allocate_uncapacitated(problem, centers, distances=distances)
     if problem.membership == FRACTIONAL:
-        return allocate_fractional(problem, centers)
-    return allocate_hard(problem, centers, time_budget)
+        return allocate_fractional(problem, centers, distances=distances)
+    return allocate_hard(problem, centers, time_budget, distances=distances)
 
 
 def _column_costs(problem: Problem, centers) -> tuple[np.ndarray, np.ndarray]:
@@ -80,9 +85,9 @@ def _greedy_rows(D: np.ndarray, problem: Problem, rows: np.ndarray, y: np.ndarra
         y[i, order[: q[i]]] = 1.0
 
 
-def allocate_uncapacitated(problem: Problem, centers) -> Assignment:
+def allocate_uncapacitated(problem: Problem, centers, *, distances=None) -> Assignment:
     n_cols = _check_coverage(problem)
-    D = metrics.distances_to_centers(problem, centers)
+    D = metrics.distances_to_centers(problem, centers) if distances is None else distances
     y = np.zeros((problem.n, n_cols))
     if problem.coverages.max(initial=1) == 1 and problem.coverages.min(initial=1) == 1:
         if problem.has_outlier_column:
@@ -197,12 +202,12 @@ def _solve_lp(problem: Problem, D: np.ndarray, fixings: dict) -> tuple[np.ndarra
     return y, objective
 
 
-def allocate_fractional(problem: Problem, centers) -> Assignment:
+def allocate_fractional(problem: Problem, centers, *, distances=None) -> Assignment:
     if problem.capacity is None:
-        return allocate_uncapacitated(problem, centers)
+        return allocate_uncapacitated(problem, centers, distances=distances)
     _check_coverage(problem)
     _aggregate_certificate(problem)
-    D = metrics.distances_to_centers(problem, centers)
+    D = metrics.distances_to_centers(problem, centers) if distances is None else distances
     solved = _solve_lp(problem, D, {})
     if isinstance(solved, str):
         raise Infeasible(solved)
@@ -292,9 +297,9 @@ def _greedy_incumbent(problem: Problem, D: np.ndarray) -> np.ndarray | None:
     return y
 
 
-def allocate_hard(problem: Problem, centers, time_budget: float | None = None) -> Assignment:
+def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *, distances=None) -> Assignment:
     if problem.capacity is None:
-        return allocate_uncapacitated(problem, centers)
+        return allocate_uncapacitated(problem, centers, distances=distances)
     _check_coverage(problem)
     _aggregate_certificate(problem)
     lo, hi = problem.capacity
@@ -324,7 +329,7 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None) -
                 f"above the total capacity-weighted demand {demand:g}"
             )
 
-    D = metrics.distances_to_centers(problem, centers)
+    D = metrics.distances_to_centers(problem, centers) if distances is None else distances
     diagnostics: dict = {"nodes": 0}
 
     positive = a[a > 0]

@@ -327,8 +327,14 @@ def _ordered_sum(problem: Problem, per_point: np.ndarray) -> float:
     return float(np.sum(per_point[problem.id_order]))
 
 
-def evaluate_parts(problem: Problem, centers, assignment: Assignment, released) -> ObjectiveBreakdown:
-    """Evaluate the decomposed objective for an explicit iterate."""
+def evaluate_parts(
+    problem: Problem, centers, assignment: Assignment, released, *, distances=None
+) -> ObjectiveBreakdown:
+    """Evaluate the decomposed objective for an explicit iterate.
+
+    ``distances`` is the (n, k) matrix of raw distances to ``centers`` when
+    the caller already holds it; otherwise it is computed here.
+    """
     k = problem.k
     expected_cols = k + (1 if problem.has_outlier_column else 0)
     if assignment.y.shape != (problem.n, expected_cols):
@@ -340,7 +346,9 @@ def evaluate_parts(problem: Problem, centers, assignment: Assignment, released) 
     if any(j >= problem.centers.n_fixed for j in released):
         raise ShapeMismatch("released set contains a non-fixed center index")
 
-    costs = metrics.pairwise_costs(problem, centers)
+    if distances is None:
+        distances = metrics.distances_to_centers(problem, centers)
+    costs = problem.effective_weights[:, None] * distances
     per_point = (costs * assignment.center_block).sum(axis=1)
     distance_term = _ordered_sum(problem, per_point)
 

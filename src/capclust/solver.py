@@ -116,8 +116,22 @@ def _reseed_position(problem: Problem, costs: np.ndarray, y_centers: np.ndarray,
     return problem.coords[i].copy()
 
 
+def _same_input(previous, masses: np.ndarray, released: bool | None) -> bool:
+    """Whether a cluster's location input equals the one of its last update."""
+    return previous is not None and previous[1] == released and np.array_equal(previous[0], masses)
+
+
 def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution:
-    """Alternate exact allocation and location steps from the given centers."""
+    """Alternate exact allocation and location steps from the given centers.
+
+    The (n, k) distance matrix is computed once per center configuration
+    and shared by the allocation, the objective evaluations, reseeding and
+    the monotone guard.  A cluster whose location input (its mass column,
+    plus the released flag of a fixed center) equals the input of its last
+    update keeps its center: the location step is deterministic and the
+    guard only ever keeps the previous center, so recomputing would return
+    the center it already holds.
+    """
     problem = validate_problem(problem)
     spec = problem.centers
     k, m = spec.k, spec.n_fixed
@@ -128,6 +142,9 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     released: set[int] = set()
     cand = metrics.candidate_distances(problem) if discrete else None
     snap = np.argmin(cand, axis=1) if discrete else None
+    D = metrics.distances_to_centers(problem, centers)
+    # Per cluster: (masses, released flag or None, unconverged) of its last update.
+    last_input: list[tuple | None] = [None] * k
 
     diag: dict = {
         "iterations": 0,
@@ -143,7 +160,7 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     stop = None
     for iteration in range(1, config.max_iterations + 1):
         diag["iterations"] = iteration
-        assignment = allocate(problem, centers, config.time_budget)
+        assignment = allocate(problem, centers, config.time_budget, distances=D)
         if assignment.diagnostics:
             diag["bnb_nodes"] += assignment.diagnostics.get("nodes", 0)
             if "optimality_gap" in assignment.diagnostics:
@@ -152,46 +169,52 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
                 )
             if "fastpath" in assignment.diagnostics:
                 diag["fastpath"] = assignment.diagnostics["fastpath"]
-        after_alloc = evaluate_parts(problem, centers, assignment, released)
+        after_alloc = evaluate_parts(problem, centers, assignment, released, distances=D)
         if config.keep_traces:
             diag["objective_trace"].append(after_alloc.total)
 
-        costs = metrics.pairwise_costs(problem, centers)
         new_centers = centers.copy()
         new_released = set(released)
         for j in range(k):
             masses = w * assignment.center_block[:, j]
             nz = masses > 0
+            flag = j in released if j < m else None
+            if _same_input(last_input[j], masses, flag):
+                diag["weiszfeld_unconverged"] += last_input[j][2]
+                continue
+            unconverged = False
             if j < m:
                 rows = cand[nz] if discrete else problem.coords[nz]
-                decision = decide_release(problem, spec.fixed[j], rows, masses[nz], j in released)
+                decision = decide_release(problem, spec.fixed[j], rows, masses[nz], flag)
                 if decision.released:
                     new_released.add(j)
                 else:
                     new_released.discard(j)
                 new_centers[j] = decision.location
             elif not nz.any():
+                costs = w[:, None] * D
                 new_centers[j] = _reseed_position(problem, costs, assignment.center_block, snap)
                 diag["empty_reseeds"] += 1
+                last_input[j] = None
+                continue
             elif discrete:
                 new_centers[j] = update_center_discrete(cand[nz], masses[nz])
             else:
                 update = update_center_continuous(problem.metric.kind, problem.coords[nz], masses[nz])
-                if not update.converged:
-                    diag["weiszfeld_unconverged"] += 1
+                unconverged = not update.converged
                 # Keep the previous location on the rare non-improving update
                 # so the outer descent stays monotone.
-                old_cost = float(
-                    masses[nz]
-                    @ metrics.geometric_distances(problem.metric.kind, problem.coords[nz], centers[j][None, :])[:, 0]
-                )
+                old_cost = float(masses[nz] @ D[nz, j])
                 new_cost = float(
                     masses[nz]
                     @ metrics.geometric_distances(problem.metric.kind, problem.coords[nz], update.coords[None, :])[:, 0]
                 )
                 new_centers[j] = update.coords if new_cost <= old_cost else centers[j]
+            diag["weiszfeld_unconverged"] += unconverged
+            last_input[j] = (masses, flag, unconverged)
 
-        after_loc = evaluate_parts(problem, new_centers, assignment, new_released)
+        D = metrics.distances_to_centers(problem, new_centers)
+        after_loc = evaluate_parts(problem, new_centers, assignment, new_released, distances=D)
         if config.keep_traces:
             diag["objective_trace"].append(after_loc.total)
             diag["center_trace"].append(new_centers.copy())
@@ -214,8 +237,8 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     diag["stop"] = stop or "iteration_cap"
 
     if stop != "centers_unchanged":
-        assignment = allocate(problem, centers, config.time_budget)
-    objective = evaluate_parts(problem, centers, assignment, released)
+        assignment = allocate(problem, centers, config.time_budget, distances=D)
+    objective = evaluate_parts(problem, centers, assignment, released, distances=D)
     if config.keep_traces and stop != "centers_unchanged":
         diag["objective_trace"].append(objective.total)
 

@@ -211,3 +211,102 @@ def test_discrete_hard_terminates_without_iteration_cap():
     sol = solve(prob, SolverConfig(restarts=3, rng_seed=6, max_iterations=500))
     assert sol.diagnostics["iterations"] < 500
     assert sol.diagnostics["stop"] in ("centers_unchanged", "objective_stalled")
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_stable_clusters_skip_the_weiszfeld_step(monkeypatch):
+    from capclust import location
+
+    rng = np.random.default_rng(30)
+    pts = blob_points(rng, [(0, 0), (9, 0), (4, 8)], per=20)
+    prob = continuous_problem(pts, metric=euclidean())
+    calls = _counting(monkeypatch, location, "weiszfeld")
+    sol = descend(prob, np.array([[1.0, 1.0], [2.0, 0.0], [3.0, 2.0]]), SolverConfig())
+    iterations = sol.diagnostics["iterations"]
+    assert iterations >= 2
+    assert len(calls) < prob.k * iterations
+
+
+@pytest.mark.parametrize("capacity, membership, outlier", [
+    (None, "hard", None), (None, "hard", 3.0), ((15.0, 35.0), "fractional", None), ((15.0, 35.0), "hard", None),
+])
+def test_one_distance_matrix_per_iteration(monkeypatch, capacity, membership, outlier):
+    from capclust import metrics
+
+    rng = np.random.default_rng(31)
+    pts = blob_points(rng, [(0, 0), (6, 1), (3, 6)], per=25)
+    prob = continuous_problem(pts, metric=euclidean(), capacity=capacity, membership=membership,
+                              outlier_penalty=outlier)
+    centers0 = kmeanspp_init(prob, np.random.default_rng(2))
+    calls = _counting(monkeypatch, metrics, "distances_to_centers")
+    sol = descend(prob, centers0, SolverConfig())
+    assert len(calls) <= sol.diagnostics["iterations"] + 2
+
+
+def test_reseeded_cluster_is_recomputed(monkeypatch):
+    from capclust import solver
+    from capclust.model import Assignment
+
+    pts = (Point(0, coords=(0.0, 0.0)), Point(1, coords=(2.0, 0.0)),
+           Point(2, coords=(10.0, 0.0)), Point(3, coords=(12.0, 0.0)))
+    prob = continuous_problem(pts, k=2)
+    split = np.array([[0, 1], [0, 1], [1, 0], [1, 0]], dtype=float)
+    merged = np.array([[1, 0], [1, 0], [1, 0], [1, 0]], dtype=float)
+    # Cluster 1 holds points 0 and 1, empties (and is reseeded), then holds
+    # the same points again: its input repeats but its center has moved.
+    script = [split, merged, split]
+
+    def scripted(problem, centers, time_budget=None, *, distances=None):
+        y = script.pop(0) if script else split
+        return Assignment(y=y, membership=problem.membership, has_outlier=False)
+
+    monkeypatch.setattr(solver, "allocate", scripted)
+    sol = descend(prob, np.array([[10.0, 0.0], [0.5, 0.0]]),
+                  SolverConfig(max_iterations=3, convergence_tol=-np.inf))
+    trace = sol.diagnostics["center_trace"]
+    assert sol.diagnostics["empty_reseeds"] == 1
+    assert trace[0][1].tolist() == [1.0, 0.0]
+    assert trace[1][1].tolist() == [0.0, 0.0]
+    assert trace[2][1].tolist() == [1.0, 0.0]
+
+
+def _skip_cases():
+    rng = np.random.default_rng(32)
+    pts = blob_points(rng, [(0, 0), (7, 0), (3, 6), (9, 7)], per=30)
+    yield continuous_problem(pts, metric=euclidean(), k=5, outlier_penalty=2.0,
+                             center_kw={"fixed": ((3.0, 3.0), (8.0, 1.0)), "release_penalty": 6.0})
+    yield continuous_problem(pts, metric=euclidean(), k=4, capacity=(20.0, 40.0), membership="fractional")
+    sites = rng.uniform(-1, 10, size=(15, 2))
+    yield validate_problem(Problem(points=pts, metric=euclidean(),
+                                   centers=CenterSpec(k=4, placement="discrete", candidates=sites,
+                                                      fixed=(2,), release_penalty=5.0)))
+
+
+def test_skipping_matches_a_full_location_step(monkeypatch):
+    from capclust import solver
+
+    for prob in _skip_cases():
+        for seed in range(3):
+            centers0 = kmeanspp_init(prob, np.random.default_rng(seed))
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_same_input", lambda *args: False)
+                reference = descend(prob, centers0, SolverConfig())
+            got = descend(prob, centers0, SolverConfig())
+            ref_diag, got_diag = dict(reference.diagnostics), dict(got.diagnostics)
+            ref_centers, got_centers = ref_diag.pop("center_trace"), got_diag.pop("center_trace")
+            assert got_diag == ref_diag
+            assert len(got_centers) == len(ref_centers)
+            assert all(np.array_equal(a, b) for a, b in zip(got_centers, ref_centers))
+            assert np.array_equal(got.centers, reference.centers)
+            assert got.released == reference.released
