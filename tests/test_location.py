@@ -8,7 +8,7 @@ from capclust import (
     update_center_continuous, update_center_discrete, validate_problem, weiszfeld,
 )
 from capclust.errors import EmptyCluster
-from capclust.location import cluster_cost_continuous, weighted_lower_median
+from capclust.location import WEISZFELD_MAX_ITER, cluster_cost_continuous, weighted_lower_median
 from oracles import grid_refine_median
 
 
@@ -107,6 +107,16 @@ def test_weiszfeld_handles_coincident_optimum():
     got = weiszfeld(xy, masses)
     assert got.converged
     assert np.abs(got.coords - [0.0, 0.0]).max() < 1e-9
+
+
+def test_weiszfeld_returns_optimal_data_point_exactly():
+    # the heavier point is optimal (pull 86 <= mass 87), but the fixed-point
+    # iteration only closes in on it by a factor 86/87 per step
+    xy = np.array([[0.3, 0.7], [1.9, -2.0]])
+    got = weiszfeld(xy, np.array([87.0, 86.0]))
+    assert got.converged
+    assert got.coords.tolist() == [0.3, 0.7]
+    assert got.iterations < 0.7 * WEISZFELD_MAX_ITER
 
 
 def release_problem(release_penalty):
