@@ -75,15 +75,13 @@ def kmeanspp_init(problem: Problem, rng: np.random.Generator):
         chosen: list[int] = [int(f) for f in spec.fixed]
         best = np.min(cand[:, chosen], axis=1) if chosen else None
         while len(chosen) < k:
-            used = set(chosen)
             masses = w * best**2 if best is not None else w
-            eligible = np.array([snap[i] not in used for i in range(n)])
-            i = draw(masses, eligible)
+            i = draw(masses, ~np.isin(snap, chosen))
             if i is None:
-                unused = [h for h in range(n_sites) if h not in used]
-                if not unused:
+                unused = np.flatnonzero(~np.isin(np.arange(n_sites), chosen))
+                if not unused.size:
                     raise NotEnoughDistinctSites(f"cannot place {k} centers on {n_sites} sites")
-                site = unused[0]
+                site = int(unused[0])
             else:
                 site = int(snap[i])
             chosen.append(site)
