@@ -314,12 +314,26 @@ def validate_problem(problem: Problem) -> Problem:
             resolved.append(h)
         if len(set(resolved)) != len(resolved):
             raise ValidationError("fixed centers must occupy distinct candidate sites")
-        problem = replace(problem, centers=replace(spec, fixed=tuple(resolved)))
+        normalized = tuple(resolved)
     elif fixed:
-        coords = tuple((float(f[0]), float(f[1])) for f in fixed)
-        problem = replace(problem, centers=replace(spec, fixed=coords))
+        normalized = tuple((float(f[0]), float(f[1])) for f in fixed)
+    else:
+        return problem
 
-    return problem
+    # Keep the same object when nothing changes, so its cached arrays survive.
+    if _same_values(fixed, normalized):
+        return problem
+    return replace(problem, centers=replace(spec, fixed=normalized))
+
+
+def _same_values(given: tuple, normalized: tuple) -> bool:
+    """Whether ``given`` already holds exactly the plain Python values of ``normalized``."""
+    def same(a, b) -> bool:
+        if isinstance(b, tuple):
+            return type(a) is tuple and len(a) == len(b) and all(map(same, a, b))
+        return type(a) is type(b) and a == b
+
+    return all(map(same, given, normalized))
 
 
 def _ordered_sum(problem: Problem, per_point: np.ndarray) -> float:

@@ -95,6 +95,19 @@ def test_fixed_coordinates_resolve_to_site_indices():
     assert prob.centers.fixed == (1,)
 
 
+@pytest.mark.parametrize("centers", [
+    CenterSpec(k=2),
+    CenterSpec(k=2, fixed=(np.array([1, 0]),)),
+    CenterSpec(k=2, placement="discrete", candidates=[[0.0, 0.0], [1.0, 0.0]], fixed=((1.0, 0.0),)),
+])
+def test_validating_a_validated_problem_returns_it(centers):
+    points = (Point(0, coords=(0, 0)), Point(1, coords=(2, 1)))
+    prob = validate_problem(Problem(points=points, metric=sqeuclidean(), centers=centers))
+    prob.coords  # a cached array that a copy would have to rebuild
+    assert validate_problem(prob) is prob
+    assert "coords" in vars(prob)
+
+
 def test_single_point_objective():
     prob = validate_problem(Problem(points=(Point(0, coords=(0.0, 0.0), w=2.0),),
                                     metric=euclidean(), centers=CenterSpec(k=1)))
