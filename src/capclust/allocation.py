@@ -49,14 +49,13 @@ def allocate(problem: Problem, centers, time_budget: float | None = None, *, dis
     return allocate_hard(problem, centers, time_budget, distances=distances)
 
 
-def _column_costs(problem: Problem, centers) -> tuple[np.ndarray, np.ndarray]:
-    """Raw distances (n, k) and per-point column costs (n, k[+1]) in w'-units."""
-    D = metrics.distances_to_centers(problem, centers)
-    cost = problem.effective_weights[:, None] * D
+def _column_costs(problem: Problem, D: np.ndarray) -> np.ndarray:
+    """Per-point column costs (n, k[+1]) in w'-units from raw distances D."""
+    w = problem.effective_weights
+    cost = w[:, None] * D
     if problem.has_outlier_column:
-        outlier = problem.effective_weights * problem.outlier_penalty
-        cost = np.column_stack([cost, outlier])
-    return D, cost
+        cost = np.column_stack([cost, w * problem.outlier_penalty])
+    return cost
 
 
 def _check_coverage(problem: Problem) -> int:
@@ -136,7 +135,6 @@ def _solve_lp(problem: Problem, D: np.ndarray, fixings: dict) -> tuple[np.ndarra
     has_outlier = problem.has_outlier_column
     n_cols = k + (1 if has_outlier else 0)
     a = problem.capacity_coeffs
-    w = problem.effective_weights
     q = problem.coverages
 
     y = np.zeros((problem.n, n_cols))
@@ -145,9 +143,7 @@ def _solve_lp(problem: Problem, D: np.ndarray, fixings: dict) -> tuple[np.ndarra
     if zero.size:
         _greedy_rows(D, problem, zero, y)
 
-    cols_cost = w[:, None] * D
-    if has_outlier:
-        cols_cost = np.column_stack([cols_cost, w * problem.outlier_penalty])
+    cols_cost = _column_costs(problem, D)
 
     fixed_per_point: dict[int, int] = {}
     for (i, j), val in fixings.items():
@@ -241,11 +237,8 @@ def _greedy_incumbent(problem: Problem, D: np.ndarray) -> np.ndarray | None:
     has_outlier = problem.has_outlier_column
     n_cols = k + (1 if has_outlier else 0)
     a = problem.capacity_coeffs
-    w = problem.effective_weights
     q = problem.coverages
-    cols_cost = w[:, None] * D
-    if has_outlier:
-        cols_cost = np.column_stack([cols_cost, w * problem.outlier_penalty])
+    cols_cost = _column_costs(problem, D)
     y = np.zeros((problem.n, n_cols))
     zero = np.flatnonzero(a == 0)
     if zero.size:
@@ -371,10 +364,7 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
     primed = _greedy_incumbent(problem, D)
     if primed is not None:
         incumbent_y = primed
-        cols_cost = problem.effective_weights[:, None] * D
-        if problem.has_outlier_column:
-            cols_cost = np.column_stack([cols_cost, problem.effective_weights * problem.outlier_penalty])
-        incumbent_obj = float(np.sum((cols_cost * primed)[problem.id_order]))
+        incumbent_obj = float(np.sum((_column_costs(problem, D) * primed)[problem.id_order]))
 
     counter = 0
     heap: list[BnBNode] = [BnBNode(bound0, counter, {})]
