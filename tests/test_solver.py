@@ -293,9 +293,15 @@ def _skip_cases():
                                                       fixed=(2,), release_penalty=5.0)))
 
 
-def test_skipping_matches_a_full_location_step(monkeypatch):
-    from capclust import solver
+@pytest.mark.parametrize("unconverged", [False, True])
+def test_skipping_matches_a_full_location_step(monkeypatch, unconverged):
+    from capclust import location, solver
 
+    if unconverged:
+        # every Weiszfeld run reports no convergence, so the count must be
+        # replayed for skipped clusters
+        weiszfeld = location.weiszfeld
+        monkeypatch.setattr(location, "weiszfeld", lambda *a, **kw: weiszfeld(*a, **kw)._replace(converged=False))
     for prob in _skip_cases():
         for seed in range(3):
             centers0 = kmeanspp_init(prob, np.random.default_rng(seed))
