@@ -146,8 +146,5 @@ def distances_to_centers(problem: "Problem", centers) -> np.ndarray:
 
 
 def pairwise_costs(problem: "Problem", centers) -> np.ndarray:
-    """Effective-weight-scaled costs w'_i * d(x_i, c_j), shape (n, k).
-
-    Computed once per allocation step and reused by the subproblem solvers.
-    """
+    """Effective-weight-scaled costs w'_i * d(x_i, c_j), shape (n, k)."""
     return problem.effective_weights[:, None] * distances_to_centers(problem, centers)

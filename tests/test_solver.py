@@ -69,6 +69,45 @@ def test_kmeanspp_discrete_snaps_to_distinct_sites():
     assert all(0 <= c < 8 for c in centers)
 
 
+def _reference_discrete_seeds(problem, rng):
+    """Discrete k-means++ seeding with a per-point eligibility loop."""
+    from capclust import metrics
+
+    cand = metrics.candidate_distances(problem)
+    snap = np.argmin(cand, axis=1)
+    w = problem.effective_weights
+    chosen = [int(f) for f in problem.centers.fixed]
+    best = np.min(cand[:, chosen], axis=1) if chosen else None
+    while len(chosen) < problem.k:
+        eligible = np.array([snap[i] not in chosen for i in range(problem.n)])
+        masses = np.where(eligible, w * best**2 if best is not None else w, 0.0)
+        if masses.sum() <= 0:
+            masses = eligible.astype(float)
+        if masses.sum() > 0:
+            site = int(snap[rng.choice(problem.n, p=masses / masses.sum())])
+        else:
+            site = [h for h in range(cand.shape[1]) if h not in chosen][0]
+        chosen.append(site)
+        best = cand[:, site] if best is None else np.minimum(best, cand[:, site])
+    return np.asarray(chosen)
+
+
+@pytest.mark.parametrize("n_sites, fixed", [(12, ()), (12, (3, 7)), (3, ())])
+def test_kmeanspp_discrete_matches_reference_loop(n_sites, fixed):
+    rng = np.random.default_rng(10)
+    xy = rng.uniform(0, 10, size=(40, 2))
+    pts = tuple(Point(i, coords=tuple(xy[i]), w=float(rng.uniform(0.5, 2))) for i in range(40))
+    # with three sites on one side, every point snaps to site 0 and the
+    # last two seeds fall back to the lowest unused sites
+    sites = rng.uniform(0, 10, size=(n_sites, 2)) if n_sites > 3 else np.array([[5.0, 5.0], [50.0, 0], [60.0, 0]])
+    prob = validate_problem(Problem(points=pts, metric=euclidean(),
+                                    centers=CenterSpec(k=3 if n_sites == 3 else 6, placement="discrete",
+                                                       candidates=sites, fixed=fixed)))
+    for seed in range(5):
+        got = kmeanspp_init(prob, np.random.default_rng(seed))
+        assert np.array_equal(got, _reference_discrete_seeds(prob, np.random.default_rng(seed)))
+
+
 def test_descend_two_separated_pairs_reaches_midpoints():
     pts = (Point(0, coords=(0.0, 0.0)), Point(1, coords=(1.0, 0.0)),
            Point(2, coords=(10.0, 0.0)), Point(3, coords=(11.0, 0.0)))
