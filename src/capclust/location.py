@@ -100,10 +100,11 @@ def weiszfeld(xy: np.ndarray, masses: np.ndarray, *, scale: float | None = None)
     lands on a data point the optimality of that point is tested through
     the residual pull; if the pull does not exceed the point's own mass
     the point is the exact minimizer, otherwise the iteration steps off it
-    along the pull direction.  The fixed-point iteration approaches an
-    optimal data point only sublinearly, so the same test also runs once
-    per distinct data point the iterate comes within 1e-3 times the data
-    scale of, and returns that point exactly when it passes.
+    along the pull direction.  The fixed-point iteration closes in on an
+    optimal data point only by the factor pull/mass per step, so the same
+    test also runs once per distinct data point the iterate comes within
+    1e-3 times the data scale of, and returns that point exactly when it
+    passes.
     """
     xy = np.asarray(xy, dtype=float)
     masses = np.asarray(masses, dtype=float)
