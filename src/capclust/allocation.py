@@ -5,35 +5,27 @@ Three regimes:
 * no capacity window: each point independently takes its cheapest columns
   (the outlier column costs lambda_o per unit of effective weight), which is
   exact and identical for hard and fractional membership;
-* capacity window + fractional membership: an exact linear program, solved
-  as min-cost flow on scaled variables z_ij = a_i * y_ij;
-* capacity window + hard membership: best-first branch and bound on the LP
-  relaxation, branching on the most fractional membership.
+* capacity window + fractional membership: an exact linear program over the
+  memberships y_ij, solved by HiGHS (scipy.optimize.milp);
+* capacity window + hard membership: the same program with binary y_ij, a
+  mixed-integer program solved by HiGHS to a zero optimality gap, after
+  aggregate feasibility checks and an LP-relaxation fast path.
+
+Points with capacity coefficient a_i = 0 use no capacity, so they take
+their cheapest columns outside the program in every regime.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from . import metrics
-from .errors import Infeasible, NoIncumbentWithinBudget, QExceedsK
-from .mincostflow import FlowNetwork
+from .errors import CapclustError, Infeasible, NoIncumbentWithinBudget, QExceedsK
 from .model import FRACTIONAL, HARD, Assignment, Problem
-
-
-@dataclass(order=True)
-class BnBNode:
-    """A branch-and-bound node: a partial 0/1 fixing plus its optimistic bound."""
-
-    bound: float
-    counter: int
-    fixings: dict = field(compare=False)
-    depth: int = field(compare=False, default=0)
 
 
 def allocate(problem: Problem, centers, time_budget: float | None = None, *, distances=None) -> Assignment:
@@ -118,84 +110,62 @@ def _aggregate_certificate(problem: Problem) -> None:
         )
 
 
-def _flow_certificate(problem: Problem, unmet: list[tuple[int, float]], pos_nodes: int) -> str:
-    parts = []
-    for node, residual in unmet:
-        if node < pos_nodes:
-            parts.append(f"point node {node}: {residual:g} units of demand unplaced")
-        else:
-            parts.append(f"center {node - pos_nodes}: lower load bound short by {residual:g}")
-    return "; ".join(parts) if parts else "no feasible flow"
+def _highs(problem: Problem, D: np.ndarray, cost: np.ndarray, *, integral: bool = False,
+           time_limit: float | None = None):
+    """Solve the allocation over the points with a_i > 0 with HiGHS.
 
-
-def _solve_lp(problem: Problem, D: np.ndarray, fixings: dict) -> tuple[np.ndarray, float] | str:
-    """Exact LP optimum under 0/1 fixings; returns (y, objective) or a certificate."""
+    Variables are y_ij for those points over every column; coverage rows fix
+    sum_j y_ij = q_i and capacity rows keep sum_i a_i y_ij in [L, U] for each
+    real center.  Returns the (n, columns) membership matrix and scipy's
+    result: rows with a_i = 0 hold their greedy choice, the other rows hold
+    ``res.x`` (zeros when HiGHS returned no point).
+    """
     lo, hi = problem.capacity
     k = problem.k
-    has_outlier = problem.has_outlier_column
-    n_cols = k + (1 if has_outlier else 0)
     a = problem.capacity_coeffs
-    q = problem.coverages
+    pos = np.flatnonzero(a > 0)
+    m, n_cols = pos.size, cost.shape[1]
+    var = np.arange(m * n_cols).reshape(m, n_cols)
+    rows = np.concatenate([np.repeat(np.arange(m), n_cols), m + np.tile(np.arange(k), m)])
+    cols = np.concatenate([var.ravel(), var[:, :k].ravel()])
+    vals = np.concatenate([np.ones(m * n_cols), np.repeat(a[pos], k)])
+    A = sparse.csr_array((vals, (rows, cols)), shape=(m + k, m * n_cols))
+    q = problem.coverages[pos]
+    constraint = LinearConstraint(A, np.concatenate([q, np.full(k, lo)]), np.concatenate([q, np.full(k, hi)]))
+    options: dict = {}
+    if integral:
+        # With presolve on, HiGHS (scipy 1.17) ends some infeasible MIPs in
+        # "Solve error" and prints to stdout; with it off it proves them infeasible.
+        options = {"mip_rel_gap": 0.0, "presolve": False}
+        if time_limit is not None:
+            options["time_limit"] = time_limit
+    res = milp(cost[pos].ravel(), constraints=constraint, integrality=1 if integral else 0,
+               bounds=Bounds(0.0, 1.0), options=options)
 
     y = np.zeros((problem.n, n_cols))
-    pos = np.flatnonzero(a > 0)
     zero = np.flatnonzero(a == 0)
     if zero.size:
         _greedy_rows(D, problem, zero, y)
+    if res.x is not None:
+        # HiGHS may return -0.0 or values a rounding error outside [0, 1]
+        x = np.round(res.x) if integral else np.clip(res.x, 0.0, 1.0)
+        y[pos] = x.reshape(m, n_cols) + 0.0
+    return y, res
 
-    cols_cost = _column_costs(problem, D)
 
-    fixed_per_point: dict[int, int] = {}
-    for (i, j), val in fixings.items():
-        if val == 1:
-            fixed_per_point[i] = fixed_per_point.get(i, 0) + 1
-    for i in set(i for (i, _j) in fixings):
-        open_cols = sum(
-            1 for j in range(n_cols) if fixings.get((i, j), None) != 0
-        )
-        if fixed_per_point.get(i, 0) > q[i] or open_cols < q[i]:
-            return f"point {problem.points[i].id}: fixings leave no room for coverage q={q[i]}"
+def _objective(problem: Problem, cost: np.ndarray, y: np.ndarray) -> float:
+    return float(np.sum((cost * y)[problem.id_order]))
 
-    idx_of = {int(p): t for t, p in enumerate(pos)}
-    n_pos = pos.size
-    outlier_node = n_pos + k if has_outlier else -1
-    sink = n_pos + k + (1 if has_outlier else 0)
-    net = FlowNetwork(sink + 1)
 
-    constant = 0.0
-    arc_map: dict[int, tuple[int, int]] = {}
-    for t, i in enumerate(pos):
-        supply = a[i] * q[i]
-        for j in range(n_cols):
-            fix = fixings.get((int(i), j))
-            if fix == 0:
-                continue
-            target = outlier_node if j == k else n_pos + j
-            unit = cols_cost[i, j] / a[i]
-            if fix == 1:
-                supply -= a[i]
-                net.add_supply(target, a[i])
-                constant += cols_cost[i, j]
-                y[i, j] = 1.0
-                continue
-            arc = net.add_arc(t, target, 0.0, a[i], unit)
-            arc_map[arc] = (int(i), j)
-        if supply < -1e-12:
-            return f"point {problem.points[i].id}: fixings exceed coverage"
-        net.add_supply(t, supply)
-    for j in range(k):
-        net.add_arc(n_pos + j, sink, lo, hi, 0.0)
-    if has_outlier:
-        net.add_arc(outlier_node, sink, 0.0, math.inf, 0.0)
-    net.add_supply(sink, -float(math.fsum(net.balances[:sink])))
-
-    result = net.solve()
-    if not result.feasible:
-        return _flow_certificate(problem, result.unmet, n_pos)
-    for arc, (i, j) in arc_map.items():
-        y[i, j] = min(1.0, max(0.0, result.flows[arc] / a[i]))
-    objective = float(np.sum((cols_cost * y)[problem.id_order]))
-    return y, objective
+def _solve_lp(problem: Problem, D: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact fractional optimum and its objective; raises Infeasible when there is none."""
+    y, res = _highs(problem, D, cost)
+    if res.status == 2:
+        lo, hi = problem.capacity
+        raise Infeasible(f"the capacity window admits no fractional assignment (L={lo:g}, U={hi:g})")
+    if res.status != 0:
+        raise CapclustError(f"HiGHS did not solve the allocation LP: {res.message}")
+    return y, _objective(problem, cost, y)
 
 
 def allocate_fractional(problem: Problem, centers, *, distances=None) -> Assignment:
@@ -203,11 +173,10 @@ def allocate_fractional(problem: Problem, centers, *, distances=None) -> Assignm
         return allocate_uncapacitated(problem, centers, distances=distances)
     _check_coverage(problem)
     _aggregate_certificate(problem)
+    if not (problem.capacity_coeffs > 0).any():
+        return allocate_uncapacitated(problem, centers, distances=distances)
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
-    solved = _solve_lp(problem, D, {})
-    if isinstance(solved, str):
-        raise Infeasible(solved)
-    y, _ = solved
+    y, _ = _solve_lp(problem, D, _column_costs(problem, D))
     return Assignment(y=y, membership=FRACTIONAL, has_outlier=problem.has_outlier_column)
 
 
@@ -229,8 +198,8 @@ def _verify_hard(problem: Problem, y: np.ndarray) -> bool:
 def _greedy_incumbent(problem: Problem, D: np.ndarray) -> np.ndarray | None:
     """Feasible binary assignment by greedy fill plus lower-bound repair.
 
-    Only used to prime branch and bound with an incumbent; returning None
-    is always safe.
+    Only used when HiGHS reaches the time budget without a feasible point;
+    returning None is always safe.
     """
     lo, hi = problem.capacity
     k = problem.k
@@ -322,36 +291,24 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
                 f"above the total capacity-weighted demand {demand:g}"
             )
 
+    if not (a > 0).any():
+        return allocate_uncapacitated(problem, centers, distances=distances)
+
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
     diagnostics: dict = {"nodes": 0}
 
     positive = a[a > 0]
-    if positive.size:
-        c = positive[0]
-        equal_coeffs = bool(np.all(positive == c))
-        divisible = bool(
-            equal_coeffs
-            and abs(lo / c - round(lo / c)) < 1e-9
-            and (not math.isfinite(hi) or abs(hi / c - round(hi / c)) < 1e-9)
-        )
-        diagnostics["integral_guarantee"] = divisible
-    else:
-        diagnostics["integral_guarantee"] = True
+    c = positive[0]
+    equal_coeffs = bool(np.all(positive == c))
+    diagnostics["integral_guarantee"] = bool(
+        equal_coeffs
+        and abs(lo / c - round(lo / c)) < 1e-9
+        and (not math.isfinite(hi) or abs(hi / c - round(hi / c)) < 1e-9)
+    )
 
-    start = time.monotonic()
-    root = _solve_lp(problem, D, {})
-    if isinstance(root, str):
-        raise Infeasible(root)
-
-    def integral(y: np.ndarray) -> bool:
-        return bool(np.all(np.abs(y - np.round(y)) <= 1e-7))
-
-    incumbent_y = None
-    incumbent_obj = math.inf
-    best_bound = root[1]
-
-    y0, bound0 = root
-    if integral(y0):
+    cost = _column_costs(problem, D)
+    y0, bound0 = _solve_lp(problem, D, cost)
+    if np.all(np.abs(y0 - np.round(y0)) <= 1e-7):
         y_round = np.round(y0)
         if _verify_hard(problem, y_round):
             diagnostics["fastpath"] = "lp_integral"
@@ -361,61 +318,23 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
                 diagnostics=diagnostics,
             )
 
-    primed = _greedy_incumbent(problem, D)
-    if primed is not None:
-        incumbent_y = primed
-        incumbent_obj = float(np.sum((_column_costs(problem, D) * primed)[problem.id_order]))
-
-    counter = 0
-    heap: list[BnBNode] = [BnBNode(bound0, counter, {})]
-    solved_cache: dict[int, tuple[np.ndarray, float]] = {counter: root}
-
-    while heap:
-        node = heappop(heap)
-        if node.bound >= incumbent_obj - 1e-10 * (1.0 + abs(incumbent_obj)):
-            break  # best-first: nothing left can beat the incumbent
-        best_bound = node.bound
-        if time_budget is not None and time.monotonic() - start > time_budget:
-            if incumbent_y is None:
-                raise NoIncumbentWithinBudget(
-                    f"no feasible hard assignment within {time_budget:g}s"
-                )
-            diagnostics["optimality_gap"] = (incumbent_obj - node.bound) / max(1.0, abs(incumbent_obj))
-            break
-
-        cached = solved_cache.pop(node.counter, None)
-        if cached is None:
-            solved = _solve_lp(problem, D, node.fixings)
-            if isinstance(solved, str):
-                continue
-        else:
-            solved = cached
-        y, bound = solved
-        diagnostics["nodes"] += 1
-        if bound >= incumbent_obj - 1e-10 * (1.0 + abs(incumbent_obj)):
-            continue
-
-        if integral(y):
-            y_round = np.round(y)
-            if _verify_hard(problem, y_round) and bound < incumbent_obj:
-                incumbent_y, incumbent_obj = y_round, bound
-            continue
-
-        frac = np.minimum(y, 1.0 - y)
-        frac[problem.capacity_coeffs == 0, :] = 0.0
-        i, j = np.unravel_index(int(np.argmax(frac)), frac.shape)
-        for val in (0, 1):
-            counter += 1
-            child = dict(node.fixings)
-            child[(int(i), int(j))] = val
-            heappush(heap, BnBNode(bound, counter, child, node.depth + 1))
-
-    if incumbent_y is None:
+    y, res = _highs(problem, D, cost, integral=True, time_limit=time_budget)
+    diagnostics["nodes"] = int(res.mip_node_count or 0)
+    if res.status == 2:
         raise Infeasible(
             "the capacity window admits no binary assignment "
             f"(L={lo:g}, U={hi:g}; capacity coefficients cannot be split)"
         )
+    if res.status == 1 and res.x is not None:
+        diagnostics["optimality_gap"] = float(res.mip_gap)
+    elif res.status == 1:
+        y = _greedy_incumbent(problem, D)
+        if y is None:
+            raise NoIncumbentWithinBudget(f"no feasible hard assignment within {time_budget:g}s")
+        incumbent = _objective(problem, cost, y)
+        diagnostics["optimality_gap"] = (incumbent - bound0) / max(1.0, abs(incumbent))
+    elif res.status != 0:
+        raise CapclustError(f"HiGHS did not solve the hard allocation: {res.message}")
     return Assignment(
-        y=incumbent_y, membership=HARD, has_outlier=problem.has_outlier_column,
-        diagnostics=diagnostics,
+        y=y, membership=HARD, has_outlier=problem.has_outlier_column, diagnostics=diagnostics,
     )

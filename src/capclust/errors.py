@@ -51,8 +51,8 @@ class Infeasible(CapclustError):
     """The allocation subproblem has no feasible assignment.
 
     ``certificate`` is a short human-readable description of the failing
-    bound (aggregate capacity checks where detectable, otherwise the unmet
-    node balances of the flow network).
+    bound (aggregate capacity checks where detectable, otherwise the
+    capacity window that the LP or MIP solver proved infeasible).
     """
 
     def __init__(self, certificate: str):
@@ -61,7 +61,7 @@ class Infeasible(CapclustError):
 
 
 class NoIncumbentWithinBudget(CapclustError):
-    """Branch and bound ran out of time before finding any feasible point."""
+    """The hard-allocation MIP ran out of time before finding any feasible point."""
 
 
 class NotEnoughDistinctSites(CapclustError):

@@ -11,6 +11,7 @@ for that reason).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,12 @@ SCHEMA = "capclust-solution 1"
 
 def _parse_float(raw: str, line: int, column: int, what: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(f"{what}: not a number: {raw!r}", line, column) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{what}: not a finite number: {raw!r}", line, column)
+    return value
 
 
 def load_points(path) -> list[Point]:
@@ -326,7 +330,13 @@ def write_solution(problem: Problem, solution: Solution, path, emit_timing: bool
         fh.write("\n".join(lines) + "\n")
 
 
+# Counted blocks: header tag -> (row tag, number of values after the row tag).
+_BLOCK_ROWS = {"points": ("p", 2), "memberships": ("m", 4), "outliers": ("o", 2), "loads": ("l", 2),
+               "coverage_flags": ("f", 1)}
+
+
 def read_solution(path) -> SolutionDocument:
+    """Parse a solution document; any short, malformed or unterminated one raises ParseError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != SCHEMA:
@@ -335,83 +345,88 @@ def read_solution(path) -> SolutionDocument:
         schema=lines[0], objective={}, meta={}, centers=[], point_weights={},
         memberships=[], outliers=[], loads={}, coverage_flags=[], diagnostics={},
     )
-    idx = 1
     n_lines = len(lines)
+    at = 1  # 0-based index of the line being parsed, for error messages
 
-    def fail(msg: str, at: int):
-        raise ParseError(msg, at + 1)
+    def row(tag: str, sizes: tuple[int, ...]) -> list[str]:
+        """Line ``at`` split into words: ``tag`` followed by one of ``sizes`` values."""
+        if at >= n_lines:
+            raise ParseError(f"document ends inside a block; expected a {tag!r} line", at + 1)
+        parts = lines[at].split()
+        if not parts or parts[0] != tag or len(parts) - 1 not in sizes:
+            raise ParseError(f"expected a {tag!r} line with {' or '.join(map(str, sizes))} values", at + 1)
+        return parts
 
-    while idx < n_lines:
-        parts = lines[idx].split()
-        if not parts:
-            idx += 1
-            continue
-        tag = parts[0]
-        if tag == "end":
-            break
-        if tag == "objective":
-            doc.objective = {parts[i]: float(parts[i + 1]) for i in range(1, len(parts), 2)}
-        elif tag == "problem":
-            doc.meta.update({parts[i]: parts[i + 1] for i in range(1, len(parts), 2)})
-        elif tag in ("capacity",):
-            doc.meta["capacity"] = f"{parts[1]} {parts[2]}"
-        elif tag in ("outlier_lambda", "opening_lambda", "release_lambda"):
-            doc.meta[tag] = parts[1]
-        elif tag == "centers":
-            count = int(parts[1])
-            for row in range(count):
-                sub = lines[idx + 1 + row].split()
-                if sub[0] != "c":
-                    fail("malformed centers block", idx + 1 + row)
-                entry: dict = {"index": int(sub[1]), "kind": sub[2], "status": None}
-                if sub[2] == "xy":
-                    entry["xy"] = (float(sub[3]), float(sub[4]))
-                    entry["status"] = sub[5]
-                    if len(sub) > 6:
-                        entry["orig"] = (float(sub[7]), float(sub[8]))
-                else:
-                    entry["site"] = int(sub[3])
-                    entry["status"] = sub[4]
-                    if len(sub) > 5:
-                        entry["orig"] = int(sub[6])
-                doc.centers.append(entry)
-            idx += count
-        elif tag == "points":
-            count = int(parts[1])
-            for row in range(count):
-                sub = lines[idx + 1 + row].split()
-                doc.point_weights[int(sub[1])] = float(sub[2])
-            idx += count
-        elif tag == "memberships":
-            count = int(parts[1])
-            for row in range(count):
-                sub = lines[idx + 1 + row].split()
-                doc.memberships.append((int(sub[1]), int(sub[2]), float(sub[3]), float(sub[4])))
-            idx += count
-        elif tag == "outliers":
-            count = int(parts[1])
-            for row in range(count):
-                sub = lines[idx + 1 + row].split()
-                doc.outliers.append((int(sub[1]), float(sub[2])))
-            idx += count
-        elif tag == "loads":
-            count = int(parts[1])
-            for row in range(count):
-                sub = lines[idx + 1 + row].split()
-                doc.loads[int(sub[1])] = float(sub[2])
-            idx += count
-        elif tag == "coverage_flags":
-            count = int(parts[1])
-            for row in range(count):
-                doc.coverage_flags.append(int(lines[idx + 1 + row].split()[1]))
-            idx += count
-        elif tag == "diagnostics":
-            doc.diagnostics = {parts[i]: parts[i + 1] for i in range(1, len(parts), 2)}
-        elif tag == "timing":
-            doc.timing = float(parts[2])
+    def pairs(parts: list[str]) -> dict[str, str]:
+        if len(parts) % 2 == 0:
+            raise ParseError(f"{parts[0]} line needs key-value pairs", at + 1)
+        return dict(zip(parts[1::2], parts[2::2]))
+
+    def count(parts: list[str]) -> int:
+        value = int(row(parts[0], (1,))[1])
+        if value < 0:
+            raise ParseError(f"negative {parts[0]} count {value}", at + 1)
+        return value
+
+    try:
+        while at < n_lines:
+            parts = lines[at].split()
+            if not parts:
+                at += 1
+                continue
+            tag = parts[0]
+            if tag == "end":
+                break
+            if tag == "objective":
+                doc.objective = {key: float(val) for key, val in pairs(parts).items()}
+            elif tag == "problem":
+                doc.meta.update(pairs(parts))
+            elif tag == "capacity":
+                doc.meta["capacity"] = " ".join(row(tag, (2,))[1:])
+            elif tag in ("outlier_lambda", "opening_lambda", "release_lambda"):
+                doc.meta[tag] = row(tag, (1,))[1]
+            elif tag == "centers":
+                for _ in range(count(parts)):
+                    at += 1
+                    sub = row("c", (4, 5, 6, 8))
+                    entry: dict = {"index": int(sub[1]), "kind": sub[2], "status": None}
+                    if sub[2] == "xy" and len(sub) in (6, 9):
+                        entry["xy"] = (float(sub[3]), float(sub[4]))
+                        entry["status"] = sub[5]
+                        if len(sub) > 6:
+                            entry["orig"] = (float(sub[7]), float(sub[8]))
+                    elif sub[2] == "site" and len(sub) in (5, 7):
+                        entry["site"] = int(sub[3])
+                        entry["status"] = sub[4]
+                        if len(sub) > 5:
+                            entry["orig"] = int(sub[6])
+                    else:
+                        raise ParseError("malformed centers block", at + 1)
+                    doc.centers.append(entry)
+            elif tag in _BLOCK_ROWS:
+                row_tag, size = _BLOCK_ROWS[tag]
+                for _ in range(count(parts)):
+                    at += 1
+                    sub = row(row_tag, (size,))
+                    if tag == "points":
+                        doc.point_weights[int(sub[1])] = float(sub[2])
+                    elif tag == "memberships":
+                        doc.memberships.append((int(sub[1]), int(sub[2]), float(sub[3]), float(sub[4])))
+                    elif tag == "outliers":
+                        doc.outliers.append((int(sub[1]), float(sub[2])))
+                    elif tag == "loads":
+                        doc.loads[int(sub[1])] = float(sub[2])
+                    else:
+                        doc.coverage_flags.append(int(sub[1]))
+            elif tag == "diagnostics":
+                doc.diagnostics = pairs(parts)
+            elif tag == "timing":
+                doc.timing = float(row(tag, (2,))[2])
+            else:
+                raise ParseError(f"unknown tag {tag!r}", at + 1)
+            at += 1
         else:
-            fail(f"unknown tag {tag!r}", idx)
-        idx += 1
-    else:
-        raise ParseError("missing end tag", n_lines)
+            raise ParseError("missing end tag", n_lines)
+    except ValueError as exc:
+        raise ParseError(f"malformed value: {exc}", at + 1) from None
     return doc

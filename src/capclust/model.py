@@ -131,8 +131,12 @@ class Problem:
         return np.array([p.w for p in self.points], dtype=float)
 
     @cached_property
+    def gammas(self) -> np.ndarray:
+        return np.array([p.gamma for p in self.points], dtype=float)
+
+    @cached_property
     def effective_weights(self) -> np.ndarray:
-        return np.array([p.w + p.gamma for p in self.points], dtype=float)
+        return self.weights + self.gammas
 
     @cached_property
     def capacity_coeffs(self) -> np.ndarray:
@@ -141,6 +145,15 @@ class Problem:
     @cached_property
     def coverages(self) -> np.ndarray:
         return np.array([p.q for p in self.points], dtype=int)
+
+    @cached_property
+    def pseudo_mask(self) -> np.ndarray:
+        return np.array([p.pseudo for p in self.points], dtype=bool)
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """Point ids; object dtype keeps ids of any size exact."""
+        return np.array([p.id for p in self.points], dtype=object)
 
     @cached_property
     def id_order(self) -> np.ndarray:
@@ -240,31 +253,24 @@ def validate_problem(problem: Problem) -> Problem:
     spec = problem.centers
     if spec.k < 1:
         raise ValidationError("k must be positive")
-    for p in problem.points:
-        if p.w < 0 or p.gamma < 0 or p.a < 0:
-            raise NegativeWeight(f"point {p.id}: w, gamma and a must be nonnegative")
-        if p.q < 1:
-            raise ValidationError(f"point {p.id}: coverage q must be at least 1")
-        if p.pseudo and (p.w != 0 or p.a != 0):
-            raise ValidationError(f"pseudo point {p.id} must have w = 0 and a = 0")
-    ids = [p.id for p in problem.points]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("point ids must be unique")
+    _validate_points(problem)
 
     if problem.membership not in (HARD, FRACTIONAL):
         raise ValidationError(f"unknown membership mode: {problem.membership!r}")
 
     if problem.capacity is not None:
         lo, hi = problem.capacity
+        if not math.isfinite(lo) or math.isnan(hi):
+            raise ValidationError(f"capacity window [{lo}, {hi}]: L must be finite and U a number")
         if lo > hi:
             raise CapacityWindowInverted(f"capacity window [{lo}, {hi}] is inverted")
         if lo < 0:
             raise ValidationError("capacity lower limit must be nonnegative")
 
-    if problem.outlier_penalty is not None and problem.outlier_penalty < 0:
-        raise ValidationError("outlier penalty must be nonnegative")
-    if problem.opening_penalty < 0:
-        raise ValidationError("opening penalty must be nonnegative")
+    if problem.outlier_penalty is not None and not 0 <= problem.outlier_penalty < math.inf:
+        raise ValidationError("outlier penalty must be finite and nonnegative")
+    if not 0 <= problem.opening_penalty < math.inf:
+        raise ValidationError("opening penalty must be finite and nonnegative")
 
     if problem.metric.kind == metrics.THRESHOLD and spec.placement != "discrete":
         raise ThresholdRequiresDiscrete("threshold metric requires discrete placement")
@@ -293,7 +299,7 @@ def validate_problem(problem: Problem) -> Problem:
 
     if spec.n_fixed > spec.k:
         raise KTooSmall(f"k={spec.k} is smaller than the number of fixed centers ({spec.n_fixed})")
-    if spec.release_penalty < 0:
+    if not spec.release_penalty >= 0:  # infinity means never releasable
         raise ValidationError("release penalty must be nonnegative")
 
     fixed = spec.fixed
@@ -324,6 +330,32 @@ def validate_problem(problem: Problem) -> Problem:
     if _same_values(fixed, normalized):
         return problem
     return replace(problem, centers=replace(spec, fixed=normalized))
+
+
+def _validate_points(problem: Problem) -> None:
+    """Per-point checks on the cached arrays; errors name the first offending point."""
+    w, gamma, a, q = problem.weights, problem.gammas, problem.capacity_coeffs, problem.coverages
+    finite = np.isfinite(w) & np.isfinite(gamma) & np.isfinite(a)
+    if problem.coords is not None:
+        finite &= np.isfinite(problem.coords).all(axis=1)
+    negative = (w < 0) | (gamma < 0) | (a < 0)
+    no_cover = q < 1
+    bad_pseudo = problem.pseudo_mask & ((w != 0) | (a != 0))
+    bad = ~finite | negative | no_cover | bad_pseudo
+    if bad.any():
+        i = int(np.argmax(bad))
+        pid = problem.points[i].id
+        if not finite[i]:
+            raise ValidationError(f"point {pid}: coordinates, w, gamma and a must be finite")
+        if negative[i]:
+            raise NegativeWeight(f"point {pid}: w, gamma and a must be nonnegative")
+        if no_cover[i]:
+            raise ValidationError(f"point {pid}: coverage q must be at least 1")
+        raise ValidationError(f"pseudo point {pid} must have w = 0 and a = 0")
+    ids = problem.ids[problem.id_order]
+    repeated = np.flatnonzero(ids[1:] == ids[:-1])
+    if repeated.size:
+        raise ValidationError(f"point ids must be unique (id {ids[repeated[0]]} repeats)")
 
 
 def _same_values(given: tuple, normalized: tuple) -> bool:

@@ -2,6 +2,7 @@
 
 Everything here deliberately avoids the package's own solution paths:
 the LP oracle is scipy's HiGHS on the dense membership variables, the
+negative-cycle oracle checks LP optimality with no LP solver at all, the
 hard-assignment oracle enumerates every labeling, the geometric-median
 oracle refines a grid search, and the ARI oracle counts pairs directly.
 """
@@ -95,6 +96,60 @@ def dense_lp_fractional(problem, D) -> float | None:
         return None
     assert res.status == 0, f"linprog status {res.status}"
     return float(res.fun)
+
+
+def residual_negative_cycle(problem, D, y, tol=1e-9) -> bool:
+    """Whether the flow residual of a feasible fractional y has a negative-cost cycle.
+
+    Flow view, for the points with a_i > 0: z_ij = a_i y_ij units move on an
+    arc point i -> column j of capacity a_i and unit cost w'_i d_ij / a_i
+    (lambda_o w'_i / a_i into the outlier node); each center drains to the
+    sink on an arc bounded by the capacity window [L, U], and the outlier
+    node on an uncapacitated arc.  A feasible flow is a min-cost flow, so y
+    is LP-optimal, exactly when its residual graph has no negative cycle.
+    Bellman-Ford from a virtual source decides it; residual capacities and
+    relaxations below ``tol`` (relative) are ignored as rounding noise.
+    """
+    n, k = D.shape
+    lam = problem.outlier_penalty
+    a = problem.capacity_coeffs
+    w = problem.effective_weights
+    lo, hi = problem.capacity
+    pos = [i for i in range(n) if a[i] > 0]
+    centre = {j: len(pos) + j for j in range(k)}
+    outlier = len(pos) + k
+    sink = outlier + 1
+    arcs = []  # (tail, head, cost, flow, lower, upper)
+    for t, i in enumerate(pos):
+        for j in range(k):
+            arcs.append((t, centre[j], w[i] * D[i, j] / a[i], a[i] * y[i, j], 0.0, a[i]))
+        if lam is not None:
+            arcs.append((t, outlier, w[i] * lam / a[i], a[i] * y[i, k], 0.0, a[i]))
+    for j in range(k):
+        load = sum(a[i] * y[i, j] for i in pos)
+        arcs.append((centre[j], sink, 0.0, load, lo, hi))
+    if lam is not None:
+        spill = sum(a[i] * y[i, k] for i in pos)
+        arcs.append((outlier, sink, 0.0, spill, 0.0, np.inf))
+
+    scale = max(1.0, float(a.max(initial=1.0)))
+    residual = []
+    for tail, head, cost, flow, lower, upper in arcs:
+        if flow < upper - tol * scale:
+            residual.append((tail, head, cost))
+        if flow > lower + tol * scale:
+            residual.append((head, tail, -cost))
+    cost_scale = max(1.0, max(abs(c) for _t, _h, c in residual)) if residual else 1.0
+    dist = [0.0] * (sink + 1)  # a virtual source reaches every node at cost 0
+    for _ in range(sink + 1):
+        changed = False
+        for tail, head, cost in residual:
+            if dist[tail] + cost < dist[head] - tol * cost_scale:
+                dist[head] = dist[tail] + cost
+                changed = True
+        if not changed:
+            return False
+    return True
 
 
 def reference_lloyd(xy: np.ndarray, centers0: np.ndarray, max_iter: int = 100):

@@ -8,7 +8,9 @@ from capclust import (
     allocate_uncapacitated, matrix_metric, validate_problem,
 )
 from capclust.errors import Infeasible, NoIncumbentWithinBudget, QExceedsK
-from oracles import brute_force_hard, dense_lp_fractional, random_capacitated_instance
+from oracles import (
+    brute_force_hard, dense_lp_fractional, random_capacitated_instance, residual_negative_cycle,
+)
 
 
 def matrix_problem(D, a=None, w=None, q=None, lam=None, capacity=None, membership="hard"):
@@ -124,6 +126,32 @@ def test_indivisible_exact_window_hard_infeasible_fractional_fine():
     assert np.allclose(loads, 4.0, atol=1e-6)
 
 
+def test_indivisible_window_hard_infeasible_is_silent(capfd):
+    prob = matrix_problem([[1.0, 2.0]] * 3, a=[3.0, 3.0, 2.0], capacity=(4.0, 4.0))
+    with pytest.raises(Infeasible):
+        allocate_hard(prob, np.array([0, 1]))
+    assert capfd.readouterr() == ("", "")
+
+
+def test_unequal_coefficients_hard_instance_solves_to_optimality():
+    # n=100, k=5, unequal a, a +-20% window around the mean load; the LP
+    # root is fractional, and a best-first branch and bound still had a 14%
+    # gap on this instance after 3 s
+    rng = np.random.default_rng(4)
+    xy = rng.uniform(0.0, 10.0, size=(100, 2))
+    sites = rng.uniform(0.0, 10.0, size=(5, 2))
+    D = ((xy[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)
+    a = rng.uniform(0.5, 2.0, size=100)
+    mean_load = a.sum() / 5
+    prob = matrix_problem(D, a=a, capacity=(0.8 * mean_load, 1.2 * mean_load))
+    got = allocate_hard(prob, np.arange(5), time_budget=20.0)
+    assert "fastpath" not in got.diagnostics
+    assert "optimality_gap" not in got.diagnostics
+    assert np.isin(got.y, (0.0, 1.0)).all()
+    loads = got.loads(prob.capacity_coeffs)
+    assert (loads >= 0.8 * mean_load - 1e-9).all() and (loads <= 1.2 * mean_load + 1e-9).all()
+
+
 def test_infeasibility_certificates_mention_failing_bound():
     with pytest.raises(Infeasible, match="upper"):
         allocate_fractional(matrix_problem([[1.0]], a=[4.0], capacity=(0.0, 2.0),
@@ -150,6 +178,9 @@ def test_zero_capacity_points_assigned_greedily():
     assert got.y[0].tolist() == [1.0, 0.0]  # no capacity consumed, takes its nearest
     loads = got.loads(prob.capacity_coeffs)
     assert loads[0] == 0.0 or loads[0] <= 3.0 + 1e-9
+    for membership in ("fractional", "hard"):  # no point uses capacity at all
+        prob = matrix_problem(D, a=[0.0, 0.0], capacity=(0.0, 3.0), membership=membership)
+        assert allocate(prob, np.array([0, 1])).y.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_fractional_matches_dense_lp_oracle_on_randoms():
@@ -170,8 +201,16 @@ def test_fractional_matches_dense_lp_oracle_on_randoms():
         lo, hi = problem.capacity
         assert (loads >= lo - 1e-6).all() and (loads <= hi + 1e-6).all()
         assert np.allclose(got.row_sums(), problem.coverages, atol=1e-6)
+        assert not residual_negative_cycle(problem, D, got.y)
         compared += 1
     assert compared > 25
+
+
+def test_negative_cycle_oracle_flags_suboptimal_assignment():
+    prob = ab_problem("fractional")
+    assert not residual_negative_cycle(prob, AB_D, np.array([[1.0, 0.0], [0.5, 0.5]]))
+    # feasible (loads 2 and 2) but 6 > 2: moving point 0 to center 0 pays
+    assert residual_negative_cycle(prob, AB_D, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_hard_matches_brute_force_on_randoms():

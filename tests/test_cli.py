@@ -86,6 +86,32 @@ def test_parse_error_exits_3(tmp_path):
     assert code == 3
 
 
+def test_non_finite_input_exits_3(tmp_path):
+    points = tmp_path / "pts.csv"
+    points.write_text("id,x,y,w\n0,0,0,1\n1,nan,0,1\n")
+    assert main(["solve", "--points", str(points), "--k", "1", "--out", str(tmp_path / "o")]) == 3
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("0\ninf\n")
+    points.write_text("id,x,y,w\n0,0,0,1\n1,1,0,1\n")
+    code = main(["solve", "--points", str(points), "--matrix", str(matrix), "--metric", "matrix",
+                 "--k", "1", "--out", str(tmp_path / "o")])
+    assert code == 3
+
+
+def test_evaluate_truncated_solution_exits_3(dataset, tmp_path, capsys):
+    points, labels = dataset
+    out = tmp_path / "run"
+    code = main(["solve", "--points", str(points), "--k", "3", "--restarts", "1", "--seed", "1",
+                 "--out", str(out)])
+    assert code == 0
+    doc = out / "solution.txt"
+    lines = doc.read_text().splitlines(keepends=True)
+    block = next(i for i, ln in enumerate(lines) if ln.startswith("memberships "))
+    doc.write_text("".join(lines[: block + 2]))  # cut inside the memberships block
+    assert main(["evaluate", "--solution", str(doc), "--truth", str(labels)]) == 3
+    assert "parse error: line" in capsys.readouterr().err
+
+
 def test_sweep_writes_report(dataset, tmp_path, capsys):
     points, _ = dataset
     out = tmp_path / "sweep"

@@ -47,6 +47,17 @@ def test_negative_weight_reports_line_and_column(tmp_path):
     assert err.value.column == 4
 
 
+@pytest.mark.parametrize("row, column", [
+    ("2,nan,1,3", 2), ("2,1,inf,3", 3), ("2,1,1,nan", 4), ("2,1,1,3,-inf", 5), ("2,1,1,3,0,Infinity", 6),
+])
+def test_non_finite_point_value_reports_line_and_column(tmp_path, row, column):
+    f = tmp_path / "pts.csv"
+    f.write_text(f"id,x,y,w,gamma,a\n1,0,0,2\n{row}\n")
+    with pytest.raises(ParseError, match="not a finite number") as err:
+        load_points(f)
+    assert (err.value.line, err.value.column) == (3, column)
+
+
 def test_pseudo_point_inferred_from_zero_demand(tmp_path):
     f = tmp_path / "pts.csv"
     f.write_text("id,x,y,w,gamma,a,q\n1,0,0,0,5.0,0,1\n")
@@ -66,6 +77,14 @@ def test_negative_matrix_entry(tmp_path):
     f.write_text("1,2\n3,-4\n")
     with pytest.raises(NegativeValue):
         load_matrix(f)
+
+
+def test_non_finite_matrix_entry_reports_line_and_column(tmp_path):
+    f = tmp_path / "m.csv"
+    f.write_text("1,2\n3,nan\n")
+    with pytest.raises(ParseError, match="not a finite number") as err:
+        load_matrix(f)
+    assert (err.value.line, err.value.column) == (2, 2)
 
 
 def test_matrix_roundtrip_values(tmp_path):
@@ -195,6 +214,31 @@ def test_released_center_lists_original_location(tmp_path):
     doc = read_solution(path)
     assert doc.centers[0]["status"] == "released"
     assert doc.centers[0]["orig"] == (8.0, 8.0)
+
+
+def test_truncated_document_is_parse_error_at_every_cut(solved, tmp_path):
+    prob, sol = solved
+    path = tmp_path / "sol.txt"
+    write_solution(prob, sol, path)
+    lines = path.read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.txt"
+    for keep in range(1, len(lines)):
+        cut.write_text("".join(lines[:keep]))
+        with pytest.raises(ParseError) as err:
+            read_solution(cut)
+        assert 1 <= err.value.line <= keep + 1
+
+
+@pytest.mark.parametrize("bad, line", [
+    ("points -1\n", 4), ("centers 1\nc 0 xy 1.0\n", 5), ("loads 1\nl 0\n", 5),
+    ("objective total\n", 4), ("memberships 1\nm 0 0 0.5 x\n", 5), ("outliers 1\nf 0\n", 5),
+])
+def test_malformed_block_is_parse_error_with_line(tmp_path, bad, line):
+    path = tmp_path / "sol.txt"
+    path.write_text("capclust-solution 1\nproblem n 1 k 1\nopening_lambda 0.0\n" + bad + "end\n")
+    with pytest.raises(ParseError) as err:
+        read_solution(path)
+    assert err.value.line == line
 
 
 def test_document_labels_and_distances(solved, tmp_path):

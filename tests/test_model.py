@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,85 @@ def test_negative_weight_rejected():
     with pytest.raises(NegativeWeight):
         validate_problem(Problem(points=(Point(0, coords=(0, 0), w=-1.0),),
                                  metric=sqeuclidean(), centers=CenterSpec(k=1)))
+
+
+@pytest.mark.parametrize("point", [
+    Point(3, coords=(math.nan, 0.0)),
+    Point(3, coords=(0.0, math.inf)),
+    Point(3, coords=(0.0, 0.0), w=math.nan),
+    Point(3, coords=(0.0, 0.0), w=math.inf),
+    Point(3, coords=(0.0, 0.0), gamma=math.nan),
+    Point(3, coords=(0.0, 0.0), a=-math.inf),
+])
+def test_non_finite_point_values_rejected(point):
+    pts = (Point(1, coords=(1.0, 1.0)), point)
+    with pytest.raises(ValidationError, match="point 3: .* must be finite"):
+        validate_problem(Problem(points=pts, metric=sqeuclidean(), centers=CenterSpec(k=1)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("capacity", (math.nan, 5.0)),
+    ("capacity", (math.inf, math.inf)),
+    ("capacity", (0.0, math.nan)),
+    ("outlier_penalty", math.nan),
+    ("outlier_penalty", math.inf),
+    ("opening_penalty", math.nan),
+    ("opening_penalty", math.inf),
+])
+def test_non_finite_problem_values_rejected(field, value):
+    base = Problem(points=(Point(0, coords=(0.0, 0.0)),), metric=sqeuclidean(), centers=CenterSpec(k=1))
+    with pytest.raises(ValidationError):
+        validate_problem(replace(base, **{field: value}))
+
+
+def test_nan_release_penalty_rejected():
+    with pytest.raises(ValidationError):
+        validate_problem(Problem(points=(Point(0, coords=(0.0, 0.0)),), metric=sqeuclidean(),
+                                 centers=CenterSpec(k=1, fixed=((0.0, 0.0),), release_penalty=math.nan)))
+
+
+def _loop_point_error(points):
+    """The per-point checks as a loop: (error type, message) of the first failure, or None."""
+    for p in points:
+        if not all(math.isfinite(v) for v in (*p.coords, p.w, p.gamma, p.a)):
+            return ValidationError, f"point {p.id}: coordinates, w, gamma and a must be finite"
+        if p.w < 0 or p.gamma < 0 or p.a < 0:
+            return NegativeWeight, f"point {p.id}: w, gamma and a must be nonnegative"
+        if p.q < 1:
+            return ValidationError, f"point {p.id}: coverage q must be at least 1"
+        if p.pseudo and (p.w != 0 or p.a != 0):
+            return ValidationError, f"pseudo point {p.id} must have w = 0 and a = 0"
+    seen = set()
+    for pid in sorted(p.id for p in points):
+        if pid in seen:
+            return ValidationError, f"point ids must be unique (id {pid} repeats)"
+        seen.add(pid)
+    return None
+
+
+def test_point_checks_match_loop_reference():
+    rng = np.random.default_rng(11)
+    defects = [
+        {}, {"w": -1.0}, {"gamma": -0.5}, {"a": -2.0}, {"q": 0}, {"w": math.nan}, {"a": math.inf},
+        {"coords": (math.nan, 0.0)}, {"pseudo": True}, {"pseudo": True, "w": 0.0, "a": 0.0, "gamma": 1.0},
+    ]
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        ids = rng.integers(0, 2 * n, size=n) if rng.random() < 0.3 else rng.permutation(n)
+        pts = []
+        for i in range(n):
+            fields = {"coords": (float(i), 0.0), "w": 1.0}
+            if rng.random() < 0.3:
+                fields.update(defects[int(rng.integers(len(defects)))])
+            pts.append(Point(int(ids[i]), **fields))
+        want = _loop_point_error(pts)
+        problem = Problem(points=tuple(pts), metric=sqeuclidean(), centers=CenterSpec(k=1))
+        if want is None:
+            validate_problem(problem)
+            continue
+        with pytest.raises(want[0]) as info:
+            validate_problem(problem)
+        assert str(info.value) == want[1]
 
 
 def test_pseudo_point_must_carry_no_demand():
