@@ -116,18 +116,18 @@ def residual_negative_cycle(problem, D, y, tol=1e-9) -> bool:
     w = problem.effective_weights
     lo, hi = problem.capacity
     pos = [i for i in range(n) if a[i] > 0]
-    centre = {j: len(pos) + j for j in range(k)}
+    center = {j: len(pos) + j for j in range(k)}
     outlier = len(pos) + k
     sink = outlier + 1
     arcs = []  # (tail, head, cost, flow, lower, upper)
     for t, i in enumerate(pos):
         for j in range(k):
-            arcs.append((t, centre[j], w[i] * D[i, j] / a[i], a[i] * y[i, j], 0.0, a[i]))
+            arcs.append((t, center[j], w[i] * D[i, j] / a[i], a[i] * y[i, j], 0.0, a[i]))
         if lam is not None:
             arcs.append((t, outlier, w[i] * lam / a[i], a[i] * y[i, k], 0.0, a[i]))
     for j in range(k):
         load = sum(a[i] * y[i, j] for i in pos)
-        arcs.append((centre[j], sink, 0.0, load, lo, hi))
+        arcs.append((center[j], sink, 0.0, load, lo, hi))
     if lam is not None:
         spill = sum(a[i] * y[i, k] for i in pos)
         arcs.append((outlier, sink, 0.0, spill, 0.0, np.inf))
