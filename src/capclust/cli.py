@@ -7,7 +7,7 @@ Exit codes: 0 success, 1 usage/validation error, 2 infeasible,
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import math
 import os
 import sys
@@ -17,7 +17,7 @@ import numpy as np
 from . import io, metrics, plotting
 from .datagen import GenSpec, generate_dataset
 from .errors import AllRestartsInfeasible, CapclustError, Infeasible, ParseError, ValidationError
-from .evaluation import PER_DEMAND, PER_POINT, adjusted_rand_index
+from .evaluation import PER_DEMAND, PER_POINT, adjusted_rand_index, summarize_distances
 from .model import CenterSpec, Problem, validate_problem
 from .selection import sweep_k
 from .solver import SolverConfig, solve
@@ -25,7 +25,10 @@ from .solver import SolverConfig, solve
 
 def _parse_metric(text: str, matrix: np.ndarray | None) -> metrics.MetricSpec:
     if text.startswith("threshold:"):
-        return metrics.threshold(float(text.split(":", 1)[1]))
+        try:
+            return metrics.threshold(float(text.split(":", 1)[1]))
+        except ValueError:
+            raise ValidationError(f"threshold radius must be a number (got {text!r})") from None
     if text == "matrix":
         if matrix is None:
             raise ValidationError("--metric matrix needs --matrix FILE")
@@ -35,12 +38,10 @@ def _parse_metric(text: str, matrix: np.ndarray | None) -> metrics.MetricSpec:
     raise ValidationError(f"unknown metric {text!r}")
 
 
-def _parse_capacity(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = text.split(",")
-        return float(lo), float(hi)
-    except ValueError:
-        raise ValidationError(f"--capacity expects L,U (got {text!r})") from None
+def _parse_capacity(value) -> tuple[float, float]:
+    """An "L,U" flag or a two-number list from a config file."""
+    lo, hi = value.split(",") if isinstance(value, str) else value
+    return float(lo), float(hi)
 
 
 def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
@@ -62,29 +63,26 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", required=True)
 
 
-def _merged(args: argparse.Namespace, key: str, default):
-    """Flags override config-file values override defaults."""
+def _merged(args: argparse.Namespace, key: str, default, kind):
+    """Flags override config-file values override defaults; a set value is converted by ``kind``."""
     value = getattr(args, key.replace("-", "_"))
-    if value is not None:
-        return value
-    if getattr(args, "_config", None) and key in args._config:
-        return args._config[key]
-    return default
+    if value is None:
+        value = args._config.get(key)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{key}: cannot use {value!r}") from None
 
 
 def _build_problem(args: argparse.Namespace, k: int) -> Problem:
     points = io.load_points(args.points)
     matrix = io.load_matrix(args.matrix) if args.matrix else None
     candidates = io.load_candidates(args.candidates) if args.candidates else None
-    metric = _parse_metric(_merged(args, "metric", "sqeuclidean"), matrix)
+    metric = _parse_metric(_merged(args, "metric", "sqeuclidean", str), matrix)
     placement = "discrete" if (candidates is not None or matrix is not None) else "continuous"
     fixed = io.load_fixed(args.fixed) if args.fixed else []
-    release = _merged(args, "release-lambda", math.inf)
-    capacity = _merged(args, "capacity", None)
-    if isinstance(capacity, str):
-        capacity = _parse_capacity(capacity)
-    elif isinstance(capacity, list):
-        capacity = (float(capacity[0]), float(capacity[1]))
     problem = Problem(
         points=tuple(points),
         metric=metric,
@@ -93,22 +91,25 @@ def _build_problem(args: argparse.Namespace, k: int) -> Problem:
             placement=placement,
             candidates=candidates,
             fixed=tuple(fixed),
-            release_penalty=float(release),
+            release_penalty=_merged(args, "release-lambda", math.inf, float),
         ),
-        membership=_merged(args, "membership", "hard"),
-        capacity=capacity,
-        outlier_penalty=_merged(args, "outlier-lambda", None),
-        opening_penalty=float(_merged(args, "opening-lambda", 0.0)),
+        membership=_merged(args, "membership", "hard", str),
+        capacity=_merged(args, "capacity", None, _parse_capacity),
+        outlier_penalty=_merged(args, "outlier-lambda", None, float),
+        opening_penalty=_merged(args, "opening-lambda", 0.0, float),
     )
     return validate_problem(problem)
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        restarts=int(_merged(args, "restarts", 10)),
-        rng_seed=int(_merged(args, "seed", 0)),
-        time_budget=_merged(args, "time-budget", None),
-    )
+    try:
+        return SolverConfig(
+            restarts=_merged(args, "restarts", 10, int),
+            rng_seed=_merged(args, "seed", 0, int),
+            time_budget=_merged(args, "time-budget", None, float),
+        )
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -135,14 +136,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        a, b = args.k_range.split("..")
-        k_values = range(int(a), int(b) + 1)
+        k_lo, k_hi = map(int, args.k_range.split(".."))
     except ValueError:
         raise ValidationError(f"--k-range expects A..B (got {args.k_range!r})") from None
-    lambdas = [float(x) for x in args.lambda_grid.split(",")]
-    problem = _build_problem(args, k=int(str(args.k_range).split("..")[0]))
+    if k_lo > k_hi:
+        raise ValidationError(f"--k-range {args.k_range!r} is empty")
+    try:
+        lambdas = [float(x) for x in args.lambda_grid.split(",")]
+    except ValueError:
+        raise ValidationError(f"--lambda-grid expects comma-separated numbers (got {args.lambda_grid!r})") from None
+    problem = _build_problem(args, k=k_lo)
     config = _solver_config(args)
-    report = sweep_k(problem, k_values, lambdas, config)
+    report = sweep_k(problem, range(k_lo, k_hi + 1), lambdas, config)
     os.makedirs(args.out, exist_ok=True)
     lines = ["k base " + " ".join(f"lam={lam:g}" for lam in lambdas)]
     for k in report.k_values:
@@ -160,33 +165,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(text, end="")
     if report.consensus_k is not None and report.consensus_k in report.solutions:
         best = report.solutions[report.consensus_k]
-        trial_problem = validate_problem(
-            Problem(
-                points=problem.points, metric=problem.metric,
-                centers=CenterSpec(
-                    k=report.consensus_k, placement=problem.centers.placement,
-                    candidates=problem.centers.candidates, fixed=problem.centers.fixed,
-                    release_penalty=problem.centers.release_penalty,
-                ),
-                membership=problem.membership, capacity=problem.capacity,
-                outlier_penalty=problem.outlier_penalty, opening_penalty=0.0,
-            )
-        )
+        trial_problem = validate_problem(dataclasses.replace(
+            problem, centers=dataclasses.replace(problem.centers, k=report.consensus_k), opening_penalty=0.0,
+        ))
         io.write_solution(trial_problem, best, os.path.join(args.out, f"solution_k{report.consensus_k}.txt"),
                           emit_timing=args.emit_timing)
     return 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    with open(args.spec) as fh:
-        raw = json.load(fh)
+    raw = io.load_json_object(args.spec, "spec")
     if args.seed is not None:
         raw["rng_seed"] = args.seed
-    for key in ("cluster_sizes", "shape_range", "scale_range", "weight_range", "edge_weighted"):
-        if key in raw and raw[key] is not None:
-            raw[key] = tuple(raw[key])
-    spec = GenSpec(**raw)
-    points, labels = generate_dataset(spec)
+    try:  # every value comes from the spec file, so a type or value error is the file's
+        for key in ("cluster_sizes", "shape_range", "scale_range", "weight_range", "edge_weighted"):
+            if key in raw and raw[key] is not None:
+                raw[key] = tuple(raw[key])
+        points, labels = generate_dataset(GenSpec(**raw))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"spec: {exc}") from None
     io.write_points(points, args.out)
     stem, _ext = os.path.splitext(args.out)
     labels_path = stem + "_labels.csv"
@@ -209,14 +206,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if dist:
         values = np.array([dist[pid] for pid in sorted(dist)])
         weights = np.array([doc.point_weights[pid] for pid in sorted(dist)])
-        print(f"{PER_POINT}: mean {values.mean():.6g} median {np.quantile(values, 0.5):.6g} "
-              f"q95 {np.quantile(values, 0.95):.6g}")
-        order = np.argsort(values, kind="stable")
-        v, w = values[order], weights[order]
-        cum = np.cumsum(w)
-        t = (cum - 0.5 * w) / cum[-1]
-        print(f"{PER_DEMAND}: mean {(v * w).sum() / w.sum():.6g} "
-              f"median {np.interp(0.5, t, v):.6g} q95 {np.interp(0.95, t, v):.6g}")
+        for weighting in (PER_POINT, PER_DEMAND):
+            stats = summarize_distances(values, weights, weighting)
+            print(f"{weighting}: mean {stats['mean']:.6g} median {stats['median']:.6g} q95 {stats['q95']:.6g}")
     return 0
 
 
@@ -243,13 +235,8 @@ def main(argv=None) -> int:
     p_eval.add_argument("--truth", required=True)
 
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            args._config = json.load(fh)
-    else:
-        args._config = {}
-
     try:
+        args._config = io.load_json_object(args.config, "config") if getattr(args, "config", None) else {}
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "sweep":
@@ -263,7 +250,7 @@ def main(argv=None) -> int:
     except (Infeasible, AllRestartsInfeasible) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except CapclustError as exc:
+    except (CapclustError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -75,6 +75,11 @@ def distance_summary(problem: Problem, solution: Solution, weighting: str = PER_
     if not keep.any():
         return {"mean": float("nan"), "median": float("nan"), "q95": float("nan")}
     dist = (D[keep] * y[keep]).sum(axis=1) / mass[keep]
+    return summarize_distances(dist, problem.weights[keep], weighting)
+
+
+def summarize_distances(dist: np.ndarray, weights: np.ndarray, weighting: str = PER_POINT) -> dict[str, float]:
+    """``distance_summary`` of given per-point distances and demands ``weights``."""
     if weighting == PER_POINT:
         return {
             "mean": float(dist.mean()),
@@ -83,7 +88,7 @@ def distance_summary(problem: Problem, solution: Solution, weighting: str = PER_
         }
     if weighting != PER_DEMAND:
         raise ValueError(f"unknown weighting {weighting!r}")
-    w = problem.weights[keep]
+    w = weights
     if w.sum() <= 0:
         w = np.ones_like(w)
     return {

@@ -1,5 +1,7 @@
 """CSV ingestion and the structured solution document.
 
+Every input file is read as UTF-8 by one line reader; a malformed file
+raises ParseError with its line and, where one cell is at fault, column.
 Points CSV columns: id, x, y, w, gamma, a, q; gamma/a/q may be left blank
 and default to 0 / w / 1.  The solution document is a line-oriented text
 format with a versioned schema tag; floats are written with repr so a
@@ -11,6 +13,7 @@ for that reason).
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 
@@ -23,155 +26,149 @@ from .model import NOISE_LABEL, Point, Problem, Solution
 SCHEMA = "capclust-solution 1"
 
 
-def _parse_float(raw: str, line: int, column: int, what: str) -> float:
+def _lines(path, what):
+    """Yield the lines of a UTF-8 file, endings kept; a byte that is not UTF-8 raises ParseError."""
+    # surrogateescape keeps such a byte, as a lone surrogate, in its own line to name the column
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for line, text in enumerate(fh, start=1):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(f"{what} file is not UTF-8", line, exc.start + 1) from None
+            yield text
+
+
+def _rows(path, what):
+    """Yield ``(line, stripped cells)`` for each CSV row that is not blank, lazily."""
+    reader = csv.reader(_lines(path, what))
+    line = 1
+    try:
+        for row in reader:
+            cells = [c.strip() for c in row]
+            if any(cells):
+                yield line, cells
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"{what} file: {exc}", reader.line_num) from None
+
+
+def _table(path, what):
+    """The header's line and lower-cased cells, and the rows after it; an empty file raises ParseError."""
+    rows = _rows(path, what)
+    for line, cells in rows:
+        return line, [c.lower() for c in cells], rows
+    raise ParseError(f"empty {what} file", 1)
+
+
+def _cell(row: list[str], index: int, line: int, what: str) -> str:
+    """Cell ``index`` (0-based) of a row; a short row raises ParseError at column index + 1."""
+    if index >= len(row):
+        raise ParseError(f"missing {what}", line, index + 1)
+    return row[index]
+
+
+def _parse_float(row: list[str], index: int, line: int, what: str) -> float:
+    raw = _cell(row, index, line, what)
     try:
         value = float(raw)
     except ValueError:
-        raise ParseError(f"{what}: not a number: {raw!r}", line, column) from None
+        raise ParseError(f"{what}: not a number: {raw!r}", line, index + 1) from None
     if not math.isfinite(value):
-        raise ParseError(f"{what}: not a finite number: {raw!r}", line, column)
+        raise ParseError(f"{what}: not a finite number: {raw!r}", line, index + 1)
     return value
 
 
+def _parse_int(row: list[str], index: int, line: int, what: str) -> int:
+    raw = _cell(row, index, line, what)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer: {raw!r}", line, index + 1) from None
+
+
+def _xy_rows(rows, header: list[str], line: int, message: str) -> list[tuple[float, float]]:
+    """The x and y columns, named in ``header``, of every remaining row."""
+    try:
+        ix, iy = header.index("x"), header.index("y")
+    except ValueError:
+        raise ParseError(message, line) from None
+    return [(_parse_float(row, ix, ln, "x"), _parse_float(row, iy, ln, "y")) for ln, row in rows]
+
+
+_POINT_COLUMNS = ["id", "x", "y", "w", "gamma", "a", "q"]
+
+
 def load_points(path) -> list[Point]:
+    line, cols, rows = _table(path, "points")
+    if len(cols) < 4 or cols != _POINT_COLUMNS[: len(cols)]:
+        raise ParseError(f"points header must be id,x,y,w[,gamma[,a[,q]]] (got {','.join(cols)})", line)
     points: list[Point] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty points file", 1) from None
-        cols = [c.strip().lower() for c in header]
-        if cols[:4] != ["id", "x", "y", "w"]:
-            raise ParseError(f"points header must start with id,x,y,w (got {','.join(cols)})", 1)
-        optional = cols[4:]
-        if optional != ["gamma", "a", "q"][: len(optional)]:
-            raise ParseError("optional point columns must be gamma,a,q in order", 1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 4:
-                raise ParseError(f"expected at least 4 columns, got {len(row)}", line_no)
-            try:
-                pid = int(row[0])
-            except ValueError:
-                raise ParseError(f"id must be an integer: {row[0]!r}", line_no, 1) from None
-            x = _parse_float(row[1], line_no, 2, "x")
-            y = _parse_float(row[2], line_no, 3, "y")
-            w = _parse_float(row[3], line_no, 4, "w")
-            if w < 0:
-                raise NegativeValue(f"weight w={w}", line_no, 4)
-
-            def cell(idx: int) -> str | None:
-                if idx < len(row) and row[idx].strip():
-                    return row[idx].strip()
-                return None
-
-            gamma_raw, a_raw, q_raw = cell(4), cell(5), cell(6)
-            gamma = _parse_float(gamma_raw, line_no, 5, "gamma") if gamma_raw else 0.0
-            if gamma < 0:
-                raise NegativeValue(f"gamma={gamma}", line_no, 5)
-            a = _parse_float(a_raw, line_no, 6, "a") if a_raw else w
-            if a < 0:
-                raise NegativeValue(f"a={a}", line_no, 6)
-            if q_raw:
-                try:
-                    q = int(q_raw)
-                except ValueError:
-                    raise ParseError(f"q must be an integer: {q_raw!r}", line_no, 7) from None
-            else:
-                q = 1
-            if q < 1:
-                raise NegativeValue(f"q={q}", line_no, 7)
-            pseudo = w == 0 and gamma > 0 and a == 0
-            points.append(Point(id=pid, coords=(x, y), w=w, gamma=gamma, a=a, q=q, pseudo=pseudo))
+    for line, row in rows:
+        pid = _parse_int(row, 0, line, "id")
+        x = _parse_float(row, 1, line, "x")
+        y = _parse_float(row, 2, line, "y")
+        w = _parse_float(row, 3, line, "w")
+        if w < 0:
+            raise NegativeValue(f"weight w={w}", line, 4)
+        row = row + [""] * 3  # gamma, a and q may be absent as well as blank
+        gamma = _parse_float(row, 4, line, "gamma") if row[4] else 0.0
+        if gamma < 0:
+            raise NegativeValue(f"gamma={gamma}", line, 5)
+        a = _parse_float(row, 5, line, "a") if row[5] else w
+        if a < 0:
+            raise NegativeValue(f"a={a}", line, 6)
+        q = _parse_int(row, 6, line, "q") if row[6] else 1
+        if q < 1:
+            raise NegativeValue(f"q={q}", line, 7)
+        pseudo = w == 0 and gamma > 0 and a == 0
+        points.append(Point(id=pid, coords=(x, y), w=w, gamma=gamma, a=a, q=q, pseudo=pseudo))
     return points
 
 
 def write_points(points, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "x", "y", "w", "gamma", "a", "q"])
+        writer.writerow(_POINT_COLUMNS)
         for p in points:
             writer.writerow([p.id, repr(p.coords[0]), repr(p.coords[1]), repr(p.w), repr(p.gamma), repr(p.a), p.q])
 
 
 def load_candidates(path) -> np.ndarray:
-    sites: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [c.strip().lower() for c in next(reader)]
-        except StopIteration:
-            raise ParseError("empty candidates file", 1) from None
-        try:
-            ix, iy = header.index("x"), header.index("y")
-        except ValueError:
-            raise ParseError("candidates header needs x and y columns", 1) from None
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            sites.append(
-                (_parse_float(row[ix], line_no, ix + 1, "x"), _parse_float(row[iy], line_no, iy + 1, "y"))
-            )
+    line, header, rows = _table(path, "candidates")
+    sites = _xy_rows(rows, header, line, "candidates header needs x and y columns")
     if not sites:
-        raise ParseError("no candidate sites in file", 2)
+        raise ParseError("no candidate sites in file", line + 1)
     return np.asarray(sites, dtype=float)
 
 
 def load_matrix(path) -> np.ndarray:
-    rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        width = None
-        for line_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            values = [_parse_float(c, line_no, i + 1, "matrix entry") for i, c in enumerate(row)]
-            for i, v in enumerate(values):
-                if v < 0:
-                    raise NegativeValue(f"matrix entry {v}", line_no, i + 1)
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise RaggedMatrix(f"row has {len(values)} entries, expected {width}", line_no)
-            rows.append(values)
+    rows: list[np.ndarray] = []
+    for line, cells in _rows(path, "matrix"):
+        try:
+            values = np.array(cells, dtype=float)
+            parsed = bool(np.isfinite(values).all())
+        except ValueError:
+            parsed = False
+        if not parsed:  # the scalar parser names the first bad cell
+            values = np.array([_parse_float(cells, i, line, "matrix entry") for i in range(len(cells))])
+        negative = np.flatnonzero(values < 0)
+        if negative.size:
+            raise NegativeValue(f"matrix entry {values[negative[0]]}", line, int(negative[0]) + 1)
+        if rows and values.size != rows[0].size:
+            raise RaggedMatrix(f"row has {values.size} entries, expected {rows[0].size}", line)
+        rows.append(values)
     if not rows:
         raise ParseError("empty matrix file", 1)
-    return np.asarray(rows, dtype=float)
+    return np.vstack(rows)
 
 
 def load_fixed(path):
     """Fixed-center file: either x,y coordinate rows or a single site column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [c.strip().lower() for c in next(reader)]
-        except StopIteration:
-            raise ParseError("empty fixed-centers file", 1) from None
-        if "site" in header:
-            col = header.index("site")
-            out: list[int] = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                try:
-                    out.append(int(row[col]))
-                except ValueError:
-                    raise ParseError(f"site must be an integer: {row[col]!r}", line_no, col + 1) from None
-            return out
-        try:
-            ix, iy = header.index("x"), header.index("y")
-        except ValueError:
-            raise ParseError("fixed-centers header needs x,y or site", 1) from None
-        coords: list[tuple[float, float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            coords.append(
-                (_parse_float(row[ix], line_no, ix + 1, "x"), _parse_float(row[iy], line_no, iy + 1, "y"))
-            )
-        return coords
+    line, header, rows = _table(path, "fixed-centers")
+    if "site" in header:
+        col = header.index("site")
+        return [_parse_int(row, col, ln, "site") for ln, row in rows]
+    return _xy_rows(rows, header, line, "fixed-centers header needs x,y or site")
 
 
 def write_labels(path, ids, labels) -> None:
@@ -183,20 +180,21 @@ def write_labels(path, ids, labels) -> None:
 
 
 def load_labels(path) -> dict[int, int]:
-    out: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [c.strip().lower() for c in next(reader)]
-        if header[:2] != ["id", "label"]:
-            raise ParseError("labels header must be id,label", 1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                out[int(row[0])] = int(row[1])
-            except ValueError:
-                raise ParseError("labels must be integers", line_no) from None
-    return out
+    line, header, rows = _table(path, "labels")
+    if header[:2] != ["id", "label"]:
+        raise ParseError("labels header must be id,label", line)
+    return {_parse_int(row, 0, ln, "id"): _parse_int(row, 1, ln, "label") for ln, row in rows}
+
+
+def load_json_object(path, what: str) -> dict:
+    """A UTF-8 JSON file whose top level is an object; anything else raises ParseError."""
+    try:
+        value = json.loads("".join(_lines(path, what)))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} file: {exc.msg}", exc.lineno, exc.colno) from None
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} file must hold a JSON object, not {type(value).__name__}", 1)
+    return value
 
 
 @dataclass
@@ -337,8 +335,7 @@ _BLOCK_ROWS = {"points": ("p", 2), "memberships": ("m", 4), "outliers": ("o", 2)
 
 def read_solution(path) -> SolutionDocument:
     """Parse a solution document; any short, malformed or unterminated one raises ParseError."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln.rstrip("\r\n") for ln in _lines(path, "solution")]
     if not lines or lines[0] != SCHEMA:
         raise ParseError(f"unknown solution schema: {lines[0] if lines else ''!r}", 1)
     doc = SolutionDocument(
@@ -408,6 +405,8 @@ def read_solution(path) -> SolutionDocument:
                 for _ in range(count(parts)):
                     at += 1
                     sub = row(row_tag, (size,))
+                    if row_tag in ("m", "o", "f") and int(sub[1]) not in doc.point_weights:
+                        raise ParseError(f"point id {sub[1]} is not in the points block", at + 1)
                     if tag == "points":
                         doc.point_weights[int(sub[1])] = float(sub[2])
                     elif tag == "memberships":

@@ -37,11 +37,12 @@ class SolverConfig:
     max_iterations: int = 200
     convergence_tol: float = 1e-9
     time_budget: float | None = None
-    keep_traces: bool = True
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be nonnegative")
 
 
 def kmeanspp_init(problem: Problem, rng: np.random.Generator):
@@ -168,8 +169,7 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
             if "fastpath" in assignment.diagnostics:
                 diag["fastpath"] = assignment.diagnostics["fastpath"]
         after_alloc = evaluate_parts(problem, centers, assignment, released, distances=D)
-        if config.keep_traces:
-            diag["objective_trace"].append(after_alloc.total)
+        diag["objective_trace"].append(after_alloc.total)
 
         new_centers = centers.copy()
         new_released = set(released)
@@ -213,9 +213,8 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
 
         D = metrics.distances_to_centers(problem, new_centers)
         after_loc = evaluate_parts(problem, new_centers, assignment, new_released, distances=D)
-        if config.keep_traces:
-            diag["objective_trace"].append(after_loc.total)
-            diag["center_trace"].append(new_centers.copy())
+        diag["objective_trace"].append(after_loc.total)
+        diag["center_trace"].append(new_centers.copy())
 
         if discrete:
             unchanged = bool(np.array_equal(new_centers, centers)) and new_released == released
@@ -237,7 +236,7 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     if stop != "centers_unchanged":
         assignment = allocate(problem, centers, config.time_budget, distances=D)
     objective = evaluate_parts(problem, centers, assignment, released, distances=D)
-    if config.keep_traces and stop != "centers_unchanged":
+    if stop != "centers_unchanged":
         diag["objective_trace"].append(objective.total)
 
     if problem.has_outlier_column:

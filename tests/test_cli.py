@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from capclust import CenterSpec, Point, Problem, SolverConfig, distance_summary, euclidean, solve, validate_problem
 from capclust.cli import main
+from capclust.evaluation import PER_DEMAND, PER_POINT
+from capclust.io import write_labels, write_solution
 
 
 @pytest.fixture()
@@ -110,6 +113,63 @@ def test_evaluate_truncated_solution_exits_3(dataset, tmp_path, capsys):
     doc.write_text("".join(lines[: block + 2]))  # cut inside the memberships block
     assert main(["evaluate", "--solution", str(doc), "--truth", str(labels)]) == 3
     assert "parse error: line" in capsys.readouterr().err
+
+
+def test_evaluate_unknown_point_id_exits_3(dataset, tmp_path, capsys):
+    points, labels = dataset
+    out = tmp_path / "run"
+    assert main(["solve", "--points", str(points), "--k", "3", "--restarts", "1", "--seed", "1",
+                 "--out", str(out)]) == 0
+    doc = out / "solution.txt"
+    lines = doc.read_text().splitlines(keepends=True)
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("m "))
+    lines[row] = "m 999999 " + lines[row].split(" ", 2)[2]
+    doc.write_text("".join(lines))
+    assert main(["evaluate", "--solution", str(doc), "--truth", str(labels)]) == 3
+    assert f"parse error: line {row + 1}: point id 999999" in capsys.readouterr().err
+
+
+def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    pts = tuple(Point(i, coords=tuple(rng.normal(0, 1, 2)), w=float(rng.uniform(1, 5))) for i in range(30))
+    prob = validate_problem(Problem(points=pts, metric=euclidean(), centers=CenterSpec(k=3)))
+    sol = solve(prob, SolverConfig(restarts=2, rng_seed=0))
+    write_solution(prob, sol, tmp_path / "solution.txt")
+    write_labels(tmp_path / "truth.csv", [p.id for p in pts], sol.assignment.hard_labels())
+    assert main(["evaluate", "--solution", str(tmp_path / "solution.txt"),
+                 "--truth", str(tmp_path / "truth.csv")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    for weighting in (PER_POINT, PER_DEMAND):
+        words = next(ln for ln in printed if ln.startswith(f"{weighting}:")).split()
+        shown = {key: float(value) for key, value in zip(words[1::2], words[2::2])}
+        assert shown == pytest.approx(distance_summary(prob, sol, weighting=weighting), rel=1e-5)
+
+
+@pytest.mark.parametrize("argv, text, code", [
+    (["solve", "--k", "1", "--metric", "threshold:abc"], None, 1),
+    (["sweep", "--k-range", "1..2", "--lambda-grid", "a"], None, 1),
+    (["solve", "--k", "1", "--restarts", "0"], None, 1),
+    (["solve", "--k", "1", "--seed", "-1"], None, 1),
+    (["solve", "--k", "1", "--config", "JSON"], '{"restarts": "x"}', 1),
+    (["solve", "--k", "1", "--config", "JSON"], '{"capacity": [1]}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [3], "bogus": 1}', 1),
+    (["solve", "--k", "1", "--points", "missing.csv"], None, 1),
+    (["solve", "--k", "1", "--config", "JSON"], '[{"restarts": 2}]', 3),
+    (["solve", "--k", "1", "--config", "JSON"], '{"restarts": 2,\n}', 3),
+], ids=["threshold-radius", "lambda-grid", "restarts-zero", "negative-seed", "config-restarts",
+        "config-capacity", "spec-unknown-key", "missing-input", "config-array", "config-syntax"])
+def test_bad_outside_value_fails_cleanly(tmp_path, capsys, argv, text, code):
+    (tmp_path / "in.json").write_text(text or "")
+    points = tmp_path / "pts.csv"
+    points.write_text("id,x,y,w\n0,0,0,1\n1,1,0,1\n")
+    argv = [str(tmp_path / "in.json") if a == "JSON" else str(tmp_path / a) if a == "missing.csv" else a
+            for a in argv]
+    if argv[0] != "generate" and "--points" not in argv:
+        argv += ["--points", str(points)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line " if code == 3 else "error: ")
+    assert "Traceback" not in err
 
 
 def test_sweep_writes_report(dataset, tmp_path, capsys):

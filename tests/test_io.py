@@ -7,9 +7,10 @@ from capclust import (
     CenterSpec, Point, Problem, SolverConfig, euclidean, solve, sqeuclidean,
     validate_problem,
 )
+from capclust.cli import main
 from capclust.errors import NegativeValue, ParseError, RaggedMatrix
 from capclust.io import (
-    load_candidates, load_labels, load_matrix, load_points, read_solution,
+    load_candidates, load_fixed, load_labels, load_matrix, load_points, read_solution,
     write_labels, write_points, write_solution,
 )
 from capclust.plotting import render_plot
@@ -92,6 +93,22 @@ def test_matrix_roundtrip_values(tmp_path):
     f.write_text("1.5,2.25\n0,4.125\n")
     D = load_matrix(f)
     assert D.tolist() == [[1.5, 2.25], [0.0, 4.125]]
+
+
+@pytest.mark.parametrize("load, data, line, column", [
+    (load_points, b"id,x,y,w\n0,0,0,1\n1,\xff,0,1\n", 3, 3),
+    (load_candidates, b"x,y\n1,2\n3\n", 3, 2),
+    (load_labels, b"", 1, 0),
+    (load_labels, b"id,label\n1,2\n3\n", 3, 2),
+    (load_fixed, b"site\n\n \nx\n", 4, 1),
+    (load_matrix, b"1," + b"2" * 200_000 + b"\n", 1, 0),
+], ids=["not-utf8", "short-row", "empty", "short-label", "blank-rows", "field-over-limit"])
+def test_malformed_csv_reports_line_and_column(tmp_path, load, data, line, column):
+    f = tmp_path / "in.csv"
+    f.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load(f)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_candidates_need_xy_header(tmp_path):
@@ -232,6 +249,8 @@ def test_truncated_document_is_parse_error_at_every_cut(solved, tmp_path):
 @pytest.mark.parametrize("bad, line", [
     ("points -1\n", 4), ("centers 1\nc 0 xy 1.0\n", 5), ("loads 1\nl 0\n", 5),
     ("objective total\n", 4), ("memberships 1\nm 0 0 0.5 x\n", 5), ("outliers 1\nf 0\n", 5),
+    ("points 1\np 0 1.0\nmemberships 1\nm 5 0 1.0 0.5\n", 7), ("points 1\np 0 1.0\noutliers 1\no 5 1.0\n", 7),
+    ("points 1\np 0 1.0\ncoverage_flags 1\nf 5\n", 7),
 ])
 def test_malformed_block_is_parse_error_with_line(tmp_path, bad, line):
     path = tmp_path / "sol.txt"
@@ -276,3 +295,58 @@ def test_plot_without_outliers_has_no_hollow_markers(tmp_path):
     path = tmp_path / "p.svg"
     render_plot(prob, sol, path)
     assert 'stroke="#333333"' not in path.read_text()
+
+
+# Short byte strings that break CSV and document syntax: separators, line
+# breaks, quotes, bytes that are not UTF-8, digits and signs.
+_CHUNKS = st.one_of(
+    st.sampled_from([b"", b",", b"\n", b"\r", b'"', b"\xff", b"\xc3", b"-", b"9", b"nan", b"1e999"]),
+    st.binary(min_size=1, max_size=3),
+)
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` with one to four spans (up to three bytes, or the whole tail) replaced by a chunk."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(out)))
+        span = draw(st.sampled_from([0, 1, 2, 3, len(out)]))
+        out[at:at + span] = draw(_CHUNKS)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("load, data", [
+    (load_points, b"id,x,y,w,gamma,a,q\n0,1.5,2.5,3,0.5,2,1\n1,0,0,1,,,\n"),
+    (load_candidates, b"id,x,y\n0,1,2\n1,3,4\n"),
+    (load_matrix, b"0,1.5\n3,0\n"),
+    (load_fixed, b"x,y\n1,2\n3,4\n"),
+    (load_fixed, b"site\n0\n2\n"),
+    (load_labels, b"id,label\n0,1\n1,-1\n"),
+], ids=["points", "candidates", "matrix", "fixed-xy", "fixed-site", "labels"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(draw=st.data())
+def test_mutated_csv_loads_or_raises_parse_error(tmp_path_factory, load, data, draw):
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    path.write_bytes(draw.draw(mutated(data)))
+    try:
+        load(path)
+    except ParseError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def written(solved, tmp_path_factory):
+    prob, sol = solved
+    directory = tmp_path_factory.mktemp("written")
+    write_solution(prob, sol, directory / "solution.txt")
+    write_labels(directory / "truth.csv", [p.id for p in prob.points], sol.assignment.hard_labels())
+    return directory
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(draw=st.data())
+def test_evaluate_mutated_document_exits_0_or_3(written, draw):
+    doc = written / "mutated.txt"
+    doc.write_bytes(draw.draw(mutated((written / "solution.txt").read_bytes())))
+    assert main(["evaluate", "--solution", str(doc), "--truth", str(written / "truth.csv")]) in (0, 3)
