@@ -297,15 +297,6 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
     diagnostics: dict = {"nodes": 0}
 
-    positive = a[a > 0]
-    c = positive[0]
-    equal_coeffs = bool(np.all(positive == c))
-    diagnostics["integral_guarantee"] = bool(
-        equal_coeffs
-        and abs(lo / c - round(lo / c)) < 1e-9
-        and (not math.isfinite(hi) or abs(hi / c - round(hi / c)) < 1e-9)
-    )
-
     cost = _column_costs(problem, D)
     y0, bound0 = _solve_lp(problem, D, cost)
     if np.all(np.abs(y0 - np.round(y0)) <= 1e-7):

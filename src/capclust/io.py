@@ -27,9 +27,12 @@ SCHEMA = "capclust-solution 1"
 
 
 def _lines(path, what):
-    """Yield the lines of a UTF-8 file, endings kept; a byte that is not UTF-8 raises ParseError."""
+    """Yield the lines of a UTF-8 file, endings kept; a byte that is not UTF-8 raises ParseError.
+
+    A leading byte-order mark, as spreadsheet programs write it, is dropped.
+    """
     # surrogateescape keeps such a byte, as a lone surrogate, in its own line to name the column
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line, text in enumerate(fh, start=1):
             try:
                 text.encode("utf-8")
@@ -359,6 +362,12 @@ def read_solution(path) -> SolutionDocument:
             raise ParseError(f"{parts[0]} line needs key-value pairs", at + 1)
         return dict(zip(parts[1::2], parts[2::2]))
 
+    def finite(raw: str) -> float:
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {raw!r}")
+        return value
+
     def count(parts: list[str]) -> int:
         value = int(row(parts[0], (1,))[1])
         if value < 0:
@@ -408,13 +417,13 @@ def read_solution(path) -> SolutionDocument:
                     if row_tag in ("m", "o", "f") and int(sub[1]) not in doc.point_weights:
                         raise ParseError(f"point id {sub[1]} is not in the points block", at + 1)
                     if tag == "points":
-                        doc.point_weights[int(sub[1])] = float(sub[2])
+                        doc.point_weights[int(sub[1])] = finite(sub[2])
                     elif tag == "memberships":
-                        doc.memberships.append((int(sub[1]), int(sub[2]), float(sub[3]), float(sub[4])))
+                        doc.memberships.append((int(sub[1]), int(sub[2]), finite(sub[3]), finite(sub[4])))
                     elif tag == "outliers":
-                        doc.outliers.append((int(sub[1]), float(sub[2])))
+                        doc.outliers.append((int(sub[1]), finite(sub[2])))
                     elif tag == "loads":
-                        doc.loads[int(sub[1])] = float(sub[2])
+                        doc.loads[int(sub[1])] = finite(sub[2])
                     else:
                         doc.coverage_flags.append(int(sub[1]))
             elif tag == "diagnostics":

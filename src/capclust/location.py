@@ -4,13 +4,12 @@ Continuous placement uses the exact minimizer for each metric: weighted
 mean (squared Euclidean), geometric median via Weiszfeld iteration
 (Euclidean) and the coordinatewise weighted lower median (Manhattan).
 Discrete placement picks the candidate site minimizing the weighted
-distance sum.  Fixed centers are only moved when the improvement beats the
-release penalty, and move back when it no longer does.
+distance sum.  ``decide_release`` is the release rule for a fixed center,
+applied by the solver to the gain of the location it chose.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -25,11 +24,6 @@ class CenterUpdate(NamedTuple):
     coords: np.ndarray
     iterations: int
     converged: bool
-
-
-class ReleaseDecision(NamedTuple):
-    released: bool
-    location: object  # coordinate array, or site index in discrete placement
 
 
 def weighted_mean(xy: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -182,53 +176,13 @@ def cluster_cost_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, locat
     return float(masses @ d)
 
 
-def decide_release(
-    problem,
-    fixed_location,
-    xy_or_sites,
-    masses: np.ndarray,
-    currently_released: bool,
-) -> ReleaseDecision:
-    """Release/reattach decision for one fixed center.
+def decide_release(gain: float, penalty: float, released: bool) -> bool:
+    """Whether a fixed center is released after its location step.
 
-    The center is released when moving to the free optimum lowers its
-    distance loss by strictly more than the release penalty; a released
-    center reattaches when the remaining gain is strictly below the
-    penalty.  A gain exactly equal to the penalty keeps the current state.
+    ``gain`` is the cluster's cost at the fixed location minus its cost at
+    the chosen free location.  An attached center is released when the gain
+    beats the penalty strictly; a released center reattaches when the gain
+    falls strictly below it, so a gain exactly equal to the penalty keeps
+    the current state.
     """
-    penalty = problem.centers.release_penalty
-    masses = np.asarray(masses, dtype=float)
-    total = float(np.sum(masses))
-
-    if problem.centers.placement == "discrete":
-        site_distances = xy_or_sites  # rows already restricted to this cluster
-        if not total > 0:
-            return ReleaseDecision(False, int(fixed_location))
-        best = update_center_discrete(site_distances, masses)
-        loss_fixed = float(masses @ site_distances[:, int(fixed_location)])
-        loss_free = float(masses @ site_distances[:, best])
-        free_loc = best
-    else:
-        if not total > 0:
-            return ReleaseDecision(False, np.asarray(fixed_location, dtype=float))
-        update = update_center_continuous(problem.metric.kind, xy_or_sites, masses)
-        loss_fixed = cluster_cost_continuous(problem.metric.kind, xy_or_sites, masses, fixed_location)
-        loss_free = cluster_cost_continuous(problem.metric.kind, xy_or_sites, masses, update.coords)
-        free_loc = update.coords
-
-    gain = loss_fixed - loss_free
-    if math.isinf(penalty):
-        return ReleaseDecision(False, _fixed_repr(problem, fixed_location))
-    if currently_released:
-        if gain < penalty:
-            return ReleaseDecision(False, _fixed_repr(problem, fixed_location))
-        return ReleaseDecision(True, free_loc)
-    if gain > penalty:
-        return ReleaseDecision(True, free_loc)
-    return ReleaseDecision(False, _fixed_repr(problem, fixed_location))
-
-
-def _fixed_repr(problem, fixed_location):
-    if problem.centers.placement == "discrete":
-        return int(fixed_location)
-    return np.asarray(fixed_location, dtype=float)
+    return gain >= penalty if released else gain > penalty

@@ -59,10 +59,6 @@ class MetricSpec:
     def is_geometric(self) -> bool:
         return self.kind in GEOMETRIC_KINDS
 
-    @property
-    def requires_discrete(self) -> bool:
-        return self.kind in (THRESHOLD, MATRIX)
-
 
 def sqeuclidean() -> MetricSpec:
     return MetricSpec(SQEUCLIDEAN)

@@ -13,11 +13,9 @@ from dataclasses import dataclass, field, replace
 
 from .errors import CapclustError, NonpositiveVariance
 from .model import Problem, Solution
-from .solver import SolverConfig, kmeanspp_init, descend, solve
+from .solver import SolverConfig, solve
 
 import math
-
-import numpy as np
 
 
 @dataclass
@@ -44,7 +42,6 @@ def sweep_k(
     k_range,
     lambda_grid,
     config: SolverConfig = SolverConfig(),
-    warm_start: bool = False,
 ) -> SweepReport:
     """Solve once per k with zero opening cost, then overlay every penalty.
 
@@ -58,21 +55,12 @@ def sweep_k(
     base: dict[int, float] = {}
     solutions: dict[int, Solution] = {}
     errors: dict[int, str] = {}
-    previous: Solution | None = None
     for k in k_values:
         trial = replace(problem, centers=replace(problem.centers, k=k), opening_penalty=0.0)
         try:
             best = solve(trial, config)
-            if warm_start and previous is not None and previous.centers.shape[0] == k - 1:
-                rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed).spawn(config.restarts + k)[-1])
-                extra = kmeanspp_init(trial, rng)
-                seeded = np.concatenate([previous.centers, extra[-1:]], axis=0)
-                warm = descend(trial, seeded, config)
-                if warm.objective.total < best.objective.total:
-                    best = warm
             base[k] = best.objective.total
             solutions[k] = best
-            previous = best
         except CapclustError as exc:
             errors[k] = str(exc)
     penalized: dict[float, dict[int, float]] = {}

@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics
 from .allocation import allocate
 from .errors import AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget, NotEnoughDistinctSites
-from .location import decide_release, update_center_continuous, update_center_discrete
+from .location import cluster_cost_continuous, decide_release, update_center_continuous, update_center_discrete
 from .model import Assignment, Problem, Solution, evaluate_parts, validate_problem
 
 
@@ -115,6 +115,17 @@ def _reseed_position(problem: Problem, costs: np.ndarray, y_centers: np.ndarray,
     return problem.coords[i].copy()
 
 
+def _cluster_cost(problem: Problem, rows: np.ndarray, masses: np.ndarray, location) -> float:
+    """Weighted distance sum of one cluster at a location.
+
+    ``rows`` are the cluster's rows of the candidate distances in discrete
+    placement (``location`` is a site index) and its coordinates otherwise.
+    """
+    if problem.centers.placement == "discrete":
+        return float(masses @ rows[:, int(location)])
+    return cluster_cost_continuous(problem.metric.kind, rows, masses, location)
+
+
 def _same_input(previous, masses: np.ndarray, released: bool | None) -> bool:
     """Whether a cluster's location input equals the one of its last update."""
     return previous is not None and previous[1] == released and np.array_equal(previous[0], masses)
@@ -125,11 +136,21 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
 
     The (n, k) distance matrix is computed once per center configuration
     and shared by the allocation, the objective evaluations, reseeding and
-    the monotone guard.  A cluster whose location input (its mass column,
-    plus the released flag of a fixed center) equals the input of its last
-    update keeps its center: the location step is deterministic and the
-    guard only ever keeps the previous center, so recomputing would return
-    the center it already holds.
+    the monotone guard.
+
+    Every center moves by one rule.  It takes its cluster's optimum from
+    ``update_center_discrete`` or ``update_center_continuous``; a continuous
+    optimum that costs more than the current location is dropped for it
+    (the monotone guard).  A fixed center is then released when the gain of
+    that location over its fixed one passes ``decide_release``, and put back
+    at its fixed location otherwise.  A fixed center that cannot be released
+    (infinite penalty or empty cluster) stays fixed without an update.
+
+    A cluster whose location input (its mass column, plus the released flag
+    of a fixed center) equals the input of its last update keeps its center:
+    the location step is deterministic and the guard only ever keeps the
+    previous center, so recomputing would return the center it already
+    holds.
     """
     problem = validate_problem(problem)
     spec = problem.centers
@@ -151,7 +172,6 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
         "weiszfeld_unconverged": 0,
         "objective_trace": [],
         "center_trace": [],
-        "bnb_nodes": 0,
     }
 
     assignment: Assignment | None = None
@@ -160,14 +180,8 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     for iteration in range(1, config.max_iterations + 1):
         diag["iterations"] = iteration
         assignment = allocate(problem, centers, config.time_budget, distances=D)
-        if assignment.diagnostics:
-            diag["bnb_nodes"] += assignment.diagnostics.get("nodes", 0)
-            if "optimality_gap" in assignment.diagnostics:
-                diag["optimality_gap"] = max(
-                    diag.get("optimality_gap", 0.0), assignment.diagnostics["optimality_gap"]
-                )
-            if "fastpath" in assignment.diagnostics:
-                diag["fastpath"] = assignment.diagnostics["fastpath"]
+        if "optimality_gap" in assignment.diagnostics:
+            diag["optimality_gap"] = max(diag.get("optimality_gap", 0.0), assignment.diagnostics["optimality_gap"])
         after_alloc = evaluate_parts(problem, centers, assignment, released, distances=D)
         diag["objective_trace"].append(after_alloc.total)
 
@@ -181,33 +195,35 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
                 diag["weiszfeld_unconverged"] += last_input[j][2]
                 continue
             unconverged = False
-            if j < m:
-                rows = cand[nz] if discrete else problem.coords[nz]
-                decision = decide_release(problem, spec.fixed[j], rows, masses[nz], flag)
-                if decision.released:
-                    new_released.add(j)
-                else:
-                    new_released.discard(j)
-                new_centers[j] = decision.location
+            if j < m and (math.isinf(spec.release_penalty) or not nz.any()):
+                # Nothing can release this center, so it stays where it is fixed.
+                new_centers[j] = spec.fixed[j]
+                new_released.discard(j)
             elif not nz.any():
                 costs = w[:, None] * D
                 new_centers[j] = _reseed_position(problem, costs, assignment.center_block, snap)
                 diag["empty_reseeds"] += 1
                 last_input[j] = None
                 continue
-            elif discrete:
-                new_centers[j] = update_center_discrete(cand[nz], masses[nz])
             else:
-                update = update_center_continuous(problem.metric.kind, problem.coords[nz], masses[nz])
-                unconverged = not update.converged
-                # Keep the previous location on the rare non-improving update
-                # so the outer descent stays monotone.
-                old_cost = float(masses[nz] @ D[nz, j])
-                new_cost = float(
-                    masses[nz]
-                    @ metrics.geometric_distances(problem.metric.kind, problem.coords[nz], update.coords[None, :])[:, 0]
-                )
-                new_centers[j] = update.coords if new_cost <= old_cost else centers[j]
+                rows, mass = (cand if discrete else problem.coords)[nz], masses[nz]
+                if discrete:
+                    new_centers[j] = update_center_discrete(rows, mass)
+                else:
+                    update = update_center_continuous(problem.metric.kind, rows, mass)
+                    unconverged = not update.converged
+                    # Keep the current location on the rare non-improving update
+                    # so the outer descent stays monotone.
+                    improves = _cluster_cost(problem, rows, mass, update.coords) <= float(mass @ D[nz, j])
+                    new_centers[j] = update.coords if improves else centers[j]
+                if j < m:
+                    fixed_cost = _cluster_cost(problem, rows, mass, spec.fixed[j])
+                    gain = fixed_cost - _cluster_cost(problem, rows, mass, new_centers[j])
+                    if decide_release(gain, spec.release_penalty, flag):
+                        new_released.add(j)
+                    else:
+                        new_released.discard(j)
+                        new_centers[j] = spec.fixed[j]
             diag["weiszfeld_unconverged"] += unconverged
             last_input[j] = (masses, flag, unconverged)
 

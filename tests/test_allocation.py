@@ -166,7 +166,6 @@ def test_equal_coefficients_fast_path_detected():
     prob = matrix_problem(D, a=[2.0] * 4, capacity=(2.0, 6.0))
     got = allocate_hard(prob, np.array([0, 1]))
     assert got.diagnostics.get("fastpath") == "lp_integral"
-    assert got.diagnostics.get("integral_guarantee") is True
     assert np.isin(got.y, (0.0, 1.0)).all()
 
 

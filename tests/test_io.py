@@ -135,6 +135,13 @@ def test_points_write_load_roundtrip_exact(tmp_path_factory, rows):
         assert p.w == q.w and p.gamma == q.gamma and p.a == q.a and p.q == q.q
 
 
+def test_byte_order_mark_is_ignored(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"id,x,y,w\n1,0.5,2,3\n2,1,1,1\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_points(marked) == load_points(plain)
+
+
 def test_large_point_file_loads_every_row(tmp_path):
     rng = np.random.default_rng(70)
     rows = ["id,x,y,w"]
@@ -251,6 +258,9 @@ def test_truncated_document_is_parse_error_at_every_cut(solved, tmp_path):
     ("objective total\n", 4), ("memberships 1\nm 0 0 0.5 x\n", 5), ("outliers 1\nf 0\n", 5),
     ("points 1\np 0 1.0\nmemberships 1\nm 5 0 1.0 0.5\n", 7), ("points 1\np 0 1.0\noutliers 1\no 5 1.0\n", 7),
     ("points 1\np 0 1.0\ncoverage_flags 1\nf 5\n", 7),
+    ("points 1\np 0 nan\n", 5), ("points 1\np 0 1.0\nmemberships 1\nm 0 0 1.0 inf\n", 7),
+    ("points 1\np 0 1.0\nmemberships 1\nm 0 0 nan 0.5\n", 7), ("points 1\np 0 1.0\noutliers 1\no 0 -inf\n", 7),
+    ("loads 1\nl 0 nan\n", 5),
 ])
 def test_malformed_block_is_parse_error_with_line(tmp_path, bad, line):
     path = tmp_path / "sol.txt"

@@ -4,8 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from capclust import (
-    CenterSpec, Point, Problem, decide_release, euclidean, manhattan, sqeuclidean,
-    update_center_continuous, update_center_discrete, validate_problem, weiszfeld,
+    decide_release, update_center_continuous, update_center_discrete, weiszfeld,
 )
 from capclust.errors import EmptyCluster
 from capclust.location import WEISZFELD_MAX_ITER, cluster_cost_continuous, weighted_lower_median
@@ -119,47 +118,28 @@ def test_weiszfeld_returns_optimal_data_point_exactly():
     assert got.iterations < 0.7 * WEISZFELD_MAX_ITER
 
 
-def release_problem(release_penalty):
-    return validate_problem(Problem(
-        points=(Point(0, coords=(10.0, 0.0), w=1.0),), metric=euclidean(),
-        centers=CenterSpec(k=1, fixed=((0.0, 0.0),), release_penalty=release_penalty),
-    ))
-
+# decide_release(gain, penalty, released): gain is the cluster's cost at the
+# fixed location minus its cost at the chosen free location.
 
 def test_release_when_gain_beats_penalty():
-    prob = release_problem(5.0)
-    decision = decide_release(prob, (0.0, 0.0), np.array([[10.0, 0.0]]), np.array([1.0]), False)
-    assert decision.released
-    assert np.abs(np.asarray(decision.location) - [10.0, 0.0]).max() < 1e-9
+    assert decide_release(10.0, 5.0, False)
 
 
 def test_keep_when_penalty_too_high():
-    prob = release_problem(15.0)
-    decision = decide_release(prob, (0.0, 0.0), np.array([[10.0, 0.0]]), np.array([1.0]), False)
-    assert not decision.released
+    assert not decide_release(10.0, 15.0, False)
 
 
 def test_boundary_gain_keeps_fixed():
-    prob = release_problem(10.0)  # gain is exactly the penalty
-    decision = decide_release(prob, (0.0, 0.0), np.array([[10.0, 0.0]]), np.array([1.0]), False)
-    assert not decision.released
+    assert not decide_release(10.0, 10.0, False)  # gain is exactly the penalty
 
 
 def test_released_center_reattaches_when_gain_drops():
-    prob = release_problem(5.0)
-    # now the mass sits right next to the fixed spot: gain ~ 1 < 5
-    decision = decide_release(prob, (0.0, 0.0), np.array([[1.0, 0.0]]), np.array([1.0]), True)
-    assert not decision.released
-    assert np.allclose(np.asarray(decision.location), [0.0, 0.0])
+    assert not decide_release(1.0, 5.0, True)
 
 
 def test_released_center_stays_at_boundary_gain():
-    prob = release_problem(10.0)
-    decision = decide_release(prob, (0.0, 0.0), np.array([[10.0, 0.0]]), np.array([1.0]), True)
-    assert decision.released  # reattach needs gain strictly below the penalty
+    assert decide_release(10.0, 10.0, True)  # reattach needs gain strictly below the penalty
 
 
 def test_infinite_penalty_never_releases():
-    prob = release_problem(np.inf)
-    decision = decide_release(prob, (0.0, 0.0), np.array([[100.0, 0.0]]), np.array([5.0]), False)
-    assert not decision.released
+    assert not decide_release(500.0, np.inf, False)

@@ -78,16 +78,6 @@ def test_first_differences_reports_drops(small_report):
         assert diffs[k2] == small_report.base_objectives[k2] - small_report.base_objectives[k1]
 
 
-def test_warm_start_never_worse():
-    rng = np.random.default_rng(33)
-    pts = paired_blobs(rng, [(0, 0), (5, 0), (2.5, 4.0)], per=5)
-    prob = validate_problem(Problem(points=pts, metric=sqeuclidean(), centers=CenterSpec(k=1)))
-    cold = sweep_k(prob, range(1, 4), [0.0], SolverConfig(restarts=3, rng_seed=1))
-    warm = sweep_k(prob, range(1, 4), [0.0], SolverConfig(restarts=3, rng_seed=1), warm_start=True)
-    for k in cold.base_objectives:
-        assert warm.base_objectives[k] <= cold.base_objectives[k] + 1e-12
-
-
 def test_aic_lambda_is_four_sigma_squared():
     lam_aic, _ = aic_bic_lambda(1.0, 7)
     assert lam_aic == 4.0

@@ -185,6 +185,31 @@ def test_fixed_center_released_when_penalty_small():
     assert np.abs(sol.centers[0] - [4.0, 8.0]).max() > 1.0
 
 
+def test_released_center_keeps_its_location_on_a_worse_update(monkeypatch):
+    from capclust import location, solver
+
+    offsets = [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    pts = tuple(Point(i, coords=(10.0 + dx, dy)) for i, (dx, dy) in enumerate(offsets))
+    prob = continuous_problem(pts, k=1, center_kw={"fixed": ((0.0, 0.0),), "release_penalty": 0.5})
+    exact = location.update_center_continuous
+    calls = []
+
+    def worse_after_release(kind, xy, masses):
+        # the first update releases the center; every later one offers a worse point
+        calls.append(1)
+        update = exact(kind, xy, masses)
+        return update if len(calls) == 1 else update._replace(coords=update.coords + [3.0, 0.0])
+
+    for module in (location, solver):
+        monkeypatch.setattr(module, "update_center_continuous", worse_after_release)
+    sol = descend(prob, np.array([[0.0, 0.0]]), SolverConfig())
+    trace = sol.diagnostics["objective_trace"]
+    assert len(calls) >= 2
+    assert sol.released == frozenset({0})
+    assert sol.centers[0].tolist() == [10.0, 0.0]
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
 def test_large_preference_attracts_a_center():
     rng = np.random.default_rng(18)
     pts = list(blob_points(rng, [(0, 0), (10, 0)], per=12))
@@ -275,6 +300,25 @@ def test_stable_clusters_skip_the_weiszfeld_step(monkeypatch):
     iterations = sol.diagnostics["iterations"]
     assert iterations >= 2
     assert len(calls) < prob.k * iterations
+
+
+@pytest.mark.parametrize("placement", ["continuous", "discrete"])
+def test_unreleasable_fixed_center_runs_no_location_update(monkeypatch, placement):
+    from capclust import location, solver
+
+    rng = np.random.default_rng(34)
+    pts = blob_points(rng, [(0, 0), (9, 0)], per=10)
+    if placement == "discrete":
+        center_kw = {"placement": "discrete", "candidates": rng.uniform(-1, 10, size=(8, 2)), "fixed": (3,)}
+    else:
+        center_kw = {"fixed": ((4.0, 8.0),)}
+    prob = continuous_problem(pts, metric=euclidean(), k=1, center_kw={**center_kw, "release_penalty": np.inf})
+    calls = [_counting(monkeypatch, module, name) for module in (location, solver)
+             for name in ("update_center_continuous", "update_center_discrete")]
+    sol = descend(prob, kmeanspp_init(prob, np.random.default_rng(0)), SolverConfig())
+    assert calls == [[]] * 4
+    assert sol.released == frozenset()
+    assert np.array_equal(sol.centers, kmeanspp_init(prob, np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("capacity, membership, outlier", [
