@@ -6,10 +6,13 @@ Three regimes:
   (the outlier column costs lambda_o per unit of effective weight), which is
   exact and identical for hard and fractional membership;
 * capacity window + fractional membership: an exact linear program over the
-  memberships y_ij, solved by HiGHS (scipy.optimize.milp);
+  memberships y_ij, solved by HiGHS.  Its rows do not depend on the centers,
+  so a descent builds it once (``lp_model``) and HiGHS re-solves it from the
+  last optimal basis for each new set of column costs (a warm start);
 * capacity window + hard membership: the same program with binary y_ij, a
-  mixed-integer program solved by HiGHS to a zero optimality gap, after
-  aggregate feasibility checks and an LP-relaxation fast path.
+  mixed-integer program solved by HiGHS through ``scipy.optimize.milp`` to a
+  zero optimality gap, after aggregate feasibility checks and a fast path
+  through the warm-started LP relaxation.
 
 Points with capacity coefficient a_i = 0 use no capacity, so they take
 their cheapest columns outside the program in every regime.
@@ -27,18 +30,26 @@ from . import metrics
 from .errors import CapclustError, Infeasible, NoIncumbentWithinBudget, QExceedsK
 from .model import FRACTIONAL, HARD, Assignment, Problem
 
+try:  # scipy's private HiGHS binding; no other module imports it
+    from scipy.optimize._highspy import _core as _highspy
+except ImportError:  # moved by a scipy upgrade: every LP goes through milp, cold
+    _highspy = None
 
-def allocate(problem: Problem, centers, time_budget: float | None = None, *, distances=None) -> Assignment:
+
+def allocate(problem: Problem, centers, time_budget: float | None = None, *, distances=None,
+             model=None) -> Assignment:
     """Optimal memberships for fixed centers.
 
     ``distances`` is the (n, k) matrix of raw distances to ``centers`` when
-    the caller already holds it; otherwise it is computed here.
+    the caller already holds it; otherwise it is computed here.  ``model``
+    is ``lp_model(problem)`` when the caller re-solves the same problem for
+    many center sets; otherwise a capacitated call builds a one-shot model.
     """
     if problem.capacity is None:
         return allocate_uncapacitated(problem, centers, distances=distances)
     if problem.membership == FRACTIONAL:
-        return allocate_fractional(problem, centers, distances=distances)
-    return allocate_hard(problem, centers, time_budget, distances=distances)
+        return allocate_fractional(problem, centers, distances=distances, model=model)
+    return allocate_hard(problem, centers, time_budget, distances=distances, model=model)
 
 
 def _column_costs(problem: Problem, D: np.ndarray) -> np.ndarray:
@@ -65,15 +76,12 @@ def _greedy_rows(D: np.ndarray, problem: Problem, rows: np.ndarray, y: np.ndarra
     lowest center index; a boundary distance d == lambda_o stays assigned
     because the outlier column sorts last.
     """
-    k = problem.k
+    cols = D[rows]
     if problem.has_outlier_column:
-        cols = np.column_stack([D, np.full(D.shape[0], problem.outlier_penalty)])
-    else:
-        cols = D
-    q = problem.coverages
-    for i in rows:
-        order = np.argsort(cols[i], kind="stable")
-        y[i, order[: q[i]]] = 1.0
+        cols = np.column_stack([cols, np.full(rows.size, problem.outlier_penalty)])
+    order = np.argsort(cols, axis=1, kind="stable")
+    take = np.arange(order.shape[1]) < problem.coverages[rows][:, None]
+    y[np.broadcast_to(rows[:, None], order.shape)[take], order[take]] = 1.0
 
 
 def allocate_uncapacitated(problem: Problem, centers, *, distances=None) -> Assignment:
@@ -110,65 +118,118 @@ def _aggregate_certificate(problem: Problem) -> None:
         )
 
 
-def _highs(problem: Problem, D: np.ndarray, cost: np.ndarray, *, integral: bool = False,
-           time_limit: float | None = None):
-    """Solve the allocation over the points with a_i > 0 with HiGHS.
+def _constraint(problem: Problem) -> LinearConstraint:
+    """Coverage and capacity rows over y_ij of the points with a_i > 0.
 
-    Variables are y_ij for those points over every column; coverage rows fix
-    sum_j y_ij = q_i and capacity rows keep sum_i a_i y_ij in [L, U] for each
-    real center.  Returns the (n, columns) membership matrix and scipy's
-    result: rows with a_i = 0 hold their greedy choice, the other rows hold
-    ``res.x`` (zeros when HiGHS returned no point).
+    Variables are y_ij for those points over every column, row-major;
+    coverage rows fix sum_j y_ij = q_i and capacity rows keep
+    sum_i a_i y_ij in [L, U] for each real center.
     """
     lo, hi = problem.capacity
     k = problem.k
     a = problem.capacity_coeffs
     pos = np.flatnonzero(a > 0)
-    m, n_cols = pos.size, cost.shape[1]
+    m, n_cols = pos.size, k + (1 if problem.has_outlier_column else 0)
     var = np.arange(m * n_cols).reshape(m, n_cols)
     rows = np.concatenate([np.repeat(np.arange(m), n_cols), m + np.tile(np.arange(k), m)])
     cols = np.concatenate([var.ravel(), var[:, :k].ravel()])
     vals = np.concatenate([np.ones(m * n_cols), np.repeat(a[pos], k)])
-    A = sparse.csr_array((vals, (rows, cols)), shape=(m + k, m * n_cols))
+    A = sparse.csc_array((vals, (rows, cols)), shape=(m + k, m * n_cols))
     q = problem.coverages[pos]
-    constraint = LinearConstraint(A, np.concatenate([q, np.full(k, lo)]), np.concatenate([q, np.full(k, hi)]))
-    options: dict = {}
-    if integral:
-        # With presolve on, HiGHS (scipy 1.17) ends some infeasible MIPs in
-        # "Solve error" and prints to stdout; with it off it proves them infeasible.
-        options = {"mip_rel_gap": 0.0, "presolve": False}
-        if time_limit is not None:
-            options["time_limit"] = time_limit
-    res = milp(cost[pos].ravel(), constraints=constraint, integrality=1 if integral else 0,
-               bounds=Bounds(0.0, 1.0), options=options)
+    return LinearConstraint(A, np.concatenate([q, np.full(k, lo)]), np.concatenate([q, np.full(k, hi)]))
 
-    y = np.zeros((problem.n, n_cols))
-    zero = np.flatnonzero(a == 0)
+
+class _AllocationLP:
+    """The fractional allocation LP of one problem, re-solved for new column costs.
+
+    Its rows do not depend on the centers, so between solves only the costs
+    change and the last optimal basis stays primal feasible: HiGHS passes the
+    model once and re-solves each new cost vector from that basis.  Without
+    the private binding every solve goes through ``milp`` cold.
+    """
+
+    def __init__(self, problem: Problem):
+        self.problem = problem
+        self.pos = np.flatnonzero(problem.capacity_coeffs > 0)
+        self.constraint = _constraint(problem)
+        self._index = np.arange(self.constraint.A.shape[1], dtype=np.int32)
+        self._highs = None if _highspy is None else self._pass_model()
+
+    def _pass_model(self):
+        A = self.constraint.A
+        n_rows, n_vars = A.shape
+        lp = _highspy.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n_vars
+        lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+        lp.a_matrix_.format_ = _highspy.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        lp.col_cost_ = np.zeros(n_vars)
+        lp.col_lower_ = np.zeros(n_vars)
+        lp.col_upper_ = np.ones(n_vars)
+        lp.row_lower_ = self.constraint.lb
+        lp.row_upper_ = self.constraint.ub
+        highs = _highspy._Highs()
+        if highs.setOptionValue("output_flag", False) != _highspy.HighsStatus.kOk:
+            raise CapclustError("HiGHS rejected the option output_flag=False")
+        if highs.passModel(lp) == _highspy.HighsStatus.kError:
+            raise CapclustError("HiGHS rejected the allocation LP")
+        return highs
+
+    def solve(self, cost: np.ndarray) -> np.ndarray:
+        """Optimal y over the points with a_i > 0 for the (n, columns) costs; raises Infeasible when there is none."""
+        c = cost[self.pos].ravel()
+        highs = self._highs
+        if highs is None:
+            res = milp(c, constraints=self.constraint, integrality=0, bounds=Bounds(0.0, 1.0))
+            optimal, infeasible, message, x = res.status == 0, res.status == 2, res.message, res.x
+        else:
+            if highs.changeColsCost(c.size, self._index, c) == _highspy.HighsStatus.kError:
+                raise CapclustError("HiGHS rejected the allocation LP's column costs")
+            ran = highs.run() != _highspy.HighsStatus.kError
+            status = highs.getModelStatus()
+            optimal = ran and status == _highspy.HighsModelStatus.kOptimal
+            infeasible = status == _highspy.HighsModelStatus.kInfeasible
+            message = highs.modelStatusToString(status)
+            x = np.array(highs.getSolution().col_value) if optimal else None
+        if infeasible:
+            lo, hi = self.problem.capacity
+            raise Infeasible(f"the capacity window admits no fractional assignment (L={lo:g}, U={hi:g})")
+        if not optimal:
+            raise CapclustError(f"HiGHS did not solve the allocation LP: {message}")
+        # HiGHS may return -0.0 or values a rounding error outside [0, 1]
+        return np.clip(x, 0.0, 1.0) + 0.0
+
+
+def lp_model(problem: Problem) -> _AllocationLP | None:
+    """The allocation LP of ``problem`` for ``allocate(..., model=)``; None when allocation solves no LP."""
+    if problem.capacity is None or not (problem.capacity_coeffs > 0).any():
+        return None
+    return _AllocationLP(problem)
+
+
+def _membership(problem: Problem, D: np.ndarray, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(n, columns) memberships: rows with a_i = 0 take their greedy choice, rows ``pos`` hold x."""
+    y = np.zeros((problem.n, problem.k + (1 if problem.has_outlier_column else 0)))
+    zero = np.flatnonzero(problem.capacity_coeffs == 0)
     if zero.size:
         _greedy_rows(D, problem, zero, y)
-    if res.x is not None:
-        # HiGHS may return -0.0 or values a rounding error outside [0, 1]
-        x = np.round(res.x) if integral else np.clip(res.x, 0.0, 1.0)
-        y[pos] = x.reshape(m, n_cols) + 0.0
-    return y, res
+    y[pos] = x.reshape(pos.size, -1)
+    return y
 
 
 def _objective(problem: Problem, cost: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum((cost * y)[problem.id_order]))
 
 
-def _solve_lp(problem: Problem, D: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve_lp(problem: Problem, D: np.ndarray, cost: np.ndarray, model: _AllocationLP) -> tuple[np.ndarray, float]:
     """Exact fractional optimum and its objective; raises Infeasible when there is none."""
-    y, res = _highs(problem, D, cost)
-    if res.status == 2:
-        lo, hi = problem.capacity
-        raise Infeasible(f"the capacity window admits no fractional assignment (L={lo:g}, U={hi:g})")
-    if res.status != 0:
-        raise CapclustError(f"HiGHS did not solve the allocation LP: {res.message}")
+    y = _membership(problem, D, model.pos, model.solve(cost))
     return y, _objective(problem, cost, y)
 
 
-def allocate_fractional(problem: Problem, centers, *, distances=None) -> Assignment:
+def allocate_fractional(problem: Problem, centers, *, distances=None, model=None) -> Assignment:
     if problem.capacity is None:
         return allocate_uncapacitated(problem, centers, distances=distances)
     _check_coverage(problem)
@@ -176,7 +237,7 @@ def allocate_fractional(problem: Problem, centers, *, distances=None) -> Assignm
     if not (problem.capacity_coeffs > 0).any():
         return allocate_uncapacitated(problem, centers, distances=distances)
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
-    y, _ = _solve_lp(problem, D, _column_costs(problem, D))
+    y, _ = _solve_lp(problem, D, _column_costs(problem, D), model or _AllocationLP(problem))
     return Assignment(y=y, membership=FRACTIONAL, has_outlier=problem.has_outlier_column)
 
 
@@ -186,10 +247,9 @@ def _verify_hard(problem: Problem, y: np.ndarray) -> bool:
         return False
     lo, hi = problem.capacity
     slack = 1e-9 * max(1.0, abs(hi) if math.isfinite(hi) else 1.0)
-    k = problem.k
     a = problem.capacity_coeffs
-    for j in range(k):
-        load = math.fsum(a[i] * y[i, j] for i in range(problem.n) if y[i, j])
+    for j in range(problem.k):
+        load = math.fsum(a[y[:, j] == 1])
         if load < lo - slack or load > hi + slack:
             return False
     return True
@@ -198,8 +258,8 @@ def _verify_hard(problem: Problem, y: np.ndarray) -> bool:
 def _greedy_incumbent(problem: Problem, D: np.ndarray) -> np.ndarray | None:
     """Feasible binary assignment by greedy fill plus lower-bound repair.
 
-    Only used when HiGHS reaches the time budget without a feasible point;
-    returning None is always safe.
+    Only used when HiGHS reaches the time budget, against its incumbent if
+    it has one; returning None is always safe.
     """
     lo, hi = problem.capacity
     k = problem.k
@@ -259,7 +319,8 @@ def _greedy_incumbent(problem: Problem, D: np.ndarray) -> np.ndarray | None:
     return y
 
 
-def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *, distances=None) -> Assignment:
+def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *, distances=None,
+                  model=None) -> Assignment:
     if problem.capacity is None:
         return allocate_uncapacitated(problem, centers, distances=distances)
     _check_coverage(problem)
@@ -267,13 +328,14 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
     lo, hi = problem.capacity
     a = problem.capacity_coeffs
     q = problem.coverages
-    for i in range(problem.n):
-        real_needed = q[i] - (1 if problem.has_outlier_column else 0)
-        if a[i] > hi and real_needed >= 1:
-            raise Infeasible(
-                f"point {problem.points[i].id}: capacity coefficient a={a[i]:g} exceeds "
-                f"the upper limit U={hi:g}, so no single center can hold it"
-            )
+    real_needed = q - (1 if problem.has_outlier_column else 0)
+    too_big = np.flatnonzero((a > hi) & (real_needed >= 1))
+    if too_big.size:
+        i = too_big[0]
+        raise Infeasible(
+            f"point {problem.points[i].id}: capacity coefficient a={a[i]:g} exceeds "
+            f"the upper limit U={hi:g}, so no single center can hold it"
+        )
     if np.allclose(a, np.round(a), atol=1e-12):
         # integral coefficients make every binary load an integer, so the
         # window effectively shrinks to [ceil(L), floor(U)]
@@ -298,7 +360,8 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
     diagnostics: dict = {"nodes": 0}
 
     cost = _column_costs(problem, D)
-    y0, bound0 = _solve_lp(problem, D, cost)
+    model = model or _AllocationLP(problem)
+    y0, bound0 = _solve_lp(problem, D, cost, model)
     if np.all(np.abs(y0 - np.round(y0)) <= 1e-7):
         y_round = np.round(y0)
         if _verify_hard(problem, y_round):
@@ -309,21 +372,34 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
                 diagnostics=diagnostics,
             )
 
-    y, res = _highs(problem, D, cost, integral=True, time_limit=time_budget)
+    # With presolve on, HiGHS (scipy 1.17) ends some infeasible MIPs in
+    # "Solve error" and prints to stdout; with it off it proves them infeasible.
+    options = {"mip_rel_gap": 0.0, "presolve": False}
+    if time_budget is not None:
+        options["time_limit"] = time_budget
+    res = milp(cost[model.pos].ravel(), constraints=model.constraint, integrality=1,
+               bounds=Bounds(0.0, 1.0), options=options)
     diagnostics["nodes"] = int(res.mip_node_count or 0)
     if res.status == 2:
         raise Infeasible(
             "the capacity window admits no binary assignment "
             f"(L={lo:g}, U={hi:g}; capacity coefficients cannot be split)"
         )
-    if res.status == 1 and res.x is not None:
-        diagnostics["optimality_gap"] = float(res.mip_gap)
-    elif res.status == 1:
-        y = _greedy_incumbent(problem, D)
-        if y is None:
+    # HiGHS may return -0.0 or values a rounding error away from 0 and 1
+    y = None if res.x is None else _membership(problem, D, model.pos, np.round(res.x) + 0.0)
+    if res.status == 1:
+        # The budget ran out: return the cheaper of HiGHS's incumbent (if any)
+        # and the greedy one, which can be far better early in the search.
+        incumbents = []
+        if y is not None:
+            incumbents.append((_objective(problem, cost, y), float(res.mip_gap), y))
+        greedy = _greedy_incumbent(problem, D)
+        if greedy is not None:
+            value = _objective(problem, cost, greedy)
+            incumbents.append((value, (value - bound0) / max(1.0, abs(value)), greedy))
+        if not incumbents:
             raise NoIncumbentWithinBudget(f"no feasible hard assignment within {time_budget:g}s")
-        incumbent = _objective(problem, cost, y)
-        diagnostics["optimality_gap"] = (incumbent - bound0) / max(1.0, abs(incumbent))
+        _value, diagnostics["optimality_gap"], y = min(incumbents, key=lambda item: item[0])
     elif res.status != 0:
         raise CapclustError(f"HiGHS did not solve the hard allocation: {res.message}")
     return Assignment(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .allocation import allocate
+from .allocation import allocate, lp_model
 from .errors import AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget, NotEnoughDistinctSites
 from .location import cluster_cost_continuous, decide_release, update_center_continuous, update_center_discrete
 from .model import Assignment, Problem, Solution, evaluate_parts, validate_problem
@@ -136,7 +136,8 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
 
     The (n, k) distance matrix is computed once per center configuration
     and shared by the allocation, the objective evaluations, reseeding and
-    the monotone guard.
+    the monotone guard.  A capacitated allocation LP is built once per
+    descent and re-solved warm for each new set of centers.
 
     Every center moves by one rule.  It takes its cluster's optimum from
     ``update_center_discrete`` or ``update_center_continuous``; a continuous
@@ -163,6 +164,7 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     cand = metrics.candidate_distances(problem) if discrete else None
     snap = np.argmin(cand, axis=1) if discrete else None
     D = metrics.distances_to_centers(problem, centers)
+    model = lp_model(problem)
     # Per cluster: (masses, released flag or None, unconverged) of its last update.
     last_input: list[tuple | None] = [None] * k
 
@@ -179,7 +181,7 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     stop = None
     for iteration in range(1, config.max_iterations + 1):
         diag["iterations"] = iteration
-        assignment = allocate(problem, centers, config.time_budget, distances=D)
+        assignment = allocate(problem, centers, config.time_budget, distances=D, model=model)
         if "optimality_gap" in assignment.diagnostics:
             diag["optimality_gap"] = max(diag.get("optimality_gap", 0.0), assignment.diagnostics["optimality_gap"])
         after_alloc = evaluate_parts(problem, centers, assignment, released, distances=D)
@@ -250,7 +252,7 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     diag["stop"] = stop or "iteration_cap"
 
     if stop != "centers_unchanged":
-        assignment = allocate(problem, centers, config.time_budget, distances=D)
+        assignment = allocate(problem, centers, config.time_budget, distances=D, model=model)
     objective = evaluate_parts(problem, centers, assignment, released, distances=D)
     if stop != "centers_unchanged":
         diag["objective_trace"].append(objective.total)

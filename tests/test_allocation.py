@@ -1,13 +1,16 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capclust import (
     CenterSpec, Point, Problem, allocate, allocate_fractional, allocate_hard,
-    allocate_uncapacitated, matrix_metric, validate_problem,
+    allocate_uncapacitated, allocation, matrix_metric, sqeuclidean, validate_problem,
 )
 from capclust.errors import Infeasible, NoIncumbentWithinBudget, QExceedsK
+from capclust.metrics import distances_to_centers
 from oracles import (
     brute_force_hard, dense_lp_fractional, random_capacitated_instance, residual_negative_cycle,
 )
@@ -303,3 +306,141 @@ def test_dispatcher_routes_by_capacity_and_membership():
     assert allocate(frac, np.array([0, 1])).membership == "fractional"
     hard = matrix_problem(D, capacity=(0.0, 2.0), membership="hard")
     assert np.isin(allocate(hard, np.array([0, 1])).y, (0.0, 1.0)).all()
+
+
+def greedy_rows_loop(D, problem, rows, y):
+    """Per-row reference for allocation._greedy_rows."""
+    cols = D
+    if problem.has_outlier_column:
+        cols = np.column_stack([D, np.full(D.shape[0], problem.outlier_penalty)])
+    for i in rows:
+        order = np.argsort(cols[i], kind="stable")
+        y[i, order[: problem.coverages[i]]] = 1.0
+
+
+def test_greedy_rows_matches_per_row_loop():
+    rng = np.random.default_rng(404)
+    for _ in range(100):
+        n, k = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+        D = rng.integers(0, 4, size=(n, k)).astype(float)  # many ties
+        lam = float(rng.integers(0, 4)) if rng.random() < 0.6 else None  # ties with the outlier column too
+        n_cols = k + (lam is not None)
+        q = rng.integers(1, n_cols + 1, size=n)
+        prob = matrix_problem(D, q=q, lam=lam)
+        rows = np.flatnonzero(rng.random(n) < 0.7)
+        got, want = np.zeros((n, n_cols)), np.zeros((n, n_cols))
+        allocation._greedy_rows(D, prob, rows, got)
+        greedy_rows_loop(D, prob, rows, want)
+        assert np.array_equal(got, want)
+
+
+def moving_center_instance(rng):
+    """Continuous instance with a_i = 0 rows, q up to 2, and an outlier column half the time."""
+    n, k = int(rng.integers(3, 9)), int(rng.integers(2, 4))
+    xy = rng.uniform(0.0, 10.0, size=(n, 2))
+    a = np.where(rng.random(n) < 0.2, 0.0, np.round(rng.uniform(0.3, 3.0, size=n), 6))
+    q = rng.integers(1, 3, size=n)
+    w = np.round(rng.uniform(0.2, 3.0, size=n), 6)
+    lam = float(np.round(rng.uniform(5.0, 40.0), 6)) if rng.random() < 0.5 else None
+    mean_load = float(a @ q) / k
+    points = tuple(Point(i, coords=tuple(xy[i]), w=float(w[i]), a=float(a[i]), q=int(q[i])) for i in range(n))
+    problem = validate_problem(Problem(
+        points=points, metric=sqeuclidean(), centers=CenterSpec(k=k), membership="fractional",
+        capacity=(0.7 * mean_load, 1.3 * mean_load), outlier_penalty=lam,
+    ))
+    return problem, rng.uniform(0.0, 10.0, size=(k, 2))
+
+
+def test_warm_model_matches_milp_as_centers_move(lp_binding, monkeypatch):
+    rng = np.random.default_rng(505)
+    solved = 0
+    for _ in range(30):
+        problem, centers = moving_center_instance(rng)
+        model = allocation.lp_model(problem)
+        for _move in range(4):
+            centers = centers + rng.normal(0.0, 1.0, size=centers.shape)
+            D = distances_to_centers(problem, centers)
+            expect = dense_lp_fractional(problem, D)
+            try:
+                got = allocate_fractional(problem, centers, model=model)
+            except Infeasible:
+                assert expect is None
+                break
+            with monkeypatch.context() as patch:  # a cold milp solve of the same LP
+                patch.setattr(allocation, "_highspy", None)
+                cold = allocate_fractional(problem, centers)
+            tol = 1e-9 * max(1.0, abs(expect))
+            assert objective_of(problem, got, D) == pytest.approx(expect, abs=tol)
+            assert objective_of(problem, got, D) == pytest.approx(objective_of(problem, cold, D), abs=tol)
+            lo, hi = problem.capacity
+            loads = got.loads(problem.capacity_coeffs)
+            assert (loads >= lo - 1e-6).all() and (loads <= hi + 1e-6).all()
+            assert np.allclose(got.row_sums(), problem.coverages, atol=1e-6)
+            assert ((got.y >= 0.0) & (got.y <= 1.0)).all()
+            solved += 1
+    assert solved > 60
+
+
+def test_warm_model_infeasible_window_raises(lp_binding):
+    # three points of a = 2 cannot fit one center of U = 5; solved directly,
+    # without the aggregate certificate in front of it
+    prob = matrix_problem([[1.0], [1.0], [1.0]], a=[2.0] * 3, capacity=(0.0, 5.0), membership="fractional")
+    model = allocation.lp_model(prob)
+    for cost in ([[1.0], [2.0], [3.0]], [[3.0], [1.0], [2.0]]):
+        with pytest.raises(Infeasible, match="no fractional assignment"):
+            model.solve(np.array(cost))
+
+
+def test_warm_model_prints_nothing(capfd, lp_binding):
+    rng = np.random.default_rng(606)
+    problem, centers = moving_center_instance(rng)
+    model = allocation.lp_model(problem)
+    for _ in range(3):
+        centers = centers + rng.normal(0.0, 1.0, size=centers.shape)
+        try:
+            allocate_fractional(problem, centers, model=model)
+        except Infeasible:
+            pass
+    with pytest.raises(Infeasible):
+        allocation.lp_model(matrix_problem([[1.0]] * 3, a=[2.0] * 3, capacity=(0.0, 5.0))).solve(np.ones((3, 1)))
+    assert capfd.readouterr() == ("", "")
+
+
+def test_time_budget_never_returns_worse_than_greedy():
+    # n = 200, k = 8, integer a in [1, 5], a +-20% window: HiGHS's first
+    # incumbents can cost twice the greedy fill, so whenever a budget stops
+    # the search early the greedy one must win
+    rng = np.random.default_rng(1)
+    n, k = 200, 8
+    xy = rng.uniform(0.0, 100.0, size=(n, 2))
+    centers = rng.uniform(0.0, 100.0, size=(k, 2))
+    a = rng.integers(1, 6, size=n).astype(float)
+    mean_load = a.sum() / k
+    problem = validate_problem(Problem(
+        points=tuple(Point(i, coords=tuple(xy[i]), a=float(a[i])) for i in range(n)),
+        metric=sqeuclidean(), centers=CenterSpec(k=k), membership="hard",
+        capacity=(0.8 * mean_load, 1.2 * mean_load),
+    ))
+    D = distances_to_centers(problem, centers)
+    cost = allocation._column_costs(problem, D)
+    greedy = allocation._greedy_incumbent(problem, D)
+    assert greedy is not None
+    for budget in (0.0, 0.002, 0.005, 0.01, 0.02):
+        got = allocate_hard(problem, centers, time_budget=budget)
+        assert allocation._objective(problem, cost, got.y) <= allocation._objective(problem, cost, greedy)
+
+
+def test_private_highs_binding_is_imported_in_one_module():
+    src = Path(allocation.__file__).parent
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("_highspy" in name for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["allocation.py"]

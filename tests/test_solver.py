@@ -350,7 +350,7 @@ def test_reseeded_cluster_is_recomputed(monkeypatch):
     # the same points again: its input repeats but its center has moved.
     script = [split, merged, split]
 
-    def scripted(problem, centers, time_budget=None, *, distances=None):
+    def scripted(problem, centers, time_budget=None, *, distances=None, model=None):
         y = script.pop(0) if script else split
         return Assignment(y=y, membership=problem.membership, has_outlier=False)
 
@@ -399,3 +399,57 @@ def test_skipping_matches_a_full_location_step(monkeypatch, unconverged):
             assert all(np.array_equal(a, b) for a, b in zip(got_centers, ref_centers))
             assert np.array_equal(got.centers, reference.centers)
             assert got.released == reference.released
+
+
+def _capacitated_blobs(membership, outlier=None):
+    rng = np.random.default_rng(40)
+    pts = blob_points(rng, [(0, 0), (6, 1), (3, 6)], per=15)
+    return continuous_problem(pts, metric=sqeuclidean(), capacity=(12.0, 18.0), membership=membership,
+                              outlier_penalty=outlier)
+
+
+@pytest.mark.parametrize("membership", ["fractional", "hard"])
+def test_descend_builds_one_lp_model(monkeypatch, lp_binding, membership):
+    from capclust import allocation, solver
+
+    built, passed = [], []
+
+    class Counting(allocation._AllocationLP):
+        def __init__(self, problem):
+            built.append(1)
+            super().__init__(problem)
+
+    def spy(*args, model=None, **kwargs):
+        passed.append(model)
+        return allocation.allocate(*args, model=model, **kwargs)
+
+    monkeypatch.setattr(allocation, "_AllocationLP", Counting)
+    monkeypatch.setattr(solver, "allocate", spy)
+    prob = _capacitated_blobs(membership)
+    sol = descend(prob, kmeanspp_init(prob, np.random.default_rng(3)), SolverConfig())
+    assert sol.diagnostics["iterations"] >= 2
+    assert len(built) == 1
+    assert len(passed) >= 2 and all(model is passed[0] for model in passed)
+    assert isinstance(passed[0], Counting)
+
+
+@pytest.mark.parametrize("membership, outlier", [("fractional", None), ("fractional", 30.0), ("hard", None)])
+def test_two_solves_on_one_problem_agree(lp_binding, membership, outlier):
+    prob = _capacitated_blobs(membership, outlier)
+    a, b = (solve(prob, SolverConfig(restarts=3, rng_seed=8)) for _ in range(2))
+    assert np.array_equal(a.centers, b.centers)
+    assert np.array_equal(a.assignment.y, b.assignment.y)
+    assert a.diagnostics["restart_objectives"] == b.diagnostics["restart_objectives"]
+    assert a.diagnostics["objective_trace"] == b.diagnostics["objective_trace"]
+
+
+@pytest.mark.parametrize("membership", ["fractional", "hard"])
+def test_milp_fallback_solves_like_the_warm_model(monkeypatch, membership):
+    from capclust import allocation
+
+    prob = _capacitated_blobs(membership, 30.0)
+    warm = solve(prob, SolverConfig(restarts=3, rng_seed=8))
+    monkeypatch.setattr(allocation, "_highspy", None)
+    cold = solve(prob, SolverConfig(restarts=3, rng_seed=8))
+    assert cold.objective.total == pytest.approx(warm.objective.total, rel=1e-9)
+    assert np.allclose(cold.diagnostics["restart_objectives"], warm.diagnostics["restart_objectives"], rtol=1e-9)
