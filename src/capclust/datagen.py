@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .model import NOISE_LABEL, Point
 
@@ -48,6 +48,9 @@ class GenSpec:
             raise ValueError("cluster sizes must be positive")
         if self.weight_range[0] > self.weight_range[1]:
             raise ValueError("weight range inverted")
+        for name, (lo, hi) in (("shape_range", self.shape_range), ("scale_range", self.scale_range)):
+            if not (lo >= 0 and hi > 0):
+                raise ValueError(f"{name} must have a nonnegative low end and a positive high end")
         if not 0 < self.shrink <= 1:
             raise ValueError("shrink must be in (0, 1]")
         if self.rho is not None and not -1 < self.rho < 1:
@@ -74,12 +77,12 @@ def sample_gamma_copula_cluster(size, shape, scale, rho, rng) -> np.ndarray:
     scale = np.broadcast_to(np.asarray(scale, dtype=float), (2,))
     z1 = rng.standard_normal(size)
     z2 = rho * z1 + np.sqrt(1.0 - rho * rho) * rng.standard_normal(size)
-    u = stats.norm.cdf(np.column_stack([z1, z2]))
+    u = special.ndtr(np.column_stack([z1, z2]))
     # Clamp away from 0/1 so the inverse CDF stays finite.
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     out = np.empty_like(u)
     for c in range(2):
-        out[:, c] = stats.gamma.ppf(u[:, c], shape[c], scale=scale[c])
+        out[:, c] = scale[c] * special.gammaincinv(shape[c], u[:, c])
     return out
 
 

@@ -1,7 +1,7 @@
 """Location step: relocate one center given the mass assigned to it.
 
 Continuous placement uses the exact minimizer for each metric: weighted
-mean (squared Euclidean), geometric median via Weiszfeld iteration
+mean (squared Euclidean), geometric median by guarded Newton steps
 (Euclidean) and the coordinatewise weighted lower median (Manhattan).
 Discrete placement picks the candidate site minimizing the weighted
 distance sum.  ``decide_release`` is the release rule for a fixed center,
@@ -18,6 +18,7 @@ from . import metrics
 from .errors import EmptyCluster
 
 WEISZFELD_MAX_ITER = 1000
+_HALVINGS = np.array([[1.0], [2.0], [4.0], [8.0]])
 
 
 class CenterUpdate(NamedTuple):
@@ -48,99 +49,80 @@ def _pull_at(xy: np.ndarray, masses: np.ndarray, anchor: np.ndarray, skip: np.nd
     return pull, float(inv.sum())
 
 
-def _newton_polish(xy: np.ndarray, masses: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
-    """Sharpen a Weiszfeld iterate with guarded Newton steps.
-
-    Fixed-point iteration contracts slowly in flat valleys; away from the
-    data points the objective is smooth, so a few damped Newton steps push
-    the iterate to machine-precision optimality.  Every step is accepted
-    only if it does not increase the cost.
-    """
-    for _ in range(30):
-        diff = y - xy
-        d = np.hypot(diff[:, 0], diff[:, 1])
-        if (d <= 1e-12 * scale).any():
-            break
-        inv = masses / d
-        grad = (diff * inv[:, None]).sum(axis=0)
-        if np.hypot(grad[0], grad[1]) <= 1e-13 * masses.sum():
-            break
-        u = diff / d[:, None]
-        hess = inv.sum() * np.eye(2) - (inv[:, None, None] * (u[:, :, None] * u[:, None, :])).sum(axis=0)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            break
-        cost_here = float(masses @ d)
-        moved = False
-        for _ in range(20):
-            cand = y - step
-            cost_cand = float(masses @ np.hypot(*(cand - xy).T))
-            if cost_cand <= cost_here:
-                y = cand
-                moved = cost_here - cost_cand > 0
-                break
-            step = step / 2.0
-        if not moved:
-            break
-    return y
-
-
 def weiszfeld(xy: np.ndarray, masses: np.ndarray, *, scale: float | None = None) -> CenterUpdate:
-    """Weighted geometric median with the coincident-point correction.
+    """Weighted geometric median by guarded Newton steps.
 
-    Iterates until the step length drops below 1e-9 times the data scale,
-    then sharpens the result with guarded Newton steps.  When the iterate
-    lands on a data point the optimality of that point is tested through
-    the residual pull; if the pull does not exceed the point's own mass
-    the point is the exact minimizer, otherwise the iteration steps off it
-    along the pull direction.  The fixed-point iteration closes in on an
-    optimal data point only by the factor pull/mass per step, so the same
-    test also runs once per distinct data point the iterate comes within
-    1e-3 times the data scale of, and returns that point exactly when it
-    passes.
+    Collinear data returns the data point at the weighted lower median along
+    the line, which is optimal since the cost is piecewise linear there.
+    Otherwise the iterate starts at the weighted mean.  The nearest data
+    point is tested once, when the iterate first comes within 1e-3 times
+    the data scale of it or right after a Weiszfeld step, and returned
+    exactly if its residual pull does not exceed its own mass; an iterate
+    on a data point that fails this test takes Kuhn's step off it.
+    Elsewhere it takes the closed-form 2x2 Newton step, halved up to three
+    times until the cost strictly falls, or else the Weiszfeld step (which
+    creeps toward a kink at an optimal data point, hence the test after
+    it).  It stops when the Weiszfeld step no longer lowers the cost, the
+    gradient norm is at most 1e-13 times the total mass, or a full Newton
+    step is shorter than 1e-9 times the data scale.
     """
     xy = np.asarray(xy, dtype=float)
     masses = np.asarray(masses, dtype=float)
     if scale is None:
         span = xy.max(axis=0) - xy.min(axis=0)
         scale = float(max(np.hypot(span[0], span[1]), 1e-300))
-    tol = 1e-9 * scale
-    snap = 1e-12 * scale
-    near = 1e-3 * scale
-    tested: set[int] = set()
+    rel = xy - xy[0]
+    far = rel[int(np.argmax(np.hypot(rel[:, 0], rel[:, 1])))]
+    if (np.abs(rel[:, 0] * far[1] - rel[:, 1] * far[0]) <= 1e-12 * scale * scale).all():
+        along = rel @ far
+        return CenterUpdate(xy[int(np.argmax(along == weighted_lower_median(along, masses)))].copy(), 1, True)
 
-    y = weighted_mean(xy, masses)
+    snap, near = 1e-12 * scale, 1e-3 * scale
+    tested: set[int] = set()
+    creeping = False
+
+    def at(y):
+        diff = y - xy
+        d = np.hypot(diff[:, 0], diff[:, 1])
+        return y, diff, d, float(masses @ d)
+
+    y, diff, d, cost = at(weighted_mean(xy, masses))
     for it in range(1, WEISZFELD_MAX_ITER + 1):
-        d = np.sqrt(((xy - y) ** 2).sum(axis=1))
-        nearest = int(np.argmin(d))
-        if snap < d[nearest] <= near and nearest not in tested:
-            tested.add(nearest)
-            anchor = xy[nearest]
-            at_anchor = np.sqrt(((xy - anchor) ** 2).sum(axis=1)) <= snap
-            pull, _ = _pull_at(xy, masses, anchor, at_anchor)
-            if float(np.hypot(pull[0], pull[1])) <= float(masses[at_anchor].sum()):
-                return CenterUpdate(anchor.copy(), it, True)
-        coincident = d <= snap
-        if coincident.any():
-            j = int(np.argmax(coincident))
-            anchor = xy[j]
-            pull, inv_sum = _pull_at(xy, masses, anchor, coincident)
-            pull_norm = float(np.hypot(pull[0], pull[1]))
-            mass_here = float(masses[coincident].sum())
+        j = int(np.argmin(d))
+        on_point = d[j] <= snap
+        if on_point or ((d[j] <= near or creeping) and j not in tested):
+            tested.add(j)
+            here = np.hypot(*(xy - xy[j]).T) <= snap
+            pull, inv_sum = _pull_at(xy, masses, xy[j], here)
+            pull_norm, mass_here = float(np.hypot(pull[0], pull[1])), float(masses[here].sum())
             if pull_norm <= mass_here:
-                return CenterUpdate(anchor.copy(), it, True)
-            # Kuhn correction: step off the data point along the pull.
-            step = (1.0 - mass_here / pull_norm) * pull / inv_sum
-            y_next = anchor + step
+                return CenterUpdate(xy[j].copy(), it, True)
+            if on_point:
+                # Kuhn's step off the data point along the pull.
+                y, diff, d, cost = at(xy[j] + (1.0 - mass_here / pull_norm) * pull / inv_sum)
+                continue
+        inv = masses / d
+        grad = inv @ diff
+        if np.hypot(grad[0], grad[1]) <= 1e-13 * masses.sum():
+            return CenterUpdate(y, it, True)
+        # The Hessian is sum m_i / d_i^3 [[dy^2, -dx dy], [-dx dy, dx^2]]; its
+        # inverse is this weighted second-moment matrix over the determinant.
+        moment = (inv / (d * d) * diff.T) @ diff
+        det = moment[0, 0] * moment[1, 1] - moment[0, 1] * moment[1, 0]
+        step = moment @ grad / det if det > 0 else None
+        # The Newton step and its three halvings, then the Weiszfeld step (None).
+        newton = () if step is None else y - step / _HALVINGS
+        for cand in (*newton, None):
+            state = at(inv @ xy / inv.sum() if cand is None else cand)
+            if state[3] < cost:
+                break
         else:
-            inv = masses / d
-            y_next = inv @ xy / inv.sum()
-        move = float(np.hypot(*(y_next - y)))
-        y = y_next
-        if move < tol:
-            return CenterUpdate(_newton_polish(xy, masses, y, scale), it, True)
-    return CenterUpdate(_newton_polish(xy, masses, y, scale), WEISZFELD_MAX_ITER, False)
+            return CenterUpdate(y, it, True)
+        y, diff, d, cost = state
+        creeping = cand is None
+        if step is not None and np.hypot(step[0], step[1]) < 1e-9 * scale:
+            return CenterUpdate(y, it, True)
+    return CenterUpdate(y, WEISZFELD_MAX_ITER, False)
 
 
 def update_center_continuous(kind: str, xy: np.ndarray, masses: np.ndarray) -> CenterUpdate:

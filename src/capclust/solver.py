@@ -131,6 +131,22 @@ def _same_input(previous, masses: np.ndarray, released: bool | None) -> bool:
     return previous is not None and previous[1] == released and np.array_equal(previous[0], masses)
 
 
+def _no_worse(problem: Problem, centers, released: set[int], D: np.ndarray, fresh: Assignment,
+              previous: Assignment | None):
+    """The allocation to keep at these centers, with its objective parts.
+
+    An allocation cut short by the time budget (it carries an optimality
+    gap) yields to the previous assignment when that one costs less here.
+    The previous assignment stays feasible, since capacities do not depend
+    on the centers.
+    """
+    parts = evaluate_parts(problem, centers, fresh, released, distances=D)
+    if previous is None or "optimality_gap" not in fresh.diagnostics:
+        return fresh, parts
+    kept = evaluate_parts(problem, centers, previous, released, distances=D)
+    return (previous, kept) if kept.total < parts.total else (fresh, parts)
+
+
 def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution:
     """Alternate exact allocation and location steps from the given centers.
 
@@ -181,10 +197,10 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     stop = None
     for iteration in range(1, config.max_iterations + 1):
         diag["iterations"] = iteration
-        assignment = allocate(problem, centers, config.time_budget, distances=D, model=model)
-        if "optimality_gap" in assignment.diagnostics:
-            diag["optimality_gap"] = max(diag.get("optimality_gap", 0.0), assignment.diagnostics["optimality_gap"])
-        after_alloc = evaluate_parts(problem, centers, assignment, released, distances=D)
+        fresh = allocate(problem, centers, config.time_budget, distances=D, model=model)
+        if "optimality_gap" in fresh.diagnostics:
+            diag["optimality_gap"] = max(diag.get("optimality_gap", 0.0), fresh.diagnostics["optimality_gap"])
+        assignment, after_alloc = _no_worse(problem, centers, released, D, fresh, assignment)
         diag["objective_trace"].append(after_alloc.total)
 
         new_centers = centers.copy()
@@ -252,10 +268,11 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     diag["stop"] = stop or "iteration_cap"
 
     if stop != "centers_unchanged":
-        assignment = allocate(problem, centers, config.time_budget, distances=D, model=model)
-    objective = evaluate_parts(problem, centers, assignment, released, distances=D)
-    if stop != "centers_unchanged":
+        fresh = allocate(problem, centers, config.time_budget, distances=D, model=model)
+        assignment, objective = _no_worse(problem, centers, released, D, fresh, assignment)
         diag["objective_trace"].append(objective.total)
+    else:
+        objective = evaluate_parts(problem, centers, assignment, released, distances=D)
 
     if problem.has_outlier_column:
         flagged = np.flatnonzero((problem.coverages > 1) & (assignment.outlier_column > 1e-12))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capclust
 from capclust import CenterSpec, Point, Problem, SolverConfig, distance_summary, euclidean, solve, validate_problem
 from capclust.cli import main
 from capclust.evaluation import PER_DEMAND, PER_POINT
@@ -245,3 +250,11 @@ def test_fixed_centers_flag(dataset, tmp_path):
     ])
     assert code == 0
     assert "fixed" in (out / "solution.txt").read_text()
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs most of a second to import, and no command needs it.
+    code = "import sys, capclust.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(capclust.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "importing capclust.cli loaded scipy.stats"

@@ -83,6 +83,14 @@ def test_invalid_specs_rejected():
         GenSpec(cluster_sizes=(3,), rho=1.0)
 
 
+@pytest.mark.parametrize("field", ["shape_range", "scale_range"])
+@pytest.mark.parametrize("bounds", [(-1.0, 5.0), (0.0, 0.0), (0.0, -2.0), (float("nan"), 1.0)])
+def test_gamma_ranges_need_a_nonnegative_low_and_positive_high_end(field, bounds):
+    with pytest.raises(ValueError, match=field):
+        GenSpec(cluster_sizes=(3,), **{field: bounds})
+    GenSpec(cluster_sizes=(3,), **{field: (0.0, 1e-3)})
+
+
 def test_zero_correlation_unit_shape_gives_exponential_marginals():
     rng = np.random.default_rng(55)
     sample = sample_gamma_copula_cluster(10_000, shape=(1.0, 1.0), scale=(2.0, 3.0),

@@ -115,7 +115,65 @@ def test_weiszfeld_returns_optimal_data_point_exactly():
     got = weiszfeld(xy, np.array([87.0, 86.0]))
     assert got.converged
     assert got.coords.tolist() == [0.3, 0.7]
-    assert got.iterations < 0.7 * WEISZFELD_MAX_ITER
+    assert got.iterations <= 5
+
+
+def _assert_geometric_median(xy, masses, got, rtol=1e-12, **grid):
+    """Converged, and no costlier than grid refinement or the best data point."""
+    assert got.converged and got.iterations < WEISZFELD_MAX_ITER
+    cost = cluster_cost_continuous("euclidean", xy, masses, got.coords)
+    ref = cluster_cost_continuous("euclidean", xy, masses, grid_refine_median(xy, masses, **grid))
+    best_point = min(cluster_cost_continuous("euclidean", xy, masses, p) for p in xy)
+    assert cost <= ref * (1 + rtol)
+    assert cost <= best_point * (1 + rtol)
+
+
+def test_weiszfeld_converges_on_a_three_point_cluster_off_the_data_points():
+    # A cluster of the euclid-outlier benchmark (seed 5, second command) on
+    # which plain fixed-point iteration ran into the iteration cap.
+    xy = np.array([[0.6771581950480576, 2.8952771739432346], [0.6479666005833951, 2.7994740788835184],
+                   [0.7844032492134553, 2.9310279461460595]])
+    masses = np.array([13.002658610094, 87.75257108289097, 98.86555216970588])
+    got = weiszfeld(xy, masses)
+    _assert_geometric_median(xy, masses, got)
+    assert np.hypot(*(xy - got.coords).T).min() > 0.01
+
+
+def test_weiszfeld_converges_on_tiny_clusters_far_from_the_origin():
+    rng = np.random.default_rng(8)
+    for _ in range(400):
+        n = int(rng.integers(3, 9))
+        xy = 5.0 + 1e-8 * rng.uniform(-1.0, 1.0, size=(n, 2))
+        masses = rng.uniform(0.5, 3.0, size=n)
+        _assert_geometric_median(xy, masses, weiszfeld(xy, masses), rtol=1e-9, rounds=10, res=40)
+
+
+@pytest.mark.parametrize("xy, masses", [
+    ([[1.0, 3.0], [3.0, 7.0], [-2.0, -3.0], [0.5, 2.0]], [1.0, 4.0, 2.0, 0.5]),
+    ([[0.0, 2.0], [0.0, -5.0], [0.0, 1.0], [0.0, 1.0]], [2.0, 3.0, 0.5, 0.25]),
+    ([[0.3, 0.7], [1.9, -2.0]], [5.0, 5.0]),
+])
+def test_weiszfeld_returns_a_data_point_on_collinear_clusters(xy, masses):
+    xy, masses = np.array(xy), np.array(masses)
+    got = weiszfeld(xy, masses)
+    _assert_geometric_median(xy, masses, got)
+    assert got.iterations == 1
+    assert any(got.coords.tolist() == p for p in xy.tolist())
+
+
+def test_weiszfeld_with_duplicate_points():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        base = rng.uniform(-3.0, 3.0, size=(int(rng.integers(3, 7)), 2))
+        xy = base[rng.integers(0, len(base), size=12)]
+        masses = rng.uniform(0.5, 3.0, size=12)
+        _assert_geometric_median(xy, masses, weiszfeld(xy, masses), rtol=1e-9, rounds=10, res=40)
+    # two coincident points are together heavy enough to hold the median
+    xy = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    masses = np.array([1.5, 1.5, 1.0, 1.0, 1.0])
+    got = weiszfeld(xy, masses)
+    _assert_geometric_median(xy, masses, got)
+    assert got.coords.tolist() == [0.0, 0.0]
 
 
 # decide_release(gain, penalty, released): gain is the cluster's cost at the

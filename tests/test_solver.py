@@ -364,6 +364,37 @@ def test_reseeded_cluster_is_recomputed(monkeypatch):
     assert trace[2][1].tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("max_iterations", [1, 6])
+def test_truncated_allocation_never_raises_the_objective(monkeypatch, max_iterations):
+    # From the second call on, allocate returns a costlier assignment marked
+    # as cut short by the budget: the descent must keep the previous one,
+    # in the loop (6 iterations) and in the final re-allocation (1 iteration).
+    from capclust import solver
+    from capclust.model import Assignment
+
+    rng = np.random.default_rng(12)
+    pts = blob_points(rng, [(0, 0), (6, 0), (3, 5)], per=12)
+    prob = continuous_problem(pts, k=3, membership="hard", capacity=(10.0, 14.0))
+    real = solver.allocate
+    calls = []
+
+    def truncated(problem, centers, time_budget=None, **kw):
+        got = real(problem, centers, time_budget, **kw)
+        calls.append(got)
+        if len(calls) < 2:
+            return got
+        return Assignment(y=np.roll(got.y, 1, axis=1), membership=got.membership,
+                          has_outlier=got.has_outlier, diagnostics={"optimality_gap": 0.5})
+
+    monkeypatch.setattr(solver, "allocate", truncated)
+    sol = descend(prob, np.array([[1.0, 1.0], [5.0, 1.0], [3.0, 4.0]]),
+                  SolverConfig(max_iterations=max_iterations, convergence_tol=-np.inf))
+    trace = sol.diagnostics["objective_trace"]
+    assert len(calls) >= 2
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    assert sol.objective.total == min(trace)
+
+
 def _skip_cases():
     rng = np.random.default_rng(32)
     pts = blob_points(rng, [(0, 0), (7, 0), (3, 6), (9, 7)], per=30)
