@@ -88,15 +88,19 @@ def allocate_uncapacitated(problem: Problem, centers, *, distances=None) -> Assi
     n_cols = _check_coverage(problem)
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
     y = np.zeros((problem.n, n_cols))
+    labels = None
     if problem.coverages.max(initial=1) == 1 and problem.coverages.min(initial=1) == 1:
         if problem.has_outlier_column:
             cols = np.column_stack([D, np.full(problem.n, problem.outlier_penalty)])
         else:
             cols = D
-        y[np.arange(problem.n), np.argmin(cols, axis=1)] = 1.0
+        nearest = np.argmin(cols, axis=1)
+        y[np.arange(problem.n), nearest] = 1.0
+        if problem.membership == HARD:
+            labels = nearest
     else:
         _greedy_rows(D, problem, np.arange(problem.n), y)
-    return Assignment(y=y, membership=problem.membership, has_outlier=problem.has_outlier_column)
+    return Assignment(y=y, membership=problem.membership, has_outlier=problem.has_outlier_column, labels=labels)
 
 
 def _aggregate_certificate(problem: Problem) -> None:

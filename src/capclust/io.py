@@ -283,7 +283,7 @@ def write_solution(problem: Problem, solution: Solution, path, emit_timing: bool
                 entry += f" orig {repr(float(fx))} {repr(float(fy))}"
         lines.append(entry)
 
-    order = sorted(range(problem.n), key=lambda i: problem.points[i].id)
+    order = problem.id_order.tolist()
     lines.append(f"points {problem.n}")
     for i in order:
         lines.append(f"p {problem.points[i].id} {repr(float(problem.points[i].w))}")

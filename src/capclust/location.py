@@ -52,34 +52,51 @@ def _pull_at(xy: np.ndarray, masses: np.ndarray, anchor: np.ndarray, skip: np.nd
 def weiszfeld(xy: np.ndarray, masses: np.ndarray, *, scale: float | None = None) -> CenterUpdate:
     """Weighted geometric median by guarded Newton steps.
 
-    Collinear data returns the data point at the weighted lower median along
-    the line, which is optimal since the cost is piecewise linear there.
-    Otherwise the iterate starts at the weighted mean.  The nearest data
-    point is tested once, when the iterate first comes within 1e-3 times
-    the data scale of it or right after a Weiszfeld step, and returned
-    exactly if its residual pull does not exceed its own mass; an iterate
-    on a data point that fails this test takes Kuhn's step off it.
-    Elsewhere it takes the closed-form 2x2 Newton step, halved up to three
-    times until the cost strictly falls, or else the Weiszfeld step (which
-    creeps toward a kink at an optimal data point, hence the test after
-    it).  It stops when the Weiszfeld step no longer lowers the cost, the
-    gradient norm is at most 1e-13 times the total mass, or a full Newton
-    step is shorter than 1e-9 times the data scale.
+    A thin cluster, whose points all lie within 1e-2 times the data scale
+    of the line through the first data point and the one farthest from it,
+    first tries the data point at the weighted lower median along that line.
+    A collinear cluster returns it, which is optimal since the cost is
+    piecewise linear along the line; another thin cluster returns it exactly
+    if its residual pull does not exceed its own mass, since an iterate
+    would only creep along the narrow valley toward it.  Otherwise the
+    iterate starts at the weighted mean.  The nearest data point is tested
+    in the same way once, when the iterate first comes within 1e-3 times
+    the data scale of it or right after a Weiszfeld step; an iterate on a
+    data point that fails the test takes Kuhn's step off it.  Elsewhere it
+    takes the closed-form 2x2 Newton step, halved up to three times until
+    the cost strictly falls, or else the Weiszfeld step (which creeps
+    toward a kink at an optimal data point, hence the test after it).  It
+    stops when the Weiszfeld step no longer lowers the cost, the gradient
+    norm is at most 1e-13 times the total mass, or a full Newton step is
+    shorter than 1e-9 times the data scale.
     """
     xy = np.asarray(xy, dtype=float)
     masses = np.asarray(masses, dtype=float)
     if scale is None:
         span = xy.max(axis=0) - xy.min(axis=0)
         scale = float(max(np.hypot(span[0], span[1]), 1e-300))
-    rel = xy - xy[0]
-    far = rel[int(np.argmax(np.hypot(rel[:, 0], rel[:, 1])))]
-    if (np.abs(rel[:, 0] * far[1] - rel[:, 1] * far[0]) <= 1e-12 * scale * scale).all():
-        along = rel @ far
-        return CenterUpdate(xy[int(np.argmax(along == weighted_lower_median(along, masses)))].copy(), 1, True)
-
     snap, near = 1e-12 * scale, 1e-3 * scale
     tested: set[int] = set()
     creeping = False
+
+    def pull_test(j):
+        """Whether data point j is optimal, with its residual pull, mass and inverse-distance sum."""
+        tested.add(j)
+        here = np.hypot(*(xy - xy[j]).T) <= snap
+        pull, inv_sum = _pull_at(xy, masses, xy[j], here)
+        pull_norm, mass_here = float(np.hypot(pull[0], pull[1])), float(masses[here].sum())
+        return pull_norm <= mass_here, pull, pull_norm, mass_here, inv_sum
+
+    rel = xy - xy[0]
+    lengths = np.hypot(rel[:, 0], rel[:, 1])
+    far = rel[int(np.argmax(lengths))]
+    # The largest distance from the line, times the line's length.
+    across = float(np.abs(rel[:, 0] * far[1] - rel[:, 1] * far[0]).max())
+    if across <= 1e-2 * scale * lengths.max():
+        along = rel @ far
+        median = int(np.argmax(along == weighted_lower_median(along, masses)))
+        if across <= 1e-12 * scale * scale or pull_test(median)[0]:
+            return CenterUpdate(xy[median].copy(), 1, True)
 
     def at(y):
         diff = y - xy
@@ -91,11 +108,8 @@ def weiszfeld(xy: np.ndarray, masses: np.ndarray, *, scale: float | None = None)
         j = int(np.argmin(d))
         on_point = d[j] <= snap
         if on_point or ((d[j] <= near or creeping) and j not in tested):
-            tested.add(j)
-            here = np.hypot(*(xy - xy[j]).T) <= snap
-            pull, inv_sum = _pull_at(xy, masses, xy[j], here)
-            pull_norm, mass_here = float(np.hypot(pull[0], pull[1])), float(masses[here].sum())
-            if pull_norm <= mass_here:
+            optimal, pull, pull_norm, mass_here, inv_sum = pull_test(j)
+            if optimal:
                 return CenterUpdate(xy[j].copy(), it, True)
             if on_point:
                 # Kuhn's step off the data point along the pull.
@@ -144,13 +158,21 @@ def update_center_continuous(kind: str, xy: np.ndarray, masses: np.ndarray) -> C
     raise ValueError(f"no continuous location step for metric kind {kind!r}")
 
 
-def update_center_discrete(site_distances: np.ndarray, masses: np.ndarray) -> int:
-    """Candidate site minimizing the weighted distance sum; ties to the lowest index."""
+def update_center_discrete(site_distances: np.ndarray, masses: np.ndarray):
+    """Candidate site minimizing the weighted distance sum; ties to the lowest index.
+
+    ``masses`` holds one cluster's mass per row of ``site_distances`` and
+    gives one site index.  An (n, c) matrix with one cluster per column is
+    answered by one product: it gives the c sites together with the (c, s)
+    weighted sums they minimize, from which a caller prices other sites.
+    """
     masses = np.asarray(masses, dtype=float)
-    if not float(np.sum(masses)) > 0:
+    if not (masses.sum(axis=0) > 0).all():
         raise EmptyCluster("no mass assigned to this center")
-    totals = masses @ site_distances
-    return int(np.argmin(totals))
+    if masses.ndim == 1:
+        return int(np.argmin(masses @ site_distances))
+    totals = masses.T @ site_distances
+    return np.argmin(totals, axis=1), totals
 
 
 def cluster_cost_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, location) -> float:

@@ -81,16 +81,24 @@ def matrix_metric(D) -> MetricSpec:
 
 
 def geometric_distances(kind: str, points: np.ndarray, locations: np.ndarray) -> np.ndarray:
-    """All pairwise values of a geometric metric, shape (n_points, n_locations)."""
+    """All pairwise values of a geometric metric, shape (n_points, n_locations).
+
+    The two coordinate differences are formed separately and worked on in
+    place, which avoids (n, m, 2) temporaries and sums the same two terms
+    as a reduction over them.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     locs = np.atleast_2d(np.asarray(locations, dtype=float))
-    diff = pts[:, None, :] - locs[None, :, :]
+    dx = pts[:, 0, None] - locs[None, :, 0]
+    dy = pts[:, 1, None] - locs[None, :, 1]
     if kind == MANHATTAN:
-        return np.abs(diff).sum(axis=2)
-    sq = (diff * diff).sum(axis=2)
-    if kind == SQEUCLIDEAN:
-        return sq
-    return np.sqrt(sq)
+        np.abs(dx, out=dx)
+        np.abs(dy, out=dy)
+    else:
+        dx *= dx
+        dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx) if kind == EUCLIDEAN else dx
 
 
 def distance(metric: MetricSpec, point, location) -> float:
@@ -114,30 +122,24 @@ def distance(metric: MetricSpec, point, location) -> float:
     return float(geometric_distances(metric.kind, p[None, :], c[None, :])[0, 0])
 
 
-def candidate_distances(problem: "Problem") -> np.ndarray:
-    """Raw metric distances from every point to every candidate site, shape (n, s)."""
-    metric = problem.metric
+def candidate_distances(metric: MetricSpec, coords: np.ndarray | None, sites: np.ndarray | None) -> np.ndarray:
+    """Raw metric distances from every point to every candidate site, shape (n, s).
+
+    A problem computes these once (``Problem.site_costs``); the matrix metric
+    returns its cost matrix as is.
+    """
     if metric.kind == MATRIX:
         return metric.matrix
-    sites = problem.centers.candidates
     if metric.kind == THRESHOLD:
-        d = geometric_distances(EUCLIDEAN, problem.coords, sites)
+        d = geometric_distances(EUCLIDEAN, coords, sites)
         return (d >= metric.threshold).astype(float)
-    return geometric_distances(metric.kind, problem.coords, sites)
+    return geometric_distances(metric.kind, coords, sites)
 
 
 def distances_to_centers(problem: "Problem", centers) -> np.ndarray:
     """Raw metric distances from every point to each current center, shape (n, k)."""
     if problem.centers.placement == "discrete":
-        sites = np.asarray(centers, dtype=int)
-        metric = problem.metric
-        if metric.kind == MATRIX:
-            return metric.matrix[:, sites]
-        site_xy = problem.centers.candidates[sites]
-        if metric.kind == THRESHOLD:
-            d = geometric_distances(EUCLIDEAN, problem.coords, site_xy)
-            return (d >= metric.threshold).astype(float)
-        return geometric_distances(metric.kind, problem.coords, site_xy)
+        return problem.site_costs[:, np.asarray(centers, dtype=int)]
     return geometric_distances(problem.metric.kind, problem.coords, np.asarray(centers, dtype=float))
 
 

@@ -9,7 +9,8 @@ The objective of a solution decomposes into four additive parts:
 
 where w'_i = w_i + gamma_i is the preference-corrected weight and t the
 number of released fixed centers.  All types are immutable values after
-construction; evaluation is pure.
+construction (``SharedData`` fills its read-only arrays on first use);
+evaluation is pure.
 """
 
 from __future__ import annotations
@@ -93,9 +94,103 @@ class CenterSpec:
         return len(self.fixed)
 
 
+class SharedData:
+    """The k-independent data of a problem, built on first use and then shared.
+
+    It holds the per-point arrays, the (n, s) raw distances from every point
+    to every candidate site and each point's nearest site.  None of them
+    depends on k, the penalties or the fixed centers, so one instance serves
+    every problem with the same ``points`` tuple, metric and candidate array
+    (the same objects): ``dataclasses.replace`` carries it over, and the
+    problems of a sweep, its restarts and its consensus document all read
+    the same arrays.  The arrays are read-only.
+    """
+
+    def __init__(self, points: tuple, metric: metrics.MetricSpec, candidates: np.ndarray | None):
+        self.points, self.metric, self.candidates = points, metric, candidates
+        self._points_valid = False
+
+    def serves(self, problem: "Problem") -> bool:
+        return (self.points is problem.points and self.metric is problem.metric
+                and self.candidates is problem.centers.candidates)
+
+    @cached_property
+    def coords(self) -> np.ndarray | None:
+        if any(p.coords is None for p in self.points):
+            return None
+        return _frozen([p.coords for p in self.points], float)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _frozen([p.w for p in self.points], float)
+
+    @cached_property
+    def gammas(self) -> np.ndarray:
+        return _frozen([p.gamma for p in self.points], float)
+
+    @cached_property
+    def effective_weights(self) -> np.ndarray:
+        return _frozen(self.weights + self.gammas, float)
+
+    @cached_property
+    def capacity_coeffs(self) -> np.ndarray:
+        return _frozen([p.a for p in self.points], float)
+
+    @cached_property
+    def coverages(self) -> np.ndarray:
+        return _frozen([p.q for p in self.points], int)
+
+    @cached_property
+    def pseudo_mask(self) -> np.ndarray:
+        return _frozen([p.pseudo for p in self.points], bool)
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        return _frozen([p.id for p in self.points], object)
+
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        return _frozen(sorted(range(len(self.points)), key=lambda i: self.points[i].id), int)
+
+    @cached_property
+    def diameter(self) -> float:
+        if self.coords is None or not self.points:
+            return 1.0
+        span = self.coords.max(axis=0) - self.coords.min(axis=0)
+        return float(max(np.hypot(span[0], span[1]), 1e-300))
+
+    @cached_property
+    def site_costs(self) -> np.ndarray:
+        # A view, so a caller's cost matrix keeps its own flags.
+        costs = metrics.candidate_distances(self.metric, self.coords, self.candidates).view()
+        costs.flags.writeable = False
+        return costs
+
+    @cached_property
+    def nearest_site(self) -> np.ndarray:
+        return _frozen(np.argmin(self.site_costs, axis=1), int)
+
+    def check_points(self) -> None:
+        """Run the per-point checks, once: they raise the first violation."""
+        if not self._points_valid:
+            _validate_points(self)
+            self._points_valid = True
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """A full clustering / location-allocation instance."""
+    """A full clustering / location-allocation instance.
+
+    The per-point arrays and candidate-site distances below are read from
+    ``shared``, which a problem made by ``dataclasses.replace`` inherits
+    whenever its points, metric and candidates are unchanged.
+    """
 
     points: tuple[Point, ...]
     metric: metrics.MetricSpec
@@ -104,9 +199,12 @@ class Problem:
     capacity: tuple[float, float] | None = None
     outlier_penalty: float | None = None
     opening_penalty: float = 0.0
+    shared: SharedData | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
+        if self.shared is None or not self.shared.serves(self):
+            object.__setattr__(self, "shared", SharedData(self.points, self.metric, self.centers.candidates))
 
     @property
     def n(self) -> int:
@@ -122,50 +220,55 @@ class Problem:
 
     @cached_property
     def coords(self) -> np.ndarray | None:
-        if any(p.coords is None for p in self.points):
-            return None
-        return np.array([p.coords for p in self.points], dtype=float)
+        return self.shared.coords
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return np.array([p.w for p in self.points], dtype=float)
+        return self.shared.weights
 
     @cached_property
     def gammas(self) -> np.ndarray:
-        return np.array([p.gamma for p in self.points], dtype=float)
+        return self.shared.gammas
 
     @cached_property
     def effective_weights(self) -> np.ndarray:
-        return self.weights + self.gammas
+        return self.shared.effective_weights
 
     @cached_property
     def capacity_coeffs(self) -> np.ndarray:
-        return np.array([p.a for p in self.points], dtype=float)
+        return self.shared.capacity_coeffs
 
     @cached_property
     def coverages(self) -> np.ndarray:
-        return np.array([p.q for p in self.points], dtype=int)
+        return self.shared.coverages
 
     @cached_property
     def pseudo_mask(self) -> np.ndarray:
-        return np.array([p.pseudo for p in self.points], dtype=bool)
+        return self.shared.pseudo_mask
 
     @cached_property
     def ids(self) -> np.ndarray:
         """Point ids; object dtype keeps ids of any size exact."""
-        return np.array([p.id for p in self.points], dtype=object)
+        return self.shared.ids
 
     @cached_property
     def id_order(self) -> np.ndarray:
         """Permutation sorting points by id; fixes the summation order."""
-        return np.array(sorted(range(self.n), key=lambda i: self.points[i].id), dtype=int)
+        return self.shared.id_order
 
     @cached_property
     def diameter(self) -> float:
-        if self.coords is None or self.n == 0:
-            return 1.0
-        span = self.coords.max(axis=0) - self.coords.min(axis=0)
-        return float(max(np.hypot(span[0], span[1]), 1e-300))
+        return self.shared.diameter
+
+    @cached_property
+    def site_costs(self) -> np.ndarray:
+        """Raw distances from every point to every candidate site, shape (n, s); discrete placement only."""
+        return self.shared.site_costs
+
+    @cached_property
+    def nearest_site(self) -> np.ndarray:
+        """Each point's cheapest candidate site (lowest index on ties)."""
+        return self.shared.nearest_site
 
 
 @dataclass(frozen=True)
@@ -174,13 +277,16 @@ class Assignment:
 
     When the problem has an outlier penalty the last column is the outlier
     column and rows have k+1 entries; otherwise k entries.  Row sums equal
-    each point's coverage q_i.
+    each point's coverage q_i.  ``labels``, when set, is the column of each
+    row's single 1 (the outlier column is k): a hard assignment with q = 1
+    carries it, so evaluation indexes the distances instead of multiplying y.
     """
 
     y: np.ndarray
     membership: str
     has_outlier: bool
     diagnostics: dict = field(default_factory=dict)
+    labels: np.ndarray | None = None
 
     @property
     def n_centers(self) -> int:
@@ -208,7 +314,7 @@ class Assignment:
         Ties go to the lowest center index, and a center beats the outlier
         column at equal membership because the outlier column comes last.
         """
-        labels = np.argmax(self.y, axis=1)
+        labels = np.argmax(self.y, axis=1) if self.labels is None else self.labels
         if self.has_outlier:
             labels = np.where(labels == self.n_centers, NOISE_LABEL, labels)
         return labels
@@ -253,7 +359,7 @@ def validate_problem(problem: Problem) -> Problem:
     spec = problem.centers
     if spec.k < 1:
         raise ValidationError("k must be positive")
-    _validate_points(problem)
+    problem.shared.check_points()
 
     if problem.membership not in (HARD, FRACTIONAL):
         raise ValidationError(f"unknown membership mode: {problem.membership!r}")
@@ -332,19 +438,19 @@ def validate_problem(problem: Problem) -> Problem:
     return replace(problem, centers=replace(spec, fixed=normalized))
 
 
-def _validate_points(problem: Problem) -> None:
-    """Per-point checks on the cached arrays; errors name the first offending point."""
-    w, gamma, a, q = problem.weights, problem.gammas, problem.capacity_coeffs, problem.coverages
+def _validate_points(data: SharedData) -> None:
+    """Per-point checks on the shared arrays; errors name the first offending point."""
+    w, gamma, a, q = data.weights, data.gammas, data.capacity_coeffs, data.coverages
     finite = np.isfinite(w) & np.isfinite(gamma) & np.isfinite(a)
-    if problem.coords is not None:
-        finite &= np.isfinite(problem.coords).all(axis=1)
+    if data.coords is not None:
+        finite &= np.isfinite(data.coords).all(axis=1)
     negative = (w < 0) | (gamma < 0) | (a < 0)
     no_cover = q < 1
-    bad_pseudo = problem.pseudo_mask & ((w != 0) | (a != 0))
+    bad_pseudo = data.pseudo_mask & ((w != 0) | (a != 0))
     bad = ~finite | negative | no_cover | bad_pseudo
     if bad.any():
         i = int(np.argmax(bad))
-        pid = problem.points[i].id
+        pid = data.points[i].id
         if not finite[i]:
             raise ValidationError(f"point {pid}: coordinates, w, gamma and a must be finite")
         if negative[i]:
@@ -352,7 +458,7 @@ def _validate_points(problem: Problem) -> None:
         if no_cover[i]:
             raise ValidationError(f"point {pid}: coverage q must be at least 1")
         raise ValidationError(f"pseudo point {pid} must have w = 0 and a = 0")
-    ids = problem.ids[problem.id_order]
+    ids = data.ids[data.id_order]
     repeated = np.flatnonzero(ids[1:] == ids[:-1])
     if repeated.size:
         raise ValidationError(f"point ids must be unique (id {ids[repeated[0]]} repeats)")
@@ -394,13 +500,22 @@ def evaluate_parts(
 
     if distances is None:
         distances = metrics.distances_to_centers(problem, centers)
-    costs = problem.effective_weights[:, None] * distances
-    per_point = (costs * assignment.center_block).sum(axis=1)
+    w = problem.effective_weights
+    labels = assignment.labels
+    if labels is None:
+        per_point = (w[:, None] * distances * assignment.center_block).sum(axis=1)
+        outlier_share = assignment.outlier_column
+    else:
+        # A one-hot row sums to its single entry exactly, so indexing by label
+        # gives the same bits as the dense product.
+        real = np.flatnonzero(labels < k)
+        per_point = np.zeros(problem.n)
+        per_point[real] = w[real] * distances[real, labels[real]]
+        outlier_share = (labels == k).astype(float)
     distance_term = _ordered_sum(problem, per_point)
 
     if problem.has_outlier_column:
-        outlier_per_point = problem.effective_weights * assignment.outlier_column
-        outlier_term = problem.outlier_penalty * _ordered_sum(problem, outlier_per_point)
+        outlier_term = problem.outlier_penalty * _ordered_sum(problem, w * outlier_share)
     else:
         outlier_term = 0.0
 

@@ -45,6 +45,8 @@ def sweep_k(
 ) -> SweepReport:
     """Solve once per k with zero opening cost, then overlay every penalty.
 
+    Each k solves a ``dataclasses.replace`` of ``problem``, so every k and
+    restart reads the problem's shared per-point arrays and site costs.
     Per-k solver failures (e.g. an unreachable lower capacity limit at
     large k) are recorded, not fatal.  The consensus k is the one chosen
     by the most penalties; ties go to the smaller k.

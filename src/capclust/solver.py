@@ -70,22 +70,24 @@ def kmeanspp_init(problem: Problem, rng: np.random.Generator):
         return int(rng.choice(n, p=masses / total))
 
     if discrete:
-        cand = metrics.candidate_distances(problem)
+        cand, snap = problem.site_costs, problem.nearest_site
         n_sites = cand.shape[1]
-        snap = np.argmin(cand, axis=1)
         chosen: list[int] = [int(f) for f in spec.fixed]
+        taken = np.zeros(n_sites, dtype=bool)
+        taken[chosen] = True
         best = np.min(cand[:, chosen], axis=1) if chosen else None
         while len(chosen) < k:
             masses = w * best**2 if best is not None else w
-            i = draw(masses, ~np.isin(snap, chosen))
+            i = draw(masses, ~taken[snap])
             if i is None:
-                unused = np.flatnonzero(~np.isin(np.arange(n_sites), chosen))
+                unused = np.flatnonzero(~taken)
                 if not unused.size:
                     raise NotEnoughDistinctSites(f"cannot place {k} centers on {n_sites} sites")
                 site = int(unused[0])
             else:
                 site = int(snap[i])
             chosen.append(site)
+            taken[site] = True
             d_new = cand[:, site]
             best = d_new if best is None else np.minimum(best, d_new)
         return np.asarray(chosen, dtype=int)
@@ -106,29 +108,22 @@ def kmeanspp_init(problem: Problem, rng: np.random.Generator):
     return np.vstack(chosen_xy)
 
 
-def _reseed_position(problem: Problem, costs: np.ndarray, y_centers: np.ndarray, snap: np.ndarray | None):
+def _reseed_position(problem: Problem, costs: np.ndarray, y_centers: np.ndarray):
     """Spot for an emptied center: the point with the largest current cost."""
     contrib = (costs * y_centers).sum(axis=1)
     i = int(np.argmax(contrib))
     if problem.centers.placement == "discrete":
-        return int(snap[i])
+        return int(problem.nearest_site[i])
     return problem.coords[i].copy()
 
 
-def _cluster_cost(problem: Problem, rows: np.ndarray, masses: np.ndarray, location) -> float:
-    """Weighted distance sum of one cluster at a location.
+def _same_input(same_masses: bool, last_flag: bool | None, flag: bool | None) -> bool:
+    """Whether a cluster's location input equals the one of its last update.
 
-    ``rows`` are the cluster's rows of the candidate distances in discrete
-    placement (``location`` is a site index) and its coordinates otherwise.
+    ``same_masses`` tells whether its masses are unchanged; the released
+    flag of a fixed center (None for a free one) must match too.
     """
-    if problem.centers.placement == "discrete":
-        return float(masses @ rows[:, int(location)])
-    return cluster_cost_continuous(problem.metric.kind, rows, masses, location)
-
-
-def _same_input(previous, masses: np.ndarray, released: bool | None) -> bool:
-    """Whether a cluster's location input equals the one of its last update."""
-    return previous is not None and previous[1] == released and np.array_equal(previous[0], masses)
+    return bool(same_masses) and last_flag == flag
 
 
 def _no_worse(problem: Problem, centers, released: set[int], D: np.ndarray, fresh: Assignment,
@@ -156,16 +151,18 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     descent and re-solved warm for each new set of centers.
 
     Every center moves by one rule.  It takes its cluster's optimum from
-    ``update_center_discrete`` or ``update_center_continuous``; a continuous
-    optimum that costs more than the current location is dropped for it
-    (the monotone guard).  A fixed center is then released when the gain of
-    that location over its fixed one passes ``decide_release``, and put back
-    at its fixed location otherwise.  A fixed center that cannot be released
-    (infinite penalty or empty cluster) stays fixed without an update.
+    ``update_center_discrete`` (one product for all moving clusters, whose
+    totals also price a fixed center's own site) or
+    ``update_center_continuous``; a continuous optimum that costs more than
+    the current location is dropped for it (the monotone guard).  A fixed
+    center is then released when the gain of that location over its fixed
+    one passes ``decide_release``, and put back at its fixed location
+    otherwise.  A fixed center that cannot be released (infinite penalty or
+    empty cluster) stays fixed without an update.
 
-    A cluster whose location input (its mass column, plus the released flag
-    of a fixed center) equals the input of its last update keeps its center:
-    the location step is deterministic and the guard only ever keeps the
+    A cluster whose location input (its masses, plus the released flag of a
+    fixed center) equals the input of its last update keeps its center: the
+    location step is deterministic and the guard only ever keeps the
     previous center, so recomputing would return the center it already
     holds.
     """
@@ -173,16 +170,22 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     spec = problem.centers
     k, m = spec.k, spec.n_fixed
     discrete = spec.placement == "discrete"
+    kind = problem.metric.kind
     w = problem.effective_weights
 
     centers = np.array(initial_centers, dtype=int if discrete else float).copy()
     released: set[int] = set()
-    cand = metrics.candidate_distances(problem) if discrete else None
-    snap = np.argmin(cand, axis=1) if discrete else None
     D = metrics.distances_to_centers(problem, centers)
     model = lp_model(problem)
-    # Per cluster: (masses, released flag or None, unconverged) of its last update.
-    last_input: list[tuple | None] = [None] * k
+    # The location input of each cluster's last update: its masses (NaN
+    # before the first update and after a reseed) and, for a fixed center,
+    # its released flag; plus whether that update converged.
+    last_masses = np.full((k, problem.n), np.nan)
+    # Each iteration's masses, one row per cluster, so the per-cluster
+    # reductions run along rows.
+    masses = np.empty((k, problem.n))
+    last_flag: list[bool | None] = [None] * k
+    last_unconverged = [False] * k
 
     diag: dict = {
         "iterations": 0,
@@ -205,45 +208,56 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
 
         new_centers = centers.copy()
         new_released = set(released)
+        np.multiply(assignment.center_block.T, w, out=masses)
+        filled = (masses > 0).any(axis=1)
+        same = (masses == last_masses).all(axis=1)
+        moving = []  # clusters that take their optimum below
         for j in range(k):
-            masses = w * assignment.center_block[:, j]
-            nz = masses > 0
             flag = j in released if j < m else None
-            if _same_input(last_input[j], masses, flag):
-                diag["weiszfeld_unconverged"] += last_input[j][2]
-                continue
-            unconverged = False
-            if j < m and (math.isinf(spec.release_penalty) or not nz.any()):
+            if _same_input(same[j], last_flag[j], flag):
+                diag["weiszfeld_unconverged"] += last_unconverged[j]
+            elif j < m and (math.isinf(spec.release_penalty) or not filled[j]):
                 # Nothing can release this center, so it stays where it is fixed.
                 new_centers[j] = spec.fixed[j]
                 new_released.discard(j)
-            elif not nz.any():
-                costs = w[:, None] * D
-                new_centers[j] = _reseed_position(problem, costs, assignment.center_block, snap)
+                last_masses[j], last_flag[j], last_unconverged[j] = masses[j], flag, False
+            elif not filled[j]:
+                new_centers[j] = _reseed_position(problem, w[:, None] * D, assignment.center_block)
                 diag["empty_reseeds"] += 1
-                last_input[j] = None
-                continue
+                last_masses[j] = np.nan
             else:
-                rows, mass = (cand if discrete else problem.coords)[nz], masses[nz]
-                if discrete:
-                    new_centers[j] = update_center_discrete(rows, mass)
-                else:
-                    update = update_center_continuous(problem.metric.kind, rows, mass)
-                    unconverged = not update.converged
-                    # Keep the current location on the rare non-improving update
-                    # so the outer descent stays monotone.
-                    improves = _cluster_cost(problem, rows, mass, update.coords) <= float(mass @ D[nz, j])
-                    new_centers[j] = update.coords if improves else centers[j]
+                moving.append(j)
+
+        if discrete and moving:
+            # One product prices every site for every moving cluster.
+            sites, totals = update_center_discrete(problem.site_costs, masses[moving].T)
+        for r, j in enumerate(moving):
+            flag = j in released if j < m else None
+            unconverged = False
+            if discrete:
+                new_centers[j] = sites[r]
                 if j < m:
-                    fixed_cost = _cluster_cost(problem, rows, mass, spec.fixed[j])
-                    gain = fixed_cost - _cluster_cost(problem, rows, mass, new_centers[j])
-                    if decide_release(gain, spec.release_penalty, flag):
-                        new_released.add(j)
-                    else:
-                        new_released.discard(j)
-                        new_centers[j] = spec.fixed[j]
+                    gain = totals[r, spec.fixed[j]] - totals[r, sites[r]]
+            else:
+                nz = masses[j] > 0
+                rows, mass = problem.coords[nz], masses[j, nz]
+                update = update_center_continuous(kind, rows, mass)
+                unconverged = not update.converged
+                # Keep the current location on the rare non-improving update
+                # so the outer descent stays monotone.
+                improves = cluster_cost_continuous(kind, rows, mass, update.coords) <= float(mass @ D[nz, j])
+                new_centers[j] = update.coords if improves else centers[j]
+                if j < m:
+                    gain = (cluster_cost_continuous(kind, rows, mass, spec.fixed[j])
+                            - cluster_cost_continuous(kind, rows, mass, new_centers[j]))
+            if j < m:
+                if decide_release(gain, spec.release_penalty, flag):
+                    new_released.add(j)
+                else:
+                    new_released.discard(j)
+                    new_centers[j] = spec.fixed[j]
             diag["weiszfeld_unconverged"] += unconverged
-            last_input[j] = (masses, flag, unconverged)
+            last_masses[j], last_flag[j], last_unconverged[j] = masses[j], flag, unconverged
 
         D = metrics.distances_to_centers(problem, new_centers)
         after_loc = evaluate_parts(problem, new_centers, assignment, new_released, distances=D)

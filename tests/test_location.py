@@ -148,6 +148,22 @@ def test_weiszfeld_converges_on_tiny_clusters_far_from_the_origin():
         _assert_geometric_median(xy, masses, weiszfeld(xy, masses), rtol=1e-9, rounds=10, res=40)
 
 
+def test_weiszfeld_is_quick_on_near_collinear_clusters():
+    # Points on a line plus 1e-9 noise fail the collinearity test, and an
+    # iterate that walks the narrow valley toward the optimal data point
+    # took up to the iteration cap.
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        n = int(rng.integers(3, 12))
+        angle = rng.uniform(0.0, np.pi)
+        along = rng.uniform(-5.0, 5.0, size=n)[:, None] * [np.cos(angle), np.sin(angle)]
+        xy = rng.uniform(-10.0, 10.0, size=2) + along + rng.normal(0.0, 1e-9, size=(n, 2))
+        masses = rng.uniform(0.5, 3.0, size=n)
+        got = weiszfeld(xy, masses)
+        assert got.iterations <= 20
+        _assert_geometric_median(xy, masses, got, rounds=10, res=40)
+
+
 @pytest.mark.parametrize("xy, masses", [
     ([[1.0, 3.0], [3.0, 7.0], [-2.0, -3.0], [0.5, 2.0]], [1.0, 4.0, 2.0, 0.5]),
     ([[0.0, 2.0], [0.0, -5.0], [0.0, 1.0], [0.0, 1.0]], [2.0, 3.0, 0.5, 0.25]),

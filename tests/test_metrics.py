@@ -140,3 +140,24 @@ def test_threshold_assignment_matches_coverage_enumeration(seed):
         for subset in itertools.combinations(range(4), 2)
     )
     assert mine == pytest.approx(best_cost, abs=1e-9)
+
+
+def _broadcast_distances(kind, points, locations):
+    """The (n, m, 2) broadcast formula that ``geometric_distances`` replaces."""
+    diff = points[:, None, :] - locations[None, :, :]
+    if kind == "manhattan":
+        return np.abs(diff).sum(axis=2)
+    sq = (diff * diff).sum(axis=2)
+    return sq if kind == "sqeuclidean" else np.sqrt(sq)
+
+
+@pytest.mark.parametrize("kind", ["sqeuclidean", "euclidean", "manhattan"])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 9), (40, 1), (300, 25)])
+def test_geometric_distances_equal_the_broadcast_formula_bit_for_bit(kind, n, m):
+    rng = np.random.default_rng(n * 1000 + m)
+    # coordinates over many magnitudes, so any change of rounding would show
+    points = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+    locations = rng.normal(size=(m, 2)) * 10.0 ** rng.integers(-6, 7, size=(m, 1))
+    got = geometric_distances(kind, points, locations)
+    assert got.shape == (n, m)
+    assert np.array_equal(got, _broadcast_distances(kind, points, locations))

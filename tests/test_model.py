@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from capclust import (
-    Assignment, CenterSpec, Point, Problem, Solution, euclidean,
+    Assignment, CenterSpec, Point, Problem, Solution, allocate, euclidean,
     matrix_metric, sqeuclidean, threshold, validate_problem,
 )
 from capclust.errors import (
@@ -316,3 +316,37 @@ def test_evaluate_objective_recomputes_stored_breakdown():
                                     metric=euclidean(), centers=CenterSpec(k=1)))
     sol = make_solution(prob, np.array([[3.0, 0.0]]), [[1.0]])
     assert evaluate_objective(prob, sol) == sol.objective
+
+
+def _weighted_problem(rng, n=200, **kw):
+    pts = tuple(Point(i, coords=tuple(rng.uniform(0.0, 5.0, size=2)), w=float(rng.uniform(0.1, 3.0)),
+                      gamma=float(rng.uniform(0.0, 1.0)), q=kw.pop("q", 1)) for i in range(n))
+    return validate_problem(Problem(points=pts, metric=euclidean(), centers=CenterSpec(k=4), **kw))
+
+
+@pytest.mark.parametrize("outlier", [None, 0.8])
+def test_label_indexed_evaluation_equals_the_dense_product(outlier):
+    rng = np.random.default_rng(40)
+    prob = _weighted_problem(rng, outlier_penalty=outlier)
+    for _ in range(5):
+        centers = rng.uniform(0.0, 5.0, size=(4, 2))
+        labelled = allocate(prob, centers)
+        assert labelled.labels is not None
+        if outlier is not None:  # some rows go to the outlier column, some to centers
+            assert 0 < (labelled.labels == prob.k).sum() < prob.n
+        dense = replace(labelled, labels=None)
+        assert evaluate_parts(prob, centers, labelled, frozenset()) == evaluate_parts(prob, centers, dense, frozenset())
+        assert np.array_equal(labelled.hard_labels(), dense.hard_labels())
+
+
+@pytest.mark.parametrize("kw", [
+    {"q": 2},
+    {"membership": "fractional"},
+    {"membership": "fractional", "capacity": (10.0, 30.0)},
+    {"membership": "hard", "capacity": (10.0, 30.0)},
+])
+def test_multi_cover_fractional_and_capacitated_assignments_stay_dense(kw):
+    rng = np.random.default_rng(41)
+    prob = _weighted_problem(rng, n=60, outlier_penalty=0.8, **kw)
+    assignment = allocate(prob, rng.uniform(0.0, 5.0, size=(4, 2)))
+    assert assignment.labels is None

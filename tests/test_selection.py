@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from capclust import (
-    CenterSpec, Point, Problem, SolverConfig, aic_bic_lambda, sqeuclidean, sweep_k,
-    validate_problem,
+    CenterSpec, Point, Problem, SolverConfig, aic_bic_lambda, euclidean, matrix_metric, solve,
+    sqeuclidean, sweep_k, validate_problem,
 )
 from capclust.errors import NonpositiveVariance
 
@@ -96,3 +96,42 @@ def test_nonpositive_variance_rejected():
         aic_bic_lambda(0.0, 10)
     with pytest.raises(NonpositiveVariance):
         aic_bic_lambda(-1.0, 10)
+
+
+@pytest.mark.parametrize("sites_metric", ["matrix", "euclidean"])
+def test_sweep_shares_k_independent_data_and_matches_standalone_solves(monkeypatch, sites_metric):
+    from capclust import metrics, selection
+
+    rng = np.random.default_rng(33)
+    xy = rng.uniform(0.0, 10.0, size=(60, 2))
+    w = rng.uniform(1.0, 4.0, size=60)
+    sites = rng.uniform(0.0, 10.0, size=(9, 2))
+    costs = np.hypot(*(xy[:, None, :] - sites[None, :, :]).transpose(2, 0, 1)) * rng.uniform(1.0, 1.5, (60, 9))
+
+    def fresh(k):
+        """A problem built from scratch, sharing nothing with any other."""
+        pts = tuple(Point(i, coords=tuple(xy[i]), w=float(w[i])) for i in range(60))
+        if sites_metric == "matrix":
+            return Problem(points=pts, metric=matrix_metric(costs.copy()),
+                           centers=CenterSpec(k=k, placement="discrete"))
+        return Problem(points=pts, metric=euclidean(),
+                       centers=CenterSpec(k=k, placement="discrete", candidates=sites.copy(),
+                                          fixed=(4,), release_penalty=5.0))
+
+    config = SolverConfig(restarts=3, rng_seed=6)
+    problem = validate_problem(fresh(2))
+    cost_calls, trials = [], []
+    real_costs, real_solve = metrics.candidate_distances, selection.solve
+    monkeypatch.setattr(metrics, "candidate_distances", lambda *a: cost_calls.append(a) or real_costs(*a))
+    monkeypatch.setattr(selection, "solve", lambda p, c: trials.append(p) or real_solve(p, c))
+    report = sweep_k(problem, range(2, 7), [0.0, 50.0], config)
+    monkeypatch.undo()
+
+    assert len(cost_calls) == 1
+    assert [t.k for t in trials] == [2, 3, 4, 5, 6]
+    for trial in trials:
+        assert trial.shared is problem.shared
+        assert trial.site_costs is problem.site_costs
+        assert trial.effective_weights is problem.effective_weights and trial.id_order is problem.id_order
+    for k in range(2, 7):
+        assert report.base_objectives[k] == solve(fresh(k), config).objective.total

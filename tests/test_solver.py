@@ -71,9 +71,7 @@ def test_kmeanspp_discrete_snaps_to_distinct_sites():
 
 def _reference_discrete_seeds(problem, rng):
     """Discrete k-means++ seeding with a per-point eligibility loop."""
-    from capclust import metrics
-
-    cand = metrics.candidate_distances(problem)
+    cand = problem.site_costs
     snap = np.argmin(cand, axis=1)
     w = problem.effective_weights
     chosen = [int(f) for f in problem.centers.fixed]
@@ -92,20 +90,46 @@ def _reference_discrete_seeds(problem, rng):
     return np.asarray(chosen)
 
 
-@pytest.mark.parametrize("n_sites, fixed", [(12, ()), (12, (3, 7)), (3, ())])
+def _isin_discrete_seeds(problem, rng):
+    """Discrete k-means++ seeding that tests eligibility with ``np.isin`` on every draw."""
+    cand = problem.site_costs
+    n, n_sites = cand.shape
+    snap = np.argmin(cand, axis=1)
+    w = problem.effective_weights
+    chosen = [int(f) for f in problem.centers.fixed]
+    best = np.min(cand[:, chosen], axis=1) if chosen else None
+    while len(chosen) < problem.k:
+        eligible = ~np.isin(snap, chosen)
+        masses = np.where(eligible, w * best**2 if best is not None else w, 0.0)
+        if masses.sum() <= 0 and eligible.any():
+            masses = eligible.astype(float)
+        if masses.sum() > 0:
+            site = int(snap[rng.choice(n, p=masses / masses.sum())])
+        else:
+            site = int(np.flatnonzero(~np.isin(np.arange(n_sites), chosen))[0])
+        chosen.append(site)
+        best = cand[:, site] if best is None else np.minimum(best, cand[:, site])
+    return np.asarray(chosen)
+
+
+# With the three sites of the n_sites = 3 cases every point snaps to site 0,
+# so once site 0 is taken (by a draw or as a fixed center) every further seed
+# falls back to the lowest unused site.
+@pytest.mark.parametrize("n_sites, fixed", [(12, ()), (12, (3, 7)), (3, ()), (3, (0,)), (3, (2,))])
 def test_kmeanspp_discrete_matches_reference_loop(n_sites, fixed):
     rng = np.random.default_rng(10)
     xy = rng.uniform(0, 10, size=(40, 2))
     pts = tuple(Point(i, coords=tuple(xy[i]), w=float(rng.uniform(0.5, 2))) for i in range(40))
-    # with three sites on one side, every point snaps to site 0 and the
-    # last two seeds fall back to the lowest unused sites
     sites = rng.uniform(0, 10, size=(n_sites, 2)) if n_sites > 3 else np.array([[5.0, 5.0], [50.0, 0], [60.0, 0]])
     prob = validate_problem(Problem(points=pts, metric=euclidean(),
                                     centers=CenterSpec(k=3 if n_sites == 3 else 6, placement="discrete",
                                                        candidates=sites, fixed=fixed)))
+    if n_sites == 3:
+        assert (prob.nearest_site == 0).all()
     for seed in range(5):
         got = kmeanspp_init(prob, np.random.default_rng(seed))
         assert np.array_equal(got, _reference_discrete_seeds(prob, np.random.default_rng(seed)))
+        assert np.array_equal(got, _isin_discrete_seeds(prob, np.random.default_rng(seed)))
 
 
 def test_descend_two_separated_pairs_reaches_midpoints():
