@@ -7,12 +7,16 @@ Three regimes:
   exact and identical for hard and fractional membership;
 * capacity window + fractional membership: an exact linear program over the
   memberships y_ij, solved by HiGHS.  Its rows do not depend on the centers,
-  so a descent builds it once (``lp_model``) and HiGHS re-solves it from the
-  last optimal basis for each new set of column costs (a warm start);
+  so a descent builds its model once (``lp_model``), which also runs the
+  checks that depend on the problem alone, and HiGHS re-solves the LP from
+  the last optimal basis for each new set of column costs (a warm start);
 * capacity window + hard membership: the same program with binary y_ij, a
   mixed-integer program solved by HiGHS through ``scipy.optimize.milp`` to a
-  zero optimality gap, after aggregate feasibility checks and a fast path
-  through the warm-started LP relaxation.
+  zero optimality gap, after a fast path through the warm-started LP
+  relaxation.  When a time budget stops the search, the step returns the
+  cheapest of HiGHS's incumbent, a greedy one and the model's last
+  assignment, so a budgeted descent never rises and never loses a restart
+  after its first allocation.
 
 Points with capacity coefficient a_i = 0 use no capacity, so they take
 their cheapest columns outside the program in every regime.
@@ -103,21 +107,20 @@ def allocate_uncapacitated(problem: Problem, centers, *, distances=None) -> Assi
     return Assignment(y=y, membership=problem.membership, has_outlier=problem.has_outlier_column, labels=labels)
 
 
-def _aggregate_certificate(problem: Problem) -> None:
-    lo, hi = problem.capacity
+def _aggregate_certificate(problem: Problem, lo: float, hi: float, names: tuple[str, str] = ("L", "U")) -> None:
+    """Raise Infeasible when the loads of all k centers cannot meet the demand within [lo, hi]."""
     a = problem.capacity_coeffs
-    q = problem.coverages
-    demand = float(math.fsum(a * q))
+    demand = float(math.fsum(a * problem.coverages))
     outlier_slack = float(math.fsum(a)) if problem.has_outlier_column else 0.0
     tol = 1e-9 * max(1.0, demand)
     if demand - outlier_slack > problem.k * hi + tol:
         raise Infeasible(
             f"total capacity-weighted demand {demand - outlier_slack:g} (net of the outlier column) "
-            f"exceeds the combined upper limits k*U = {problem.k * hi:g}"
+            f"exceeds the combined upper limits k*{names[1]} = {problem.k * hi:g}"
         )
     if problem.k * lo > demand + tol:
         raise Infeasible(
-            f"combined lower limits k*L = {problem.k * lo:g} exceed the total "
+            f"combined lower limits k*{names[0]} = {problem.k * lo:g} exceed the total "
             f"capacity-weighted demand {demand:g}"
         )
 
@@ -144,17 +147,41 @@ def _constraint(problem: Problem) -> LinearConstraint:
 
 
 class _AllocationLP:
-    """The fractional allocation LP of one problem, re-solved for new column costs.
+    """The capacitated allocation of one problem in one membership regime.
 
-    Its rows do not depend on the centers, so between solves only the costs
-    change and the last optimal basis stays primal feasible: HiGHS passes the
-    model once and re-solves each new cost vector from that basis.  Without
-    the private binding every solve goes through ``milp`` cold.
+    The constructor runs the checks that depend on the problem alone.  The
+    LP rows do not depend on the centers, so between solves only the costs
+    change and the last optimal basis stays primal feasible: HiGHS passes
+    the model once and re-solves each new cost vector from that basis.
+    Without the private binding every solve goes through ``milp`` cold.
+    ``last_hard`` holds the rows ``pos`` of the last hard assignment made
+    with this model.
     """
 
-    def __init__(self, problem: Problem):
+    def __init__(self, problem: Problem, membership: str):
+        _check_coverage(problem)
+        lo, hi = problem.capacity
+        _aggregate_certificate(problem, lo, hi)
+        a = problem.capacity_coeffs
+        if membership == HARD:
+            real_needed = problem.coverages - (1 if problem.has_outlier_column else 0)
+            too_big = np.flatnonzero((a > hi) & (real_needed >= 1))
+            if too_big.size:
+                i = too_big[0]
+                raise Infeasible(
+                    f"point {problem.points[i].id}: capacity coefficient a={a[i]:g} exceeds "
+                    f"the upper limit U={hi:g}, so no single center can hold it"
+                )
+            if np.allclose(a, np.round(a), atol=1e-12):
+                # integral coefficients make every binary load an integer, so the
+                # window effectively shrinks to [ceil(L), floor(U)]
+                _aggregate_certificate(problem, math.ceil(lo - 1e-9),
+                                       math.floor(hi + 1e-9) if math.isfinite(hi) else hi, ("ceil(L)", "floor(U)"))
         self.problem = problem
-        self.pos = np.flatnonzero(problem.capacity_coeffs > 0)
+        self.pos = np.flatnonzero(a > 0)
+        self.last_hard = None
+        if not self.pos.size:  # every point takes its cheapest columns
+            return
         self.constraint = _constraint(problem)
         self._index = np.arange(self.constraint.A.shape[1], dtype=np.int32)
         self._highs = None if _highspy is None else self._pass_model()
@@ -207,10 +234,11 @@ class _AllocationLP:
 
 
 def lp_model(problem: Problem) -> _AllocationLP | None:
-    """The allocation LP of ``problem`` for ``allocate(..., model=)``; None when allocation solves no LP."""
-    if problem.capacity is None or not (problem.capacity_coeffs > 0).any():
-        return None
-    return _AllocationLP(problem)
+    """The per-descent model of ``problem`` for ``allocate(..., model=)``; None without a capacity window.
+
+    Building it runs, once, the checks that allocation calls would raise on.
+    """
+    return None if problem.capacity is None else _AllocationLP(problem, problem.membership)
 
 
 def _membership(problem: Problem, D: np.ndarray, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -227,21 +255,14 @@ def _objective(problem: Problem, cost: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum((cost * y)[problem.id_order]))
 
 
-def _solve_lp(problem: Problem, D: np.ndarray, cost: np.ndarray, model: _AllocationLP) -> tuple[np.ndarray, float]:
-    """Exact fractional optimum and its objective; raises Infeasible when there is none."""
-    y = _membership(problem, D, model.pos, model.solve(cost))
-    return y, _objective(problem, cost, y)
-
-
 def allocate_fractional(problem: Problem, centers, *, distances=None, model=None) -> Assignment:
     if problem.capacity is None:
         return allocate_uncapacitated(problem, centers, distances=distances)
-    _check_coverage(problem)
-    _aggregate_certificate(problem)
-    if not (problem.capacity_coeffs > 0).any():
+    model = _AllocationLP(problem, FRACTIONAL) if model is None else model
+    if not model.pos.size:
         return allocate_uncapacitated(problem, centers, distances=distances)
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
-    y, _ = _solve_lp(problem, D, _column_costs(problem, D), model or _AllocationLP(problem))
+    y = _membership(problem, D, model.pos, model.solve(_column_costs(problem, D)))
     return Assignment(y=y, membership=FRACTIONAL, has_outlier=problem.has_outlier_column)
 
 
@@ -262,8 +283,8 @@ def _verify_hard(problem: Problem, y: np.ndarray) -> bool:
 def _greedy_incumbent(problem: Problem, D: np.ndarray) -> np.ndarray | None:
     """Feasible binary assignment by greedy fill plus lower-bound repair.
 
-    Only used when HiGHS reaches the time budget, against its incumbent if
-    it has one; returning None is always safe.
+    Only used when HiGHS reaches the time budget, against its incumbent and
+    the model's last assignment; returning None is always safe.
     """
     lo, hi = problem.capacity
     k = problem.k
@@ -293,26 +314,24 @@ def _greedy_incumbent(problem: Problem, D: np.ndarray) -> np.ndarray | None:
                 taken += 1
         if taken < q[i]:
             return None
-    # repair centers below the lower limit by pulling affordable points over
+    # repair centers below the lower limit by pulling affordable points over,
+    # each time the cheapest move (point, source column), ties to the first
+    pos = np.flatnonzero(a > 0)
+    a_pos, cost_pos = a[pos], cols_cost[pos]
     for j in range(k):
         guard = 0
         while loads[j] < lo - 1e-9 and guard < 4 * problem.n:
             guard += 1
-            best = None
-            for i in np.flatnonzero(a > 0):
-                if y[i, j] == 1.0 or loads[j] + a[i] > hi + 1e-9:
-                    continue
-                for src in range(n_cols):
-                    if y[i, src] != 1.0 or src == j:
-                        continue
-                    if src < k and loads[src] - a[i] < lo - 1e-9:
-                        continue
-                    delta = cols_cost[i, j] - cols_cost[i, src]
-                    if best is None or delta < best[0]:
-                        best = (delta, i, src)
-            if best is None:
+            held = y[pos] == 1.0
+            source = held.copy()
+            source[:, j] = False
+            source[:, :k] &= loads - a_pos[:, None] >= lo - 1e-9
+            source &= (~held[:, j] & (loads[j] + a_pos <= hi + 1e-9))[:, None]
+            if not source.any():
                 return None
-            _delta, i, src = best
+            delta = np.where(source, cost_pos[:, j, None] - cost_pos, np.inf)
+            r, src = np.unravel_index(np.argmin(delta), delta.shape)
+            i = pos[r]
             y[i, src] = 0.0
             y[i, j] = 1.0
             loads[j] += a[i]
@@ -325,87 +344,57 @@ def _greedy_incumbent(problem: Problem, D: np.ndarray) -> np.ndarray | None:
 
 def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *, distances=None,
                   model=None) -> Assignment:
+    """Optimal binary memberships: an integral root LP as it is, else HiGHS's MIP to a zero gap.
+
+    When ``time_budget`` stops the search, the result is the cheapest of
+    HiGHS's incumbent, the greedy one and the last assignment returned with
+    ``model`` (still feasible, since capacities do not depend on the
+    centers), with its gap against the root LP bound.
+    """
     if problem.capacity is None:
         return allocate_uncapacitated(problem, centers, distances=distances)
-    _check_coverage(problem)
-    _aggregate_certificate(problem)
-    lo, hi = problem.capacity
-    a = problem.capacity_coeffs
-    q = problem.coverages
-    real_needed = q - (1 if problem.has_outlier_column else 0)
-    too_big = np.flatnonzero((a > hi) & (real_needed >= 1))
-    if too_big.size:
-        i = too_big[0]
-        raise Infeasible(
-            f"point {problem.points[i].id}: capacity coefficient a={a[i]:g} exceeds "
-            f"the upper limit U={hi:g}, so no single center can hold it"
-        )
-    if np.allclose(a, np.round(a), atol=1e-12):
-        # integral coefficients make every binary load an integer, so the
-        # window effectively shrinks to [ceil(L), floor(U)]
-        lo_int, hi_int = math.ceil(lo - 1e-9), math.floor(hi + 1e-9) if math.isfinite(hi) else hi
-        demand = float(math.fsum(a * q))
-        outlier_slack = float(math.fsum(a)) if problem.has_outlier_column else 0.0
-        if demand - outlier_slack > problem.k * hi_int + 1e-9:
-            raise Infeasible(
-                f"integral loads can reach at most k*floor(U) = {problem.k * hi_int:g}, "
-                f"below the demand {demand - outlier_slack:g} that must enter real centers"
-            )
-        if problem.k * lo_int > demand + 1e-9:
-            raise Infeasible(
-                f"integral loads need at least k*ceil(L) = {problem.k * lo_int:g}, "
-                f"above the total capacity-weighted demand {demand:g}"
-            )
-
-    if not (a > 0).any():
+    model = _AllocationLP(problem, HARD) if model is None else model
+    if not model.pos.size:
         return allocate_uncapacitated(problem, centers, distances=distances)
-
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
-    diagnostics: dict = {"nodes": 0}
-
     cost = _column_costs(problem, D)
-    model = model or _AllocationLP(problem)
-    y0, bound0 = _solve_lp(problem, D, cost, model)
-    if np.all(np.abs(y0 - np.round(y0)) <= 1e-7):
-        y_round = np.round(y0)
-        if _verify_hard(problem, y_round):
-            diagnostics["fastpath"] = "lp_integral"
-            diagnostics["nodes"] = 1
-            return Assignment(
-                y=y_round, membership=HARD, has_outlier=problem.has_outlier_column,
-                diagnostics=diagnostics,
+    y0 = _membership(problem, D, model.pos, model.solve(cost))
+    y = np.round(y0)
+    if np.all(np.abs(y0 - y) <= 1e-7) and _verify_hard(problem, y):
+        diagnostics = {"nodes": 1, "fastpath": "lp_integral"}
+    else:
+        # With presolve on, HiGHS (scipy 1.17) ends some infeasible MIPs in
+        # "Solve error" and prints to stdout; with it off it proves them infeasible.
+        options = {"mip_rel_gap": 0.0, "presolve": False}
+        if time_budget is not None:
+            options["time_limit"] = time_budget
+        res = milp(cost[model.pos].ravel(), constraints=model.constraint, integrality=1,
+                   bounds=Bounds(0.0, 1.0), options=options)
+        diagnostics = {"nodes": int(res.mip_node_count or 0)}
+        if res.status == 2:
+            lo, hi = problem.capacity
+            raise Infeasible(
+                "the capacity window admits no binary assignment "
+                f"(L={lo:g}, U={hi:g}; capacity coefficients cannot be split)"
             )
-
-    # With presolve on, HiGHS (scipy 1.17) ends some infeasible MIPs in
-    # "Solve error" and prints to stdout; with it off it proves them infeasible.
-    options = {"mip_rel_gap": 0.0, "presolve": False}
-    if time_budget is not None:
-        options["time_limit"] = time_budget
-    res = milp(cost[model.pos].ravel(), constraints=model.constraint, integrality=1,
-               bounds=Bounds(0.0, 1.0), options=options)
-    diagnostics["nodes"] = int(res.mip_node_count or 0)
-    if res.status == 2:
-        raise Infeasible(
-            "the capacity window admits no binary assignment "
-            f"(L={lo:g}, U={hi:g}; capacity coefficients cannot be split)"
-        )
-    # HiGHS may return -0.0 or values a rounding error away from 0 and 1
-    y = None if res.x is None else _membership(problem, D, model.pos, np.round(res.x) + 0.0)
-    if res.status == 1:
-        # The budget ran out: return the cheaper of HiGHS's incumbent (if any)
-        # and the greedy one, which can be far better early in the search.
-        incumbents = []
-        if y is not None:
-            incumbents.append((_objective(problem, cost, y), float(res.mip_gap), y))
-        greedy = _greedy_incumbent(problem, D)
-        if greedy is not None:
-            value = _objective(problem, cost, greedy)
-            incumbents.append((value, (value - bound0) / max(1.0, abs(value)), greedy))
-        if not incumbents:
-            raise NoIncumbentWithinBudget(f"no feasible hard assignment within {time_budget:g}s")
-        _value, diagnostics["optimality_gap"], y = min(incumbents, key=lambda item: item[0])
-    elif res.status != 0:
-        raise CapclustError(f"HiGHS did not solve the hard allocation: {res.message}")
-    return Assignment(
-        y=y, membership=HARD, has_outlier=problem.has_outlier_column, diagnostics=diagnostics,
-    )
+        # HiGHS may return -0.0 or values a rounding error away from 0 and 1
+        y = None if res.x is None else _membership(problem, D, model.pos, np.round(res.x) + 0.0)
+        if res.status == 1:
+            # The budget ran out.  The greedy incumbent can be far better than
+            # HiGHS's early in the search; the last one keeps a descent from rising.
+            incumbents = [] if y is None else [(_objective(problem, cost, y), float(res.mip_gap), y)]
+            others = [_greedy_incumbent(problem, D)]
+            if model.last_hard is not None:
+                others.append(_membership(problem, D, model.pos, model.last_hard))
+            bound = _objective(problem, cost, y0)
+            for other in others:
+                if other is not None:
+                    value = _objective(problem, cost, other)
+                    incumbents.append((value, (value - bound) / max(1.0, abs(value)), other))
+            if not incumbents:
+                raise NoIncumbentWithinBudget(f"no feasible hard assignment within {time_budget:g}s")
+            _value, diagnostics["optimality_gap"], y = min(incumbents, key=lambda item: item[0])
+        elif res.status != 0:
+            raise CapclustError(f"HiGHS did not solve the hard allocation: {res.message}")
+    model.last_hard = y[model.pos]
+    return Assignment(y=y, membership=HARD, has_outlier=problem.has_outlier_column, diagnostics=diagnostics)

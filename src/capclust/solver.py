@@ -108,13 +108,27 @@ def kmeanspp_init(problem: Problem, rng: np.random.Generator):
     return np.vstack(chosen_xy)
 
 
-def _reseed_position(problem: Problem, costs: np.ndarray, y_centers: np.ndarray):
-    """Spot for an emptied center: the point with the largest current cost."""
-    contrib = (costs * y_centers).sum(axis=1)
-    i = int(np.argmax(contrib))
-    if problem.centers.placement == "discrete":
-        return int(problem.nearest_site[i])
-    return problem.coords[i].copy()
+def _reseed(problem: Problem, contrib: np.ndarray, centers: np.ndarray, emptied: list[int]) -> None:
+    """Move each emptied center to the costliest point (by ``contrib``) that no earlier one took.
+
+    Under discrete placement a center takes only a site no other center
+    holds: the site of the costliest point whose site is free, else the
+    lowest free site.
+    """
+    discrete = problem.centers.placement == "discrete"
+    # Under continuous placement every point is its own spot.
+    snap = problem.nearest_site if discrete else np.arange(problem.n)
+    held = np.zeros(problem.site_costs.shape[1] if discrete else problem.n, dtype=bool)
+    if discrete:
+        held[np.delete(centers, emptied)] = True
+    for j in emptied:
+        eligible = ~held[snap]
+        if eligible.any():
+            spot = int(snap[np.argmax(np.where(eligible, contrib, -np.inf))])
+        else:  # the lowest free site; more emptied centers than points reuse the costliest one
+            spot = int(np.flatnonzero(~held)[0]) if discrete else int(np.argmax(contrib))
+        held[spot] = True
+        centers[j] = spot if discrete else problem.coords[spot]
 
 
 def _same_input(same_masses: bool, last_flag: bool | None, flag: bool | None) -> bool:
@@ -126,29 +140,15 @@ def _same_input(same_masses: bool, last_flag: bool | None, flag: bool | None) ->
     return bool(same_masses) and last_flag == flag
 
 
-def _no_worse(problem: Problem, centers, released: set[int], D: np.ndarray, fresh: Assignment,
-              previous: Assignment | None):
-    """The allocation to keep at these centers, with its objective parts.
-
-    An allocation cut short by the time budget (it carries an optimality
-    gap) yields to the previous assignment when that one costs less here.
-    The previous assignment stays feasible, since capacities do not depend
-    on the centers.
-    """
-    parts = evaluate_parts(problem, centers, fresh, released, distances=D)
-    if previous is None or "optimality_gap" not in fresh.diagnostics:
-        return fresh, parts
-    kept = evaluate_parts(problem, centers, previous, released, distances=D)
-    return (previous, kept) if kept.total < parts.total else (fresh, parts)
-
-
 def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution:
     """Alternate exact allocation and location steps from the given centers.
 
     The (n, k) distance matrix is computed once per center configuration
     and shared by the allocation, the objective evaluations, reseeding and
-    the monotone guard.  A capacitated allocation LP is built once per
-    descent and re-solved warm for each new set of centers.
+    the monotone guard.  A capacitated problem gets one allocation model per
+    descent (``lp_model``): it checks the problem once, re-solves its LP
+    warm for each new set of centers and, under a time budget, falls back to
+    the assignment it returned last, so the objective never rises.
 
     Every center moves by one rule.  It takes its cluster's optimum from
     ``update_center_discrete`` (one product for all moving clusters, whose
@@ -200,10 +200,10 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     stop = None
     for iteration in range(1, config.max_iterations + 1):
         diag["iterations"] = iteration
-        fresh = allocate(problem, centers, config.time_budget, distances=D, model=model)
-        if "optimality_gap" in fresh.diagnostics:
-            diag["optimality_gap"] = max(diag.get("optimality_gap", 0.0), fresh.diagnostics["optimality_gap"])
-        assignment, after_alloc = _no_worse(problem, centers, released, D, fresh, assignment)
+        assignment = allocate(problem, centers, config.time_budget, distances=D, model=model)
+        if "optimality_gap" in assignment.diagnostics:
+            diag["optimality_gap"] = max(diag.get("optimality_gap", 0.0), assignment.diagnostics["optimality_gap"])
+        after_alloc = evaluate_parts(problem, centers, assignment, released, distances=D)
         diag["objective_trace"].append(after_alloc.total)
 
         new_centers = centers.copy()
@@ -211,7 +211,7 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
         np.multiply(assignment.center_block.T, w, out=masses)
         filled = (masses > 0).any(axis=1)
         same = (masses == last_masses).all(axis=1)
-        moving = []  # clusters that take their optimum below
+        moving, emptied = [], []  # clusters that take their optimum or a reseed below
         for j in range(k):
             flag = j in released if j < m else None
             if _same_input(same[j], last_flag[j], flag):
@@ -222,11 +222,13 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
                 new_released.discard(j)
                 last_masses[j], last_flag[j], last_unconverged[j] = masses[j], flag, False
             elif not filled[j]:
-                new_centers[j] = _reseed_position(problem, w[:, None] * D, assignment.center_block)
-                diag["empty_reseeds"] += 1
-                last_masses[j] = np.nan
+                emptied.append(j)
             else:
                 moving.append(j)
+        if emptied:
+            _reseed(problem, (w[:, None] * D * assignment.center_block).sum(axis=1), new_centers, emptied)
+            diag["empty_reseeds"] += len(emptied)
+            last_masses[emptied] = np.nan
 
         if discrete and moving:
             # One product prices every site for every moving cluster.
@@ -281,12 +283,12 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
         prev_total = total
     diag["stop"] = stop or "iteration_cap"
 
-    if stop != "centers_unchanged":
-        fresh = allocate(problem, centers, config.time_budget, distances=D, model=model)
-        assignment, objective = _no_worse(problem, centers, released, D, fresh, assignment)
-        diag["objective_trace"].append(objective.total)
+    if stop == "centers_unchanged":
+        objective = after_loc
     else:
+        assignment = allocate(problem, centers, config.time_budget, distances=D, model=model)
         objective = evaluate_parts(problem, centers, assignment, released, distances=D)
+        diag["objective_trace"].append(objective.total)
 
     if problem.has_outlier_column:
         flagged = np.flatnonzero((problem.coverages > 1) & (assignment.outlier_column > 1e-12))

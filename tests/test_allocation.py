@@ -381,17 +381,18 @@ def test_warm_model_matches_milp_as_centers_move(lp_binding, monkeypatch):
     assert solved > 60
 
 
-def test_warm_model_infeasible_window_raises(lp_binding):
+def test_warm_model_infeasible_window_raises(lp_binding, monkeypatch):
     # three points of a = 2 cannot fit one center of U = 5; solved directly,
     # without the aggregate certificate in front of it
     prob = matrix_problem([[1.0], [1.0], [1.0]], a=[2.0] * 3, capacity=(0.0, 5.0), membership="fractional")
+    monkeypatch.setattr(allocation, "_aggregate_certificate", lambda *args: None)
     model = allocation.lp_model(prob)
     for cost in ([[1.0], [2.0], [3.0]], [[3.0], [1.0], [2.0]]):
         with pytest.raises(Infeasible, match="no fractional assignment"):
             model.solve(np.array(cost))
 
 
-def test_warm_model_prints_nothing(capfd, lp_binding):
+def test_warm_model_prints_nothing(capfd, lp_binding, monkeypatch):
     rng = np.random.default_rng(606)
     problem, centers = moving_center_instance(rng)
     model = allocation.lp_model(problem)
@@ -401,6 +402,7 @@ def test_warm_model_prints_nothing(capfd, lp_binding):
             allocate_fractional(problem, centers, model=model)
         except Infeasible:
             pass
+    monkeypatch.setattr(allocation, "_aggregate_certificate", lambda *args: None)  # reach HiGHS's own verdict
     with pytest.raises(Infeasible):
         allocation.lp_model(matrix_problem([[1.0]] * 3, a=[2.0] * 3, capacity=(0.0, 5.0))).solve(np.ones((3, 1)))
     assert capfd.readouterr() == ("", "")
@@ -444,3 +446,78 @@ def test_private_highs_binding_is_imported_in_one_module():
             if any("_highspy" in name for name in names):
                 importers.append(path.name)
     assert sorted(set(importers)) == ["allocation.py"]
+
+
+def greedy_incumbent_loop(problem, D):
+    """Per-point reference for allocation._greedy_incumbent, its repair pulls one (i, src) pair at a time."""
+    lo, hi = problem.capacity
+    k = problem.k
+    has_outlier = problem.has_outlier_column
+    n_cols = k + (1 if has_outlier else 0)
+    a = problem.capacity_coeffs
+    q = problem.coverages
+    cols_cost = allocation._column_costs(problem, D)
+    y = np.zeros((problem.n, n_cols))
+    zero = np.flatnonzero(a == 0)
+    if zero.size:
+        allocation._greedy_rows(D, problem, zero, y)
+    loads = np.zeros(k)
+    for i in sorted(np.flatnonzero(a > 0), key=lambda i: (-a[i], i)):
+        taken = 0
+        for j in np.argsort(cols_cost[i], kind="stable"):
+            if taken == q[i]:
+                break
+            if j == k and has_outlier:
+                y[i, j] = 1.0
+                taken += 1
+            elif j < k and loads[j] + a[i] <= hi + 1e-9:
+                y[i, j] = 1.0
+                loads[j] += a[i]
+                taken += 1
+        if taken < q[i]:
+            return None
+    for j in range(k):
+        guard = 0
+        while loads[j] < lo - 1e-9 and guard < 4 * problem.n:
+            guard += 1
+            best = None
+            for i in np.flatnonzero(a > 0):
+                if y[i, j] == 1.0 or loads[j] + a[i] > hi + 1e-9:
+                    continue
+                for src in range(n_cols):
+                    if y[i, src] != 1.0 or src == j:
+                        continue
+                    if src < k and loads[src] - a[i] < lo - 1e-9:
+                        continue
+                    delta = cols_cost[i, j] - cols_cost[i, src]
+                    if best is None or delta < best[0]:
+                        best = (delta, i, src)
+            if best is None:
+                return None
+            _delta, i, src = best
+            y[i, src] = 0.0
+            y[i, j] = 1.0
+            loads[j] += a[i]
+            if src < k:
+                loads[src] -= a[i]
+    return y if allocation._verify_hard(problem, y) else None
+
+
+def test_greedy_incumbent_matches_per_point_loop():
+    rng = np.random.default_rng(707)
+    found = 0
+    for _ in range(150):
+        n, k = int(rng.integers(5, 40)), int(rng.integers(2, 6))
+        D = rng.integers(0, 6, size=(n, k)).astype(float)  # many tied moves
+        a = np.where(rng.random(n) < 0.1, 0.0, rng.integers(1, 6, size=n).astype(float))
+        lam = float(rng.integers(2, 6)) if rng.random() < 0.4 else None
+        q = np.where(rng.random(n) < 0.2, 2, 1) if k > 2 else None
+        s = float(rng.choice([0.02, 0.1, 0.3]))
+        mean_load = float(a @ (q if q is not None else np.ones(n))) / k
+        prob = matrix_problem(D, a=a, q=q, lam=lam, capacity=((1 - s) * mean_load, (1 + s) * mean_load))
+        got, want = allocation._greedy_incumbent(prob, D), greedy_incumbent_loop(prob, D)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+            found += 1
+    assert found >= 30

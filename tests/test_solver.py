@@ -390,33 +390,84 @@ def test_reseeded_cluster_is_recomputed(monkeypatch):
 
 @pytest.mark.parametrize("max_iterations", [1, 6])
 def test_truncated_allocation_never_raises_the_objective(monkeypatch, max_iterations):
-    # From the second call on, allocate returns a costlier assignment marked
-    # as cut short by the budget: the descent must keep the previous one,
-    # in the loop (6 iterations) and in the final re-allocation (1 iteration).
-    from capclust import solver
-    from capclust.model import Assignment
+    # From its second call on, HiGHS's MIP stops as if on the budget with a
+    # costlier incumbent (its optimum with the centers rolled) and the greedy
+    # one fails: the descent must keep the previous assignment, in the loop
+    # (6 iterations) and in the final re-allocation (1 iteration).
+    from dataclasses import replace
+
+    from scipy.optimize import OptimizeResult
+
+    from capclust import allocation
 
     rng = np.random.default_rng(12)
     pts = blob_points(rng, [(0, 0), (6, 0), (3, 5)], per=12)
-    prob = continuous_problem(pts, k=3, membership="hard", capacity=(10.0, 14.0))
-    real = solver.allocate
+    pts = tuple(replace(p, a=float(a)) for p, a in zip(pts, rng.uniform(0.5, 2.0, size=len(pts))))
+    mean_load = sum(p.a for p in pts) / 3
+    prob = continuous_problem(pts, k=3, membership="hard", capacity=(0.99 * mean_load, 1.01 * mean_load))
+    real = allocation.milp
     calls = []
 
-    def truncated(problem, centers, time_budget=None, **kw):
-        got = real(problem, centers, time_budget, **kw)
+    def truncated(c, **kw):
+        got = real(c, **kw)
         calls.append(got)
         if len(calls) < 2:
             return got
-        return Assignment(y=np.roll(got.y, 1, axis=1), membership=got.membership,
-                          has_outlier=got.has_outlier, diagnostics={"optimality_gap": 0.5})
+        rolled = np.roll(got.x.reshape(prob.n, prob.k), 1, axis=1).ravel()
+        return OptimizeResult(status=1, x=rolled, mip_gap=0.5, mip_node_count=1, message="time limit reached")
 
-    monkeypatch.setattr(solver, "allocate", truncated)
+    monkeypatch.setattr(allocation, "milp", truncated)
+    monkeypatch.setattr(allocation, "_greedy_incumbent", lambda problem, D: None)
     sol = descend(prob, np.array([[1.0, 1.0], [5.0, 1.0], [3.0, 4.0]]),
                   SolverConfig(max_iterations=max_iterations, convergence_tol=-np.inf))
     trace = sol.diagnostics["objective_trace"]
     assert len(calls) >= 2
     assert all(b <= a for a, b in zip(trace, trace[1:]))
     assert sol.objective.total == min(trace)
+
+
+def test_zero_budget_descent_survives_later_allocations():
+    # With no time for HiGHS, the greedy incumbent fails from the second
+    # allocation on; the model's last assignment must carry the descent.
+    rng = np.random.default_rng(1)
+    n, k = int(rng.integers(20, 60)), int(rng.integers(3, 7))
+    xy = rng.uniform(0, 100, (n, 2))
+    a = rng.integers(1, 6, n)
+    s = float(rng.choice([0.02, 0.05, 0.1]))
+    mean_load = a.sum() / k
+    pts = tuple(Point(i, coords=tuple(xy[i]), a=float(a[i])) for i in range(n))
+    prob = continuous_problem(pts, k=k, membership="hard", capacity=((1 - s) * mean_load, (1 + s) * mean_load))
+    sol = descend(prob, kmeanspp_init(prob, np.random.default_rng(1)), SolverConfig(time_budget=0.0))
+    trace = sol.diagnostics["objective_trace"]
+    assert sol.diagnostics["iterations"] >= 2
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("membership", ["fractional", "hard"])
+def test_problem_checks_run_once_per_descent(monkeypatch, membership):
+    from capclust import allocation
+
+    prob = _capacitated_blobs(membership)
+    checks = [_counting(monkeypatch, allocation, name) for name in ("_check_coverage", "_aggregate_certificate")]
+    allocation.lp_model(prob)
+    per_model = [len(calls) for calls in checks]
+    sol = descend(prob, kmeanspp_init(prob, np.random.default_rng(3)), SolverConfig())
+    assert sol.diagnostics["iterations"] >= 2
+    assert per_model[0] == 1
+    assert [len(calls) for calls in checks] == [2 * count for count in per_model]
+
+
+def test_emptied_centers_take_distinct_free_sites():
+    # Two tight groups and two far sites: both far centers empty at once and
+    # must not both land on the costliest point's site, held by another center.
+    xy = np.array([[0, 0], [0.1, 0], [0, 0.1], [10, 0], [10.1, 0], [10, 0.1]])
+    sites = np.array([[0, 0.05], [10, 0.05], [50, 50], [60, 60]])
+    D = np.sqrt(((xy[:, None] - sites[None]) ** 2).sum(axis=2))
+    prob = validate_problem(Problem(points=tuple(Point(i) for i in range(6)), metric=matrix_metric(D),
+                                    centers=CenterSpec(k=4, placement="discrete")))
+    sol = descend(prob, np.array([0, 1, 2, 3]), SolverConfig())
+    assert sorted(sol.centers.tolist()) == [0, 1, 2, 3]
+    assert sol.diagnostics["empty_reseeds"] == 2
 
 
 def _skip_cases():
@@ -470,9 +521,9 @@ def test_descend_builds_one_lp_model(monkeypatch, lp_binding, membership):
     built, passed = [], []
 
     class Counting(allocation._AllocationLP):
-        def __init__(self, problem):
+        def __init__(self, *args, **kwargs):
             built.append(1)
-            super().__init__(problem)
+            super().__init__(*args, **kwargs)
 
     def spy(*args, model=None, **kwargs):
         passed.append(model)
