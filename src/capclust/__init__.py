@@ -3,80 +3,42 @@
 Minimizes weighted point-to-center distances plus outlier, opening-cost
 and center-release penalties under membership and capacity constraints,
 by block coordinate descent with exact allocation subproblem solvers.
+
+The public names below load their submodule on first access (PEP 562), so
+``import capclust`` costs nothing until a name is used; a lookup returns
+the submodule's current binding and stores nothing here.
 """
 
-from . import errors
-from .allocation import allocate, allocate_fractional, allocate_hard, allocate_uncapacitated
-from .datagen import GenSpec, generate_dataset, sample_gamma_copula_cluster
-from .evaluation import adjusted_rand_index, distance_summary, solution_labels
-from .location import (
-    decide_release,
-    update_center_continuous,
-    update_center_discrete,
-    weiszfeld,
-)
-from .metrics import (
-    MetricSpec,
-    distance,
-    euclidean,
-    manhattan,
-    matrix_metric,
-    pairwise_costs,
-    sqeuclidean,
-    threshold,
-)
-from .model import (
-    Assignment,
-    CenterSpec,
-    ObjectiveBreakdown,
-    Point,
-    Problem,
-    Solution,
-    evaluate_objective,
-    validate_problem,
-)
-from .selection import SweepReport, aic_bic_lambda, sweep_k
-from .solver import SolverConfig, descend, kmeanspp_init, solve
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "CenterSpec",
-    "GenSpec",
-    "MetricSpec",
-    "ObjectiveBreakdown",
-    "Point",
-    "Problem",
-    "Solution",
-    "SolverConfig",
-    "SweepReport",
-    "adjusted_rand_index",
-    "aic_bic_lambda",
-    "allocate",
-    "allocate_fractional",
-    "allocate_hard",
-    "allocate_uncapacitated",
-    "decide_release",
-    "descend",
-    "distance",
-    "distance_summary",
-    "errors",
-    "euclidean",
-    "evaluate_objective",
-    "generate_dataset",
-    "kmeanspp_init",
-    "manhattan",
-    "matrix_metric",
-    "pairwise_costs",
-    "sample_gamma_copula_cluster",
-    "solution_labels",
-    "solve",
-    "sqeuclidean",
-    "sweep_k",
-    "threshold",
-    "update_center_continuous",
-    "update_center_discrete",
-    "validate_problem",
-    "weiszfeld",
-]
+# public name -> the submodule that defines it (a submodule maps to itself)
+_HOME = {
+    "errors": "errors",
+    **dict.fromkeys(("allocate", "allocate_fractional", "allocate_hard", "allocate_uncapacitated"), "allocation"),
+    **dict.fromkeys(("GenSpec", "generate_dataset", "sample_gamma_copula_cluster"), "datagen"),
+    **dict.fromkeys(("adjusted_rand_index", "distance_summary", "solution_labels"), "evaluation"),
+    **dict.fromkeys(("decide_release", "update_center_continuous", "update_center_discrete", "weiszfeld"),
+                    "location"),
+    **dict.fromkeys(("MetricSpec", "distance", "euclidean", "manhattan", "matrix_metric", "pairwise_costs",
+                     "sqeuclidean", "threshold"), "metrics"),
+    **dict.fromkeys(("Assignment", "CenterSpec", "ObjectiveBreakdown", "Point", "Problem", "Solution",
+                     "evaluate_objective", "validate_problem"), "model"),
+    **dict.fromkeys(("SweepReport", "aic_bic_lambda", "sweep_k"), "selection"),
+    **dict.fromkeys(("SolverConfig", "descend", "kmeanspp_init", "solve"), "solver"),
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    return module if name == home else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

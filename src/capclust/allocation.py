@@ -27,17 +27,41 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from . import metrics
 from .errors import CapclustError, Infeasible, NoIncumbentWithinBudget, QExceedsK
 from .model import FRACTIONAL, HARD, Assignment, Problem
 
-try:  # scipy's private HiGHS binding; no other module imports it
-    from scipy.optimize._highspy import _core as _highspy
-except ImportError:  # moved by a scipy upgrade: every LP goes through milp, cold
-    _highspy = None
+# scipy's LP pieces, bound as module globals by _load_scipy on first use
+_SCIPY_NAMES = ("sparse", "Bounds", "LinearConstraint", "milp", "_highspy")
+
+
+def _load_scipy() -> None:
+    """Import scipy's LP pieces into this module; a name already bound (a test's patch) is kept.
+
+    Only a capacitated allocation needs them, and importing ``scipy.optimize``
+    costs more than a small solve, so it happens when the first LP model is built.
+    """
+    names = globals()
+    if all(name in names for name in _SCIPY_NAMES):
+        return
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    try:  # scipy's private HiGHS binding; no other module imports it
+        from scipy.optimize._highspy import _core as _highspy
+    except ImportError:  # moved by a scipy upgrade: every LP goes through milp, cold
+        _highspy = None
+    for name, value in zip(_SCIPY_NAMES, (sparse, Bounds, LinearConstraint, milp, _highspy)):
+        names.setdefault(name, value)
+
+
+def __getattr__(name: str):
+    """``allocation.milp`` and the other scipy names resolve (and can be patched) before the first LP."""
+    if name in _SCIPY_NAMES:
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def allocate(problem: Problem, centers, time_budget: float | None = None, *, distances=None,
@@ -182,6 +206,7 @@ class _AllocationLP:
         self.last_hard = None
         if not self.pos.size:  # every point takes its cheapest columns
             return
+        _load_scipy()
         self.constraint = _constraint(problem)
         self._index = np.arange(self.constraint.A.shape[1], dtype=np.int32)
         self._highs = None if _highspy is None else self._pass_model()

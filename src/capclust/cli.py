@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import io, metrics, plotting
-from .datagen import GenSpec, generate_dataset
 from .errors import AllRestartsInfeasible, CapclustError, Infeasible, ParseError, ValidationError
 from .evaluation import PER_DEMAND, PER_POINT, adjusted_rand_index, summarize_distances
 from .model import CenterSpec, Problem, validate_problem
@@ -174,6 +173,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .datagen import GenSpec, generate_dataset  # loads scipy.special, which no other command needs
+
     raw = io.load_json_object(args.spec, "spec")
     if args.seed is not None:
         raw["rng_seed"] = args.seed

@@ -145,6 +145,26 @@ def load_candidates(path) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
+    """A finite, non-negative cost matrix, one CSV row per point.
+
+    numpy reads a plain file in one pass.  A file it rejects or reads as
+    negative or non-finite goes through the per-cell parser, which also
+    reads quoted cells and whitespace-only rows, and names the line and
+    column of a bad cell.
+    """
+    lines = list(_lines(path, "matrix"))
+    if any(map(str.strip, lines)):  # loadtxt only warns on a file without data
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all() and (values >= 0).all():
+                return values
+    return _matrix_cells(path)
+
+
+def _matrix_cells(path) -> np.ndarray:
     rows: list[np.ndarray] = []
     for line, cells in _rows(path, "matrix"):
         try:

@@ -258,3 +258,51 @@ def test_cli_import_does_not_load_scipy_stats():
     env = {**os.environ, "PYTHONPATH": str(Path(capclust.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr or "importing capclust.cli loaded scipy.stats"
+
+
+def _fresh_interpreter(code: str):
+    """Run ``code`` in a new interpreter; return the JSON value of its last printed line."""
+    env = {**os.environ, "PYTHONPATH": str(Path(capclust.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+_LOADED = "[m for m in sorted(sys.modules) if m.split('.')[0] == 'scipy' or m == 'capclust.datagen']"
+
+
+def test_package_and_cli_imports_load_no_scipy():
+    code = f"import json, sys, capclust; first = {_LOADED}; import capclust.cli; print(json.dumps([first, {_LOADED}]))"
+    assert _fresh_interpreter(code) == [[], []]
+
+
+def _small_instance(tmp_path):
+    points = tmp_path / "pts.csv"
+    rows = [f"{i},{x},{y},1" for i, (x, y) in enumerate([(0, 0), (0.3, 0.1), (0.1, 0.4), (5, 5), (5.2, 4.9),
+                                                          (4.8, 5.3), (9, 0), (9.1, 0.2), (8.8, 0.1)])]
+    points.write_text("id,x,y,w\n" + "\n".join(rows) + "\n")
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("0,7,9\n0.3,7,8.7\n0.4,6.5,9\n7,0,6\n7.1,0.2,6\n7,0.4,6.3\n9,6,0\n9,6.1,0.2\n8.8,6,0.3\n")
+    return points, matrix
+
+
+def test_uncapacitated_solve_and_matrix_sweep_load_no_scipy(tmp_path):
+    points, matrix = _small_instance(tmp_path)
+    solve_argv = ["solve", "--points", str(points), "--k", "3", "--metric", "euclidean", "--outlier-lambda", "2",
+                  "--restarts", "2", "--seed", "1", "--out", str(tmp_path / "solve")]
+    sweep_argv = ["sweep", "--points", str(points), "--matrix", str(matrix), "--metric", "matrix",
+                  "--k-range", "1..3", "--lambda-grid", "0,1", "--restarts", "2", "--out", str(tmp_path / "sweep")]
+    code = (f"import json, sys; from capclust.cli import main; "
+            f"codes = [main({solve_argv!r}), main({sweep_argv!r})]; print(json.dumps([codes, {_LOADED}]))")
+    assert _fresh_interpreter(code) == [[0, 0], []]
+
+
+def test_capacitated_solve_loads_the_highs_binding(tmp_path):
+    points, _matrix = _small_instance(tmp_path)
+    argv = ["solve", "--points", str(points), "--k", "3", "--capacity", "2,4", "--membership", "fractional",
+            "--restarts", "2", "--seed", "1", "--out", str(tmp_path / "solve")]
+    code = (f"import json, sys; from capclust import allocation; from capclust.cli import main; "
+            f"before = 'scipy.optimize' in sys.modules; code = main({argv!r}); "
+            f"binding = sys.modules.get('scipy.optimize._highspy._core'); "
+            f"print(json.dumps([before, code, binding is not None and vars(allocation)['_highspy'] is binding]))")
+    assert _fresh_interpreter(code) == [False, 0, True]

@@ -95,6 +95,38 @@ def test_matrix_roundtrip_values(tmp_path):
     assert D.tolist() == [[1.5, 2.25], [0.0, 4.125]]
 
 
+_MATRIX_LAYOUTS = {
+    "plain": lambda cells, rng: ",".join(cells) + "\n",
+    "blank-lines": lambda cells, rng: "\n" * int(rng.integers(0, 2)) + ",".join(cells) + "\n",
+    "crlf": lambda cells, rng: ",".join(cells) + "\r\n",
+    "spaces": lambda cells, rng: ",".join(" " * int(rng.integers(0, 3)) + c + " \t"[: int(rng.integers(0, 3))]
+                                          for c in cells) + "\n",
+    "quoted": lambda cells, rng: ",".join(f'"{c}"' if rng.random() < 0.2 else c for c in cells) + "\n",
+}
+
+
+@pytest.mark.parametrize("bom", [False, True], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("layout", sorted(_MATRIX_LAYOUTS))
+def test_fast_matrix_read_equals_the_per_cell_parser(tmp_path, monkeypatch, layout, bom):
+    from capclust import io
+
+    per_cell = []
+    real = io._matrix_cells
+    monkeypatch.setattr(io, "_matrix_cells", lambda path: per_cell.append(path) or real(path))
+    rng = np.random.default_rng(sorted(_MATRIX_LAYOUTS).index(layout))
+    for n, m in [(1, 1), (1, 5), (7, 1), (40, 12)]:
+        D = rng.uniform(0, 1, (n, m)) * 10.0 ** rng.integers(-8, 8, (n, m))
+        D[rng.random((n, m)) < 0.1] = 0.0
+        text = "".join(_MATRIX_LAYOUTS[layout]([repr(float(v)) for v in row], rng) for row in D)
+        f = tmp_path / f"m{n}x{m}.csv"
+        f.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
+        got = load_matrix(f)
+        assert got.tobytes() == D.tobytes() and got.shape == D.shape
+        assert got.tobytes() == real(f).tobytes()
+    # every layout but the quoted one is read in one numpy pass
+    assert (len(per_cell) > 0) == (layout == "quoted")
+
+
 @pytest.mark.parametrize("load, data, line, column", [
     (load_points, b"id,x,y,w\n0,0,0,1\n1,\xff,0,1\n", 3, 3),
     (load_candidates, b"x,y\n1,2\n3\n", 3, 2),
@@ -102,7 +134,8 @@ def test_matrix_roundtrip_values(tmp_path):
     (load_labels, b"id,label\n1,2\n3\n", 3, 2),
     (load_fixed, b"site\n\n \nx\n", 4, 1),
     (load_matrix, b"1," + b"2" * 200_000 + b"\n", 1, 0),
-], ids=["not-utf8", "short-row", "empty", "short-label", "blank-rows", "field-over-limit"])
+    (load_matrix, b"1,2\n# 3,4\n", 2, 1),
+], ids=["not-utf8", "short-row", "empty", "short-label", "blank-rows", "field-over-limit", "comment-line"])
 def test_malformed_csv_reports_line_and_column(tmp_path, load, data, line, column):
     f = tmp_path / "in.csv"
     f.write_bytes(data)

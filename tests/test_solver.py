@@ -559,3 +559,21 @@ def test_milp_fallback_solves_like_the_warm_model(monkeypatch, membership):
     cold = solve(prob, SolverConfig(restarts=3, rng_seed=8))
     assert cold.objective.total == pytest.approx(warm.objective.total, rel=1e-9)
     assert np.allclose(cold.diagnostics["restart_objectives"], warm.diagnostics["restart_objectives"], rtol=1e-9)
+
+
+def test_lazy_scipy_load_keeps_patched_names(monkeypatch, lp_binding):
+    # Clear the names the loader binds, except the two patched ones, so the
+    # descent's first model runs the loader again: a patched milp spy and a
+    # patched _highspy = None must both survive it.
+    from capclust import allocation, solver
+
+    milp_calls = _counting(monkeypatch, allocation, "milp")
+    allocations = _counting(monkeypatch, solver, "allocate")
+    for name in allocation._SCIPY_NAMES:
+        if name not in ("milp", "_highspy"):
+            monkeypatch.delitem(vars(allocation), name)
+    prob = _capacitated_blobs("fractional")
+    sol = descend(prob, kmeanspp_init(prob, np.random.default_rng(3)), SolverConfig())
+    assert sol.diagnostics["iterations"] >= 2
+    assert "sparse" in vars(allocation)
+    assert len(milp_calls) == (len(allocations) if lp_binding == "milp" else 0)
