@@ -10,6 +10,7 @@ over the bounding box of the true points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +47,18 @@ class GenSpec:
             raise ValueError("cluster_sizes must be nonempty")
         if any(s < 1 for s in self.cluster_sizes):
             raise ValueError("cluster sizes must be positive")
-        if self.weight_range[0] > self.weight_range[1]:
-            raise ValueError("weight range inverted")
+        for name in ("shape_range", "scale_range", "weight_range"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} must have finite ends")
+        lo, hi = self.weight_range
+        if not 0 <= lo <= hi:
+            raise ValueError("weight_range must have a nonnegative low end no greater than its high end")
         for name, (lo, hi) in (("shape_range", self.shape_range), ("scale_range", self.scale_range)):
             if not (lo >= 0 and hi > 0):
                 raise ValueError(f"{name} must have a nonnegative low end and a positive high end")
+        if self.grid_side is not None and not 0 < self.grid_side < math.inf:
+            raise ValueError("grid_side must be finite and positive")
         if not 0 < self.shrink <= 1:
             raise ValueError("shrink must be in (0, 1]")
         if self.rho is not None and not -1 < self.rho < 1:

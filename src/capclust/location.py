@@ -49,7 +49,7 @@ def _pull_at(xy: np.ndarray, masses: np.ndarray, anchor: np.ndarray, skip: np.nd
     return pull, float(inv.sum())
 
 
-def weiszfeld(xy: np.ndarray, masses: np.ndarray, *, scale: float | None = None) -> CenterUpdate:
+def weiszfeld(xy: np.ndarray, masses: np.ndarray) -> CenterUpdate:
     """Weighted geometric median by guarded Newton steps.
 
     A thin cluster, whose points all lie within 1e-2 times the data scale
@@ -68,13 +68,13 @@ def weiszfeld(xy: np.ndarray, masses: np.ndarray, *, scale: float | None = None)
     toward a kink at an optimal data point, hence the test after it).  It
     stops when the Weiszfeld step no longer lowers the cost, the gradient
     norm is at most 1e-13 times the total mass, or a full Newton step is
-    shorter than 1e-9 times the data scale.
+    shorter than 1e-9 times the data scale.  The data scale is the diagonal
+    of the cluster's bounding box.
     """
     xy = np.asarray(xy, dtype=float)
     masses = np.asarray(masses, dtype=float)
-    if scale is None:
-        span = xy.max(axis=0) - xy.min(axis=0)
-        scale = float(max(np.hypot(span[0], span[1]), 1e-300))
+    span = xy.max(axis=0) - xy.min(axis=0)
+    scale = float(max(np.hypot(span[0], span[1]), 1e-300))
     snap, near = 1e-12 * scale, 1e-3 * scale
     tested: set[int] = set()
     creeping = False

@@ -9,15 +9,16 @@ The objective of a solution decomposes into four additive parts:
 
 where w'_i = w_i + gamma_i is the preference-corrected weight and t the
 number of released fixed centers.  All types are immutable values after
-construction (``SharedData`` fills its read-only arrays on first use);
-evaluation is pure.
+construction (a problem's ``shared`` dict only gains read-only values it
+computes on first use); evaluation is pure.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -94,102 +95,41 @@ class CenterSpec:
         return len(self.fixed)
 
 
-class SharedData:
-    """The k-independent data of a problem, built on first use and then shared.
-
-    It holds the per-point arrays, the (n, s) raw distances from every point
-    to every candidate site and each point's nearest site.  None of them
-    depends on k, the penalties or the fixed centers, so one instance serves
-    every problem with the same ``points`` tuple, metric and candidate array
-    (the same objects): ``dataclasses.replace`` carries it over, and the
-    problems of a sweep, its restarts and its consensus document all read
-    the same arrays.  The arrays are read-only.
-    """
-
-    def __init__(self, points: tuple, metric: metrics.MetricSpec, candidates: np.ndarray | None):
-        self.points, self.metric, self.candidates = points, metric, candidates
-        self._points_valid = False
-
-    def serves(self, problem: "Problem") -> bool:
-        return (self.points is problem.points and self.metric is problem.metric
-                and self.candidates is problem.centers.candidates)
-
-    @cached_property
-    def coords(self) -> np.ndarray | None:
-        if any(p.coords is None for p in self.points):
-            return None
-        return _frozen([p.coords for p in self.points], float)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return _frozen([p.w for p in self.points], float)
-
-    @cached_property
-    def gammas(self) -> np.ndarray:
-        return _frozen([p.gamma for p in self.points], float)
-
-    @cached_property
-    def effective_weights(self) -> np.ndarray:
-        return _frozen(self.weights + self.gammas, float)
-
-    @cached_property
-    def capacity_coeffs(self) -> np.ndarray:
-        return _frozen([p.a for p in self.points], float)
-
-    @cached_property
-    def coverages(self) -> np.ndarray:
-        return _frozen([p.q for p in self.points], int)
-
-    @cached_property
-    def pseudo_mask(self) -> np.ndarray:
-        return _frozen([p.pseudo for p in self.points], bool)
-
-    @cached_property
-    def ids(self) -> np.ndarray:
-        return _frozen([p.id for p in self.points], object)
-
-    @cached_property
-    def id_order(self) -> np.ndarray:
-        return _frozen(sorted(range(len(self.points)), key=lambda i: self.points[i].id), int)
-
-    @cached_property
-    def diameter(self) -> float:
-        if self.coords is None or not self.points:
-            return 1.0
-        span = self.coords.max(axis=0) - self.coords.min(axis=0)
-        return float(max(np.hypot(span[0], span[1]), 1e-300))
-
-    @cached_property
-    def site_costs(self) -> np.ndarray:
-        # A view, so a caller's cost matrix keeps its own flags.
-        costs = metrics.candidate_distances(self.metric, self.coords, self.candidates).view()
-        costs.flags.writeable = False
-        return costs
-
-    @cached_property
-    def nearest_site(self) -> np.ndarray:
-        return _frozen(np.argmin(self.site_costs, axis=1), int)
-
-    def check_points(self) -> None:
-        """Run the per-point checks, once: they raise the first violation."""
-        if not self._points_valid:
-            _validate_points(self)
-            self._points_valid = True
-
-
 def _frozen(values, dtype) -> np.ndarray:
     array = np.array(values, dtype=dtype)
     array.flags.writeable = False
     return array
 
 
+def _shared(compute):
+    """A ``cached_property`` whose value is computed once per ``shared`` dict.
+
+    Every problem holding the dict reads the same object, so the value must
+    depend only on the points, the metric and the candidate sites.
+    """
+    name = compute.__name__
+
+    @wraps(compute)
+    def read(problem: "Problem"):
+        if name not in problem.shared:
+            problem.shared[name] = compute(problem)
+        return problem.shared[name]
+
+    return cached_property(read)
+
+
 @dataclass(frozen=True, eq=False)
 class Problem:
     """A full clustering / location-allocation instance.
 
-    The per-point arrays and candidate-site distances below are read from
-    ``shared``, which a problem made by ``dataclasses.replace`` inherits
-    whenever its points, metric and candidates are unchanged.
+    The values that depend only on the points, the metric and the candidate
+    sites (the per-point arrays, the point-to-site costs, each point's
+    nearest site) are computed on first use and kept in ``shared``, a dict
+    that also records that the per-point checks passed.  A problem made by
+    ``dataclasses.replace`` inherits the dict whenever its points, metric
+    and candidates are the same objects, so a sweep's problems, restarts
+    and consensus document all read the same read-only arrays; otherwise
+    it gets a new one.
     """
 
     points: tuple[Point, ...]
@@ -199,12 +139,13 @@ class Problem:
     capacity: tuple[float, float] | None = None
     outlier_penalty: float | None = None
     opening_penalty: float = 0.0
-    shared: SharedData | None = field(default=None, repr=False)
+    shared: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        if self.shared is None or not self.shared.serves(self):
-            object.__setattr__(self, "shared", SharedData(self.points, self.metric, self.centers.candidates))
+        made_for = (self.points, self.metric, self.centers.candidates)
+        if self.shared is None or not all(map(operator.is_, self.shared["made_for"], made_for)):
+            object.__setattr__(self, "shared", {"made_for": made_for})
 
     @property
     def n(self) -> int:
@@ -218,57 +159,68 @@ class Problem:
     def has_outlier_column(self) -> bool:
         return self.outlier_penalty is not None
 
-    @cached_property
+    @_shared
     def coords(self) -> np.ndarray | None:
-        return self.shared.coords
+        """(n, 2) point coordinates; None when some point has none."""
+        if any(p.coords is None for p in self.points):
+            return None
+        return _frozen([p.coords for p in self.points], float)
 
-    @cached_property
+    @_shared
     def weights(self) -> np.ndarray:
-        return self.shared.weights
+        return _frozen([p.w for p in self.points], float)
 
-    @cached_property
+    @_shared
     def gammas(self) -> np.ndarray:
-        return self.shared.gammas
+        return _frozen([p.gamma for p in self.points], float)
 
-    @cached_property
+    @_shared
     def effective_weights(self) -> np.ndarray:
-        return self.shared.effective_weights
+        """w' = w + gamma, the weights of the loss."""
+        return _frozen(self.weights + self.gammas, float)
 
-    @cached_property
+    @_shared
     def capacity_coeffs(self) -> np.ndarray:
-        return self.shared.capacity_coeffs
+        return _frozen([p.a for p in self.points], float)
 
-    @cached_property
+    @_shared
     def coverages(self) -> np.ndarray:
-        return self.shared.coverages
+        return _frozen([p.q for p in self.points], int)
 
-    @cached_property
+    @_shared
     def pseudo_mask(self) -> np.ndarray:
-        return self.shared.pseudo_mask
+        return _frozen([p.pseudo for p in self.points], bool)
 
-    @cached_property
+    @_shared
     def ids(self) -> np.ndarray:
         """Point ids; object dtype keeps ids of any size exact."""
-        return self.shared.ids
+        return _frozen([p.id for p in self.points], object)
 
-    @cached_property
+    @_shared
     def id_order(self) -> np.ndarray:
         """Permutation sorting points by id; fixes the summation order."""
-        return self.shared.id_order
+        return _frozen(sorted(range(self.n), key=lambda i: self.points[i].id), int)
 
-    @cached_property
+    @_shared
     def diameter(self) -> float:
-        return self.shared.diameter
+        """Diagonal of the points' bounding box (1 without coordinates), the scale of center moves."""
+        if self.coords is None or not self.points:
+            return 1.0
+        span = self.coords.max(axis=0) - self.coords.min(axis=0)
+        return float(max(np.hypot(span[0], span[1]), 1e-300))
 
-    @cached_property
+    @_shared
     def site_costs(self) -> np.ndarray:
         """Raw distances from every point to every candidate site, shape (n, s); discrete placement only."""
-        return self.shared.site_costs
+        # A view, so a caller's cost matrix keeps its own flags.
+        costs = metrics.candidate_distances(self.metric, self.coords, self.centers.candidates).view()
+        costs.flags.writeable = False
+        return costs
 
-    @cached_property
+    @_shared
     def nearest_site(self) -> np.ndarray:
         """Each point's cheapest candidate site (lowest index on ties)."""
-        return self.shared.nearest_site
+        return _frozen(np.argmin(self.site_costs, axis=1), int)
 
 
 @dataclass(frozen=True)
@@ -353,13 +305,16 @@ def validate_problem(problem: Problem) -> Problem:
     """Check structural invariants and return a normalized copy.
 
     Normalization turns fixed-center coordinates into candidate-site
-    indices under discrete placement.  Effective weights are exposed as a
-    computed property (never stored separately from w and gamma).
+    indices under discrete placement.  The per-point checks run once per
+    ``shared`` dict, which records that they passed: a problem that
+    inherits the dict of a validated one skips them.
     """
     spec = problem.centers
     if spec.k < 1:
         raise ValidationError("k must be positive")
-    problem.shared.check_points()
+    if "points_checked" not in problem.shared:
+        _validate_points(problem)
+        problem.shared["points_checked"] = True
 
     if problem.membership not in (HARD, FRACTIONAL):
         raise ValidationError(f"unknown membership mode: {problem.membership!r}")
@@ -438,19 +393,19 @@ def validate_problem(problem: Problem) -> Problem:
     return replace(problem, centers=replace(spec, fixed=normalized))
 
 
-def _validate_points(data: SharedData) -> None:
+def _validate_points(problem: Problem) -> None:
     """Per-point checks on the shared arrays; errors name the first offending point."""
-    w, gamma, a, q = data.weights, data.gammas, data.capacity_coeffs, data.coverages
+    w, gamma, a, q = problem.weights, problem.gammas, problem.capacity_coeffs, problem.coverages
     finite = np.isfinite(w) & np.isfinite(gamma) & np.isfinite(a)
-    if data.coords is not None:
-        finite &= np.isfinite(data.coords).all(axis=1)
+    if problem.coords is not None:
+        finite &= np.isfinite(problem.coords).all(axis=1)
     negative = (w < 0) | (gamma < 0) | (a < 0)
     no_cover = q < 1
-    bad_pseudo = data.pseudo_mask & ((w != 0) | (a != 0))
+    bad_pseudo = problem.pseudo_mask & ((w != 0) | (a != 0))
     bad = ~finite | negative | no_cover | bad_pseudo
     if bad.any():
         i = int(np.argmax(bad))
-        pid = data.points[i].id
+        pid = problem.points[i].id
         if not finite[i]:
             raise ValidationError(f"point {pid}: coordinates, w, gamma and a must be finite")
         if negative[i]:
@@ -458,7 +413,7 @@ def _validate_points(data: SharedData) -> None:
         if no_cover[i]:
             raise ValidationError(f"point {pid}: coverage q must be at least 1")
         raise ValidationError(f"pseudo point {pid} must have w = 0 and a = 0")
-    ids = data.ids[data.id_order]
+    ids = problem.ids[problem.id_order]
     repeated = np.flatnonzero(ids[1:] == ids[:-1])
     if repeated.size:
         raise ValidationError(f"point ids must be unique (id {ids[repeated[0]]} repeats)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import CapclustError, NonpositiveVariance
+from .errors import CapclustError, NonpositiveVariance, ValidationError
 from .model import Problem, Solution
 from .solver import SolverConfig, solve
 
@@ -49,11 +49,16 @@ def sweep_k(
     restart reads the problem's shared per-point arrays and site costs.
     Per-k solver failures (e.g. an unreachable lower capacity limit at
     large k) are recorded, not fatal.  The consensus k is the one chosen
-    by the most penalties; ties go to the smaller k.
+    by the most penalties; ties go to the smaller k.  Every penalty must
+    be finite and nonnegative, as an opening penalty must.
     """
     k_values = sorted(set(int(k) for k in k_range))
     if not k_values:
         raise ValueError("k_range must be nonempty")
+    lambda_grid = [float(lam) for lam in lambda_grid]
+    for lam in lambda_grid:
+        if not 0 <= lam < math.inf:
+            raise ValidationError(f"opening penalty {lam} in the lambda grid must be finite and nonnegative")
     base: dict[int, float] = {}
     solutions: dict[int, Solution] = {}
     errors: dict[int, str] = {}
@@ -68,7 +73,6 @@ def sweep_k(
     penalized: dict[float, dict[int, float]] = {}
     argmin_k: dict[float, int] = {}
     for lam in lambda_grid:
-        lam = float(lam)
         values = {k: base[k] + lam * k for k in base}
         penalized[lam] = values
         if values:

@@ -43,6 +43,8 @@ class SolverConfig:
             raise ValueError("restarts must be at least 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
+        if self.time_budget is not None and not self.time_budget >= 0:  # inf means no limit
+            raise ValueError("time_budget must be nonnegative")
 
 
 def kmeanspp_init(problem: Problem, rng: np.random.Generator):

@@ -161,8 +161,22 @@ def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
     (["solve", "--k", "1", "--points", "missing.csv"], None, 1),
     (["solve", "--k", "1", "--config", "JSON"], '[{"restarts": 2}]', 3),
     (["solve", "--k", "1", "--config", "JSON"], '{"restarts": 2,\n}', 3),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [3], "weight_range": [NaN, 1]}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [3], "weight_range": [1, Infinity]}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [3], "scale_range": [0, Infinity]}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [3], "grid_side": NaN}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [3], "weight_range": [-5, 1]}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [3], "grid_side": -3}', 1),
+    (["solve", "--k", "1", "--time-budget", "-1"], None, 1),
+    (["solve", "--k", "1", "--time-budget", "nan"], None, 1),
+    (["sweep", "--k-range", "1..2", "--lambda-grid", "nan,1"], None, 1),
+    (["sweep", "--k-range", "1..2", "--lambda-grid", "inf"], None, 1),
+    (["sweep", "--k-range", "1..2", "--lambda-grid", "-5"], None, 1),
 ], ids=["threshold-radius", "lambda-grid", "restarts-zero", "negative-seed", "config-restarts",
-        "config-capacity", "spec-unknown-key", "missing-input", "config-array", "config-syntax"])
+        "config-capacity", "spec-unknown-key", "missing-input", "config-array", "config-syntax",
+        "spec-nan-weight", "spec-infinite-weight", "spec-infinite-scale", "spec-nan-grid",
+        "spec-negative-weight", "spec-negative-grid", "negative-time-budget", "nan-time-budget",
+        "lambda-grid-nan", "lambda-grid-inf", "lambda-grid-negative"])
 def test_bad_outside_value_fails_cleanly(tmp_path, capsys, argv, text, code):
     (tmp_path / "in.json").write_text(text or "")
     points = tmp_path / "pts.csv"

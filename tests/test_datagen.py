@@ -84,11 +84,31 @@ def test_invalid_specs_rejected():
 
 
 @pytest.mark.parametrize("field", ["shape_range", "scale_range"])
-@pytest.mark.parametrize("bounds", [(-1.0, 5.0), (0.0, 0.0), (0.0, -2.0), (float("nan"), 1.0)])
+@pytest.mark.parametrize("bounds", [(-1.0, 5.0), (0.0, 0.0), (0.0, -2.0), (float("nan"), 1.0),
+                                    (0.0, float("inf"))])
 def test_gamma_ranges_need_a_nonnegative_low_and_positive_high_end(field, bounds):
     with pytest.raises(ValueError, match=field):
         GenSpec(cluster_sizes=(3,), **{field: bounds})
     GenSpec(cluster_sizes=(3,), **{field: (0.0, 1e-3)})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weight_range", (float("nan"), 1.0)),
+    ("weight_range", (1.0, float("inf"))),
+    ("weight_range", (-5.0, 1.0)),
+    ("grid_side", float("nan")),
+    ("grid_side", float("inf")),
+    ("grid_side", -3.0),
+    ("grid_side", 0.0),
+])
+def test_bad_weight_range_and_grid_side_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        GenSpec(cluster_sizes=(3,), **{field: value})
+
+
+def test_zero_weight_low_end_and_positive_grid_side_accepted():
+    points, _ = generate_dataset(small_spec(weight_range=(0.0, 2.0), grid_side=7.5))
+    assert all(0.0 <= p.w <= 2.0 for p in points)
 
 
 def test_zero_correlation_unit_shape_gives_exponential_marginals():

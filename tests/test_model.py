@@ -188,6 +188,48 @@ def test_validating_a_validated_problem_returns_it(centers):
     assert "coords" in vars(prob)
 
 
+SHARED_VALUES = ("coords", "weights", "gammas", "effective_weights", "capacity_coeffs", "coverages",
+                 "pseudo_mask", "ids", "id_order", "diameter", "site_costs", "nearest_site")
+
+
+def test_replace_rebuilds_shared_values_only_when_the_data_changes():
+    rng = np.random.default_rng(5)
+    pts = tuple(Point(i, coords=tuple(rng.uniform(0.0, 5.0, 2)), w=float(rng.uniform(1.0, 3.0)))
+                for i in range(8))
+    sites = rng.uniform(0.0, 5.0, size=(4, 2))
+    spec = CenterSpec(k=2, placement="discrete", candidates=sites)
+    prob = validate_problem(Problem(points=pts, metric=euclidean(), centers=spec))
+    costs = prob.site_costs
+
+    bad = replace(prob, points=pts[:-1] + (Point(7, coords=(math.nan, 0.0)),))
+    with pytest.raises(ValidationError, match="point 7: .* must be finite"):
+        validate_problem(bad)
+    assert bad.weights is not prob.weights
+
+    assert not np.array_equal(replace(prob, metric=sqeuclidean()).site_costs, costs)
+    moved = replace(prob, centers=replace(spec, candidates=sites + 1.0))
+    assert not np.array_equal(moved.site_costs, costs)
+
+    same = replace(prob, capacity=(0.0, 10.0), centers=replace(spec, k=3))
+    for name in SHARED_VALUES:
+        assert getattr(same, name) is getattr(prob, name), name
+
+
+def test_point_checks_run_once_per_shared_set(monkeypatch):
+    from capclust import model
+
+    calls = []
+    real = model._validate_points
+    monkeypatch.setattr(model, "_validate_points", lambda p: calls.append(p) or real(p))
+    pts = (Point(0, coords=(0.0, 0.0)), Point(1, coords=(2.0, 1.0)))
+    prob = validate_problem(Problem(points=pts, metric=sqeuclidean(), centers=CenterSpec(k=1)))
+    validate_problem(replace(prob, centers=CenterSpec(k=2), opening_penalty=1.0))
+    validate_problem(prob)
+    assert len(calls) == 1
+    validate_problem(replace(prob, points=pts[:1]))
+    assert len(calls) == 2
+
+
 def test_single_point_objective():
     prob = validate_problem(Problem(points=(Point(0, coords=(0.0, 0.0), w=2.0),),
                                     metric=euclidean(), centers=CenterSpec(k=1)))

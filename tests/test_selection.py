@@ -7,7 +7,7 @@ from capclust import (
     CenterSpec, Point, Problem, SolverConfig, aic_bic_lambda, euclidean, matrix_metric, solve,
     sqeuclidean, sweep_k, validate_problem,
 )
-from capclust.errors import NonpositiveVariance
+from capclust.errors import NonpositiveVariance, ValidationError
 
 
 def paired_blobs(rng, centers, per=6, sigma=0.15):
@@ -69,6 +69,19 @@ def test_sweep_records_infeasible_k_without_failing():
     assert 1 in report.base_objectives  # 18 mass fits one center within [8, 30]
     assert 3 in report.errors or 4 in report.errors  # k*L outgrows the total mass
     assert report.consensus_k in report.base_objectives
+
+
+@pytest.mark.parametrize("grid", [[math.nan, 1.0], [math.inf], [-5.0], [0.0, 2.0, -1e-9]])
+def test_lambda_grid_outside_the_opening_penalty_range_fails_before_solving(monkeypatch, grid):
+    from capclust import selection
+
+    calls = []
+    monkeypatch.setattr(selection, "solve", lambda *a: calls.append(a))
+    prob = validate_problem(Problem(points=paired_blobs(np.random.default_rng(34), [(0, 0), (5, 0)]),
+                                    metric=sqeuclidean(), centers=CenterSpec(k=1)))
+    with pytest.raises(ValidationError, match="lambda grid"):
+        sweep_k(prob, range(1, 4), grid, SolverConfig(restarts=1))
+    assert calls == []
 
 
 def test_first_differences_reports_drops(small_report):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,17 @@ def continuous_problem(points, metric=None, **kw):
     k = kw.pop("k", 3)
     return validate_problem(Problem(points=points, metric=metric or sqeuclidean(),
                                     centers=CenterSpec(k=k, **kw.pop("center_kw", {})), **kw))
+
+
+@pytest.mark.parametrize("budget", [-1.0, -math.inf, math.nan])
+def test_negative_or_nan_time_budget_rejected(budget):
+    with pytest.raises(ValueError, match="time_budget"):
+        SolverConfig(time_budget=budget)
+
+
+@pytest.mark.parametrize("budget", [None, 0.0, 2.5, math.inf])
+def test_zero_and_infinite_time_budgets_accepted(budget):
+    assert SolverConfig(time_budget=budget).time_budget == budget
 
 
 def test_kmeanspp_all_points_become_centers_when_k_equals_n():
