@@ -8,6 +8,7 @@ table (mean / median / 95% quantile of assigned distances and wall time).
 """
 
 import argparse
+import os
 import time
 
 import numpy as np
@@ -31,6 +32,10 @@ def main():
     parser.add_argument("--time-budget", type=float, default=60.0,
                         help="seconds per hard allocation call (None-like 0 disables)")
     args = parser.parse_args()
+    missing = [name for name in ("points.csv", "matrix.csv") if not os.path.isfile(os.path.join(args.data, name))]
+    if missing:
+        parser.error(f"{args.data!r} lacks {' and '.join(missing)}: --data needs a directory with "
+                     "points.csv (id,x,y,w) and matrix.csv (one row per point, one column per site)")
 
     points = load_points(f"{args.data}/points.csv")
     D = load_matrix(f"{args.data}/matrix.csv")

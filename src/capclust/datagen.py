@@ -94,21 +94,9 @@ def sample_gamma_copula_cluster(size, shape, scale, rho, rng) -> np.ndarray:
     return out
 
 
-def generate_dataset(spec: GenSpec, rng: np.random.Generator | None = None):
-    """Full labeled dataset: (points, ground-truth labels).
-
-    Labels are 0..C-1 for the true clusters (counts match ``cluster_sizes``
-    exactly) and -1 for injected outliers.
-    """
+def _draw_clusters(spec: GenSpec, layout_rng, cluster_rngs):
+    """The true points: (coordinates, weights, labels), one block per cluster."""
     C = spec.n_clusters
-    if rng is None:
-        root = np.random.SeedSequence(spec.rng_seed)
-    else:
-        root = np.random.SeedSequence(int(rng.integers(0, 2**63 - 1)))
-    streams = [np.random.default_rng(s) for s in root.spawn(C + 2)]
-    layout_rng, outlier_rng = streams[0], streams[1]
-    cluster_rngs = streams[2:]
-
     shapes = layout_rng.uniform(*spec.shape_range, size=(C, 2))
     scales = layout_rng.uniform(*spec.scale_range, size=(C, 2))
     if spec.rho is None:
@@ -145,15 +133,35 @@ def generate_dataset(spec: GenSpec, rng: np.random.Generator | None = None):
         weights.append(w)
         labels.append(np.full(size, c, dtype=int))
 
-    xy = np.vstack(xs)
-    w_all = np.concatenate(weights)
-    lab = np.concatenate(labels)
+    return np.vstack(xs), np.concatenate(weights), np.concatenate(labels)
+
+
+def generate_dataset(spec: GenSpec, rng: np.random.Generator | None = None):
+    """Full labeled dataset: (points, ground-truth labels).
+
+    Labels are 0..C-1 for the true clusters (counts match ``cluster_sizes``
+    exactly) and -1 for injected outliers.
+    """
+    if rng is None:
+        root = np.random.SeedSequence(spec.rng_seed)
+    else:
+        root = np.random.SeedSequence(int(rng.integers(0, 2**63 - 1)))
+    streams = [np.random.default_rng(s) for s in root.spawn(spec.n_clusters + 2)]
+    layout_rng, outlier_rng = streams[0], streams[1]
+    cluster_rngs = streams[2:]
+
+    # A huge scale_range overflows to non-finite coordinates or weights; checked here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xy, w_all, lab = _draw_clusters(spec, layout_rng, cluster_rngs)
+        extent = xy.max(axis=0) - xy.min(axis=0)
+    if not (np.isfinite(extent).all() and np.isfinite(w_all).all()):
+        raise ValueError("scale_range too large: the drawn cluster coordinates or weights are not finite")
 
     if spec.n_outliers > 0:
         lo = xy.min(axis=0)
         hi = xy.max(axis=0)
         noise = outlier_rng.uniform(lo, hi, size=(spec.n_outliers, 2))
-        noise_w = outlier_rng.uniform(w_lo, w_hi, size=spec.n_outliers)
+        noise_w = outlier_rng.uniform(*spec.weight_range, size=spec.n_outliers)
         xy = np.vstack([xy, noise])
         w_all = np.concatenate([w_all, noise_w])
         lab = np.concatenate([lab, np.full(spec.n_outliers, NOISE_LABEL, dtype=int)])

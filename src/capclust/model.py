@@ -10,7 +10,8 @@ The objective of a solution decomposes into four additive parts:
 where w'_i = w_i + gamma_i is the preference-corrected weight and t the
 number of released fixed centers.  All types are immutable values after
 construction (a problem's ``shared`` dict only gains read-only values it
-computes on first use); evaluation is pure.
+computes on first use, plus a sweep's seeding cache while
+``solver.shared_seeding`` is open); evaluation is pure.
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ class Problem:
     The values that depend only on the points, the metric and the candidate
     sites (the per-point arrays, the point-to-site costs, each point's
     nearest site) are computed on first use and kept in ``shared``, a dict
-    that also records that the per-point checks passed.  A problem made by
+    that also records that the per-point checks passed and, during a sweep,
+    holds its k-means++ draw sequences (``solver.shared_seeding``).  A problem made by
     ``dataclasses.replace`` inherits the dict whenever its points, metric
     and candidates are the same objects, so a sweep's problems, restarts
     and consensus document all read the same read-only arrays; otherwise
@@ -417,6 +419,35 @@ def _validate_points(problem: Problem) -> None:
     repeated = np.flatnonzero(ids[1:] == ids[:-1])
     if repeated.size:
         raise ValidationError(f"point ids must be unique (id {ids[repeated[0]]} repeats)")
+    # k-means++ draws with masses w'_i * D_i^2, which must sum to a finite number.
+    s = _largest_distance(problem)
+    with np.errstate(over="ignore"):
+        total = np.sum(problem.effective_weights) * np.float64(max(1.0, s)) ** 2
+    if not np.isfinite(total):
+        raise ValidationError(
+            f"weights too large for the distances: sum of w' * max(1, d)^2 is not finite for the largest distance d = {s:g}"
+        )
+
+
+def _largest_distance(problem: Problem) -> float:
+    """The largest distance the metric can give between two points, or a point and a candidate site.
+
+    For a geometric metric this is its value across the diagonal of the
+    bounding box of the points and sites, which bounds every such distance;
+    inf when it overflows.
+    """
+    metric = problem.metric
+    if metric.kind == metrics.MATRIX:
+        return float(metric.matrix.max(initial=0.0))
+    if metric.kind == metrics.THRESHOLD:
+        return 1.0
+    if problem.coords is None:
+        return 0.0
+    box = problem.coords
+    if problem.centers.candidates is not None:
+        box = np.vstack([box, problem.centers.candidates])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(metrics.geometric_distances(metric.kind, box.min(axis=0), box.max(axis=0))[0, 0])
 
 
 def _same_values(given: tuple, normalized: tuple) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import CapclustError, NonpositiveVariance, ValidationError
 from .model import Problem, Solution
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, shared_seeding, solve
 
 import math
 
@@ -47,6 +47,9 @@ def sweep_k(
 
     Each k solves a ``dataclasses.replace`` of ``problem``, so every k and
     restart reads the problem's shared per-point arrays and site costs.
+    The loop runs inside ``shared_seeding``: each restart draws its
+    k-means++ seeds once, up to the largest k, and every k takes the first
+    k of them, the seeds a standalone solve would draw.
     Per-k solver failures (e.g. an unreachable lower capacity limit at
     large k) are recorded, not fatal.  The consensus k is the one chosen
     by the most penalties; ties go to the smaller k.  Every penalty must
@@ -62,14 +65,15 @@ def sweep_k(
     base: dict[int, float] = {}
     solutions: dict[int, Solution] = {}
     errors: dict[int, str] = {}
-    for k in k_values:
-        trial = replace(problem, centers=replace(problem.centers, k=k), opening_penalty=0.0)
-        try:
-            best = solve(trial, config)
-            base[k] = best.objective.total
-            solutions[k] = best
-        except CapclustError as exc:
-            errors[k] = str(exc)
+    with shared_seeding(problem):
+        for k in k_values:
+            trial = replace(problem, centers=replace(problem.centers, k=k), opening_penalty=0.0)
+            try:
+                best = solve(trial, config)
+                base[k] = best.objective.total
+                solutions[k] = best
+            except CapclustError as exc:
+                errors[k] = str(exc)
     penalized: dict[float, dict[int, float]] = {}
     argmin_k: dict[float, int] = {}
     for lam in lambda_grid:

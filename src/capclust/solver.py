@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,119 @@ class SolverConfig:
             raise ValueError("time_budget must be nonnegative")
 
 
+# Key in ``Problem.shared`` of the seeding cache while ``shared_seeding`` is open.
+_SEEDING = "seeding"
+
+
+@contextmanager
+def shared_seeding(problem: Problem):
+    """Let every ``kmeanspp_init`` on problems sharing ``problem.shared`` reuse earlier draws.
+
+    k-means++ draws each seed from a distribution that depends only on the
+    seeds before it, so the seeds for k are the first k seeds for any larger
+    k.  While the block is open, calls that start from the same generator
+    state, placement and fixed centers continue one draw sequence instead of
+    drawing it again: a sweep draws each restart's seeds once, up to its
+    largest k.  The cache goes when the outermost block exits.
+    """
+    if _SEEDING in problem.shared:
+        yield
+        return
+    problem.shared[_SEEDING] = {}
+    try:
+        yield
+    finally:
+        del problem.shared[_SEEDING]
+
+
+def _hashable(value):
+    """A hashable copy of a generator state or an array, equal exactly when the values are."""
+    if isinstance(value, dict):
+        return tuple((key, _hashable(v)) for key, v in sorted(value.items()))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+def _draw(rng: np.random.Generator, masses: np.ndarray, eligible: np.ndarray) -> int | None:
+    """A point drawn with probability proportional to its mass among the eligible ones.
+
+    Without positive mass the draw is uniform over the eligible points;
+    None (and no draw) when none is eligible.
+    """
+    masses = np.where(eligible, masses, 0.0)
+    total = masses.sum()
+    if total <= 0:
+        if not eligible.any():
+            return None
+        masses = eligible.astype(float)
+        total = masses.sum()
+    return int(rng.choice(len(masses), p=masses / total))
+
+
+class _Seeds:
+    """One k-means++ draw sequence, extended one seed at a time on demand.
+
+    ``chosen`` holds the fixed centers, then the drawn seeds in order;
+    ``states[j]`` is the generator state once the first j draws are made,
+    and ``best`` each point's distance to its nearest seed so far.
+    """
+
+    def __init__(self, problem: Problem, rng: np.random.Generator):
+        spec = problem.centers
+        self.problem = problem
+        self.discrete = spec.placement == "discrete"
+        self.n_fixed = spec.n_fixed
+        self.states = [rng.bit_generator.state]
+        self.best = None
+        if self.discrete:
+            self.chosen: list = [int(f) for f in spec.fixed]
+            self.taken = np.zeros(problem.site_costs.shape[1], dtype=bool)
+            self.taken[self.chosen] = True
+            if self.chosen:
+                self.best = np.min(problem.site_costs[:, self.chosen], axis=1)
+        else:
+            self.chosen = [np.asarray(f, dtype=float) for f in spec.fixed]
+            if self.chosen:
+                self.best = metrics.geometric_distances(
+                    problem.metric.kind, problem.coords, np.vstack(self.chosen)).min(axis=1)
+
+    def first(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        """The first k seeds; ``rng`` is left where the last of their draws left it."""
+        if len(self.chosen) < k:
+            rng.bit_generator.state = self.states[-1]
+            while len(self.chosen) < k:
+                self._add(rng)
+                self.states.append(rng.bit_generator.state)
+        rng.bit_generator.state = self.states[k - self.n_fixed]
+        if self.discrete:
+            return np.asarray(self.chosen[:k], dtype=int)
+        return np.vstack(self.chosen[:k])
+
+    def _add(self, rng: np.random.Generator) -> None:
+        problem = self.problem
+        w = problem.effective_weights
+        masses = w * self.best**2 if self.best is not None else w
+        if self.discrete:
+            cand, snap, taken = problem.site_costs, problem.nearest_site, self.taken
+            i = _draw(rng, masses, ~taken[snap])
+            if i is None:
+                unused = np.flatnonzero(~taken)
+                if not unused.size:
+                    raise NotEnoughDistinctSites(f"cannot place {len(self.chosen) + 1} centers on {cand.shape[1]} sites")
+                site = int(unused[0])
+            else:
+                site = int(snap[i])
+            self.chosen.append(site)
+            taken[site] = True
+            d_new = cand[:, site]
+        else:
+            pick = problem.coords[_draw(rng, masses, np.ones(problem.n, dtype=bool))].copy()
+            self.chosen.append(pick)
+            d_new = metrics.geometric_distances(problem.metric.kind, problem.coords, pick[None, :])[:, 0]
+        self.best = d_new if self.best is None else np.minimum(self.best, d_new)
+
+
 def kmeanspp_init(problem: Problem, rng: np.random.Generator):
     """Seed k centers: fixed ones first, the rest by w'-weighted k-means++.
 
@@ -55,59 +169,20 @@ def kmeanspp_init(problem: Problem, rng: np.random.Generator):
     nearest center chosen so far (plain w' for the very first draw).  In
     discrete placement each draw snaps to its nearest candidate site and
     occupied sites are redrawn.
+
+    Inside ``shared_seeding`` a call continues the draw sequence an earlier
+    call started from the same generator state, placement and fixed
+    centers: it returns that sequence's first k seeds and leaves ``rng``
+    exactly as a fresh call would.
     """
     spec = problem.centers
-    k, n = spec.k, problem.n
-    w = problem.effective_weights
-    discrete = spec.placement == "discrete"
-
-    def draw(masses: np.ndarray, eligible: np.ndarray) -> int | None:
-        masses = np.where(eligible, masses, 0.0)
-        total = masses.sum()
-        if total <= 0:
-            if not eligible.any():
-                return None
-            masses = eligible.astype(float)
-            total = masses.sum()
-        return int(rng.choice(n, p=masses / total))
-
-    if discrete:
-        cand, snap = problem.site_costs, problem.nearest_site
-        n_sites = cand.shape[1]
-        chosen: list[int] = [int(f) for f in spec.fixed]
-        taken = np.zeros(n_sites, dtype=bool)
-        taken[chosen] = True
-        best = np.min(cand[:, chosen], axis=1) if chosen else None
-        while len(chosen) < k:
-            masses = w * best**2 if best is not None else w
-            i = draw(masses, ~taken[snap])
-            if i is None:
-                unused = np.flatnonzero(~taken)
-                if not unused.size:
-                    raise NotEnoughDistinctSites(f"cannot place {k} centers on {n_sites} sites")
-                site = int(unused[0])
-            else:
-                site = int(snap[i])
-            chosen.append(site)
-            taken[site] = True
-            d_new = cand[:, site]
-            best = d_new if best is None else np.minimum(best, d_new)
-        return np.asarray(chosen, dtype=int)
-
-    coords = problem.coords
-    kind = problem.metric.kind
-    chosen_xy: list[np.ndarray] = [np.asarray(f, dtype=float) for f in spec.fixed]
-    best = None
-    if chosen_xy:
-        best = metrics.geometric_distances(kind, coords, np.vstack(chosen_xy)).min(axis=1)
-    while len(chosen_xy) < k:
-        masses = w * best**2 if best is not None else w
-        i = draw(masses, np.ones(n, dtype=bool))
-        pick = coords[i].copy()
-        chosen_xy.append(pick)
-        d_new = metrics.geometric_distances(kind, coords, pick[None, :])[:, 0]
-        best = d_new if best is None else np.minimum(best, d_new)
-    return np.vstack(chosen_xy)
+    cache = problem.shared.get(_SEEDING)
+    if cache is None:
+        return _Seeds(problem, rng).first(spec.k, rng)
+    key = (spec.placement, _hashable(np.asarray(spec.fixed, dtype=float)), _hashable(rng.bit_generator.state))
+    if key not in cache:
+        cache[key] = _Seeds(problem, rng)
+    return cache[key].first(spec.k, rng)
 
 
 def _reseed(problem: Problem, contrib: np.ndarray, centers: np.ndarray, emptied: list[int]) -> None:
@@ -306,7 +381,12 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
 
 
 def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
-    """Best of ``config.restarts`` independent k-means++ descents."""
+    """Best of ``config.restarts`` independent k-means++ descents.
+
+    Restart r seeds from the r-th stream spawned from ``config.rng_seed``,
+    whatever k is, so inside ``shared_seeding`` a sweep's solves of one
+    problem take each restart's seeds from a single draw sequence.
+    """
     problem = validate_problem(problem)
     t0 = time.monotonic()
     streams = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)

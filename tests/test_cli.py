@@ -172,11 +172,16 @@ def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
     (["sweep", "--k-range", "1..2", "--lambda-grid", "nan,1"], None, 1),
     (["sweep", "--k-range", "1..2", "--lambda-grid", "inf"], None, 1),
     (["sweep", "--k-range", "1..2", "--lambda-grid", "-5"], None, 1),
+    (["generate", "--spec", "JSON"], '{"scale_range": [0, 1e308]}', 1),
+    (["solve", "--k", "2", "--restarts", "1", "--points", "JSON"], "id,x,y,w\n0,0,0,1.5e308\n1,1,0,1.5e308\n", 1),
+    (["solve", "--k", "2", "--restarts", "1", "--points", "JSON"],
+     "id,x,y,w,gamma,a\n0,0,0,1e306,0,1e306\n1,100,0,1e306,0,1e306\n", 1),
 ], ids=["threshold-radius", "lambda-grid", "restarts-zero", "negative-seed", "config-restarts",
         "config-capacity", "spec-unknown-key", "missing-input", "config-array", "config-syntax",
         "spec-nan-weight", "spec-infinite-weight", "spec-infinite-scale", "spec-nan-grid",
         "spec-negative-weight", "spec-negative-grid", "negative-time-budget", "nan-time-budget",
-        "lambda-grid-nan", "lambda-grid-inf", "lambda-grid-negative"])
+        "lambda-grid-nan", "lambda-grid-inf", "lambda-grid-negative", "spec-huge-scale",
+        "huge-weight-sum", "huge-weight-times-distance"])
 def test_bad_outside_value_fails_cleanly(tmp_path, capsys, argv, text, code):
     (tmp_path / "in.json").write_text(text or "")
     points = tmp_path / "pts.csv"
@@ -189,6 +194,16 @@ def test_bad_outside_value_fails_cleanly(tmp_path, capsys, argv, text, code):
     err = capsys.readouterr().err
     assert err.startswith("parse error: line " if code == 3 else "error: ")
     assert "Traceback" not in err
+
+
+def test_generated_huge_weights_fail_cleanly(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"weight_range": [0, 1e308]}')
+    points = tmp_path / "pts.csv"
+    assert main(["generate", "--spec", str(spec), "--out", str(points)]) == 0
+    code = main(["solve", "--points", str(points), "--k", "2", "--restarts", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_sweep_writes_report(dataset, tmp_path, capsys):

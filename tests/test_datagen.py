@@ -106,6 +106,12 @@ def test_bad_weight_range_and_grid_side_rejected(field, value):
         GenSpec(cluster_sizes=(3,), **{field: value})
 
 
+@pytest.mark.parametrize("scale_range", [(0.0, 1e308), (0.0, 1e200)])
+def test_scale_range_with_non_finite_draws_rejected(scale_range):
+    with pytest.raises(ValueError, match="scale_range too large"):
+        generate_dataset(GenSpec(scale_range=scale_range))
+
+
 def test_zero_weight_low_end_and_positive_grid_side_accepted():
     points, _ = generate_dataset(small_spec(weight_range=(0.0, 2.0), grid_side=7.5))
     assert all(0.0 <= p.w <= 2.0 for p in points)

@@ -93,6 +93,39 @@ def test_non_finite_problem_values_rejected(field, value):
         validate_problem(replace(base, **{field: value}))
 
 
+def _far_site_problem():
+    pts = (Point(0, coords=(0.0, 0.0)), Point(1, coords=(1.0, 0.0)))
+    return Problem(points=pts, metric=euclidean(),
+                   centers=CenterSpec(k=1, placement="discrete", candidates=[[0.0, 0.0], [1e160, 0.0]]))
+
+
+@pytest.mark.parametrize("make", [
+    # The weights alone sum past the largest float.
+    lambda: Problem(points=tuple(Point(i, coords=(float(i), 0.0), w=1.5e308) for i in range(2)),
+                    metric=sqeuclidean(), centers=CenterSpec(k=1)),
+    # The weights sum to a finite number, but w' * d^2 overflows at d = 100^2.
+    lambda: Problem(points=(Point(0, coords=(0.0, 0.0), w=1e306), Point(1, coords=(100.0, 0.0), w=1e306)),
+                    metric=sqeuclidean(), centers=CenterSpec(k=2)),
+    lambda: Problem(points=(Point(0, w=1e300), Point(1, w=1e300)), metric=matrix_metric([[0.0, 1e5], [1e5, 0.0]]),
+                    centers=CenterSpec(k=2, placement="discrete")),
+    # Two close points, but a candidate site far from both.
+    _far_site_problem,
+], ids=["weight-sum", "weight-times-distance", "matrix", "far-site"])
+def test_seeding_masses_that_overflow_are_rejected(make):
+    with pytest.raises(ValidationError, match="not finite"):
+        validate_problem(make())
+
+
+def test_huge_finite_weights_still_solve():
+    from capclust import SolverConfig, solve
+
+    rng = np.random.default_rng(4)
+    pts = tuple(Point(i, coords=tuple(rng.uniform(0.0, 100.0, 2)), w=1e100) for i in range(20))
+    problem = validate_problem(Problem(points=pts, metric=sqeuclidean(), centers=CenterSpec(k=3)))
+    solution = solve(problem, SolverConfig(restarts=2, rng_seed=0))
+    assert math.isfinite(solution.objective.total) and solution.objective.total > 0
+
+
 def test_nan_release_penalty_rejected():
     with pytest.raises(ValidationError):
         validate_problem(Problem(points=(Point(0, coords=(0.0, 0.0)),), metric=sqeuclidean(),

@@ -111,7 +111,7 @@ def test_nonpositive_variance_rejected():
         aic_bic_lambda(-1.0, 10)
 
 
-@pytest.mark.parametrize("sites_metric", ["matrix", "euclidean"])
+@pytest.mark.parametrize("sites_metric", ["matrix", "euclidean", "continuous"])
 def test_sweep_shares_k_independent_data_and_matches_standalone_solves(monkeypatch, sites_metric):
     from capclust import metrics, selection
 
@@ -127,6 +127,8 @@ def test_sweep_shares_k_independent_data_and_matches_standalone_solves(monkeypat
         if sites_metric == "matrix":
             return Problem(points=pts, metric=matrix_metric(costs.copy()),
                            centers=CenterSpec(k=k, placement="discrete"))
+        if sites_metric == "continuous":  # squared Euclidean without candidate sites
+            return Problem(points=pts, metric=sqeuclidean(), centers=CenterSpec(k=k))
         return Problem(points=pts, metric=euclidean(),
                        centers=CenterSpec(k=k, placement="discrete", candidates=sites.copy(),
                                           fixed=(4,), release_penalty=5.0))
@@ -140,11 +142,12 @@ def test_sweep_shares_k_independent_data_and_matches_standalone_solves(monkeypat
     report = sweep_k(problem, range(2, 7), [0.0, 50.0], config)
     monkeypatch.undo()
 
-    assert len(cost_calls) == 1
+    discrete = sites_metric != "continuous"
+    assert len(cost_calls) == discrete
     assert [t.k for t in trials] == [2, 3, 4, 5, 6]
     for trial in trials:
         assert trial.shared is problem.shared
-        assert trial.site_costs is problem.site_costs
+        assert not discrete or trial.site_costs is problem.site_costs
         assert trial.effective_weights is problem.effective_weights and trial.id_order is problem.id_order
     for k in range(2, 7):
         assert report.base_objectives[k] == solve(fresh(k), config).objective.total

@@ -1,12 +1,16 @@
+import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from capclust import (
     CenterSpec, Point, Problem, SolverConfig, descend, euclidean, kmeanspp_init,
-    matrix_metric, solve, sqeuclidean, validate_problem,
+    matrix_metric, solve, sqeuclidean, sweep_k, validate_problem,
 )
+from capclust import selection, solver
+from capclust.solver import shared_seeding
 from capclust.errors import AllRestartsInfeasible
 from oracles import reference_lloyd
 
@@ -143,6 +147,114 @@ def test_kmeanspp_discrete_matches_reference_loop(n_sites, fixed):
         got = kmeanspp_init(prob, np.random.default_rng(seed))
         assert np.array_equal(got, _reference_discrete_seeds(prob, np.random.default_rng(seed)))
         assert np.array_equal(got, _isin_discrete_seeds(prob, np.random.default_rng(seed)))
+
+
+def _seeding_problem(case):
+    """(problem, largest k) for the shared-seeding tests; every k of it shares ``problem.shared``."""
+    rng = np.random.default_rng(12)
+    xy = rng.uniform(0, 10, size=(40, 2))
+    pts = tuple(Point(i, coords=tuple(xy[i]), w=float(rng.uniform(0.5, 2))) for i in range(40))
+    sites = rng.uniform(0, 10, size=(12, 2))
+    centers = {
+        "discrete": CenterSpec(k=1, placement="discrete", candidates=sites),
+        "discrete-fixed": CenterSpec(k=2, placement="discrete", candidates=sites, fixed=(3, 7)),
+        # Every point snaps to site 0, so later seeds take the lowest free site without a draw.
+        "discrete-one-snap": CenterSpec(k=1, placement="discrete",
+                                        candidates=np.array([[5.0, 5.0], [50.0, 0.0], [60.0, 0.0]])),
+        "continuous": CenterSpec(k=1),
+        "continuous-fixed": CenterSpec(k=2, fixed=((2.0, 2.0), (8.0, 5.0))),
+    }[case]
+    return validate_problem(Problem(points=pts, metric=euclidean(), centers=centers)), (3 if "snap" in case else 9)
+
+
+def _with_k(problem, k):
+    return validate_problem(replace(problem, centers=replace(problem.centers, k=k)))
+
+
+SEEDING_CASES = ["discrete", "discrete-fixed", "discrete-one-snap", "continuous", "continuous-fixed"]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+@pytest.mark.parametrize("case", SEEDING_CASES)
+def test_kmeanspp_seeds_for_k_are_the_first_k_of_a_larger_k(case, shared):
+    base, k_max = _seeding_problem(case)
+    ks = range(base.k, k_max + 1)
+    fresh = {}  # (seed, k) -> the seeds and the generator state of a call from a new generator
+    for seed in (0, 1):
+        for k in ks:
+            rng = np.random.default_rng(seed)
+            fresh[seed, k] = kmeanspp_init(_with_k(base, k), rng), rng.bit_generator.state
+    for seed in (0, 1):
+        for k in ks:
+            assert np.array_equal(fresh[seed, k][0], fresh[seed, k_max][0][:k])
+
+    order = [k_max - 1, base.k, k_max, base.k + 1, k_max, k_max - 1]
+    with shared_seeding(base) if shared else contextlib.nullcontext():
+        for k in order:
+            for seed in (0, 1):
+                rng = np.random.default_rng(seed)
+                assert np.array_equal(kmeanspp_init(_with_k(base, k), rng), fresh[seed, k][0])
+                assert rng.bit_generator.state == fresh[seed, k][1]
+        # One draw sequence per starting state.
+        assert len(base.shared.get(solver._SEEDING, ())) == (2 if shared else 0)
+    assert solver._SEEDING not in base.shared
+
+
+def test_shared_seeding_keeps_other_fixed_centers_apart():
+    base, _ = _seeding_problem("discrete-fixed")
+    other = validate_problem(replace(base, centers=replace(base.centers, fixed=(1, 5), k=5)))
+    assert other.shared is base.shared
+    expect = kmeanspp_init(other, np.random.default_rng(0))
+    with shared_seeding(base):
+        kmeanspp_init(_with_k(base, 5), np.random.default_rng(0))
+        assert np.array_equal(kmeanspp_init(other, np.random.default_rng(0)), expect)
+        assert len(base.shared[solver._SEEDING]) == 2
+
+
+@pytest.mark.parametrize("case", ["discrete-fixed", "continuous"])
+def test_sweep_draws_each_restart_seeds_once(monkeypatch, case):
+    base, k_max = _seeding_problem(case)
+    draws, real = [], solver._draw
+    monkeypatch.setattr(solver, "_draw", lambda *a: draws.append(1) or real(*a))
+    config = SolverConfig(restarts=3, rng_seed=2)
+    report = sweep_k(base, range(base.k, k_max + 1), [0.0], config)
+    assert not report.errors
+    assert 0 < len(draws) <= config.restarts * (k_max - base.centers.n_fixed)
+
+
+def test_sweep_removes_the_seeding_cache(monkeypatch):
+    base, _ = _seeding_problem("discrete")
+    config = SolverConfig(restarts=2, rng_seed=0)
+    real = selection.solve
+    opened = []
+
+    def spy(problem, cfg):
+        opened.append(solver._SEEDING in problem.shared)
+        return real(problem, cfg)
+
+    monkeypatch.setattr(selection, "solve", spy)
+    report = sweep_k(base, range(10, 14), [0.0], config)  # 13 centers do not fit on 12 sites
+    assert sorted(report.errors) == [13] and sorted(report.solutions) == [10, 11, 12]
+    assert opened == [True] * 4
+    assert solver._SEEDING not in base.shared
+
+    def fail_at_k3(problem, cfg):
+        if problem.k == 3:
+            raise RuntimeError("stop")
+        return real(problem, cfg)
+
+    monkeypatch.setattr(selection, "solve", fail_at_k3)
+    with pytest.raises(RuntimeError, match="stop"):
+        sweep_k(base, range(2, 5), [0.0], config)
+    assert solver._SEEDING not in base.shared
+
+    # A plain solve seeds without the cache.
+    real_init = solver.kmeanspp_init
+    monkeypatch.setattr(solver, "kmeanspp_init",
+                        lambda problem, rng: opened.append(solver._SEEDING in problem.shared) or real_init(problem, rng))
+    del opened[:]
+    solve(_with_k(base, 4), config)
+    assert opened == [False, False]
 
 
 def test_descend_two_separated_pairs_reaches_midpoints():
