@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest of every file a benchmark workload's commands write.
+
+Writes the workload's seeded inputs with ``bench/workloads.py`` into a
+temporary directory, runs each command through ``capclust.cli.main`` and
+prints one ``<relative path> <sha256>`` line per written file, sorted by
+path.  Two checkouts write byte-identical outputs exactly when their
+digests are equal, so comparing them takes one ``diff``:
+
+    PYTHONPATH=src python3 scripts/output_digest.py --workload cap-fractional --seed 1 > new.txt
+    PYTHONPATH=../other/src python3 scripts/output_digest.py --workload cap-fractional --seed 1 > old.txt
+    diff old.txt new.txt
+
+The capclust package is the one on ``PYTHONPATH``; ``bench/`` is only read.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
+
+from workloads import WORKLOADS, write_inputs  # noqa: E402
+
+from capclust import cli  # noqa: E402
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def digest(workload: str, seed: int, small: bool = False) -> list[str]:
+    """``<relative path> <sha256>`` of each output file, sorted; raises RuntimeError when a command fails."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for j, inst in enumerate(WORKLOADS[workload](seed, small)):
+            write_inputs(inst, os.path.join(tmp, f"in{j}"))
+            out = os.path.join(tmp, f"out{j}")
+            log = io.StringIO()
+            with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+                rc = cli.main(inst.argv(out))
+            if rc != 0:
+                raise RuntimeError(f"command {j} ({' '.join(inst.argv(out))}) exited {rc}:\n{log.getvalue()}")
+            for root, _dirs, files in os.walk(out):
+                for name in files:
+                    path = os.path.join(root, name)
+                    lines.append(f"{os.path.relpath(path, tmp)} {_sha256(path)}")
+    return sorted(lines)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--small", action="store_true", help="one small command per workload")
+    args = parser.parse_args()
+    try:
+        lines = digest(args.workload, args.seed, args.small)
+    except RuntimeError as exc:
+        parser.exit(1, f"{exc}\n")
+    print("\n".join(lines))
+
+
+if __name__ == "__main__":
+    main()

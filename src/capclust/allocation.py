@@ -6,10 +6,12 @@ Three regimes:
   (the outlier column costs lambda_o per unit of effective weight), which is
   exact and identical for hard and fractional membership;
 * capacity window + fractional membership: an exact linear program over the
-  memberships y_ij, solved by HiGHS.  Its rows do not depend on the centers,
-  so a descent builds its model once (``lp_model``), which also runs the
-  checks that depend on the problem alone, and HiGHS re-solves the LP from
-  the last optimal basis for each new set of column costs (a warm start);
+  memberships y_ij, solved by HiGHS.  Its rows depend on neither the centers
+  nor the restart, so a solve builds its model once (``lp_model``), which
+  also runs the checks that depend on the problem alone.  Each descent
+  starts it cold (``_AllocationLP.restart``), and HiGHS then re-solves the
+  LP from the last optimal basis for each new set of column costs (a warm
+  start);
 * capacity window + hard membership: the same program with binary y_ij, a
   mixed-integer program solved by HiGHS through ``scipy.optimize.milp`` to a
   zero optimality gap, after a fast path through the warm-started LP
@@ -118,12 +120,12 @@ def allocate_uncapacitated(problem: Problem, centers, *, distances=None) -> Assi
     y = np.zeros((problem.n, n_cols))
     labels = None
     if problem.coverages.max(initial=1) == 1 and problem.coverages.min(initial=1) == 1:
+        rows = np.arange(problem.n)
+        nearest = np.argmin(D, axis=1)
         if problem.has_outlier_column:
-            cols = np.column_stack([D, np.full(problem.n, problem.outlier_penalty)])
-        else:
-            cols = D
-        nearest = np.argmin(cols, axis=1)
-        y[np.arange(problem.n), nearest] = 1.0
+            # The outlier column sorts last, so a tie d == lambda_o stays with the center.
+            nearest[D[rows, nearest] > problem.outlier_penalty] = problem.k
+        y[rows, nearest] = 1.0
         if problem.membership == HARD:
             labels = nearest
     else:
@@ -174,12 +176,14 @@ class _AllocationLP:
     """The capacitated allocation of one problem in one membership regime.
 
     The constructor runs the checks that depend on the problem alone.  The
-    LP rows do not depend on the centers, so between solves only the costs
-    change and the last optimal basis stays primal feasible: HiGHS passes
-    the model once and re-solves each new cost vector from that basis.
-    Without the private binding every solve goes through ``milp`` cold.
-    ``last_hard`` holds the rows ``pos`` of the last hard assignment made
-    with this model.
+    LP rows depend on neither the centers nor the restart, so between
+    solves only the costs change and the last optimal basis stays primal
+    feasible: HiGHS gets the model once per solve and re-solves each new
+    cost vector from that basis.  ``restart`` begins a descent, whose first
+    LP solves cold, exactly as on a newly passed model.  Without the
+    private binding every solve goes through ``milp`` cold.  ``pos`` and
+    ``zero`` are the rows with a_i > 0 and a_i = 0; ``last_hard`` holds the
+    rows ``pos`` of the last hard assignment made in this descent.
     """
 
     def __init__(self, problem: Problem, membership: str):
@@ -203,7 +207,9 @@ class _AllocationLP:
                                        math.floor(hi + 1e-9) if math.isfinite(hi) else hi, ("ceil(L)", "floor(U)"))
         self.problem = problem
         self.pos = np.flatnonzero(a > 0)
+        self.zero = np.flatnonzero(a == 0)
         self.last_hard = None
+        self._highs = None
         if not self.pos.size:  # every point takes its cheapest columns
             return
         _load_scipy()
@@ -233,6 +239,12 @@ class _AllocationLP:
             raise CapclustError("HiGHS rejected the allocation LP")
         return highs
 
+    def restart(self) -> None:
+        """Begin a descent: forget the last hard assignment and drop HiGHS's basis, so the next LP starts cold."""
+        self.last_hard = None
+        if self._highs is not None and self._highs.clearSolver() == _highspy.HighsStatus.kError:
+            raise CapclustError("HiGHS could not clear the allocation LP's solver data")
+
     def solve(self, cost: np.ndarray) -> np.ndarray:
         """Optimal y over the points with a_i > 0 for the (n, columns) costs; raises Infeasible when there is none."""
         c = cost[self.pos].ravel()
@@ -259,20 +271,20 @@ class _AllocationLP:
 
 
 def lp_model(problem: Problem) -> _AllocationLP | None:
-    """The per-descent model of ``problem`` for ``allocate(..., model=)``; None without a capacity window.
+    """The model of ``problem`` for ``allocate(..., model=)``; None without a capacity window.
 
     Building it runs, once, the checks that allocation calls would raise on.
+    ``solve`` builds one per solve and every descent restarts it.
     """
     return None if problem.capacity is None else _AllocationLP(problem, problem.membership)
 
 
-def _membership(problem: Problem, D: np.ndarray, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(n, columns) memberships: rows with a_i = 0 take their greedy choice, rows ``pos`` hold x."""
+def _membership(problem: Problem, D: np.ndarray, model: _AllocationLP, x: np.ndarray) -> np.ndarray:
+    """(n, columns) memberships: rows ``model.zero`` take their greedy choice, rows ``model.pos`` hold x."""
     y = np.zeros((problem.n, problem.k + (1 if problem.has_outlier_column else 0)))
-    zero = np.flatnonzero(problem.capacity_coeffs == 0)
-    if zero.size:
-        _greedy_rows(D, problem, zero, y)
-    y[pos] = x.reshape(pos.size, -1)
+    if model.zero.size:
+        _greedy_rows(D, problem, model.zero, y)
+    y[model.pos] = x.reshape(model.pos.size, -1)
     return y
 
 
@@ -287,7 +299,7 @@ def allocate_fractional(problem: Problem, centers, *, distances=None, model=None
     if not model.pos.size:
         return allocate_uncapacitated(problem, centers, distances=distances)
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
-    y = _membership(problem, D, model.pos, model.solve(_column_costs(problem, D)))
+    y = _membership(problem, D, model, model.solve(_column_costs(problem, D)))
     return Assignment(y=y, membership=FRACTIONAL, has_outlier=problem.has_outlier_column)
 
 
@@ -373,8 +385,8 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
 
     When ``time_budget`` stops the search, the result is the cheapest of
     HiGHS's incumbent, the greedy one and the last assignment returned with
-    ``model`` (still feasible, since capacities do not depend on the
-    centers), with its gap against the root LP bound.
+    ``model`` since its ``restart`` (still feasible, since capacities do not
+    depend on the centers), with its gap against the root LP bound.
     """
     if problem.capacity is None:
         return allocate_uncapacitated(problem, centers, distances=distances)
@@ -383,7 +395,7 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
         return allocate_uncapacitated(problem, centers, distances=distances)
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
     cost = _column_costs(problem, D)
-    y0 = _membership(problem, D, model.pos, model.solve(cost))
+    y0 = _membership(problem, D, model, model.solve(cost))
     y = np.round(y0)
     if np.all(np.abs(y0 - y) <= 1e-7) and _verify_hard(problem, y):
         diagnostics = {"nodes": 1, "fastpath": "lp_integral"}
@@ -403,14 +415,14 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
                 f"(L={lo:g}, U={hi:g}; capacity coefficients cannot be split)"
             )
         # HiGHS may return -0.0 or values a rounding error away from 0 and 1
-        y = None if res.x is None else _membership(problem, D, model.pos, np.round(res.x) + 0.0)
+        y = None if res.x is None else _membership(problem, D, model, np.round(res.x) + 0.0)
         if res.status == 1:
             # The budget ran out.  The greedy incumbent can be far better than
             # HiGHS's early in the search; the last one keeps a descent from rising.
             incumbents = [] if y is None else [(_objective(problem, cost, y), float(res.mip_gap), y)]
             others = [_greedy_incumbent(problem, D)]
             if model.last_hard is not None:
-                others.append(_membership(problem, D, model.pos, model.last_hard))
+                others.append(_membership(problem, D, model, model.last_hard))
             bound = _objective(problem, cost, y0)
             for other in others:
                 if other is not None:

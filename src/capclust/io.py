@@ -303,28 +303,24 @@ def write_solution(problem: Problem, solution: Solution, path, emit_timing: bool
                 entry += f" orig {repr(float(fx))} {repr(float(fy))}"
         lines.append(entry)
 
-    order = problem.id_order.tolist()
+    order = problem.id_order
+    ids = problem.ids[order]
     lines.append(f"points {problem.n}")
-    for i in order:
-        lines.append(f"p {problem.points[i].id} {repr(float(problem.points[i].w))}")
+    lines.extend(f"p {pid} {w!r}" for pid, w in zip(ids.tolist(), problem.weights[order].tolist()))
 
-    entries = []
-    for i in order:
-        for j in range(problem.k):
-            if y[i, j] > 1e-12:
-                entries.append((problem.points[i].id, j, y[i, j], D[i, j]))
-    lines.append(f"memberships {len(entries)}")
-    for pid, j, val, d in entries:
-        lines.append(f"m {pid} {j} {repr(float(val))} {repr(float(d))}")
+    # Rows in id order, each row's centers in index order.
+    y_sorted = np.asarray(y, dtype=float)[order]
+    rows, cols = np.nonzero(y_sorted[:, :problem.k] > 1e-12)
+    lines.append(f"memberships {rows.size}")
+    lines.extend(
+        f"m {pid} {j} {val!r} {d!r}"
+        for pid, j, val, d in zip(ids[rows].tolist(), cols.tolist(), y_sorted[rows, cols].tolist(),
+                                  D[order[rows], cols].tolist())
+    )
 
-    out_entries = []
-    if solution.assignment.has_outlier:
-        for i in order:
-            if y[i, -1] > 1e-12:
-                out_entries.append((problem.points[i].id, y[i, -1]))
-    lines.append(f"outliers {len(out_entries)}")
-    for pid, val in out_entries:
-        lines.append(f"o {pid} {repr(float(val))}")
+    out_rows = np.flatnonzero(y_sorted[:, -1] > 1e-12) if solution.assignment.has_outlier else np.zeros(0, int)
+    lines.append(f"outliers {out_rows.size}")
+    lines.extend(f"o {pid} {val!r}" for pid, val in zip(ids[out_rows].tolist(), y_sorted[out_rows, -1].tolist()))
 
     loads = solution.assignment.loads(problem.capacity_coeffs)
     lines.append(f"loads {problem.k}")

@@ -48,11 +48,11 @@ def render_plot(problem: Problem, solution: Solution, path) -> None:
     hi = everything.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
 
-    def sx(x: float) -> float:
-        return _MARGIN + (x - lo[0]) / span[0] * (_W - 2 * _MARGIN)
-
-    def sy(y: float) -> float:
-        return _H - _MARGIN - (y - lo[1]) / span[1] * (_H - 2 * _MARGIN)
+    def scaled(at: np.ndarray) -> tuple[list[float], list[float]]:
+        """SVG x and y of each row of ``at``."""
+        sx = _MARGIN + (at[:, 0] - lo[0]) / span[0] * (_W - 2 * _MARGIN)
+        sy = _H - _MARGIN - (at[:, 1] - lo[1]) / span[1] * (_H - 2 * _MARGIN)
+        return sx.tolist(), sy.tolist()
 
     labels = solution.assignment.hard_labels()
     w = problem.weights
@@ -64,20 +64,18 @@ def render_plot(problem: Problem, solution: Solution, path) -> None:
         f'viewBox="0 0 {int(_W)} {int(_H)}">',
         f'<rect width="{int(_W)}" height="{int(_H)}" fill="white"/>',
     ]
-    for i in range(problem.n):
-        cx, cy, r = sx(xy[i, 0]), sy(xy[i, 1]), radii[i]
-        if labels[i] == NOISE_LABEL:
+    for cx, cy, r, label in zip(*scaled(xy), radii.tolist(), labels.tolist()):
+        if label == NOISE_LABEL:
             parts.append(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="none" '
                 f'stroke="#333333" stroke-width="1.2"/>'
             )
         else:
-            color = PALETTE[int(labels[i]) % len(PALETTE)]
+            color = PALETTE[label % len(PALETTE)]
             parts.append(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{color}" fill-opacity="0.75"/>'
             )
-    for j in range(problem.k):
-        cx, cy = sx(centers_xy[j, 0]), sy(centers_xy[j, 1])
+    for j, (cx, cy) in enumerate(zip(*scaled(centers_xy))):
         if j < spec.n_fixed and j not in solution.released:
             parts.append(
                 f'<rect x="{_fmt(cx - 5)}" y="{_fmt(cy - 5)}" width="10" height="10" '

@@ -217,15 +217,17 @@ def _same_input(same_masses: bool, last_flag: bool | None, flag: bool | None) ->
     return bool(same_masses) and last_flag == flag
 
 
-def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution:
+def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=None) -> Solution:
     """Alternate exact allocation and location steps from the given centers.
 
     The (n, k) distance matrix is computed once per center configuration
     and shared by the allocation, the objective evaluations, reseeding and
-    the monotone guard.  A capacitated problem gets one allocation model per
-    descent (``lp_model``): it checks the problem once, re-solves its LP
-    warm for each new set of centers and, under a time budget, falls back to
-    the assignment it returned last, so the objective never rises.
+    the monotone guard.  A capacitated problem takes its allocation model
+    from ``model`` (``lp_model(problem)``, which ``solve`` builds once for
+    all restarts) or builds its own.  The descent starts the model cold
+    (``restart``); it then re-solves its LP warm for each new set of centers
+    and, under a time budget, falls back to the assignment it returned last
+    in this descent, so the objective never rises.
 
     Every center moves by one rule.  It takes its cluster's optimum from
     ``update_center_discrete`` (one product for all moving clusters, whose
@@ -253,7 +255,10 @@ def descend(problem: Problem, initial_centers, config: SolverConfig) -> Solution
     centers = np.array(initial_centers, dtype=int if discrete else float).copy()
     released: set[int] = set()
     D = metrics.distances_to_centers(problem, centers)
-    model = lp_model(problem)
+    if model is None:
+        model = lp_model(problem)
+    if model is not None:
+        model.restart()
     # The location input of each cluster's last update: its masses (NaN
     # before the first update and after a reseed) and, for a fixed center,
     # its released flag; plus whether that update converged.
@@ -386,6 +391,11 @@ def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
     Restart r seeds from the r-th stream spawned from ``config.rng_seed``,
     whatever k is, so inside ``shared_seeding`` a sweep's solves of one
     problem take each restart's seeds from a single draw sequence.
+
+    A capacitated problem gets one allocation model (``lp_model``), built in
+    the first restart and passed to every descent, which starts it cold.
+    When its checks raise ``Infeasible``, no model is kept, so every restart
+    runs them again and fails with the same message.
     """
     problem = validate_problem(problem)
     t0 = time.monotonic()
@@ -393,11 +403,14 @@ def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
     best: Solution | None = None
     failures: list[str] = []
     objectives: list[float] = []
+    model = None
     for r, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         try:
             centers0 = kmeanspp_init(problem, rng)
-            candidate = descend(problem, centers0, config)
+            if model is None:
+                model = lp_model(problem)
+            candidate = descend(problem, centers0, config, model=model)
         except (Infeasible, NoIncumbentWithinBudget) as exc:
             failures.append(f"restart {r}: {exc}")
             objectives.append(math.nan)

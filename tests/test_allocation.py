@@ -334,6 +334,46 @@ def test_greedy_rows_matches_per_row_loop():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("case", ["random", "tied", "at-lambda"])
+@pytest.mark.parametrize("membership", ["hard", "fractional"])
+def test_nearest_column_matches_the_stacked_argmin(case, membership):
+    # Reference: argmin over the distances with the outlier column (lambda_o) appended last.
+    rng = np.random.default_rng(["random", "tied", "at-lambda"].index(case))
+    for _ in range(40):
+        n, k = int(rng.integers(1, 15)), int(rng.integers(1, 6))
+        lam = 2.0 if rng.random() < 0.75 else None
+        if case == "random":
+            D = rng.uniform(0.0, 4.0, size=(n, k))
+        elif case == "tied":
+            D = rng.integers(0, 4, size=(n, k)).astype(float)
+        else:
+            D = np.where(rng.random((n, k)) < 0.5, 2.0, rng.choice([1.0, 3.0], size=(n, k)))
+        prob = matrix_problem(D, lam=lam, membership=membership)
+        cols = D if lam is None else np.column_stack([D, np.full(n, lam)])
+        want = np.argmin(cols, axis=1)
+        got = allocate_uncapacitated(prob, np.arange(k))
+        assert np.array_equal(got.y, np.eye(cols.shape[1])[want])
+        if membership == "hard":
+            assert np.array_equal(got.labels, want)
+        else:
+            assert got.labels is None
+
+
+def test_zero_capacity_rows_come_from_the_model(monkeypatch):
+    # The a_i = 0 rows are found once, when the model is built, not per allocation.
+    prob = matrix_problem([[1.0, 4.0], [9.0, 2.0], [3.0, 1.0]], a=[0.0, 3.0, 2.0], capacity=(0.0, 4.0),
+                          membership="fractional")
+    model = allocation.lp_model(prob)
+    assert model.zero.tolist() == [0] and model.pos.tolist() == [1, 2]
+    real = np.flatnonzero
+    calls = []
+    monkeypatch.setattr(np, "flatnonzero", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    for centers in ([0, 1], [1, 0]):
+        got = allocate_fractional(prob, np.array(centers), model=model)
+        assert got.y[0].tolist() == ([1.0, 0.0] if centers == [0, 1] else [0.0, 1.0])
+    assert calls == []
+
+
 def moving_center_instance(rng):
     """Continuous instance with a_i = 0 rows, q up to 2, and an outlier column half the time."""
     n, k = int(rng.integers(3, 9)), int(rng.integers(2, 4))
@@ -379,6 +419,23 @@ def test_warm_model_matches_milp_as_centers_move(lp_binding, monkeypatch):
             assert ((got.y >= 0.0) & (got.y <= 1.0)).all()
             solved += 1
     assert solved > 60
+
+
+def test_restarted_model_solves_like_a_new_one(lp_binding):
+    # Integer costs tie often, so the LP has many optima and a solve warm
+    # from another cost vector's basis often ends at a different one.
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        xy = rng.integers(0, 4, (30, 2)).astype(float)
+        prob = validate_problem(Problem(
+            points=tuple(Point(i, coords=tuple(xy[i])) for i in range(30)), metric=sqeuclidean(),
+            centers=CenterSpec(k=3), membership="fractional", capacity=(9.0, 11.0)))
+        costs = [rng.integers(0, 5, (30, 3)).astype(float) for _ in range(3)]
+        model = allocation.lp_model(prob)
+        model.solve(costs[0])
+        model.solve(costs[1])
+        model.restart()
+        assert np.array_equal(model.solve(costs[2]), allocation.lp_model(prob).solve(costs[2]))
 
 
 def test_warm_model_infeasible_window_raises(lp_binding, monkeypatch):

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from capclust import (
-    CenterSpec, Point, Problem, SolverConfig, euclidean, solve, sqeuclidean,
+    CenterSpec, Point, Problem, SolverConfig, euclidean, matrix_metric, solve, sqeuclidean,
     validate_problem,
 )
 from capclust.cli import main
@@ -338,6 +338,129 @@ def test_plot_without_outliers_has_no_hollow_markers(tmp_path):
     path = tmp_path / "p.svg"
     render_plot(prob, sol, path)
     assert 'stroke="#333333"' not in path.read_text()
+
+
+def _per_point_rows(problem, solution):
+    """The ``points`` through ``outliers`` blocks of a solution document, one point and column at a time."""
+    from capclust import metrics
+
+    D = metrics.distances_to_centers(problem, solution.centers)
+    y = solution.assignment.y
+    order = problem.id_order.tolist()
+    lines = [f"points {problem.n}"]
+    for i in order:
+        lines.append(f"p {problem.points[i].id} {repr(float(problem.points[i].w))}")
+    entries = []
+    for i in order:
+        for j in range(problem.k):
+            if y[i, j] > 1e-12:
+                entries.append((problem.points[i].id, j, y[i, j], D[i, j]))
+    lines.append(f"memberships {len(entries)}")
+    for pid, j, val, d in entries:
+        lines.append(f"m {pid} {j} {repr(float(val))} {repr(float(d))}")
+    out_entries = []
+    if solution.assignment.has_outlier:
+        for i in order:
+            if y[i, -1] > 1e-12:
+                out_entries.append((problem.points[i].id, y[i, -1]))
+    lines.append(f"outliers {len(out_entries)}")
+    for pid, val in out_entries:
+        lines.append(f"o {pid} {repr(float(val))}")
+    return lines
+
+
+def _per_point_svg(problem, solution):
+    """The SVG of ``render_plot``, scaling and formatting one point and one center at a time."""
+    from capclust.plotting import _H, _MARGIN, _W, PALETTE, _fmt
+
+    xy = problem.coords
+    spec = problem.centers
+    if spec.placement == "discrete":
+        centers_xy = spec.candidates[np.asarray(solution.centers, dtype=int)]
+    else:
+        centers_xy = np.asarray(solution.centers, dtype=float)
+    everything = np.vstack([xy, centers_xy])
+    lo = everything.min(axis=0)
+    span = np.maximum(everything.max(axis=0) - lo, 1e-12)
+
+    def sx(x):
+        return _MARGIN + (x - lo[0]) / span[0] * (_W - 2 * _MARGIN)
+
+    def sy(y):
+        return _H - _MARGIN - (y - lo[1]) / span[1] * (_H - 2 * _MARGIN)
+
+    labels = solution.assignment.hard_labels()
+    w = problem.weights
+    wmax = float(w.max()) if w.size and w.max() > 0 else 1.0
+    radii = 1.5 + 4.5 * np.sqrt(np.maximum(w, 0.0) / wmax)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_W)}" height="{int(_H)}" '
+        f'viewBox="0 0 {int(_W)} {int(_H)}">',
+        f'<rect width="{int(_W)}" height="{int(_H)}" fill="white"/>',
+    ]
+    for i in range(problem.n):
+        cx, cy, r = sx(xy[i, 0]), sy(xy[i, 1]), radii[i]
+        if labels[i] == -1:
+            parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="none" '
+                         f'stroke="#333333" stroke-width="1.2"/>')
+        else:
+            color = PALETTE[int(labels[i]) % len(PALETTE)]
+            parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{color}" fill-opacity="0.75"/>')
+    for j in range(problem.k):
+        cx, cy = sx(centers_xy[j, 0]), sy(centers_xy[j, 1])
+        if j < spec.n_fixed and j not in solution.released:
+            parts.append(f'<rect x="{_fmt(cx - 5)}" y="{_fmt(cy - 5)}" width="10" height="10" '
+                         f'fill="none" stroke="black" stroke-width="2"/>')
+        parts.append(f'<path d="M {_fmt(cx - 6)} {_fmt(cy)} H {_fmt(cx + 6)} M {_fmt(cx)} {_fmt(cy - 6)} '
+                     f'V {_fmt(cy + 6)}" stroke="black" stroke-width="2.2"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _output_cases():
+    rng = np.random.default_rng(74)
+    blobs = [tuple(rng.normal(c, 0.6)) for c in [(0, 0), (6, 0), (3, 5)] for _ in range(12)]
+    far = [(20.0, 20.0), (-15.0, 9.0)]
+    pts = tuple(Point(i, coords=xy, w=float(rng.uniform(0.5, 3))) for i, xy in enumerate(blobs + far))
+    # hard membership, outliers, one fixed center released and one kept fixed
+    yield "hard-outlier-released", Problem(
+        points=pts, metric=euclidean(), outlier_penalty=4.0,
+        centers=CenterSpec(k=3, fixed=((9.0, 9.0), (6.0, 0.0)), release_penalty=0.5))
+    yield "fractional-capacity", Problem(
+        points=pts[:-2], metric=sqeuclidean(), membership="fractional", capacity=(10.0, 30.0),
+        centers=CenterSpec(k=3))
+    D = rng.uniform(1.0, 9.0, size=(20, 6))
+    yield "matrix", Problem(points=tuple(Point(i, w=float(rng.uniform(1, 2))) for i in range(20)),
+                            metric=matrix_metric(D), outlier_penalty=3.0,
+                            centers=CenterSpec(k=3, placement="discrete"))
+    ids = rng.permutation(1000)[:len(pts)] * 7 + 3
+    yield "unsorted-ids", Problem(
+        points=tuple(Point(int(pid), coords=p.coords, w=p.w) for pid, p in zip(ids, pts)),
+        metric=euclidean(), outlier_penalty=4.0, centers=CenterSpec(k=3))
+
+
+@pytest.mark.parametrize("name, problem", list(_output_cases()), ids=lambda v: v if isinstance(v, str) else "")
+def test_written_files_equal_the_per_point_loops(tmp_path, name, problem):
+    prob = validate_problem(problem)
+    sol = solve(prob, SolverConfig(restarts=2, rng_seed=5))
+    assigned = sol.assignment.y[:, :prob.k]
+    if name == "hard-outlier-released":
+        assert sol.released == {1}  # the far fixed center stays, the one in a blob moves
+    if prob.has_outlier_column:
+        assert sol.assignment.outlier_column.any()
+    if name == "fractional-capacity":
+        assert ((assigned > 0) & (assigned < 1)).any()
+    if name == "unsorted-ids":
+        assert prob.id_order.tolist() != list(range(prob.n))
+    path = tmp_path / "solution.txt"
+    write_solution(prob, sol, path)
+    lines = path.read_text().splitlines()
+    start = lines.index(f"points {prob.n}")
+    end = next(i for i, line in enumerate(lines) if line.startswith("loads "))
+    assert lines[start:end] == _per_point_rows(prob, sol)
+    if prob.coords is not None:
+        render_plot(prob, sol, tmp_path / "plot.svg")
+        assert (tmp_path / "plot.svg").read_text() == _per_point_svg(prob, sol)
 
 
 # Short byte strings that break CSV and document syntax: separators, line

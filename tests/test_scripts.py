@@ -1,4 +1,4 @@
-"""Smoke tests: each experiment script under ``scripts/`` runs end to end with tiny flags."""
+"""Smoke tests: each script under ``scripts/`` runs end to end with tiny flags."""
 
 import os
 import subprocess
@@ -31,3 +31,17 @@ def test_recycling_benchmark_names_the_files_it_needs(tmp_path):
     assert done.returncode != 0
     assert "points.csv" in done.stderr and "matrix.csv" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("workload, files", [
+    ("cap-fractional", ["out0/plot.svg", "out0/solution.txt"]),
+    ("matrix-sweep", ["out0/solution_k2.txt", "out0/sweep.txt"]),
+])
+def test_output_digest_lists_every_written_file(tmp_path, workload, files):
+    runs = [run_script("output_digest.py", "--workload", workload, "--seed", "1", "--small", cwd=tmp_path)
+            for _ in range(2)]
+    assert all(done.returncode == 0 for done in runs), runs[0].stderr
+    lines = runs[0].stdout.splitlines()
+    assert [line.split(" ")[0] for line in lines] == files
+    assert all(len(line.split(" ")[1]) == 64 for line in lines)
+    assert runs[1].stdout == runs[0].stdout

@@ -582,6 +582,20 @@ def test_problem_checks_run_once_per_descent(monkeypatch, membership):
     assert [len(calls) for calls in checks] == [2 * count for count in per_model]
 
 
+@pytest.mark.parametrize("membership", ["fractional", "hard"])
+def test_problem_checks_run_once_per_solve(monkeypatch, membership):
+    from capclust import allocation
+
+    prob = _capacitated_blobs(membership)
+    checks = [_counting(monkeypatch, allocation, name) for name in ("_check_coverage", "_aggregate_certificate")]
+    allocation.lp_model(prob)
+    per_model = [len(calls) for calls in checks]
+    descents = _counting(monkeypatch, solver, "descend")
+    solve(prob, SolverConfig(restarts=4, rng_seed=3))
+    assert len(descents) == 4
+    assert [len(calls) for calls in checks] == [2 * count for count in per_model]
+
+
 def test_emptied_centers_take_distinct_free_sites():
     # Two tight groups and two far sites: both far centers empty at once and
     # must not both land on the costliest point's site, held by another center.
@@ -639,29 +653,119 @@ def _capacitated_blobs(membership, outlier=None):
                               outlier_penalty=outlier)
 
 
-@pytest.mark.parametrize("membership", ["fractional", "hard"])
-def test_descend_builds_one_lp_model(monkeypatch, lp_binding, membership):
-    from capclust import allocation, solver
+def _count_models(monkeypatch):
+    """Count the allocation models built from now on."""
+    from capclust import allocation
 
-    built, passed = [], []
+    built = []
 
     class Counting(allocation._AllocationLP):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
 
+    monkeypatch.setattr(allocation, "_AllocationLP", Counting)
+    return built
+
+
+@pytest.mark.parametrize("membership", ["fractional", "hard"])
+def test_descend_builds_one_lp_model(monkeypatch, lp_binding, membership):
+    from capclust import allocation, solver
+
+    built, passed = _count_models(monkeypatch), []
+
     def spy(*args, model=None, **kwargs):
         passed.append(model)
         return allocation.allocate(*args, model=model, **kwargs)
 
-    monkeypatch.setattr(allocation, "_AllocationLP", Counting)
     monkeypatch.setattr(solver, "allocate", spy)
     prob = _capacitated_blobs(membership)
     sol = descend(prob, kmeanspp_init(prob, np.random.default_rng(3)), SolverConfig())
     assert sol.diagnostics["iterations"] >= 2
     assert len(built) == 1
     assert len(passed) >= 2 and all(model is passed[0] for model in passed)
-    assert isinstance(passed[0], Counting)
+    assert isinstance(passed[0], allocation._AllocationLP)
+
+
+@pytest.mark.parametrize("membership", ["fractional", "hard"])
+def test_solve_builds_one_lp_model(monkeypatch, lp_binding, membership):
+    built = _count_models(monkeypatch)
+    descents = _counting(monkeypatch, solver, "descend")
+    sol = solve(_capacitated_blobs(membership), SolverConfig(restarts=4, rng_seed=8))
+    assert len(descents) == 4 and not sol.diagnostics["restart_failures"]
+    assert len(built) == 1
+
+
+def test_sweep_builds_one_lp_model_per_k(monkeypatch):
+    built = _count_models(monkeypatch)
+    prob = replace(_capacitated_blobs("fractional"), capacity=(5.0, 30.0))
+    report = sweep_k(prob, range(2, 5), [0.0], SolverConfig(restarts=3, rng_seed=8))
+    assert sorted(report.solutions) == [2, 3, 4]
+    assert len(built) == 3
+
+
+def _tied_matrix_problem(membership):
+    """Integer site costs: the allocation LP has many optima, and a warm basis often ends at another one."""
+    rng = np.random.default_rng(0)
+    D = rng.integers(0, 5, (30, 8)).astype(float)
+    return validate_problem(Problem(points=tuple(Point(i) for i in range(30)), metric=matrix_metric(D),
+                                    centers=CenterSpec(k=3, placement="discrete"), membership=membership,
+                                    capacity=(9.0, 11.0)))
+
+
+@pytest.mark.parametrize("membership, outlier, budget", [
+    ("fractional", None, None), ("fractional", 30.0, None), ("hard", None, None), ("hard", 30.0, None),
+    ("hard", None, 0.0), ("fractional", "tied", None), ("hard", "tied", None),
+])
+def test_shared_model_solves_like_a_model_per_descent(monkeypatch, lp_binding, membership, outlier, budget):
+    prob = _tied_matrix_problem(membership) if outlier == "tied" else _capacitated_blobs(membership, outlier)
+    config = SolverConfig(restarts=4, rng_seed=8, time_budget=budget)
+    shared = solve(prob, config)
+    real = solver.descend
+    monkeypatch.setattr(solver, "descend", lambda problem, centers, cfg, *, model=None: real(problem, centers, cfg))
+    own = solve(prob, config)
+    assert np.array_equal(shared.centers, own.centers)
+    assert np.array_equal(shared.assignment.y, own.assignment.y)
+    assert shared.diagnostics["restart_objectives"] == own.diagnostics["restart_objectives"]
+    assert shared.diagnostics["objective_trace"] == own.diagnostics["objective_trace"]
+
+
+@pytest.mark.parametrize("budget", [None, 0.0])
+def test_each_descent_starts_without_a_last_hard_assignment(monkeypatch, lp_binding, budget):
+    from capclust import allocation
+
+    seen = []  # per descent, the model's last_hard at each allocation
+    real_descend = solver.descend
+
+    def descend_spy(*args, **kwargs):
+        seen.append([])
+        return real_descend(*args, **kwargs)
+
+    def allocate_spy(*args, model=None, **kwargs):
+        seen[-1].append(model.last_hard)
+        return allocation.allocate(*args, model=model, **kwargs)
+
+    monkeypatch.setattr(solver, "descend", descend_spy)
+    monkeypatch.setattr(solver, "allocate", allocate_spy)
+    solve(_capacitated_blobs("hard"), SolverConfig(restarts=4, rng_seed=8, time_budget=budget))
+    assert len(seen) == 4
+    for calls in seen:
+        assert len(calls) >= 2
+        assert calls[0] is None
+        assert all(last is not None for last in calls[1:])
+
+
+@pytest.mark.parametrize("membership", ["fractional", "hard"])
+def test_infeasible_window_fails_every_restart_alike(lp_binding, membership):
+    from capclust import allocation
+    from capclust.errors import Infeasible
+
+    prob = replace(_capacitated_blobs(membership), capacity=(20.0, 30.0))  # 3 centers hold at least 60 > 45
+    with pytest.raises(Infeasible) as direct:
+        allocation.lp_model(prob)
+    with pytest.raises(AllRestartsInfeasible) as err:
+        solve(prob, SolverConfig(restarts=3, rng_seed=8))
+    assert str(err.value) == "; ".join(f"restart {r}: {direct.value}" for r in range(3))
 
 
 @pytest.mark.parametrize("membership, outlier", [("fractional", None), ("fractional", 30.0), ("hard", None)])
