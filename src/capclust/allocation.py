@@ -92,11 +92,12 @@ def _column_costs(problem: Problem, D: np.ndarray) -> np.ndarray:
 
 
 def _check_coverage(problem: Problem) -> int:
+    """The largest coverage q_i; raises QExceedsK when it exceeds the columns."""
     n_cols = problem.k + (1 if problem.has_outlier_column else 0)
     worst = int(problem.coverages.max(initial=1))
     if worst > n_cols:
         raise QExceedsK(f"coverage q={worst} exceeds the {n_cols} available columns")
-    return n_cols
+    return worst
 
 
 def _greedy_rows(D: np.ndarray, problem: Problem, rows: np.ndarray, y: np.ndarray) -> None:
@@ -115,11 +116,11 @@ def _greedy_rows(D: np.ndarray, problem: Problem, rows: np.ndarray, y: np.ndarra
 
 
 def allocate_uncapacitated(problem: Problem, centers, *, distances=None) -> Assignment:
-    n_cols = _check_coverage(problem)
+    q_max = _check_coverage(problem)
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
-    y = np.zeros((problem.n, n_cols))
+    y = np.zeros((problem.n, problem.k + (1 if problem.has_outlier_column else 0)))
     labels = None
-    if problem.coverages.max(initial=1) == 1 and problem.coverages.min(initial=1) == 1:
+    if q_max == 1:  # validation keeps every q_i >= 1, so every q_i is 1
         rows = np.arange(problem.n)
         nearest = np.argmin(D, axis=1)
         if problem.has_outlier_column:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -213,7 +214,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="capclust", description="Capacitated, constrained spatial clustering")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -234,8 +237,11 @@ def main(argv=None) -> int:
     p_eval = sub.add_parser("evaluate", help="score a solution document against ground truth")
     p_eval.add_argument("--solution", required=True)
     p_eval.add_argument("--truth", required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         args._config = io.load_json_object(args.config, "config") if getattr(args, "config", None) else {}
         if args.command == "solve":

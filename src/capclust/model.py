@@ -233,7 +233,8 @@ class Assignment:
     column and rows have k+1 entries; otherwise k entries.  Row sums equal
     each point's coverage q_i.  ``labels``, when set, is the column of each
     row's single 1 (the outlier column is k): a hard assignment with q = 1
-    carries it, so evaluation indexes the distances instead of multiplying y.
+    carries it, so evaluation indexes the distances instead of multiplying y
+    and the descent takes its masses from it.
     """
 
     y: np.ndarray
@@ -465,6 +466,23 @@ def _ordered_sum(problem: Problem, per_point: np.ndarray) -> float:
     return float(np.sum(per_point[problem.id_order]))
 
 
+def point_costs(problem: Problem, assignment: Assignment, distances: np.ndarray) -> np.ndarray:
+    """Each point's distance cost sum_j w'_i d(x_i, c_j) y_ij, from the raw (n, k) distances.
+
+    A one-hot row sums to its single entry exactly, so with ``labels`` one
+    gather gives the same bits as the dense product; an outlier costs 0 here.
+    """
+    w = problem.effective_weights
+    labels = assignment.labels
+    if labels is None:
+        return (w[:, None] * distances * assignment.center_block).sum(axis=1)
+    rows = np.arange(len(labels))
+    if not assignment.has_outlier:
+        return w * distances[rows, labels]
+    real = labels < assignment.n_centers
+    return np.where(real, w * distances[rows, np.minimum(labels, assignment.n_centers - 1)], 0.0)
+
+
 def evaluate_parts(
     problem: Problem, centers, assignment: Assignment, released, *, distances=None
 ) -> ObjectiveBreakdown:
@@ -486,22 +504,15 @@ def evaluate_parts(
 
     if distances is None:
         distances = metrics.distances_to_centers(problem, centers)
-    w = problem.effective_weights
-    labels = assignment.labels
-    if labels is None:
-        per_point = (w[:, None] * distances * assignment.center_block).sum(axis=1)
-        outlier_share = assignment.outlier_column
-    else:
-        # A one-hot row sums to its single entry exactly, so indexing by label
-        # gives the same bits as the dense product.
-        real = np.flatnonzero(labels < k)
-        per_point = np.zeros(problem.n)
-        per_point[real] = w[real] * distances[real, labels[real]]
-        outlier_share = (labels == k).astype(float)
-    distance_term = _ordered_sum(problem, per_point)
+    distance_term = _ordered_sum(problem, point_costs(problem, assignment, distances))
 
     if problem.has_outlier_column:
-        outlier_term = problem.outlier_penalty * _ordered_sum(problem, w * outlier_share)
+        w = problem.effective_weights
+        if assignment.labels is None:
+            outlier_mass = w * assignment.outlier_column
+        else:
+            outlier_mass = np.where(assignment.labels == k, w, 0.0)
+        outlier_term = problem.outlier_penalty * _ordered_sum(problem, outlier_mass)
     else:
         outlier_term = 0.0
 

@@ -21,7 +21,7 @@ from . import metrics
 from .allocation import allocate, lp_model
 from .errors import AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget, NotEnoughDistinctSites
 from .location import cluster_cost_continuous, decide_release, update_center_continuous, update_center_discrete
-from .model import Assignment, Problem, Solution, evaluate_parts, validate_problem
+from .model import Assignment, Problem, Solution, evaluate_parts, point_costs, validate_problem
 
 
 @dataclass(frozen=True)
@@ -217,17 +217,60 @@ def _same_input(same_masses: bool, last_flag: bool | None, flag: bool | None) ->
     return bool(same_masses) and last_flag == flag
 
 
+def _changed_clusters(assignment: Assignment, w: np.ndarray, last):
+    """Which clusters' masses changed since the last iteration, which hold mass, and this iteration's input.
+
+    The input is the assignment's ``labels`` when it carries them: a cluster
+    changed when a point with w' > 0 entered or left it.  Otherwise it is the
+    dense (k, n) masses y_ij w'_i, compared row by row.  ``last`` is the
+    input of the last iteration (None in the first, when every cluster changed).
+    """
+    k = assignment.n_centers
+    labels = assignment.labels
+    if labels is None:
+        masses = np.empty((k, len(w)))
+        np.multiply(assignment.center_block.T, w, out=masses)
+        filled = (masses > 0).any(axis=1)
+        if last is None:
+            return np.ones(k, dtype=bool), filled, masses
+        return ~(masses == last).all(axis=1), filled, masses
+    counted = w > 0
+    filled = np.bincount(labels[counted], minlength=k + 1)[:k] > 0
+    if last is None:
+        return np.ones(k, dtype=bool), filled, labels
+    switched = counted & (labels != last)
+    changed = np.zeros(k + 1, dtype=bool)  # the last slot is the outlier column
+    changed[labels[switched]] = True
+    changed[last[switched]] = True
+    return changed[:k], filled, labels
+
+
+def _cluster_masses(current: np.ndarray, w: np.ndarray, clusters: list[int], k: int) -> np.ndarray:
+    """The masses y_ij w'_i of ``clusters``, one row each, from an input of ``_changed_clusters``."""
+    if current.ndim == 2:
+        return current[clusters]
+    row = np.full(k + 1, -1)
+    row[clusters] = np.arange(len(clusters))
+    member = row[current]
+    points = np.flatnonzero(member >= 0)
+    masses = np.zeros((len(clusters), len(current)))
+    masses[member[points], points] = w[points]
+    return masses
+
+
 def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=None) -> Solution:
     """Alternate exact allocation and location steps from the given centers.
 
-    The (n, k) distance matrix is computed once per center configuration
-    and shared by the allocation, the objective evaluations, reseeding and
-    the monotone guard.  A capacitated problem takes its allocation model
-    from ``model`` (``lp_model(problem)``, which ``solve`` builds once for
-    all restarts) or builds its own.  The descent starts the model cold
-    (``restart``); it then re-solves its LP warm for each new set of centers
-    and, under a time budget, falls back to the assignment it returned last
-    in this descent, so the objective never rises.
+    The (n, k) distance matrix is computed once, for the initial centers,
+    and after each location step only the columns of the centers that moved
+    are computed again; it is shared by the allocation, the objective
+    evaluations, reseeding and the monotone guard.  A capacitated problem
+    takes its allocation model from ``model`` (``lp_model(problem)``, which
+    ``solve`` builds once for all restarts) or builds its own.  The descent
+    starts the model cold (``restart``); it then re-solves its LP warm for
+    each new set of centers and, under a time budget, falls back to the
+    assignment it returned last in this descent, so the objective never
+    rises.
 
     Every center moves by one rule.  It takes its cluster's optimum from
     ``update_center_discrete`` (one product for all moving clusters, whose
@@ -243,7 +286,9 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     fixed center) equals the input of its last update keeps its center: the
     location step is deterministic and the guard only ever keeps the
     previous center, so recomputing would return the center it already
-    holds.
+    holds.  An assignment with ``labels`` gives the masses straight from
+    them, for the moving clusters only (``_changed_clusters``,
+    ``_cluster_masses``).
     """
     problem = validate_problem(problem)
     spec = problem.centers
@@ -259,13 +304,11 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
         model = lp_model(problem)
     if model is not None:
         model.restart()
-    # The location input of each cluster's last update: its masses (NaN
-    # before the first update and after a reseed) and, for a fixed center,
-    # its released flag; plus whether that update converged.
-    last_masses = np.full((k, problem.n), np.nan)
-    # Each iteration's masses, one row per cluster, so the per-cluster
-    # reductions run along rows.
-    masses = np.empty((k, problem.n))
+    # The last iteration's location input (labels or masses) and the
+    # clusters it reseeded; each cluster's released flag at its last update
+    # and whether that update converged.
+    last_input = None
+    reseeded: list[int] = []
     last_flag: list[bool | None] = [None] * k
     last_unconverged = [False] * k
 
@@ -290,31 +333,31 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
 
         new_centers = centers.copy()
         new_released = set(released)
-        np.multiply(assignment.center_block.T, w, out=masses)
-        filled = (masses > 0).any(axis=1)
-        same = (masses == last_masses).all(axis=1)
+        changed, filled, current = _changed_clusters(assignment, w, last_input)
+        changed[reseeded] = True  # a reseeded center moved although its input may repeat
         moving, emptied = [], []  # clusters that take their optimum or a reseed below
         for j in range(k):
             flag = j in released if j < m else None
-            if _same_input(same[j], last_flag[j], flag):
+            if _same_input(not changed[j], last_flag[j], flag):
                 diag["weiszfeld_unconverged"] += last_unconverged[j]
             elif j < m and (math.isinf(spec.release_penalty) or not filled[j]):
                 # Nothing can release this center, so it stays where it is fixed.
                 new_centers[j] = spec.fixed[j]
                 new_released.discard(j)
-                last_masses[j], last_flag[j], last_unconverged[j] = masses[j], flag, False
+                last_flag[j], last_unconverged[j] = flag, False
             elif not filled[j]:
                 emptied.append(j)
             else:
                 moving.append(j)
+        last_input, reseeded = current, emptied
         if emptied:
-            _reseed(problem, (w[:, None] * D * assignment.center_block).sum(axis=1), new_centers, emptied)
+            _reseed(problem, point_costs(problem, assignment, D), new_centers, emptied)
             diag["empty_reseeds"] += len(emptied)
-            last_masses[emptied] = np.nan
 
+        masses = _cluster_masses(current, w, moving, k)
         if discrete and moving:
             # One product prices every site for every moving cluster.
-            sites, totals = update_center_discrete(problem.site_costs, masses[moving].T)
+            sites, totals = update_center_discrete(problem.site_costs, masses.T)
         for r, j in enumerate(moving):
             flag = j in released if j < m else None
             unconverged = False
@@ -323,8 +366,8 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
                 if j < m:
                     gain = totals[r, spec.fixed[j]] - totals[r, sites[r]]
             else:
-                nz = masses[j] > 0
-                rows, mass = problem.coords[nz], masses[j, nz]
+                nz = masses[r] > 0
+                rows, mass = problem.coords[nz], masses[r, nz]
                 update = update_center_continuous(kind, rows, mass)
                 unconverged = not update.converged
                 # Keep the current location on the rare non-improving update
@@ -341,15 +384,17 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
                     new_released.discard(j)
                     new_centers[j] = spec.fixed[j]
             diag["weiszfeld_unconverged"] += unconverged
-            last_masses[j], last_flag[j], last_unconverged[j] = masses[j], flag, unconverged
+            last_flag[j], last_unconverged[j] = flag, unconverged
 
-        D = metrics.distances_to_centers(problem, new_centers)
+        moved = np.flatnonzero(new_centers != centers if discrete else (new_centers != centers).any(axis=1))
+        if moved.size:
+            D[:, moved] = metrics.distances_to_centers(problem, new_centers[moved])
         after_loc = evaluate_parts(problem, new_centers, assignment, new_released, distances=D)
         diag["objective_trace"].append(after_loc.total)
         diag["center_trace"].append(new_centers.copy())
 
         if discrete:
-            unchanged = bool(np.array_equal(new_centers, centers)) and new_released == released
+            unchanged = not moved.size and new_released == released
         else:
             move = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
             unchanged = move < 1e-9 * problem.diameter and new_released == released

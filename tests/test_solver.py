@@ -513,6 +513,30 @@ def test_reseeded_cluster_is_recomputed(monkeypatch):
     assert trace[2][1].tolist() == [1.0, 0.0]
 
 
+
+@pytest.mark.parametrize("with_labels", [False, True])
+def test_a_center_empty_twice_is_reseeded_twice(monkeypatch, with_labels):
+    # Cluster 1 is empty in two iterations in a row: its (empty) input
+    # repeats, but the center it holds is a reseed, so it is reseeded again.
+    from capclust import solver
+    from capclust.model import Assignment
+
+    pts = (Point(0, coords=(0.0, 0.0)), Point(1, coords=(2.0, 0.0)),
+           Point(2, coords=(10.0, 0.0)), Point(3, coords=(12.0, 0.0)))
+    prob = continuous_problem(pts, k=2)
+    split, merged = [1, 1, 0, 0], [0, 0, 0, 0]
+    script = [split, merged, merged]
+
+    def scripted(problem, centers, time_budget=None, *, distances=None, model=None):
+        labels = np.array(script.pop(0) if script else split)
+        return Assignment(y=np.eye(2)[labels], membership=problem.membership, has_outlier=False,
+                          labels=labels if with_labels else None)
+
+    monkeypatch.setattr(solver, "allocate", scripted)
+    sol = descend(prob, np.array([[10.0, 0.0], [0.5, 0.0]]),
+                  SolverConfig(max_iterations=3, convergence_tol=-np.inf))
+    assert sol.diagnostics["empty_reseeds"] == 2
+
 @pytest.mark.parametrize("max_iterations", [1, 6])
 def test_truncated_allocation_never_raises_the_objective(monkeypatch, max_iterations):
     # From its second call on, HiGHS's MIP stops as if on the budget with a
@@ -644,6 +668,105 @@ def test_skipping_matches_a_full_location_step(monkeypatch, unconverged):
             assert all(np.array_equal(a, b) for a, b in zip(got_centers, ref_centers))
             assert np.array_equal(got.centers, reference.centers)
             assert got.released == reference.released
+
+
+def _label_cases():
+    """(problem, initial centers) pairs whose descents take every branch of the location step.
+
+    Points with w' = 0 sit between the blobs, so they change cluster as the
+    centers move; fixed centers have a finite release penalty; far initial
+    centers empty and are reseeded.
+    """
+    rng = np.random.default_rng(33)
+    pts = blob_points(rng, [(0, 0), (7, 0), (3, 6), (9, 7)], per=25)
+    between = [Point(1000 + i, coords=(float(x), float(y)), w=0.0)
+               for i, (x, y) in enumerate(rng.uniform([0, 0], [9, 7], size=(12, 2)))]
+    pts = pts + tuple(between) + (Point(2000, coords=(30.0, 30.0)),)
+    free = continuous_problem(pts, metric=euclidean(), k=5, outlier_penalty=4.0,
+                              center_kw={"fixed": ((3.0, 3.0), (8.0, 1.0)), "release_penalty": 6.0})
+    for seed in range(3):
+        yield free, kmeanspp_init(free, np.random.default_rng(seed))
+    far = np.array([[3.0, 3.0], [8.0, 1.0], [0.5, 0.5], [60.0, 60.0], [70.0, -60.0]])
+    yield free, far
+    sq = continuous_problem(pts, metric=sqeuclidean(), k=4)
+    yield sq, np.array([[1.0, 1.0], [6.0, 1.0], [4.0, 5.0], [80.0, 80.0]])
+    sites = np.vstack([rng.uniform(-1, 10, size=(15, 2)), [[50.0, 50.0], [60.0, -40.0]]])
+    discrete = validate_problem(Problem(points=pts, metric=euclidean(), outlier_penalty=5.0,
+                                        centers=CenterSpec(k=5, placement="discrete", candidates=sites,
+                                                           fixed=(2,), release_penalty=5.0)))
+    for seed in range(3):
+        yield discrete, kmeanspp_init(discrete, np.random.default_rng(seed))
+    yield discrete, np.array([2, 0, 1, 15, 16])
+
+
+def test_label_path_matches_the_dense_path(monkeypatch):
+    # The same descents with the labels stripped from every assignment take
+    # the dense path: every center and count must come out the same.
+    from capclust import allocation, solver
+
+    seen = []
+
+    def recording(*args, **kwargs):
+        got = allocation.allocate(*args, **kwargs)
+        seen.append(got.labels)
+        return got
+
+    reseeds = released = weightless_moves = 0
+    for prob, centers0 in _label_cases():
+        seen.clear()
+        monkeypatch.setattr(solver, "allocate", recording)
+        labelled = descend(prob, centers0, SolverConfig())
+        monkeypatch.setattr(solver, "allocate", lambda *a, **kw: replace(allocation.allocate(*a, **kw), labels=None))
+        dense = descend(prob, centers0, SolverConfig())
+        assert all(labels is not None for labels in seen)
+        for name in ("objective_trace", "empty_reseeds", "weiszfeld_unconverged", "iterations", "stop"):
+            assert labelled.diagnostics[name] == dense.diagnostics[name], name
+        trace, dense_trace = labelled.diagnostics["center_trace"], dense.diagnostics["center_trace"]
+        assert len(trace) == len(dense_trace)
+        assert all(np.array_equal(a, b) for a, b in zip(trace, dense_trace))
+        assert np.array_equal(labelled.centers, dense.centers)
+        assert labelled.released == dense.released
+        assert labelled.objective == dense.objective
+        reseeds += labelled.diagnostics["empty_reseeds"]
+        released += bool(labelled.released)
+        weightless = prob.effective_weights == 0
+        weightless_moves += sum(bool((a[weightless] != b[weightless]).any()) for a, b in zip(seen, seen[1:]))
+    assert reseeds and released and weightless_moves
+
+
+def test_distance_columns_only_for_moved_centers(monkeypatch):
+    # After the initial matrix, a descent computes the distance columns of
+    # the centers that moved and no others; the matrix it evaluates with
+    # stays equal to a full recomputation.
+    from capclust import metrics, solver
+
+    full = metrics.distances_to_centers
+    real_evaluate = solver.evaluate_parts
+    asked = []
+
+    def evaluating(problem, centers, assignment, released, *, distances=None):
+        assert np.array_equal(distances, full(problem, centers))
+        return real_evaluate(problem, centers, assignment, released, distances=distances)
+
+    monkeypatch.setattr(metrics, "distances_to_centers", lambda problem, centers: asked.append(centers.copy())
+                        or full(problem, centers))
+    monkeypatch.setattr(solver, "evaluate_parts", evaluating)
+    idle = 0
+    cases = [*_label_cases(), (_capacitated_blobs("fractional"), np.array([[1.0, 1.0], [5.0, 1.0], [3.0, 5.0]]))]
+    for prob, centers0 in cases:
+        asked.clear()
+        sol = descend(prob, centers0, SolverConfig())
+        assert np.array_equal(asked[0], centers0)
+        expected, before = [], np.asarray(centers0)
+        for after in sol.diagnostics["center_trace"]:
+            moved = after != before if after.ndim == 1 else (after != before).any(axis=1)
+            if moved.any():
+                expected.append(after[moved])
+            idle += not moved.any()
+            before = after
+        assert len(asked) == 1 + len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(asked[1:], expected))
+    assert idle
 
 
 def _capacitated_blobs(membership, outlier=None):
