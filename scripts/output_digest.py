@@ -11,7 +11,8 @@ digests are equal, so comparing them takes one ``diff``:
     PYTHONPATH=../other/src python3 scripts/output_digest.py --workload cap-fractional --seed 1 > old.txt
     diff old.txt new.txt
 
-The capclust package is the one on ``PYTHONPATH``; ``bench/`` is only read.
+The capclust package is the one on ``PYTHONPATH``, else this checkout's
+``src``; ``bench/`` is only read.
 """
 
 import argparse
@@ -22,7 +23,9 @@ import os
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+sys.path.append(os.path.join(ROOT, "src"))  # after PYTHONPATH, so another checkout's package wins
 
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 

@@ -21,8 +21,8 @@ _HOME = {
     **dict.fromkeys(("adjusted_rand_index", "distance_summary", "solution_labels"), "evaluation"),
     **dict.fromkeys(("decide_release", "update_center_continuous", "update_center_discrete", "weiszfeld"),
                     "location"),
-    **dict.fromkeys(("MetricSpec", "distance", "euclidean", "manhattan", "matrix_metric", "pairwise_costs",
-                     "sqeuclidean", "threshold"), "metrics"),
+    **dict.fromkeys(("MetricSpec", "distance", "euclidean", "manhattan", "matrix_metric", "sqeuclidean",
+                     "threshold"), "metrics"),
     **dict.fromkeys(("Assignment", "CenterSpec", "ObjectiveBreakdown", "Point", "Problem", "Solution",
                      "evaluate_objective", "validate_problem"), "model"),
     **dict.fromkeys(("SweepReport", "aic_bic_lambda", "sweep_k"), "selection"),

@@ -136,16 +136,13 @@ def _draw_clusters(spec: GenSpec, layout_rng, cluster_rngs):
     return np.vstack(xs), np.concatenate(weights), np.concatenate(labels)
 
 
-def generate_dataset(spec: GenSpec, rng: np.random.Generator | None = None):
+def generate_dataset(spec: GenSpec):
     """Full labeled dataset: (points, ground-truth labels).
 
     Labels are 0..C-1 for the true clusters (counts match ``cluster_sizes``
     exactly) and -1 for injected outliers.
     """
-    if rng is None:
-        root = np.random.SeedSequence(spec.rng_seed)
-    else:
-        root = np.random.SeedSequence(int(rng.integers(0, 2**63 - 1)))
+    root = np.random.SeedSequence(spec.rng_seed)
     streams = [np.random.default_rng(s) for s in root.spawn(spec.n_clusters + 2)]
     layout_rng, outlier_rng = streams[0], streams[1]
     cluster_rngs = streams[2:]

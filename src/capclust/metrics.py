@@ -141,8 +141,3 @@ def distances_to_centers(problem: "Problem", centers) -> np.ndarray:
     if problem.centers.placement == "discrete":
         return problem.site_costs[:, np.asarray(centers, dtype=int)]
     return geometric_distances(problem.metric.kind, problem.coords, np.asarray(centers, dtype=float))
-
-
-def pairwise_costs(problem: "Problem", centers) -> np.ndarray:
-    """Effective-weight-scaled costs w'_i * d(x_i, c_j), shape (n, k)."""
-    return problem.effective_weights[:, None] * distances_to_centers(problem, centers)

@@ -348,6 +348,10 @@ def validate_problem(problem: Problem) -> Problem:
                 raise ShapeMismatch(
                     f"cost matrix has {problem.metric.matrix.shape[0]} rows for {problem.n} points"
                 )
+            if spec.candidates is not None and spec.candidates.shape != (n_sites, 2):
+                raise ShapeMismatch(
+                    f"candidate coordinates of shape {spec.candidates.shape} for a cost matrix with {n_sites} columns"
+                )
         else:
             if spec.candidates is None:
                 raise ValidationError("discrete placement needs candidate sites")
@@ -377,7 +381,7 @@ def validate_problem(problem: Problem) -> Problem:
             else:
                 if spec.candidates is None:
                     raise FixedCenterNotCandidate("fixed coordinates need candidate coordinates to match")
-                d = np.abs(spec.candidates - np.asarray(f, dtype=float)).sum(axis=1)
+                d = np.abs(spec.candidates - _finite_pair(f)).sum(axis=1)
                 h = int(np.argmin(d))
                 if d[h] > 1e-9:
                     raise FixedCenterNotCandidate(f"fixed location {f} is not a candidate site")
@@ -386,7 +390,7 @@ def validate_problem(problem: Problem) -> Problem:
             raise ValidationError("fixed centers must occupy distinct candidate sites")
         normalized = tuple(resolved)
     elif fixed:
-        normalized = tuple((float(f[0]), float(f[1])) for f in fixed)
+        normalized = tuple(tuple(map(float, _finite_pair(f))) for f in fixed)
     else:
         return problem
 
@@ -394,6 +398,17 @@ def validate_problem(problem: Problem) -> Problem:
     if _same_values(fixed, normalized):
         return problem
     return replace(problem, centers=replace(spec, fixed=normalized))
+
+
+def _finite_pair(location) -> np.ndarray:
+    """A fixed center's coordinates as a float array; anything but two finite numbers raises ValidationError."""
+    try:
+        pair = np.asarray(location, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pair = None
+    if pair is None or pair.shape != (2,) or not np.isfinite(pair).all():
+        raise ValidationError(f"fixed center {location!r} must be a pair of finite numbers")
+    return pair
 
 
 def _validate_points(problem: Problem) -> None:

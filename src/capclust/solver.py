@@ -19,7 +19,9 @@ import numpy as np
 
 from . import metrics
 from .allocation import allocate, lp_model
-from .errors import AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget, NotEnoughDistinctSites
+from .errors import (
+    AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget, NotEnoughDistinctSites, ShapeMismatch, ValidationError,
+)
 from .location import cluster_cost_continuous, decide_release, update_center_continuous, update_center_discrete
 from .model import Assignment, Problem, Solution, evaluate_parts, point_costs, validate_problem
 
@@ -208,15 +210,6 @@ def _reseed(problem: Problem, contrib: np.ndarray, centers: np.ndarray, emptied:
         centers[j] = spot if discrete else problem.coords[spot]
 
 
-def _same_input(same_masses: bool, last_flag: bool | None, flag: bool | None) -> bool:
-    """Whether a cluster's location input equals the one of its last update.
-
-    ``same_masses`` tells whether its masses are unchanged; the released
-    flag of a fixed center (None for a free one) must match too.
-    """
-    return bool(same_masses) and last_flag == flag
-
-
 def _changed_clusters(assignment: Assignment, w: np.ndarray, last):
     """Which clusters' masses changed since the last iteration, which hold mass, and this iteration's input.
 
@@ -258,6 +251,27 @@ def _cluster_masses(current: np.ndarray, w: np.ndarray, clusters: list[int], k: 
     return masses
 
 
+def _checked_centers(problem: Problem, initial_centers) -> np.ndarray:
+    """A new array of ``initial_centers``: k sites in [0, n_sites) or k finite coordinate pairs."""
+    spec = problem.centers
+    discrete = spec.placement == "discrete"
+    try:
+        centers = np.array(initial_centers, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("initial centers must be numbers") from None
+    shape = (spec.k,) if discrete else (spec.k, 2)
+    if centers.shape != shape:
+        raise ShapeMismatch(f"initial centers of shape {centers.shape}, expected {shape}")
+    if not np.isfinite(centers).all():
+        raise ValidationError("initial centers must be finite")
+    if not discrete:
+        return centers
+    n_sites = problem.site_costs.shape[1]
+    if ((centers != np.floor(centers)) | (centers < 0) | (centers >= n_sites)).any():
+        raise ValidationError(f"initial centers must be site indices in 0..{n_sites - 1}")
+    return centers.astype(int)
+
+
 def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=None) -> Solution:
     """Alternate exact allocation and location steps from the given centers.
 
@@ -282,13 +296,19 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     otherwise.  A fixed center that cannot be released (infinite penalty or
     empty cluster) stays fixed without an update.
 
-    A cluster whose location input (its masses, plus the released flag of a
-    fixed center) equals the input of its last update keeps its center: the
-    location step is deterministic and the guard only ever keeps the
-    previous center, so recomputing would return the center it already
-    holds.  An assignment with ``labels`` gives the masses straight from
-    them, for the moving clusters only (``_changed_clusters``,
-    ``_cluster_masses``).
+    Each iteration sorts the clusters with masks.  A cluster is skipped,
+    and keeps its center, when it holds mass, its masses are those of the
+    last iteration and, for a fixed center, its release did not flip in the
+    last location step: the location step is deterministic and the guard
+    only ever keeps the previous center, so recomputing would return the
+    center it already holds.  An empty cluster is reseeded, or held if it
+    is fixed, in every iteration it stays empty.  An assignment with
+    ``labels`` gives the masses straight from them, for the moving clusters
+    only (``_changed_clusters``, ``_cluster_masses``).
+
+    ``initial_centers`` are k candidate-site indices under discrete
+    placement and k finite coordinate pairs otherwise; anything else raises
+    ``ShapeMismatch`` or ``ValidationError``.
     """
     problem = validate_problem(problem)
     spec = problem.centers
@@ -297,7 +317,9 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     kind = problem.metric.kind
     w = problem.effective_weights
 
-    centers = np.array(initial_centers, dtype=int if discrete else float).copy()
+    centers = _checked_centers(problem, initial_centers)
+    fixed_at = np.array(spec.fixed, dtype=centers.dtype).reshape(centers[:m].shape)
+    is_fixed = np.arange(k) < m
     released: set[int] = set()
     D = metrics.distances_to_centers(problem, centers)
     if model is None:
@@ -305,12 +327,11 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     if model is not None:
         model.restart()
     # The last iteration's location input (labels or masses) and the
-    # clusters it reseeded; each cluster's released flag at its last update
-    # and whether that update converged.
+    # released set it started from; whether each cluster's last update
+    # left Weiszfeld unconverged.
     last_input = None
-    reseeded: list[int] = []
-    last_flag: list[bool | None] = [None] * k
-    last_unconverged = [False] * k
+    last_released: set[int] = set()
+    last_unconverged = np.zeros(k, dtype=bool)
 
     diag: dict = {
         "iterations": 0,
@@ -334,22 +355,20 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
         new_centers = centers.copy()
         new_released = set(released)
         changed, filled, current = _changed_clusters(assignment, w, last_input)
-        changed[reseeded] = True  # a reseeded center moved although its input may repeat
-        moving, emptied = [], []  # clusters that take their optimum or a reseed below
-        for j in range(k):
-            flag = j in released if j < m else None
-            if _same_input(not changed[j], last_flag[j], flag):
-                diag["weiszfeld_unconverged"] += last_unconverged[j]
-            elif j < m and (math.isinf(spec.release_penalty) or not filled[j]):
-                # Nothing can release this center, so it stays where it is fixed.
-                new_centers[j] = spec.fixed[j]
-                new_released.discard(j)
-                last_flag[j], last_unconverged[j] = flag, False
-            elif not filled[j]:
-                emptied.append(j)
-            else:
-                moving.append(j)
-        last_input, reseeded = current, emptied
+        empty = ~filled
+        changed |= empty  # an empty cluster is reseeded or held again
+        for j in released ^ last_released:  # a flipped release is weighed again
+            changed[j] = True
+        last_input, last_released = current, released
+        last_unconverged[changed] = False
+        held = changed & is_fixed & (math.isinf(spec.release_penalty) | empty)
+        if held.any():
+            # Nothing can release a held center, so it stays where it is fixed.
+            new_centers[held] = fixed_at[held[:m]]
+            new_released.difference_update(np.flatnonzero(held).tolist())
+            changed &= ~held
+        emptied = np.flatnonzero(changed & empty).tolist()
+        moving = np.flatnonzero(changed & filled).tolist()
         if emptied:
             _reseed(problem, point_costs(problem, assignment, D), new_centers, emptied)
             diag["empty_reseeds"] += len(emptied)
@@ -359,32 +378,30 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
             # One product prices every site for every moving cluster.
             sites, totals = update_center_discrete(problem.site_costs, masses.T)
         for r, j in enumerate(moving):
-            flag = j in released if j < m else None
-            unconverged = False
             if discrete:
                 new_centers[j] = sites[r]
                 if j < m:
-                    gain = totals[r, spec.fixed[j]] - totals[r, sites[r]]
+                    gain = totals[r, fixed_at[j]] - totals[r, sites[r]]
             else:
                 nz = masses[r] > 0
                 rows, mass = problem.coords[nz], masses[r, nz]
                 update = update_center_continuous(kind, rows, mass)
-                unconverged = not update.converged
+                last_unconverged[j] = not update.converged
                 # Keep the current location on the rare non-improving update
                 # so the outer descent stays monotone.
-                improves = cluster_cost_continuous(kind, rows, mass, update.coords) <= float(mass @ D[nz, j])
-                new_centers[j] = update.coords if improves else centers[j]
-                if j < m:
-                    gain = (cluster_cost_continuous(kind, rows, mass, spec.fixed[j])
-                            - cluster_cost_continuous(kind, rows, mass, new_centers[j]))
+                now = float(mass @ D[nz, j])
+                then = cluster_cost_continuous(kind, rows, mass, update.coords)
+                new_centers[j] = update.coords if then <= now else centers[j]
+                if j < m:  # min(then, now) is the cost where the center now stands
+                    gain = cluster_cost_continuous(kind, rows, mass, fixed_at[j]) - min(then, now)
             if j < m:
-                if decide_release(gain, spec.release_penalty, flag):
+                if decide_release(gain, spec.release_penalty, j in released):
                     new_released.add(j)
                 else:
                     new_released.discard(j)
-                    new_centers[j] = spec.fixed[j]
-            diag["weiszfeld_unconverged"] += unconverged
-            last_flag[j], last_unconverged[j] = flag, unconverged
+                    new_centers[j] = fixed_at[j]
+        # A skipped cluster replays the count of its last update.
+        diag["weiszfeld_unconverged"] += int(np.count_nonzero(last_unconverged))
 
         moved = np.flatnonzero(new_centers != centers if discrete else (new_centers != centers).any(axis=1))
         if moved.size:

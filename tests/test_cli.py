@@ -176,12 +176,13 @@ def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
     (["solve", "--k", "2", "--restarts", "1", "--points", "JSON"], "id,x,y,w\n0,0,0,1.5e308\n1,1,0,1.5e308\n", 1),
     (["solve", "--k", "2", "--restarts", "1", "--points", "JSON"],
      "id,x,y,w,gamma,a\n0,0,0,1e306,0,1e306\n1,100,0,1e306,0,1e306\n", 1),
+    (["solve", "--k", "2", "--fixed", "JSON"], "site\n1\n", 1),
 ], ids=["threshold-radius", "lambda-grid", "restarts-zero", "negative-seed", "config-restarts",
         "config-capacity", "spec-unknown-key", "missing-input", "config-array", "config-syntax",
         "spec-nan-weight", "spec-infinite-weight", "spec-infinite-scale", "spec-nan-grid",
         "spec-negative-weight", "spec-negative-grid", "negative-time-budget", "nan-time-budget",
         "lambda-grid-nan", "lambda-grid-inf", "lambda-grid-negative", "spec-huge-scale",
-        "huge-weight-sum", "huge-weight-times-distance"])
+        "huge-weight-sum", "huge-weight-times-distance", "fixed-site-without-sites"])
 def test_bad_outside_value_fails_cleanly(tmp_path, capsys, argv, text, code):
     (tmp_path / "in.json").write_text(text or "")
     points = tmp_path / "pts.csv"
@@ -248,6 +249,21 @@ def test_matrix_metric_cli(tmp_path):
     ])
     assert code == 0
     assert "site" in (out / "solution.txt").read_text()
+
+
+def test_matrix_metric_rejects_candidates_of_another_site_count(tmp_path, capsys):
+    points = tmp_path / "pts.csv"
+    points.write_text("id,x,y,w\n0,0,0,1\n1,1,0,1\n")
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("5,5,0\n5,5,0\n")
+    cands = tmp_path / "cands.csv"
+    cands.write_text("x,y\n0,0\n1,0\n")
+    out = tmp_path / "out"
+    code = main(["solve", "--points", str(points), "--matrix", str(matrix), "--candidates", str(cands),
+                 "--k", "2", "--metric", "matrix", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert not (out / "solution.txt").exists()
 
 
 def test_config_file_defaults_with_flag_override(dataset, tmp_path):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 
 from capclust import (
     CenterSpec, Point, Problem, allocate_uncapacitated, distance, euclidean,
-    manhattan, matrix_metric, pairwise_costs, sqeuclidean, threshold, validate_problem,
+    manhattan, matrix_metric, sqeuclidean, threshold, validate_problem,
 )
 from capclust.errors import MatrixIndexOutOfRange, ValidationError
-from capclust.metrics import geometric_distances
+from capclust.metrics import distances_to_centers, geometric_distances
 
 
 def test_manhattan_example():
@@ -46,37 +46,6 @@ def test_matrix_lookup_and_range():
 def test_matrix_rejects_negative_entries():
     with pytest.raises(ValidationError):
         matrix_metric([[1.0, -0.5]])
-
-
-def _problem(points, metric, k=1, **kw):
-    return validate_problem(Problem(points=tuple(points), metric=metric, centers=CenterSpec(k=k), **kw))
-
-
-def test_pairwise_costs_single_point():
-    prob = _problem([Point(0, coords=(0, 0), w=2.0)], euclidean())
-    costs = pairwise_costs(prob, np.array([[3.0, 0.0]]))
-    assert costs.shape == (1, 1)
-    assert costs[0, 0] == 6.0
-
-
-def test_pairwise_costs_identical_points_identical_rows():
-    pts = [Point(0, coords=(1, 1), w=2.0), Point(1, coords=(1, 1), w=2.0)]
-    prob = _problem(pts, manhattan(), k=2)
-    costs = pairwise_costs(prob, np.array([[0.0, 0.0], [4.0, 5.0]]))
-    assert np.array_equal(costs[0], costs[1])
-
-
-def test_pairwise_costs_matches_elementwise_recomputation():
-    rng = np.random.default_rng(3)
-    pts = [Point(i, coords=tuple(rng.uniform(0, 5, 2)), w=float(rng.uniform(0.5, 2)),
-                 gamma=float(rng.uniform(0, 1))) for i in range(3)]
-    prob = _problem(pts, euclidean(), k=2)
-    centers = rng.uniform(0, 5, size=(2, 2))
-    costs = pairwise_costs(prob, centers)
-    for i, p in enumerate(pts):
-        for j in range(2):
-            expect = (p.w + p.gamma) * distance(euclidean(), p.coords, centers[j])
-            assert costs[i, j] == pytest.approx(expect, rel=1e-12)
 
 
 coords = st.tuples(st.floats(-100, 100), st.floats(-100, 100))
@@ -135,7 +104,7 @@ def test_threshold_assignment_matches_coverage_enumeration(seed):
         if best_cost is None or cost < best_cost:
             best_cost = cost
     mine = min(
-        float((pairwise_costs(prob, np.array(subset)) *
+        float((prob.effective_weights[:, None] * distances_to_centers(prob, np.array(subset)) *
                allocate_uncapacitated(prob, np.array(subset)).y).sum())
         for subset in itertools.combinations(range(4), 2)
     )

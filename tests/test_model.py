@@ -208,6 +208,35 @@ def test_fixed_coordinates_resolve_to_site_indices():
     assert prob.centers.fixed == (1,)
 
 
+BAD_PAIRS = {"one-number": (1.0,), "three-numbers": (1, 2, 3), "nan": (math.nan, 0.0), "inf": (0.0, math.inf),
+             "none": None, "site-index": 1, "text": "ab"}
+
+
+@pytest.mark.parametrize("placement, fixed", [
+    *(("continuous", pair) for pair in BAD_PAIRS.values()),
+    # a number or a text is read as a site index under discrete placement
+    *(("discrete", pair) for name, pair in BAD_PAIRS.items() if name not in ("site-index", "text")),
+], ids=[*(f"continuous-{name}" for name in BAD_PAIRS),
+        *(f"discrete-{name}" for name in BAD_PAIRS if name not in ("site-index", "text"))])
+def test_fixed_coordinates_must_be_a_finite_pair(placement, fixed):
+    kw = {"placement": "discrete", "candidates": [[0.0, 0.0], [1.0, 0.0]]} if placement == "discrete" else {}
+    with pytest.raises(ValidationError, match="pair of finite numbers"):
+        validate_problem(Problem(points=(Point(0, coords=(0, 0)),), metric=sqeuclidean(),
+                                 centers=CenterSpec(k=1, fixed=(fixed,), **kw)))
+
+
+@pytest.mark.parametrize("candidates", [[[0.0, 0.0], [1.0, 0.0]], [[0.0], [1.0], [2.0]]],
+                         ids=["too-few-rows", "one-column"])
+def test_matrix_candidates_must_match_the_columns(candidates):
+    def problem(candidates):
+        return Problem(points=(Point(0), Point(1)), metric=matrix_metric([[1, 2, 3], [4, 5, 6]]),
+                       centers=CenterSpec(k=2, placement="discrete", candidates=candidates))
+
+    validate_problem(problem([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(ShapeMismatch):
+        validate_problem(problem(candidates))
+
+
 @pytest.mark.parametrize("centers", [
     CenterSpec(k=2),
     CenterSpec(k=2, fixed=(np.array([1, 0]),)),

@@ -45,3 +45,12 @@ def test_output_digest_lists_every_written_file(tmp_path, workload, files):
     assert [line.split(" ")[0] for line in lines] == files
     assert all(len(line.split(" ")[1]) == 64 for line in lines)
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_output_digest_runs_without_pythonpath(tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "output_digest.py"),
+                           "--workload", "cap-fractional", "--seed", "1", "--small"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [line.split(" ")[0] for line in done.stdout.splitlines()] == ["out0/plot.svg", "out0/solution.txt"]

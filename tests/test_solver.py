@@ -11,7 +11,7 @@ from capclust import (
 )
 from capclust import selection, solver
 from capclust.solver import shared_seeding
-from capclust.errors import AllRestartsInfeasible
+from capclust.errors import AllRestartsInfeasible, ShapeMismatch, ValidationError
 from oracles import reference_lloyd
 
 
@@ -654,11 +654,18 @@ def test_skipping_matches_a_full_location_step(monkeypatch, unconverged):
         # replayed for skipped clusters
         weiszfeld = location.weiszfeld
         monkeypatch.setattr(location, "weiszfeld", lambda *a, **kw: weiszfeld(*a, **kw)._replace(converged=False))
+    changed_clusters = solver._changed_clusters
+
+    def every_cluster_changed(*args):
+        # the reference runs a full location step in every iteration
+        changed, filled, current = changed_clusters(*args)
+        return np.ones_like(changed), filled, current
+
     for prob in _skip_cases():
         for seed in range(3):
             centers0 = kmeanspp_init(prob, np.random.default_rng(seed))
             with monkeypatch.context() as patch:
-                patch.setattr(solver, "_same_input", lambda *args: False)
+                patch.setattr(solver, "_changed_clusters", every_cluster_changed)
                 reference = descend(prob, centers0, SolverConfig())
             got = descend(prob, centers0, SolverConfig())
             ref_diag, got_diag = dict(reference.diagnostics), dict(got.diagnostics)
@@ -668,6 +675,55 @@ def test_skipping_matches_a_full_location_step(monkeypatch, unconverged):
             assert all(np.array_equal(a, b) for a, b in zip(got_centers, ref_centers))
             assert np.array_equal(got.centers, reference.centers)
             assert got.released == reference.released
+
+
+def test_a_moving_fixed_cluster_prices_its_update_once(monkeypatch):
+    # Free clusters price their update once (the monotone guard); a moving
+    # fixed cluster adds only its fixed location (the release gain).
+    from capclust import location
+
+    prob = next(_skip_cases())
+    fixed = [np.asarray(f) for f in prob.centers.fixed]
+    segments = []  # the locations priced after each location update
+    update, cost = location.update_center_continuous, location.cluster_cost_continuous
+
+    def updating(*args):
+        segments.append([])
+        return update(*args)
+
+    def pricing(kind, xy, masses, at):
+        segments[-1].append(np.asarray(at, dtype=float))
+        return cost(kind, xy, masses, at)
+
+    monkeypatch.setattr(solver, "update_center_continuous", updating)
+    monkeypatch.setattr(solver, "cluster_cost_continuous", pricing)
+    for seed in range(3):
+        descend(prob, kmeanspp_init(prob, np.random.default_rng(seed)), SolverConfig())
+    at_fixed = [any(np.array_equal(loc, f) for f in fixed) for seg in segments for loc in seg[1:]]
+    assert len(segments) > 0 and any(at_fixed)
+    assert all(len(seg) in (1, 2) for seg in segments)
+    assert all(at_fixed)
+
+
+@pytest.mark.parametrize("placement, centers, error", [
+    ("discrete", [99, 0, 1], ValidationError),
+    ("discrete", [-1, 0, 1], ValidationError),
+    ("discrete", [0.5, 1.7, 2.0], ValidationError),
+    ("discrete", [[0], [1], [2]], ShapeMismatch),
+    ("discrete", ["a", "b", "c"], ValidationError),
+    ("continuous", [[math.nan, 0.0], [1.0, 1.0], [2.0, 0.0]], ValidationError),
+    ("continuous", [[math.inf, 0.0], [1.0, 1.0], [2.0, 0.0]], ValidationError),
+    ("continuous", np.zeros((3, 3)), ShapeMismatch),
+    ("continuous", [0.0, 1.0, 2.0], ShapeMismatch),
+], ids=["site-past-the-end", "negative-site", "fractional-sites", "site-column", "text-sites",
+        "nan-coordinate", "inf-coordinate", "three-columns", "flat-coordinates"])
+def test_descend_rejects_malformed_initial_centers(placement, centers, error):
+    rng = np.random.default_rng(35)
+    pts = blob_points(rng, [(0, 0), (6, 0)], per=5)
+    center_kw = {"placement": "discrete", "candidates": rng.uniform(-1, 7, size=(6, 2))} if placement == "discrete" else {}
+    prob = continuous_problem(pts, k=3, center_kw=center_kw)
+    with pytest.raises(error):
+        descend(prob, centers, SolverConfig())
 
 
 def _label_cases():
