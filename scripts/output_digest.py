@@ -11,6 +11,13 @@ digests are equal, so comparing them takes one ``diff``:
     PYTHONPATH=../other/src python3 scripts/output_digest.py --workload cap-fractional --seed 1 > old.txt
     diff old.txt new.txt
 
+With ``--values`` it prints the answers instead of digests: for each
+solution document, one ``<relative path> total <objective>`` line and one
+``<relative path> c <index> <x> <y>`` (or ``<site>``) line per center, all
+with ``repr``.  A change that alters only the order of floating-point sums
+differs there in the last digits, which a ``diff`` of two such listings
+shows value by value.
+
 The capclust package is the one on ``PYTHONPATH``, else this checkout's
 ``src``; ``bench/`` is only read.
 """
@@ -30,6 +37,7 @@ sys.path.append(os.path.join(ROOT, "src"))  # after PYTHONPATH, so another check
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 
 from capclust import cli  # noqa: E402
+from capclust.io import SCHEMA, read_solution  # noqa: E402
 
 
 def _sha256(path: str) -> str:
@@ -37,23 +45,45 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _outputs(workload: str, seed: int, small: bool, tmp: str) -> list[tuple[str, str]]:
+    """Runs the workload's commands under ``tmp``; (relative path, path) of each written file, sorted.
+
+    Raises RuntimeError when a command fails.
+    """
+    written = []
+    for j, inst in enumerate(WORKLOADS[workload](seed, small)):
+        write_inputs(inst, os.path.join(tmp, f"in{j}"))
+        out = os.path.join(tmp, f"out{j}")
+        log = io.StringIO()
+        with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+            rc = cli.main(inst.argv(out))
+        if rc != 0:
+            raise RuntimeError(f"command {j} ({' '.join(inst.argv(out))}) exited {rc}:\n{log.getvalue()}")
+        for root, _dirs, files in os.walk(out):
+            written += [(os.path.relpath(os.path.join(root, name), tmp), os.path.join(root, name)) for name in files]
+    return sorted(written)
+
+
 def digest(workload: str, seed: int, small: bool = False) -> list[str]:
     """``<relative path> <sha256>`` of each output file, sorted; raises RuntimeError when a command fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return [f"{rel} {_sha256(path)}" for rel, path in _outputs(workload, seed, small, tmp)]
+
+
+def values(workload: str, seed: int, small: bool = False) -> list[str]:
+    """The total objective and center locations of each solution document, as lines."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for j, inst in enumerate(WORKLOADS[workload](seed, small)):
-            write_inputs(inst, os.path.join(tmp, f"in{j}"))
-            out = os.path.join(tmp, f"out{j}")
-            log = io.StringIO()
-            with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
-                rc = cli.main(inst.argv(out))
-            if rc != 0:
-                raise RuntimeError(f"command {j} ({' '.join(inst.argv(out))}) exited {rc}:\n{log.getvalue()}")
-            for root, _dirs, files in os.walk(out):
-                for name in files:
-                    path = os.path.join(root, name)
-                    lines.append(f"{os.path.relpath(path, tmp)} {_sha256(path)}")
-    return sorted(lines)
+        for rel, path in _outputs(workload, seed, small, tmp):
+            with open(path, encoding="utf-8") as fh:
+                if fh.readline().rstrip("\n") != SCHEMA:
+                    continue
+            doc = read_solution(path)
+            lines.append(f"{rel} total {doc.objective['total']!r}")
+            for center in doc.centers:
+                where = " ".join(map(repr, center["xy"])) if "xy" in center else str(center["site"])
+                lines.append(f"{rel} c {center['index']} {where}")
+    return lines
 
 
 def main():
@@ -61,9 +91,10 @@ def main():
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--small", action="store_true", help="one small command per workload")
+    parser.add_argument("--values", action="store_true", help="print objectives and centers, not digests")
     args = parser.parse_args()
     try:
-        lines = digest(args.workload, args.seed, args.small)
+        lines = (values if args.values else digest)(args.workload, args.seed, args.small)
     except RuntimeError as exc:
         parser.exit(1, f"{exc}\n")
     print("\n".join(lines))

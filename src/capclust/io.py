@@ -102,9 +102,62 @@ _POINT_COLUMNS = ["id", "x", "y", "w", "gamma", "a", "q"]
 
 
 def load_points(path) -> list[Point]:
+    """The points of a CSV file with columns id,x,y,w[,gamma[,a[,q]]].
+
+    numpy reads a plain file in one pass.  A file it rejects, or reads as
+    non-finite, negative or with q < 1, goes through the per-cell parser,
+    which also reads quoted cells and blank cells, and names the line and
+    column of a bad cell.
+    """
     line, cols, rows = _table(path, "points")
     if len(cols) < 4 or cols != _POINT_COLUMNS[: len(cols)]:
         raise ParseError(f"points header must be id,x,y,w[,gamma[,a[,q]]] (got {','.join(cols)})", line)
+    table = _point_table(path, line, len(cols))
+    if table is None:
+        return _point_cells(rows)
+    pid, x, y, w = (table[name].tolist() for name in _POINT_COLUMNS[:4])
+    gamma = table["gamma"].tolist() if len(cols) > 4 else [0.0] * len(pid)
+    a = table["a"].tolist() if len(cols) > 5 else w
+    q = table["q"].tolist() if len(cols) > 6 else [1] * len(pid)
+    return [Point(id=i, coords=(xi, yi), w=wi, gamma=gi, a=ai, q=qi, pseudo=wi == 0 and gi > 0 and ai == 0)
+            for i, xi, yi, wi, gi, ai, qi in zip(pid, x, y, w, gamma, a, q)]
+
+
+def _point_table(path, header_line: int, n_cols: int):
+    """The rows after the header as one structured array; None where numpy or a check rejects one."""
+    names = _POINT_COLUMNS[:n_cols]
+    table = _numpy_rows(path, "points", header_line, ndmin=1,
+                        dtype=[(name, np.int64 if name in ("id", "q") else float) for name in names])
+    if table is None:
+        return None
+    floats = [table[name] for name in names[1:6]]  # x, y, then w, gamma and a, which must not be negative
+    if not all(np.isfinite(v).all() for v in floats) or any((v < 0).any() for v in floats[2:]):
+        return None
+    if n_cols > 6 and (table["q"] < 1).any():
+        return None
+    return table
+
+
+def _numpy_rows(path, what: str, skip: int, **loadtxt_args):
+    """The CSV rows after the first ``skip`` lines in one ``np.loadtxt`` pass; None where it rejects them.
+
+    Also None when a line is not UTF-8: the per-cell parser then names the
+    first fault, which may come before that line.
+    """
+    try:
+        lines = list(_lines(path, what))[skip:]
+    except ParseError:
+        return None
+    if not any(map(str.strip, lines)):  # loadtxt only warns on a file without data
+        return None
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, **loadtxt_args)
+    except ValueError:
+        return None
+
+
+def _point_cells(rows) -> list[Point]:
+    """The points of the rows after the header, parsed cell by cell."""
     points: list[Point] = []
     for line, row in rows:
         pid = _parse_int(row, 0, line, "id")
@@ -152,15 +205,9 @@ def load_matrix(path) -> np.ndarray:
     reads quoted cells and whitespace-only rows, and names the line and
     column of a bad cell.
     """
-    lines = list(_lines(path, "matrix"))
-    if any(map(str.strip, lines)):  # loadtxt only warns on a file without data
-        try:
-            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(values).all() and (values >= 0).all():
-                return values
+    values = _numpy_rows(path, "matrix", 0, ndmin=2)
+    if values is not None and np.isfinite(values).all() and (values >= 0).all():
+        return values
     return _matrix_cells(path)
 
 

@@ -1,11 +1,18 @@
-"""Location step: relocate one center given the mass assigned to it.
+"""Location step: relocate centers given the mass assigned to them.
 
 Continuous placement uses the exact minimizer for each metric: weighted
 mean (squared Euclidean), geometric median by guarded Newton steps
 (Euclidean) and the coordinatewise weighted lower median (Manhattan).
-Discrete placement picks the candidate site minimizing the weighted
-distance sum.  ``decide_release`` is the release rule for a fixed center,
-applied by the solver to the gain of the location it chose.
+``update_centers_continuous`` relocates a batch of clusters in one call.
+Their points come one cluster after another, every sum over a cluster is
+one segment of ``np.add.reduceat``, and the geometric medians share one
+Newton loop, run in lockstep, which a cluster leaves when it stops.  A
+cluster's arithmetic does not depend on the clusters beside it, so
+``update_center_continuous`` and ``weiszfeld``, its one-cluster forms, give
+each cluster the same result.  ``cluster_costs_continuous`` prices a batch
+the same way.  Discrete placement picks the candidate site minimizing the
+weighted distance sum.  ``decide_release`` is the release rule for a fixed
+center, applied by the solver to the gain of the location it chose.
 """
 
 from __future__ import annotations
@@ -18,35 +25,262 @@ from . import metrics
 from .errors import EmptyCluster
 
 WEISZFELD_MAX_ITER = 1000
-_HALVINGS = np.array([[1.0], [2.0], [4.0], [8.0]])
+_HALVINGS = np.array([[2.0], [4.0], [8.0]])
 
 
 class CenterUpdate(NamedTuple):
+    """New location, iteration count and convergence: scalars for one cluster, arrays over a batch."""
+
     coords: np.ndarray
-    iterations: int
-    converged: bool
-
-
-def weighted_mean(xy: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    return np.asarray(masses, dtype=float) @ np.asarray(xy, dtype=float) / float(np.sum(masses))
+    iterations: int | np.ndarray
+    converged: bool | np.ndarray
 
 
 def weighted_lower_median(values: np.ndarray, masses: np.ndarray) -> float:
     """Smallest value where the cumulative mass reaches half the total."""
-    order = np.argsort(values, kind="stable")
-    csum = np.cumsum(masses[order])
-    half = csum[-1] / 2.0
-    idx = int(np.searchsorted(csum, half))
-    return float(values[order[min(idx, len(order) - 1)]])
+    values, masses = np.asarray(values, dtype=float), np.asarray(masses, dtype=float)
+    return float(_lower_medians(values, masses, np.zeros(1, dtype=np.intp))[0])
 
 
-def _pull_at(xy: np.ndarray, masses: np.ndarray, anchor: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, float]:
-    d = np.sqrt(((xy - anchor) ** 2).sum(axis=1))
-    keep = ~skip
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(keep, masses / np.where(d > 0, d, 1.0), 0.0)
-    pull = ((xy - anchor) * inv[:, None]).sum(axis=0)
-    return pull, float(inv.sum())
+def _lower_medians(values: np.ndarray, masses: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``weighted_lower_median`` of each cluster.
+
+    The clusters become the rows of (c, L) arrays, each padded with copies
+    of its first value at zero mass, which change neither a row's running
+    sums nor the first value at which they reach half the row's mass.
+    """
+    sizes = np.diff(starts, append=len(values))
+    seg = np.repeat(np.arange(len(starts)), sizes)
+    col = np.arange(len(values)) - starts[seg]
+    V = np.repeat(values[starts, None], sizes.max(), axis=1)
+    W = np.zeros(V.shape)
+    V[seg, col], W[seg, col] = values, masses
+    order = np.argsort(V, axis=1, kind="stable")
+    csum = np.cumsum(np.take_along_axis(W, order, axis=1), axis=1)
+    idx = np.minimum((csum < csum[:, -1:] / 2.0).sum(axis=1), V.shape[1] - 1)
+    return np.take_along_axis(V, order, axis=1)[np.arange(len(V)), idx]
+
+
+def _first(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each cluster's first point index where ``mask`` holds; the number of points where it never does."""
+    return np.minimum.reduceat(np.where(mask, np.arange(len(mask)), len(mask)), starts)
+
+
+def _keep(clusters: np.ndarray, seg: np.ndarray, sizes: np.ndarray):
+    """The points of the clusters in the mask ``clusters``, by index, and those clusters' sizes, starts and ids."""
+    sizes = sizes[clusters]
+    return np.flatnonzero(clusters[seg]), sizes, np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _at(y: np.ndarray, P: np.ndarray, M: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
+    """Offsets (2, N) from the points to their cluster's iterate in the (2, c) y, their lengths, each cluster's cost."""
+    D2 = y.repeat(sizes, axis=1) - P
+    sq = D2 * D2
+    d = np.sqrt(sq[0] + sq[1])
+    return D2, d, np.add.reduceat(M * d, starts)
+
+
+def _pull_tests(P, M, sizes, starts, j, snap):
+    """Whether data point j of each cluster is optimal.
+
+    Also gives the residual pull (2, c) of the other points there, its
+    norm, the mass within ``snap`` of the point and the inverse-distance
+    sum of the points beyond it.
+    """
+    A = P - P[:, j].repeat(sizes, axis=1)
+    sq = A * A
+    dist = np.sqrt(sq[0] + sq[1])
+    here = dist <= snap.repeat(sizes)
+    inv = np.divide(M, dist, out=np.zeros(len(M)), where=~here)
+    pull = np.add.reduceat(A * inv, starts, axis=1)
+    norm = np.hypot(pull[0], pull[1])
+    mass_here = np.add.reduceat(np.where(here, M, 0.0), starts)
+    return norm <= mass_here, pull, norm, mass_here, np.add.reduceat(inv, starts)
+
+
+def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> CenterUpdate:
+    """The rules of ``weiszfeld`` for every cluster of (2, N) points P at once, in one lockstep loop.
+
+    Every sum over a cluster is one ``reduceat`` segment, so a cluster's
+    arithmetic does not depend on the clusters beside it.  Each iteration
+    prices the full Newton step of every running cluster; only the
+    clusters that need them price the halvings and the Weiszfeld step (all
+    four at once) or run a pull test.  A cluster that stops keeps its
+    result, and its points leave the arrays.
+    """
+    c, N = len(starts), P.shape[1]
+    sizes = np.diff(starts, append=N)
+    seg = np.repeat(np.arange(c), sizes)
+    coords = np.empty((2, c))
+    iterations = np.ones(c, dtype=int)
+    converged = np.ones(c, dtype=bool)
+    span = np.maximum.reduceat(P, starts, axis=1) - np.minimum.reduceat(P, starts, axis=1)
+    scale = np.maximum(np.hypot(span[0], span[1]), 1e-300)
+    tested = np.zeros(N, dtype=bool)
+
+    # The line through each cluster's first point and the point farthest from it.
+    R = P - P[:, starts].repeat(sizes, axis=1)
+    lengths = np.sqrt((R * R).sum(axis=0))
+    longest = np.maximum.reduceat(lengths, starts)
+    F = R[:, _first(lengths == longest[seg], starts)].repeat(sizes, axis=1)
+    # The largest distance from the line, times the line's length.
+    across = np.maximum.reduceat(np.abs(R[0] * F[1] - R[1] * F[0]), starts)
+    thin = across <= 1e-2 * scale * longest
+    done = np.zeros(c, dtype=bool)
+    if np.count_nonzero(thin):
+        along = (R * F).sum(axis=0)
+        value = np.full(c, np.nan)
+        idx, _, thin_starts, _ = _keep(thin, seg, sizes)
+        value[thin] = _lower_medians(along[idx], M[idx], thin_starts)
+        median = _first(along == value[seg], starts)
+        done = thin & (across <= 1e-12 * scale * scale)
+        tried = thin & ~done
+        if np.count_nonzero(tried):
+            done |= tried & _pull_tests(P, M, sizes, starts, np.where(tried, median, starts), 1e-12 * scale)[0]
+            tested[median[tried]] = True
+        coords[:, done] = P[:, median[done]]
+
+    # The clusters still running, their points in cluster order and their state.
+    live = np.flatnonzero(~done)
+    if live.size < c:
+        idx, sizes, starts, seg = _keep(~done, seg, sizes)
+        P, M, tested, scale = P.take(idx, axis=1), M[idx], tested[idx], scale[live]
+    total = np.add.reduceat(M, starts)
+    y = np.add.reduceat(M * P, starts, axis=1) / total
+    D2, d, cost = _at(y, P, M, sizes, starts)
+    creeping = np.zeros(live.size, dtype=bool)
+    for it in range(1, WEISZFELD_MAX_ITER + 1):
+        c = live.size
+        if not c:
+            break
+        if it == 1 or stopped:
+            snap, close, tiny, small_grad = 1e-12 * scale, 1e-3 * scale, 1e-9 * scale, 1e-13 * total
+        stop = np.zeros(c, dtype=bool)  # clusters that give their result in this iteration
+        newton = np.ones(c, dtype=bool)  # clusters that take a Newton or Weiszfeld step
+        nearest = np.minimum.reduceat(d, starts)
+        near = nearest <= close
+        near |= creeping
+        if np.count_nonzero(near):
+            on_point = nearest <= snap
+            j = _first(d == nearest[seg], starts)
+            test = near & (on_point | ~tested[j])
+            if np.count_nonzero(test):
+                optimal, pull, norm, mass_here, inv_sum = _pull_tests(P, M, sizes, starts, j, snap)
+                optimal &= test
+                tested[j[test]] = True
+                y[:, optimal] = P[:, j[optimal]]
+                stop |= optimal
+                # Kuhn's step off a data point that is not optimal, along the pull.
+                kuhn = test & ~optimal & on_point
+                if np.count_nonzero(kuhn):
+                    y[:, kuhn] = P[:, j[kuhn]] + (1.0 - mass_here[kuhn] / norm[kuhn]) * pull[:, kuhn] / inv_sum[kuhn]
+                    D2, d, cost = _at(y, P, M, sizes, starts)
+                newton &= ~(optimal | kuhn)
+        # Every point of a Newton cluster is farther than snap from its iterate.
+        everywhere = np.count_nonzero(newton) == c
+        inv = M / d if everywhere else np.divide(M, d, out=np.zeros(len(M)), where=newton[seg])
+        T = inv * D2
+        g = np.add.reduceat(T, starts, axis=1)
+        flat = np.hypot(g[0], g[1]) <= small_grad
+        flat &= newton
+        if np.count_nonzero(flat):
+            stop |= flat
+            newton &= ~flat
+            everywhere = False
+        # The Hessian is sum m_i / d_i^3 [[dy^2, -dx dy], [-dx dy, dx^2]]; its inverse is
+        # the weighted second moment m = sum m_i / d_i^3 (dx, dy)^T (dx, dy) over its determinant.
+        dd = d * d
+        U = T / dd if everywhere else np.divide(T, dd, out=np.zeros(T.shape), where=newton[seg])
+        m = np.add.reduceat((U[:, None] * D2).reshape(4, -1), starts, axis=1)
+        det = m[0] * m[3] - m[1] * m[2]
+        has_step = det > 0
+        has_step &= newton
+        step = np.divide((m.reshape(2, 2, c) * g).sum(axis=1), det, out=np.zeros((2, c)), where=has_step)
+        # The full Newton step, priced for every cluster (one without a step stays put).
+        cand = y - step
+        cD2, cd, ccost = _at(cand, P, M, sizes, starts)
+        better = ccost < cost
+        better &= has_step
+        taken = np.count_nonzero(better)
+        if taken == c:
+            y, D2, d, cost = cand, cD2, cd, ccost
+        elif taken:
+            moved = better[seg]
+            y[:, better], cost[better] = cand[:, better], ccost[better]
+            D2, d = np.where(moved, cD2, D2), np.where(moved, cd, d)
+        creeping &= ~better
+        searching = newton & ~better
+        if np.count_nonzero(searching):
+            # Its three halvings, then the Weiszfeld step; the first that lowers
+            # the cost wins.  The four are priced at once; a cluster that is not
+            # searching offers its iterate, which never lowers its cost.
+            pulled = np.divide(np.add.reduceat(inv * P, starts, axis=1), np.add.reduceat(inv, starts),
+                               out=y.copy(), where=searching)
+            cands = np.concatenate([y[:, None] - step[:, None] / _HALVINGS, pulled[:, None]], axis=1)
+            sq = cands.repeat(sizes, axis=2) - P[:, None]
+            sq *= sq
+            lower = np.add.reduceat(M * np.sqrt(sq[0] + sq[1]), starts, axis=1) < cost
+            lower[:3] &= has_step
+            lower &= searching
+            took = lower.any(axis=0)
+            if np.count_nonzero(took):
+                first = lower.argmax(axis=0)[took]
+                y[:, took] = cands[:, first, np.flatnonzero(took)]
+                D2, d, cost = _at(y, P, M, sizes, starts)
+                creeping[took] = first == 3
+                searching &= ~took
+        # A cluster that no step improves stops where it is, as does one whose full Newton step is tiny.
+        stop |= searching
+        stop |= has_step & ~searching & (np.hypot(step[0], step[1]) < tiny)
+        stopped = np.count_nonzero(stop)
+        if stopped:
+            coords[:, live[stop]] = y[:, stop]
+            iterations[live[stop]] = it
+            keep = ~stop
+            idx, sizes, starts, seg = _keep(keep, seg, sizes)
+            P, D2, M, tested, d = P.take(idx, axis=1), D2.take(idx, axis=1), M[idx], tested[idx], d[idx]
+            live, scale, total, cost, creeping = live[keep], scale[keep], total[keep], cost[keep], creeping[keep]
+            y = y[:, keep]
+    coords[:, live] = y
+    iterations[live] = WEISZFELD_MAX_ITER
+    converged[live] = False
+    return CenterUpdate(coords.T.copy(), iterations, converged)
+
+
+def update_centers_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, starts) -> CenterUpdate:
+    """Exact continuous relocation of c centers at once, one per cluster.
+
+    ``xy`` and ``masses`` hold the clusters' points one cluster after
+    another, and ``starts`` the offset of each cluster's first point, from
+    0 up.  Gives the (c, 2) locations with per-cluster ``iterations`` and
+    ``converged`` arrays.  A cluster gets the same result as it would alone;
+    one without mass raises EmptyCluster.
+    """
+    P = np.asarray(xy, dtype=float).reshape(-1, 2).T.copy()
+    masses = np.asarray(masses, dtype=float)
+    starts = np.asarray(starts, dtype=np.intp)
+    if not starts.size or starts[0] != 0:
+        raise ValueError("cluster starts must begin at point 0")
+    # A cluster without points has no mass either.
+    totals = np.add.reduceat(masses, starts) if (np.diff(starts, append=P.shape[1]) > 0).all() else np.zeros(1)
+    if not (totals > 0).all():
+        raise EmptyCluster("no mass assigned to this center")
+    c = len(starts)
+    if kind == metrics.EUCLIDEAN:
+        return _geometric_medians(P, masses, starts)
+    if kind == metrics.SQEUCLIDEAN:
+        coords = (np.add.reduceat(masses * P, starts, axis=1) / totals).T
+    elif kind == metrics.MANHATTAN:
+        coords = np.stack([_lower_medians(P[0], masses, starts), _lower_medians(P[1], masses, starts)], axis=1)
+    else:
+        raise ValueError(f"no continuous location step for metric kind {kind!r}")
+    return CenterUpdate(coords, np.ones(c, dtype=int), np.ones(c, dtype=bool))
+
+
+def update_center_continuous(kind: str, xy: np.ndarray, masses: np.ndarray) -> CenterUpdate:
+    """Exact continuous relocation of one center for a geometric metric."""
+    coords, iterations, converged = update_centers_continuous(kind, xy, masses, [0])
+    return CenterUpdate(coords[0], int(iterations[0]), bool(converged[0]))
 
 
 def weiszfeld(xy: np.ndarray, masses: np.ndarray) -> CenterUpdate:
@@ -71,91 +305,25 @@ def weiszfeld(xy: np.ndarray, masses: np.ndarray) -> CenterUpdate:
     shorter than 1e-9 times the data scale.  The data scale is the diagonal
     of the cluster's bounding box.
     """
+    return update_center_continuous(metrics.EUCLIDEAN, xy, masses)
+
+
+def cluster_costs_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, starts, locations) -> np.ndarray:
+    """Each cluster's cost at its own location, with clusters laid out as for ``update_centers_continuous``."""
     xy = np.asarray(xy, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    span = xy.max(axis=0) - xy.min(axis=0)
-    scale = float(max(np.hypot(span[0], span[1]), 1e-300))
-    snap, near = 1e-12 * scale, 1e-3 * scale
-    tested: set[int] = set()
-    creeping = False
-
-    def pull_test(j):
-        """Whether data point j is optimal, with its residual pull, mass and inverse-distance sum."""
-        tested.add(j)
-        here = np.hypot(*(xy - xy[j]).T) <= snap
-        pull, inv_sum = _pull_at(xy, masses, xy[j], here)
-        pull_norm, mass_here = float(np.hypot(pull[0], pull[1])), float(masses[here].sum())
-        return pull_norm <= mass_here, pull, pull_norm, mass_here, inv_sum
-
-    rel = xy - xy[0]
-    lengths = np.hypot(rel[:, 0], rel[:, 1])
-    far = rel[int(np.argmax(lengths))]
-    # The largest distance from the line, times the line's length.
-    across = float(np.abs(rel[:, 0] * far[1] - rel[:, 1] * far[0]).max())
-    if across <= 1e-2 * scale * lengths.max():
-        along = rel @ far
-        median = int(np.argmax(along == weighted_lower_median(along, masses)))
-        if across <= 1e-12 * scale * scale or pull_test(median)[0]:
-            return CenterUpdate(xy[median].copy(), 1, True)
-
-    def at(y):
-        diff = y - xy
-        d = np.hypot(diff[:, 0], diff[:, 1])
-        return y, diff, d, float(masses @ d)
-
-    y, diff, d, cost = at(weighted_mean(xy, masses))
-    for it in range(1, WEISZFELD_MAX_ITER + 1):
-        j = int(np.argmin(d))
-        on_point = d[j] <= snap
-        if on_point or ((d[j] <= near or creeping) and j not in tested):
-            optimal, pull, pull_norm, mass_here, inv_sum = pull_test(j)
-            if optimal:
-                return CenterUpdate(xy[j].copy(), it, True)
-            if on_point:
-                # Kuhn's step off the data point along the pull.
-                y, diff, d, cost = at(xy[j] + (1.0 - mass_here / pull_norm) * pull / inv_sum)
-                continue
-        inv = masses / d
-        grad = inv @ diff
-        if np.hypot(grad[0], grad[1]) <= 1e-13 * masses.sum():
-            return CenterUpdate(y, it, True)
-        # The Hessian is sum m_i / d_i^3 [[dy^2, -dx dy], [-dx dy, dx^2]]; its
-        # inverse is this weighted second-moment matrix over the determinant.
-        moment = (inv / (d * d) * diff.T) @ diff
-        det = moment[0, 0] * moment[1, 1] - moment[0, 1] * moment[1, 0]
-        step = moment @ grad / det if det > 0 else None
-        # The Newton step and its three halvings, then the Weiszfeld step (None).
-        newton = () if step is None else y - step / _HALVINGS
-        for cand in (*newton, None):
-            state = at(inv @ xy / inv.sum() if cand is None else cand)
-            if state[3] < cost:
-                break
-        else:
-            return CenterUpdate(y, it, True)
-        y, diff, d, cost = state
-        creeping = cand is None
-        if step is not None and np.hypot(step[0], step[1]) < 1e-9 * scale:
-            return CenterUpdate(y, it, True)
-    return CenterUpdate(y, WEISZFELD_MAX_ITER, False)
-
-
-def update_center_continuous(kind: str, xy: np.ndarray, masses: np.ndarray) -> CenterUpdate:
-    """Exact continuous relocation of one center for a geometric metric."""
-    xy = np.asarray(xy, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    total = float(np.sum(masses))
-    if not total > 0:
-        raise EmptyCluster("no mass assigned to this center")
-    if kind == metrics.SQEUCLIDEAN:
-        return CenterUpdate(weighted_mean(xy, masses), 1, True)
-    if kind == metrics.EUCLIDEAN:
-        return weiszfeld(xy, masses)
+    starts = np.asarray(starts, dtype=np.intp)
+    diff = xy - np.repeat(np.asarray(locations, dtype=float), np.diff(starts, append=len(xy)), axis=0)
     if kind == metrics.MANHATTAN:
-        coords = np.array(
-            [weighted_lower_median(xy[:, 0], masses), weighted_lower_median(xy[:, 1], masses)]
-        )
-        return CenterUpdate(coords, 1, True)
-    raise ValueError(f"no continuous location step for metric kind {kind!r}")
+        d = np.abs(diff).sum(axis=1)
+    else:
+        d = (diff * diff).sum(axis=1)
+        if kind == metrics.EUCLIDEAN:
+            np.sqrt(d, out=d)
+    return np.add.reduceat(np.asarray(masses, dtype=float) * d, starts)
+
+
+def cluster_cost_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, location) -> float:
+    return float(cluster_costs_continuous(kind, xy, masses, [0], np.asarray(location, dtype=float)[None])[0])
 
 
 def update_center_discrete(site_distances: np.ndarray, masses: np.ndarray):
@@ -173,11 +341,6 @@ def update_center_discrete(site_distances: np.ndarray, masses: np.ndarray):
         return int(np.argmin(masses @ site_distances))
     totals = masses.T @ site_distances
     return np.argmin(totals, axis=1), totals
-
-
-def cluster_cost_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, location) -> float:
-    d = metrics.geometric_distances(kind, xy, np.asarray(location, dtype=float)[None, :])[:, 0]
-    return float(masses @ d)
 
 
 def decide_release(gain: float, penalty: float, released: bool) -> bool:

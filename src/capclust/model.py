@@ -315,6 +315,11 @@ def validate_problem(problem: Problem) -> Problem:
     spec = problem.centers
     if spec.k < 1:
         raise ValidationError("k must be positive")
+    if spec.candidates is not None:  # before the point checks, which measure the sites too
+        if spec.candidates.ndim != 2 or spec.candidates.shape[1] != 2:
+            raise ShapeMismatch(f"candidate sites of shape {spec.candidates.shape}, expected (s, 2)")
+        if not np.isfinite(spec.candidates).all():
+            raise ValidationError("candidate sites must be finite")
     if "points_checked" not in problem.shared:
         _validate_points(problem)
         problem.shared["points_checked"] = True
@@ -374,8 +379,8 @@ def validate_problem(problem: Problem) -> Problem:
     if spec.placement == "discrete" and fixed:
         resolved = []
         for f in fixed:
-            if np.isscalar(f) or isinstance(f, (int, np.integer)):
-                h = int(f)
+            if np.isscalar(f):
+                h = _site_index(f)
                 if not 0 <= h < n_sites:
                     raise FixedCenterNotCandidate(f"fixed site index {h} outside 0..{n_sites - 1}")
             else:
@@ -398,6 +403,17 @@ def validate_problem(problem: Problem) -> Problem:
     if _same_values(fixed, normalized):
         return problem
     return replace(problem, centers=replace(spec, fixed=normalized))
+
+
+def _site_index(site) -> int:
+    """A fixed site given as one value: its index, which must be a whole number."""
+    try:
+        value = float(site)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not value.is_integer():
+        raise FixedCenterNotCandidate(f"fixed site {site!r} is not a site index")
+    return int(value)
 
 
 def _finite_pair(location) -> np.ndarray:

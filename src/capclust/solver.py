@@ -22,7 +22,7 @@ from .allocation import allocate, lp_model
 from .errors import (
     AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget, NotEnoughDistinctSites, ShapeMismatch, ValidationError,
 )
-from .location import cluster_cost_continuous, decide_release, update_center_continuous, update_center_discrete
+from .location import cluster_costs_continuous, decide_release, update_center_discrete, update_centers_continuous
 from .model import Assignment, Problem, Solution, evaluate_parts, point_costs, validate_problem
 
 
@@ -238,7 +238,7 @@ def _changed_clusters(assignment: Assignment, w: np.ndarray, last):
     return changed[:k], filled, labels
 
 
-def _cluster_masses(current: np.ndarray, w: np.ndarray, clusters: list[int], k: int) -> np.ndarray:
+def _cluster_masses(current: np.ndarray, w: np.ndarray, clusters: np.ndarray, k: int) -> np.ndarray:
     """The masses y_ij w'_i of ``clusters``, one row each, from an input of ``_changed_clusters``."""
     if current.ndim == 2:
         return current[clusters]
@@ -286,15 +286,20 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     assignment it returned last in this descent, so the objective never
     rises.
 
-    Every center moves by one rule.  It takes its cluster's optimum from
-    ``update_center_discrete`` (one product for all moving clusters, whose
-    totals also price a fixed center's own site) or
-    ``update_center_continuous``; a continuous optimum that costs more than
-    the current location is dropped for it (the monotone guard).  A fixed
-    center is then released when the gain of that location over its fixed
-    one passes ``decide_release``, and put back at its fixed location
-    otherwise.  A fixed center that cannot be released (infinite penalty or
-    empty cluster) stays fixed without an update.
+    Every center moves by one rule, and all moving clusters move in one
+    batched step.  Under discrete placement ``update_center_discrete``
+    prices every site for them with one product, whose totals also price a
+    fixed center's own site.  Under continuous placement their points with
+    positive mass go, cluster after cluster, to one
+    ``update_centers_continuous`` call; ``cluster_costs_continuous`` then
+    prices every update, and the fixed location of every moving fixed
+    cluster, in one call each.  A continuous optimum that costs more than
+    the current location (read from the distance matrix) is dropped for it
+    (the monotone guard).  A fixed center is then released when the gain of
+    that location over its fixed one passes ``decide_release``, one center
+    at a time, and put back at its fixed location otherwise.  A fixed center
+    that cannot be released (infinite penalty or empty cluster) stays fixed
+    without an update.
 
     Each iteration sorts the clusters with masks.  A cluster is skipped,
     and keeps its center, when it holds mass, its masses are those of the
@@ -368,38 +373,42 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
             new_released.difference_update(np.flatnonzero(held).tolist())
             changed &= ~held
         emptied = np.flatnonzero(changed & empty).tolist()
-        moving = np.flatnonzero(changed & filled).tolist()
+        moving = np.flatnonzero(changed & filled)
         if emptied:
             _reseed(problem, point_costs(problem, assignment, D), new_centers, emptied)
             diag["empty_reseeds"] += len(emptied)
 
         masses = _cluster_masses(current, w, moving, k)
-        if discrete and moving:
+        f = int(np.searchsorted(moving, m))  # the moving fixed clusters come first
+        gains = np.empty(0)  # their cost at the fixed location minus their cost where they now stand
+        if moving.size and discrete:
             # One product prices every site for every moving cluster.
             sites, totals = update_center_discrete(problem.site_costs, masses.T)
-        for r, j in enumerate(moving):
-            if discrete:
-                new_centers[j] = sites[r]
-                if j < m:
-                    gain = totals[r, fixed_at[j]] - totals[r, sites[r]]
+            new_centers[moving] = sites
+            r = np.arange(f)
+            gains = totals[r, fixed_at[moving[r]]] - totals[r, sites[r]]
+        elif moving.size:
+            # One batch: every moving cluster's points with positive mass, cluster after cluster.
+            rows, points = np.nonzero(masses > 0)
+            xy, mass = problem.coords[points], masses[rows, points]
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            update = update_centers_continuous(kind, xy, mass, starts)
+            last_unconverged[moving] = ~update.converged
+            # Keep the current location on the rare non-improving update so
+            # the outer descent stays monotone.
+            now = np.add.reduceat(mass * D[points, moving[rows]], starts)
+            then = cluster_costs_continuous(kind, xy, mass, starts, update.coords)
+            new_centers[moving] = np.where((then <= now)[:, None], update.coords, centers[moving])
+            if f:  # min(then, now) is the cost where the center now stands
+                end = starts[f] if f < moving.size else len(xy)
+                at_fixed = cluster_costs_continuous(kind, xy[:end], mass[:end], starts[:f], fixed_at[moving[:f]])
+                gains = at_fixed - np.minimum(then, now)[:f]
+        for j, gain in zip(moving[:f].tolist(), gains.tolist()):
+            if decide_release(gain, spec.release_penalty, j in released):
+                new_released.add(j)
             else:
-                nz = masses[r] > 0
-                rows, mass = problem.coords[nz], masses[r, nz]
-                update = update_center_continuous(kind, rows, mass)
-                last_unconverged[j] = not update.converged
-                # Keep the current location on the rare non-improving update
-                # so the outer descent stays monotone.
-                now = float(mass @ D[nz, j])
-                then = cluster_cost_continuous(kind, rows, mass, update.coords)
-                new_centers[j] = update.coords if then <= now else centers[j]
-                if j < m:  # min(then, now) is the cost where the center now stands
-                    gain = cluster_cost_continuous(kind, rows, mass, fixed_at[j]) - min(then, now)
-            if j < m:
-                if decide_release(gain, spec.release_penalty, j in released):
-                    new_released.add(j)
-                else:
-                    new_released.discard(j)
-                    new_centers[j] = fixed_at[j]
+                new_released.discard(j)
+                new_centers[j] = fixed_at[j]
         # A skipped cluster replays the count of its last update.
         diag["weiszfeld_unconverged"] += int(np.count_nonzero(last_unconverged))
 

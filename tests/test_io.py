@@ -48,6 +48,66 @@ def test_negative_weight_reports_line_and_column(tmp_path):
     assert err.value.column == 4
 
 
+POINT_FILES = {
+    "plain": "id,x,y,w\n0,1,2,3\n1,4,5,6\n",
+    "all-columns": "id,x,y,w,gamma,a,q\n0,1,2,3,0.5,3,2\n1,-1e-3,2.5e2,0,4,0,1\n",
+    "crlf": "id,x,y,w\r\n0,1,2,3\r\n1,2,3,4\r\n",
+    "spaces": "id,x,y,w\n0, 1 , 2,3\n",
+    "blank-lines": "id,x,y,w\n\n0,1,2,3\n\n1,2,3,4\n",
+    "byte-order-mark": "\ufeffid,x,y,w\n0,1,2,3\n",
+    "reprs": "id,x,y,w\n0,0.1,1e-300,1.7976931348623157e308\n1,-0.0,5e-324,0.30000000000000004\n",
+    "underscores": "id,x,y,w\n1_000,1_0,2,3\n",
+    "signs": "id,x,y,w\n+5,+1,-2,.5\n",
+    "blank-optional": "id,x,y,w,gamma,a,q\n0,1,2,3,,,\n",
+    "quoted": 'id,x,y,w\n0,"1",2,3\n',
+    "trailing-comma": "id,x,y,w\n0,1,2,3,\n",
+    "header-only": "id,x,y,w\n",
+    "float-id": "id,x,y,w\n0,1,2,3\n1.0,1,2,3\n",
+    "huge-id": "id,x,y,w\n99999999999999999999,1,2,3\n",
+    "hex": "id,x,y,w\n0,0x10,2,3\n",
+    "exponent-id": "id,x,y,w\n1e3,1,2,3\n",
+    "nan": "id,x,y,w\n0,nan,2,3\n",
+    "inf-weight": "id,x,y,w\n0,1,2,inf\n",
+    "overflow": "id,x,y,w\n0,1e400,2,3\n",
+    "negative-weight": "id,x,y,w\n0,1,2,3\n1,1,2,-3\n",
+    "negative-gamma": "id,x,y,w,gamma\n0,1,2,3,-1\n",
+    "zero-q": "id,x,y,w,gamma,a,q\n0,1,2,3,0,0,0\n",
+    "fraction-q": "id,x,y,w,gamma,a,q\n0,1,2,3,0,3,1.5\n",
+    "short-row": "id,x,y,w\n0,1,2,3\n1,2,3\n",
+    "text": "id,x,y,w\n0,a,2,3\n",
+    "comment": "id,x,y,w\n0,1,2,3 # c\n",
+    "blank-row": "id,x,y,w\n ,,, \n",
+}
+
+
+@pytest.mark.parametrize("name", POINT_FILES)
+def test_point_fast_path_matches_the_per_cell_parser(tmp_path, monkeypatch, name):
+    from capclust import io
+
+    f = tmp_path / "pts.csv"
+    f.write_text(POINT_FILES[name], encoding="utf-8", newline="")
+
+    def outcome():
+        try:
+            return load_points(f)
+        except ParseError as exc:
+            return type(exc), str(exc), exc.line, exc.column
+
+    fast = outcome()
+    monkeypatch.setattr(io, "_point_table", lambda *args: None)
+    assert fast == outcome()
+
+
+@pytest.mark.parametrize("name", ["plain", "all-columns", "crlf", "spaces", "blank-lines", "byte-order-mark", "reprs"])
+def test_plain_point_files_take_the_fast_path(tmp_path, monkeypatch, name):
+    from capclust import io
+
+    f = tmp_path / "pts.csv"
+    f.write_text(POINT_FILES[name], encoding="utf-8", newline="")
+    monkeypatch.setattr(io, "_point_cells", None)
+    assert load_points(f)
+
+
 @pytest.mark.parametrize("row, column", [
     ("2,nan,1,3", 2), ("2,1,inf,3", 3), ("2,1,1,nan", 4), ("2,1,1,3,-inf", 5), ("2,1,1,3,0,Infinity", 6),
 ])
@@ -135,7 +195,11 @@ def test_fast_matrix_read_equals_the_per_cell_parser(tmp_path, monkeypatch, layo
     (load_fixed, b"site\n\n \nx\n", 4, 1),
     (load_matrix, b"1," + b"2" * 200_000 + b"\n", 1, 0),
     (load_matrix, b"1,2\n# 3,4\n", 2, 1),
-], ids=["not-utf8", "short-row", "empty", "short-label", "blank-rows", "field-over-limit", "comment-line"])
+    # a bad cell before a byte that is not UTF-8 is the first fault
+    (load_matrix, b"a,1\n\xff,2\n", 1, 1),
+    (load_points, b"id,x,y,w\n0,a,0,1\n1,\xff,0,1\n", 2, 2),
+], ids=["not-utf8", "short-row", "empty", "short-label", "blank-rows", "field-over-limit", "comment-line",
+        "matrix-bad-cell-first", "points-bad-cell-first"])
 def test_malformed_csv_reports_line_and_column(tmp_path, load, data, line, column):
     f = tmp_path / "in.csv"
     f.write_bytes(data)

@@ -4,10 +4,13 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from capclust import (
-    decide_release, update_center_continuous, update_center_discrete, weiszfeld,
+    decide_release, location, update_center_continuous, update_center_discrete, weiszfeld,
 )
 from capclust.errors import EmptyCluster
-from capclust.location import WEISZFELD_MAX_ITER, cluster_cost_continuous, weighted_lower_median
+from capclust.location import (
+    WEISZFELD_MAX_ITER, cluster_cost_continuous, cluster_costs_continuous, update_centers_continuous,
+    weighted_lower_median,
+)
 from oracles import grid_refine_median
 
 
@@ -190,6 +193,83 @@ def test_weiszfeld_with_duplicate_points():
     got = weiszfeld(xy, masses)
     _assert_geometric_median(xy, masses, got)
     assert got.coords.tolist() == [0.0, 0.0]
+
+
+CLUSTER_KINDS = ("single", "coincident", "collinear", "thin", "heavy", "blob")
+
+
+def _cluster(rng, kind):
+    """Points and masses of one cluster of the given kind."""
+    n = int(rng.integers(2, 40))
+    masses = rng.uniform(0.5, 3.0, size=n)
+    origin = rng.uniform(-5.0, 5.0, size=2)
+    if kind == "single":
+        return origin[None, :], masses[:1]
+    if kind == "coincident":
+        return np.repeat(origin[None, :], n, axis=0), masses
+    t = rng.uniform(-5.0, 5.0, size=n)
+    if kind == "collinear":  # exactly: every cross product is zero
+        return origin + np.stack([t, t], axis=1), masses
+    if kind == "thin":
+        return origin + np.stack([t, 0.3 * t], axis=1) + rng.normal(0.0, 1e-6, size=(n, 2)), masses
+    xy = origin + rng.normal(0.0, rng.uniform(0.1, 3.0), size=(n, 2))
+    if kind == "heavy":  # the first point outweighs the pull of all others, so it is optimal
+        masses[0] = 1.5 * masses[1:].sum()
+    return xy, masses
+
+
+def _batch(clusters):
+    xy = np.vstack([c[0] for c in clusters])
+    masses = np.concatenate([c[1] for c in clusters])
+    return xy, masses, np.cumsum([0] + [len(c[1]) for c in clusters[:-1]])
+
+
+def _assert_batch_matches_singles(kind, clusters):
+    xy, masses, starts = _batch(clusters)
+    batch = update_centers_continuous(kind, xy, masses, starts)
+    locations = batch.coords + 0.25
+    costs = cluster_costs_continuous(kind, xy, masses, starts, locations)
+    for r, (points, mass) in enumerate(clusters):
+        alone = update_center_continuous(kind, points, mass)
+        scale = np.hypot(*(points.max(axis=0) - points.min(axis=0)))
+        assert np.abs(batch.coords[r] - alone.coords).max() <= 1e-12 * scale
+        assert (batch.iterations[r], batch.converged[r]) == (alone.iterations, alone.converged)
+        assert costs[r] == pytest.approx(cluster_cost_continuous(kind, points, mass, locations[r]), rel=1e-12)
+    return batch
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_batched_relocation_matches_one_cluster_at_a_time(seed):
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(CLUSTER_KINDS, size=int(rng.integers(1, 9)))
+    clusters = [_cluster(rng, kind) for kind in kinds]
+    for metric in ("euclidean", "sqeuclidean", "manhattan"):
+        batch = _assert_batch_matches_singles(metric, clusters)
+    for r, kind in enumerate(kinds):
+        assert batch.converged[r]
+        if kind in ("single", "coincident", "collinear", "heavy"):
+            # a data point is the median, returned exactly
+            assert any(batch.coords[r].tolist() == p for p in clusters[r][0].tolist())
+
+
+def test_a_capped_cluster_runs_beside_clusters_that_stop_early(monkeypatch):
+    rng = np.random.default_rng(3)
+    blob = _cluster(rng, "blob")
+    clusters = [_cluster(rng, "single"), blob, _cluster(rng, "collinear"), _cluster(rng, "coincident"), blob]
+    assert weiszfeld(*blob).iterations > 2
+    monkeypatch.setattr(location, "WEISZFELD_MAX_ITER", 2)
+    batch = _assert_batch_matches_singles("euclidean", clusters)
+    assert batch.iterations.tolist()[1::3] == [2, 2]
+    assert batch.converged.tolist() == [True, False, True, True, False]
+    assert batch.iterations[[0, 2, 3]].tolist() == [1, 1, 1]
+
+
+def test_batched_relocation_rejects_an_empty_cluster():
+    xy = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    for masses, starts in (([1.0, 1.0, 1.0], [0, 1, 1]), ([1.0, 0.0, 1.0], [0, 1, 2]), ([1.0, 1.0, 1.0], [0, 3])):
+        with pytest.raises(EmptyCluster):
+            update_centers_continuous("euclidean", xy, np.array(masses), starts)
 
 
 # decide_release(gain, penalty, released): gain is the cluster's cost at the

@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from capclust import (
-    Assignment, CenterSpec, Point, Problem, Solution, allocate, euclidean,
-    matrix_metric, sqeuclidean, threshold, validate_problem,
+    Assignment, CenterSpec, Point, Problem, Solution, SolverConfig, allocate, euclidean,
+    matrix_metric, solve, sqeuclidean, threshold, validate_problem,
 )
 from capclust.errors import (
     CapacityWindowInverted, FixedCenterNotCandidate, KTooSmall, NegativeWeight,
@@ -235,6 +235,39 @@ def test_matrix_candidates_must_match_the_columns(candidates):
     validate_problem(problem([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
     with pytest.raises(ShapeMismatch):
         validate_problem(problem(candidates))
+
+
+def _site_problem(fixed=(), candidates=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))):
+    return Problem(points=(Point(0, coords=(0.0, 0.0)), Point(1, coords=(2.0, 0.0))), metric=euclidean(),
+                   centers=CenterSpec(k=1, placement="discrete", candidates=candidates, fixed=fixed))
+
+
+@pytest.mark.parametrize("site", [1.5, "ab", math.nan, math.inf, 10**400],
+                         ids=["fraction", "text", "nan", "inf", "huge"])
+def test_discrete_fixed_site_must_be_a_whole_number(site):
+    # 1.5 used to be truncated to site 1, and "ab" ended in a raw ValueError
+    with pytest.raises(FixedCenterNotCandidate, match="not a site index"):
+        validate_problem(_site_problem(fixed=(site,)))
+
+
+@pytest.mark.parametrize("site", [1, np.int64(1), 1.0, np.float64(1.0)])
+def test_discrete_fixed_site_given_as_a_whole_number_is_accepted(site):
+    assert validate_problem(_site_problem(fixed=(site,))).centers.fixed == (1,)
+
+
+@pytest.mark.parametrize("candidates, error", [
+    (np.zeros((2, 3)), ShapeMismatch),
+    (np.array([0.0, 1.0]), ShapeMismatch),
+    (np.zeros((2, 2, 2)), ShapeMismatch),
+    (np.array([[0.0, 0.0], [math.nan, 1.0]]), ValidationError),
+    (np.array([[0.0, 0.0], [math.inf, 1.0]]), ValidationError),
+], ids=["three-columns", "flat", "three-dimensional", "nan", "inf"])
+def test_geometric_candidate_sites_must_be_finite_pairs(candidates, error):
+    # a (2, 3) array ended in a raw numpy ValueError, and a flat one was solved
+    with pytest.raises(error):
+        validate_problem(_site_problem(candidates=candidates))
+    with pytest.raises(error):
+        solve(_site_problem(candidates=candidates), SolverConfig(restarts=1))
 
 
 @pytest.mark.parametrize("centers", [

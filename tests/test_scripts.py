@@ -54,3 +54,20 @@ def test_output_digest_runs_without_pythonpath(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert [line.split(" ")[0] for line in done.stdout.splitlines()] == ["out0/plot.svg", "out0/solution.txt"]
+
+
+@pytest.mark.parametrize("workload, document, k", [("cap-fractional", "out0/solution.txt", 4),
+                                                   ("matrix-sweep", "out0/solution_k2.txt", 2)])
+def test_output_values_list_each_objective_and_center(tmp_path, workload, document, k):
+    runs = [run_script("output_digest.py", "--workload", workload, "--seed", "1", "--small", "--values", cwd=tmp_path)
+            for _ in range(2)]
+    assert all(done.returncode == 0 for done in runs), runs[0].stderr
+    lines = [line.split(" ") for line in runs[0].stdout.splitlines()]
+    assert [line[:2] for line in lines] == [[document, "total"]] + [[document, "c"]] * k
+    assert float(lines[0][2]) > 0
+    assert [int(line[2]) for line in lines[1:]] == list(range(k))
+    # a center is a pair of floats under continuous placement and a site index under discrete placement
+    width, parse = (2, float) if workload == "cap-fractional" else (1, int)
+    assert all(len(line) == 3 + width for line in lines[1:])
+    [parse(v) for line in lines[1:] for v in line[3:]]  # raises on a malformed value
+    assert runs[1].stdout == runs[0].stdout

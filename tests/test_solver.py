@@ -340,17 +340,17 @@ def test_released_center_keeps_its_location_on_a_worse_update(monkeypatch):
     offsets = [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
     pts = tuple(Point(i, coords=(10.0 + dx, dy)) for i, (dx, dy) in enumerate(offsets))
     prob = continuous_problem(pts, k=1, center_kw={"fixed": ((0.0, 0.0),), "release_penalty": 0.5})
-    exact = location.update_center_continuous
+    exact = location.update_centers_continuous
     calls = []
 
-    def worse_after_release(kind, xy, masses):
+    def worse_after_release(kind, xy, masses, starts):
         # the first update releases the center; every later one offers a worse point
-        calls.append(1)
-        update = exact(kind, xy, masses)
+        calls.append(len(starts))
+        update = exact(kind, xy, masses, starts)
         return update if len(calls) == 1 else update._replace(coords=update.coords + [3.0, 0.0])
 
     for module in (location, solver):
-        monkeypatch.setattr(module, "update_center_continuous", worse_after_release)
+        monkeypatch.setattr(module, "update_centers_continuous", worse_after_release)
     sol = descend(prob, np.array([[0.0, 0.0]]), SolverConfig())
     trace = sol.diagnostics["objective_trace"]
     assert len(calls) >= 2
@@ -439,16 +439,17 @@ def _counting(monkeypatch, module, name):
 
 
 def test_stable_clusters_skip_the_weiszfeld_step(monkeypatch):
-    from capclust import location
-
     rng = np.random.default_rng(30)
     pts = blob_points(rng, [(0, 0), (9, 0), (4, 8)], per=20)
     prob = continuous_problem(pts, metric=euclidean())
-    calls = _counting(monkeypatch, location, "weiszfeld")
+    clusters = []  # the clusters of each batched location update
+    update = solver.update_centers_continuous
+    monkeypatch.setattr(solver, "update_centers_continuous",
+                        lambda kind, xy, masses, starts: clusters.append(len(starts)) or update(kind, xy, masses, starts))
     sol = descend(prob, np.array([[1.0, 1.0], [2.0, 0.0], [3.0, 2.0]]), SolverConfig())
     iterations = sol.diagnostics["iterations"]
     assert iterations >= 2
-    assert len(calls) < prob.k * iterations
+    assert sum(clusters) < prob.k * iterations
 
 
 @pytest.mark.parametrize("placement", ["continuous", "discrete"])
@@ -463,7 +464,7 @@ def test_unreleasable_fixed_center_runs_no_location_update(monkeypatch, placemen
         center_kw = {"fixed": ((4.0, 8.0),)}
     prob = continuous_problem(pts, metric=euclidean(), k=1, center_kw={**center_kw, "release_penalty": np.inf})
     calls = [_counting(monkeypatch, module, name) for module in (location, solver)
-             for name in ("update_center_continuous", "update_center_discrete")]
+             for name in ("update_centers_continuous", "update_center_discrete")]
     sol = descend(prob, kmeanspp_init(prob, np.random.default_rng(0)), SolverConfig())
     assert calls == [[]] * 4
     assert sol.released == frozenset()
@@ -652,8 +653,13 @@ def test_skipping_matches_a_full_location_step(monkeypatch, unconverged):
     if unconverged:
         # every Weiszfeld run reports no convergence, so the count must be
         # replayed for skipped clusters
-        weiszfeld = location.weiszfeld
-        monkeypatch.setattr(location, "weiszfeld", lambda *a, **kw: weiszfeld(*a, **kw)._replace(converged=False))
+        update = location.update_centers_continuous
+
+        def unconverged_update(*args):
+            got = update(*args)
+            return got._replace(converged=np.zeros_like(got.converged))
+
+        monkeypatch.setattr(solver, "update_centers_continuous", unconverged_update)
     changed_clusters = solver._changed_clusters
 
     def every_cluster_changed(*args):
@@ -684,21 +690,27 @@ def test_a_moving_fixed_cluster_prices_its_update_once(monkeypatch):
 
     prob = next(_skip_cases())
     fixed = [np.asarray(f) for f in prob.centers.fixed]
-    segments = []  # the locations priced after each location update
-    update, cost = location.update_center_continuous, location.cluster_cost_continuous
+    batches = []  # per batched location update: each cluster's locations priced after it
+    update, cost = location.update_centers_continuous, location.cluster_costs_continuous
 
-    def updating(*args):
-        segments.append([])
-        return update(*args)
+    def clusters(xy, masses, starts):
+        ends = [*starts[1:], len(xy)]
+        return [(xy[a:b].tobytes(), masses[a:b].tobytes()) for a, b in zip(starts, ends)]
 
-    def pricing(kind, xy, masses, at):
-        segments[-1].append(np.asarray(at, dtype=float))
-        return cost(kind, xy, masses, at)
+    def updating(kind, xy, masses, starts):
+        batches.append({key: [] for key in clusters(xy, masses, starts)})
+        return update(kind, xy, masses, starts)
 
-    monkeypatch.setattr(solver, "update_center_continuous", updating)
-    monkeypatch.setattr(solver, "cluster_cost_continuous", pricing)
+    def pricing(kind, xy, masses, starts, locations):
+        for key, at in zip(clusters(xy, masses, starts), locations):
+            batches[-1][key].append(np.asarray(at, dtype=float))
+        return cost(kind, xy, masses, starts, locations)
+
+    monkeypatch.setattr(solver, "update_centers_continuous", updating)
+    monkeypatch.setattr(solver, "cluster_costs_continuous", pricing)
     for seed in range(3):
         descend(prob, kmeanspp_init(prob, np.random.default_rng(seed)), SolverConfig())
+    segments = [priced for batch in batches for priced in batch.values()]
     at_fixed = [any(np.array_equal(loc, f) for f in fixed) for seg in segments for loc in seg[1:]]
     assert len(segments) > 0 and any(at_fixed)
     assert all(len(seg) in (1, 2) for seg in segments)
