@@ -435,4 +435,7 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
         elif res.status != 0:
             raise CapclustError(f"HiGHS did not solve the hard allocation: {res.message}")
     model.last_hard = y[model.pos]
-    return Assignment(y=y, membership=HARD, has_outlier=problem.has_outlier_column, diagnostics=diagnostics)
+    # With every q_i = 1 each row is one-hot, so its column labels it.
+    labels = np.argmax(y, axis=1) if problem.coverages.max() == 1 else None
+    return Assignment(y=y, membership=HARD, has_outlier=problem.has_outlier_column, diagnostics=diagnostics,
+                      labels=labels)

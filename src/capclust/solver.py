@@ -5,7 +5,8 @@ k-means++), then alternates the exact allocation step with the location
 step (including release decisions for fixed centers) until the objective
 stalls or the centers stop moving.  Restarts draw from counter-spawned RNG
 streams so the set of restarts is independent of execution order, and the
-best restart by total objective wins (ties to the lowest restart index).
+best restart by total objective wins (totals within 1e-12 relative of the
+lowest tie, and ties go to the lowest restart index).
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class SolverConfig:
         if self.time_budget is not None and not self.time_budget >= 0:  # inf means no limit
             raise ValueError("time_budget must be nonnegative")
 
+
+# Restart totals within this relative distance of the lowest tie, and the
+# lowest restart index among them wins: they differ by rounding only.
+RESTART_TIE_RTOL = 1e-12
 
 # Key in ``Problem.shared`` of the seeding cache while ``shared_seeding`` is open.
 _SEEDING = "seeding"
@@ -210,45 +215,69 @@ def _reseed(problem: Problem, contrib: np.ndarray, centers: np.ndarray, emptied:
         centers[j] = spot if discrete else problem.coords[spot]
 
 
+def _mass_changes(current: np.ndarray, seen, w: np.ndarray, k: int):
+    """The points whose masses differ between the inputs ``seen`` and ``current``, and the (k, p) change.
+
+    The inputs are those of ``_changed_clusters``.  The change is new minus
+    old, one column per point.  With labels the points are those with
+    w' > 0 that switched column; with dense masses, those whose mass column
+    differs.  Every point counts when ``seen`` is None.
+    """
+    first = seen is None
+    if current.ndim == 2:
+        if first:
+            return np.arange(len(w)), current
+        points = np.flatnonzero((current != seen).any(axis=0))
+        return points, current[:, points] - seen[:, points]
+    points = np.arange(len(w)) if first else np.flatnonzero((w > 0) & (current != seen))
+    change = np.zeros((k + 1, points.size))  # the last row is the outlier column
+    cols = np.arange(points.size)
+    change[current[points], cols] = w[points]
+    if not first:
+        change[seen[points], cols] = -w[points]
+    return points, change[:k]
+
+
 def _changed_clusters(assignment: Assignment, w: np.ndarray, last):
     """Which clusters' masses changed since the last iteration, which hold mass, and this iteration's input.
 
-    The input is the assignment's ``labels`` when it carries them: a cluster
-    changed when a point with w' > 0 entered or left it.  Otherwise it is the
-    dense (k, n) masses y_ij w'_i, compared row by row.  ``last`` is the
-    input of the last iteration (None in the first, when every cluster changed).
+    The input is the assignment's ``labels`` when it carries them, else the
+    dense (k, n) masses y_ij w'_i.  A cluster changed when its row of
+    ``_mass_changes`` from ``last``, the input of the last iteration, is not
+    zero; in the first iteration (``last`` None) every cluster changed.
     """
     k = assignment.n_centers
-    labels = assignment.labels
-    if labels is None:
-        masses = np.empty((k, len(w)))
-        np.multiply(assignment.center_block.T, w, out=masses)
-        filled = (masses > 0).any(axis=1)
-        if last is None:
-            return np.ones(k, dtype=bool), filled, masses
-        return ~(masses == last).all(axis=1), filled, masses
-    counted = w > 0
-    filled = np.bincount(labels[counted], minlength=k + 1)[:k] > 0
+    current = assignment.labels
+    if current is None:
+        current = np.empty((k, len(w)))
+        np.multiply(assignment.center_block.T, w, out=current)
+        filled = (current > 0).any(axis=1)
+    else:
+        filled = np.bincount(current[w > 0], minlength=k + 1)[:k] > 0
     if last is None:
-        return np.ones(k, dtype=bool), filled, labels
-    switched = counted & (labels != last)
-    changed = np.zeros(k + 1, dtype=bool)  # the last slot is the outlier column
-    changed[labels[switched]] = True
-    changed[last[switched]] = True
-    return changed[:k], filled, labels
+        return np.ones(k, dtype=bool), filled, current
+    return (_mass_changes(current, last, w, k)[1] != 0).any(axis=1), filled, current
 
 
-def _cluster_masses(current: np.ndarray, w: np.ndarray, clusters: np.ndarray, k: int) -> np.ndarray:
-    """The masses y_ij w'_i of ``clusters``, one row each, from an input of ``_changed_clusters``."""
+def _members(current: np.ndarray, w: np.ndarray, clusters: np.ndarray, k: int):
+    """The points with positive mass of ``clusters``, cluster after cluster: each one's cluster row, index and mass.
+
+    ``current`` is an input of ``_changed_clusters``.  Labels give the
+    members from one stable sort of the clusters' points with w' > 0, dense
+    masses from the clusters' rows; both list a cluster's points by index.
+    """
     if current.ndim == 2:
-        return current[clusters]
+        masses = current[clusters]
+        rows, points = np.nonzero(masses > 0)
+        return rows, points, masses[rows, points]
     row = np.full(k + 1, -1)
     row[clusters] = np.arange(len(clusters))
-    member = row[current]
-    points = np.flatnonzero(member >= 0)
-    masses = np.zeros((len(clusters), len(current)))
-    masses[member[points], points] = w[points]
-    return masses
+    points = np.flatnonzero(w > 0)
+    member = row[current[points]]
+    points, member = points[member >= 0], member[member >= 0]
+    order = np.argsort(member, kind="stable")
+    points = points[order]
+    return member[order], points, w[points]
 
 
 def _checked_centers(problem: Problem, initial_centers) -> np.ndarray:
@@ -287,10 +316,16 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     rises.
 
     Every center moves by one rule, and all moving clusters move in one
-    batched step.  Under discrete placement ``update_center_discrete``
-    prices every site for them with one product, whose totals also price a
-    fixed center's own site.  Under continuous placement their points with
-    positive mass go, cluster after cluster, to one
+    batched step.  Under discrete placement the descent keeps one (k, s)
+    array of every cluster's weighted distance sum to every site, starting
+    from zero.  In an iteration in which some cluster moves,
+    ``update_center_discrete`` adds to it the rows of S of only the points
+    whose mass changed since it last did (every point in the first step),
+    so the sums catch up on the input they last saw, not on the last
+    iteration's.  The moving clusters take their sites from the sums, and a
+    fixed center's release gain reads the same row.  The sums agree with a
+    fresh product to rounding only.  Under continuous placement the moving
+    clusters' points with positive mass go, cluster after cluster, to one
     ``update_centers_continuous`` call; ``cluster_costs_continuous`` then
     prices every update, and the fixed location of every moving fixed
     cluster, in one call each.  A continuous optimum that costs more than
@@ -308,8 +343,12 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     only ever keeps the previous center, so recomputing would return the
     center it already holds.  An empty cluster is reseeded, or held if it
     is fixed, in every iteration it stays empty.  An assignment with
-    ``labels`` gives the masses straight from them, for the moving clusters
-    only (``_changed_clusters``, ``_cluster_masses``).
+    ``labels`` gives the masses straight from them: the changed points are
+    those with w' > 0 whose label differs, and the moving clusters' members
+    come from one stable sort, so only a discrete descent's first product
+    builds a (k, n) array (``_changed_clusters``, ``_mass_changes``,
+    ``_members``).  Dense masses follow the same rules by comparing mass
+    columns.
 
     ``initial_centers`` are k candidate-site indices under discrete
     placement and k finite coordinate pairs otherwise; anything else raises
@@ -337,6 +376,10 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     last_input = None
     last_released: set[int] = set()
     last_unconverged = np.zeros(k, dtype=bool)
+    # Discrete placement keeps every cluster's weighted distance sum to
+    # every site, and the input those sums last took in.
+    totals = np.zeros((k, problem.site_costs.shape[1])) if discrete else None
+    seen = None
 
     diag: dict = {
         "iterations": 0,
@@ -378,19 +421,22 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
             _reseed(problem, point_costs(problem, assignment, D), new_centers, emptied)
             diag["empty_reseeds"] += len(emptied)
 
-        masses = _cluster_masses(current, w, moving, k)
         f = int(np.searchsorted(moving, m))  # the moving fixed clusters come first
         gains = np.empty(0)  # their cost at the fixed location minus their cost where they now stand
         if moving.size and discrete:
-            # One product prices every site for every moving cluster.
-            sites, totals = update_center_discrete(problem.site_costs, masses.T)
+            # The kept totals take in the points that changed since they last
+            # did; their rows price every site for every cluster.
+            points, change = _mass_changes(current, seen, w, k)
+            seen = current
+            sites = update_center_discrete(problem.site_costs, change, totals=totals, rows=points, empty=empty,
+                                           clusters=moving)
             new_centers[moving] = sites
-            r = np.arange(f)
-            gains = totals[r, fixed_at[moving[r]]] - totals[r, sites[r]]
+            r = moving[:f]
+            gains = totals[r, fixed_at[r]] - totals[r, sites[:f]]
         elif moving.size:
             # One batch: every moving cluster's points with positive mass, cluster after cluster.
-            rows, points = np.nonzero(masses > 0)
-            xy, mass = problem.coords[points], masses[rows, points]
+            rows, points, mass = _members(current, w, moving, k)
+            xy = problem.coords[points]
             starts = np.flatnonzero(np.diff(rows, prepend=-1))
             update = update_centers_continuous(kind, xy, mass, starts)
             last_unconverged[moving] = ~update.converged
@@ -467,11 +513,17 @@ def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
     the first restart and passed to every descent, which starts it cold.
     When its checks raise ``Infeasible``, no model is kept, so every restart
     runs them again and fails with the same message.
+
+    Totals within ``RESTART_TIE_RTOL`` (1e-12) relative of the lowest tie,
+    and the lowest restart index among them wins.  Totals that differ only
+    in the last bits come from the order of floating-point sums, so a
+    change to that order leaves the winner, and its center labels, alone.
     """
     problem = validate_problem(problem)
     t0 = time.monotonic()
     streams = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
-    best: Solution | None = None
+    # The restarts whose totals tie with the lowest so far, by index.
+    tied: list[tuple[int, Solution]] = []
     failures: list[str] = []
     objectives: list[float] = []
     model = None
@@ -487,11 +539,14 @@ def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
             objectives.append(math.nan)
             continue
         objectives.append(candidate.objective.total)
-        if best is None or candidate.objective.total < best.objective.total:
-            best = candidate
-            best.diagnostics["best_restart"] = r
-    if best is None:
+        tied.append((r, candidate))
+        lowest = min(solution.objective.total for _, solution in tied)
+        tied = [(i, solution) for i, solution in tied
+                if solution.objective.total <= lowest + RESTART_TIE_RTOL * abs(lowest)]
+    if not tied:
         raise AllRestartsInfeasible("; ".join(failures))
+    r, best = tied[0]
+    best.diagnostics["best_restart"] = r
     best.diagnostics["restarts"] = config.restarts
     best.diagnostics["restart_objectives"] = objectives
     best.diagnostics["restart_failures"] = failures

@@ -62,6 +62,55 @@ def test_discrete_zero_cost_column_wins():
     assert update_center_discrete(site_d, np.ones(2)) == 1
 
 
+def _label_masses(labels, w, k):
+    """The (k, n) masses of labelled points; label k is no cluster."""
+    masses = np.zeros((k + 1, len(labels)))
+    masses[labels, np.arange(len(labels))] = w
+    return masses[:k]
+
+
+def test_kept_site_totals_take_in_only_the_changed_rows():
+    # Integer data: the kept totals equal a fresh product exactly.  The rows
+    # of points whose mass did not change are NaN, so reading one would show.
+    rng = np.random.default_rng(36)
+    n, s, k = 40, 9, 4
+    S = rng.integers(0, 50, size=(n, s)).astype(float)
+    w = rng.integers(1, 6, size=n).astype(float)
+    labels = rng.integers(0, k + 1, size=n)
+    totals = np.zeros((k, s))
+    old = np.zeros((k, n))
+    for step in range(6):
+        masses = _label_masses(labels, w, k)
+        rows = np.flatnonzero((masses != old).any(axis=0)) if step else np.arange(n)
+        masked = np.full_like(S, np.nan)
+        masked[rows] = S[rows]
+        empty = ~(masses > 0).any(axis=1)
+        clusters = np.flatnonzero(~empty)
+        sites = update_center_discrete(masked, masses[:, rows] - old[:, rows], totals=totals, rows=rows,
+                                       empty=empty, clusters=clusters)
+        assert np.array_equal(totals, masses @ S)
+        assert np.array_equal(sites, np.argmin((masses @ S)[clusters], axis=1))
+        old = masses
+        moved = rng.choice(n, size=5, replace=False)
+        labels = labels.copy()
+        labels[moved] = rng.integers(0, k + 1, size=5)
+
+
+def test_kept_site_totals_of_an_empty_cluster_are_zero():
+    # The row of a cluster that holds no mass is set to exactly 0, whatever
+    # rounding left in it.
+    S = np.array([[1.0, 2.0], [3.0, 1.0]])
+    totals = np.array([[1e-13, -2e-14], [4.0, 3.0]])
+    empty = np.array([True, False])
+    sites = update_center_discrete(S, np.zeros((2, 0)), totals=totals, rows=np.zeros(0, dtype=int), empty=empty,
+                                   clusters=np.array([1]))
+    assert sites.tolist() == [1]
+    assert totals.tolist() == [[0.0, 0.0], [4.0, 3.0]]
+    with pytest.raises(EmptyCluster):
+        update_center_discrete(S, np.zeros((2, 0)), totals=totals, rows=np.zeros(0, dtype=int), empty=empty,
+                               clusters=np.array([0, 1]))
+
+
 def test_weiszfeld_close_to_grid_refinement():
     rng = np.random.default_rng(9)
     for _ in range(10):

@@ -480,10 +480,25 @@ def test_label_indexed_evaluation_equals_the_dense_product(outlier):
     {"q": 2},
     {"membership": "fractional"},
     {"membership": "fractional", "capacity": (10.0, 30.0)},
-    {"membership": "hard", "capacity": (10.0, 30.0)},
 ])
 def test_multi_cover_fractional_and_capacitated_assignments_stay_dense(kw):
     rng = np.random.default_rng(41)
     prob = _weighted_problem(rng, n=60, outlier_penalty=0.8, **kw)
     assignment = allocate(prob, rng.uniform(0.0, 5.0, size=(4, 2)))
     assert assignment.labels is None
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_capacitated_hard_assignment_carries_labels_when_every_q_is_one(q):
+    # Every row of a hard assignment with q = 1 is one-hot, so its column labels it.
+    rng = np.random.default_rng(41)
+    prob = _weighted_problem(rng, n=60, outlier_penalty=0.8, q=q, membership="hard", capacity=(10.0, 30.0))
+    centers = rng.uniform(0.0, 5.0, size=(4, 2))
+    labelled = allocate(prob, centers)
+    if q == 2:
+        assert labelled.labels is None
+        return
+    assert np.array_equal(labelled.labels, np.argmax(labelled.y, axis=1))
+    assert 0 < (labelled.labels == prob.k).sum() < prob.n
+    dense = replace(labelled, labels=None)
+    assert evaluate_parts(prob, centers, labelled, frozenset()) == evaluate_parts(prob, centers, dense, frozenset())

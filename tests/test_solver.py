@@ -403,6 +403,30 @@ def test_restarts_equal_one_matches_single_descend():
     assert via_solve.objective.total == via_descend.objective.total
 
 
+@pytest.mark.parametrize("totals, winner", [
+    ([100.0, np.nextafter(100.0, 0.0), np.nextafter(np.nextafter(100.0, 0.0), 0.0)], 0),
+    ([np.nextafter(100.0, 200.0), 100.0, np.nextafter(100.0, 200.0)], 0),
+    ([100.0, 100.0 * (1 - 2e-12), np.nextafter(100.0 * (1 - 2e-12), 0.0)], 1),
+    ([100.0, np.nextafter(100.0, 0.0), 100.0 * (1 - 3e-12)], 2),
+], ids=["ulps-down", "ulps-up", "lower-by-more", "drops-earlier-ties"])
+def test_restart_totals_within_rounding_tie_to_the_lowest_index(monkeypatch, totals, winner):
+    from capclust.model import ObjectiveBreakdown, Solution
+
+    script = list(totals)
+
+    def scripted(problem, centers, config, *, model=None):
+        r = len(totals) - len(script)
+        return Solution(centers=np.array([r]), assignment=None, released=frozenset(),
+                        objective=ObjectiveBreakdown(script.pop(0), 0.0, 0.0, 0.0))
+
+    monkeypatch.setattr(solver, "descend", scripted)
+    pts = tuple(Point(i, coords=(float(i), 0.0)) for i in range(4))
+    sol = solve(continuous_problem(pts, k=1), SolverConfig(restarts=len(totals)))
+    assert sol.diagnostics["best_restart"] == winner
+    assert sol.centers.tolist() == [winner]
+    assert sol.diagnostics["restart_objectives"] == totals
+
+
 def test_all_restarts_infeasible():
     D = np.array([[1.0], [1.0]])
     pts = (Point(0, a=2.0), Point(1, a=2.0))
@@ -765,6 +789,12 @@ def _label_cases():
     for seed in range(3):
         yield discrete, kmeanspp_init(discrete, np.random.default_rng(seed))
     yield discrete, np.array([2, 0, 1, 15, 16])
+    # Capacitated hard allocations carry labels too.
+    capacitated = continuous_problem(pts, metric=euclidean(), k=4, capacity=(20.0, 40.0), membership="hard",
+                                     outlier_penalty=4.0)
+    yield capacitated, kmeanspp_init(capacitated, np.random.default_rng(0))
+    capacitated = replace(discrete, capacity=(15.0, 40.0), membership="hard")
+    yield capacitated, kmeanspp_init(capacitated, np.random.default_rng(0))
 
 
 def test_label_path_matches_the_dense_path(monkeypatch):
@@ -800,6 +830,149 @@ def test_label_path_matches_the_dense_path(monkeypatch):
         weightless = prob.effective_weights == 0
         weightless_moves += sum(bool((a[weightless] != b[weightless]).any()) for a, b in zip(seen, seen[1:]))
     assert reseeds and released and weightless_moves
+
+
+def _site_cost_cases(integer):
+    """Discrete descents on a cost matrix, whole numbers when ``integer``, with every kind of mass change.
+
+    Points with w' = 0 switch cluster, a far point goes to the outlier
+    column, a fixed site has a finite release penalty, and far initial sites
+    empty and are reseeded.
+    """
+    rng = np.random.default_rng(37)
+    pts = tuple(Point(i, coords=(float(x), float(y)), w=float(rng.integers(1, 6)) if i < 150 else 0.0)
+                for i, (x, y) in enumerate(rng.uniform([0, 0], [9, 7], size=(162, 2))))
+    pts += (Point(2000, coords=(30.0, 30.0)),)
+    xy = np.array([p.coords for p in pts])
+    sites = np.vstack([rng.uniform(-1, 10, size=(40, 2)), [[50.0, 50.0], [60.0, -40.0]]])
+    S = np.sqrt(((xy[:, None] - sites[None]) ** 2).sum(axis=2))
+    prob = validate_problem(Problem(points=pts, metric=matrix_metric(np.ceil(S) if integer else S),
+                                    outlier_penalty=6.0,
+                                    centers=CenterSpec(k=8, placement="discrete", fixed=(2,), release_penalty=5.0)))
+    for seed in range(6):
+        yield prob, kmeanspp_init(prob, np.random.default_rng(seed))
+    yield prob, np.array([2, 0, 1, 40, 41, 3, 4, 5])
+
+
+def _kept_site_totals(monkeypatch, prob, centers0, labels):
+    """A descent, and after each of its location steps the kept totals, a fresh product and the rows taken in.
+
+    Without ``labels`` every assignment loses its labels, so the descent
+    takes the dense path.
+    """
+    from capclust import allocation, location
+
+    inputs, steps = [], []
+
+    def allocating(*args, **kwargs):
+        got = allocation.allocate(*args, **kwargs)
+        inputs.append(got if labels else replace(got, labels=None))
+        return inputs[-1]
+
+    def locating(site_distances, masses, **kwargs):
+        sites = location.update_center_discrete(site_distances, masses, **kwargs)
+        fresh = (inputs[-1].center_block.T * prob.effective_weights) @ site_distances
+        steps.append((kwargs["totals"].copy(), fresh, kwargs["rows"], inputs[-1]))
+        return sites
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "allocate", allocating)
+        patch.setattr(solver, "update_center_discrete", locating)
+        sol = descend(prob, centers0, SolverConfig())
+    return sol, steps
+
+
+@pytest.mark.parametrize("labels", [True, False], ids=["labels", "dense"])
+def test_kept_site_totals_equal_a_fresh_product_on_integer_data(monkeypatch, labels):
+    reseeds = released = weightless_moves = outliers = steps_seen = 0
+    for prob, centers0 in _site_cost_cases(integer=True):
+        sol, steps = _kept_site_totals(monkeypatch, prob, centers0, labels)
+        for totals, fresh, _, _ in steps:
+            assert np.array_equal(totals, fresh)
+        steps_seen += len(steps)
+        reseeds += sol.diagnostics["empty_reseeds"]
+        released += bool(sol.released)
+        ys = [y for *_, y in steps]
+        weightless = prob.effective_weights == 0
+        weightless_moves += sum(bool((a.y[weightless] != b.y[weightless]).any()) for a, b in zip(ys, ys[1:]))
+        outliers += int(sol.assignment.outlier_column.sum())
+    assert steps_seen > 14 and reseeds and released and weightless_moves and outliers
+
+
+@pytest.mark.parametrize("labels", [True, False], ids=["labels", "dense"])
+def test_kept_site_totals_agree_with_a_fresh_product_to_rounding(monkeypatch, labels):
+    # The kept totals sum the terms of a fresh product in another order.
+    for prob, centers0 in _site_cost_cases(integer=False):
+        _, steps = _kept_site_totals(monkeypatch, prob, centers0, labels)
+        for totals, fresh, _, _ in steps:
+            assert np.all(np.abs(totals - fresh) <= 1e-12 * fresh)
+
+
+@pytest.mark.parametrize("labels", [True, False], ids=["labels", "dense"])
+def test_kept_site_totals_multiply_only_the_rows_of_changed_points(monkeypatch, labels):
+    # After a descent's first location step, the totals take in only the
+    # points whose mass changed since their last step, and the rows of S of
+    # all other points may be NaN without changing the descent.
+    from capclust import location
+
+    real = location.update_center_discrete
+
+    def masked(site_distances, masses, *, rows, **kwargs):
+        if len(rows) < len(site_distances):
+            kept = np.full_like(site_distances, np.nan)
+            kept[rows] = site_distances[rows]
+            site_distances = kept
+        return real(site_distances, masses, rows=rows, **kwargs)
+
+    multiplied = full = 0
+    for prob, centers0 in _site_cost_cases(integer=False):
+        plain, steps = _kept_site_totals(monkeypatch, prob, centers0, labels)
+        masses = [y.center_block.T * prob.effective_weights for *_, y in steps]
+        assert np.array_equal(steps[0][2], np.arange(prob.n))
+        for (_, _, rows, _), old, new in zip(steps[1:], masses, masses[1:]):
+            assert np.array_equal(rows, np.flatnonzero((old != new).any(axis=0)))
+            multiplied += len(rows)
+            full += prob.n
+        with monkeypatch.context() as patch:
+            patch.setattr(location, "update_center_discrete", masked)
+            got, _ = _kept_site_totals(monkeypatch, prob, centers0, labels)
+        assert got.diagnostics["objective_trace"] == plain.diagnostics["objective_trace"]
+        assert all(np.array_equal(a, b) for a, b in zip(got.diagnostics["center_trace"],
+                                                        plain.diagnostics["center_trace"]))
+    assert 0 < multiplied < full / 4
+
+
+@pytest.mark.parametrize("with_labels", [False, True])
+def test_kept_site_totals_take_in_an_iteration_without_a_location_step(monkeypatch, with_labels):
+    # In the second iteration points 2 and 3 go to the outlier column: only
+    # cluster 1 changes, and it is empty, so it is reseeded and no location
+    # step runs.  The third iteration's step must still see that change.
+    from capclust import location
+    from capclust.model import Assignment
+
+    S = np.array([[0.0, 4.0, 9.0, 9.0], [1.0, 3.0, 8.0, 8.0], [9.0, 1.0, 0.0, 1.0], [8.0, 2.0, 3.0, 1.0]])
+    prob = validate_problem(Problem(points=tuple(Point(i) for i in range(4)), metric=matrix_metric(S),
+                                    outlier_penalty=5.0, centers=CenterSpec(k=2, placement="discrete")))
+    split, out = [0, 0, 1, 1], [0, 0, 2, 2]
+    script = [split, out, split]
+    steps = []
+
+    def scripted(problem, centers, time_budget=None, *, distances=None, model=None):
+        labels = np.array(script.pop(0) if script else split)
+        return Assignment(y=np.eye(3)[labels], membership=problem.membership, has_outlier=True,
+                          labels=labels if with_labels else None)
+
+    def locating(site_distances, masses, **kwargs):
+        sites = location.update_center_discrete(site_distances, masses, **kwargs)
+        steps.append(kwargs["totals"].copy())
+        return sites
+
+    monkeypatch.setattr(solver, "allocate", scripted)
+    monkeypatch.setattr(solver, "update_center_discrete", locating)
+    sol = descend(prob, np.array([1, 0]), SolverConfig(max_iterations=3, convergence_tol=-np.inf))
+    assert [c.tolist() for c in sol.diagnostics["center_trace"]] == [[0, 3], [0, 2], [0, 3]]
+    assert len(steps) == 2
+    assert steps[1].tolist() == [[1.0, 7.0, 17.0, 17.0], [17.0, 3.0, 3.0, 2.0]]
 
 
 def test_distance_columns_only_for_moved_centers(monkeypatch):
