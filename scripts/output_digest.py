@@ -18,6 +18,14 @@ with ``repr``.  A change that alters only the order of floating-point sums
 differs there in the last digits, which a ``diff`` of two such listings
 shows value by value.
 
+With ``--compare OLD NEW`` it reads two such ``--values`` listings and
+prints how far their answers lie apart: the largest relative difference
+between totals, the largest difference between center coordinates (after
+matching each document's centers as sets), and the documents whose
+centers agree only as sets, that is, with their labels permuted:
+
+    python3 scripts/output_digest.py --compare old.txt new.txt
+
 The capclust package is the one on ``PYTHONPATH``, else this checkout's
 ``src``; ``bench/`` is only read.
 """
@@ -29,6 +37,8 @@ import io
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -86,17 +96,65 @@ def values(workload: str, seed: int, small: bool = False) -> list[str]:
     return lines
 
 
+def _read_values(path: str) -> dict[str, tuple[float, np.ndarray]]:
+    """Document -> (total, (k, width) centers in index order) from a ``--values`` listing."""
+    totals, centers = {}, {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            rel, kind, *rest = line.split()
+            if kind == "total":
+                totals[rel] = float(rest[0])
+            else:
+                centers.setdefault(rel, []).append((int(rest[0]), [float(v) for v in rest[1:]]))
+    return {rel: (total, np.array([xy for _j, xy in sorted(centers.get(rel, []))])) for rel, total in totals.items()}
+
+
+def compare(old: dict, new: dict) -> list[str]:
+    """Lines that tell how far two ``_read_values`` results lie apart."""
+    lines = [f"only in OLD {rel}" for rel in sorted(old.keys() - new.keys())]
+    lines += [f"only in NEW {rel}" for rel in sorted(new.keys() - old.keys())]
+    shared = sorted(old.keys() & new.keys())
+    totals, centers, permuted = [(0.0, "-")], [(0.0, "-")], []
+    for rel in shared:
+        (t_old, c_old), (t_new, c_new) = old[rel], new[rel]
+        scale = max(abs(t_old), abs(t_new))
+        totals.append((abs(t_old - t_new) / scale if scale else 0.0, rel))
+        if c_old.shape != c_new.shape:
+            lines.append(f"center count differs {rel} {len(c_old)} {len(c_new)}")
+            continue
+        # each old center's nearest new one; labels are permuted when that is another bijection
+        gap = np.abs(c_old[:, None, :] - c_new[None, :, :]).max(axis=2)
+        index, match = np.arange(len(c_old)), np.argmin(gap, axis=1)
+        if np.array_equal(np.sort(match), index) and not np.array_equal(match, index):
+            permuted.append(rel)
+        else:
+            match = index
+        centers.append((float(gap[index, match].max()), rel))
+    worst_total, worst_center = (max(found, key=lambda item: item[0]) for found in (totals, centers))
+    lines.append(f"documents {len(shared)}")
+    lines.append(f"total max_rel_diff {worst_total[0]!r} {worst_total[1]}")
+    lines.append(f"center max_abs_diff {worst_center[0]!r} {worst_center[1]}")
+    lines.append(f"permuted_documents {len(permuted)}")
+    return lines + [f"permuted {rel}" for rel in permuted]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--small", action="store_true", help="one small command per workload")
     parser.add_argument("--values", action="store_true", help="print objectives and centers, not digests")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two --values listings")
     args = parser.parse_args()
-    try:
-        lines = (values if args.values else digest)(args.workload, args.seed, args.small)
-    except RuntimeError as exc:
-        parser.exit(1, f"{exc}\n")
+    if args.compare:
+        lines = compare(*map(_read_values, args.compare))
+    elif args.workload is None or args.seed is None:
+        parser.error("--workload and --seed are required unless --compare is given")
+    else:
+        try:
+            lines = (values if args.values else digest)(args.workload, args.seed, args.small)
+        except RuntimeError as exc:
+            parser.exit(1, f"{exc}\n")
     print("\n".join(lines))
 
 

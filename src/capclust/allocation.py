@@ -9,16 +9,19 @@ Three regimes:
   memberships y_ij, solved by HiGHS.  Its rows depend on neither the centers
   nor the restart, so a solve builds its model once (``lp_model``), which
   also runs the checks that depend on the problem alone.  Each descent
-  starts it cold (``_AllocationLP.restart``), and HiGHS then re-solves the
-  LP from the last optimal basis for each new set of column costs (a warm
-  start);
+  restarts it (``_AllocationLP.restart``), and its first LP starts from the
+  basis of the nearest assignment, which is dual feasible for any costs;
+  HiGHS then re-solves the LP from the last optimal basis for each new set
+  of column costs (a warm start).  Among tied optima the start basis, not
+  HiGHS presolve, decides: where the window does not bind, every point
+  keeps its nearest columns, ties to the lowest index;
 * capacity window + hard membership: the same program with binary y_ij, a
   mixed-integer program solved by HiGHS through ``scipy.optimize.milp`` to a
-  zero optimality gap, after a fast path through the warm-started LP
-  relaxation.  When a time budget stops the search, the step returns the
-  cheapest of HiGHS's incumbent, a greedy one and the model's last
-  assignment, so a budgeted descent never rises and never loses a restart
-  after its first allocation.
+  zero optimality gap, after a fast path through the same LP relaxation
+  (ties inside the MIP stay with HiGHS).  When a time budget stops the
+  search, the step returns the cheapest of HiGHS's incumbent, a greedy one
+  and the model's last assignment, so a budgeted descent never rises and
+  never loses a restart after its first allocation.
 
 Points with capacity coefficient a_i = 0 use no capacity, so they take
 their cheapest columns outside the program in every regime.
@@ -100,17 +103,23 @@ def _check_coverage(problem: Problem) -> int:
     return worst
 
 
-def _greedy_rows(D: np.ndarray, problem: Problem, rows: np.ndarray, y: np.ndarray) -> None:
-    """Fill rows of y with each point's q cheapest columns.
+def _column_order(D: np.ndarray, problem: Problem, rows: np.ndarray) -> np.ndarray:
+    """The columns of each of ``rows``, cheapest first: (rows.size, columns) indices.
 
-    Selection is by raw distance (outlier column at lambda_o), ties to the
-    lowest center index; a boundary distance d == lambda_o stays assigned
-    because the outlier column sorts last.
+    Order is by raw distance (outlier column at lambda_o), ties to the
+    lowest column index, so a boundary distance d == lambda_o sorts before
+    the outlier column.  Column costs are w'_i times these values, so the
+    order is also by cost, for w'_i = 0 too.
     """
     cols = D[rows]
     if problem.has_outlier_column:
         cols = np.column_stack([cols, np.full(rows.size, problem.outlier_penalty)])
-    order = np.argsort(cols, axis=1, kind="stable")
+    return np.argsort(cols, axis=1, kind="stable")
+
+
+def _greedy_rows(D: np.ndarray, problem: Problem, rows: np.ndarray, y: np.ndarray) -> None:
+    """Fill rows of y with each point's q cheapest columns (``_column_order``)."""
+    order = _column_order(D, problem, rows)
     take = np.arange(order.shape[1]) < problem.coverages[rows][:, None]
     y[np.broadcast_to(rows[:, None], order.shape)[take], order[take]] = 1.0
 
@@ -180,11 +189,14 @@ class _AllocationLP:
     LP rows depend on neither the centers nor the restart, so between
     solves only the costs change and the last optimal basis stays primal
     feasible: HiGHS gets the model once per solve and re-solves each new
-    cost vector from that basis.  ``restart`` begins a descent, whose first
-    LP solves cold, exactly as on a newly passed model.  Without the
-    private binding every solve goes through ``milp`` cold.  ``pos`` and
-    ``zero`` are the rows with a_i > 0 and a_i = 0; ``last_hard`` holds the
-    rows ``pos`` of the last hard assignment made in this descent.
+    cost vector from that basis.  When HiGHS holds no such basis (a new
+    model, the first LP after ``restart``, or after a solve that did not
+    end optimal), the LP starts from the basis of the nearest assignment
+    instead (``_start_basis``), so a restarted model solves exactly as a
+    new one.  Without the private binding every solve goes through
+    ``milp`` cold.  ``pos`` and ``zero`` are the rows with a_i > 0 and
+    a_i = 0; ``last_hard`` holds the rows ``pos`` of the last hard
+    assignment made in this descent.
     """
 
     def __init__(self, problem: Problem, membership: str):
@@ -211,6 +223,7 @@ class _AllocationLP:
         self.zero = np.flatnonzero(a == 0)
         self.last_hard = None
         self._highs = None
+        self._warm = False  # HiGHS holds the optimal basis of the last solve
         if not self.pos.size:  # every point takes its cheapest columns
             return
         _load_scipy()
@@ -241,13 +254,47 @@ class _AllocationLP:
         return highs
 
     def restart(self) -> None:
-        """Begin a descent: forget the last hard assignment and drop HiGHS's basis, so the next LP starts cold."""
+        """Begin a descent: forget the last hard assignment and clear HiGHS's solver data.
+
+        The next LP then starts from the nearest-assignment basis exactly as
+        on a new model; keeping HiGHS's other solver data would not.
+        """
         self.last_hard = None
+        self._warm = False
         if self._highs is not None and self._highs.clearSolver() == _highspy.HighsStatus.kError:
             raise CapclustError("HiGHS could not clear the allocation LP's solver data")
 
-    def solve(self, cost: np.ndarray) -> np.ndarray:
-        """Optimal y over the points with a_i > 0 for the (n, columns) costs; raises Infeasible when there is none."""
+    def _start_basis(self, D: np.ndarray):
+        """The basis of the nearest assignment: each row ``pos`` holds its q_i cheapest columns.
+
+        The q_i-th cheapest column is basic, the cheaper ones sit at their
+        upper bound 1 and the rest at 0; coverage rows are at their bound and
+        capacity rows basic.  The basis matrix is triangular, and every
+        reduced cost has the right sign for any costs that keep the column
+        order (``_column_order``), so the basis is dual feasible and the dual
+        simplex only repairs the loads outside the window.  With a valid
+        basis HiGHS also skips presolve, so the column order decides ties.
+        """
+        order = _column_order(D, self.problem, self.pos)
+        q = self.problem.coverages[self.pos]
+        # rank r < q-1 -> 2 (upper), r == q-1 -> 1 (basic), r > q-1 -> 0 (lower)
+        by_rank = np.sign(q[:, None] - 1 - np.arange(order.shape[1])) + 1
+        codes = np.empty_like(order)
+        np.put_along_axis(codes, order, by_rank, axis=1)
+        status = _highspy.HighsBasisStatus
+        table = np.array([status.kLower, status.kBasic, status.kUpper], dtype=object)
+        basis = _highspy.HighsBasis()
+        basis.col_status = table[codes.ravel()].tolist()
+        basis.row_status = [status.kLower] * self.pos.size + [status.kBasic] * self.problem.k
+        basis.valid = True
+        return basis
+
+    def solve(self, cost: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """Optimal y over the points with a_i > 0; raises Infeasible when there is none.
+
+        ``cost`` holds the (n, columns) column costs and ``D`` the raw
+        distances they come from, whose column order gives the start basis.
+        """
         c = cost[self.pos].ravel()
         highs = self._highs
         if highs is None:
@@ -256,12 +303,15 @@ class _AllocationLP:
         else:
             if highs.changeColsCost(c.size, self._index, c) == _highspy.HighsStatus.kError:
                 raise CapclustError("HiGHS rejected the allocation LP's column costs")
+            if not self._warm and highs.setBasis(self._start_basis(D)) == _highspy.HighsStatus.kError:
+                raise CapclustError("HiGHS rejected the allocation LP's start basis")
             ran = highs.run() != _highspy.HighsStatus.kError
             status = highs.getModelStatus()
             optimal = ran and status == _highspy.HighsModelStatus.kOptimal
             infeasible = status == _highspy.HighsModelStatus.kInfeasible
             message = highs.modelStatusToString(status)
             x = np.array(highs.getSolution().col_value) if optimal else None
+            self._warm = optimal
         if infeasible:
             lo, hi = self.problem.capacity
             raise Infeasible(f"the capacity window admits no fractional assignment (L={lo:g}, U={hi:g})")
@@ -300,7 +350,7 @@ def allocate_fractional(problem: Problem, centers, *, distances=None, model=None
     if not model.pos.size:
         return allocate_uncapacitated(problem, centers, distances=distances)
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
-    y = _membership(problem, D, model, model.solve(_column_costs(problem, D)))
+    y = _membership(problem, D, model, model.solve(_column_costs(problem, D), D))
     return Assignment(y=y, membership=FRACTIONAL, has_outlier=problem.has_outlier_column)
 
 
@@ -396,7 +446,7 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
         return allocate_uncapacitated(problem, centers, distances=distances)
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
     cost = _column_costs(problem, D)
-    y0 = _membership(problem, D, model, model.solve(cost))
+    y0 = _membership(problem, D, model, model.solve(cost, D))
     y = np.round(y0)
     if np.all(np.abs(y0 - y) <= 1e-7) and _verify_hard(problem, y):
         diagnostics = {"nodes": 1, "fastpath": "lp_integral"}

@@ -310,10 +310,11 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     evaluations, reseeding and the monotone guard.  A capacitated problem
     takes its allocation model from ``model`` (``lp_model(problem)``, which
     ``solve`` builds once for all restarts) or builds its own.  The descent
-    starts the model cold (``restart``); it then re-solves its LP warm for
-    each new set of centers and, under a time budget, falls back to the
-    assignment it returned last in this descent, so the objective never
-    rises.
+    restarts the model (``restart``), so its first LP starts from the
+    nearest-assignment basis as on a new model; it then re-solves its LP
+    warm for each new set of centers and, under a time budget, falls back
+    to the assignment it returned last in this descent, so the objective
+    never rises.
 
     Every center moves by one rule, and all moving clusters move in one
     batched step.  Under discrete placement the descent keeps one (k, s)
@@ -510,7 +511,8 @@ def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
     problem take each restart's seeds from a single draw sequence.
 
     A capacitated problem gets one allocation model (``lp_model``), built in
-    the first restart and passed to every descent, which starts it cold.
+    the first restart and passed to every descent, which restarts it, so
+    each descent's first LP solves as on a new model.
     When its checks raise ``Infeasible``, no model is kept, so every restart
     runs them again and fails with the same message.
 

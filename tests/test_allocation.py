@@ -91,20 +91,49 @@ def test_worked_instance_hard_optimum():
     assert got.y.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
-def test_unbounded_window_reduces_to_nearest_assignment():
-    D = np.array([[1.0, 4.0], [3.0, 0.5], [2.0, 2.0]])
-    prob = matrix_problem(D, membership="fractional", capacity=(0.0, math.inf))
-    got = allocate_fractional(prob, np.array([0, 1]))
-    want = allocate_uncapacitated(prob, np.array([0, 1]))
-    assert np.allclose(got.y, want.y, atol=1e-9)
+def presolve_settings(monkeypatch):
+    """Yield "on" (HiGHS's default), then "off" with every allocation model built meanwhile patched to it."""
+    yield "on"
+    pass_model = allocation._AllocationLP._pass_model
+
+    def without_presolve(self):
+        highs = pass_model(self)
+        assert highs.setOptionValue("presolve", "off") == allocation._highspy.HighsStatus.kOk
+        return highs
+
+    with monkeypatch.context() as patch:
+        patch.setattr(allocation._AllocationLP, "_pass_model", without_presolve)
+        yield "off"
 
 
-def test_loose_window_matches_uncapacitated_hard():
-    D = np.array([[1.0, 4.0], [3.0, 0.5], [2.0, 2.0]])
-    prob = matrix_problem(D, membership="hard", capacity=(0.0, 100.0))
-    got = allocate_hard(prob, np.array([0, 1]))
-    want = allocate_uncapacitated(prob, np.array([0, 1]))
-    assert np.array_equal(got.y, want.y)
+def tie_cases():
+    """(D, w, lambda_o) with a clear nearest center, a tie between both centers
+    (the lowest index wins) and a point with w' = 0 (every column costs 0, so
+    only the distances rank them); then the same with rows tied with the
+    outlier column, where the center wins."""
+    D = np.array([[1.0, 4.0], [3.0, 0.5], [2.0, 2.0], [5.0, 3.0]])
+    w = [1.0, 1.0, 1.0, 0.0]
+    yield D, w, None
+    yield np.vstack([D, [[2.0, 6.0], [2.0, 2.0], [0.0, 0.0]]]), w + [1.0, 1.0, 0.0], 2.0
+
+
+def test_unbounded_window_reduces_to_nearest_assignment(monkeypatch):
+    for presolve in presolve_settings(monkeypatch):
+        for D, w, lam in tie_cases():
+            prob = matrix_problem(D, w=w, lam=lam, membership="fractional", capacity=(0.0, math.inf))
+            got = allocate_fractional(prob, np.array([0, 1]))
+            want = allocate_uncapacitated(prob, np.array([0, 1]))
+            assert np.array_equal(got.y, want.y), (presolve, lam)
+
+
+def test_loose_window_matches_uncapacitated_hard(monkeypatch):
+    for presolve in presolve_settings(monkeypatch):
+        for D, w, lam in tie_cases():
+            prob = matrix_problem(D, w=w, lam=lam, membership="hard", capacity=(0.0, 100.0))
+            got = allocate_hard(prob, np.array([0, 1]))
+            want = allocate_uncapacitated(prob, np.array([0, 1]))
+            assert got.diagnostics.get("fastpath") == "lp_integral", (presolve, lam)
+            assert np.array_equal(got.y, want.y), (presolve, lam)
 
 
 def test_single_center_overflow_is_infeasible():
@@ -374,8 +403,11 @@ def test_zero_capacity_rows_come_from_the_model(monkeypatch):
     assert calls == []
 
 
-def moving_center_instance(rng):
-    """Continuous instance with a_i = 0 rows, q up to 2, and an outlier column half the time."""
+def moving_center_instance(rng, window=(0.7, 1.3)):
+    """Continuous instance with a_i = 0 rows, q up to 2, and an outlier column half the time.
+
+    The capacity window is ``window`` times the mean load.
+    """
     n, k = int(rng.integers(3, 9)), int(rng.integers(2, 4))
     xy = rng.uniform(0.0, 10.0, size=(n, 2))
     a = np.where(rng.random(n) < 0.2, 0.0, np.round(rng.uniform(0.3, 3.0, size=n), 6))
@@ -386,7 +418,7 @@ def moving_center_instance(rng):
     points = tuple(Point(i, coords=tuple(xy[i]), w=float(w[i]), a=float(a[i]), q=int(q[i])) for i in range(n))
     problem = validate_problem(Problem(
         points=points, metric=sqeuclidean(), centers=CenterSpec(k=k), membership="fractional",
-        capacity=(0.7 * mean_load, 1.3 * mean_load), outlier_penalty=lam,
+        capacity=(window[0] * mean_load, window[1] * mean_load), outlier_penalty=lam,
     ))
     return problem, rng.uniform(0.0, 10.0, size=(k, 2))
 
@@ -432,10 +464,29 @@ def test_restarted_model_solves_like_a_new_one(lp_binding):
             centers=CenterSpec(k=3), membership="fractional", capacity=(9.0, 11.0)))
         costs = [rng.integers(0, 5, (30, 3)).astype(float) for _ in range(3)]
         model = allocation.lp_model(prob)
-        model.solve(costs[0])
-        model.solve(costs[1])
+        model.solve(costs[0], costs[0])  # w' = 1, so the costs are the distances too
+        model.solve(costs[1], costs[1])
         model.restart()
-        assert np.array_equal(model.solve(costs[2]), allocation.lp_model(prob).solve(costs[2]))
+        assert np.array_equal(model.solve(costs[2], costs[2]), allocation.lp_model(prob).solve(costs[2], costs[2]))
+
+
+def test_first_lp_starts_from_the_nearest_assignment():
+    # Where the window does not bind, the nearest assignment's basis is
+    # optimal, so the first LP of a new model and of a restarted one takes
+    # no simplex iteration and returns exactly the uncapacitated answer.
+    rng = np.random.default_rng(707)
+    for _ in range(20):
+        problem, centers = moving_center_instance(rng, window=(0.0, 10.0))
+        model = allocation.lp_model(problem)
+        for _descent in range(2):
+            D = distances_to_centers(problem, centers)
+            got = allocate_fractional(problem, centers, distances=D, model=model)
+            assert model._highs.getInfo().simplex_iteration_count == 0
+            assert np.array_equal(got.y, allocate_uncapacitated(problem, centers, distances=D).y)
+            for _move in range(2):  # warm re-solves, then a new descent
+                centers = centers + rng.normal(0.0, 2.0, size=centers.shape)
+                allocate_fractional(problem, centers, model=model)
+            model.restart()
 
 
 def test_warm_model_infeasible_window_raises(lp_binding, monkeypatch):
@@ -444,9 +495,9 @@ def test_warm_model_infeasible_window_raises(lp_binding, monkeypatch):
     prob = matrix_problem([[1.0], [1.0], [1.0]], a=[2.0] * 3, capacity=(0.0, 5.0), membership="fractional")
     monkeypatch.setattr(allocation, "_aggregate_certificate", lambda *args: None)
     model = allocation.lp_model(prob)
-    for cost in ([[1.0], [2.0], [3.0]], [[3.0], [1.0], [2.0]]):
+    for cost in map(np.array, ([[1.0], [2.0], [3.0]], [[3.0], [1.0], [2.0]])):
         with pytest.raises(Infeasible, match="no fractional assignment"):
-            model.solve(np.array(cost))
+            model.solve(cost, cost)
 
 
 def test_warm_model_prints_nothing(capfd, lp_binding, monkeypatch):
@@ -461,7 +512,8 @@ def test_warm_model_prints_nothing(capfd, lp_binding, monkeypatch):
             pass
     monkeypatch.setattr(allocation, "_aggregate_certificate", lambda *args: None)  # reach HiGHS's own verdict
     with pytest.raises(Infeasible):
-        allocation.lp_model(matrix_problem([[1.0]] * 3, a=[2.0] * 3, capacity=(0.0, 5.0))).solve(np.ones((3, 1)))
+        cost = np.ones((3, 1))
+        allocation.lp_model(matrix_problem([[1.0]] * 3, a=[2.0] * 3, capacity=(0.0, 5.0))).solve(cost, cost)
     assert capfd.readouterr() == ("", "")
 
 

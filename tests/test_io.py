@@ -490,8 +490,9 @@ def _output_cases():
     yield "hard-outlier-released", Problem(
         points=pts, metric=euclidean(), outlier_penalty=4.0,
         centers=CenterSpec(k=3, fixed=((9.0, 9.0), (6.0, 0.0)), release_penalty=0.5))
+    # loads of about 20.8, 18.2 and 21.0 without a window, so both limits bind and the optimum splits points
     yield "fractional-capacity", Problem(
-        points=pts[:-2], metric=sqeuclidean(), membership="fractional", capacity=(10.0, 30.0),
+        points=pts[:-2], metric=sqeuclidean(), membership="fractional", capacity=(19.5, 20.5),
         centers=CenterSpec(k=3))
     D = rng.uniform(1.0, 9.0, size=(20, 6))
     yield "matrix", Problem(points=tuple(Point(i, w=float(rng.uniform(1, 2))) for i in range(20)),
@@ -513,7 +514,7 @@ def test_written_files_equal_the_per_point_loops(tmp_path, name, problem):
     if prob.has_outlier_column:
         assert sol.assignment.outlier_column.any()
     if name == "fractional-capacity":
-        assert ((assigned > 0) & (assigned < 1)).any()
+        assert ((assigned > 1e-6) & (assigned < 1 - 1e-6)).any()
     if name == "unsorted-ids":
         assert prob.id_order.tolist() != list(range(prob.n))
     path = tmp_path / "solution.txt"

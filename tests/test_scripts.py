@@ -71,3 +71,25 @@ def test_output_values_list_each_objective_and_center(tmp_path, workload, docume
     assert all(len(line) == 3 + width for line in lines[1:])
     [parse(v) for line in lines[1:] for v in line[3:]]  # raises on a malformed value
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_output_compare_reports_total_and_center_differences(tmp_path):
+    old = ["a/solution.txt total 10.0", "a/solution.txt c 0 0.0 0.0", "a/solution.txt c 1 5.0 5.0",
+           "b/solution.txt total 4.0", "b/solution.txt c 0 1.0 2.0", "b/solution.txt c 1 3.0 4.0",
+           "c/solution_k2.txt total 7.0", "c/solution_k2.txt c 0 3", "c/solution_k2.txt c 1 8",
+           "gone/solution.txt total 1.0", "gone/solution.txt c 0 0.0 0.0"]
+    new = ["a/solution.txt total 10.000000000000002", "a/solution.txt c 0 1e-12 0.0", "a/solution.txt c 1 5.0 5.0",
+           "b/solution.txt total 4.0", "b/solution.txt c 1 1.0 2.0", "b/solution.txt c 0 3.0 4.0",
+           "c/solution_k2.txt total 7.0", "c/solution_k2.txt c 0 3", "c/solution_k2.txt c 1 9"]
+    (tmp_path / "old.txt").write_text("\n".join(old) + "\n")
+    (tmp_path / "new.txt").write_text("\n".join(new) + "\n")
+    done = run_script("output_digest.py", "--compare", "old.txt", "new.txt", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "only in OLD gone/solution.txt",
+        "documents 3",
+        f"total max_rel_diff {abs(10.0 - 10.000000000000002) / 10.000000000000002!r} a/solution.txt",
+        "center max_abs_diff 1.0 c/solution_k2.txt",  # site 8 became site 9
+        "permuted_documents 1",
+        "permuted b/solution.txt",
+    ]
