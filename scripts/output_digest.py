@@ -11,6 +11,9 @@ digests are equal, so comparing them takes one ``diff``:
     PYTHONPATH=../other/src python3 scripts/output_digest.py --workload cap-fractional --seed 1 > old.txt
     diff old.txt new.txt
 
+``--seed`` takes several seeds (``--seed 1 2 3``); each seed's lines then
+come in turn, with ``seed<N>/`` in front of every path.
+
 With ``--values`` it prints the answers instead of digests: for each
 solution document, one ``<relative path> total <objective>`` line and one
 ``<relative path> c <index> <x> <y>`` (or ``<site>``) line per center, all
@@ -141,7 +144,7 @@ def compare(old: dict, new: dict) -> list[str]:
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", choices=sorted(WORKLOADS))
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seed", type=int, nargs="+", help="one or more workload seeds")
     parser.add_argument("--small", action="store_true", help="one small command per workload")
     parser.add_argument("--values", action="store_true", help="print objectives and centers, not digests")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two --values listings")
@@ -151,8 +154,11 @@ def main():
     elif args.workload is None or args.seed is None:
         parser.error("--workload and --seed are required unless --compare is given")
     else:
+        listing = values if args.values else digest
+        prefix = len(args.seed) > 1
         try:
-            lines = (values if args.values else digest)(args.workload, args.seed, args.small)
+            lines = [f"seed{seed}/{line}" if prefix else line
+                     for seed in args.seed for line in listing(args.workload, seed, args.small)]
         except RuntimeError as exc:
             parser.exit(1, f"{exc}\n")
     print("\n".join(lines))

@@ -124,23 +124,40 @@ def _greedy_rows(D: np.ndarray, problem: Problem, rows: np.ndarray, y: np.ndarra
     y[np.broadcast_to(rows[:, None], order.shape)[take], order[take]] = 1.0
 
 
+def _nearest_assignment(problem: Problem, nearest: np.ndarray, best: np.ndarray) -> Assignment:
+    """The assignment of every point (each q_i = 1) to its nearest center, or to the outlier column.
+
+    ``nearest`` is each point's nearest center (ties to the lowest index)
+    and ``best`` its distance to it, read only with an outlier column.  A
+    hard assignment carries the labels.
+    """
+    if problem.has_outlier_column:
+        # The outlier column sorts last, so a tie d == lambda_o stays with the center.
+        nearest = np.where(best > problem.outlier_penalty, problem.k, nearest)
+    y = np.zeros((problem.n, problem.k + (1 if problem.has_outlier_column else 0)))
+    y[np.arange(problem.n), nearest] = 1.0
+    return Assignment(y=y, membership=problem.membership, has_outlier=problem.has_outlier_column,
+                      labels=nearest if problem.membership == HARD else None)
+
+
+def _allocates_nearest_labels(problem: Problem) -> bool:
+    """Whether ``allocate`` gives ``_nearest_assignment`` with labels for any centers.
+
+    It does without a capacity window, under hard membership and with every q_i = 1.
+    """
+    return problem.capacity is None and problem.membership == HARD and problem.coverages.max() == 1
+
+
 def allocate_uncapacitated(problem: Problem, centers, *, distances=None) -> Assignment:
     q_max = _check_coverage(problem)
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
-    y = np.zeros((problem.n, problem.k + (1 if problem.has_outlier_column else 0)))
-    labels = None
     if q_max == 1:  # validation keeps every q_i >= 1, so every q_i is 1
-        rows = np.arange(problem.n)
         nearest = np.argmin(D, axis=1)
-        if problem.has_outlier_column:
-            # The outlier column sorts last, so a tie d == lambda_o stays with the center.
-            nearest[D[rows, nearest] > problem.outlier_penalty] = problem.k
-        y[rows, nearest] = 1.0
-        if problem.membership == HARD:
-            labels = nearest
-    else:
-        _greedy_rows(D, problem, np.arange(problem.n), y)
-    return Assignment(y=y, membership=problem.membership, has_outlier=problem.has_outlier_column, labels=labels)
+        best = D[np.arange(problem.n), nearest] if problem.has_outlier_column else None
+        return _nearest_assignment(problem, nearest, best)
+    y = np.zeros((problem.n, problem.k + (1 if problem.has_outlier_column else 0)))
+    _greedy_rows(D, problem, np.arange(problem.n), y)
+    return Assignment(y=y, membership=problem.membership, has_outlier=problem.has_outlier_column)
 
 
 def _aggregate_certificate(problem: Problem, lo: float, hi: float, names: tuple[str, str] = ("L", "U")) -> None:

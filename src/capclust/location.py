@@ -337,7 +337,7 @@ def update_center_discrete(site_distances: np.ndarray, masses: np.ndarray, *, to
 
     A descent keeps the sums of its k clusters instead: ``totals`` is its
     (k, s) array T[j, h] = sum_i m_ij S[i, h] over the masses m it last took
-    in, starting from zero.  ``masses`` is then the (k, p) change in mass,
+    in, starting from zero or from the totals its draw sequence kept.  ``masses`` is then the (k, p) change in mass,
     new minus old, of the points ``rows`` (sorted), the only ones whose mass
     changed since.  T takes it in place with one product over those p rows
     of S, the rows of the clusters in the mask ``empty`` are set to exactly

@@ -3,10 +3,13 @@
 Each restart seeds centers (fixed centers first, the rest by weighted
 k-means++), then alternates the exact allocation step with the location
 step (including release decisions for fixed centers) until the objective
-stalls or the centers stop moving.  Restarts draw from counter-spawned RNG
-streams so the set of restarts is independent of execution order, and the
-best restart by total objective wins (totals within 1e-12 relative of the
-lowest tie, and ties go to the lowest restart index).
+stalls or the centers stop moving.  In a sweep, a discrete descent whose
+first allocation is the nearest assignment takes that assignment and its
+site totals from the draw sequence that seeded it.  Restarts draw from
+counter-spawned RNG streams so the set of restarts is independent of
+execution order, and the best restart by total objective wins (totals
+within 1e-12 relative of the lowest tie, and ties go to the lowest restart
+index).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .allocation import allocate, lp_model
+from .allocation import _allocates_nearest_labels, _nearest_assignment, allocate, lp_model
 from .errors import (
     AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget, NotEnoughDistinctSites, ShapeMismatch, ValidationError,
 )
@@ -68,7 +71,12 @@ def shared_seeding(problem: Problem):
     k.  While the block is open, calls that start from the same generator
     state, placement and fixed centers continue one draw sequence instead of
     drawing it again: a sweep draws each restart's seeds once, up to its
-    largest k.  The cache goes when the outermost block exits.
+    largest k.  A discrete sequence whose descents start from the nearest
+    assignment (no capacity window, hard membership, every q_i = 1) also
+    keeps each point's nearest seed and the site totals of that assignment
+    as it draws, and a descent from exactly its sites takes both instead of
+    its first allocation and first full product.  The cache goes when the
+    outermost block exits.
     """
     if _SEEDING in problem.shared:
         yield
@@ -111,21 +119,38 @@ class _Seeds:
     ``chosen`` holds the fixed centers, then the drawn seeds in order;
     ``states[j]`` is the generator state once the first j draws are made,
     and ``best`` each point's distance to its nearest seed so far.
+
+    With ``track`` (a discrete sequence in the ``shared_seeding`` cache
+    whose descents start from the nearest assignment) it also keeps
+    ``labels``, the index in ``chosen`` of each point's nearest seed (a
+    later seed takes a point only when it is strictly closer, so ties stay
+    with the lowest index, as in ``np.argmin``), and the site totals of
+    that assignment, ``totals()[j, h] = sum over labels_i = j of
+    w'_i S[i, h]``.  Fixed sites start them with one product; each draw
+    adds the rows of S of only the points with w' > 0 that switched to the
+    new seed (``_mass_changes``), and the row of a seed left without such a
+    point is set to exactly 0, as a descent does.  The totals agree with a
+    fresh product to rounding only (exactly on integer data).
     """
 
-    def __init__(self, problem: Problem, rng: np.random.Generator):
+    def __init__(self, problem: Problem, rng: np.random.Generator, track: bool = False):
         spec = problem.centers
         self.problem = problem
         self.discrete = spec.placement == "discrete"
         self.n_fixed = spec.n_fixed
         self.states = [rng.bit_generator.state]
         self.best = None
+        self.labels = None
+        self.track = track
         if self.discrete:
             self.chosen: list = [int(f) for f in spec.fixed]
             self.taken = np.zeros(problem.site_costs.shape[1], dtype=bool)
             self.taken[self.chosen] = True
             if self.chosen:
-                self.best = np.min(problem.site_costs[:, self.chosen], axis=1)
+                D = problem.site_costs[:, self.chosen]
+                self.best = np.min(D, axis=1)
+                if self.track:
+                    self._start(np.argmin(D, axis=1))
         else:
             self.chosen = [np.asarray(f, dtype=float) for f in spec.fixed]
             if self.chosen:
@@ -144,6 +169,19 @@ class _Seeds:
             return np.asarray(self.chosen[:k], dtype=int)
         return np.vstack(self.chosen[:k])
 
+    def totals(self) -> np.ndarray:
+        """The (len(chosen), s) site totals of ``labels``, a view of the kept array."""
+        return self._totals[:len(self.chosen)]
+
+    def _start(self, labels: np.ndarray) -> None:
+        """Take ``labels`` of the chosen seeds and their totals from one product over every row of S."""
+        c, S, w = len(self.chosen), self.problem.site_costs, self.problem.effective_weights
+        self.labels = labels
+        self._totals = np.zeros((max(2 * c, 8), S.shape[1]))
+        self._totals[:c] = _mass_changes(labels, None, w, c)[1] @ S
+        self._sizes = np.zeros(len(self._totals), dtype=np.intp)
+        self._sizes[:c] = np.bincount(labels[w > 0], minlength=c)
+
     def _add(self, rng: np.random.Generator) -> None:
         problem = self.problem
         w = problem.effective_weights
@@ -161,11 +199,32 @@ class _Seeds:
             self.chosen.append(site)
             taken[site] = True
             d_new = cand[:, site]
+            if self.track:
+                self._track(d_new)
         else:
             pick = problem.coords[_draw(rng, masses, np.ones(problem.n, dtype=bool))].copy()
             self.chosen.append(pick)
             d_new = metrics.geometric_distances(problem.metric.kind, problem.coords, pick[None, :])[:, 0]
         self.best = d_new if self.best is None else np.minimum(self.best, d_new)
+
+    def _track(self, d_new: np.ndarray) -> None:
+        """Bring ``labels`` and the totals up to the seed just added, whose distances are ``d_new``."""
+        c = len(self.chosen)  # the new seed's index is c - 1
+        if self.labels is None:  # the first seed takes every point
+            self._start(np.zeros(len(d_new), dtype=np.intp))
+            return
+        if c > len(self._totals):  # double the kept rows; the new ones start at zero
+            self._totals = np.concatenate([self._totals, np.zeros_like(self._totals)])
+            self._sizes = np.concatenate([self._sizes, np.zeros_like(self._sizes)])
+        switched = np.flatnonzero(d_new < self.best)
+        old = self.labels[switched]
+        points, change = _mass_changes(np.full(switched.size, c - 1), old, self.problem.effective_weights[switched], c)
+        self.labels[switched] = c - 1
+        totals, sizes = self._totals[:c], self._sizes[:c]
+        totals += change @ self.problem.site_costs[switched[points]]
+        sizes -= np.bincount(old[points], minlength=c)
+        sizes[c - 1] = points.size
+        totals[sizes == 0] = 0.0  # a seed that lost all its points holds exactly nothing
 
 
 def kmeanspp_init(problem: Problem, rng: np.random.Generator):
@@ -180,7 +239,9 @@ def kmeanspp_init(problem: Problem, rng: np.random.Generator):
     Inside ``shared_seeding`` a call continues the draw sequence an earlier
     call started from the same generator state, placement and fixed
     centers: it returns that sequence's first k seeds and leaves ``rng``
-    exactly as a fresh call would.
+    exactly as a fresh call would.  There a discrete sequence also keeps its
+    nearest-seed labels and site totals for ``descend`` (``_Seeds``); a call
+    outside the block keeps neither, since nothing could take them.
     """
     spec = problem.centers
     cache = problem.shared.get(_SEEDING)
@@ -188,8 +249,16 @@ def kmeanspp_init(problem: Problem, rng: np.random.Generator):
         return _Seeds(problem, rng).first(spec.k, rng)
     key = (spec.placement, _hashable(np.asarray(spec.fixed, dtype=float)), _hashable(rng.bit_generator.state))
     if key not in cache:
-        cache[key] = _Seeds(problem, rng)
+        cache[key] = _Seeds(problem, rng, track=_allocates_nearest_labels(problem))
     return cache[key].first(spec.k, rng)
+
+
+def _seeded_start(problem: Problem, centers: np.ndarray) -> _Seeds | None:
+    """A cached draw sequence that tracks its labels and whose sites are exactly ``centers``; None without one."""
+    for seeds in problem.shared.get(_SEEDING, {}).values():
+        if seeds.labels is not None and len(seeds.chosen) == len(centers) and np.array_equal(seeds.chosen, centers):
+            return seeds
+    return None
 
 
 def _reseed(problem: Problem, contrib: np.ndarray, centers: np.ndarray, emptied: list[int]) -> None:
@@ -318,18 +387,25 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
 
     Every center moves by one rule, and all moving clusters move in one
     batched step.  Under discrete placement the descent keeps one (k, s)
-    array of every cluster's weighted distance sum to every site, starting
-    from zero.  In an iteration in which some cluster moves,
-    ``update_center_discrete`` adds to it the rows of S of only the points
-    whose mass changed since it last did (every point in the first step),
-    so the sums catch up on the input they last saw, not on the last
-    iteration's.  The moving clusters take their sites from the sums, and a
-    fixed center's release gain reads the same row.  The sums agree with a
-    fresh product to rounding only.  Under continuous placement the moving
-    clusters' points with positive mass go, cluster after cluster, to one
-    ``update_centers_continuous`` call; ``cluster_costs_continuous`` then
-    prices every update, and the fixed location of every moving fixed
-    cluster, in one call each.  A continuous optimum that costs more than
+    array of every cluster's weighted distance sum to every site.  In an
+    iteration in which some cluster moves, ``update_center_discrete`` adds
+    to it the rows of S of only the points whose mass changed since it last
+    did, so the sums catch up on the input they last saw, not on the last
+    iteration's.  The sums start from zero, so the first step takes in
+    every point, except inside ``shared_seeding`` for a descent whose first
+    allocation is the nearest assignment (no capacity window, hard
+    membership, every q_i = 1) and whose ``initial_centers`` are exactly the
+    sites of a cached draw sequence.  That descent starts from the
+    sequence: its first assignment comes from the sequence's nearest-seed
+    labels and distances, with no ``allocate`` call, and its sums start as
+    the sequence's totals of those labels, so the first step takes in only
+    the points sent to the outlier column.  The moving clusters take their
+    sites from the sums, and a fixed center's release gain reads the same
+    row.  The sums agree with a fresh product to rounding only.  Under
+    continuous placement the moving clusters' points with positive mass go,
+    cluster after cluster, to one ``update_centers_continuous`` call;
+    ``cluster_costs_continuous`` then prices every update, and the fixed
+    location of every moving fixed cluster, in one call each.  A continuous optimum that costs more than
     the current location (read from the distance matrix) is dropped for it
     (the monotone guard).  A fixed center is then released when the gain of
     that location over its fixed one passes ``decide_release``, one center
@@ -346,10 +422,10 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     is fixed, in every iteration it stays empty.  An assignment with
     ``labels`` gives the masses straight from them: the changed points are
     those with w' > 0 whose label differs, and the moving clusters' members
-    come from one stable sort, so only a discrete descent's first product
-    builds a (k, n) array (``_changed_clusters``, ``_mass_changes``,
-    ``_members``).  Dense masses follow the same rules by comparing mass
-    columns.
+    come from one stable sort, so only the first product of a discrete
+    descent that starts from zero builds a (k, n) array
+    (``_changed_clusters``, ``_mass_changes``, ``_members``).  Dense
+    masses follow the same rules by comparing mass columns.
 
     ``initial_centers`` are k candidate-site indices under discrete
     placement and k finite coordinate pairs otherwise; anything else raises
@@ -378,9 +454,16 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     last_released: set[int] = set()
     last_unconverged = np.zeros(k, dtype=bool)
     # Discrete placement keeps every cluster's weighted distance sum to
-    # every site, and the input those sums last took in.
-    totals = np.zeros((k, problem.site_costs.shape[1])) if discrete else None
-    seen = None
+    # every site, and the input those sums last took in.  A descent from a
+    # cached draw sequence's sites takes the sequence's nearest-seed labels
+    # as its first assignment and their totals.
+    start = _seeded_start(problem, centers) if discrete and _allocates_nearest_labels(problem) else None
+    totals = seen = seeded = None
+    if start is not None:
+        totals, seen = start.totals().copy(), start.labels.copy()
+        seeded = _nearest_assignment(problem, seen, start.best)
+    elif discrete:
+        totals = np.zeros((k, problem.site_costs.shape[1]))
 
     diag: dict = {
         "iterations": 0,
@@ -395,7 +478,10 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     stop = None
     for iteration in range(1, config.max_iterations + 1):
         diag["iterations"] = iteration
-        assignment = allocate(problem, centers, config.time_budget, distances=D, model=model)
+        if seeded is None:
+            assignment = allocate(problem, centers, config.time_budget, distances=D, model=model)
+        else:
+            assignment, seeded = seeded, None
         if "optimality_gap" in assignment.diagnostics:
             diag["optimality_gap"] = max(diag.get("optimality_gap", 0.0), assignment.diagnostics["optimality_gap"])
         after_alloc = evaluate_parts(problem, centers, assignment, released, distances=D)
@@ -508,7 +594,9 @@ def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
 
     Restart r seeds from the r-th stream spawned from ``config.rng_seed``,
     whatever k is, so inside ``shared_seeding`` a sweep's solves of one
-    problem take each restart's seeds from a single draw sequence.
+    problem take each restart's seeds from a single draw sequence (and a
+    discrete descent, where it can, its start; see ``descend``).  Every
+    restart calls ``kmeanspp_init`` and then ``descend`` once.
 
     A capacitated problem gets one allocation model (``lp_model``), built in
     the first restart and passed to every descent, which restarts it, so

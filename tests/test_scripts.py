@@ -47,6 +47,17 @@ def test_output_digest_lists_every_written_file(tmp_path, workload, files):
     assert runs[1].stdout == runs[0].stdout
 
 
+@pytest.mark.parametrize("listing", [[], ["--values"]], ids=["digest", "values"])
+def test_output_digest_takes_several_seeds(tmp_path, listing):
+    # Each seed's lines in turn, as a run with that seed alone prints them, under seed<N>/.
+    flags = ["--workload", "matrix-sweep", "--small", *listing]
+    both = run_script("output_digest.py", *flags, "--seed", "2", "1", cwd=tmp_path)
+    alone = [run_script("output_digest.py", *flags, "--seed", seed, cwd=tmp_path) for seed in ("2", "1")]
+    assert all(done.returncode == 0 for done in [both, *alone]), both.stderr
+    expect = [f"seed{seed}/{line}" for seed, done in zip((2, 1), alone) for line in done.stdout.splitlines()]
+    assert both.stdout.splitlines() == expect
+    assert alone[0].stdout != alone[1].stdout
+
 def test_output_digest_runs_without_pythonpath(tmp_path):
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "output_digest.py"),

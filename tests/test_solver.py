@@ -257,6 +257,215 @@ def test_sweep_removes_the_seeding_cache(monkeypatch):
     assert opened == [False, False]
 
 
+def _seeded_start_problem(case):
+    """A discrete problem whose descents start from the nearest assignment, and the largest k to sweep it to.
+
+    Twelve points have w' = 0.  "integer" has whole-number costs and
+    weights, so the kept totals are exact and many distances tie; it also
+    has a fixed site with a finite release penalty and an outlier column,
+    which the far point takes.  "float" has the same costs unrounded,
+    "geometric" Euclidean distances to candidate sites (two of them fixed),
+    and "plain" the whole numbers without a fixed site or an outlier column.
+    """
+    rng = np.random.default_rng(43)
+    xy = np.vstack([rng.uniform([0, 0], [9, 7], size=(70, 2)), [[30.0, 30.0]]])
+    pts = tuple(Point(i, coords=(float(x), float(y)), w=0.0 if 50 <= i < 62 else float(rng.integers(1, 6)))
+                for i, (x, y) in enumerate(xy))
+    sites = np.vstack([rng.uniform(-1, 10, size=(24, 2)), [[50.0, 50.0]]])
+    S = np.sqrt(((xy[:, None] - sites[None]) ** 2).sum(axis=2))
+    fixed = {"fixed": (2,), "release_penalty": 5.0}
+    metric, kw, center_kw = {
+        "integer": (matrix_metric(np.ceil(S)), {"outlier_penalty": 6.0}, fixed),
+        "float": (matrix_metric(S), {"outlier_penalty": 6.0}, fixed),
+        "geometric": (euclidean(), {"outlier_penalty": 5.0},
+                      {"candidates": sites, "fixed": (3, 7), "release_penalty": 5.0}),
+        "plain": (matrix_metric(np.ceil(S)), {}, {}),
+    }[case]
+    k = max(2, len(center_kw.get("fixed", ())))
+    prob = validate_problem(Problem(points=pts, metric=metric, **kw,
+                                    centers=CenterSpec(k=k, placement="discrete", **center_kw)))
+    return prob, 14
+
+
+SEEDED_START_CASES = ["integer", "float", "geometric", "plain"]
+
+
+@pytest.mark.parametrize("case", SEEDED_START_CASES)
+def test_seeding_keeps_each_points_nearest_seed_and_the_site_totals(case):
+    base, k_max = _seeded_start_problem(case)
+    S, w = base.site_costs, base.effective_weights
+    ties = emptied = 0
+    with shared_seeding(base):
+        for seed in range(4):
+            for k in range(base.k, k_max + 1):
+                sites = kmeanspp_init(_with_k(base, k), np.random.default_rng(seed))
+                seeds = solver._seeded_start(base, sites)
+                D = S[:, sites]
+                assert np.array_equal(seeds.labels, np.argmin(D, axis=1))  # ties to the lowest index
+                assert np.array_equal(seeds.best, D.min(axis=1))
+                masses = np.zeros((k, base.n))
+                masses[seeds.labels, np.arange(base.n)] = w
+                fresh = masses @ S
+                if case == "float" or case == "geometric":
+                    assert np.all(np.abs(seeds.totals() - fresh) <= 1e-12 * fresh)
+                else:
+                    assert np.array_equal(seeds.totals(), fresh)
+                ties += int(((D == D.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+                emptied += int((~masses.any(axis=1)).sum())  # seeds left without a point with w' > 0
+    assert ties or case in ("float", "geometric")
+    assert emptied or case == "float"
+
+
+@pytest.mark.parametrize("case", ["integer", "plain"])
+def test_sweep_solutions_equal_standalone_solves_on_integer_data(case):
+    base, k_max = _seeded_start_problem(case)
+    config = SolverConfig(restarts=3, rng_seed=5)
+    report = sweep_k(base, range(base.k, k_max + 1), [0.0], config)
+    assert sorted(report.solutions) == list(range(base.k, k_max + 1))
+    for k, got in report.solutions.items():
+        _assert_same_solution(got, solve(_with_k(base, k), config))
+
+
+def _assert_same_solution(got, expect):
+    assert np.array_equal(got.centers, expect.centers)
+    assert np.array_equal(got.assignment.y, expect.assignment.y)
+    assert np.array_equal(got.assignment.hard_labels(), expect.assignment.hard_labels())
+    assert got.released == expect.released
+    assert got.objective == expect.objective
+    for name in ("objective_trace", "restart_objectives", "stop", "best_restart", "iterations", "empty_reseeds"):
+        assert got.diagnostics[name] == expect.diagnostics[name], name
+    trace, expect_trace = got.diagnostics["center_trace"], expect.diagnostics["center_trace"]
+    assert len(trace) == len(expect_trace)
+    assert all(np.array_equal(a, b) for a, b in zip(trace, expect_trace))
+
+
+@pytest.mark.parametrize("case", SEEDED_START_CASES)
+def test_sweep_descents_skip_their_first_allocation_and_full_product(monkeypatch, case):
+    # Inside a sweep every descent takes its first assignment and site
+    # totals from its draw sequence: it makes one allocate call fewer than
+    # the same descent alone, and its first location step takes in only the
+    # points sent to the outlier column, where alone it takes in all n.
+    base, k_max = _seeded_start_problem(case)
+    real_descend, real_allocate, real_update = solver.descend, solver.allocate, solver.update_center_discrete
+    runs = []  # per descent: its arguments, allocate calls and the rows of its first location step
+
+    def descending(problem, centers0, config, **kwargs):
+        run = {"args": (problem, centers0, config), "allocate": 0, "rows": None}
+        runs.append(run)
+        run["solution"] = real_descend(problem, centers0, config, **kwargs)
+        return run["solution"]
+
+    def allocating(*args, **kwargs):
+        runs[-1]["allocate"] += 1
+        return real_allocate(*args, **kwargs)
+
+    def locating(site_distances, masses, **kwargs):
+        if runs[-1]["rows"] is None:
+            runs[-1]["rows"] = kwargs["rows"]
+        return real_update(site_distances, masses, **kwargs)
+
+    monkeypatch.setattr(solver, "allocate", allocating)
+    monkeypatch.setattr(solver, "update_center_discrete", locating)
+    monkeypatch.setattr(solver, "descend", descending)
+    sweep_k(base, range(base.k, k_max + 1), [0.0], SolverConfig(restarts=3, rng_seed=6))
+    swept = runs[:]
+    assert len(swept) == 3 * (k_max - base.k + 1)
+    w = base.effective_weights
+    outliers = 0
+    for run in swept:
+        problem, centers0, config = run["args"]
+        D = base.site_costs[:, centers0]
+        sent_out = (w > 0) & (D.min(axis=1) > (problem.outlier_penalty or np.inf))
+        assert np.array_equal(run["rows"], np.flatnonzero(sent_out))
+        outliers += int(sent_out.sum())
+        descending(problem, centers0, config)
+        for got, calls in ((run, run["allocate"] + 1), (runs[-1], runs[-1]["allocate"])):
+            diag = got["solution"].diagnostics  # an unchanged last step needs no final allocation
+            assert calls == diag["iterations"] + (diag["stop"] != "centers_unchanged")
+        assert np.array_equal(runs[-1]["rows"], np.arange(base.n))
+        if case in ("integer", "plain"):
+            assert runs[-1]["solution"].diagnostics["objective_trace"] == run["solution"].diagnostics["objective_trace"]
+    assert outliers or case == "plain"
+
+
+def _guarded_problem(case):
+    """A discrete problem whose descents must not start from their draw sequence, and the largest k to sweep it to.
+
+    Its first allocation is not the labelled nearest assignment: a capacity
+    window (fractional or hard membership), fractional membership, or one
+    point with q = 2.
+    """
+    rng = np.random.default_rng(44)
+    xy = rng.uniform([0, 0], [9, 7], size=(40, 2))
+    q2 = case == "q2"
+    pts = tuple(Point(i, coords=(float(x), float(y)), w=float(rng.integers(1, 6)), q=2 if q2 and i == 5 else 1)
+                for i, (x, y) in enumerate(xy))
+    sites = rng.uniform(-1, 10, size=(16, 2))
+    S = np.sqrt(((xy[:, None] - sites[None]) ** 2).sum(axis=2))
+    total = sum(p.w for p in pts)
+    kw = {
+        "capacity-fractional": {"capacity": (0.0, 0.6 * total), "membership": "fractional"},
+        "capacity-hard": {"capacity": (0.0, 0.6 * total), "membership": "hard"},
+        "fractional": {"membership": "fractional", "outlier_penalty": 6.0},
+        "q2": {"outlier_penalty": 6.0},
+    }[case]
+    prob = validate_problem(Problem(points=pts, metric=matrix_metric(S), **kw,
+                                    centers=CenterSpec(k=2, placement="discrete", fixed=(1,), release_penalty=4.0)))
+    return prob, 5
+
+
+@pytest.mark.parametrize("case", ["capacity-fractional", "capacity-hard", "fractional", "q2"])
+def test_sweep_descents_without_a_nearest_first_allocation_start_as_alone(monkeypatch, case):
+    # These descents start from an allocation, as a standalone solve's do,
+    # and the sweep gives the same answers.
+    base, k_max = _guarded_problem(case)
+    config = SolverConfig(restarts=3, rng_seed=7)
+    allocations = _counting(monkeypatch, solver, "allocate")
+    report = sweep_k(base, range(base.k, k_max + 1), [0.0], config)
+    swept_allocations = len(allocations)
+    assert sorted(report.solutions) == list(range(base.k, k_max + 1))
+    del allocations[:]
+    for k, got in report.solutions.items():
+        _assert_same_solution(got, solve(_with_k(base, k), config))
+    assert swept_allocations == len(allocations)
+
+
+@pytest.mark.parametrize("in_sweep", [False, True], ids=["solve", "sweep"])
+@pytest.mark.parametrize("placement", ["discrete", "continuous"])
+def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, placement, in_sweep):
+    # The benchmark's tracer times both public functions per restart.
+    if placement == "discrete":
+        base, _ = _seeded_start_problem("integer")
+    else:
+        base = continuous_problem(blob_points(np.random.default_rng(45), [(0, 0), (6, 1), (3, 6)], per=10), k=2)
+    config = SolverConfig(restarts=3, rng_seed=9)
+    calls = []
+    real_init, real_descend = solver.kmeanspp_init, solver.descend
+
+    def seeding(*args, **kwargs):
+        calls.append(("kmeanspp_init", args, kwargs, real_init(*args, **kwargs)))
+        return calls[-1][3]
+
+    def descending(*args, **kwargs):
+        calls.append(("descend", args, kwargs, None))
+        return real_descend(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "kmeanspp_init", seeding)
+    monkeypatch.setattr(solver, "descend", descending)
+    ks = [2, 3, 4] if in_sweep else [base.k]
+    if in_sweep:
+        assert sorted(sweep_k(base, ks, [0.0], config).solutions) == ks
+    else:
+        solve(base, config)
+    assert [name for name, *_ in calls] == ["kmeanspp_init", "descend"] * (config.restarts * len(ks))
+    for (_, init_args, init_kwargs, seeds), (_, args, kwargs, _) in zip(calls[::2], calls[1::2]):
+        problem, rng = init_args
+        assert not init_kwargs and isinstance(rng, np.random.Generator)
+        assert len(args) == 3 and args[0] is problem and args[1] is seeds and args[2] is config
+        assert list(kwargs) == ["model"] and kwargs["model"] is None
+    assert [args[0].k for _, args, *_ in calls[::2]] == [k for k in ks for _ in range(config.restarts)]
+
+
 def test_descend_two_separated_pairs_reaches_midpoints():
     pts = (Point(0, coords=(0.0, 0.0)), Point(1, coords=(1.0, 0.0)),
            Point(2, coords=(10.0, 0.0)), Point(3, coords=(11.0, 0.0)))
