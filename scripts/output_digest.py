@@ -12,7 +12,11 @@ digests are equal, so comparing them takes one ``diff``:
     diff old.txt new.txt
 
 ``--seed`` takes several seeds (``--seed 1 2 3``); each seed's lines then
-come in turn, with ``seed<N>/`` in front of every path.
+come in turn, with ``seed<N>/`` in front of every path.  ``--workload``
+takes several workloads in the same way, each under ``<workload>/``, so
+one command lists every workload and seed of a checkout:
+
+    PYTHONPATH=src python3 scripts/output_digest.py --workload euclid-outlier cap-fractional --seed 1 2 3
 
 With ``--values`` it prints the answers instead of digests: for each
 solution document, one ``<relative path> total <objective>`` line and one
@@ -143,7 +147,7 @@ def compare(old: dict, new: dict) -> list[str]:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--workload", choices=sorted(WORKLOADS))
+    parser.add_argument("--workload", nargs="+", choices=sorted(WORKLOADS), help="one or more workloads")
     parser.add_argument("--seed", type=int, nargs="+", help="one or more workload seeds")
     parser.add_argument("--small", action="store_true", help="one small command per workload")
     parser.add_argument("--values", action="store_true", help="print objectives and centers, not digests")
@@ -155,10 +159,11 @@ def main():
         parser.error("--workload and --seed are required unless --compare is given")
     else:
         listing = values if args.values else digest
-        prefix = len(args.seed) > 1
+        by_workload, by_seed = len(args.workload) > 1, len(args.seed) > 1
         try:
-            lines = [f"seed{seed}/{line}" if prefix else line
-                     for seed in args.seed for line in listing(args.workload, seed, args.small)]
+            lines = [(f"{workload}/" if by_workload else "") + (f"seed{seed}/" if by_seed else "") + line
+                     for workload in args.workload for seed in args.seed
+                     for line in listing(workload, seed, args.small)]
         except RuntimeError as exc:
             parser.exit(1, f"{exc}\n")
     print("\n".join(lines))

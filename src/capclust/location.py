@@ -11,8 +11,8 @@ cluster's arithmetic does not depend on the clusters beside it, so
 ``update_center_continuous`` and ``weiszfeld``, its one-cluster forms, give
 each cluster the same result.  ``cluster_costs_continuous`` prices a batch
 the same way.  Discrete placement picks the candidate site minimizing the
-weighted distance sum, from sums a descent keeps across its steps and
-brings up to date with the rows of the points that changed.
+weighted distance sum, from sums kept across a descent's steps, or a
+draw sequence's seeds, and brought up to date by ``add_mass_change``.
 ``decide_release`` is the release rule for a fixed center, applied by the
 solver to the gain of the location it chose.
 """
@@ -328,23 +328,26 @@ def cluster_cost_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, locat
     return float(cluster_costs_continuous(kind, xy, masses, [0], np.asarray(location, dtype=float)[None])[0])
 
 
+def add_mass_change(totals: np.ndarray, site_distances: np.ndarray, change: np.ndarray, rows) -> None:
+    """Add to kept totals T[j, h] = sum_i m_ij S[i, h], in place, the (c, p) mass change of the points ``rows``.
+
+    ``rows`` are sorted.  T then holds a fresh product's terms summed in
+    another order, so it agrees with one to rounding only.
+    """
+    # Sorted rows as many as S has are all of them: no copy of S then.
+    totals += change @ (site_distances if len(rows) == len(site_distances) else site_distances[rows])
+
+
 def update_center_discrete(site_distances: np.ndarray, masses: np.ndarray, *, totals=None, rows=None,
                            empty=None, clusters=None):
     """Candidate site minimizing the weighted distance sum; ties to the lowest index.
 
     ``masses`` holds one cluster's mass per row of ``site_distances`` and
-    gives one site index.
-
-    A descent keeps the sums of its k clusters instead: ``totals`` is its
-    (k, s) array T[j, h] = sum_i m_ij S[i, h] over the masses m it last took
-    in, starting from zero or from the totals its draw sequence kept.  ``masses`` is then the (k, p) change in mass,
-    new minus old, of the points ``rows`` (sorted), the only ones whose mass
-    changed since.  T takes it in place with one product over those p rows
-    of S, the rows of the clusters in the mask ``empty`` are set to exactly
-    0, and the sites of ``clusters`` come back as an array; a caller prices
-    other sites from T.  T holds the terms of a fresh product summed in
-    another order, so it agrees with one to rounding only (exactly on
-    integer data).
+    gives one site index.  A descent passes its kept (k, s) ``totals``
+    instead, and ``masses`` is the (k, p) mass change of the points ``rows``
+    (``add_mass_change``); the rows of the clusters in the mask ``empty``
+    are then set to exactly 0, and the sites of ``clusters`` come back as
+    an array.
     """
     if totals is None:
         masses = np.asarray(masses, dtype=float)
@@ -353,8 +356,7 @@ def update_center_discrete(site_distances: np.ndarray, masses: np.ndarray, *, to
         return int(np.argmin(masses @ site_distances))
     if empty[clusters].any():
         raise EmptyCluster("no mass assigned to this center")
-    # Sorted rows as many as S has are all of them: no copy of S then.
-    totals += masses @ (site_distances if len(rows) == len(site_distances) else site_distances[rows])
+    add_mass_change(totals, site_distances, masses, rows)
     totals[empty] = 0.0
     return np.argmin(totals[clusters], axis=1)
 

@@ -127,7 +127,8 @@ class Problem:
     sites (the per-point arrays, the point-to-site costs, each point's
     nearest site) are computed on first use and kept in ``shared``, a dict
     that also records that the per-point checks passed and, during a sweep,
-    holds its k-means++ draw sequences (``solver.shared_seeding``).  A problem made by
+    holds its k-means++ draw sequences (``solver.shared_seeding``), from
+    which ``solve`` hands each descent its start.  A problem made by
     ``dataclasses.replace`` inherits the dict whenever its points, metric
     and candidates are the same objects, so a sweep's problems, restarts
     and consensus document all read the same read-only arrays; otherwise

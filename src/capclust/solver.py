@@ -4,8 +4,8 @@ Each restart seeds centers (fixed centers first, the rest by weighted
 k-means++), then alternates the exact allocation step with the location
 step (including release decisions for fixed centers) until the objective
 stalls or the centers stop moving.  In a sweep, a discrete descent whose
-first allocation is the nearest assignment takes that assignment and its
-site totals from the draw sequence that seeded it.  Restarts draw from
+first allocation is the nearest assignment is handed that assignment and
+its site totals by the draw sequence that seeded it.  Restarts draw from
 counter-spawned RNG streams so the set of restarts is independent of
 execution order, and the best restart by total objective wins (totals
 within 1e-12 relative of the lowest tie, and ties go to the lowest restart
@@ -26,7 +26,9 @@ from .allocation import _allocates_nearest_labels, _nearest_assignment, allocate
 from .errors import (
     AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget, NotEnoughDistinctSites, ShapeMismatch, ValidationError,
 )
-from .location import cluster_costs_continuous, decide_release, update_center_discrete, update_centers_continuous
+from .location import (
+    add_mass_change, cluster_costs_continuous, decide_release, update_center_discrete, update_centers_continuous,
+)
 from .model import Assignment, Problem, Solution, evaluate_parts, point_costs, validate_problem
 
 
@@ -71,12 +73,11 @@ def shared_seeding(problem: Problem):
     k.  While the block is open, calls that start from the same generator
     state, placement and fixed centers continue one draw sequence instead of
     drawing it again: a sweep draws each restart's seeds once, up to its
-    largest k.  A discrete sequence whose descents start from the nearest
-    assignment (no capacity window, hard membership, every q_i = 1) also
-    keeps each point's nearest seed and the site totals of that assignment
-    as it draws, and a descent from exactly its sites takes both instead of
-    its first allocation and first full product.  The cache goes when the
-    outermost block exits.
+    largest k.  A discrete sequence drawn for a problem whose first
+    allocation is the nearest assignment (no capacity window, hard
+    membership, every q_i = 1) also keeps that assignment's labels and site
+    totals, which ``solve`` hands to the descent of such a problem at the
+    sequence's length.  The cache goes when the outermost block exits.
     """
     if _SEEDING in problem.shared:
         yield
@@ -125,12 +126,10 @@ class _Seeds:
     ``labels``, the index in ``chosen`` of each point's nearest seed (a
     later seed takes a point only when it is strictly closer, so ties stay
     with the lowest index, as in ``np.argmin``), and the site totals of
-    that assignment, ``totals()[j, h] = sum over labels_i = j of
-    w'_i S[i, h]``.  Fixed sites start them with one product; each draw
-    adds the rows of S of only the points with w' > 0 that switched to the
-    new seed (``_mass_changes``), and the row of a seed left without such a
-    point is set to exactly 0, as a descent does.  The totals agree with a
-    fresh product to rounding only (exactly on integer data).
+    that assignment, T[j, h] = sum over labels_i = j of w'_i S[i, h].
+    Fixed sites start them with one product; each draw adds the rows of S
+    of only the points with w' > 0 that switched to the new seed
+    (``add_mass_change``), and ``start`` hands both to a descent.
     """
 
     def __init__(self, problem: Problem, rng: np.random.Generator, track: bool = False):
@@ -150,7 +149,7 @@ class _Seeds:
                 D = problem.site_costs[:, self.chosen]
                 self.best = np.min(D, axis=1)
                 if self.track:
-                    self._start(np.argmin(D, axis=1))
+                    self._track_from(np.argmin(D, axis=1))
         else:
             self.chosen = [np.asarray(f, dtype=float) for f in spec.fixed]
             if self.chosen:
@@ -169,18 +168,26 @@ class _Seeds:
             return np.asarray(self.chosen[:k], dtype=int)
         return np.vstack(self.chosen[:k])
 
-    def totals(self) -> np.ndarray:
-        """The (len(chosen), s) site totals of ``labels``, a view of the kept array."""
-        return self._totals[:len(self.chosen)]
+    def start(self, k: int):
+        """Copies of ``labels`` and the totals, and ``best``, if the sequence tracks them and holds k seeds.
 
-    def _start(self, labels: np.ndarray) -> None:
+        A seed without a point of w' > 0 gets a row of exactly 0: points
+        switch only to the newest seed, so its row lost them for good.
+        """
+        c, w = len(self.chosen), self.problem.effective_weights
+        if self.labels is None or c != k:
+            return None
+        totals = self._totals[:c].copy()
+        totals[np.bincount(self.labels[w > 0], minlength=c) == 0] = 0.0
+        return self.labels.copy(), self.best, totals
+
+    def _track_from(self, labels: np.ndarray) -> None:
         """Take ``labels`` of the chosen seeds and their totals from one product over every row of S."""
         c, S, w = len(self.chosen), self.problem.site_costs, self.problem.effective_weights
         self.labels = labels
         self._totals = np.zeros((max(2 * c, 8), S.shape[1]))
-        self._totals[:c] = _mass_changes(labels, None, w, c)[1] @ S
-        self._sizes = np.zeros(len(self._totals), dtype=np.intp)
-        self._sizes[:c] = np.bincount(labels[w > 0], minlength=c)
+        points, change = _mass_changes(labels, None, w, c)
+        add_mass_change(self._totals[:c], S, change, points)
 
     def _add(self, rng: np.random.Generator) -> None:
         problem = self.problem
@@ -211,20 +218,15 @@ class _Seeds:
         """Bring ``labels`` and the totals up to the seed just added, whose distances are ``d_new``."""
         c = len(self.chosen)  # the new seed's index is c - 1
         if self.labels is None:  # the first seed takes every point
-            self._start(np.zeros(len(d_new), dtype=np.intp))
+            self._track_from(np.zeros(len(d_new), dtype=np.intp))
             return
         if c > len(self._totals):  # double the kept rows; the new ones start at zero
             self._totals = np.concatenate([self._totals, np.zeros_like(self._totals)])
-            self._sizes = np.concatenate([self._sizes, np.zeros_like(self._sizes)])
         switched = np.flatnonzero(d_new < self.best)
-        old = self.labels[switched]
-        points, change = _mass_changes(np.full(switched.size, c - 1), old, self.problem.effective_weights[switched], c)
+        points, change = _mass_changes(np.full(switched.size, c - 1), self.labels[switched],
+                                       self.problem.effective_weights[switched], c)
         self.labels[switched] = c - 1
-        totals, sizes = self._totals[:c], self._sizes[:c]
-        totals += change @ self.problem.site_costs[switched[points]]
-        sizes -= np.bincount(old[points], minlength=c)
-        sizes[c - 1] = points.size
-        totals[sizes == 0] = 0.0  # a seed that lost all its points holds exactly nothing
+        add_mass_change(self._totals[:c], self.problem.site_costs, change, switched[points])
 
 
 def kmeanspp_init(problem: Problem, rng: np.random.Generator):
@@ -239,26 +241,24 @@ def kmeanspp_init(problem: Problem, rng: np.random.Generator):
     Inside ``shared_seeding`` a call continues the draw sequence an earlier
     call started from the same generator state, placement and fixed
     centers: it returns that sequence's first k seeds and leaves ``rng``
-    exactly as a fresh call would.  There a discrete sequence also keeps its
-    nearest-seed labels and site totals for ``descend`` (``_Seeds``); a call
-    outside the block keeps neither, since nothing could take them.
+    exactly as a fresh call would.  There a discrete sequence also keeps the
+    nearest-seed labels and site totals that ``solve`` hands to ``descend``
+    (``_Seeds``); outside the block nothing could take them, so none are kept.
     """
     spec = problem.centers
     cache = problem.shared.get(_SEEDING)
     if cache is None:
         return _Seeds(problem, rng).first(spec.k, rng)
-    key = (spec.placement, _hashable(np.asarray(spec.fixed, dtype=float)), _hashable(rng.bit_generator.state))
+    key = _seeding_key(problem, rng)
     if key not in cache:
         cache[key] = _Seeds(problem, rng, track=_allocates_nearest_labels(problem))
     return cache[key].first(spec.k, rng)
 
 
-def _seeded_start(problem: Problem, centers: np.ndarray) -> _Seeds | None:
-    """A cached draw sequence that tracks its labels and whose sites are exactly ``centers``; None without one."""
-    for seeds in problem.shared.get(_SEEDING, {}).values():
-        if seeds.labels is not None and len(seeds.chosen) == len(centers) and np.array_equal(seeds.chosen, centers):
-            return seeds
-    return None
+def _seeding_key(problem: Problem, rng: np.random.Generator) -> tuple:
+    """The key in the seeding cache of the draw sequence a ``kmeanspp_init`` call from ``rng`` continues."""
+    spec = problem.centers
+    return spec.placement, _hashable(np.asarray(spec.fixed, dtype=float)), _hashable(rng.bit_generator.state)
 
 
 def _reseed(problem: Problem, contrib: np.ndarray, centers: np.ndarray, emptied: list[int]) -> None:
@@ -370,7 +370,7 @@ def _checked_centers(problem: Problem, initial_centers) -> np.ndarray:
     return centers.astype(int)
 
 
-def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=None) -> Solution:
+def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=None, start=None) -> Solution:
     """Alternate exact allocation and location steps from the given centers.
 
     The (n, k) distance matrix is computed once, for the initial centers,
@@ -387,31 +387,27 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
 
     Every center moves by one rule, and all moving clusters move in one
     batched step.  Under discrete placement the descent keeps one (k, s)
-    array of every cluster's weighted distance sum to every site.  In an
-    iteration in which some cluster moves, ``update_center_discrete`` adds
-    to it the rows of S of only the points whose mass changed since it last
-    did, so the sums catch up on the input they last saw, not on the last
-    iteration's.  The sums start from zero, so the first step takes in
-    every point, except inside ``shared_seeding`` for a descent whose first
-    allocation is the nearest assignment (no capacity window, hard
-    membership, every q_i = 1) and whose ``initial_centers`` are exactly the
-    sites of a cached draw sequence.  That descent starts from the
-    sequence: its first assignment comes from the sequence's nearest-seed
-    labels and distances, with no ``allocate`` call, and its sums start as
-    the sequence's totals of those labels, so the first step takes in only
-    the points sent to the outlier column.  The moving clusters take their
-    sites from the sums, and a fixed center's release gain reads the same
-    row.  The sums agree with a fresh product to rounding only.  Under
-    continuous placement the moving clusters' points with positive mass go,
-    cluster after cluster, to one ``update_centers_continuous`` call;
-    ``cluster_costs_continuous`` then prices every update, and the fixed
-    location of every moving fixed cluster, in one call each.  A continuous optimum that costs more than
-    the current location (read from the distance matrix) is dropped for it
-    (the monotone guard).  A fixed center is then released when the gain of
-    that location over its fixed one passes ``decide_release``, one center
-    at a time, and put back at its fixed location otherwise.  A fixed center
-    that cannot be released (infinite penalty or empty cluster) stays fixed
-    without an update.
+    array of every cluster's weighted distance sum to every site, from which
+    the moving clusters take their sites and a fixed center's release gain
+    reads its row.  ``update_center_discrete`` adds to it the rows of S of
+    only the points whose mass changed since it last did, so the sums agree
+    with a fresh product to rounding only.  They start from zero, and the
+    first step takes in every point, unless ``solve`` hands the descent
+    ``start`` (private; ``_Seeds.start``): each point's nearest initial
+    center (ties to the lowest index), its distance to it and the site
+    totals of that assignment, for a problem whose first allocation is the
+    nearest assignment.  The descent then makes no first ``allocate`` call,
+    and its first step takes in only the points sent to the outlier column.
+    Under continuous placement the moving clusters' points with positive
+    mass go, cluster after cluster, to one ``update_centers_continuous``
+    call; ``cluster_costs_continuous`` then prices every update, and the
+    fixed location of every moving fixed cluster, in one call each.  A
+    continuous optimum that costs more than the current location (read from
+    the distance matrix) is dropped for it (the monotone guard).  A fixed
+    center is then released when the gain of that location over its fixed
+    one passes ``decide_release``, one center at a time, and put back at its
+    fixed location otherwise.  A fixed center that cannot be released
+    (infinite penalty or empty cluster) stays fixed without an update.
 
     Each iteration sorts the clusters with masks.  A cluster is skipped,
     and keeps its center, when it holds mass, its masses are those of the
@@ -454,14 +450,11 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     last_released: set[int] = set()
     last_unconverged = np.zeros(k, dtype=bool)
     # Discrete placement keeps every cluster's weighted distance sum to
-    # every site, and the input those sums last took in.  A descent from a
-    # cached draw sequence's sites takes the sequence's nearest-seed labels
-    # as its first assignment and their totals.
-    start = _seeded_start(problem, centers) if discrete and _allocates_nearest_labels(problem) else None
-    totals = seen = seeded = None
+    # every site, and the input those sums last took in.  A descent handed
+    # ``start`` takes its labels as the first assignment and its totals.
+    totals = seen = None
     if start is not None:
-        totals, seen = start.totals().copy(), start.labels.copy()
-        seeded = _nearest_assignment(problem, seen, start.best)
+        seen, best, totals = start
     elif discrete:
         totals = np.zeros((k, problem.site_costs.shape[1]))
 
@@ -478,10 +471,10 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     stop = None
     for iteration in range(1, config.max_iterations + 1):
         diag["iterations"] = iteration
-        if seeded is None:
-            assignment = allocate(problem, centers, config.time_budget, distances=D, model=model)
+        if iteration == 1 and start is not None:
+            assignment = _nearest_assignment(problem, seen, best)
         else:
-            assignment, seeded = seeded, None
+            assignment = allocate(problem, centers, config.time_budget, distances=D, model=model)
         if "optimality_gap" in assignment.diagnostics:
             diag["optimality_gap"] = max(diag.get("optimality_gap", 0.0), assignment.diagnostics["optimality_gap"])
         after_alloc = evaluate_parts(problem, centers, assignment, released, distances=D)
@@ -594,9 +587,10 @@ def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
 
     Restart r seeds from the r-th stream spawned from ``config.rng_seed``,
     whatever k is, so inside ``shared_seeding`` a sweep's solves of one
-    problem take each restart's seeds from a single draw sequence (and a
-    discrete descent, where it can, its start; see ``descend``).  Every
-    restart calls ``kmeanspp_init`` and then ``descend`` once.
+    problem take each restart's seeds from a single draw sequence.  Every
+    restart calls ``kmeanspp_init`` and then ``descend`` once.  Where the
+    first allocation is the nearest assignment, the sequence (found by the
+    generator state before the draws) hands the descent its ``start``.
 
     A capacitated problem gets one allocation model (``lp_model``), built in
     the first restart and passed to every descent, which restarts it, so
@@ -617,13 +611,16 @@ def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
     failures: list[str] = []
     objectives: list[float] = []
     model = None
+    cache = problem.shared.get(_SEEDING) if _allocates_nearest_labels(problem) else None
     for r, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
+        key = None if cache is None else _seeding_key(problem, rng)  # before the draws move rng
         try:
             centers0 = kmeanspp_init(problem, rng)
+            start = None if cache is None else cache[key].start(problem.k)
             if model is None:
                 model = lp_model(problem)
-            candidate = descend(problem, centers0, config, model=model)
+            candidate = descend(problem, centers0, config, model=model, start=start)
         except (Infeasible, NoIncumbentWithinBudget) as exc:
             failures.append(f"restart {r}: {exc}")
             objectives.append(math.nan)

@@ -58,6 +58,19 @@ def test_output_digest_takes_several_seeds(tmp_path, listing):
     assert both.stdout.splitlines() == expect
     assert alone[0].stdout != alone[1].stdout
 
+    # Several workloads: each workload's lines in turn, under <workload>/ and then any seed<N>/.
+    other = [run_script("output_digest.py", "--workload", "cap-fractional", "--small", *listing, "--seed", seed,
+                        cwd=tmp_path) for seed in ("2", "1")]
+    workloads = ["--workload", "matrix-sweep", "cap-fractional", "--small", *listing]
+    every = run_script("output_digest.py", *workloads, "--seed", "2", "1", cwd=tmp_path)
+    one_seed = run_script("output_digest.py", *workloads, "--seed", "1", cwd=tmp_path)
+    assert all(done.returncode == 0 for done in [*other, every, one_seed]), every.stderr
+    runs = {"matrix-sweep": alone, "cap-fractional": other}
+    assert every.stdout.splitlines() == [f"{name}/seed{seed}/{line}" for name, done in runs.items()
+                                         for seed, run in zip((2, 1), done) for line in run.stdout.splitlines()]
+    assert one_seed.stdout.splitlines() == [f"{name}/{line}" for name, done in runs.items()
+                                            for line in done[1].stdout.splitlines()]
+
 def test_output_digest_runs_without_pythonpath(tmp_path):
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "output_digest.py"),

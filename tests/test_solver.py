@@ -298,18 +298,20 @@ def test_seeding_keeps_each_points_nearest_seed_and_the_site_totals(case):
     with shared_seeding(base):
         for seed in range(4):
             for k in range(base.k, k_max + 1):
-                sites = kmeanspp_init(_with_k(base, k), np.random.default_rng(seed))
-                seeds = solver._seeded_start(base, sites)
+                rng = np.random.default_rng(seed)
+                key = solver._seeding_key(base, rng)
+                sites = kmeanspp_init(_with_k(base, k), rng)
+                labels, best, totals = base.shared[solver._SEEDING][key].start(k)  # what solve hands descend
                 D = S[:, sites]
-                assert np.array_equal(seeds.labels, np.argmin(D, axis=1))  # ties to the lowest index
-                assert np.array_equal(seeds.best, D.min(axis=1))
+                assert np.array_equal(labels, np.argmin(D, axis=1))  # ties to the lowest index
+                assert np.array_equal(best, D.min(axis=1))
                 masses = np.zeros((k, base.n))
-                masses[seeds.labels, np.arange(base.n)] = w
+                masses[labels, np.arange(base.n)] = w
                 fresh = masses @ S
                 if case == "float" or case == "geometric":
-                    assert np.all(np.abs(seeds.totals() - fresh) <= 1e-12 * fresh)
+                    assert np.all(np.abs(totals - fresh) <= 1e-12 * fresh)
                 else:
-                    assert np.array_equal(seeds.totals(), fresh)
+                    assert np.array_equal(totals, fresh)
                 ties += int(((D == D.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
                 emptied += int((~masses.any(axis=1)).sum())  # seeds left without a point with w' > 0
     assert ties or case in ("float", "geometric")
@@ -430,6 +432,56 @@ def test_sweep_descents_without_a_nearest_first_allocation_start_as_alone(monkey
     assert swept_allocations == len(allocations)
 
 
+def _same_descent(got, expect):
+    assert np.array_equal(got.centers, expect.centers)
+    assert np.array_equal(got.assignment.hard_labels(), expect.assignment.hard_labels())
+    for name in ("objective_trace", "stop"):
+        assert got.diagnostics[name] == expect.diagnostics[name], name
+    trace, expect_trace = got.diagnostics["center_trace"], expect.diagnostics["center_trace"]
+    assert len(trace) == len(expect_trace)
+    assert all(np.array_equal(a, b) for a, b in zip(trace, expect_trace))
+
+
+def test_solves_in_a_sweep_block_take_a_start_only_where_it_fits():
+    # The cache keys a draw sequence by generator state, placement and fixed
+    # centers, so a capacitated problem that shares the block continues the
+    # sequences an uncapacitated solve drew; its descents must still start
+    # from an allocation.  A solve at k after a larger k finds sequences of
+    # more than k seeds, whose labels fit no descent from k centers.
+    rng = np.random.default_rng(46)
+    xy = rng.uniform([0, 0], [9, 7], size=(40, 2))
+    S = np.ceil(np.sqrt(((xy[:, None] - rng.uniform(-1, 10, size=(16, 2))[None]) ** 2).sum(axis=2)))
+    pts = tuple(Point(i, w=float(rng.integers(1, 6))) for i in range(40))
+    total = sum(p.w for p in pts)
+    free = validate_problem(Problem(points=pts, metric=matrix_metric(S), centers=CenterSpec(k=3, placement="discrete")))
+    capped = validate_problem(replace(free, capacity=(0.25 * total, 0.4 * total), membership="hard"))
+    assert capped.shared is free.shared
+    config = SolverConfig(restarts=3, rng_seed=1)
+    capped_alone, smaller_alone = solve(capped, config), solve(_with_k(free, 2), config)
+    with shared_seeding(free):
+        solve(free, config)
+        _same_descent(solve(capped, config), capped_alone)
+        _same_descent(solve(_with_k(free, 2), config), smaller_alone)
+
+
+def test_descend_ignores_the_seeding_cache(monkeypatch):
+    # Only solve hands a descent its start: a descent from exactly the sites
+    # of a tracked draw sequence allocates first inside the block as outside.
+    base, _ = _seeded_start_problem("integer")
+    problem = _with_k(base, 4)
+    sites = kmeanspp_init(problem, np.random.default_rng(3))
+    alone = descend(problem, sites, SolverConfig())
+    real, allocated = solver.allocate, []
+    monkeypatch.setattr(solver, "allocate",
+                        lambda prob, centers, *a, **kw: allocated.append(np.array(centers)) or real(prob, centers, *a, **kw))
+    with shared_seeding(base):
+        assert np.array_equal(kmeanspp_init(problem, np.random.default_rng(3)), sites)
+        got = descend(problem, sites, SolverConfig())
+    _same_descent(got, alone)
+    assert np.array_equal(allocated[0], sites)
+    assert len(allocated) == got.diagnostics["iterations"] + (got.diagnostics["stop"] != "centers_unchanged")
+
+
 @pytest.mark.parametrize("in_sweep", [False, True], ids=["solve", "sweep"])
 @pytest.mark.parametrize("placement", ["discrete", "continuous"])
 def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, placement, in_sweep):
@@ -462,7 +514,9 @@ def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, pl
         problem, rng = init_args
         assert not init_kwargs and isinstance(rng, np.random.Generator)
         assert len(args) == 3 and args[0] is problem and args[1] is seeds and args[2] is config
-        assert list(kwargs) == ["model"] and kwargs["model"] is None
+        assert list(kwargs) == ["model", "start"] and kwargs["model"] is None
+        # Only a discrete sweep's descents are handed their draw sequence's start.
+        assert (kwargs["start"] is not None) == (placement == "discrete" and in_sweep)
     assert [args[0].k for _, args, *_ in calls[::2]] == [k for k in ks for _ in range(config.restarts)]
 
 
@@ -623,7 +677,7 @@ def test_restart_totals_within_rounding_tie_to_the_lowest_index(monkeypatch, tot
 
     script = list(totals)
 
-    def scripted(problem, centers, config, *, model=None):
+    def scripted(problem, centers, config, *, model=None, start=None):
         r = len(totals) - len(script)
         return Solution(centers=np.array([r]), assignment=None, released=frozenset(),
                         objective=ObjectiveBreakdown(script.pop(0), 0.0, 0.0, 0.0))
@@ -1295,7 +1349,8 @@ def test_shared_model_solves_like_a_model_per_descent(monkeypatch, lp_binding, m
     config = SolverConfig(restarts=4, rng_seed=8, time_budget=budget)
     shared = solve(prob, config)
     real = solver.descend
-    monkeypatch.setattr(solver, "descend", lambda problem, centers, cfg, *, model=None: real(problem, centers, cfg))
+    monkeypatch.setattr(solver, "descend",
+                        lambda problem, centers, cfg, *, model=None, start=None: real(problem, centers, cfg, start=start))
     own = solve(prob, config)
     assert np.array_equal(shared.centers, own.centers)
     assert np.array_equal(shared.assignment.y, own.assignment.y)
