@@ -64,12 +64,20 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _merged(args: argparse.Namespace, key: str, default, kind):
-    """Flags override config-file values override defaults; a set value is converted by ``kind``."""
+    """Flags override config-file values override defaults; a set value is converted by ``kind``.
+
+    A number given as a boolean, and an ``int`` given as a number that is not
+    whole, raise ValidationError instead of being converted.
+    """
     value = getattr(args, key.replace("-", "_"))
     if value is None:
         value = args._config.get(key)
     if value is None:
         return default
+    numbers = value if isinstance(value, list) else [value]
+    if (kind is not str and any(isinstance(v, bool) for v in numbers)
+            or kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"{key}: cannot use {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):

@@ -253,7 +253,13 @@ def load_labels(path) -> dict[int, int]:
     line, header, rows = _table(path, "labels")
     if header[:2] != ["id", "label"]:
         raise ParseError("labels header must be id,label", line)
-    return {_parse_int(row, 0, ln, "id"): _parse_int(row, 1, ln, "label") for ln, row in rows}
+    labels: dict[int, int] = {}
+    for ln, row in rows:
+        point = _parse_int(row, 0, ln, "id")
+        if point in labels:
+            raise ParseError(f"id {point} repeats", ln, 1)
+        labels[point] = _parse_int(row, 1, ln, "label")
+    return labels
 
 
 def load_json_object(path, what: str) -> dict:
@@ -480,6 +486,8 @@ def read_solution(path) -> SolutionDocument:
                     if row_tag in ("m", "o", "f") and int(sub[1]) not in doc.point_weights:
                         raise ParseError(f"point id {sub[1]} is not in the points block", at + 1)
                     if tag == "points":
+                        if int(sub[1]) in doc.point_weights:
+                            raise ParseError(f"point id {sub[1]} repeats in the points block", at + 1)
                         doc.point_weights[int(sub[1])] = finite(sub[2])
                     elif tag == "memberships":
                         doc.memberships.append((int(sub[1]), int(sub[2]), finite(sub[3]), finite(sub[4])))

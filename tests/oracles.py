@@ -5,17 +5,28 @@ the LP oracle is scipy's HiGHS on the dense membership variables, the
 negative-cycle oracle checks LP optimality with no LP solver at all, the
 hard-assignment oracle enumerates every labeling, the geometric-median
 oracle refines a grid search, and the ARI oracle counts pairs directly.
+The reference descent, the oracle of every shortcut ``descend`` takes, is
+built from the package's one-shot allocation and location functions only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from math import comb
 
 import numpy as np
 from scipy.optimize import linprog
 
-from capclust import CenterSpec, Point, Problem, matrix_metric, validate_problem
+from capclust import (
+    CenterSpec, Point, Problem, Solution, allocate, decide_release, kmeanspp_init, matrix_metric,
+    update_center_continuous, update_center_discrete, validate_problem,
+)
+from capclust.errors import AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget
+from capclust.location import cluster_cost_continuous
+from capclust.metrics import distances_to_centers
+from capclust.model import evaluate_parts
+from capclust.solver import RESTART_TIE_RTOL
 
 
 def random_capacitated_instance(rng, n_max=8, k_max=3, with_outlier=None, integral=False):
@@ -172,6 +183,133 @@ def reference_lloyd(xy: np.ndarray, centers0: np.ndarray, max_iter: int = 100):
             break
         centers = new
     return trail
+
+
+def reference_descend(problem, initial_centers, config) -> Solution:
+    """The rules of ``solver.descend``, with nothing passed between iterations but centers and releases.
+
+    Each iteration allocates afresh, recomputes every distance and relocates
+    every cluster with the one-cluster location functions.  Fixed centers
+    that are empty or never releasable stay attached; other empty clusters
+    are reseeded in index order at the costliest point whose spot is free.
+    """
+    problem = validate_problem(problem)
+    spec, w, kind = problem.centers, problem.effective_weights, problem.metric.kind
+    k, m, penalty = spec.k, spec.n_fixed, spec.release_penalty
+    discrete = spec.placement == "discrete"
+    centers = np.array(initial_centers, dtype=int if discrete else float)
+    fixed_at = np.array(spec.fixed, dtype=centers.dtype).reshape(centers[:m].shape)
+    released: set[int] = set()
+    diag = {"iterations": 0, "empty_reseeds": 0, "weiszfeld_unconverged": 0, "objective_trace": [], "center_trace": []}
+    prev_total, stop = math.inf, None
+    for iteration in range(1, config.max_iterations + 1):
+        diag["iterations"] = iteration
+        assignment = allocate(problem, centers, config.time_budget)
+        diag["objective_trace"].append(evaluate_parts(problem, centers, assignment, released).total)
+        mass = w[:, None] * assignment.center_block
+        members = [np.flatnonzero(mass[:, j] > 0) for j in range(k)]
+        new, new_released = centers.copy(), set(released)
+        for j in range(m):
+            if not members[j].size or math.isinf(penalty):
+                new[j] = fixed_at[j]
+                new_released.discard(j)
+        emptied = [j for j in range(m, k) if not members[j].size]
+        contrib = (w[:, None] * distances_to_centers(problem, centers) * assignment.center_block).sum(axis=1)
+        snap = problem.nearest_site if discrete else np.arange(problem.n)
+        held = np.zeros(problem.site_costs.shape[1] if discrete else problem.n, dtype=bool)
+        if discrete:
+            held[[new[j] for j in range(k) if j not in emptied]] = True
+        for j in emptied:
+            eligible = ~held[snap]
+            if eligible.any():
+                spot = int(snap[np.argmax(np.where(eligible, contrib, -np.inf))])
+            else:
+                spot = int(np.flatnonzero(~held)[0]) if discrete else int(np.argmax(contrib))
+            held[spot] = True
+            new[j] = spot if discrete else problem.coords[spot]
+        diag["empty_reseeds"] += len(emptied)
+        for j in range(k):
+            if not members[j].size or j < m and math.isinf(penalty):
+                continue
+            if discrete:
+                new[j] = update_center_discrete(problem.site_costs, mass[:, j])
+                sums = mass[:, j] @ problem.site_costs
+                gain = sums[fixed_at[j]] - sums[new[j]] if j < m else 0.0
+            else:
+                xy, mj = problem.coords[members[j]], mass[members[j], j]
+                update = update_center_continuous(kind, xy, mj)
+                diag["weiszfeld_unconverged"] += not update.converged
+                then, now = (cluster_cost_continuous(kind, xy, mj, c) for c in (update.coords, centers[j]))
+                new[j] = update.coords if then <= now else centers[j]
+                gain = cluster_cost_continuous(kind, xy, mj, fixed_at[j]) - min(then, now) if j < m else 0.0
+            if j < m and decide_release(gain, penalty, j in released):
+                new_released.add(j)
+            elif j < m:
+                new_released.discard(j)
+                new[j] = fixed_at[j]
+        after = evaluate_parts(problem, new, assignment, new_released)
+        diag["objective_trace"].append(after.total)
+        diag["center_trace"].append(new.copy())
+        if discrete:
+            unchanged = np.array_equal(new, centers)
+        else:
+            unchanged = np.sqrt(((new - centers) ** 2).sum(axis=1)).max() < 1e-9 * problem.diameter
+        unchanged = unchanged and new_released == released
+        centers, released = new, new_released
+        if unchanged or prev_total - after.total < config.convergence_tol * max(1.0, abs(prev_total)):
+            stop = "centers_unchanged" if unchanged else "objective_stalled"
+            break
+        prev_total = after.total
+    diag["stop"] = stop or "iteration_cap"
+    if stop != "centers_unchanged":
+        assignment = allocate(problem, centers, config.time_budget)
+        after = evaluate_parts(problem, centers, assignment, released)
+        diag["objective_trace"].append(after.total)
+    return Solution(centers, assignment, frozenset(released), after, diag)
+
+
+def reference_solve(problem, config) -> Solution:
+    """Best of reference descents from ``kmeanspp_init`` on the streams ``solver.solve`` spawns.
+
+    The lowest restart index within ``RESTART_TIE_RTOL`` relative of the lowest total wins.
+    """
+    results = []
+    for stream in np.random.SeedSequence(config.rng_seed).spawn(config.restarts):
+        centers0 = kmeanspp_init(problem, np.random.default_rng(stream))
+        try:
+            results.append(reference_descend(problem, centers0, config))
+        except (Infeasible, NoIncumbentWithinBudget):
+            results.append(None)
+    totals = [math.nan if s is None else s.objective.total for s in results]
+    if all(s is None for s in results):
+        raise AllRestartsInfeasible("every restart is infeasible")
+    lowest = np.nanmin(totals)
+    r = next(r for r, total in enumerate(totals) if total <= lowest + RESTART_TIE_RTOL * abs(lowest))
+    results[r].diagnostics.update(best_restart=r, restart_objectives=totals)
+    return results[r]
+
+
+def assert_same_solution(got, expect, rtol=0.0):
+    """Assert equal answers; with ``rtol``, objectives and centers agree to ``rtol`` relative, memberships to 1e-9."""
+    def close(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a.shape != b.shape or np.array_equal(a, b, equal_nan=True):
+            return a.shape == b.shape
+        return bool(np.all(np.abs(a - b) <= rtol * np.abs(b).max()))
+
+    if rtol:
+        assert np.allclose(got.assignment.y, expect.assignment.y, rtol=0.0, atol=1e-9)
+    else:
+        assert np.array_equal(got.assignment.y, expect.assignment.y)
+        assert np.array_equal(got.assignment.hard_labels(), expect.assignment.hard_labels())
+    assert got.released == expect.released
+    for name in ("stop", "iterations", "empty_reseeds", "weiszfeld_unconverged", "best_restart"):
+        assert got.diagnostics.get(name) == expect.diagnostics.get(name), name
+    for name in ("objective_trace", "restart_objectives"):
+        assert close(got.diagnostics.get(name, []), expect.diagnostics.get(name, [])), name
+    trace, expect_trace = got.diagnostics["center_trace"], expect.diagnostics["center_trace"]
+    assert len(trace) == len(expect_trace)
+    assert all(close(a, b) for a, b in zip([got.centers, *trace], [expect.centers, *expect_trace]))
 
 
 def grid_refine_median(xy: np.ndarray, masses: np.ndarray, rounds: int = 6, res: int = 200) -> np.ndarray:

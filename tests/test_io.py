@@ -192,14 +192,15 @@ def test_fast_matrix_read_equals_the_per_cell_parser(tmp_path, monkeypatch, layo
     (load_candidates, b"x,y\n1,2\n3\n", 3, 2),
     (load_labels, b"", 1, 0),
     (load_labels, b"id,label\n1,2\n3\n", 3, 2),
+    (load_labels, b"id,label\n3,1\n2,0\n3,0\n", 4, 1),
     (load_fixed, b"site\n\n \nx\n", 4, 1),
     (load_matrix, b"1," + b"2" * 200_000 + b"\n", 1, 0),
     (load_matrix, b"1,2\n# 3,4\n", 2, 1),
     # a bad cell before a byte that is not UTF-8 is the first fault
     (load_matrix, b"a,1\n\xff,2\n", 1, 1),
     (load_points, b"id,x,y,w\n0,a,0,1\n1,\xff,0,1\n", 2, 2),
-], ids=["not-utf8", "short-row", "empty", "short-label", "blank-rows", "field-over-limit", "comment-line",
-        "matrix-bad-cell-first", "points-bad-cell-first"])
+], ids=["not-utf8", "short-row", "empty", "short-label", "repeated-label-id", "blank-rows", "field-over-limit",
+        "comment-line", "matrix-bad-cell-first", "points-bad-cell-first"])
 def test_malformed_csv_reports_line_and_column(tmp_path, load, data, line, column):
     f = tmp_path / "in.csv"
     f.write_bytes(data)
@@ -357,7 +358,7 @@ def test_truncated_document_is_parse_error_at_every_cut(solved, tmp_path):
     ("points 1\np 0 1.0\ncoverage_flags 1\nf 5\n", 7),
     ("points 1\np 0 nan\n", 5), ("points 1\np 0 1.0\nmemberships 1\nm 0 0 1.0 inf\n", 7),
     ("points 1\np 0 1.0\nmemberships 1\nm 0 0 nan 0.5\n", 7), ("points 1\np 0 1.0\noutliers 1\no 0 -inf\n", 7),
-    ("loads 1\nl 0 nan\n", 5),
+    ("loads 1\nl 0 nan\n", 5), ("points 4\np 1 1.0\np 2 1.0\np 1 2.0\np 3 1.0\n", 7),
 ])
 def test_malformed_block_is_parse_error_with_line(tmp_path, bad, line):
     path = tmp_path / "sol.txt"

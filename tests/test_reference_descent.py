@@ -1,0 +1,178 @@
+"""``descend``, ``solve`` and ``sweep_k`` against the reference descent of ``oracles``.
+
+Every shortcut of the package's descent must reproduce the reference's
+answers, so a new shortcut adds a case here, not its own equivalence test.
+Uncapacitated problems have integer-valued data and must agree exactly.  A
+capacitated LP may return another of several tied optima, so capacitated
+problems have generic float data and agree to 1e-12 relative, and an
+example whose reference puts two centers on one spot is not compared.
+"""
+
+import math
+from dataclasses import replace
+from unittest import mock
+
+import hypothesis.strategies as st
+import numpy as np
+from hypothesis import assume, given, settings
+
+from capclust import (
+    CenterSpec, Point, Problem, SolverConfig, descend, euclidean, kmeanspp_init, location, manhattan,
+    matrix_metric, solve, sqeuclidean, sweep_k, threshold, validate_problem,
+)
+from capclust.errors import CapclustError
+from capclust.solver import shared_seeding
+from oracles import assert_same_solution, reference_descend, reference_lloyd, reference_solve
+
+GEOMETRIC = {"sqeuclidean": sqeuclidean, "manhattan": manhattan, "euclidean": euclidean}
+
+
+@st.composite
+def problems(draw, capacitated=False, kinds=("matrix", "threshold", *GEOMETRIC), min_k=1):
+    """A problem with integer-valued data, or generic floats and a capacity window.
+
+    Draws cover every metric, fixed centers with finite and infinite release
+    penalties, the outlier column, w' = 0 points, a q = 2 point and both
+    memberships.  Euclidean placement is continuous: Euclidean site costs
+    are not integer-valued, and kept site totals of them agree with fresh
+    sums to rounding only.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape, high):
+        return rng.uniform(0, high, shape) if capacitated else rng.integers(0, high, shape).astype(float)
+
+    kind = draw(st.sampled_from(kinds))
+    n, k = draw(st.integers(6, 40)), draw(st.integers(min_k, 6))
+    m, penalty = draw(st.integers(0, min(k, 2))), draw(st.sampled_from([math.inf, 0.0, 3.0, 12.0]))
+    xy, w = values((n, 2), 8), rng.uniform(0.5, 3, n) if capacitated else values(n, 4)
+    q = np.ones(n, dtype=int)
+    q[0] += k > 1 and draw(st.booleans())
+    points = tuple(Point(i, coords=tuple(xy[i]), w=float(w[i]), q=int(q[i])) for i in range(n))
+    if kind in ("matrix", "threshold") or (kind != "euclidean" and draw(st.booleans())):
+        s = draw(st.integers(k, 16))
+        if kind == "matrix":
+            metric = matrix_metric(values((n, s), 30))
+        else:
+            metric = threshold(2.5) if kind == "threshold" else GEOMETRIC[kind]()
+        centers = CenterSpec(k=k, placement="discrete", candidates=None if kind == "matrix" else values((s, 2), 8),
+                             fixed=tuple(rng.choice(s, m, replace=False).tolist()), release_penalty=penalty)
+    else:
+        metric, centers = GEOMETRIC[kind](), CenterSpec(k=k, fixed=tuple(map(tuple, values((m, 2), 8))),
+                                                        release_penalty=penalty)
+    capacity = None
+    if capacitated:
+        mean = float(w @ q) / k
+        capacity = (draw(st.sampled_from([0.0, 0.6])) * mean, draw(st.sampled_from([1.3, 2.0])) * mean)
+    return validate_problem(Problem(points=points, metric=metric, centers=centers, capacity=capacity,
+                                    membership=draw(st.sampled_from(["hard", "fractional"])),
+                                    outlier_penalty=draw(st.sampled_from([None, 3.0, 12.0]))))
+
+
+def _start(problem, seed, spread):
+    """k-means++ seeds, or with ``spread`` random spots after the fixed centers, which start longer descents."""
+    rng, spec = np.random.default_rng(seed), problem.centers
+    if not spread:
+        return kmeanspp_init(problem, rng)
+    if spec.placement == "discrete":
+        free = np.setdiff1d(np.arange(problem.site_costs.shape[1]), spec.fixed)
+        return np.concatenate([spec.fixed, rng.choice(free, spec.k - spec.n_fixed, replace=False)]).astype(int)
+    return np.vstack([np.reshape(spec.fixed, (-1, 2)), rng.uniform(-4, 12, (spec.k - spec.n_fixed, 2))])
+
+
+def _with_k(problem, k):
+    return validate_problem(replace(problem, centers=replace(problem.centers, k=k)))
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the type of the package error it raises."""
+    try:
+        return run()
+    except CapclustError as exc:
+        return type(exc)
+
+
+def _compare(got, expect, rtol=0.0):
+    """Assert that the outcome ``got`` gives the answers of ``expect``, or failed with the same error.
+
+    With ``rtol``, an ``expect`` that puts two centers on one spot, where
+    the LP ties, is not compared.
+    """
+    if isinstance(expect, type):
+        assert got is expect
+        return
+    assume(not rtol or all(len(np.unique(c, axis=0)) == len(c) for c in expect.diagnostics["center_trace"]))
+    assert_same_solution(got, expect, rtol=rtol)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(problems(min_k=2), st.integers(0, 3), st.booleans(), st.sampled_from([None, 1, 3]))
+def test_descend_matches_the_reference(problem, seed, spread, newton_cap):
+    # A cap of one or three Newton iterations leaves Euclidean clusters
+    # unconverged, so the counts replayed for skipped clusters are compared.
+    centers0 = _start(problem, seed, spread)
+    with mock.patch.object(location, "WEISZFELD_MAX_ITER", newton_cap or location.WEISZFELD_MAX_ITER):
+        expect = _outcome(lambda: reference_descend(problem, centers0, SolverConfig()))
+        _compare(_outcome(lambda: descend(problem, centers0, SolverConfig())), expect)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(problems(), st.integers(0, 100))
+def test_solve_and_each_sweep_solution_match_the_reference(problem, rng_seed):
+    # k runs past the sites of some discrete problems, where all three fail.
+    config = SolverConfig(restarts=2, rng_seed=rng_seed)
+    ks = range(max(1, problem.centers.n_fixed), problem.k + 3)
+    report = sweep_k(problem, ks, [0.0], config)
+    for k in ks:
+        expect = _outcome(lambda: reference_solve(_with_k(problem, k), config))
+        _compare(_outcome(lambda: solve(_with_k(problem, k), config)), expect)
+        if isinstance(expect, type):
+            assert k in report.errors
+        else:
+            assert_same_solution(report.solutions[k], expect)
+
+
+# Manhattan medians sit on data coordinates, and L1 distances through them
+# tie exactly; under a fractional window, a last-bit change of a membership
+# moves a geometric median within its stopping tolerance.  So capacitated
+# problems have squared-Euclidean or cost-matrix data.
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(problems(capacitated=True, kinds=("matrix", "sqeuclidean"), min_k=2), st.integers(0, 100))
+def test_capacitated_solves_and_solves_in_a_sweep_block_match_the_reference(drawn, rng_seed):
+    # An uncapacitated sweep tracks each restart's nearest-seed labels.  A
+    # capacitated solve on the same shared data continues those draw
+    # sequences, and a solve at a smaller k finds sequences longer than k;
+    # neither may start from the tracked labels, and a descent never does.
+    free = validate_problem(replace(drawn, capacity=None, membership="hard",
+                                    points=tuple(replace(p, q=1) for p in drawn.points)))
+    capped = validate_problem(replace(free, capacity=drawn.capacity, membership=drawn.membership))
+    smaller = _with_k(free, free.k - 1) if free.k > free.centers.n_fixed else free
+    config = SolverConfig(restarts=1, rng_seed=rng_seed)
+    sites = kmeanspp_init(free, np.random.default_rng(rng_seed))
+    expect = [_outcome(lambda: reference_solve(p, config)) for p in (drawn, capped, smaller)]
+    expect.append(reference_descend(free, sites, config))
+    got = [_outcome(lambda: solve(drawn, config))]
+    with shared_seeding(free):
+        sweep_k(free, range(free.k, free.k + 2), [0.0], config)
+        got += [_outcome(lambda: solve(p, config)) for p in (capped, smaller)] + [descend(free, sites, config)]
+    for outcome, expected, rtol in zip(got, expect, (1e-12, 1e-12, 0, 0)):
+        _compare(outcome, expected, rtol)
+
+
+def test_reference_descent_is_lloyd_on_unit_weight_squared_euclidean_data():
+    # The instances of acceptance criterion 4 anchor the reference to the
+    # textbook iteration, independently of the package's descent.
+    for seed in range(20):
+        rng = np.random.default_rng(3000 + seed)
+        centers_truth = rng.uniform(0, 12, size=(3, 2))
+        while True:
+            xy = np.vstack([rng.normal(c, 0.8, size=(20, 2)) for c in centers_truth])
+            prob = validate_problem(Problem(points=tuple(Point(i, coords=tuple(xy[i])) for i in range(60)),
+                                            metric=sqeuclidean(), centers=CenterSpec(k=3)))
+            centers0 = kmeanspp_init(prob, np.random.default_rng(seed))
+            sol = reference_descend(prob, centers0, SolverConfig())
+            if sol.diagnostics["empty_reseeds"] == 0:
+                break
+        lloyd, trace = reference_lloyd(xy, centers0), sol.diagnostics["center_trace"]
+        assert all(np.allclose(a, b, atol=1e-10) for a, b in zip(lloyd, trace))
+        assert np.allclose(lloyd[-1], trace[-1], atol=1e-10)
