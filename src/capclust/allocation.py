@@ -30,6 +30,7 @@ their cheapest columns outside the program in every regime.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -129,15 +130,15 @@ def _nearest_assignment(problem: Problem, nearest: np.ndarray, best: np.ndarray)
 
     ``nearest`` is each point's nearest center (ties to the lowest index)
     and ``best`` its distance to it, read only with an outlier column.  A
-    hard assignment carries the labels.
+    hard assignment carries the labels and builds its y only when read; a
+    fractional one is dense.
     """
     if problem.has_outlier_column:
         # The outlier column sorts last, so a tie d == lambda_o stays with the center.
         nearest = np.where(best > problem.outlier_penalty, problem.k, nearest)
-    y = np.zeros((problem.n, problem.k + (1 if problem.has_outlier_column else 0)))
-    y[np.arange(problem.n), nearest] = 1.0
-    return Assignment(y=y, membership=problem.membership, has_outlier=problem.has_outlier_column,
-                      labels=nearest if problem.membership == HARD else None)
+    labelled = Assignment(y=None, membership=problem.membership, has_outlier=problem.has_outlier_column,
+                          labels=nearest, columns=problem.k + (1 if problem.has_outlier_column else 0))
+    return labelled if problem.membership == HARD else replace(labelled, labels=None)
 
 
 def _allocates_nearest_labels(problem: Problem) -> bool:

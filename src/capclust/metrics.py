@@ -137,7 +137,12 @@ def candidate_distances(metric: MetricSpec, coords: np.ndarray | None, sites: np
 
 
 def distances_to_centers(problem: "Problem", centers) -> np.ndarray:
-    """Raw metric distances from every point to each current center, shape (n, k)."""
+    """Raw metric distances from every point to each current center, shape (n, k).
+
+    Under discrete placement each center's column is gathered, contiguous,
+    from the column-major copy of the site costs
+    (``Problem.site_cost_columns``), so the result is column-major too.
+    """
     if problem.centers.placement == "discrete":
-        return problem.site_costs[:, np.asarray(centers, dtype=int)]
+        return problem.site_cost_columns[:, np.asarray(centers, dtype=int)]
     return geometric_distances(problem.metric.kind, problem.coords, np.asarray(centers, dtype=float))

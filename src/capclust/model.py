@@ -124,15 +124,15 @@ class Problem:
     """A full clustering / location-allocation instance.
 
     The values that depend only on the points, the metric and the candidate
-    sites (the per-point arrays, the point-to-site costs, each point's
-    nearest site) are computed on first use and kept in ``shared``, a dict
-    that also records that the per-point checks passed and, during a sweep,
-    holds its k-means++ draw sequences (``solver.shared_seeding``), from
-    which ``solve`` hands each descent its start.  A problem made by
-    ``dataclasses.replace`` inherits the dict whenever its points, metric
-    and candidates are the same objects, so a sweep's problems, restarts
-    and consensus document all read the same read-only arrays; otherwise
-    it gets a new one.
+    sites (the per-point arrays, the point-to-site costs in row- and
+    column-major order, each point's nearest site) are computed on first
+    use and kept in ``shared``, a dict that also records that the per-point
+    checks passed and, during a sweep, holds its k-means++ draw sequences
+    (``solver.shared_seeding``), from which ``solve`` hands each descent its
+    start.  A problem made by ``dataclasses.replace`` inherits the dict
+    whenever its points, metric and candidates are the same objects, so a
+    sweep's problems, restarts and consensus document all read the same
+    read-only arrays; otherwise it gets a new one.
     """
 
     points: tuple[Point, ...]
@@ -221,6 +221,18 @@ class Problem:
         return costs
 
     @_shared
+    def site_cost_columns(self) -> np.ndarray:
+        """``site_costs`` in column-major (Fortran) order, for reads of whole columns.
+
+        A center's column of costs to every point is contiguous here, while
+        reads of whole rows (a point's costs to every site) keep
+        ``site_costs``.
+        """
+        columns = np.asfortranarray(self.site_costs)
+        columns.flags.writeable = False
+        return columns
+
+    @_shared
     def nearest_site(self) -> np.ndarray:
         """Each point's cheapest candidate site (lowest index on ties)."""
         return _frozen(np.argmin(self.site_costs, axis=1), int)
@@ -235,23 +247,49 @@ class Assignment:
     each point's coverage q_i.  ``labels``, when set, is the column of each
     row's single 1 (the outlier column is k): a hard assignment with q = 1
     carries it, so evaluation indexes the distances instead of multiplying y
-    and the descent takes its masses from it.
+    and the descent takes its masses from it.  Such an assignment may be
+    made with ``y=None`` and its ``columns``: its one-hot ``y`` is then
+    built from the labels on first read and kept, and ``n_centers``,
+    ``shape`` and ``hard_labels`` never build it.  Otherwise ``columns`` is
+    taken from ``y``.
     """
 
-    y: np.ndarray
+    y: np.ndarray | None
     membership: str
     has_outlier: bool
     diagnostics: dict = field(default_factory=dict)
     labels: np.ndarray | None = None
+    columns: int | None = None
+
+    def __post_init__(self):
+        if self.y is not None:
+            object.__setattr__(self, "columns", self.y.shape[1])
+            return
+        if self.labels is None or self.columns is None:
+            raise ValueError("an assignment without y needs labels and columns")
+        del self.__dict__["y"]  # __getattr__ builds it on first read
+
+    def __getattr__(self, name: str):
+        if name != "y":
+            raise AttributeError(name)
+        y = np.zeros(self.shape)
+        y[np.arange(len(y)), self.labels] = 1.0
+        self.__dict__["y"] = y
+        return y
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of ``y``, read without building it."""
+        return self.y.shape if "y" in self.__dict__ else (len(self.labels), self.columns)
 
     @property
     def n_centers(self) -> int:
-        return self.y.shape[1] - (1 if self.has_outlier else 0)
+        return self.columns - (1 if self.has_outlier else 0)
 
     @property
     def outlier_column(self) -> np.ndarray:
         if not self.has_outlier:
-            return np.zeros(self.y.shape[0])
+            return np.zeros(self.shape[0])
         return self.y[:, -1]
 
     @property
@@ -525,9 +563,9 @@ def evaluate_parts(
     """
     k = problem.k
     expected_cols = k + (1 if problem.has_outlier_column else 0)
-    if assignment.y.shape != (problem.n, expected_cols):
+    if assignment.shape != (problem.n, expected_cols):
         raise ShapeMismatch(
-            f"assignment shape {assignment.y.shape} does not match (n={problem.n}, columns={expected_cols})"
+            f"assignment shape {assignment.shape} does not match (n={problem.n}, columns={expected_cols})"
         )
     if len(centers) != k:
         raise ShapeMismatch(f"{len(centers)} centers for k={k}")

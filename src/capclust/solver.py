@@ -146,7 +146,7 @@ class _Seeds:
             self.taken = np.zeros(problem.site_costs.shape[1], dtype=bool)
             self.taken[self.chosen] = True
             if self.chosen:
-                D = problem.site_costs[:, self.chosen]
+                D = problem.site_cost_columns[:, self.chosen]
                 self.best = np.min(D, axis=1)
                 if self.track:
                     self._track_from(np.argmin(D, axis=1))
@@ -194,7 +194,7 @@ class _Seeds:
         w = problem.effective_weights
         masses = w * self.best**2 if self.best is not None else w
         if self.discrete:
-            cand, snap, taken = problem.site_costs, problem.nearest_site, self.taken
+            cand, snap, taken = problem.site_cost_columns, problem.nearest_site, self.taken
             i = _draw(rng, masses, ~taken[snap])
             if i is None:
                 unused = np.flatnonzero(~taken)
@@ -410,18 +410,21 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     (infinite penalty or empty cluster) stays fixed without an update.
 
     Each iteration sorts the clusters with masks.  A cluster is skipped,
-    and keeps its center, when it holds mass, its masses are those of the
-    last iteration and, for a fixed center, its release did not flip in the
-    last location step: the location step is deterministic and the guard
+    and keeps its center, when it holds mass and its masses are those of
+    the last iteration: the location step is deterministic and the guard
     only ever keeps the previous center, so recomputing would return the
-    center it already holds.  An empty cluster is reseeded, or held if it
-    is fixed, in every iteration it stays empty.  An assignment with
-    ``labels`` gives the masses straight from them: the changed points are
-    those with w' > 0 whose label differs, and the moving clusters' members
-    come from one stable sort, so only the first product of a discrete
-    descent that starts from zero builds a (k, n) array
-    (``_changed_clusters``, ``_mass_changes``, ``_members``).  Dense
-    masses follow the same rules by comparing mass columns.
+    center it already holds.  That holds for a fixed center whose release
+    just flipped too: weighed again, a released center meets the same gain,
+    which ``decide_release`` keeps, and a reattached one at most the larger
+    of its last gain and 0, still not above the penalty.  An empty cluster
+    is reseeded, or held if it is fixed, in every iteration it stays empty.
+    An assignment with ``labels`` gives the masses straight from them: the
+    changed points are those with w' > 0 whose label differs, and the
+    moving clusters' members come from one stable sort, so only the first
+    product of a discrete descent that starts from zero builds a (k, n)
+    array (``_changed_clusters``, ``_mass_changes``, ``_members``), and no
+    (n, k) y is built.  Dense masses follow the same rules by comparing
+    mass columns.
 
     ``initial_centers`` are k candidate-site indices under discrete
     placement and k finite coordinate pairs otherwise; anything else raises
@@ -443,11 +446,9 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
         model = lp_model(problem)
     if model is not None:
         model.restart()
-    # The last iteration's location input (labels or masses) and the
-    # released set it started from; whether each cluster's last update
-    # left Weiszfeld unconverged.
+    # The last iteration's location input (labels or masses); whether each
+    # cluster's last update left Weiszfeld unconverged.
     last_input = None
-    last_released: set[int] = set()
     last_unconverged = np.zeros(k, dtype=bool)
     # Discrete placement keeps every cluster's weighted distance sum to
     # every site, and the input those sums last took in.  A descent handed
@@ -485,9 +486,7 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
         changed, filled, current = _changed_clusters(assignment, w, last_input)
         empty = ~filled
         changed |= empty  # an empty cluster is reseeded or held again
-        for j in released ^ last_released:  # a flipped release is weighed again
-            changed[j] = True
-        last_input, last_released = current, released
+        last_input = current
         last_unconverged[changed] = False
         held = changed & is_fixed & (math.isinf(spec.release_penalty) | empty)
         if held.any():
@@ -517,7 +516,7 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
             # One batch: every moving cluster's points with positive mass, cluster after cluster.
             rows, points, mass = _members(current, w, moving, k)
             xy = problem.coords[points]
-            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            starts = np.searchsorted(rows, np.arange(moving.size))  # each moving cluster holds a point
             update = update_centers_continuous(kind, xy, mass, starts)
             last_unconverged[moving] = ~update.converged
             # Keep the current location on the rare non-improving update so
@@ -569,7 +568,7 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
         objective = evaluate_parts(problem, centers, assignment, released, distances=D)
         diag["objective_trace"].append(objective.total)
 
-    if problem.has_outlier_column:
+    if problem.has_outlier_column and assignment.labels is None:  # labels mean every q_i = 1
         flagged = np.flatnonzero((problem.coverages > 1) & (assignment.outlier_column > 1e-12))
         if flagged.size:
             diag["coverage_slots_on_outlier"] = [problem.points[i].id for i in flagged]

@@ -14,7 +14,7 @@ from capclust.errors import (
     CapacityWindowInverted, FixedCenterNotCandidate, KTooSmall, NegativeWeight,
     ShapeMismatch, ThresholdRequiresDiscrete, ValidationError,
 )
-from capclust.model import ObjectiveBreakdown, evaluate_parts
+from capclust.model import HARD, ObjectiveBreakdown, evaluate_parts
 
 
 def make_solution(problem, centers, y, released=frozenset()):
@@ -284,7 +284,7 @@ def test_validating_a_validated_problem_returns_it(centers):
 
 
 SHARED_VALUES = ("coords", "weights", "gammas", "effective_weights", "capacity_coeffs", "coverages",
-                 "pseudo_mask", "ids", "id_order", "diameter", "site_costs", "nearest_site")
+                 "pseudo_mask", "ids", "id_order", "diameter", "site_costs", "site_cost_columns", "nearest_site")
 
 
 def test_replace_rebuilds_shared_values_only_when_the_data_changes():
@@ -295,6 +295,9 @@ def test_replace_rebuilds_shared_values_only_when_the_data_changes():
     spec = CenterSpec(k=2, placement="discrete", candidates=sites)
     prob = validate_problem(Problem(points=pts, metric=euclidean(), centers=spec))
     costs = prob.site_costs
+    columns = prob.site_cost_columns
+    assert np.array_equal(columns, costs)
+    assert columns.flags.f_contiguous and not columns.flags.writeable
 
     bad = replace(prob, points=pts[:-1] + (Point(7, coords=(math.nan, 0.0)),))
     with pytest.raises(ValidationError, match="point 7: .* must be finite"):
@@ -474,6 +477,27 @@ def test_label_indexed_evaluation_equals_the_dense_product(outlier):
         dense = replace(labelled, labels=None)
         assert evaluate_parts(prob, centers, labelled, frozenset()) == evaluate_parts(prob, centers, dense, frozenset())
         assert np.array_equal(labelled.hard_labels(), dense.hard_labels())
+
+
+@pytest.mark.parametrize("outlier", [False, True])
+def test_label_assignment_matches_its_dense_form(outlier):
+    labels = np.array([2, 0, 1, 2, 0, 1, 1])
+    labelled = Assignment(y=None, membership=HARD, has_outlier=outlier, labels=labels, columns=3)
+    dense = Assignment(y=np.eye(3)[labels], membership=HARD, has_outlier=outlier)
+    assert labelled.n_centers == dense.n_centers == (2 if outlier else 3)
+    assert labelled.shape == dense.shape == (7, 3)
+    assert np.array_equal(labelled.hard_labels(), dense.hard_labels())
+    assert "y" not in vars(labelled)
+    a = np.arange(1.0, 8.0)
+    assert np.array_equal(labelled.outlier_column, dense.outlier_column)
+    assert np.array_equal(labelled.center_block, dense.center_block)
+    assert np.array_equal(labelled.loads(a), dense.loads(a))
+    assert np.array_equal(labelled.row_sums(), dense.row_sums())
+    assert np.array_equal(labelled.y, dense.y)
+    assert labelled.y is labelled.y
+    assert np.array_equal(replace(labelled, labels=None).y, dense.y)
+    with pytest.raises(ValueError, match="labels and columns"):
+        Assignment(y=None, membership=HARD, has_outlier=outlier, labels=labels)
 
 
 @pytest.mark.parametrize("kw", [

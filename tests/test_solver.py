@@ -491,6 +491,21 @@ def test_solution_assignment_respects_loads_and_rows():
     assert np.allclose(sol.assignment.row_sums(), 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("outlier", [None, 2.0])
+@pytest.mark.parametrize("placement", ["continuous", "discrete"])
+def test_uncapacitated_hard_solve_builds_no_dense_memberships(placement, outlier):
+    # With every q_i = 1 the descent reads only the labels; y is built when a caller reads it.
+    rng = np.random.default_rng(14)
+    pts = blob_points(rng, [(0, 0), (6, 1), (3, 6)], per=20)
+    sites = rng.uniform(-1.0, 7.0, size=(12, 2))
+    center_kw = {"placement": "discrete", "candidates": sites} if placement == "discrete" else {}
+    prob = continuous_problem(pts, outlier_penalty=outlier, center_kw=center_kw)
+    assignment = solve(prob, SolverConfig(restarts=3, rng_seed=2)).assignment
+    assert assignment.labels is not None
+    assert "y" not in vars(assignment)
+    assert np.array_equal(assignment.y, np.eye(assignment.columns)[assignment.labels])
+
+
 def test_fixed_center_with_infinite_penalty_never_released():
     rng = np.random.default_rng(15)
     pts = blob_points(rng, [(0, 0), (9, 0)], per=15)
