@@ -9,7 +9,8 @@ its site totals by the draw sequence that seeded it.  Restarts draw from
 counter-spawned RNG streams so the set of restarts is independent of
 execution order, and the best restart by total objective wins (totals
 within 1e-12 relative of the lowest tie, and ties go to the lowest restart
-index).
+index).  Continuous restarts without a capacity window run in lockstep
+groups, whose clusters share one location call per round.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .errors import (
     AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget, NotEnoughDistinctSites, ShapeMismatch, ValidationError,
 )
 from .location import (
-    add_mass_change, cluster_costs_continuous, decide_release, update_center_discrete, update_centers_continuous,
+    CenterUpdate, add_mass_change, cluster_costs_continuous, decide_release, update_center_discrete,
+    update_centers_continuous,
 )
 from .model import Assignment, Problem, Solution, evaluate_parts, point_costs, validate_problem
 
@@ -59,6 +61,11 @@ class SolverConfig:
 # Restart totals within this relative distance of the lowest tie, and the
 # lowest restart index among them wins: they differ by rounding only.
 RESTART_TIE_RTOL = 1e-12
+
+# The most distance-matrix cells, restarts x n x k, of one group of
+# continuous descents without a capacity window run in lockstep.  Each
+# descent in a group adds about two (n, k) float arrays to the peak memory.
+_LOCKSTEP_CELLS = 1_000_000
 
 # Key in ``Problem.shared`` of the seeding cache while ``shared_seeding`` is open.
 _SEEDING = "seeding"
@@ -349,8 +356,12 @@ def _members(current: np.ndarray, w: np.ndarray, clusters: np.ndarray, k: int):
     return member[order], points, w[points]
 
 
-def _checked_centers(problem: Problem, initial_centers) -> np.ndarray:
-    """A new array of ``initial_centers``: k sites in [0, n_sites) or k finite coordinate pairs."""
+def _checked_centers(problem: Problem, initial_centers) -> tuple[np.ndarray, bool]:
+    """A new array of ``initial_centers``, and whether it stacks one center set per restart.
+
+    A center set is k sites in [0, n_sites) or k finite coordinate pairs; a
+    stack of them has one more leading axis and at least one set.
+    """
     spec = problem.centers
     discrete = spec.placement == "discrete"
     try:
@@ -358,16 +369,17 @@ def _checked_centers(problem: Problem, initial_centers) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         raise ValidationError("initial centers must be numbers") from None
     shape = (spec.k,) if discrete else (spec.k, 2)
-    if centers.shape != shape:
-        raise ShapeMismatch(f"initial centers of shape {centers.shape}, expected {shape}")
+    stacked = centers.ndim == len(shape) + 1
+    if centers.shape[stacked:] != shape or not centers.size:
+        raise ShapeMismatch(f"initial centers of shape {centers.shape}, expected {shape} or one such set per restart")
     if not np.isfinite(centers).all():
         raise ValidationError("initial centers must be finite")
     if not discrete:
-        return centers
+        return centers, stacked
     n_sites = problem.site_costs.shape[1]
     if ((centers != np.floor(centers)) | (centers < 0) | (centers >= n_sites)).any():
         raise ValidationError(f"initial centers must be site indices in 0..{n_sites - 1}")
-    return centers.astype(int)
+    return centers.astype(int), stacked
 
 
 def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=None, start=None) -> Solution:
@@ -377,13 +389,12 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     and after each location step only the columns of the centers that moved
     are computed again; it is shared by the allocation, the objective
     evaluations, reseeding and the monotone guard.  A capacitated problem
-    takes its allocation model from ``model`` (``lp_model(problem)``, which
-    ``solve`` builds once for all restarts) or builds its own.  The descent
-    restarts the model (``restart``), so its first LP starts from the
-    nearest-assignment basis as on a new model; it then re-solves its LP
-    warm for each new set of centers and, under a time budget, falls back
-    to the assignment it returned last in this descent, so the objective
-    never rises.
+    takes its allocation model from ``model`` (``lp_model(problem)``) or
+    builds one, which all its descents share.  Each descent restarts the
+    model (``restart``), so its first LP starts from the nearest-assignment
+    basis as on a new model; it then re-solves its LP warm for each new set
+    of centers and, under a time budget, falls back to the assignment it
+    returned last in this descent, so the objective never rises.
 
     Every center moves by one rule, and all moving clusters move in one
     batched step.  Under discrete placement the descent keeps one (k, s)
@@ -408,6 +419,9 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     one passes ``decide_release``, one center at a time, and put back at its
     fixed location otherwise.  A fixed center that cannot be released
     (infinite penalty or empty cluster) stays fixed without an update.
+    Several descents run in lockstep (below) give those clusters to one
+    ``update_centers_continuous`` call together; a cluster's result does not
+    depend on its batch, so each descent ends as it would alone.
 
     Each iteration sorts the clusters with masks.  A cluster is skipped,
     and keeps its center, when it holds mass and its masses are those of
@@ -428,22 +442,70 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
 
     ``initial_centers`` are k candidate-site indices under discrete
     placement and k finite coordinate pairs otherwise; anything else raises
-    ``ShapeMismatch`` or ``ValidationError``.
+    ``ShapeMismatch`` or ``ValidationError``.  That one descent is returned,
+    and its ``Infeasible`` or ``NoIncumbentWithinBudget`` raised.
+
+    With one more leading axis, ``initial_centers`` holds one center set per
+    restart (and ``start`` is then a list with one entry per restart, or
+    None).  The restarts run in groups, in lockstep: each descent of a group
+    runs on to its next continuous location step, and one call relocates
+    the clusters of all of them.  A group of continuous descents without a
+    capacity window holds as many restarts as keep restarts x n x k at most
+    ``_LOCKSTEP_CELLS``, since each descent keeps its own (n, k) distance
+    matrix.  A descent with a capacity window runs alone, since it owns the
+    shared model's warm start while it runs, and a discrete descent never
+    waits for a location call, so it runs to its end before the next
+    starts.  The winning restart is returned: totals within
+    ``RESTART_TIE_RTOL`` (1e-12) relative of the lowest tie, and the lowest
+    restart index among them wins.  A restart that raises ``Infeasible`` or
+    ``NoIncumbentWithinBudget``, or all of them when building the model
+    does, fails with its message; when every one fails,
+    ``AllRestartsInfeasible`` joins them.  The winner's diagnostics add
+    ``best_restart``, ``restarts``, ``restart_objectives`` (NaN for a
+    failed restart) and ``restart_failures``.
     """
     problem = validate_problem(problem)
+    centers, stacked = _checked_centers(problem, initial_centers)
+    restarts, starts = (centers, start or [None] * len(centers)) if stacked else (centers[None], [start])
+    if len(starts) != len(restarts):
+        raise ValueError(f"{len(starts)} starts for {len(restarts)} restarts")
+    try:
+        if model is None:
+            model = lp_model(problem)
+    except Infeasible as exc:
+        if not stacked:
+            raise
+        outcomes = [(r, exc) for r in range(len(restarts))]
+    else:
+        # A shared model runs one descent at a time.
+        size = 1 if model is not None else max(1, _LOCKSTEP_CELLS // (problem.n * problem.k))
+        descents = [_descent(problem, c, config, model, s) for c, s in zip(restarts, starts)]
+        outcomes = _finished(problem.metric.kind, descents, size)
+    if stacked:
+        return _best_restart(outcomes, len(restarts))
+    [(_, outcome)] = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model, start):
+    """One descent of ``descend`` from checked ``centers``, as a generator that returns its Solution.
+
+    At each continuous location step it yields ``(xy, masses, starts)``, its
+    moving clusters laid out as for ``update_centers_continuous``, and is
+    sent back their ``CenterUpdate``.  A discrete descent never yields.
+    """
     spec = problem.centers
     k, m = spec.k, spec.n_fixed
     discrete = spec.placement == "discrete"
     kind = problem.metric.kind
     w = problem.effective_weights
 
-    centers = _checked_centers(problem, initial_centers)
     fixed_at = np.array(spec.fixed, dtype=centers.dtype).reshape(centers[:m].shape)
     is_fixed = np.arange(k) < m
     released: set[int] = set()
     D = metrics.distances_to_centers(problem, centers)
-    if model is None:
-        model = lp_model(problem)
     if model is not None:
         model.restart()
     # The last iteration's location input (labels or masses); whether each
@@ -517,7 +579,7 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
             rows, points, mass = _members(current, w, moving, k)
             xy = problem.coords[points]
             starts = np.searchsorted(rows, np.arange(moving.size))  # each moving cluster holds a point
-            update = update_centers_continuous(kind, xy, mass, starts)
+            update = yield xy, mass, starts  # the caller relocates them (``_finished``)
             last_unconverged[moving] = ~update.converged
             # Keep the current location on the rare non-improving update so
             # the outer descent stays monotone.
@@ -581,60 +643,101 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     )
 
 
+def _finished(kind: str, descents: list, size: int):
+    """Run the ``_descent`` generators ``descents``, ``size`` at a time; yield each one's index and outcome as it ends.
+
+    The outcome is the descent's Solution, or the ``Infeasible`` or
+    ``NoIncumbentWithinBudget`` it raised.  The running descents go in
+    rounds: each runs on to its next continuous location step, then one
+    ``update_centers_continuous`` call takes the clusters of all of them,
+    descent after descent, and each is sent its slice of the update.  A
+    descent that ends makes room for the next, in index order.
+    """
+    pending = list(enumerate(descents))[::-1]
+    running: dict = {}  # index -> (descent, what it is sent next)
+    while pending or running:
+        while pending and len(running) < size:
+            i, descent = pending.pop()
+            running[i] = descent, None
+        batch = []  # (index, descent, its clusters)
+        for i, (descent, update) in list(running.items()):
+            try:
+                batch.append((i, descent, descent.send(update)))
+            except StopIteration as end:
+                del running[i]
+                yield i, end.value
+            except (Infeasible, NoIncumbentWithinBudget) as exc:
+                del running[i]
+                yield i, exc
+        if not batch:
+            continue
+        xy, masses, starts = zip(*(clusters for *_, clusters in batch))
+        offsets = np.cumsum([0] + [len(m) for m in masses[:-1]])
+        update = update_centers_continuous(kind, np.concatenate(xy), np.concatenate(masses),
+                                           np.concatenate([s + offset for s, offset in zip(starts, offsets)]))
+        end = 0
+        for (i, descent, _), s in zip(batch, starts):
+            part = slice(end, end + len(s))
+            end = part.stop
+            running[i] = descent, CenterUpdate(update.coords[part], update.iterations[part], update.converged[part])
+
+
+def _best_restart(outcomes, restarts: int) -> Solution:
+    """The winner of ``restarts`` restarts by the rule of ``descend``, from their ``(index, outcome)`` in any order.
+
+    The restarts within the tie rule of the lowest total so far are the
+    only Solutions kept: the rule's bound only falls as the lowest does.
+    """
+    tied: list[tuple[int, Solution]] = []
+    objectives = [math.nan] * restarts
+    failed: dict[int, str] = {}
+    for r, outcome in outcomes:
+        if not isinstance(outcome, Solution):
+            failed[r] = f"restart {r}: {outcome}"
+            continue
+        objectives[r] = outcome.objective.total
+        tied.append((r, outcome))
+        lowest = min(solution.objective.total for _, solution in tied)
+        tied = [(i, solution) for i, solution in tied
+                if solution.objective.total <= lowest + RESTART_TIE_RTOL * abs(lowest)]
+    failures = [failed[r] for r in sorted(failed)]
+    if not tied:
+        raise AllRestartsInfeasible("; ".join(failures))
+    r, best = min(tied, key=lambda pair: pair[0])
+    best.diagnostics.update(best_restart=r, restarts=restarts, restart_objectives=objectives,
+                            restart_failures=failures)
+    return best
+
+
 def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
     """Best of ``config.restarts`` independent k-means++ descents.
 
     Restart r seeds from the r-th stream spawned from ``config.rng_seed``,
     whatever k is, so inside ``shared_seeding`` a sweep's solves of one
     problem take each restart's seeds from a single draw sequence.  Every
-    restart calls ``kmeanspp_init`` and then ``descend`` once.  Where the
-    first allocation is the nearest assignment, the sequence (found by the
-    generator state before the draws) hands the descent its ``start``.
+    restart calls ``kmeanspp_init``; where the first allocation is the
+    nearest assignment, the sequence (found by the generator state before
+    the draws) also gives the restart its ``start``.  Then one ``descend``
+    call runs every restart, in lockstep groups, and returns the winner by
+    its restart rule (totals within ``RESTART_TIE_RTOL``, 1e-12, relative
+    of the lowest tie, and the lowest restart index among them wins, so a
+    change to the order of floating-point sums leaves the winner, and its
+    center labels, alone).
 
-    A capacitated problem gets one allocation model (``lp_model``), built in
-    the first restart and passed to every descent, which restarts it, so
-    each descent's first LP solves as on a new model.
-    When its checks raise ``Infeasible``, no model is kept, so every restart
-    runs them again and fails with the same message.
-
-    Totals within ``RESTART_TIE_RTOL`` (1e-12) relative of the lowest tie,
-    and the lowest restart index among them wins.  Totals that differ only
-    in the last bits come from the order of floating-point sums, so a
-    change to that order leaves the winner, and its center labels, alone.
+    A capacitated problem gets one allocation model (``lp_model``), which
+    every descent restarts, so each descent's first LP solves as on a new
+    model.  When its checks raise ``Infeasible``, every restart fails with
+    that message.
     """
     problem = validate_problem(problem)
     t0 = time.monotonic()
-    streams = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
-    # The restarts whose totals tie with the lowest so far, by index.
-    tied: list[tuple[int, Solution]] = []
-    failures: list[str] = []
-    objectives: list[float] = []
-    model = None
     cache = problem.shared.get(_SEEDING) if _allocates_nearest_labels(problem) else None
-    for r, stream in enumerate(streams):
+    seeds, starts = [], []
+    for stream in np.random.SeedSequence(config.rng_seed).spawn(config.restarts):
         rng = np.random.default_rng(stream)
         key = None if cache is None else _seeding_key(problem, rng)  # before the draws move rng
-        try:
-            centers0 = kmeanspp_init(problem, rng)
-            start = None if cache is None else cache[key].start(problem.k)
-            if model is None:
-                model = lp_model(problem)
-            candidate = descend(problem, centers0, config, model=model, start=start)
-        except (Infeasible, NoIncumbentWithinBudget) as exc:
-            failures.append(f"restart {r}: {exc}")
-            objectives.append(math.nan)
-            continue
-        objectives.append(candidate.objective.total)
-        tied.append((r, candidate))
-        lowest = min(solution.objective.total for _, solution in tied)
-        tied = [(i, solution) for i, solution in tied
-                if solution.objective.total <= lowest + RESTART_TIE_RTOL * abs(lowest)]
-    if not tied:
-        raise AllRestartsInfeasible("; ".join(failures))
-    r, best = tied[0]
-    best.diagnostics["best_restart"] = r
-    best.diagnostics["restarts"] = config.restarts
-    best.diagnostics["restart_objectives"] = objectives
-    best.diagnostics["restart_failures"] = failures
+        seeds.append(kmeanspp_init(problem, rng))
+        starts.append(None if cache is None else cache[key].start(problem.k))
+    best = descend(problem, np.stack(seeds), config, start=starts)
     best.diagnostics["wall_time_s"] = time.monotonic() - t0
     return best

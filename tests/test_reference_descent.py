@@ -14,11 +14,12 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 
 from capclust import (
     CenterSpec, Point, Problem, SolverConfig, descend, euclidean, kmeanspp_init, location, manhattan,
-    matrix_metric, solve, sqeuclidean, sweep_k, threshold, validate_problem,
+    matrix_metric, solve, solver, sqeuclidean, sweep_k, threshold, validate_problem,
 )
 from capclust.errors import CapclustError
 from capclust.solver import shared_seeding
@@ -130,6 +131,50 @@ def test_solve_and_each_sweep_solution_match_the_reference(problem, rng_seed):
             assert k in report.errors
         else:
             assert_same_solution(report.solutions[k], expect)
+
+
+def _grouped_problem(case):
+    """Four weighted blobs under each kind of descent ``solve`` runs; Euclidean releases both fixed centers."""
+    rng = np.random.default_rng(11)
+    xy = np.vstack([rng.normal(c, 1.0, (15, 2)) for c in [(0, 0), (6, 1), (3, 7), (9, 8)]])
+    w = rng.uniform(0.5, 3, len(xy))
+    points = tuple(Point(i, coords=tuple(xy[i]), w=float(w[i])) for i in range(len(xy)))
+    kw = {
+        "euclidean": {"metric": euclidean(), "outlier_penalty": 2.5,
+                      "centers": CenterSpec(k=5, fixed=((3.0, 3.0), (8.0, 1.0)), release_penalty=6.0)},
+        "manhattan": {"metric": manhattan(), "centers": CenterSpec(k=4)},
+        "sqeuclidean": {"metric": sqeuclidean(), "centers": CenterSpec(k=4)},
+        "discrete": {"metric": euclidean(),
+                     "centers": CenterSpec(k=4, placement="discrete", candidates=rng.uniform(-1, 10, (12, 2)))},
+        "capacitated-fractional": {"metric": sqeuclidean(), "centers": CenterSpec(k=4), "membership": "fractional",
+                                   "capacity": (0.6 * w.sum() / 4, 1.3 * w.sum() / 4)},
+    }[case]
+    return validate_problem(Problem(points=points, **kw))
+
+
+@pytest.mark.parametrize("case", ["euclidean", "manhattan", "sqeuclidean", "discrete", "capacitated-fractional"])
+def test_restarts_in_one_lockstep_group_solve_as_one_at_a_time(monkeypatch, case):
+    # A cap of one cell runs every restart in a group of its own; a large
+    # one runs them all in one group.  Only continuous descents without a
+    # capacity window share location calls, and no answer may change.
+    problem = _grouped_problem(case)
+    config = SolverConfig(restarts=5, rng_seed=4)
+    real, calls = solver.update_centers_continuous, []
+    monkeypatch.setattr(solver, "update_centers_continuous", lambda *args: calls.append(1) or real(*args))
+    got = []
+    for cells in (1, 10**12):
+        monkeypatch.setattr(solver, "_LOCKSTEP_CELLS", cells)
+        del calls[:]
+        got.append((solve(problem, config), len(calls)))
+    (alone, alone_calls), (grouped, grouped_calls) = got
+    assert_same_solution(grouped, alone)
+    assert len(set(alone.diagnostics["restart_objectives"])) > 1
+    if case in ("euclidean", "manhattan", "sqeuclidean"):
+        assert grouped_calls < alone_calls
+    else:
+        assert grouped_calls == alone_calls
+    if case == "euclidean":
+        assert alone.released and (alone.assignment.labels == problem.k).any()  # released, and some outliers
 
 
 # Manhattan medians sit on data coordinates, and L1 distances through them

@@ -311,14 +311,16 @@ def test_sweep_descents_skip_their_first_allocation_and_full_product(monkeypatch
     # totals from its draw sequence: it makes one allocate call fewer than
     # the same descent alone, and its first location step takes in only the
     # points sent to the outlier column, where alone it takes in all n.
+    # Discrete descents run one after another, so each call below is the
+    # latest descent's.
     base, k_max = _seeded_start_problem(case)
-    real_descend, real_allocate, real_update = solver.descend, solver.allocate, solver.update_center_discrete
+    real_descent, real_allocate, real_update = solver._descent, solver.allocate, solver.update_center_discrete
     runs = []  # per descent: its arguments, allocate calls and the rows of its first location step
 
-    def descending(problem, centers0, config, **kwargs):
+    def descending(problem, centers0, config, model, start):
         run = {"args": (problem, centers0, config), "allocate": 0, "rows": None}
         runs.append(run)
-        run["solution"] = real_descend(problem, centers0, config, **kwargs)
+        run["solution"] = yield from real_descent(problem, centers0, config, model, start)
         return run["solution"]
 
     def allocating(*args, **kwargs):
@@ -332,7 +334,7 @@ def test_sweep_descents_skip_their_first_allocation_and_full_product(monkeypatch
 
     monkeypatch.setattr(solver, "allocate", allocating)
     monkeypatch.setattr(solver, "update_center_discrete", locating)
-    monkeypatch.setattr(solver, "descend", descending)
+    monkeypatch.setattr(solver, "_descent", descending)
     sweep_k(base, range(base.k, k_max + 1), [0.0], SolverConfig(restarts=3, rng_seed=6))
     swept = runs[:]
     assert len(swept) == 3 * (k_max - base.k + 1)
@@ -344,7 +346,7 @@ def test_sweep_descents_skip_their_first_allocation_and_full_product(monkeypatch
         sent_out = (w > 0) & (D.min(axis=1) > (problem.outlier_penalty or np.inf))
         assert np.array_equal(run["rows"], np.flatnonzero(sent_out))
         outliers += int(sent_out.sum())
-        descending(problem, centers0, config)
+        descend(problem, centers0, config)
         for got, calls in ((run, run["allocate"] + 1), (runs[-1], runs[-1]["allocate"])):
             diag = got["solution"].diagnostics  # an unchanged last step needs no final allocation
             assert calls == diag["iterations"] + (diag["stop"] != "centers_unchanged")
@@ -415,7 +417,9 @@ def test_descend_ignores_the_seeding_cache(monkeypatch):
 @pytest.mark.parametrize("in_sweep", [False, True], ids=["solve", "sweep"])
 @pytest.mark.parametrize("placement", ["discrete", "continuous"])
 def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, placement, in_sweep):
-    # The benchmark's tracer times both public functions per restart.
+    # The benchmark's tracer times kmeanspp_init once per restart and then
+    # one descend per solve, which runs every restart, and reads the counts
+    # of the Solution descend returns: the winning restart's.
     if placement == "discrete":
         base, _ = _seeded_start_problem("integer")
     else:
@@ -429,25 +433,33 @@ def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, pl
         return calls[-1][3]
 
     def descending(*args, **kwargs):
-        calls.append(("descend", args, kwargs, None))
-        return real_descend(*args, **kwargs)
+        calls.append(("descend", args, kwargs, real_descend(*args, **kwargs)))
+        return calls[-1][3]
 
     monkeypatch.setattr(solver, "kmeanspp_init", seeding)
     monkeypatch.setattr(solver, "descend", descending)
     ks = [2, 3, 4] if in_sweep else [base.k]
     if in_sweep:
-        assert sorted(sweep_k(base, ks, [0.0], config).solutions) == ks
+        winners = sweep_k(base, ks, [0.0], config).solutions
+        assert sorted(winners) == ks
     else:
-        solve(base, config)
-    assert [name for name, *_ in calls] == ["kmeanspp_init", "descend"] * (config.restarts * len(ks))
-    for (_, init_args, init_kwargs, seeds), (_, args, kwargs, _) in zip(calls[::2], calls[1::2]):
-        problem, rng = init_args
-        assert not init_kwargs and isinstance(rng, np.random.Generator)
-        assert len(args) == 3 and args[0] is problem and args[1] is seeds and args[2] is config
-        assert list(kwargs) == ["model", "start"] and kwargs["model"] is None
+        winners = {base.k: solve(base, config)}
+    per_solve = config.restarts + 1
+    assert [name for name, *_ in calls] == (["kmeanspp_init"] * config.restarts + ["descend"]) * len(ks)
+    for k, first in zip(ks, range(0, len(calls), per_solve)):
+        *inits, (_, args, kwargs, got) = calls[first:first + per_solve]
+        problem = inits[0][1][0]
+        assert problem.k == k
+        for _, (init_problem, rng), init_kwargs, _ in inits:
+            assert init_problem is problem and not init_kwargs and isinstance(rng, np.random.Generator)
+        assert len(args) == 3 and args[0] is problem and args[2] is config
+        assert np.array_equal(args[1], np.stack([seeds for *_, seeds in inits]))
+        assert list(kwargs) == ["start"] and len(kwargs["start"]) == config.restarts
         # Only a discrete sweep's descents are handed their draw sequence's start.
-        assert (kwargs["start"] is not None) == (placement == "discrete" and in_sweep)
-    assert [args[0].k for _, args, *_ in calls[::2]] == [k for k in ks for _ in range(config.restarts)]
+        assert all((start is not None) == (placement == "discrete" and in_sweep) for start in kwargs["start"])
+        assert got is winners[k]
+        assert got.diagnostics["restarts"] == config.restarts
+        assert {"iterations", "empty_reseeds"} <= got.diagnostics.keys() and got.diagnostics["iterations"] >= 1
 
 
 def test_descend_two_separated_pairs_reaches_midpoints():
@@ -568,12 +580,13 @@ def test_restart_totals_within_rounding_tie_to_the_lowest_index(monkeypatch, tot
 
     script = list(totals)
 
-    def scripted(problem, centers, config, *, model=None, start=None):
+    def scripted(problem, centers, config, model, start):
         r = len(totals) - len(script)
         return Solution(centers=np.array([r]), assignment=None, released=frozenset(),
                         objective=ObjectiveBreakdown(script.pop(0), 0.0, 0.0, 0.0))
+        yield  # a descent that ends before any location step
 
-    monkeypatch.setattr(solver, "descend", scripted)
+    monkeypatch.setattr(solver, "_descent", scripted)
     pts = tuple(Point(i, coords=(float(i), 0.0)) for i in range(4))
     sol = solve(continuous_problem(pts, k=1), SolverConfig(restarts=len(totals)))
     assert sol.diagnostics["best_restart"] == winner
@@ -793,7 +806,7 @@ def test_problem_checks_run_once_per_solve(monkeypatch, membership):
     checks = [_counting(monkeypatch, allocation, name) for name in ("_check_coverage", "_aggregate_certificate")]
     allocation.lp_model(prob)
     per_model = [len(calls) for calls in checks]
-    descents = _counting(monkeypatch, solver, "descend")
+    descents = _counting(monkeypatch, solver, "_descent")
     solve(prob, SolverConfig(restarts=4, rng_seed=3))
     assert len(descents) == 4
     assert [len(calls) for calls in checks] == [2 * count for count in per_model]
@@ -1109,7 +1122,7 @@ def test_descend_builds_one_lp_model(monkeypatch, lp_binding, membership):
 @pytest.mark.parametrize("membership", ["fractional", "hard"])
 def test_solve_builds_one_lp_model(monkeypatch, lp_binding, membership):
     built = _count_models(monkeypatch)
-    descents = _counting(monkeypatch, solver, "descend")
+    descents = _counting(monkeypatch, solver, "_descent")
     sol = solve(_capacitated_blobs(membership), SolverConfig(restarts=4, rng_seed=8))
     assert len(descents) == 4 and not sol.diagnostics["restart_failures"]
     assert len(built) == 1
@@ -1140,9 +1153,9 @@ def test_shared_model_solves_like_a_model_per_descent(monkeypatch, lp_binding, m
     prob = _tied_matrix_problem(membership) if outlier == "tied" else _capacitated_blobs(membership, outlier)
     config = SolverConfig(restarts=4, rng_seed=8, time_budget=budget)
     shared = solve(prob, config)
-    real = solver.descend
-    monkeypatch.setattr(solver, "descend",
-                        lambda problem, centers, cfg, *, model=None, start=None: real(problem, centers, cfg, start=start))
+    real = solver._descent
+    monkeypatch.setattr(solver, "_descent", lambda problem, centers, cfg, model, start:
+                        real(problem, centers, cfg, solver.lp_model(problem), start))
     own = solve(prob, config)
     assert np.array_equal(shared.centers, own.centers)
     assert np.array_equal(shared.assignment.y, own.assignment.y)
@@ -1154,18 +1167,18 @@ def test_shared_model_solves_like_a_model_per_descent(monkeypatch, lp_binding, m
 def test_each_descent_starts_without_a_last_hard_assignment(monkeypatch, lp_binding, budget):
     from capclust import allocation
 
-    seen = []  # per descent, the model's last_hard at each allocation
-    real_descend = solver.descend
+    seen = []  # per descent, the model's last_hard at each allocation; capacitated descents run alone
+    real_descent = solver._descent
 
-    def descend_spy(*args, **kwargs):
+    def descent_spy(*args):
         seen.append([])
-        return real_descend(*args, **kwargs)
+        return (yield from real_descent(*args))
 
     def allocate_spy(*args, model=None, **kwargs):
         seen[-1].append(model.last_hard)
         return allocation.allocate(*args, model=model, **kwargs)
 
-    monkeypatch.setattr(solver, "descend", descend_spy)
+    monkeypatch.setattr(solver, "_descent", descent_spy)
     monkeypatch.setattr(solver, "allocate", allocate_spy)
     solve(_capacitated_blobs("hard"), SolverConfig(restarts=4, rng_seed=8, time_budget=budget))
     assert len(seen) == 4
