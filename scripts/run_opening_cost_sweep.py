@@ -35,7 +35,7 @@ def main():
     if args.capacity:
         lo, hi = args.capacity.split(",")
         capacity = (float(lo), float(hi))
-    problem = Problem(points=tuple(points), metric=sqeuclidean(), centers=CenterSpec(k=args.k_min),
+    problem = Problem(points=points, metric=sqeuclidean(), centers=CenterSpec(k=args.k_min),
                       membership="fractional" if capacity else "hard", capacity=capacity)
     lambdas = [float(x) for x in args.lambdas.split(",")]
     report = sweep_k(problem, range(args.k_min, args.k_max + 1), lambdas,

@@ -49,7 +49,7 @@ def main():
     for membership in ("fractional", "hard"):
         for label, window in windows.items():
             problem = validate_problem(Problem(
-                points=tuple(points), metric=matrix_metric(D),
+                points=points, metric=matrix_metric(D),
                 centers=CenterSpec(k=args.k, placement="discrete"),
                 membership=membership, capacity=window,
             ))

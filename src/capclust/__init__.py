@@ -23,7 +23,7 @@ _HOME = {
                      "update_centers_continuous", "weiszfeld"), "location"),
     **dict.fromkeys(("MetricSpec", "distance", "euclidean", "manhattan", "matrix_metric", "sqeuclidean",
                      "threshold"), "metrics"),
-    **dict.fromkeys(("Assignment", "CenterSpec", "ObjectiveBreakdown", "Point", "Problem", "Solution",
+    **dict.fromkeys(("Assignment", "CenterSpec", "ObjectiveBreakdown", "Point", "PointTable", "Problem", "Solution",
                      "evaluate_objective", "validate_problem"), "model"),
     **dict.fromkeys(("SweepReport", "aic_bic_lambda", "sweep_k"), "selection"),
     **dict.fromkeys(("SolverConfig", "descend", "kmeanspp_init", "solve"), "solver"),

@@ -228,7 +228,7 @@ class _AllocationLP:
             if too_big.size:
                 i = too_big[0]
                 raise Infeasible(
-                    f"point {problem.points[i].id}: capacity coefficient a={a[i]:g} exceeds "
+                    f"point {problem.ids[i]}: capacity coefficient a={a[i]:g} exceeds "
                     f"the upper limit U={hi:g}, so no single center can hold it"
                 )
             if np.allclose(a, np.round(a), atol=1e-12):

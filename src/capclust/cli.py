@@ -92,7 +92,7 @@ def _build_problem(args: argparse.Namespace, k: int) -> Problem:
     placement = "discrete" if (candidates is not None or matrix is not None) else "continuous"
     fixed = io.load_fixed(args.fixed) if args.fixed else []
     problem = Problem(
-        points=tuple(points),
+        points=points,
         metric=metric,
         centers=CenterSpec(
             k=k,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics
 from .errors import NegativeValue, ParseError, RaggedMatrix
-from .model import NOISE_LABEL, Point, Problem, Solution
+from .model import NOISE_LABEL, PointTable, Problem, Solution
 
 SCHEMA = "capclust-solution 1"
 
@@ -99,15 +99,17 @@ def _xy_rows(rows, header: list[str], line: int, message: str) -> list[tuple[flo
 
 
 _POINT_COLUMNS = ["id", "x", "y", "w", "gamma", "a", "q"]
+_MAX_COVERAGE = np.iinfo(np.int64).max  # q is kept in an int64 column
 
 
-def load_points(path) -> list[Point]:
+def load_points(path) -> PointTable:
     """The points of a CSV file with columns id,x,y,w[,gamma[,a[,q]]].
 
-    numpy reads a plain file in one pass.  A file it rejects, or reads as
-    non-finite, negative or with q < 1, goes through the per-cell parser,
-    which also reads quoted cells and blank cells, and names the line and
-    column of a bad cell.
+    numpy reads a plain file in one pass, and its columns become the table.
+    A file it rejects, or reads as non-finite, negative or with q < 1, goes
+    through the per-cell parser, which also reads quoted cells and blank
+    cells, and names the line and column of a bad cell.  A point with
+    w = 0, gamma > 0 and a = 0 is a pseudo point.
     """
     line, cols, rows = _table(path, "points")
     if len(cols) < 4 or cols != _POINT_COLUMNS[: len(cols)]:
@@ -115,12 +117,11 @@ def load_points(path) -> list[Point]:
     table = _point_table(path, line, len(cols))
     if table is None:
         return _point_cells(rows)
-    pid, x, y, w = (table[name].tolist() for name in _POINT_COLUMNS[:4])
-    gamma = table["gamma"].tolist() if len(cols) > 4 else [0.0] * len(pid)
-    a = table["a"].tolist() if len(cols) > 5 else w
-    q = table["q"].tolist() if len(cols) > 6 else [1] * len(pid)
-    return [Point(id=i, coords=(xi, yi), w=wi, gamma=gi, a=ai, q=qi, pseudo=wi == 0 and gi > 0 and ai == 0)
-            for i, xi, yi, wi, gi, ai, qi in zip(pid, x, y, w, gamma, a, q)]
+    w = table["w"]
+    gamma = table["gamma"] if len(cols) > 4 else np.zeros_like(w)
+    a = table["a"] if len(cols) > 5 else w
+    return PointTable(table["id"], np.column_stack([table["x"], table["y"]]), w, gamma, a,
+                      table["q"] if len(cols) > 6 else None, pseudo=(w == 0) & (gamma > 0) & (a == 0))
 
 
 def _point_table(path, header_line: int, n_cols: int):
@@ -156,9 +157,9 @@ def _numpy_rows(path, what: str, skip: int, **loadtxt_args):
         return None
 
 
-def _point_cells(rows) -> list[Point]:
+def _point_cells(rows) -> PointTable:
     """The points of the rows after the header, parsed cell by cell."""
-    points: list[Point] = []
+    points = []
     for line, row in rows:
         pid = _parse_int(row, 0, line, "id")
         x = _parse_float(row, 1, line, "x")
@@ -176,9 +177,10 @@ def _point_cells(rows) -> list[Point]:
         q = _parse_int(row, 6, line, "q") if row[6] else 1
         if q < 1:
             raise NegativeValue(f"q={q}", line, 7)
-        pseudo = w == 0 and gamma > 0 and a == 0
-        points.append(Point(id=pid, coords=(x, y), w=w, gamma=gamma, a=a, q=q, pseudo=pseudo))
-    return points
+        if q > _MAX_COVERAGE:
+            raise ParseError(f"q={q} is too large", line, 7)
+        points.append((pid, (x, y), w, gamma, a, q, w == 0 and gamma > 0 and a == 0))
+    return PointTable(*map(list, zip(*points))) if points else PointTable([], [], [])
 
 
 def write_points(points, path) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
 
@@ -68,6 +69,58 @@ class Point:
     @property
     def effective_weight(self) -> float:
         return self.w + self.gamma
+
+
+class PointTable(Sequence):
+    """The points of a problem as read-only columns, one row per point.
+
+    ``ids`` (object dtype, so ids of any size stay exact Python ints),
+    ``coords`` (n, 2), ``w``, ``gamma``, ``a``, ``q`` and ``pseudo`` hold
+    the fields of ``Point``, with its defaults; ``located`` marks the rows
+    that have coordinates (the others read NaN in ``coords``).  The table is
+    a sequence of Points: ``table[i]`` and iteration build them from the
+    rows on demand.  Two tables are equal when their columns are.
+    """
+
+    _COLUMNS = ("ids", "coords", "located", "w", "gamma", "a", "q", "pseudo")
+
+    def __init__(self, ids, coords, w, gamma=None, a=None, q=None, pseudo=None, located=None):
+        n = len(ids)
+        self.ids = _frozen(ids, object)
+        self.coords = _frozen(coords, float).reshape(n, 2)
+        self.located = _frozen(np.ones(n, dtype=bool) if located is None else located, bool)
+        self.w = _frozen(w, float)
+        self.gamma = _frozen(np.zeros(n) if gamma is None else gamma, float)
+        self.a = _frozen(self.w if a is None else a, float)
+        self.q = _frozen(np.ones(n, dtype=int) if q is None else q, int)
+        self.pseudo = _frozen(np.zeros(n, dtype=bool) if pseudo is None else pseudo, bool)
+
+    @classmethod
+    def of(cls, points) -> "PointTable":
+        """The table of a sequence of Points."""
+        points = tuple(points)
+        located = [p.coords is not None for p in points]
+        return cls(
+            ids=[p.id for p in points],
+            coords=[p.coords if has else (math.nan, math.nan) for p, has in zip(points, located)],
+            w=[p.w for p in points], gamma=[p.gamma for p in points], a=[p.a for p in points],
+            q=[p.q for p in points], pseudo=[p.pseudo for p in points], located=located,
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i) -> Point:
+        i = operator.index(i)
+        return Point(id=self.ids[i], coords=tuple(self.coords[i].tolist()) if self.located[i] else None,
+                     w=float(self.w[i]), gamma=float(self.gamma[i]), a=float(self.a[i]), q=int(self.q[i]),
+                     pseudo=bool(self.pseudo[i]))
+
+    def __eq__(self, other):
+        if not isinstance(other, PointTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name), equal_nan=name == "coords")
+                   for name in self._COLUMNS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +176,10 @@ def _shared(compute):
 class Problem:
     """A full clustering / location-allocation instance.
 
-    The values that depend only on the points, the metric and the candidate
-    sites (the per-point arrays, the point-to-site costs in row- and
+    ``points`` is a ``PointTable``, whose columns are the per-point arrays;
+    a sequence of Points given instead becomes one here.  The values that
+    depend only on the points, the metric and the candidate sites (the
+    effective weights, the id order, the point-to-site costs in row- and
     column-major order, each point's nearest site) are computed on first
     use and kept in ``shared``, a dict that also records that the per-point
     checks passed and, during a sweep, holds its k-means++ draw sequences
@@ -135,7 +190,7 @@ class Problem:
     read-only arrays; otherwise it gets a new one.
     """
 
-    points: tuple[Point, ...]
+    points: PointTable
     metric: metrics.MetricSpec
     centers: CenterSpec
     membership: str = HARD
@@ -145,7 +200,8 @@ class Problem:
     shared: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        if not isinstance(self.points, PointTable):
+            object.__setattr__(self, "points", PointTable.of(self.points))
         made_for = (self.points, self.metric, self.centers.candidates)
         if self.shared is None or not all(map(operator.is_, self.shared["made_for"], made_for)):
             object.__setattr__(self, "shared", {"made_for": made_for})
@@ -165,44 +221,42 @@ class Problem:
     @_shared
     def coords(self) -> np.ndarray | None:
         """(n, 2) point coordinates; None when some point has none."""
-        if any(p.coords is None for p in self.points):
-            return None
-        return _frozen([p.coords for p in self.points], float)
+        return self.points.coords if self.points.located.all() else None
 
-    @_shared
+    @property
     def weights(self) -> np.ndarray:
-        return _frozen([p.w for p in self.points], float)
+        return self.points.w
 
-    @_shared
+    @property
     def gammas(self) -> np.ndarray:
-        return _frozen([p.gamma for p in self.points], float)
+        return self.points.gamma
 
     @_shared
     def effective_weights(self) -> np.ndarray:
         """w' = w + gamma, the weights of the loss."""
         return _frozen(self.weights + self.gammas, float)
 
-    @_shared
+    @property
     def capacity_coeffs(self) -> np.ndarray:
-        return _frozen([p.a for p in self.points], float)
+        return self.points.a
 
-    @_shared
+    @property
     def coverages(self) -> np.ndarray:
-        return _frozen([p.q for p in self.points], int)
+        return self.points.q
 
-    @_shared
+    @property
     def pseudo_mask(self) -> np.ndarray:
-        return _frozen([p.pseudo for p in self.points], bool)
+        return self.points.pseudo
 
-    @_shared
+    @property
     def ids(self) -> np.ndarray:
         """Point ids; object dtype keeps ids of any size exact."""
-        return _frozen([p.id for p in self.points], object)
+        return self.points.ids
 
     @_shared
     def id_order(self) -> np.ndarray:
         """Permutation sorting points by id; fixes the summation order."""
-        return _frozen(sorted(range(self.n), key=lambda i: self.points[i].id), int)
+        return _frozen(np.argsort(self.ids, kind="stable"), int)
 
     @_shared
     def diameter(self) -> float:
@@ -478,7 +532,7 @@ def _validate_points(problem: Problem) -> None:
     bad = ~finite | negative | no_cover | bad_pseudo
     if bad.any():
         i = int(np.argmax(bad))
-        pid = problem.points[i].id
+        pid = problem.ids[i]
         if not finite[i]:
             raise ValidationError(f"point {pid}: coordinates, w, gamma and a must be finite")
         if negative[i]:

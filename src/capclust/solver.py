@@ -10,7 +10,8 @@ counter-spawned RNG streams so the set of restarts is independent of
 execution order, and the best restart by total objective wins (totals
 within 1e-12 relative of the lowest tie, and ties go to the lowest restart
 index).  Continuous restarts without a capacity window run in lockstep
-groups, whose clusters share one location call per round.
+groups, whose clusters share one location call, and its pricing, per
+round.
 """
 
 from __future__ import annotations
@@ -118,7 +119,11 @@ def _draw(rng: np.random.Generator, masses: np.ndarray, eligible: np.ndarray) ->
             return None
         masses = eligible.astype(float)
         total = masses.sum()
-    return int(rng.choice(len(masses), p=masses / total))
+    # The inverse CDF of ``rng.choice(len(masses), p=masses / total)``, the
+    # same draw and generator state, without its checks of p.
+    cdf = (masses / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class _Seeds:
@@ -315,12 +320,13 @@ def _mass_changes(current: np.ndarray, seen, w: np.ndarray, k: int):
 
 
 def _changed_clusters(assignment: Assignment, w: np.ndarray, last):
-    """Which clusters' masses changed since the last iteration, which hold mass, and this iteration's input.
+    """Which clusters' masses changed since the last iteration, which hold mass, this iteration's input and the change.
 
     The input is the assignment's ``labels`` when it carries them, else the
     dense (k, n) masses y_ij w'_i.  A cluster changed when its row of
     ``_mass_changes`` from ``last``, the input of the last iteration, is not
-    zero; in the first iteration (``last`` None) every cluster changed.
+    zero; in the first iteration (``last`` None) every cluster changed, and
+    the change is None.
     """
     k = assignment.n_centers
     current = assignment.labels
@@ -331,8 +337,9 @@ def _changed_clusters(assignment: Assignment, w: np.ndarray, last):
     else:
         filled = np.bincount(current[w > 0], minlength=k + 1)[:k] > 0
     if last is None:
-        return np.ones(k, dtype=bool), filled, current
-    return (_mass_changes(current, last, w, k)[1] != 0).any(axis=1), filled, current
+        return np.ones(k, dtype=bool), filled, current, None
+    points, change = _mass_changes(current, last, w, k)
+    return (change != 0).any(axis=1), filled, current, (points, change)
 
 
 def _members(current: np.ndarray, w: np.ndarray, clusters: np.ndarray, k: int):
@@ -412,7 +419,8 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     Under continuous placement the moving clusters' points with positive
     mass go, cluster after cluster, to one ``update_centers_continuous``
     call; ``cluster_costs_continuous`` then prices every update, and the
-    fixed location of every moving fixed cluster, in one call each.  A
+    fixed location of every moving fixed cluster, in one call each for all
+    the descents of a lockstep group.  A
     continuous optimum that costs more than the current location (read from
     the distance matrix) is dropped for it (the monotone guard).  A fixed
     center is then released when the gain of that location over its fixed
@@ -492,9 +500,12 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
 def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model, start):
     """One descent of ``descend`` from checked ``centers``, as a generator that returns its Solution.
 
-    At each continuous location step it yields ``(xy, masses, starts)``, its
-    moving clusters laid out as for ``update_centers_continuous``, and is
-    sent back their ``CenterUpdate``.  A discrete descent never yields.
+    At each continuous location step it yields ``(xy, masses, starts,
+    fixed)``, its moving clusters laid out as for
+    ``update_centers_continuous`` and the fixed locations of the leading
+    ones that are fixed.  It is sent back their ``CenterUpdate``, each
+    cluster's cost at its update, and the cost of each of those fixed
+    clusters at its fixed location.  A discrete descent never yields.
     """
     spec = problem.centers
     k, m = spec.k, spec.n_fixed
@@ -545,7 +556,9 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
 
         new_centers = centers.copy()
         new_released = set(released)
-        changed, filled, current = _changed_clusters(assignment, w, last_input)
+        changed, filled, current, since_last = _changed_clusters(assignment, w, last_input)
+        if seen is not last_input:  # the kept totals last took in an older input
+            since_last = None
         empty = ~filled
         changed |= empty  # an empty cluster is reseeded or held again
         last_input = current
@@ -567,7 +580,7 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
         if moving.size and discrete:
             # The kept totals take in the points that changed since they last
             # did; their rows price every site for every cluster.
-            points, change = _mass_changes(current, seen, w, k)
+            points, change = since_last or _mass_changes(current, seen, w, k)
             seen = current
             sites = update_center_discrete(problem.site_costs, change, totals=totals, rows=points, empty=empty,
                                            clusters=moving)
@@ -579,16 +592,14 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
             rows, points, mass = _members(current, w, moving, k)
             xy = problem.coords[points]
             starts = np.searchsorted(rows, np.arange(moving.size))  # each moving cluster holds a point
-            update = yield xy, mass, starts  # the caller relocates them (``_finished``)
+            # The caller relocates them and prices them (``_finished``).
+            update, then, at_fixed = yield xy, mass, starts, fixed_at[moving[:f]]
             last_unconverged[moving] = ~update.converged
             # Keep the current location on the rare non-improving update so
             # the outer descent stays monotone.
             now = np.add.reduceat(mass * D[points, moving[rows]], starts)
-            then = cluster_costs_continuous(kind, xy, mass, starts, update.coords)
             new_centers[moving] = np.where((then <= now)[:, None], update.coords, centers[moving])
             if f:  # min(then, now) is the cost where the center now stands
-                end = starts[f] if f < moving.size else len(xy)
-                at_fixed = cluster_costs_continuous(kind, xy[:end], mass[:end], starts[:f], fixed_at[moving[:f]])
                 gains = at_fixed - np.minimum(then, now)[:f]
         for j, gain in zip(moving[:f].tolist(), gains.tolist()):
             if decide_release(gain, spec.release_penalty, j in released):
@@ -633,7 +644,7 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
     if problem.has_outlier_column and assignment.labels is None:  # labels mean every q_i = 1
         flagged = np.flatnonzero((problem.coverages > 1) & (assignment.outlier_column > 1e-12))
         if flagged.size:
-            diag["coverage_slots_on_outlier"] = [problem.points[i].id for i in flagged]
+            diag["coverage_slots_on_outlier"] = problem.ids[flagged].tolist()
     return Solution(
         centers=centers,
         assignment=assignment,
@@ -650,7 +661,10 @@ def _finished(kind: str, descents: list, size: int):
     ``NoIncumbentWithinBudget`` it raised.  The running descents go in
     rounds: each runs on to its next continuous location step, then one
     ``update_centers_continuous`` call takes the clusters of all of them,
-    descent after descent, and each is sent its slice of the update.  A
+    descent after descent.  One ``cluster_costs_continuous`` call prices
+    every update, and one more every moving fixed cluster at its fixed
+    location; each sum is one ``reduceat`` segment, so a cluster's cost
+    does not depend on its batch.  Each descent is sent its slices.  A
     descent that ends makes room for the next, in index order.
     """
     pending = list(enumerate(descents))[::-1]
@@ -671,15 +685,26 @@ def _finished(kind: str, descents: list, size: int):
                 yield i, exc
         if not batch:
             continue
-        xy, masses, starts = zip(*(clusters for *_, clusters in batch))
+        xy, masses, starts, fixed = zip(*(clusters for *_, clusters in batch))
         offsets = np.cumsum([0] + [len(m) for m in masses[:-1]])
-        update = update_centers_continuous(kind, np.concatenate(xy), np.concatenate(masses),
-                                           np.concatenate([s + offset for s, offset in zip(starts, offsets)]))
-        end = 0
-        for (i, descent, _), s in zip(batch, starts):
-            part = slice(end, end + len(s))
-            end = part.stop
-            running[i] = descent, CenterUpdate(update.coords[part], update.iterations[part], update.converged[part])
+        xy, masses = np.concatenate(xy), np.concatenate(masses)
+        all_starts = np.concatenate([s + offset for s, offset in zip(starts, offsets)])
+        update = update_centers_continuous(kind, xy, masses, all_starts)
+        then = cluster_costs_continuous(kind, xy, masses, all_starts, update.coords)
+        # Each descent's leading clusters are its moving fixed ones.
+        lead = np.concatenate([np.arange(len(s)) < len(at) for s, at in zip(starts, fixed)])
+        at_fixed = np.zeros(0)
+        if lead.any():
+            sizes = np.diff(all_starts, append=len(xy))
+            rows, lead_sizes = np.repeat(lead, sizes), sizes[lead]
+            at_fixed = cluster_costs_continuous(kind, xy[rows], masses[rows], np.cumsum(lead_sizes) - lead_sizes,
+                                                np.concatenate(fixed))
+        end = tail = 0
+        for (i, descent, _), s, at in zip(batch, starts, fixed):
+            part, part_fixed = slice(end, end + len(s)), slice(tail, tail + len(at))
+            end, tail = part.stop, part_fixed.stop
+            running[i] = descent, (CenterUpdate(update.coords[part], update.iterations[part], update.converged[part]),
+                                   then[part], at_fixed[part_fixed])
 
 
 def _best_restart(outcomes, restarts: int) -> Solution:

@@ -345,6 +345,26 @@ def test_uncapacitated_solve_and_matrix_sweep_load_no_scipy(tmp_path):
     assert _fresh_interpreter(code) == [[0, 0], []]
 
 
+def test_solve_and_sweep_on_a_points_file_build_no_point(tmp_path, monkeypatch):
+    # The loaded columns go to the problem as they are; only indexing a table builds a Point.
+    from capclust import model
+
+    points, matrix = _small_instance(tmp_path)
+    fixed = tmp_path / "fixed.csv"
+    fixed.write_text("x,y\n4,4\n")
+    made, real = [], model.Point.__post_init__
+    monkeypatch.setattr(model.Point, "__post_init__", lambda self: made.append(self.id) or real(self))
+    assert main(["solve", "--points", str(points), "--k", "3", "--metric", "euclidean", "--outlier-lambda", "2",
+                 "--fixed", str(fixed), "--release-lambda", "1", "--restarts", "2",
+                 "--out", str(tmp_path / "solve")]) == 0
+    assert main(["sweep", "--points", str(points), "--k-range", "1..3", "--lambda-grid", "0,1", "--restarts", "2",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["sweep", "--points", str(points), "--matrix", str(matrix), "--metric", "matrix",
+                 "--k-range", "1..3", "--lambda-grid", "0,1", "--restarts", "2", "--out", str(tmp_path / "m")]) == 0
+    assert made == []
+    assert Point(7) and made == [7]  # the count sees a Point that is built
+
+
 def test_capacitated_solve_loads_the_highs_binding(tmp_path):
     points, _matrix = _small_instance(tmp_path)
     argv = ["solve", "--points", str(points), "--k", "3", "--capacity", "2,4", "--membership", "fractional",

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from capclust import (
-    CenterSpec, Point, Problem, SolverConfig, euclidean, matrix_metric, solve, sqeuclidean,
+    CenterSpec, Point, PointTable, Problem, SolverConfig, euclidean, matrix_metric, solve, sqeuclidean,
     validate_problem,
 )
 from capclust.cli import main
@@ -73,6 +73,7 @@ POINT_FILES = {
     "negative-gamma": "id,x,y,w,gamma\n0,1,2,3,-1\n",
     "zero-q": "id,x,y,w,gamma,a,q\n0,1,2,3,0,0,0\n",
     "fraction-q": "id,x,y,w,gamma,a,q\n0,1,2,3,0,3,1.5\n",
+    "huge-q": "id,x,y,w,gamma,a,q\n0,1,2,3,0,3,99999999999999999999\n",
     "short-row": "id,x,y,w\n0,1,2,3\n1,2,3\n",
     "text": "id,x,y,w\n0,a,2,3\n",
     "comment": "id,x,y,w\n0,1,2,3 # c\n",
@@ -117,6 +118,35 @@ def test_non_finite_point_value_reports_line_and_column(tmp_path, row, column):
     with pytest.raises(ParseError, match="not a finite number") as err:
         load_points(f)
     assert (err.value.line, err.value.column) == (3, column)
+
+
+@pytest.mark.parametrize("ids", [[2**53 + 1, 3, 2**53], [2**64 + 1, 3, 2**64]], ids=["int64", "past-int64"])
+def test_loaded_points_give_the_columns_of_their_points(tmp_path, monkeypatch, ids):
+    # Ids past 2**53 lose digits as floats and ids past int64 take the per-cell parser; all must stay exact.
+    from capclust import io
+
+    rows = [(ids[0], 0.5, 1.5, 2.0, 0.0, 2.0, 1), (ids[1], -1.0, 2.0, 0.0, 4.0, 0.0, 1),
+            (ids[2], 1e-300, 0.1, 1.5, 0.25, 3.0, 2)]
+    f = tmp_path / "pts.csv"
+    f.write_text("id,x,y,w,gamma,a,q\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    points = tuple(Point(pid, (x, y), w, g, a, q, pseudo=w == 0 and g > 0 and a == 0)
+                   for pid, x, y, w, g, a, q in rows)
+    cells = io._point_cells(io._table(f, "points")[2])
+    if ids[0] < 2**63:
+        monkeypatch.setattr(io, "_point_cells", None)  # the file takes the numpy path
+    loaded = load_points(f)
+    assert loaded == cells == PointTable.of(points)
+    assert list(loaded) == list(cells) == list(points)
+    problems = [Problem(points=given, metric=sqeuclidean(), centers=CenterSpec(k=1))
+                for given in (loaded, cells, points)]
+    for name in ("coords", "weights", "gammas", "effective_weights", "capacity_coeffs", "coverages", "pseudo_mask",
+                 "ids", "id_order"):
+        first, *rest = (getattr(problem, name) for problem in problems)
+        assert all(other.dtype == first.dtype and np.array_equal(other, first) for other in rest), name
+    for problem in problems:
+        assert problem.ids.tolist() == ids and all(type(pid) is int for pid in problem.ids)
+        assert problem.id_order.tolist() == [1, 2, 0]
+        assert problem.pseudo_mask.tolist() == [False, True, False]
 
 
 def test_pseudo_point_inferred_from_zero_demand(tmp_path):

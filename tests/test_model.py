@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from capclust import (
-    Assignment, CenterSpec, Point, Problem, Solution, SolverConfig, allocate, euclidean,
+    Assignment, CenterSpec, Point, PointTable, Problem, Solution, SolverConfig, allocate, euclidean,
     matrix_metric, solve, sqeuclidean, threshold, validate_problem,
 )
 from capclust.errors import (
@@ -23,6 +23,23 @@ def make_solution(problem, centers, y, released=frozenset()):
     objective = evaluate_parts(problem, centers, assignment, released)
     return Solution(centers=np.asarray(centers), assignment=assignment,
                     released=frozenset(released), objective=objective)
+
+
+def test_points_without_coordinates_read_back_as_given():
+    pts = (Point(5, w=3.0), Point(2, coords=(1, 2), w=2.0, gamma=0.5, q=2))
+    prob = Problem(points=pts, metric=matrix_metric([[1.0], [2.0]]), centers=CenterSpec(k=1, placement="discrete"))
+    assert isinstance(prob.points, PointTable) and prob.points == PointTable.of(pts)
+    assert list(prob.points) == list(pts) and prob.points[-1] == pts[1]
+    assert prob.points[0].coords is None and prob.points[1].coords == (1.0, 2.0)
+    assert prob.coords is None
+    assert prob.ids.tolist() == [5, 2] and prob.id_order.tolist() == [1, 0]
+    assert prob.effective_weights.tolist() == [3.0, 2.5] and prob.coverages.tolist() == [1, 2]
+    # A table is kept as it is, and a replaced problem keeps its arrays.
+    again = replace(prob, opening_penalty=1.0)
+    assert again.points is prob.points and again.shared is prob.shared
+    located = Problem(points=pts[1:], metric=sqeuclidean(), centers=CenterSpec(k=1))
+    assert located.coords.tolist() == [[1.0, 2.0]]
+    assert located.points != prob.points and not located.coords.flags.writeable
 
 
 def test_inverted_capacity_window():

@@ -177,6 +177,22 @@ def test_restarts_in_one_lockstep_group_solve_as_one_at_a_time(monkeypatch, case
         assert alone.released and (alone.assignment.labels == problem.k).any()  # released, and some outliers
 
 
+@pytest.mark.parametrize("case", ["euclidean", "manhattan", "sqeuclidean"])
+def test_a_lockstep_group_prices_each_location_call_in_two_calls_at_most(monkeypatch, case):
+    # One call prices every update of the round, one more every moving fixed cluster at its fixed location.
+    problem = _grouped_problem(case)
+    calls = []
+    for name in ("update_centers_continuous", "cluster_costs_continuous"):
+        real = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    monkeypatch.setattr(solver, "_LOCKSTEP_CELLS", 10**12)
+    solve(problem, SolverConfig(restarts=5, rng_seed=4))
+    located, priced = calls.count("update_centers_continuous"), calls.count("cluster_costs_continuous")
+    assert 0 < located <= priced <= 2 * located
+    if case != "euclidean":  # no fixed centers: one pricing call per location call
+        assert priced == located
+
+
 # Manhattan medians sit on data coordinates, and L1 distances through them
 # tie exactly; under a fractional window, a last-bit change of a membership
 # moves a geometric median within its stopping tolerance.  So capacitated

@@ -1,6 +1,7 @@
 """Smoke tests: each script under ``scripts/`` runs end to end with tiny flags."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -117,3 +118,16 @@ def test_output_compare_reports_total_and_center_differences(tmp_path):
         "permuted_documents 1",
         "permuted b/solution.txt",
     ]
+
+
+@pytest.mark.parametrize("workload", ["euclid-outlier", "matrix-sweep"])
+def test_ab_time_alternates_passes_of_two_checkouts(tmp_path, workload):
+    done = run_script("ab_time.py", ROOT, ROOT, "--workload", workload, "--seed", "1", "--passes", "3", "--small",
+                      cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == f"workload {workload} seed 1: 1 commands, 3 passes"
+    for side, line in zip(("old", "new"), lines[1:3]):
+        assert re.fullmatch(side + r" seconds per command: median [0-9.]+ q1 [0-9.]+ q3 [0-9.]+", line)
+    assert re.fullmatch(r"new faster in [0-3] of 3 passes", lines[3])
+    assert len(lines) == 4

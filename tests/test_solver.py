@@ -188,6 +188,33 @@ def test_shared_seeding_keeps_other_fixed_centers_apart():
         assert len(base.shared[solver._SEEDING]) == 2
 
 
+def _choice_draw(rng, masses, eligible):
+    """The k-means++ draw as ``Generator.choice`` makes it."""
+    masses = np.where(eligible, masses, 0.0)
+    if masses.sum() <= 0:
+        masses = eligible.astype(float)
+    return int(rng.choice(len(masses), p=masses / masses.sum()))
+
+
+@pytest.mark.parametrize("n", [1, 325, 1300, 3000])
+def test_draw_matches_generator_choice(n):
+    # Same point and same generator state after it, for weighted, single-point and zero-mass draws.
+    data = np.random.default_rng(n)
+    for trial in range(300):
+        masses = data.exponential(size=n) * (data.random(n) < 0.9) * 10.0 ** data.integers(-5, 5)
+        eligible = data.random(n) < 0.8
+        if trial % 3 == 1:  # one eligible point
+            eligible = np.arange(n) == data.integers(n)
+        elif trial % 3 == 2:  # no mass among the eligible points: a uniform draw
+            masses = np.where(eligible, 0.0, masses)
+        if not eligible.any():
+            eligible[0] = True
+        ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+        assert solver._draw(ours, masses, eligible) == _choice_draw(theirs, masses, eligible)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    assert solver._draw(np.random.default_rng(0), np.ones(n), np.zeros(n, dtype=bool)) is None
+
+
 @pytest.mark.parametrize("case", ["discrete-fixed", "continuous"])
 def test_sweep_draws_each_restart_seeds_once(monkeypatch, case):
     base, k_max = _seeding_problem(case)
