@@ -2,6 +2,7 @@
 """Time two checkouts of capclust on one benchmark workload, in alternating passes.
 
     python3 scripts/ab_time.py OLD NEW --workload euclid-outlier --seed 1 --passes 10
+    python3 scripts/ab_time.py OLD NEW --workload cap-fractional --seed 1 --passes 10 --fresh
 
 OLD and NEW are the roots of two checkouts.  Each one's ``src/capclust``
 is loaded as a package of its own (``capclust_old`` and ``capclust_new``)
@@ -18,6 +19,16 @@ of passes to the next.  The script prints each side's median and
 quartiles of the seconds per command (a pass's time over its number of
 commands) and in how many pairs the new side's pass took less time.  A
 command that exits with a nonzero status stops the script with status 1.
+
+With ``--fresh`` each command runs as its own ``python3 -m capclust.cli``
+process, with that side's ``src`` on ``PYTHONPATH``, so its time includes
+starting the interpreter and every import.  A minimal launcher
+(``python3 -S``, importing only ``os``, ``sys`` and ``time``) starts it and
+times it, and reads its peak resident memory from ``wait4``.  Linux
+carries the launcher's own peak (about 9 MB) into that figure across
+``exec``; a command's peak is above it, so the figure is the command's own
+``VmHWM``.  The script then also prints each side's median and largest
+peak in MB.
 """
 
 import argparse
@@ -27,6 +38,7 @@ import importlib
 import importlib.util
 import io
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -51,8 +63,11 @@ def load_cli(checkout: str, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run_pass(cli, commands: list, out: str) -> float:
-    """Seconds per command of one pass of ``commands``, the workload's instances, writing under ``out``."""
+def run_pass(cli, commands: list, out: str) -> tuple[float, list[float]]:
+    """Seconds per command of one pass of ``commands``, the workload's instances, writing under ``out``.
+
+    The list of peak memories is empty: in process there is none per command.
+    """
     total = 0.0
     log = io.StringIO()
     for j, inst in enumerate(commands):
@@ -64,28 +79,62 @@ def run_pass(cli, commands: list, out: str) -> float:
             total += time.perf_counter() - start
         if rc != 0:
             raise RuntimeError(f"command {j} ({' '.join(argv)}) exited {rc}:\n{log.getvalue()}")
-    return total / len(commands)
+    return total / len(commands), []
 
 
-def compare(old_cli, new_cli, commands: list, passes: int, tmp: str) -> dict[str, list[float]]:
-    """Seconds per command of each side's timed passes, after one untimed pass each."""
-    sides = {"old": old_cli, "new": new_cli}
-    for side, cli in sides.items():
-        run_pass(cli, commands, os.path.join(tmp, side))
-    times: dict[str, list[float]] = {"old": [], "new": []}
+# Runs the command in its arguments with stdout discarded; prints its exit
+# code, wall seconds and peak resident memory in KiB (ru_maxrss).
+LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
+"""
+
+
+def fresh_pass(src: str, commands: list, out: str) -> tuple[float, list[float]]:
+    """Seconds per command of one pass, each command a new process on ``src``, and each one's peak MB."""
+    env = dict(os.environ, PYTHONPATH=src)
+    total, peaks = 0.0, []
+    for j, inst in enumerate(commands):
+        argv = inst.argv(os.path.join(out, f"out{j}"))
+        done = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, sys.executable, "-m", "capclust.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"the launcher of command {j} ({' '.join(argv)}) failed:\n{done.stderr}")
+        rc, seconds, maxrss_kib = done.stdout.split()
+        if rc != "0":
+            raise RuntimeError(f"command {j} ({' '.join(argv)}) exited {rc}:\n{done.stderr}")
+        total += float(seconds)
+        peaks.append(int(maxrss_kib) / 1024.0)
+    return total / len(commands), peaks
+
+
+def compare(sides: dict, commands: list, passes: int, tmp: str, run) -> dict[str, list[tuple[float, list[float]]]]:
+    """Each side's timed passes by ``run`` (``run_pass`` or ``fresh_pass``), after one untimed pass each."""
+    for side, handle in sides.items():
+        run(handle, commands, os.path.join(tmp, side))
+    results: dict[str, list] = {"old": [], "new": []}
     for p in range(passes):
         for side in ("old", "new") if p % 2 == 0 else ("new", "old"):
-            times[side].append(run_pass(sides[side], commands, os.path.join(tmp, side)))
-    return times
+            results[side].append(run(sides[side], commands, os.path.join(tmp, side)))
+    return results
 
 
-def report(times: dict[str, list[float]]) -> list[str]:
+def report(results: dict[str, list[tuple[float, list[float]]]]) -> list[str]:
+    times = {side: [seconds for seconds, _peaks in passes] for side, passes in results.items()}
     lines = []
     for side, values in times.items():
         q1, median, q3 = np.percentile(values, [25, 50, 75])
         lines.append(f"{side} seconds per command: median {median:.6f} q1 {q1:.6f} q3 {q3:.6f}")
     won = sum(new < old for old, new in zip(times["old"], times["new"]))
     lines.append(f"new faster in {won} of {len(times['new'])} passes")
+    for side, passes in results.items():
+        peaks = [mb for _seconds, pass_peaks in passes for mb in pass_peaks]
+        if peaks:
+            lines.append(f"{side} VmHWM MB per command: median {np.median(peaks):.1f} max {max(peaks):.1f}")
     return lines
 
 
@@ -97,19 +146,27 @@ def main():
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--passes", type=int, default=10, help="timed passes per side (default 10)")
     parser.add_argument("--small", action="store_true", help="one small command, as the benchmark's tests run")
+    parser.add_argument("--fresh", action="store_true", help="run each command as its own process")
     args = parser.parse_args()
     if args.passes < 1:
         parser.error("--passes must be at least 1")
-    old_cli, new_cli = load_cli(args.old, "capclust_old"), load_cli(args.new, "capclust_new")
+    if args.fresh:
+        sides = {"old": os.path.join(os.path.abspath(args.old), "src"),
+                 "new": os.path.join(os.path.abspath(args.new), "src")}
+        run = fresh_pass
+    else:
+        sides = {"old": load_cli(args.old, "capclust_old"), "new": load_cli(args.new, "capclust_new")}
+        run = run_pass
     with tempfile.TemporaryDirectory() as tmp:
         commands = [write_inputs(inst, os.path.join(tmp, f"in{j}"))
                     for j, inst in enumerate(WORKLOADS[args.workload](args.seed, args.small))]
         try:
-            times = compare(old_cli, new_cli, commands, args.passes, tmp)
+            results = compare(sides, commands, args.passes, tmp, run)
         except RuntimeError as exc:
             parser.exit(1, f"{exc}\n")
-    print(f"workload {args.workload} seed {args.seed}: {len(commands)} commands, {args.passes} passes")
-    print("\n".join(report(times)))
+    mode = ", fresh processes" if args.fresh else ""
+    print(f"workload {args.workload} seed {args.seed}: {len(commands)} commands, {args.passes} passes{mode}")
+    print("\n".join(report(results)))
 
 
 if __name__ == "__main__":

@@ -25,12 +25,25 @@ Three regimes:
 
 Points with capacity coefficient a_i = 0 use no capacity, so they take
 their cheapest columns outside the program in every regime.
+
+What a capacitated solve imports, and when: building the first LP model
+loads scipy's private HiGHS extension ``scipy.optimize._highspy._core``
+alone, without executing ``scipy.optimize`` (``_load_highs``), and the
+model's matrix is built with numpy.  ``scipy.sparse`` and
+``scipy.optimize`` (for ``milp``, ``Bounds`` and ``LinearConstraint``)
+load on the first call that runs ``milp`` (``_load_milp``): a hard step
+whose root LP is fractional, or any LP when the extension cannot be found.
+An uncapacitated solve imports neither.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
@@ -38,36 +51,75 @@ from . import metrics
 from .errors import CapclustError, Infeasible, NoIncumbentWithinBudget, QExceedsK
 from .model import FRACTIONAL, HARD, Assignment, Problem
 
-# scipy's LP pieces, bound as module globals by _load_scipy on first use
-_SCIPY_NAMES = ("sparse", "Bounds", "LinearConstraint", "milp", "_highspy")
+# scipy's private HiGHS binding; no other module of capclust reaches it
+_BINDING = "scipy.optimize._highspy._core"
+# the names _load_milp binds as module globals on first use
+_MILP_NAMES = ("sparse", "Bounds", "LinearConstraint", "milp")
 
 
-def _load_scipy() -> None:
-    """Import scipy's LP pieces into this module; a name already bound (a test's patch) is kept.
+def _find_binding():
+    """The HiGHS extension module, loaded on its own; None when a scipy upgrade moved it.
 
-    Only a capacitated allocation needs them, and importing ``scipy.optimize``
-    costs more than a small solve, so it happens when the first LP model is built.
+    ``find_spec`` of ``scipy.optimize`` imports only ``scipy`` and does not
+    execute ``scipy.optimize``.  The module goes into ``sys.modules`` under
+    its own name, so a later ``import scipy.optimize`` uses it and the
+    extension is initialised once.
+    """
+    module = sys.modules.get(_BINDING)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("scipy.optimize")
+    for name in ("scipy.optimize._highspy", _BINDING):  # each in the directory of the package before it
+        if spec is None or spec.submodule_search_locations is None:
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, spec.submodule_search_locations)
+    if spec is None:
+        return None
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_BINDING] = module
+        spec.loader.exec_module(module)
+    except ImportError:
+        sys.modules.pop(_BINDING, None)
+        return None
+    return module
+
+
+def _load_highs() -> None:
+    """Bind ``_highspy`` to the HiGHS extension (or None without it); a name already bound (a test's patch) is kept.
+
+    Only a capacitated allocation needs it, so it loads when the first LP model is built.
+    """
+    if "_highspy" not in globals():
+        globals()["_highspy"] = _find_binding()
+
+
+def _load_milp() -> None:
+    """Bind ``sparse``, ``Bounds``, ``LinearConstraint`` and ``milp``; names already bound (a test's patch) are kept.
+
+    Importing ``scipy.optimize`` and ``scipy.sparse`` costs more than a small
+    solve and most of a capacitated solve's memory, so it happens on the
+    first call that runs ``milp``.
     """
     names = globals()
-    if all(name in names for name in _SCIPY_NAMES):
+    if all(name in names for name in _MILP_NAMES):
         return
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    try:  # scipy's private HiGHS binding; no other module imports it
-        from scipy.optimize._highspy import _core as _highspy
-    except ImportError:  # moved by a scipy upgrade: every LP goes through milp, cold
-        _highspy = None
-    for name, value in zip(_SCIPY_NAMES, (sparse, Bounds, LinearConstraint, milp, _highspy)):
+    for name, value in zip(_MILP_NAMES, (sparse, Bounds, LinearConstraint, milp)):
         names.setdefault(name, value)
 
 
 def __getattr__(name: str):
-    """``allocation.milp`` and the other scipy names resolve (and can be patched) before the first LP."""
-    if name in _SCIPY_NAMES:
-        _load_scipy()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """``allocation.milp``, ``allocation._highspy`` and the other scipy names resolve (and can be patched) early."""
+    if name == "_highspy":
+        _load_highs()
+    elif name in _MILP_NAMES:
+        _load_milp()
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
 
 
 def allocate(problem: Problem, centers, time_budget: float | None = None, *, distances=None,
@@ -179,25 +231,32 @@ def _aggregate_certificate(problem: Problem, lo: float, hi: float, names: tuple[
         )
 
 
-def _constraint(problem: Problem) -> LinearConstraint:
-    """Coverage and capacity rows over y_ij of the points with a_i > 0.
+def _lp_rows(problem: Problem) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Coverage and capacity rows over y_ij of the points with a_i > 0, as HiGHS takes them.
 
     Variables are y_ij for those points over every column, row-major;
     coverage rows fix sum_j y_ij = q_i and capacity rows keep
-    sum_i a_i y_ij in [L, U] for each real center.
+    sum_i a_i y_ij in [L, U] for each real center.  Returns the column-wise
+    matrix (start, index, value), where column (i, j) holds 1 in coverage
+    row i and, for a real center j, a_i in capacity row j, and the row
+    lower and upper bounds.
     """
     lo, hi = problem.capacity
     k = problem.k
     a = problem.capacity_coeffs
     pos = np.flatnonzero(a > 0)
-    m, n_cols = pos.size, k + (1 if problem.has_outlier_column else 0)
-    var = np.arange(m * n_cols).reshape(m, n_cols)
-    rows = np.concatenate([np.repeat(np.arange(m), n_cols), m + np.tile(np.arange(k), m)])
-    cols = np.concatenate([var.ravel(), var[:, :k].ravel()])
-    vals = np.concatenate([np.ones(m * n_cols), np.repeat(a[pos], k)])
-    A = sparse.csc_array((vals, (rows, cols)), shape=(m + k, m * n_cols))
+    m, outlier = pos.size, int(problem.has_outlier_column)
+    per_point = 2 * k + outlier  # entries of one point's columns
+    index = np.empty((m, per_point), dtype=np.intp)
+    value = np.ones((m, per_point))
+    index[:, 0:2 * k:2] = index[:, 2 * k:] = np.arange(m)[:, None]
+    index[:, 1:2 * k:2] = m + np.arange(k)
+    value[:, 1:2 * k:2] = a[pos][:, None]
+    first = np.arange(0, per_point, 2)  # where each of a point's columns starts in its run of entries
+    start = np.append((per_point * np.arange(m)[:, None] + first).ravel(), m * per_point)
     q = problem.coverages[pos]
-    return LinearConstraint(A, np.concatenate([q, np.full(k, lo)]), np.concatenate([q, np.full(k, hi)]))
+    return ((start, index.ravel(), value.ravel()),
+            np.concatenate([q, np.full(k, lo)]), np.concatenate([q, np.full(k, hi)]))
 
 
 class _AllocationLP:
@@ -212,9 +271,11 @@ class _AllocationLP:
     end optimal), the LP starts from the basis of the nearest assignment
     instead (``_start_basis``), so a restarted model solves exactly as a
     new one.  Without the private binding every solve goes through
-    ``milp`` cold.  ``pos`` and ``zero`` are the rows with a_i > 0 and
-    a_i = 0; ``last_hard`` holds the rows ``pos`` of the last hard
-    assignment made in this descent.
+    ``milp`` cold, as every MIP does (``run_milp``).  ``pos`` and ``zero``
+    are the rows with a_i > 0 and a_i = 0; ``matrix``, ``row_lower`` and
+    ``row_upper`` hold the LP rows over ``pos`` (``_lp_rows``);
+    ``last_hard`` holds the rows ``pos`` of the last hard assignment made
+    in this descent.
     """
 
     def __init__(self, problem: Problem, membership: str):
@@ -244,32 +305,44 @@ class _AllocationLP:
         self._warm = False  # HiGHS holds the optimal basis of the last solve
         if not self.pos.size:  # every point takes its cheapest columns
             return
-        _load_scipy()
-        self.constraint = _constraint(problem)
-        self._index = np.arange(self.constraint.A.shape[1], dtype=np.int32)
+        _load_highs()
+        self.matrix, self.row_lower, self.row_upper = _lp_rows(problem)
+        self._index = np.arange(self.matrix[0].size - 1, dtype=np.int32)
         self._highs = None if _highspy is None else self._pass_model()
 
     def _pass_model(self):
-        A = self.constraint.A
-        n_rows, n_vars = A.shape
+        start, index, value = self.matrix
         lp = _highspy.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = n_vars
-        lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+        lp.num_col_ = lp.a_matrix_.num_col_ = self._index.size
+        lp.num_row_ = lp.a_matrix_.num_row_ = self.row_lower.size
         lp.a_matrix_.format_ = _highspy.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
-        lp.col_cost_ = np.zeros(n_vars)
-        lp.col_lower_ = np.zeros(n_vars)
-        lp.col_upper_ = np.ones(n_vars)
-        lp.row_lower_ = self.constraint.lb
-        lp.row_upper_ = self.constraint.ub
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
+        lp.col_cost_ = np.zeros(self._index.size)
+        lp.col_lower_ = np.zeros(self._index.size)
+        lp.col_upper_ = np.ones(self._index.size)
+        lp.row_lower_ = self.row_lower
+        lp.row_upper_ = self.row_upper
         highs = _highspy._Highs()
         if highs.setOptionValue("output_flag", False) != _highspy.HighsStatus.kOk:
             raise CapclustError("HiGHS rejected the option output_flag=False")
         if highs.passModel(lp) == _highspy.HighsStatus.kError:
             raise CapclustError("HiGHS rejected the allocation LP")
         return highs
+
+    @cached_property
+    def _constraint(self) -> LinearConstraint:
+        """The rows as scipy's ``LinearConstraint`` over a ``csc_array`` of the same arrays (``run_milp``)."""
+        _load_milp()
+        start, index, value = self.matrix
+        A = sparse.csc_array((value, index, start), shape=(self.row_lower.size, self._index.size))
+        return LinearConstraint(A, self.row_lower, self.row_upper)
+
+    def run_milp(self, c: np.ndarray, integrality: int, options: dict | None = None):
+        """scipy's ``milp`` over the rows with 0 <= y <= 1 and costs ``c``; loads it on the first call."""
+        _load_milp()
+        return milp(c, constraints=self._constraint, integrality=integrality, bounds=Bounds(0.0, 1.0), options=options)
 
     def restart(self) -> None:
         """Begin a descent: forget the last hard assignment and clear HiGHS's solver data.
@@ -316,7 +389,7 @@ class _AllocationLP:
         c = cost[self.pos].ravel()
         highs = self._highs
         if highs is None:
-            res = milp(c, constraints=self.constraint, integrality=0, bounds=Bounds(0.0, 1.0))
+            res = self.run_milp(c, integrality=0)
             optimal, infeasible, message, x = res.status == 0, res.status == 2, res.message, res.x
         else:
             if highs.changeColsCost(c.size, self._index, c) == _highspy.HighsStatus.kError:
@@ -474,8 +547,7 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
         options = {"mip_rel_gap": 0.0, "presolve": False}
         if time_budget is not None:
             options["time_limit"] = time_budget
-        res = milp(cost[model.pos].ravel(), constraints=model.constraint, integrality=1,
-                   bounds=Bounds(0.0, 1.0), options=options)
+        res = model.run_milp(cost[model.pos].ravel(), integrality=1, options=options)
         diagnostics = {"nodes": int(res.mip_node_count or 0)}
         if res.status == 2:
             lo, hi = problem.capacity

@@ -26,24 +26,41 @@ from .model import NOISE_LABEL, PointTable, Problem, Solution
 SCHEMA = "capclust-solution 1"
 
 
-def _lines(path, what):
-    """Yield the lines of a UTF-8 file, endings kept; a byte that is not UTF-8 raises ParseError.
+def _read(path, what) -> tuple[list[str], ParseError | None]:
+    """The lines of a UTF-8 file, endings kept, read in one pass and checked in one more.
 
-    A leading byte-order mark, as spreadsheet programs write it, is dropped.
+    The second item is the ParseError of the file's first byte that is not
+    UTF-8, and then the lines stop before that byte's line; it is None for
+    a UTF-8 file.  A leading byte-order mark, as spreadsheet programs write
+    it, is dropped.
     """
-    # surrogateescape keeps such a byte, as a lone surrogate, in its own line to name the column
+    # surrogateescape keeps such a byte, as a lone surrogate, in its line to name the column
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for line, text in enumerate(fh, start=1):
+        lines = fh.readlines()
+    if not all(map(str.isascii, lines)):  # an ASCII line is UTF-8, and str.isascii reads a flag
+        for line, row in enumerate(lines, start=1):
             try:
-                text.encode("utf-8")
+                row.encode("utf-8")
             except UnicodeEncodeError as exc:
-                raise ParseError(f"{what} file is not UTF-8", line, exc.start + 1) from None
-            yield text
+                return lines[:line - 1], ParseError(f"{what} file is not UTF-8", line, exc.start + 1)
+    return lines, None
 
 
-def _rows(path, what):
-    """Yield ``(line, stripped cells)`` for each CSV row that is not blank, lazily."""
-    reader = csv.reader(_lines(path, what))
+def _checked(lines: list[str], fault: ParseError | None):
+    """Yield ``lines``, then raise ``fault`` when there is one (``_read``)."""
+    yield from lines
+    if fault is not None:
+        raise fault
+
+
+def _lines(path, what):
+    """Yield the lines of a UTF-8 file, endings kept; a byte that is not UTF-8 raises ParseError at its line."""
+    return _checked(*_read(path, what))
+
+
+def _rows(lines, what):
+    """Yield ``(line, stripped cells)`` for each CSV row of ``lines`` that is not blank, lazily."""
+    reader = csv.reader(lines)
     line = 1
     try:
         for row in reader:
@@ -57,7 +74,11 @@ def _rows(path, what):
 
 def _table(path, what):
     """The header's line and lower-cased cells, and the rows after it; an empty file raises ParseError."""
-    rows = _rows(path, what)
+    return _header(_rows(_lines(path, what), what), what)
+
+
+def _header(rows, what):
+    """The first of ``rows`` (``_rows``) as its line and lower-cased cells, and the rest of them."""
     for line, cells in rows:
         return line, [c.lower() for c in cells], rows
     raise ParseError(f"empty {what} file", 1)
@@ -105,16 +126,19 @@ _MAX_COVERAGE = np.iinfo(np.int64).max  # q is kept in an int64 column
 def load_points(path) -> PointTable:
     """The points of a CSV file with columns id,x,y,w[,gamma[,a[,q]]].
 
-    numpy reads a plain file in one pass, and its columns become the table.
+    The file is read, and checked to be UTF-8, once.  numpy reads a plain
+    file's lines in one pass, and its columns become the table.
     A file it rejects, or reads as non-finite, negative or with q < 1, goes
     through the per-cell parser, which also reads quoted cells and blank
     cells, and names the line and column of a bad cell.  A point with
     w = 0, gamma > 0 and a = 0 is a pseudo point.
     """
-    line, cols, rows = _table(path, "points")
+    lines, fault = _read(path, "points")
+    line, cols, rows = _header(_rows(_checked(lines, fault), "points"), "points")
     if len(cols) < 4 or cols != _POINT_COLUMNS[: len(cols)]:
         raise ParseError(f"points header must be id,x,y,w[,gamma[,a[,q]]] (got {','.join(cols)})", line)
-    table = _point_table(path, line, len(cols))
+    # after a byte that is not UTF-8 the per-cell parser names the first fault, which may come before it
+    table = None if fault else _point_table(lines[line:], len(cols))
     if table is None:
         return _point_cells(rows)
     w = table["w"]
@@ -124,11 +148,10 @@ def load_points(path) -> PointTable:
                       table["q"] if len(cols) > 6 else None, pseudo=(w == 0) & (gamma > 0) & (a == 0))
 
 
-def _point_table(path, header_line: int, n_cols: int):
-    """The rows after the header as one structured array; None where numpy or a check rejects one."""
+def _point_table(lines: list[str], n_cols: int):
+    """The rows after the header, ``lines``, as one structured array; None where numpy or a check rejects one."""
     names = _POINT_COLUMNS[:n_cols]
-    table = _numpy_rows(path, "points", header_line, ndmin=1,
-                        dtype=[(name, np.int64 if name in ("id", "q") else float) for name in names])
+    table = _numpy_rows(lines, ndmin=1, dtype=[(name, np.int64 if name in ("id", "q") else float) for name in names])
     if table is None:
         return None
     floats = [table[name] for name in names[1:6]]  # x, y, then w, gamma and a, which must not be negative
@@ -139,16 +162,8 @@ def _point_table(path, header_line: int, n_cols: int):
     return table
 
 
-def _numpy_rows(path, what: str, skip: int, **loadtxt_args):
-    """The CSV rows after the first ``skip`` lines in one ``np.loadtxt`` pass; None where it rejects them.
-
-    Also None when a line is not UTF-8: the per-cell parser then names the
-    first fault, which may come before that line.
-    """
-    try:
-        lines = list(_lines(path, what))[skip:]
-    except ParseError:
-        return None
+def _numpy_rows(lines: list[str], **loadtxt_args):
+    """The CSV rows of ``lines`` in one ``np.loadtxt`` pass; None where it rejects them."""
     if not any(map(str.strip, lines)):  # loadtxt only warns on a file without data
         return None
     try:
@@ -207,7 +222,8 @@ def load_matrix(path) -> np.ndarray:
     reads quoted cells and whitespace-only rows, and names the line and
     column of a bad cell.
     """
-    values = _numpy_rows(path, "matrix", 0, ndmin=2)
+    lines, fault = _read(path, "matrix")
+    values = None if fault else _numpy_rows(lines, ndmin=2)
     if values is not None and np.isfinite(values).all() and (values >= 0).all():
         return values
     return _matrix_cells(path)
@@ -215,7 +231,7 @@ def load_matrix(path) -> np.ndarray:
 
 def _matrix_cells(path) -> np.ndarray:
     rows: list[np.ndarray] = []
-    for line, cells in _rows(path, "matrix"):
+    for line, cells in _rows(_lines(path, "matrix"), "matrix"):
         try:
             values = np.array(cells, dtype=float)
             parsed = bool(np.isfinite(values).all())

@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -541,20 +542,81 @@ def test_time_budget_never_returns_worse_than_greedy():
         assert allocation._objective(problem, cost, got.y) <= allocation._objective(problem, cost, greedy)
 
 
+def _names_in(node) -> list[str]:
+    """Every module name, string, attribute and variable name one AST node spells."""
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""] + [alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]  # a module name handed to importlib, sys.modules or getattr
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    return []
+
+
 def test_private_highs_binding_is_imported_in_one_module():
     src = Path(allocation.__file__).parent
     importers = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [alias.name for alias in node.names]
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                continue
-            if any("_highspy" in name for name in names):
+            if any("_highspy" in name for name in _names_in(node)):
                 importers.append(path.name)
     assert sorted(set(importers)) == ["allocation.py"]
+    # each way of reaching the binding counts
+    for code in ["from scipy.optimize._highspy import _core", "import scipy.optimize._highspy._core",
+                 "importlib.import_module('scipy.optimize._highspy._core')", "sys.modules['scipy.optimize._highspy']",
+                 "allocation._highspy.HighsLp()"]:
+        assert any("_highspy" in name for node in ast.walk(ast.parse(code)) for name in _names_in(node)), code
+
+
+def test_a_moved_binding_is_none(monkeypatch):
+    # A scipy upgrade that moves the extension leaves every LP to milp, cold.
+    monkeypatch.setattr(allocation, "_BINDING", "scipy.optimize._highspy._moved")
+    assert allocation._find_binding() is None
+    assert "scipy.optimize._highspy._moved" not in sys.modules
+
+
+def coo_constraint(problem):
+    """The allocation LP's rows as scipy builds them from (row, column) pairs: a ``LinearConstraint``."""
+    from scipy import sparse
+    from scipy.optimize import LinearConstraint
+
+    lo, hi = problem.capacity
+    k, a = problem.k, problem.capacity_coeffs
+    pos = np.flatnonzero(a > 0)
+    m, n_cols = pos.size, k + (1 if problem.has_outlier_column else 0)
+    var = np.arange(m * n_cols).reshape(m, n_cols)
+    rows = np.concatenate([np.repeat(np.arange(m), n_cols), m + np.tile(np.arange(k), m)])
+    cols = np.concatenate([var.ravel(), var[:, :k].ravel()])
+    vals = np.concatenate([np.ones(m * n_cols), np.repeat(a[pos], k)])
+    A = sparse.csc_array((vals, (rows, cols)), shape=(m + k, m * n_cols))
+    q = problem.coverages[pos]
+    return LinearConstraint(A, np.concatenate([q, np.full(k, lo)]), np.concatenate([q, np.full(k, hi)]))
+
+
+@pytest.mark.parametrize("lam", [None, 4.0], ids=["no-outlier", "outlier"])
+@pytest.mark.parametrize("zeros, twos", [([], []), ([0, 4], []), ([], [1, 5]), ([2, 3], [3, 6])],
+                         ids=["plain", "a-zero", "q-two", "both"])
+def test_lp_rows_equal_scipys_csc_and_bounds(lam, zeros, twos):
+    rng = np.random.default_rng(len(zeros) + 2 * len(twos))
+    n, k = 8, 3
+    a, q = rng.uniform(0.5, 2.0, n), np.ones(n, dtype=int)
+    a[zeros], q[twos] = 0.0, 2
+    prob = matrix_problem(rng.uniform(0.0, 5.0, (n, k)), a=a, q=q, lam=lam, capacity=(1.0, 7.0),
+                          membership="fractional")
+    (start, index, value), lower, upper = allocation._lp_rows(prob)
+    expect = coo_constraint(prob)
+    for got, want in [(start, expect.A.indptr), (index, expect.A.indices), (value, expect.A.data),
+                      (lower, expect.lb), (upper, expect.ub)]:
+        assert np.array_equal(got, want)
+    # milp gets the same arrays, wrapped
+    made = allocation.lp_model(prob)._constraint
+    assert made.A.shape == expect.A.shape
+    assert all(np.array_equal(getattr(made.A, name), getattr(expect.A, name)) for name in ("indptr", "indices", "data"))
+    assert np.array_equal(made.lb, expect.lb) and np.array_equal(made.ub, expect.ub)
 
 
 def greedy_incumbent_loop(problem, D):

@@ -365,12 +365,36 @@ def test_solve_and_sweep_on_a_points_file_build_no_point(tmp_path, monkeypatch):
     assert Point(7) and made == [7]  # the count sees a Point that is built
 
 
-def test_capacitated_solve_loads_the_highs_binding(tmp_path):
+def _capacitated_solve_imports(tmp_path, membership: str, window: str, a=None) -> list:
+    """In a new interpreter, solve the small instance with a capacity window; report what it imported.
+
+    The list holds: whether importing the CLI loaded ``scipy.optimize``, the
+    exit code, whether ``scipy.optimize`` and ``scipy.sparse`` were loaded
+    after the solve and ``milp`` bound in ``allocation``, and whether the
+    one HiGHS extension in ``sys.modules`` is ``allocation._highspy``.
+    """
     points, _matrix = _small_instance(tmp_path)
-    argv = ["solve", "--points", str(points), "--k", "3", "--capacity", "2,4", "--membership", "fractional",
+    if a is not None:
+        rows = points.read_text().splitlines()
+        points.write_text("\n".join([rows[0] + ",gamma,a"] + [f"{row},0,{ai}" for row, ai in zip(rows[1:], a)]) + "\n")
+    argv = ["solve", "--points", str(points), "--k", "3", "--capacity", window, "--membership", membership,
             "--restarts", "2", "--seed", "1", "--out", str(tmp_path / "solve")]
     code = (f"import json, sys; from capclust import allocation; from capclust.cli import main; "
             f"before = 'scipy.optimize' in sys.modules; code = main({argv!r}); "
-            f"binding = sys.modules.get('scipy.optimize._highspy._core'); "
-            f"print(json.dumps([before, code, binding is not None and vars(allocation)['_highspy'] is binding]))")
-    assert _fresh_interpreter(code) == [False, 0, True]
+            f"print(json.dumps([before, code, 'scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules, "
+            f"'milp' in vars(allocation), sys.modules.get('scipy.optimize._highspy._core') is allocation._highspy]))")
+    return _fresh_interpreter(code)
+
+
+def test_capacitated_solve_loads_the_highs_binding(tmp_path):
+    # A fractional solve loads the extension alone: no scipy.optimize, no scipy.sparse.
+    assert _capacitated_solve_imports(tmp_path, "fractional", "2,4") == [False, 0, False, False, False, True]
+
+
+@pytest.mark.parametrize("a, window, milp_ran", [
+    (None, "2,4", False),  # equal a and an integral window: the root LP is integral
+    ([1, 2, 3, 1, 1, 1, 1, 2, 1], "4,5", True),  # its root LP is fractional, so milp runs
+], ids=["integral-lp", "fractional-lp"])
+def test_hard_solve_imports_scipy_optimize_only_for_milp(tmp_path, a, window, milp_ran):
+    # After scipy.optimize is imported, the extension is still the one allocation loaded.
+    assert _capacitated_solve_imports(tmp_path, "hard", window, a) == [False, 0, milp_ran, milp_ran, milp_ran, True]

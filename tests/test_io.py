@@ -219,6 +219,7 @@ def test_fast_matrix_read_equals_the_per_cell_parser(tmp_path, monkeypatch, layo
 
 @pytest.mark.parametrize("load, data, line, column", [
     (load_points, b"id,x,y,w\n0,0,0,1\n1,\xff,0,1\n", 3, 3),
+    (load_points, b"id,x,y,w\n0,0,0,1\n1,2,0,1\n2,3,\xff4,1\n3,1,1,1\n", 4, 5),
     (load_candidates, b"x,y\n1,2\n3\n", 3, 2),
     (load_labels, b"", 1, 0),
     (load_labels, b"id,label\n1,2\n3\n", 3, 2),
@@ -229,14 +230,27 @@ def test_fast_matrix_read_equals_the_per_cell_parser(tmp_path, monkeypatch, layo
     # a bad cell before a byte that is not UTF-8 is the first fault
     (load_matrix, b"a,1\n\xff,2\n", 1, 1),
     (load_points, b"id,x,y,w\n0,a,0,1\n1,\xff,0,1\n", 2, 2),
-], ids=["not-utf8", "short-row", "empty", "short-label", "repeated-label-id", "blank-rows", "field-over-limit",
-        "comment-line", "matrix-bad-cell-first", "points-bad-cell-first"])
+], ids=["not-utf8", "not-utf8-after-header", "short-row", "empty", "short-label", "repeated-label-id", "blank-rows",
+        "field-over-limit", "comment-line", "matrix-bad-cell-first", "points-bad-cell-first"])
 def test_malformed_csv_reports_line_and_column(tmp_path, load, data, line, column):
     f = tmp_path / "in.csv"
     f.write_bytes(data)
     with pytest.raises(ParseError) as err:
         load(f)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_plain_point_file_is_opened_once(tmp_path, monkeypatch):
+    from capclust import io
+
+    f = tmp_path / "pts.csv"
+    f.write_text(POINT_FILES["all-columns"], encoding="utf-8", newline="")
+    opened = []
+    monkeypatch.setattr(io, "open", lambda *args, **kwargs: opened.append(args[0]) or open(*args, **kwargs),
+                        raising=False)
+    monkeypatch.setattr(io, "_point_cells", None)  # the numpy path
+    assert load_points(f)
+    assert opened == [f]
 
 
 def test_candidates_need_xy_header(tmp_path):

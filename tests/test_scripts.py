@@ -131,3 +131,19 @@ def test_ab_time_alternates_passes_of_two_checkouts(tmp_path, workload):
         assert re.fullmatch(side + r" seconds per command: median [0-9.]+ q1 [0-9.]+ q3 [0-9.]+", line)
     assert re.fullmatch(r"new faster in [0-3] of 3 passes", lines[3])
     assert len(lines) == 4
+
+
+def test_ab_time_fresh_runs_each_command_as_a_process(tmp_path):
+    done = run_script("ab_time.py", ROOT, ROOT, "--workload", "cap-fractional", "--seed", "1", "--passes", "2",
+                      "--small", "--fresh", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "workload cap-fractional seed 1: 1 commands, 2 passes, fresh processes"
+    for side, line in zip(("old", "new"), lines[1:3]):
+        assert re.fullmatch(side + r" seconds per command: median [0-9.]+ q1 [0-9.]+ q3 [0-9.]+", line)
+    assert re.fullmatch(r"new faster in [0-2] of 2 passes", lines[3])
+    for side, line in zip(("old", "new"), lines[4:6]):
+        median, peak = map(float, re.fullmatch(side + r" VmHWM MB per command: median ([0-9.]+) max ([0-9.]+)",
+                                               line).groups())
+        assert 20.0 < median <= peak  # above the launcher's own peak: an interpreter with numpy loaded
+    assert len(lines) == 6

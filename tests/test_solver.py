@@ -1251,18 +1251,22 @@ def test_milp_fallback_solves_like_the_warm_model(monkeypatch, membership):
 
 
 def test_lazy_scipy_load_keeps_patched_names(monkeypatch, lp_binding):
-    # Clear the names the loader binds, except the two patched ones, so the
-    # descent's first model runs the loader again: a patched milp spy and a
-    # patched _highspy = None must both survive it.
+    # Clear the names the loaders bind, except the patched ones, so the
+    # descent's first model runs them again: a patched milp spy and a
+    # patched _highspy = None must both survive them, and scipy.sparse is
+    # bound exactly when milp ran.
     from capclust import allocation, solver
 
     milp_calls = _counting(monkeypatch, allocation, "milp")
     allocations = _counting(monkeypatch, solver, "allocate")
-    for name in allocation._SCIPY_NAMES:
-        if name not in ("milp", "_highspy"):
+    for name in allocation._MILP_NAMES:
+        if name != "milp":
             monkeypatch.delitem(vars(allocation), name)
+    if lp_binding == "highspy":
+        monkeypatch.delitem(vars(allocation), "_highspy", raising=False)
     prob = _capacitated_blobs("fractional")
     sol = descend(prob, kmeanspp_init(prob, np.random.default_rng(3)), SolverConfig())
     assert sol.diagnostics["iterations"] >= 2
-    assert "sparse" in vars(allocation)
+    assert (vars(allocation)["_highspy"] is None) == (lp_binding == "milp")
     assert len(milp_calls) == (len(allocations) if lp_binding == "milp" else 0)
+    assert ("sparse" in vars(allocation)) == (len(milp_calls) > 0)
