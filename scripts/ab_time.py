@@ -11,14 +11,17 @@ same load on the machine.  The inputs are those of the workload and seed
 in this checkout's ``bench/workloads.py``, which is only read, written
 once into a temporary directory (as ``output_digest.py`` does).
 
-A pass runs every command of the workload once through one side's
+A pass runs every command of the workload once through each side's
 ``cli.main``; a command's time is that call, made after a garbage
-collection.  Each side first runs one untimed pass.  Then the sides take
-turns in whole passes, the side that goes first alternating from one pair
-of passes to the next.  The script prints each side's median and
-quartiles of the seconds per command (a pass's time over its number of
-commands) and in how many pairs the new side's pass took less time.  A
-command that exits with a nonzero status stops the script with status 1.
+collection.  Each side first runs one untimed pass.  In a timed pass the
+two sides run each command back to back, a pair, and the side that goes
+first alternates from one pair to the next: the CPU's speed drifts within
+a pass, and a pair sees the same speed on both sides.  The script prints
+each side's median and quartiles of the seconds per command (a pass's
+time over its number of commands), in how many passes the new side took
+less time, and the median and quartiles of the new/old ratio of the
+pairs' times.  A command that exits with a nonzero status stops the
+script with status 1.
 
 With ``--fresh`` each command runs as its own ``python3 -m capclust.cli``
 process, with that side's ``src`` on ``PYTHONPATH``, so its time includes
@@ -63,23 +66,21 @@ def load_cli(checkout: str, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run_pass(cli, commands: list, out: str) -> tuple[float, list[float]]:
-    """Seconds per command of one pass of ``commands``, the workload's instances, writing under ``out``.
+def run_command(cli, inst, out: str) -> tuple[float, float | None]:
+    """Seconds of one call of ``cli.main`` on the workload instance ``inst``, writing under ``out``.
 
-    The list of peak memories is empty: in process there is none per command.
+    The peak memory is None: in process there is none per command.
     """
-    total = 0.0
+    argv = inst.argv(out)
     log = io.StringIO()
-    for j, inst in enumerate(commands):
-        argv = inst.argv(os.path.join(out, f"out{j}"))
-        gc.collect()
-        with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
-            start = time.perf_counter()
-            rc = cli.main(argv)
-            total += time.perf_counter() - start
-        if rc != 0:
-            raise RuntimeError(f"command {j} ({' '.join(argv)}) exited {rc}:\n{log.getvalue()}")
-    return total / len(commands), []
+    gc.collect()
+    with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+        start = time.perf_counter()
+        rc = cli.main(argv)
+        seconds = time.perf_counter() - start
+    if rc != 0:
+        raise RuntimeError(f"command {' '.join(argv)} exited {rc}:\n{log.getvalue()}")
+    return seconds, None
 
 
 # Runs the command in its arguments with stdout discarded; prints its exit
@@ -94,36 +95,49 @@ print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_m
 """
 
 
-def fresh_pass(src: str, commands: list, out: str) -> tuple[float, list[float]]:
-    """Seconds per command of one pass, each command a new process on ``src``, and each one's peak MB."""
+def fresh_command(src: str, inst, out: str) -> tuple[float, float | None]:
+    """Seconds of one command as a new process on ``src``, and its peak MB."""
+    argv = inst.argv(out)
     env = dict(os.environ, PYTHONPATH=src)
-    total, peaks = 0.0, []
-    for j, inst in enumerate(commands):
-        argv = inst.argv(os.path.join(out, f"out{j}"))
-        done = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, sys.executable, "-m", "capclust.cli", *argv],
-                              env=env, capture_output=True, text=True)
-        if done.returncode != 0:
-            raise RuntimeError(f"the launcher of command {j} ({' '.join(argv)}) failed:\n{done.stderr}")
-        rc, seconds, maxrss_kib = done.stdout.split()
-        if rc != "0":
-            raise RuntimeError(f"command {j} ({' '.join(argv)}) exited {rc}:\n{done.stderr}")
-        total += float(seconds)
-        peaks.append(int(maxrss_kib) / 1024.0)
-    return total / len(commands), peaks
+    done = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, sys.executable, "-m", "capclust.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"the launcher of command {' '.join(argv)} failed:\n{done.stderr}")
+    rc, seconds, maxrss_kib = done.stdout.split()
+    if rc != "0":
+        raise RuntimeError(f"command {' '.join(argv)} exited {rc}:\n{done.stderr}")
+    return float(seconds), int(maxrss_kib) / 1024.0
 
 
-def compare(sides: dict, commands: list, passes: int, tmp: str, run) -> dict[str, list[tuple[float, list[float]]]]:
-    """Each side's timed passes by ``run`` (``run_pass`` or ``fresh_pass``), after one untimed pass each."""
+def compare(sides: dict, commands: list, passes: int, tmp: str, run):
+    """Each side's timed passes by ``run`` (``run_command`` or ``fresh_command``), and each pair's new/old ratio.
+
+    A pass is (seconds per command, peak MBs).  Each side first runs one
+    untimed pass; then every command runs on both sides back to back, the
+    side that goes first alternating from pair to pair.
+    """
     for side, handle in sides.items():
-        run(handle, commands, os.path.join(tmp, side))
+        for j, inst in enumerate(commands):
+            run(handle, inst, os.path.join(tmp, side, f"out{j}"))
     results: dict[str, list] = {"old": [], "new": []}
+    ratios = []
     for p in range(passes):
-        for side in ("old", "new") if p % 2 == 0 else ("new", "old"):
-            results[side].append(run(sides[side], commands, os.path.join(tmp, side)))
-    return results
+        seconds: dict[str, list[float]] = {"old": [], "new": []}
+        peaks: dict[str, list[float]] = {"old": [], "new": []}
+        for j, inst in enumerate(commands):
+            pair = p * len(commands) + j
+            for side in ("old", "new") if pair % 2 == 0 else ("new", "old"):
+                took, peak = run(sides[side], inst, os.path.join(tmp, side, f"out{j}"))
+                seconds[side].append(took)
+                if peak is not None:
+                    peaks[side].append(peak)
+            ratios.append(seconds["new"][-1] / seconds["old"][-1])
+        for side in results:
+            results[side].append((sum(seconds[side]) / len(commands), peaks[side]))
+    return results, ratios
 
 
-def report(results: dict[str, list[tuple[float, list[float]]]]) -> list[str]:
+def report(results: dict[str, list[tuple[float, list[float]]]], ratios: list[float]) -> list[str]:
     times = {side: [seconds for seconds, _peaks in passes] for side, passes in results.items()}
     lines = []
     for side, values in times.items():
@@ -131,6 +145,8 @@ def report(results: dict[str, list[tuple[float, list[float]]]]) -> list[str]:
         lines.append(f"{side} seconds per command: median {median:.6f} q1 {q1:.6f} q3 {q3:.6f}")
     won = sum(new < old for old, new in zip(times["old"], times["new"]))
     lines.append(f"new faster in {won} of {len(times['new'])} passes")
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    lines.append(f"new/old per pair: median {median:.4f} q1 {q1:.4f} q3 {q3:.4f} over {len(ratios)} pairs")
     for side, passes in results.items():
         peaks = [mb for _seconds, pass_peaks in passes for mb in pass_peaks]
         if peaks:
@@ -153,20 +169,20 @@ def main():
     if args.fresh:
         sides = {"old": os.path.join(os.path.abspath(args.old), "src"),
                  "new": os.path.join(os.path.abspath(args.new), "src")}
-        run = fresh_pass
+        run = fresh_command
     else:
         sides = {"old": load_cli(args.old, "capclust_old"), "new": load_cli(args.new, "capclust_new")}
-        run = run_pass
+        run = run_command
     with tempfile.TemporaryDirectory() as tmp:
         commands = [write_inputs(inst, os.path.join(tmp, f"in{j}"))
                     for j, inst in enumerate(WORKLOADS[args.workload](args.seed, args.small))]
         try:
-            results = compare(sides, commands, args.passes, tmp, run)
+            results, ratios = compare(sides, commands, args.passes, tmp, run)
         except RuntimeError as exc:
             parser.exit(1, f"{exc}\n")
     mode = ", fresh processes" if args.fresh else ""
     print(f"workload {args.workload} seed {args.seed}: {len(commands)} commands, {args.passes} passes{mode}")
-    print("\n".join(report(results)))
+    print("\n".join(report(results, ratios)))
 
 
 if __name__ == "__main__":

@@ -81,9 +81,14 @@ def _first(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _keep(clusters: np.ndarray, seg: np.ndarray, sizes: np.ndarray):
-    """The points of the clusters in the mask ``clusters``, by index, and those clusters' sizes, starts and ids."""
+    """The points of the clusters in the mask ``clusters``, by index, and those clusters' sizes and starts."""
     sizes = sizes[clusters]
-    return np.flatnonzero(clusters[seg]), sizes, np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
+    return np.flatnonzero(clusters[seg]), sizes, np.cumsum(sizes) - sizes
+
+
+def _segments(sizes: np.ndarray) -> np.ndarray:
+    """Each point's cluster, from the clusters' sizes."""
+    return np.repeat(np.arange(len(sizes)), sizes)
 
 
 def _at(y: np.ndarray, P: np.ndarray, M: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
@@ -112,6 +117,29 @@ def _pull_tests(P, M, sizes, starts, j, snap):
     return norm <= mass_here, pull, norm, mass_here, np.add.reduceat(inv, starts)
 
 
+def _search(P, M, inv, y, step, cost, has_step, searching, seg, sizes):
+    """The first of its three halved Newton steps and its Weiszfeld step that lowers each searching cluster's cost.
+
+    The clusters in the mask ``searching`` price all four at once, over
+    copies of their own points (``_keep``): each sum is still one
+    ``reduceat`` segment per cluster.  Gives the clusters that found one,
+    by index, which step each takes (3 for the Weiszfeld step) and where it
+    leads, (2, t).
+    """
+    search = np.flatnonzero(searching)
+    idx, sizes, starts = _keep(searching, seg, sizes)
+    P, M, inv = P.take(idx, axis=1), M[idx], inv[idx]
+    pulled = np.add.reduceat(inv * P, starts, axis=1) / np.add.reduceat(inv, starts)
+    cands = np.concatenate([y[:, None, search] - step[:, None, search] / _HALVINGS, pulled[:, None]], axis=1)
+    sq = cands.repeat(sizes, axis=2) - P[:, None]
+    sq *= sq
+    lower = np.add.reduceat(M * np.sqrt(sq[0] + sq[1]), starts, axis=1) < cost[search]
+    lower[:3] &= has_step[search]
+    took = np.flatnonzero(lower.any(axis=0))
+    first = lower[:, took].argmax(axis=0)
+    return search[took], first, cands[:, first, took]
+
+
 def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> CenterUpdate:
     """The rules of ``weiszfeld`` for every cluster of (2, N) points P at once, in one lockstep loop.
 
@@ -119,12 +147,13 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
     arithmetic does not depend on the clusters beside it.  Each iteration
     prices the full Newton step of every running cluster; only the
     clusters that need them price the halvings and the Weiszfeld step (all
-    four at once) or run a pull test.  A cluster that stops keeps its
-    result, and its points leave the arrays.
+    four at once) or run a pull test, over copies of their own points
+    (``_keep``).  A cluster that stops keeps its result, and its points
+    leave the arrays.
     """
     c, N = len(starts), P.shape[1]
     sizes = _sizes(starts, N)
-    seg = np.repeat(np.arange(c), sizes)
+    seg = _segments(sizes)
     coords = np.empty((2, c))
     iterations = np.ones(c, dtype=int)
     converged = np.ones(c, dtype=bool)
@@ -144,20 +173,24 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
     if np.count_nonzero(thin):
         along = (R * F).sum(axis=0)
         value = np.full(c, np.nan)
-        idx, _, thin_starts, _ = _keep(thin, seg, sizes)
+        idx, _, thin_starts = _keep(thin, seg, sizes)
         value[thin] = _lower_medians(along[idx], M[idx], thin_starts)
         median = _first(along == value[seg], starts)
         done = thin & (across <= 1e-12 * scale * scale)
         tried = thin & ~done
         if np.count_nonzero(tried):
-            done |= tried & _pull_tests(P, M, sizes, starts, np.where(tried, median, starts), 1e-12 * scale)[0]
-            tested[median[tried]] = True
+            idx, tried_sizes, tried_starts = _keep(tried, seg, sizes)
+            at = median[tried]
+            done[tried] = _pull_tests(P.take(idx, axis=1), M[idx], tried_sizes, tried_starts,
+                                      at - starts[tried] + tried_starts, 1e-12 * scale[tried])[0]
+            tested[at] = True
         coords[:, done] = P[:, median[done]]
 
     # The clusters still running, their points in cluster order and their state.
     live = np.flatnonzero(~done)
     if live.size < c:
-        idx, sizes, starts, seg = _keep(~done, seg, sizes)
+        idx, sizes, starts = _keep(~done, seg, sizes)
+        seg = _segments(sizes)
         P, M, tested, scale = P.take(idx, axis=1), M[idx], tested[idx], scale[live]
     total = np.add.reduceat(M, starts)
     y = np.add.reduceat(M * P, starts, axis=1) / total
@@ -179,17 +212,23 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
             j = _first(d == nearest[seg], starts)
             test = near & (on_point | ~tested[j])
             if np.count_nonzero(test):
-                optimal, pull, norm, mass_here, inv_sum = _pull_tests(P, M, sizes, starts, j, snap)
-                optimal &= test
-                tested[j[test]] = True
-                y[:, optimal] = P[:, j[optimal]]
-                stop |= optimal
+                # Priced over the tested clusters' points only; ``tests`` lists those clusters.
+                tests = np.flatnonzero(test)
+                idx, test_sizes, test_starts = _keep(test, seg, sizes)
+                at = j[tests]
+                optimal, pull, norm, mass_here, inv_sum = _pull_tests(
+                    P.take(idx, axis=1), M[idx], test_sizes, test_starts, at - starts[tests] + test_starts, snap[tests])
+                tested[at] = True
+                y[:, tests[optimal]] = P[:, at[optimal]]
+                stop[tests[optimal]] = True
+                newton[tests[optimal]] = False
                 # Kuhn's step off a data point that is not optimal, along the pull.
-                kuhn = test & ~optimal & on_point
+                kuhn = ~optimal & on_point[tests]
                 if np.count_nonzero(kuhn):
-                    y[:, kuhn] = P[:, j[kuhn]] + (1.0 - mass_here[kuhn] / norm[kuhn]) * pull[:, kuhn] / inv_sum[kuhn]
+                    y[:, tests[kuhn]] = (P[:, at[kuhn]]
+                                         + (1.0 - mass_here[kuhn] / norm[kuhn]) * pull[:, kuhn] / inv_sum[kuhn])
+                    newton[tests[kuhn]] = False
                     D2, d, cost = _at(y, P, M, sizes, starts)
-                newton &= ~(optimal | kuhn)
         # Every point of a Newton cluster is farther than snap from its iterate.
         everywhere = np.count_nonzero(newton) == c
         inv = M / d if everywhere else np.divide(M, d, out=np.zeros(len(M)), where=newton[seg])
@@ -225,24 +264,13 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
         creeping &= ~better
         searching = newton & ~better
         if np.count_nonzero(searching):
-            # Its three halvings, then the Weiszfeld step; the first that lowers
-            # the cost wins.  The four are priced at once; a cluster that is not
-            # searching offers its iterate, which never lowers its cost.
-            pulled = np.divide(np.add.reduceat(inv * P, starts, axis=1), np.add.reduceat(inv, starts),
-                               out=y.copy(), where=searching)
-            cands = np.concatenate([y[:, None] - step[:, None] / _HALVINGS, pulled[:, None]], axis=1)
-            sq = cands.repeat(sizes, axis=2) - P[:, None]
-            sq *= sq
-            lower = np.add.reduceat(M * np.sqrt(sq[0] + sq[1]), starts, axis=1) < cost
-            lower[:3] &= has_step
-            lower &= searching
-            took = lower.any(axis=0)
-            if np.count_nonzero(took):
-                first = lower.argmax(axis=0)[took]
-                y[:, took] = cands[:, first, np.flatnonzero(took)]
+            # Its three halvings, then the Weiszfeld step; the first that lowers the cost wins.
+            took, first, to = _search(P, M, inv, y, step, cost, has_step, searching, seg, sizes)
+            if took.size:
+                y[:, took] = to
                 D2, d, cost = _at(y, P, M, sizes, starts)
                 creeping[took] = first == 3
-                searching &= ~took
+                searching[took] = False
         # A cluster that no step improves stops where it is, as does one whose full Newton step is tiny.
         stop |= searching
         stop |= has_step & ~searching & (np.hypot(step[0], step[1]) < tiny)
@@ -251,7 +279,8 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
             coords[:, live[stop]] = y[:, stop]
             iterations[live[stop]] = it
             keep = ~stop
-            idx, sizes, starts, seg = _keep(keep, seg, sizes)
+            idx, sizes, starts = _keep(keep, seg, sizes)
+            seg = _segments(sizes)
             P, D2, M, tested, d = P.take(idx, axis=1), D2.take(idx, axis=1), M[idx], tested[idx], d[idx]
             live, scale, total, cost, creeping = live[keep], scale[keep], total[keep], cost[keep], creeping[keep]
             y = y[:, keep]
@@ -328,11 +357,13 @@ def cluster_costs_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, star
     starts = np.asarray(starts, dtype=np.intp)
     diff = xy - np.repeat(np.asarray(locations, dtype=float), _sizes(starts, len(xy)), axis=0)
     if kind == metrics.MANHATTAN:
-        d = np.abs(diff).sum(axis=1)
+        np.abs(diff, out=diff)
     else:
-        d = (diff * diff).sum(axis=1)
-        if kind == metrics.EUCLIDEAN:
-            np.sqrt(d, out=d)
+        diff *= diff
+    # The two terms added as ``sum(axis=1)`` adds them, in one pass over the points rather than one per point.
+    d = diff[:, 0] + diff[:, 1]
+    if kind == metrics.EUCLIDEAN:
+        np.sqrt(d, out=d)
     return np.add.reduceat(np.asarray(masses, dtype=float) * d, starts)
 
 

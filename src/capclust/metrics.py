@@ -137,12 +137,16 @@ def candidate_distances(metric: MetricSpec, coords: np.ndarray | None, sites: np
 
 
 def distances_to_centers(problem: "Problem", centers) -> np.ndarray:
-    """Raw metric distances from every point to each current center, shape (n, k).
+    """Raw metric distances from every point to each current center, shape (n, k), in column-major order.
 
     Under discrete placement each center's column is gathered, contiguous,
     from the column-major copy of the site costs
-    (``Problem.site_cost_columns``), so the result is column-major too.
+    (``Problem.site_cost_columns``).  Otherwise each center's distances are
+    computed as one contiguous row, from the column-major coordinates
+    (``Problem.coord_columns``), and the result is those rows transposed:
+    each pass then runs over the n points, not the k centers.  The values
+    are those of ``geometric_distances(kind, coords, centers)``.
     """
     if problem.centers.placement == "discrete":
         return problem.site_cost_columns[:, np.asarray(centers, dtype=int)]
-    return geometric_distances(problem.metric.kind, problem.coords, np.asarray(centers, dtype=float))
+    return geometric_distances(problem.metric.kind, np.asarray(centers, dtype=float), problem.coord_columns).T

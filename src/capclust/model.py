@@ -179,12 +179,13 @@ class Problem:
     ``points`` is a ``PointTable``, whose columns are the per-point arrays;
     a sequence of Points given instead becomes one here.  The values that
     depend only on the points, the metric and the candidate sites (the
-    effective weights, the id order, the point-to-site costs in row- and
-    column-major order, each point's nearest site) are computed on first
-    use and kept in ``shared``, a dict that also records that the per-point
-    checks passed and, during a sweep, holds its k-means++ draw sequences
-    (``solver.shared_seeding``), from which ``solve`` hands each descent its
-    start.  A problem made by ``dataclasses.replace`` inherits the dict
+    effective weights, the id order, the coordinates and the point-to-site
+    costs in row- and column-major order, each point's nearest site) are
+    computed on first use and kept in ``shared``, a dict that also records
+    that the per-point checks passed and, during a solve or a sweep, holds
+    its k-means++ draw sequences (``solver.shared_seeding``), from which
+    ``solve`` hands each descent its start.  A problem made by
+    ``dataclasses.replace`` inherits the dict
     whenever its points, metric and candidates are the same objects, so a
     sweep's problems, restarts and consensus document all read the same
     read-only arrays; otherwise it gets a new one.
@@ -232,6 +233,15 @@ class Problem:
         return self.points.gamma
 
     @_shared
+    def coord_columns(self) -> np.ndarray | None:
+        """``coords`` in column-major (Fortran) order, so that each coordinate is one contiguous column."""
+        if self.coords is None:
+            return None
+        columns = np.asfortranarray(self.coords)
+        columns.flags.writeable = False
+        return columns
+
+    @_shared
     def effective_weights(self) -> np.ndarray:
         """w' = w + gamma, the weights of the loss."""
         return _frozen(self.weights + self.gammas, float)
@@ -257,6 +267,11 @@ class Problem:
     def id_order(self) -> np.ndarray:
         """Permutation sorting points by id; fixes the summation order."""
         return _frozen(np.argsort(self.ids, kind="stable"), int)
+
+    @_shared
+    def ids_sorted(self) -> bool:
+        """Whether the points already come in id order, so that summing in that order needs no gather."""
+        return bool((self.id_order == np.arange(len(self.id_order))).all())
 
     @_shared
     def diameter(self) -> float:
@@ -587,7 +602,17 @@ def _same_values(given: tuple, normalized: tuple) -> bool:
 
 def _ordered_sum(problem: Problem, per_point: np.ndarray) -> float:
     # Pairwise summation over points sorted by id, for run-to-run determinism.
-    return float(np.sum(per_point[problem.id_order]))
+    return float(np.sum(per_point if problem.ids_sorted else per_point[problem.id_order]))
+
+
+def _entries(distances: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``distances[rows, columns]``, by one flat ``take`` when the 2-D array is contiguous in either order."""
+    n, k = distances.shape
+    if distances.flags.c_contiguous:
+        return distances.reshape(-1).take(rows * k + columns)
+    if distances.flags.f_contiguous:
+        return distances.T.reshape(-1).take(columns * n + rows)
+    return distances[rows, columns]
 
 
 def point_costs(problem: Problem, assignment: Assignment, distances: np.ndarray) -> np.ndarray:
@@ -602,9 +627,9 @@ def point_costs(problem: Problem, assignment: Assignment, distances: np.ndarray)
         return (w[:, None] * distances * assignment.center_block).sum(axis=1)
     rows = np.arange(len(labels))
     if not assignment.has_outlier:
-        return w * distances[rows, labels]
+        return w * _entries(distances, rows, labels)
     real = labels < assignment.n_centers
-    return np.where(real, w * distances[rows, np.minimum(labels, assignment.n_centers - 1)], 0.0)
+    return np.where(real, w * _entries(distances, rows, np.minimum(labels, assignment.n_centers - 1)), 0.0)
 
 
 def evaluate_parts(

@@ -3,15 +3,16 @@
 Each restart seeds centers (fixed centers first, the rest by weighted
 k-means++), then alternates the exact allocation step with the location
 step (including release decisions for fixed centers) until the objective
-stalls or the centers stop moving.  In a sweep, a discrete descent whose
-first allocation is the nearest assignment is handed that assignment and
-its site totals by the draw sequence that seeded it.  Restarts draw from
-counter-spawned RNG streams so the set of restarts is independent of
-execution order, and the best restart by total objective wins (totals
-within 1e-12 relative of the lowest tie, and ties go to the lowest restart
-index).  Continuous restarts without a capacity window run in lockstep
-groups, whose clusters share one location call, and its pricing, per
-round.
+stalls or the centers stop moving.  A solve seeds its restarts together,
+one draw of every restart per round, and a descent whose first allocation
+is the nearest assignment is handed that assignment (and, under discrete
+placement, its site totals) by the draw sequence that seeded it.
+Restarts draw from counter-spawned RNG streams so the set of restarts is
+independent of execution order, and the best restart by total objective
+wins (totals within 1e-12 relative of the lowest tie, and ties go to the
+lowest restart index).  Continuous restarts without a capacity window run
+in lockstep groups, whose clusters share one location call, and its
+pricing, per round.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .location import (
     CenterUpdate, add_mass_change, cluster_costs_continuous, decide_release, update_center_discrete,
     update_centers_continuous,
 )
-from .model import Assignment, Problem, Solution, evaluate_parts, point_costs, validate_problem
+from .model import Assignment, Problem, Solution, _entries, evaluate_parts, point_costs, validate_problem
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,13 @@ def shared_seeding(problem: Problem):
     k.  While the block is open, calls that start from the same generator
     state, placement and fixed centers continue one draw sequence instead of
     drawing it again: a sweep draws each restart's seeds once, up to its
-    largest k.  A discrete sequence drawn for a problem whose first
-    allocation is the nearest assignment (no capacity window, hard
-    membership, every q_i = 1) also keeps that assignment's labels and site
-    totals, which ``solve`` hands to the descent of such a problem at the
-    sequence's length.  The cache goes when the outermost block exits.
+    largest k.  ``solve`` opens the block for its own length (inside a
+    sweep's block this is a no-op) and draws its restarts' sequences there
+    together.  A sequence drawn for a problem whose first allocation is the
+    nearest assignment (no capacity window, hard membership, every q_i = 1)
+    also keeps that assignment's labels and, under discrete placement, its
+    site totals, which ``solve`` hands to the descent of such a problem at
+    the sequence's length.  The cache goes when the outermost block exits.
     """
     if _SEEDING in problem.shared:
         yield
@@ -106,42 +109,52 @@ def _hashable(value):
     return value
 
 
-def _draw(rng: np.random.Generator, masses: np.ndarray, eligible: np.ndarray) -> int | None:
-    """A point drawn with probability proportional to its mass among the eligible ones.
+def _draws(rngs: list, masses: np.ndarray, eligible: np.ndarray | None) -> np.ndarray:
+    """One point per row of the (R, n) ``masses``, drawn in proportion to its mass among the eligible ones.
 
-    Without positive mass the draw is uniform over the eligible points;
-    None (and no draw) when none is eligible.
+    Row r draws from ``rngs[r]``.  Without positive mass a row's draw is
+    uniform over its eligible points; a row without one gives -1 and makes
+    no draw.  ``eligible`` None makes every point eligible.  ``masses`` is
+    overwritten.
     """
-    masses = np.where(eligible, masses, 0.0)
-    total = masses.sum()
-    if total <= 0:
-        if not eligible.any():
-            return None
-        masses = eligible.astype(float)
-        total = masses.sum()
-    # The inverse CDF of ``rng.choice(len(masses), p=masses / total)``, the
+    if eligible is not None:
+        masses = np.where(eligible, masses, 0.0)
+    total = masses.sum(axis=1)
+    picks = np.full(len(rngs), -1)
+    flat = total <= 0
+    if flat.any():
+        masses[flat] = 1.0 if eligible is None else eligible[flat]
+        total[flat] = masses[flat].sum(axis=1)
+    rows = np.flatnonzero(total > 0)
+    if rows.size < len(rngs):
+        masses, total = masses[rows], total[rows]
+    # Row by row, the inverse CDF of ``rng.choice(n, p=masses / total)``, the
     # same draw and generator state, without its checks of p.
-    cdf = (masses / total).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    cdf = np.divide(masses, total[:, None], out=masses)
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:].copy()  # a copy: dividing by a view of cdf itself copies all of cdf
+    for r, row in zip(rows.tolist(), cdf):
+        picks[r] = row.searchsorted(rngs[r].random(), side="right")
+    return picks
 
 
 class _Seeds:
-    """One k-means++ draw sequence, extended one seed at a time on demand.
+    """One k-means++ draw sequence, extended on demand by ``_advance``.
 
     ``chosen`` holds the fixed centers, then the drawn seeds in order;
     ``states[j]`` is the generator state once the first j draws are made,
     and ``best`` each point's distance to its nearest seed so far.
 
-    With ``track`` (a discrete sequence in the ``shared_seeding`` cache
-    whose descents start from the nearest assignment) it also keeps
-    ``labels``, the index in ``chosen`` of each point's nearest seed (a
-    later seed takes a point only when it is strictly closer, so ties stay
-    with the lowest index, as in ``np.argmin``), and the site totals of
-    that assignment, T[j, h] = sum over labels_i = j of w'_i S[i, h].
-    Fixed sites start them with one product; each draw adds the rows of S
-    of only the points with w' > 0 that switched to the new seed
-    (``add_mass_change``), and ``start`` hands both to a descent.
+    With ``track`` (a sequence in the ``shared_seeding`` cache whose
+    descents start from the nearest assignment) it also keeps ``labels``,
+    the index in ``chosen`` of each point's nearest seed (a later seed takes
+    a point only when it is strictly closer, so ties stay with the lowest
+    index, as in ``np.argmin``).  A discrete sequence also keeps the site
+    totals of that assignment, T[j, h] = sum over labels_i = j of w'_i
+    S[i, h]: the first seeds (the fixed ones, or else the first draw) start
+    them with one product, and each later draw adds the rows of S of only
+    the points with w' > 0 that switched to it (``add_mass_change``).
+    ``start`` hands them to a descent.
     """
 
     def __init__(self, problem: Problem, rng: np.random.Generator, track: bool = False):
@@ -157,88 +170,134 @@ class _Seeds:
             self.chosen: list = [int(f) for f in spec.fixed]
             self.taken = np.zeros(problem.site_costs.shape[1], dtype=bool)
             self.taken[self.chosen] = True
-            if self.chosen:
-                D = problem.site_cost_columns[:, self.chosen]
-                self.best = np.min(D, axis=1)
-                if self.track:
-                    self._track_from(np.argmin(D, axis=1))
         else:
             self.chosen = [np.asarray(f, dtype=float) for f in spec.fixed]
-            if self.chosen:
-                self.best = metrics.geometric_distances(
-                    problem.metric.kind, problem.coords, np.vstack(self.chosen)).min(axis=1)
+        if self.chosen:
+            # The fixed seeds' distances, one row per seed: a minimum over rows is one pass.
+            D = (problem.site_cost_columns[:, self.chosen].T if self.discrete else
+                 metrics.geometric_distances(problem.metric.kind, np.vstack(self.chosen), problem.coord_columns))
+            self.best = np.min(D, axis=0)
+            if self.track:
+                self._track_from(np.argmin(D, axis=0))
 
     def first(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """The first k seeds; ``rng`` is left where the last of their draws left it."""
         if len(self.chosen) < k:
-            rng.bit_generator.state = self.states[-1]
-            while len(self.chosen) < k:
-                self._add(rng)
-                self.states.append(rng.bit_generator.state)
+            _advance([self], k, [rng])
         rng.bit_generator.state = self.states[k - self.n_fixed]
         if self.discrete:
             return np.asarray(self.chosen[:k], dtype=int)
         return np.vstack(self.chosen[:k])
 
     def start(self, k: int):
-        """Copies of ``labels`` and the totals, and ``best``, if the sequence tracks them and holds k seeds.
+        """Copies of ``labels`` and the site totals, and ``best``, if the sequence tracks them and holds k seeds.
 
-        A seed without a point of w' > 0 gets a row of exactly 0: points
-        switch only to the newest seed, so its row lost them for good.
+        A continuous sequence has no totals (None).  A seed without a point
+        of w' > 0 gets a row of exactly 0: points switch only to the newest
+        seed, so its row lost them for good.
         """
         c, w = len(self.chosen), self.problem.effective_weights
         if self.labels is None or c != k:
             return None
+        if not self.discrete:
+            return self.labels.copy(), self.best, None
         totals = self._totals[:c].copy()
         totals[np.bincount(self.labels[w > 0], minlength=c) == 0] = 0.0
         return self.labels.copy(), self.best, totals
 
     def _track_from(self, labels: np.ndarray) -> None:
-        """Take ``labels`` of the chosen seeds and their totals from one product over every row of S."""
-        c, S, w = len(self.chosen), self.problem.site_costs, self.problem.effective_weights
+        """Take ``labels`` of the chosen seeds, and their site totals from one product over every row of S."""
         self.labels = labels
+        if not self.discrete:
+            return
+        c, S, w = len(self.chosen), self.problem.site_costs, self.problem.effective_weights
         self._totals = np.zeros((max(2 * c, 8), S.shape[1]))
         points, change = _mass_changes(labels, None, w, c)
         add_mass_change(self._totals[:c], S, change, points)
 
-    def _add(self, rng: np.random.Generator) -> None:
-        problem = self.problem
-        w = problem.effective_weights
-        masses = w * self.best**2 if self.best is not None else w
-        if self.discrete:
-            cand, snap, taken = problem.site_cost_columns, problem.nearest_site, self.taken
-            i = _draw(rng, masses, ~taken[snap])
-            if i is None:
-                unused = np.flatnonzero(~taken)
-                if not unused.size:
-                    raise NotEnoughDistinctSites(f"cannot place {len(self.chosen) + 1} centers on {cand.shape[1]} sites")
-                site = int(unused[0])
-            else:
-                site = int(snap[i])
-            self.chosen.append(site)
-            taken[site] = True
-            d_new = cand[:, site]
-            if self.track:
-                self._track(d_new)
-        else:
-            pick = problem.coords[_draw(rng, masses, np.ones(problem.n, dtype=bool))].copy()
-            self.chosen.append(pick)
-            d_new = metrics.geometric_distances(problem.metric.kind, problem.coords, pick[None, :])[:, 0]
-        self.best = d_new if self.best is None else np.minimum(self.best, d_new)
-
-    def _track(self, d_new: np.ndarray) -> None:
-        """Bring ``labels`` and the totals up to the seed just added, whose distances are ``d_new``."""
-        c = len(self.chosen)  # the new seed's index is c - 1
-        if self.labels is None:  # the first seed takes every point
-            self._track_from(np.zeros(len(d_new), dtype=np.intp))
-            return
+    def _took(self, switched: np.ndarray) -> None:
+        """Add to the site totals the points ``switched`` to the newest seed, before ``labels`` records it."""
+        c = len(self.chosen)  # the newest seed's index is c - 1
         if c > len(self._totals):  # double the kept rows; the new ones start at zero
             self._totals = np.concatenate([self._totals, np.zeros_like(self._totals)])
-        switched = np.flatnonzero(d_new < self.best)
         points, change = _mass_changes(np.full(switched.size, c - 1), self.labels[switched],
                                        self.problem.effective_weights[switched], c)
-        self.labels[switched] = c - 1
         add_mass_change(self._totals[:c], self.problem.site_costs, change, switched[points])
+
+
+def _advance(sequences: list[_Seeds], k: int, rngs: list) -> None:
+    """Bring each draw sequence of one problem to k seeds, all of them together, one seed per round.
+
+    Sequence r draws from ``rngs[r]``, first set to the state of its last
+    draw.  A round takes the sequences short of k seeds: one (R, n) pass
+    gives their masses w'_i * D(x_i)^2 (plain w' before a first seed) and
+    one more their inverse CDFs (``_draws``), each draws from its own
+    generator, and one distance call (or one gather of site-cost columns)
+    gives the new seeds' distances.  So each sequence gets the seeds,
+    generator states, nearest-seed distances and labels it would get
+    alone.  Under discrete placement a draw snaps to its point's nearest
+    site, a point whose site is taken is not eligible, and a sequence
+    without an eligible point takes the lowest unused site without a draw,
+    or raises ``NotEnoughDistinctSites`` when none is left.
+    """
+    problem = sequences[0].problem
+    n, w, discrete = problem.n, problem.effective_weights, sequences[0].discrete
+    for seq, rng in zip(sequences, rngs):
+        rng.bit_generator.state = seq.states[-1]
+    group = [(seq, rng) for seq, rng in zip(sequences, rngs) if len(seq.chosen) < k]
+    while group:
+        # One row per sequence, until one of them holds k seeds; each round
+        # leaves every sequence's best and labels views of its rows.
+        seqs, gens = [seq for seq, _ in group], [rng for _, rng in group]
+        best = np.stack([np.ones(n) if seq.best is None else seq.best for seq in seqs])  # ones: masses w'
+        fresh = [i for i, seq in enumerate(seqs) if seq.best is None]
+        tracked = [i for i, seq in enumerate(seqs) if seq.track]
+        if tracked:
+            labels = np.stack([np.zeros(n, dtype=np.intp) if seqs[i].labels is None else seqs[i].labels
+                               for i in tracked])
+        if discrete:  # its taken sites are a view of its row from here on
+            taken = np.stack([seq.taken for seq in seqs])
+            for seq, row in zip(seqs, taken):
+                seq.taken = row
+        while all(len(seq.chosen) < k for seq in seqs):
+            index = np.array([len(seq.chosen) for seq in seqs])  # of each one's new seed
+            masses = w * best**2
+            if discrete:
+                picks = _draws(gens, masses, ~taken[:, problem.nearest_site])
+                new = problem.nearest_site[picks]
+                for i in np.flatnonzero(picks < 0).tolist():  # no eligible point: the lowest unused site
+                    unused = np.flatnonzero(~taken[i])
+                    if not unused.size:
+                        raise NotEnoughDistinctSites(f"cannot place {index[i] + 1} centers on {taken.shape[1]} sites")
+                    new[i] = unused[0]
+                d = problem.site_cost_columns[:, new].T
+            else:
+                new = problem.coords[_draws(gens, masses, None)]
+                # |c - x| term by term, as |x - c| the other way round.
+                d = metrics.geometric_distances(problem.metric.kind, new, problem.coord_columns)
+            best[fresh] = np.inf
+            switched = d < best
+            best = np.minimum(best, d)
+            for i, (seq, rng) in enumerate(group):
+                seq.chosen.append(int(new[i]) if discrete else new[i])
+                seq.states.append(rng.bit_generator.state)
+                seq.best = best[i]
+            if discrete:
+                taken[np.arange(len(seqs)), new] = True
+            if tracked:
+                moved = switched[tracked]
+                if discrete:  # the totals take in the switched points while the labels still hold their old seeds
+                    for i, row in zip(tracked, moved):
+                        if seqs[i].labels is not None:
+                            seqs[i]._took(np.flatnonzero(row))
+                labels = np.where(moved, index[tracked, None], labels)
+                for i, row in zip(tracked, labels):
+                    if seqs[i].labels is None:  # the first seed takes every point
+                        seqs[i]._track_from(row)
+                    else:
+                        seqs[i].labels = row
+            fresh = []
+        group = [(seq, rng) for seq, rng in group if len(seq.chosen) < k]
 
 
 def kmeanspp_init(problem: Problem, rng: np.random.Generator):
@@ -253,18 +312,20 @@ def kmeanspp_init(problem: Problem, rng: np.random.Generator):
     Inside ``shared_seeding`` a call continues the draw sequence an earlier
     call started from the same generator state, placement and fixed
     centers: it returns that sequence's first k seeds and leaves ``rng``
-    exactly as a fresh call would.  There a discrete sequence also keeps the
-    nearest-seed labels and site totals that ``solve`` hands to ``descend``
-    (``_Seeds``); outside the block nothing could take them, so none are kept.
+    exactly as a fresh call would.  ``solve`` draws its restarts'
+    sequences there beforehand, in lockstep (``_advance``), so its calls
+    only read them.  There a sequence also keeps the nearest-seed labels
+    (and, under discrete placement, the site totals) that ``solve`` hands
+    to ``descend`` (``_Seeds``); outside the block nothing could take them,
+    so none are kept, and the call draws one sequence by the same path.
     """
-    spec = problem.centers
     cache = problem.shared.get(_SEEDING)
     if cache is None:
-        return _Seeds(problem, rng).first(spec.k, rng)
+        return _Seeds(problem, rng).first(problem.k, rng)
     key = _seeding_key(problem, rng)
     if key not in cache:
         cache[key] = _Seeds(problem, rng, track=_allocates_nearest_labels(problem))
-    return cache[key].first(spec.k, rng)
+    return cache[key].first(problem.k, rng)
 
 
 def _seeding_key(problem: Problem, rng: np.random.Generator) -> tuple:
@@ -319,14 +380,16 @@ def _mass_changes(current: np.ndarray, seen, w: np.ndarray, k: int):
     return points, change[:k]
 
 
-def _changed_clusters(assignment: Assignment, w: np.ndarray, last):
+def _changed_clusters(assignment: Assignment, w: np.ndarray, last, discrete: bool):
     """Which clusters' masses changed since the last iteration, which hold mass, this iteration's input and the change.
 
     The input is the assignment's ``labels`` when it carries them, else the
     dense (k, n) masses y_ij w'_i.  A cluster changed when its row of
     ``_mass_changes`` from ``last``, the input of the last iteration, is not
     zero; in the first iteration (``last`` None) every cluster changed, and
-    the change is None.
+    the change is None.  Labels of a continuous descent, which never reads
+    the change, give None too: a point has a column of its own, so a
+    cluster changed exactly when a point with w' > 0 left or joined it.
     """
     k = assignment.n_centers
     current = assignment.labels
@@ -338,6 +401,12 @@ def _changed_clusters(assignment: Assignment, w: np.ndarray, last):
         filled = np.bincount(current[w > 0], minlength=k + 1)[:k] > 0
     if last is None:
         return np.ones(k, dtype=bool), filled, current, None
+    if current.ndim == 1 and not discrete:
+        points = np.flatnonzero((w > 0) & (current != last))
+        changed = np.zeros(k + 1, dtype=bool)  # the last entry is the outlier column
+        changed[current[points]] = True
+        changed[last[points]] = True
+        return changed[:k], filled, current, None
     points, change = _mass_changes(current, last, w, k)
     return (change != 0).any(axis=1), filled, current, (points, change)
 
@@ -410,13 +479,14 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     reads its row.  ``update_center_discrete`` adds to it the rows of S of
     only the points whose mass changed since it last did, so the sums agree
     with a fresh product to rounding only.  They start from zero, and the
-    first step takes in every point, unless ``solve`` hands the descent
-    ``start`` (private; ``_Seeds.start``): each point's nearest initial
-    center (ties to the lowest index), its distance to it and the site
-    totals of that assignment, for a problem whose first allocation is the
-    nearest assignment.  The descent then makes no first ``allocate`` call,
-    and its first step takes in only the points sent to the outlier column.
-    Under continuous placement the moving clusters' points with positive
+    first step takes in every point, unless the descent is handed a start.
+    ``solve`` hands one (``start``, private; ``_Seeds.start``) to every
+    descent of a problem whose first allocation is the nearest assignment:
+    each point's nearest initial center (ties to the lowest index), its
+    distance to it and, under discrete placement, the site totals of that
+    assignment.  The descent then makes no first ``allocate`` call, and a
+    discrete one's first step takes in only the points sent to the outlier
+    column.  Under continuous placement the moving clusters' points with positive
     mass go, cluster after cluster, to one ``update_centers_continuous``
     call; ``cluster_costs_continuous`` then prices every update, and the
     fixed location of every moving fixed cluster, in one call each for all
@@ -517,6 +587,8 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
     is_fixed = np.arange(k) < m
     released: set[int] = set()
     D = metrics.distances_to_centers(problem, centers)
+    if not discrete:  # row-major, as the allocation's argmin over each row reads it fastest
+        D = np.ascontiguousarray(D)
     if model is not None:
         model.restart()
     # The last iteration's location input (labels or masses); whether each
@@ -525,7 +597,7 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
     last_unconverged = np.zeros(k, dtype=bool)
     # Discrete placement keeps every cluster's weighted distance sum to
     # every site, and the input those sums last took in.  A descent handed
-    # ``start`` takes its labels as the first assignment and its totals.
+    # ``start`` takes its labels as the first assignment, and its totals.
     totals = seen = None
     if start is not None:
         seen, best, totals = start
@@ -556,7 +628,7 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
 
         new_centers = centers.copy()
         new_released = set(released)
-        changed, filled, current, since_last = _changed_clusters(assignment, w, last_input)
+        changed, filled, current, since_last = _changed_clusters(assignment, w, last_input, discrete)
         if seen is not last_input:  # the kept totals last took in an older input
             since_last = None
         empty = ~filled
@@ -597,7 +669,7 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
             last_unconverged[moving] = ~update.converged
             # Keep the current location on the rare non-improving update so
             # the outer descent stays monotone.
-            now = np.add.reduceat(mass * D[points, moving[rows]], starts)
+            now = np.add.reduceat(mass * _entries(D, points, moving[rows]), starts)
             new_centers[moving] = np.where((then <= now)[:, None], update.coords, centers[moving])
             if f:  # min(then, now) is the cost where the center now stands
                 gains = at_fixed - np.minimum(then, now)[:f]
@@ -739,10 +811,14 @@ def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
 
     Restart r seeds from the r-th stream spawned from ``config.rng_seed``,
     whatever k is, so inside ``shared_seeding`` a sweep's solves of one
-    problem take each restart's seeds from a single draw sequence.  Every
-    restart calls ``kmeanspp_init``; where the first allocation is the
-    nearest assignment, the sequence (found by the generator state before
-    the draws) also gives the restart its ``start``.  Then one ``descend``
+    problem take each restart's seeds from a single draw sequence.  The
+    solve keeps its restarts' sequences in that cache while it runs (its
+    own ``shared_seeding`` block, a no-op inside a sweep's) and draws them
+    to k together (``_advance``), in groups of as many restarts as keep
+    restarts x n x k at most ``_LOCKSTEP_CELLS``.  Every restart then calls
+    ``kmeanspp_init``, which reads its seeds from its sequence; where the
+    first allocation is the nearest assignment, the sequence also gives the
+    restart its ``start``, whatever the placement.  Then one ``descend``
     call runs every restart, in lockstep groups, and returns the winner by
     its restart rule (totals within ``RESTART_TIE_RTOL``, 1e-12, relative
     of the lowest tie, and the lowest restart index among them wins, so a
@@ -756,13 +832,25 @@ def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
     """
     problem = validate_problem(problem)
     t0 = time.monotonic()
-    cache = problem.shared.get(_SEEDING) if _allocates_nearest_labels(problem) else None
-    seeds, starts = [], []
-    for stream in np.random.SeedSequence(config.rng_seed).spawn(config.restarts):
-        rng = np.random.default_rng(stream)
-        key = None if cache is None else _seeding_key(problem, rng)  # before the draws move rng
-        seeds.append(kmeanspp_init(problem, rng))
-        starts.append(None if cache is None else cache[key].start(problem.k))
-    best = descend(problem, np.stack(seeds), config, start=starts)
+    k, track = problem.k, _allocates_nearest_labels(problem)
+    with shared_seeding(problem):
+        cache = problem.shared[_SEEDING]
+        streams = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
+        rngs = [np.random.default_rng(stream) for stream in streams]
+        sequences = []
+        for rng in rngs:
+            key = _seeding_key(problem, rng)
+            if key not in cache:
+                cache[key] = _Seeds(problem, rng, track)
+            sequences.append(cache[key])
+        size = max(1, _LOCKSTEP_CELLS // (problem.n * k))
+        for group in range(0, len(sequences), size):
+            _advance(sequences[group:group + size], k, rngs[group:group + size])
+        seeds, starts = [], []
+        for seq, rng in zip(sequences, rngs):
+            rng.bit_generator.state = seq.states[0]
+            seeds.append(kmeanspp_init(problem, rng))  # reads the sequence just drawn
+            starts.append(seq.start(k) if track else None)
+        best = descend(problem, np.stack(seeds), config, start=starts)
     best.diagnostics["wall_time_s"] = time.monotonic() - t0
     return best

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own solution paths:
 the LP oracle is scipy's HiGHS on the dense membership variables, the
 negative-cycle oracle checks LP optimality with no LP solver at all, the
 hard-assignment oracle enumerates every labeling, the geometric-median
-oracle refines a grid search, and the ARI oracle counts pairs directly.
+oracle refines a grid search, the seeding oracle draws one restart's
+k-means++ seeds in a plain loop, and the ARI oracle counts pairs directly.
 The reference descent, the oracle of every shortcut ``descend`` takes, is
 built from the package's one-shot allocation and location functions only.
 """
@@ -22,7 +23,7 @@ from capclust import (
     CenterSpec, Point, Problem, Solution, allocate, decide_release, kmeanspp_init, matrix_metric,
     update_center_continuous, update_center_discrete, validate_problem,
 )
-from capclust.errors import AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget
+from capclust.errors import AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget, NotEnoughDistinctSites
 from capclust.location import cluster_cost_continuous
 from capclust.metrics import distances_to_centers
 from capclust.model import evaluate_parts
@@ -161,6 +162,74 @@ def residual_negative_cycle(problem, D, y, tol=1e-9) -> bool:
         if not changed:
             return False
     return True
+
+
+def reference_distances(problem, centers) -> np.ndarray:
+    """The (n, len(centers)) metric distances from every point to ``centers``, written out per metric.
+
+    ``centers`` are candidate-site indices under discrete placement and
+    coordinate pairs otherwise.
+    """
+    kind = problem.metric.kind
+    if problem.centers.placement == "discrete":
+        if kind == "matrix":
+            return problem.metric.matrix[:, np.asarray(centers, dtype=int)]
+        locations = problem.centers.candidates[np.asarray(centers, dtype=int)]
+    else:
+        locations = np.asarray(centers, dtype=float).reshape(-1, 2)
+    xy = problem.points.coords
+    dx = xy[:, 0, None] - locations[None, :, 0]
+    dy = xy[:, 1, None] - locations[None, :, 1]
+    if kind == "manhattan":
+        return np.abs(dx) + np.abs(dy)
+    squared = dx * dx + dy * dy
+    if kind == "sqeuclidean":
+        return squared
+    if kind == "threshold":
+        return (np.sqrt(squared) >= problem.metric.threshold).astype(float)
+    return np.sqrt(squared)
+
+
+def reference_kmeanspp(problem, rng) -> np.ndarray:
+    """The k-means++ seeds of one restart by a plain loop; ``rng`` is left after their draws.
+
+    Fixed centers come first.  Each further seed is drawn by ``rng.choice``
+    with probability proportional to w'_i D(x_i)^2, D the distance to the
+    nearest seed so far (plain w' before any seed).  Under discrete
+    placement only the points whose nearest site (lowest index on ties) is
+    free take part, and the draw snaps to that site.  Without positive mass
+    the draw is uniform over the points taking part; without any point, the
+    seed is the lowest free site, and without a free site the loop raises
+    ``NotEnoughDistinctSites``.
+    """
+    spec = problem.centers
+    discrete = spec.placement == "discrete"
+    w = problem.effective_weights
+    n = len(w)
+    if discrete:
+        n_sites = problem.metric.matrix.shape[1] if problem.metric.kind == "matrix" else len(spec.candidates)
+        snap = np.argmin(reference_distances(problem, np.arange(n_sites)), axis=1)
+        chosen = [int(f) for f in spec.fixed]
+    else:
+        chosen = [np.asarray(f, dtype=float) for f in spec.fixed]
+    best = reference_distances(problem, chosen).min(axis=1) if chosen else None
+    while len(chosen) < spec.k:
+        eligible = np.array([int(h) not in chosen for h in snap]) if discrete else np.ones(n, dtype=bool)
+        masses = np.where(eligible, w if best is None else w * best**2, 0.0)
+        if masses.sum() <= 0:
+            masses = eligible.astype(float)
+        if masses.sum() > 0:
+            i = int(rng.choice(n, p=masses / masses.sum()))
+            seed = int(snap[i]) if discrete else problem.points.coords[i].copy()
+        else:
+            free = [h for h in range(n_sites) if h not in chosen]
+            if not free:
+                raise NotEnoughDistinctSites(f"cannot place {len(chosen) + 1} centers on {n_sites} sites")
+            seed = free[0]
+        chosen.append(seed)
+        d = reference_distances(problem, [seed])[:, 0]
+        best = d if best is None else np.minimum(best, d)
+    return np.asarray(chosen, dtype=int) if discrete else np.vstack(chosen)
 
 
 def reference_lloyd(xy: np.ndarray, centers0: np.ndarray, max_iter: int = 100):

@@ -314,6 +314,40 @@ def test_a_capped_cluster_runs_beside_clusters_that_stop_early(monkeypatch):
     assert batch.iterations[[0, 2, 3]].tolist() == [1, 1, 1]
 
 
+def test_the_newton_search_prices_only_the_clusters_that_search(monkeypatch):
+    # A batch whose lockstep iterations mix clusters whose full Newton step
+    # failed, and which search its halvings and the Weiszfeld step over
+    # copies of their own points, with clusters whose step held.  It also
+    # holds a thin cluster that its pull test decides and a cluster that
+    # takes the Weiszfeld step, and so creeps.  Each cluster gets, to the
+    # last bit, the CenterUpdate it gets alone.
+    rng = np.random.default_rng(0)
+    clusters = [_cluster(rng, kind) for kind in ("blob", "thin", "heavy", "blob", "coincident", "heavy")]
+    searches, tests = [], []
+    real_search, real_pull_tests = location._search, location._pull_tests
+
+    def search(*args):
+        took, first, to = real_search(*args)
+        searches.append((args[7].copy(), first))  # the mask of searching clusters, and the step each one took
+        return took, first, to
+
+    def pull_tests(P, M, sizes, starts, j, snap):
+        tests.append(len(starts))
+        return real_pull_tests(P, M, sizes, starts, j, snap)
+
+    monkeypatch.setattr(location, "_search", search)
+    monkeypatch.setattr(location, "_pull_tests", pull_tests)
+    batch = update_centers_continuous("euclidean", *_batch(clusters))
+    assert any(searching.any() and not searching.all() for searching, _ in searches)
+    assert any((first == 3).any() for _, first in searches)
+    assert tests[0] == 1 and (batch.iterations[1], batch.converged[1]) == (1, True)  # the thin cluster, alone
+    monkeypatch.undo()
+    for r, (points, mass) in enumerate(clusters):
+        alone = update_center_continuous("euclidean", points, mass)
+        assert batch.coords[r].tolist() == alone.coords.tolist()
+        assert (batch.iterations[r], batch.converged[r]) == (alone.iterations, alone.converged)
+
+
 def test_batched_relocation_rejects_an_empty_cluster():
     xy = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     for masses, starts in (([1.0, 1.0, 1.0], [0, 1, 1]), ([1.0, 0.0, 1.0], [0, 1, 2]), ([1.0, 1.0, 1.0], [0, 3])):

@@ -1,5 +1,6 @@
 """Smoke tests: each script under ``scripts/`` runs end to end with tiny flags."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
+RATIO_LINE = r"new/old per pair: median [0-9.]+ q1 [0-9.]+ q3 [0-9.]+ over {pairs} pairs"
 
 
 def run_script(name, *flags, cwd):
@@ -130,7 +132,37 @@ def test_ab_time_alternates_passes_of_two_checkouts(tmp_path, workload):
     for side, line in zip(("old", "new"), lines[1:3]):
         assert re.fullmatch(side + r" seconds per command: median [0-9.]+ q1 [0-9.]+ q3 [0-9.]+", line)
     assert re.fullmatch(r"new faster in [0-3] of 3 passes", lines[3])
-    assert len(lines) == 4
+    assert re.fullmatch(RATIO_LINE.format(pairs=3), lines[4])
+    assert len(lines) == 5
+
+
+def test_ab_time_pairs_each_command_and_alternates_the_side_that_goes_first(tmp_path):
+    spec = importlib.util.spec_from_file_location("ab_time", os.path.join(ROOT, "scripts", "ab_time.py"))
+    ab_time = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_time)
+    calls = []
+    speeds = {"old": 2.0, "new": 1.5}
+
+    def run(side, inst, out):
+        calls.append((side, inst))
+        # The machine slows down from pair to pair; each pair still sees the ratio 0.75.
+        slowdown = 2.0 ** ((len(calls) - 1) // 2 - 3)
+        return speeds[side] * inst * slowdown, 10.0 if side == "new" else None
+
+    results, ratios = ab_time.compare({"old": "old", "new": "new"}, [1.0, 3.0, 2.0], 2, str(tmp_path), run)
+    untimed, timed = calls[:6], calls[6:]
+    assert untimed == [(side, inst) for side in ("old", "new") for inst in (1.0, 3.0, 2.0)]
+    firsts = [timed[i][0] for i in range(0, len(timed), 2)]
+    assert firsts == ["old", "new"] * 3
+    assert [inst for _, inst in timed] == [inst for inst in (1.0, 3.0, 2.0) * 2 for _ in range(2)]
+    assert ratios == [0.75] * 6
+    # Per pass: seconds per command, and the peaks; the timed pairs ran at slowdowns 1, 2, 4, then 8, 16, 32.
+    assert results["old"] == [(2.0 * 15 / 3, []), (2.0 * 120 / 3, [])]
+    assert results["new"] == [(1.5 * 15 / 3, [10.0] * 3), (1.5 * 120 / 3, [10.0] * 3)]
+    lines = ab_time.report(results, ratios)
+    assert lines[2:] == ["new faster in 2 of 2 passes",
+                         "new/old per pair: median 0.7500 q1 0.7500 q3 0.7500 over 6 pairs",
+                         "new VmHWM MB per command: median 10.0 max 10.0"]
 
 
 def test_ab_time_fresh_runs_each_command_as_a_process(tmp_path):
@@ -142,8 +174,9 @@ def test_ab_time_fresh_runs_each_command_as_a_process(tmp_path):
     for side, line in zip(("old", "new"), lines[1:3]):
         assert re.fullmatch(side + r" seconds per command: median [0-9.]+ q1 [0-9.]+ q3 [0-9.]+", line)
     assert re.fullmatch(r"new faster in [0-2] of 2 passes", lines[3])
-    for side, line in zip(("old", "new"), lines[4:6]):
+    assert re.fullmatch(RATIO_LINE.format(pairs=2), lines[4])
+    for side, line in zip(("old", "new"), lines[5:7]):
         median, peak = map(float, re.fullmatch(side + r" VmHWM MB per command: median ([0-9.]+) max ([0-9.]+)",
                                                line).groups())
         assert 20.0 < median <= peak  # above the launcher's own peak: an interpreter with numpy loaded
-    assert len(lines) == 6
+    assert len(lines) == 7

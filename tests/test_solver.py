@@ -2,17 +2,19 @@ import contextlib
 import math
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from capclust import (
-    CenterSpec, Point, Problem, SolverConfig, descend, euclidean, kmeanspp_init,
-    matrix_metric, solve, sqeuclidean, sweep_k, validate_problem,
+    CenterSpec, Point, Problem, SolverConfig, descend, euclidean, kmeanspp_init, manhattan,
+    matrix_metric, solve, sqeuclidean, sweep_k, threshold, validate_problem,
 )
 from capclust import selection, solver
 from capclust.solver import shared_seeding
-from capclust.errors import AllRestartsInfeasible, ShapeMismatch, ValidationError
-from oracles import assert_same_solution
+from capclust.errors import AllRestartsInfeasible, CapclustError, NotEnoughDistinctSites, ShapeMismatch, ValidationError
+from oracles import assert_same_solution, reference_distances, reference_kmeanspp
 
 
 def blob_points(rng, centers, per=20, sigma=0.5, w=None):
@@ -86,27 +88,6 @@ def test_kmeanspp_discrete_snaps_to_distinct_sites():
     assert all(0 <= c < 8 for c in centers)
 
 
-def _reference_discrete_seeds(problem, rng):
-    """Discrete k-means++ seeding with a per-point eligibility loop."""
-    cand = problem.site_costs
-    snap = np.argmin(cand, axis=1)
-    w = problem.effective_weights
-    chosen = [int(f) for f in problem.centers.fixed]
-    best = np.min(cand[:, chosen], axis=1) if chosen else None
-    while len(chosen) < problem.k:
-        eligible = np.array([snap[i] not in chosen for i in range(problem.n)])
-        masses = np.where(eligible, w * best**2 if best is not None else w, 0.0)
-        if masses.sum() <= 0:
-            masses = eligible.astype(float)
-        if masses.sum() > 0:
-            site = int(snap[rng.choice(problem.n, p=masses / masses.sum())])
-        else:
-            site = [h for h in range(cand.shape[1]) if h not in chosen][0]
-        chosen.append(site)
-        best = cand[:, site] if best is None else np.minimum(best, cand[:, site])
-    return np.asarray(chosen)
-
-
 # With the three sites of the n_sites = 3 cases every point snaps to site 0,
 # so once site 0 is taken (by a draw or as a fixed center) every further seed
 # falls back to the lowest unused site.
@@ -123,7 +104,7 @@ def test_kmeanspp_discrete_matches_reference_loop(n_sites, fixed):
         assert (prob.nearest_site == 0).all()
     for seed in range(5):
         got = kmeanspp_init(prob, np.random.default_rng(seed))
-        assert np.array_equal(got, _reference_discrete_seeds(prob, np.random.default_rng(seed)))
+        assert np.array_equal(got, reference_kmeanspp(prob, np.random.default_rng(seed)))
 
 
 def _seeding_problem(case):
@@ -198,28 +179,160 @@ def _choice_draw(rng, masses, eligible):
 
 @pytest.mark.parametrize("n", [1, 325, 1300, 3000])
 def test_draw_matches_generator_choice(n):
-    # Same point and same generator state after it, for weighted, single-point and zero-mass draws.
+    # Same point and same generator state after it, row by row, for weighted,
+    # single-point and zero-mass draws made together, each from its own generator.
     data = np.random.default_rng(n)
-    for trial in range(300):
-        masses = data.exponential(size=n) * (data.random(n) < 0.9) * 10.0 ** data.integers(-5, 5)
-        eligible = data.random(n) < 0.8
-        if trial % 3 == 1:  # one eligible point
-            eligible = np.arange(n) == data.integers(n)
-        elif trial % 3 == 2:  # no mass among the eligible points: a uniform draw
-            masses = np.where(eligible, 0.0, masses)
-        if not eligible.any():
-            eligible[0] = True
-        ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
-        assert solver._draw(ours, masses, eligible) == _choice_draw(theirs, masses, eligible)
-        assert ours.bit_generator.state == theirs.bit_generator.state
-    assert solver._draw(np.random.default_rng(0), np.ones(n), np.zeros(n, dtype=bool)) is None
+    for batch in range(100):
+        masses, eligible = data.exponential(size=(3, n)) * (data.random((3, n)) < 0.9), data.random((3, n)) < 0.8
+        masses *= 10.0 ** data.integers(-5, 5, size=(3, 1))
+        eligible[1] = np.arange(n) == data.integers(n)  # one eligible point
+        masses[2] = np.where(eligible[2], 0.0, masses[2])  # no mass among the eligible points: a uniform draw
+        eligible[~eligible.any(axis=1), 0] = True
+        for rows, every in ((eligible, None), (None, np.ones((3, n), dtype=bool))):  # given, or all eligible
+            ours = [np.random.default_rng([batch, r]) for r in range(3)]
+            theirs = [np.random.default_rng([batch, r]) for r in range(3)]
+            got = solver._draws(ours, masses.copy(), rows).tolist()
+            expect = [_choice_draw(rng, m, e) for rng, m, e in zip(theirs, masses, every if rows is None else rows)]
+            assert got == expect
+            assert [rng.bit_generator.state for rng in ours] == [rng.bit_generator.state for rng in theirs]
+    # A row without an eligible point draws nothing (-1): its generator stays where it was.
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    states = [rng.bit_generator.state for rng in rngs]
+    got = solver._draws(rngs, np.ones((2, n)), np.array([np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]))
+    assert got[0] == -1 and got[1] == _choice_draw(np.random.default_rng(1), np.ones(n), np.ones(n, dtype=bool))
+    assert rngs[0].bit_generator.state == states[0] != rngs[1].bit_generator.state
+
+
+class _Seeded(CapclustError):
+    """Raised in place of a descent: its seeds and starts are what a test reads."""
+
+
+def _oracle_problem(seed, kind, placement, weights, n_fixed, k, far_sites, capacity):
+    """A small validated problem for the seeding oracle; every point has coordinates.
+
+    ``weights`` is "positive", "some-zero" (a few w' = 0), "all-zero" or
+    "stacked" (points on three spots, so that seeds on those spots leave
+    every mass at zero).  With ``far_sites`` the upper half of the candidate
+    sites is far from every point, so that no point snaps to one.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 14))
+    xy = rng.uniform(0, 10, size=(n, 2))
+    if weights == "stacked":
+        xy = rng.uniform(0, 10, size=(3, 2))[rng.integers(0, 3, size=n)]
+    w = rng.uniform(0.5, 2.0, size=n)
+    if weights == "some-zero":
+        w[rng.random(n) < 0.4] = 0.0
+    elif weights == "all-zero":
+        w[:] = 0.0
+    pts = tuple(Point(i, coords=(float(x), float(y)), w=float(w[i])) for i, (x, y) in enumerate(xy))
+    kw = {"capacity": (0.0, float(w.sum()) + 1.0)} if capacity else {"outlier_penalty": float(rng.uniform(1, 20))}
+    if placement == "continuous":
+        fixed = tuple(tuple(map(float, f)) for f in rng.uniform(0, 10, size=(n_fixed, 2)))
+        centers = CenterSpec(k=k, fixed=fixed, release_penalty=1.0)
+        metric = {"sqeuclidean": sqeuclidean(), "euclidean": euclidean(), "manhattan": manhattan()}[kind]
+    else:
+        n_sites = int(rng.integers(max(k, 1), 9))
+        sites = rng.uniform(0, 10, size=(n_sites, 2))
+        if far_sites:
+            sites[n_sites // 2:] += 1000.0
+        fixed = tuple(int(h) for h in rng.permutation(n_sites)[:n_fixed])
+        centers = CenterSpec(k=k, placement="discrete", candidates=sites, fixed=fixed, release_penalty=1.0)
+        metric = {"sqeuclidean": sqeuclidean(), "euclidean": euclidean(), "manhattan": manhattan(),
+                  "threshold": threshold(3.0),
+                  "matrix": matrix_metric(np.sqrt(((xy[:, None] - sites[None]) ** 2).sum(axis=2)).round(1))}[kind]
+    return validate_problem(Problem(points=pts, metric=metric, centers=centers, **kw))
+
+
+@pytest.mark.parametrize("kind, placement", [
+    ("sqeuclidean", "continuous"), ("euclidean", "continuous"), ("manhattan", "continuous"),
+    ("sqeuclidean", "discrete"), ("euclidean", "discrete"), ("manhattan", "discrete"),
+    ("threshold", "discrete"), ("matrix", "discrete"),
+])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), weights=st.sampled_from(["positive", "some-zero", "all-zero", "stacked"]),
+       n_fixed=st.integers(0, 3), spread=st.integers(0, 3), restarts=st.integers(1, 5), group=st.integers(0, 2),
+       far_sites=st.booleans(), capacity=st.booleans())
+def test_solve_and_sweep_seed_as_the_reference_loop(kind, placement, seed, weights, n_fixed, spread, restarts, group,
+                                                    far_sites, capacity):
+    # Every restart of a solve and of a sweep gets the seeds of a plain
+    # one-restart loop from its stream, leaves its generator where that loop
+    # does, and, where the first allocation is the nearest assignment, starts
+    # from each point's nearest seed (ties to the lowest index) and its
+    # distance.  ``group`` > 0 runs the lockstep draws in groups of that many
+    # restarts at the largest k.
+    k_lo = max(1, n_fixed)
+    problem = _oracle_problem(seed, kind, placement, weights, n_fixed, k_lo + spread, far_sites, capacity)
+    ks = list(range(k_lo, problem.k + 1))
+    config = SolverConfig(restarts=restarts, rng_seed=seed % 1000)
+    runs, inits = [], []
+    real_init = solver.kmeanspp_init
+
+    def seeding(problem, rng):
+        inits.append((real_init(problem, rng), rng.bit_generator.state))
+        return inits[-1][0]
+
+    def descending(problem, centers, cfg, *, start):
+        runs.append((problem, centers, start, inits[:]))
+        del inits[:]
+        raise _Seeded("seeded")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "kmeanspp_init", seeding)
+        mp.setattr(solver, "descend", descending)
+        if group:
+            mp.setattr(solver, "_LOCKSTEP_CELLS", group * problem.n * problem.k)
+        for k in ks:
+            with pytest.raises(_Seeded):
+                solve(_with_k(problem, k), config)
+        assert sorted(sweep_k(problem, ks, [0.0], config).errors) == ks
+    assert [run[0].k for run in runs] == ks * 2
+    for prob, centers, starts, seeded in runs:
+        nearest_first = solver._allocates_nearest_labels(prob)
+        assert nearest_first == (not capacity)
+        for r, stream in enumerate(np.random.SeedSequence(config.rng_seed).spawn(restarts)):
+            rng = np.random.default_rng(stream)
+            expect = reference_kmeanspp(prob, rng)
+            assert np.array_equal(seeded[r][0], expect) and np.array_equal(centers[r], expect)
+            assert seeded[r][1] == rng.bit_generator.state
+            if not nearest_first:
+                assert starts[r] is None
+                continue
+            labels, best, _ = starts[r]
+            D = reference_distances(prob, expect)
+            assert np.array_equal(labels, np.argmin(D, axis=1)) and np.array_equal(best, D.min(axis=1))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+def test_seeding_runs_out_of_sites_as_the_reference_loop(shared):
+    # Every point snaps to site 0 or 1 of five, and site 3 is fixed; once
+    # sites 0 and 1 are taken the next seeds are the lowest free sites, and a
+    # sixth center has no site left.  The six-center problem is not
+    # validated, which would refuse k above the number of sites.
+    xy = np.random.default_rng(3).uniform(0, 10, size=(8, 2))
+    sites = np.array([[2.0, 2.0], [8.0, 8.0], [5000.0, 0.0], [6000.0, 0.0], [7000.0, 0.0]])
+    points = tuple(Point(i, coords=tuple(xy[i])) for i in range(8))
+    problem = validate_problem(Problem(points=points, metric=euclidean(),
+                                       centers=CenterSpec(k=5, placement="discrete", candidates=sites, fixed=(3,))))
+    assert set(problem.nearest_site.tolist()) == {0, 1}
+    with shared_seeding(problem) if shared else contextlib.nullcontext():
+        for seed in range(4):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(kmeanspp_init(problem, rng), reference_kmeanspp(problem, ref))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            too_many = replace(problem, centers=replace(problem.centers, k=6))
+            with pytest.raises(NotEnoughDistinctSites) as got:
+                kmeanspp_init(too_many, np.random.default_rng(seed))
+            with pytest.raises(NotEnoughDistinctSites) as expect:
+                reference_kmeanspp(too_many, np.random.default_rng(seed))
+            assert str(got.value) == str(expect.value) == "cannot place 6 centers on 5 sites"
 
 
 @pytest.mark.parametrize("case", ["discrete-fixed", "continuous"])
 def test_sweep_draws_each_restart_seeds_once(monkeypatch, case):
     base, k_max = _seeding_problem(case)
-    draws, real = [], solver._draw
-    monkeypatch.setattr(solver, "_draw", lambda *a: draws.append(1) or real(*a))
+    draws, real = [], solver._draws
+    monkeypatch.setattr(solver, "_draws", lambda rngs, *a: draws.extend(rngs) or real(rngs, *a))
     config = SolverConfig(restarts=3, rng_seed=2)
     report = sweep_k(base, range(base.k, k_max + 1), [0.0], config)
     assert not report.errors
@@ -252,13 +365,15 @@ def test_sweep_removes_the_seeding_cache(monkeypatch):
         sweep_k(base, range(2, 5), [0.0], config)
     assert solver._SEEDING not in base.shared
 
-    # A plain solve seeds without the cache.
+    # A plain solve keeps its own restarts' sequences while it runs, and removes them.
     real_init = solver.kmeanspp_init
     monkeypatch.setattr(solver, "kmeanspp_init",
-                        lambda problem, rng: opened.append(solver._SEEDING in problem.shared) or real_init(problem, rng))
+                        lambda problem, rng: opened.append(len(problem.shared[solver._SEEDING]))
+                        or real_init(problem, rng))
     del opened[:]
     solve(_with_k(base, 4), config)
-    assert opened == [False, False]
+    assert opened == [config.restarts] * config.restarts
+    assert solver._SEEDING not in base.shared
 
 
 def _seeded_start_problem(case):
@@ -442,7 +557,7 @@ def test_descend_ignores_the_seeding_cache(monkeypatch):
 
 
 @pytest.mark.parametrize("in_sweep", [False, True], ids=["solve", "sweep"])
-@pytest.mark.parametrize("placement", ["discrete", "continuous"])
+@pytest.mark.parametrize("placement", ["discrete", "continuous", "capacitated"])
 def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, placement, in_sweep):
     # The benchmark's tracer times kmeanspp_init once per restart and then
     # one descend per solve, which runs every restart, and reads the counts
@@ -450,7 +565,8 @@ def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, pl
     if placement == "discrete":
         base, _ = _seeded_start_problem("integer")
     else:
-        base = continuous_problem(blob_points(np.random.default_rng(45), [(0, 0), (6, 1), (3, 6)], per=10), k=2)
+        points = blob_points(np.random.default_rng(45), [(0, 0), (6, 1), (3, 6)], per=10)
+        base = continuous_problem(points, k=2, capacity=(0.0, 20.0) if placement == "capacitated" else None)
     config = SolverConfig(restarts=3, rng_seed=9)
     calls = []
     real_init, real_descend = solver.kmeanspp_init, solver.descend
@@ -482,8 +598,9 @@ def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, pl
         assert len(args) == 3 and args[0] is problem and args[2] is config
         assert np.array_equal(args[1], np.stack([seeds for *_, seeds in inits]))
         assert list(kwargs) == ["start"] and len(kwargs["start"]) == config.restarts
-        # Only a discrete sweep's descents are handed their draw sequence's start.
-        assert all((start is not None) == (placement == "discrete" and in_sweep) for start in kwargs["start"])
+        # A descent is handed its draw sequence's start exactly when its first allocation is the nearest assignment.
+        assert all((start is not None) == solver._allocates_nearest_labels(problem) for start in kwargs["start"])
+        assert solver._allocates_nearest_labels(problem) == (placement != "capacitated")
         assert got is winners[k]
         assert got.diagnostics["restarts"] == config.restarts
         assert {"iterations", "empty_reseeds"} <= got.diagnostics.keys() and got.diagnostics["iterations"] >= 1
