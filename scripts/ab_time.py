@@ -32,6 +32,10 @@ carries the launcher's own peak (about 9 MB) into that figure across
 ``exec``; a command's peak is above it, so the figure is the command's own
 ``VmHWM``.  The script then also prints each side's median and largest
 peak in MB.
+
+As ``bench/run.py`` does, the script sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 before numpy loads, so
+both sides, in process or ``--fresh``, run on one BLAS thread.
 """
 
 import argparse
@@ -46,7 +50,10 @@ import sys
 import tempfile
 import time
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):  # before numpy, here and in every child
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "bench"))

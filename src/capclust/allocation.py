@@ -49,7 +49,7 @@ import numpy as np
 
 from . import metrics
 from .errors import CapclustError, Infeasible, NoIncumbentWithinBudget, QExceedsK
-from .model import FRACTIONAL, HARD, Assignment, Problem, _entries
+from .model import FRACTIONAL, HARD, Assignment, Problem
 
 # scipy's private HiGHS binding; no other module of capclust reaches it
 _BINDING = "scipy.optimize._highspy._core"
@@ -206,7 +206,7 @@ def allocate_uncapacitated(problem: Problem, centers, *, distances=None) -> Assi
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
     if q_max == 1:  # validation keeps every q_i >= 1, so every q_i is 1
         nearest = np.argmin(D, axis=1)
-        best = _entries(D, np.arange(problem.n), nearest) if problem.has_outlier_column else None
+        best = D[np.arange(problem.n), nearest] if problem.has_outlier_column else None
         return _nearest_assignment(problem, nearest, best)
     y = np.zeros((problem.n, problem.k + (1 if problem.has_outlier_column else 0)))
     _greedy_rows(D, problem, np.arange(problem.n), y)

@@ -154,6 +154,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValidationError(f"--lambda-grid expects comma-separated numbers (got {args.lambda_grid!r})") from None
     problem = _build_problem(args, k=k_lo)
+    # The top of the range, checked before the sweep spends time or memory on the range.
+    validate_problem(dataclasses.replace(problem, centers=dataclasses.replace(problem.centers, k=k_hi)))
     config = _solver_config(args)
     report = sweep_k(problem, range(k_lo, k_hi + 1), lambdas, config)
     os.makedirs(args.out, exist_ok=True)

@@ -140,7 +140,10 @@ def load_points(path) -> PointTable:
     # after a byte that is not UTF-8 the per-cell parser names the first fault, which may come before it
     table = None if fault else _point_table(lines[line:], len(cols))
     if table is None:
-        return _point_cells(rows)
+        points = _point_cells(rows)
+        if not points:
+            raise ParseError("no points in file", line + 1)
+        return points
     w = table["w"]
     gamma = table["gamma"] if len(cols) > 4 else np.zeros_like(w)
     a = table["a"] if len(cols) > 5 else w

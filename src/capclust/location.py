@@ -44,18 +44,6 @@ def weighted_lower_median(values: np.ndarray, masses: np.ndarray) -> float:
     return float(_lower_medians(values, masses, np.zeros(1, dtype=np.intp))[0])
 
 
-def _sizes(starts: np.ndarray, n: int) -> np.ndarray:
-    """Each cluster's number of points, from the clusters' ``starts`` among ``n`` points.
-
-    This is ``np.diff(starts, append=n)`` written out: the same integers at
-    a fraction of its cost per call.
-    """
-    sizes = np.empty_like(starts)
-    sizes[:-1] = starts[1:] - starts[:-1]
-    sizes[-1] = n - starts[-1]
-    return sizes
-
-
 def _lower_medians(values: np.ndarray, masses: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """``weighted_lower_median`` of each cluster.
 
@@ -63,7 +51,7 @@ def _lower_medians(values: np.ndarray, masses: np.ndarray, starts: np.ndarray) -
     of its first value at zero mass, which change neither a row's running
     sums nor the first value at which they reach half the row's mass.
     """
-    sizes = _sizes(starts, len(values))
+    sizes = np.diff(starts, append=len(values))
     seg = np.repeat(np.arange(len(starts)), sizes)
     col = np.arange(len(values)) - starts[seg]
     V = np.repeat(values[starts, None], sizes.max(), axis=1)
@@ -152,7 +140,7 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
     leave the arrays.
     """
     c, N = len(starts), P.shape[1]
-    sizes = _sizes(starts, N)
+    sizes = np.diff(starts, append=N)
     seg = _segments(sizes)
     coords = np.empty((2, c))
     iterations = np.ones(c, dtype=int)
@@ -305,7 +293,7 @@ def update_centers_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, sta
     if not starts.size or starts[0] != 0:
         raise ValueError("cluster starts must begin at point 0")
     # A cluster without points has no mass either.
-    totals = np.add.reduceat(masses, starts) if (_sizes(starts, P.shape[1]) > 0).all() else np.zeros(1)
+    totals = np.add.reduceat(masses, starts) if (np.diff(starts, append=P.shape[1]) > 0).all() else np.zeros(1)
     if not (totals > 0).all():
         raise EmptyCluster("no mass assigned to this center")
     c = len(starts)
@@ -355,7 +343,7 @@ def cluster_costs_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, star
     """Each cluster's cost at its own location, with clusters laid out as for ``update_centers_continuous``."""
     xy = np.asarray(xy, dtype=float)
     starts = np.asarray(starts, dtype=np.intp)
-    diff = xy - np.repeat(np.asarray(locations, dtype=float), _sizes(starts, len(xy)), axis=0)
+    diff = xy - np.repeat(np.asarray(locations, dtype=float), np.diff(starts, append=len(xy)), axis=0)
     if kind == metrics.MANHATTAN:
         np.abs(diff, out=diff)
     else:

@@ -269,11 +269,6 @@ class Problem:
         return _frozen(np.argsort(self.ids, kind="stable"), int)
 
     @_shared
-    def ids_sorted(self) -> bool:
-        """Whether the points already come in id order, so that summing in that order needs no gather."""
-        return bool((self.id_order == np.arange(len(self.id_order))).all())
-
-    @_shared
     def diameter(self) -> float:
         """Diagonal of the points' bounding box (1 without coordinates), the scale of center moves."""
         if self.coords is None or not self.points:
@@ -428,6 +423,8 @@ def validate_problem(problem: Problem) -> Problem:
             raise ShapeMismatch(f"candidate sites of shape {spec.candidates.shape}, expected (s, 2)")
         if not np.isfinite(spec.candidates).all():
             raise ValidationError("candidate sites must be finite")
+    if not problem.n:  # before the point checks, which reduce over the points
+        raise ValidationError("a problem needs at least one point")
     if "points_checked" not in problem.shared:
         _validate_points(problem)
         problem.shared["points_checked"] = True
@@ -473,6 +470,8 @@ def validate_problem(problem: Problem) -> Problem:
             raise ValidationError(f"{n_sites} candidate sites cannot host k={spec.k} centers")
     elif spec.placement != "continuous":
         raise ValidationError(f"unknown placement: {spec.placement!r}")
+    elif spec.k - spec.n_fixed > problem.n:
+        raise ValidationError(f"{problem.n} points cannot seed the {spec.k - spec.n_fixed} free centers of k={spec.k}")
 
     if problem.metric.is_geometric or problem.metric.kind == metrics.THRESHOLD:
         if problem.coords is None:
@@ -602,17 +601,7 @@ def _same_values(given: tuple, normalized: tuple) -> bool:
 
 def _ordered_sum(problem: Problem, per_point: np.ndarray) -> float:
     # Pairwise summation over points sorted by id, for run-to-run determinism.
-    return float(np.sum(per_point if problem.ids_sorted else per_point[problem.id_order]))
-
-
-def _entries(distances: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """``distances[rows, columns]``, by one flat ``take`` when the 2-D array is contiguous in either order."""
-    n, k = distances.shape
-    if distances.flags.c_contiguous:
-        return distances.reshape(-1).take(rows * k + columns)
-    if distances.flags.f_contiguous:
-        return distances.T.reshape(-1).take(columns * n + rows)
-    return distances[rows, columns]
+    return float(np.sum(per_point[problem.id_order]))
 
 
 def point_costs(problem: Problem, assignment: Assignment, distances: np.ndarray) -> np.ndarray:
@@ -627,9 +616,9 @@ def point_costs(problem: Problem, assignment: Assignment, distances: np.ndarray)
         return (w[:, None] * distances * assignment.center_block).sum(axis=1)
     rows = np.arange(len(labels))
     if not assignment.has_outlier:
-        return w * _entries(distances, rows, labels)
+        return w * distances[rows, labels]
     real = labels < assignment.n_centers
-    return np.where(real, w * _entries(distances, rows, np.minimum(labels, assignment.n_centers - 1)), 0.0)
+    return np.where(real, w * distances[rows, np.minimum(labels, assignment.n_centers - 1)], 0.0)
 
 
 def evaluate_parts(

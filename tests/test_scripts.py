@@ -136,7 +136,8 @@ def test_ab_time_alternates_passes_of_two_checkouts(tmp_path, workload):
     assert len(lines) == 5
 
 
-def test_ab_time_pairs_each_command_and_alternates_the_side_that_goes_first(tmp_path):
+def test_ab_time_pairs_each_command_and_alternates_the_side_that_goes_first(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "environ", os.environ.copy())  # loading the script sets its BLAS thread variables
     spec = importlib.util.spec_from_file_location("ab_time", os.path.join(ROOT, "scripts", "ab_time.py"))
     ab_time = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab_time)
@@ -163,6 +164,33 @@ def test_ab_time_pairs_each_command_and_alternates_the_side_that_goes_first(tmp_
     assert lines[2:] == ["new faster in 2 of 2 passes",
                          "new/old per pair: median 0.7500 q1 0.7500 q3 0.7500 over 6 pairs",
                          "new VmHWM MB per command: median 10.0 max 10.0"]
+
+
+# Loads ab_time.py and prints each BLAS thread variable as it stood when numpy was first imported.
+NUMPY_SEES = """
+import importlib.util, os, sys
+VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+seen = []
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.extend(os.environ.get(var) for var in VARS)
+sys.meta_path.insert(0, Watch())
+spec = importlib.util.spec_from_file_location("ab_time", sys.argv[1])
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+print(*seen)
+"""
+
+
+def test_ab_time_runs_one_blas_thread_as_the_benchmark_does(tmp_path):
+    # bench/run.py sets the three variables to 1 before numpy loads; so must
+    # the timing script, whose fresh commands inherit its environment.
+    env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    env.update(PYTHONPATH=os.path.join(ROOT, "src"), OMP_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", NUMPY_SEES, os.path.join(ROOT, "scripts", "ab_time.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 1 1\n"
 
 
 def test_ab_time_fresh_runs_each_command_as_a_process(tmp_path):

@@ -14,7 +14,7 @@ from capclust import (
 from capclust import selection, solver
 from capclust.solver import shared_seeding
 from capclust.errors import AllRestartsInfeasible, CapclustError, NotEnoughDistinctSites, ShapeMismatch, ValidationError
-from oracles import assert_same_solution, reference_distances, reference_kmeanspp
+from oracles import assert_same_solution, reference_distances, reference_kmeanspp, reference_solve
 
 
 def blob_points(rng, centers, per=20, sigma=0.5, w=None):
@@ -217,6 +217,8 @@ def _oracle_problem(seed, kind, placement, weights, n_fixed, k, far_sites, capac
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 14))
+    if placement == "continuous":  # enough points to seed the free centers
+        n = max(n, k - n_fixed)
     xy = rng.uniform(0, 10, size=(n, 2))
     if weights == "stacked":
         xy = rng.uniform(0, 10, size=(3, 2))[rng.integers(0, 3, size=n)]
@@ -257,10 +259,12 @@ def test_solve_and_sweep_seed_as_the_reference_loop(kind, placement, seed, weigh
                                                     far_sites, capacity):
     # Every restart of a solve and of a sweep gets the seeds of a plain
     # one-restart loop from its stream, leaves its generator where that loop
-    # does, and, where the first allocation is the nearest assignment, starts
-    # from each point's nearest seed (ties to the lowest index) and its
-    # distance.  ``group`` > 0 runs the lockstep draws in groups of that many
-    # restarts at the largest k.
+    # does and, under discrete placement where the first allocation is the
+    # nearest assignment, starts from each point's nearest seed (ties to the
+    # lowest index) and its distance; every other restart gets no start, and
+    # an uncapacitated continuous solve still gives the reference's answer.
+    # ``group`` > 0 runs the lockstep draws in groups of that many restarts
+    # at the largest k.
     k_lo = max(1, n_fixed)
     problem = _oracle_problem(seed, kind, placement, weights, n_fixed, k_lo + spread, far_sites, capacity)
     ks = list(range(k_lo, problem.k + 1))
@@ -288,19 +292,20 @@ def test_solve_and_sweep_seed_as_the_reference_loop(kind, placement, seed, weigh
         assert sorted(sweep_k(problem, ks, [0.0], config).errors) == ks
     assert [run[0].k for run in runs] == ks * 2
     for prob, centers, starts, seeded in runs:
-        nearest_first = solver._allocates_nearest_labels(prob)
-        assert nearest_first == (not capacity)
+        assert solver._allocates_nearest_labels(prob) == (not capacity)
         for r, stream in enumerate(np.random.SeedSequence(config.rng_seed).spawn(restarts)):
             rng = np.random.default_rng(stream)
             expect = reference_kmeanspp(prob, rng)
             assert np.array_equal(seeded[r][0], expect) and np.array_equal(centers[r], expect)
             assert seeded[r][1] == rng.bit_generator.state
-            if not nearest_first:
+            if capacity or placement == "continuous":
                 assert starts[r] is None
                 continue
             labels, best, _ = starts[r]
             D = reference_distances(prob, expect)
             assert np.array_equal(labels, np.argmin(D, axis=1)) and np.array_equal(best, D.min(axis=1))
+    if placement == "continuous" and not capacity:
+        assert_same_solution(solve(problem, config), reference_solve(problem, config))
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
@@ -598,9 +603,12 @@ def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, pl
         assert len(args) == 3 and args[0] is problem and args[2] is config
         assert np.array_equal(args[1], np.stack([seeds for *_, seeds in inits]))
         assert list(kwargs) == ["start"] and len(kwargs["start"]) == config.restarts
-        # A descent is handed its draw sequence's start exactly when its first allocation is the nearest assignment.
-        assert all((start is not None) == solver._allocates_nearest_labels(problem) for start in kwargs["start"])
+        # A descent is handed its draw sequence's start exactly when it is
+        # discrete and its first allocation is the nearest assignment.
+        assert all((start is not None) == (placement == "discrete") for start in kwargs["start"])
         assert solver._allocates_nearest_labels(problem) == (placement != "capacitated")
+        if placement == "continuous":  # without a start, still the reference's answer
+            assert_same_solution(got, reference_solve(problem, config))
         assert got is winners[k]
         assert got.diagnostics["restarts"] == config.restarts
         assert {"iterations", "empty_reseeds"} <= got.diagnostics.keys() and got.diagnostics["iterations"] >= 1
