@@ -10,8 +10,7 @@ The objective of a solution decomposes into four additive parts:
 where w'_i = w_i + gamma_i is the preference-corrected weight and t the
 number of released fixed centers.  All types are immutable values after
 construction (a problem's ``shared`` dict only gains read-only values it
-computes on first use, plus a sweep's seeding cache while
-``solver.shared_seeding`` is open); evaluation is pure.
+computes on first use); evaluation is pure.
 """
 
 from __future__ import annotations
@@ -182,13 +181,11 @@ class Problem:
     effective weights, the id order, the coordinates and the point-to-site
     costs in row- and column-major order, each point's nearest site) are
     computed on first use and kept in ``shared``, a dict that also records
-    that the per-point checks passed and, during a solve or a sweep, holds
-    its k-means++ draw sequences (``solver.shared_seeding``), from which
-    ``solve`` hands each descent its start.  A problem made by
-    ``dataclasses.replace`` inherits the dict
-    whenever its points, metric and candidates are the same objects, so a
-    sweep's problems, restarts and consensus document all read the same
-    read-only arrays; otherwise it gets a new one.
+    that the per-point checks passed; it holds nothing else.  A problem
+    made by ``dataclasses.replace`` inherits the dict whenever its points,
+    metric and candidates are the same objects, so a sweep's problems,
+    restarts and consensus document all read the same read-only arrays;
+    otherwise it gets a new one.
     """
 
     points: PointTable

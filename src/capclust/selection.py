@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import CapclustError, NonpositiveVariance, ValidationError
-from .model import Problem, Solution
-from .solver import SolverConfig, shared_seeding, solve
+from .model import Problem, Solution, validate_problem
+from .solver import SolverConfig, _sequences, solve
 
 import math
 
@@ -47,9 +47,10 @@ def sweep_k(
 
     Each k solves a ``dataclasses.replace`` of ``problem``, so every k and
     restart reads the problem's shared per-point arrays and site costs.
-    The loop runs inside ``shared_seeding``: each restart draws its
-    k-means++ seeds once, up to the largest k, and every k takes the first
-    k of them, the seeds a standalone solve would draw.
+    The sweep builds its restarts' k-means++ draw sequences once, from the
+    first k that validates, and hands them to the solve of every k: each
+    restart draws its seeds once, up to the largest k, and every k takes
+    the first k of them, the seeds a standalone solve would draw.
     Per-k solver failures (e.g. an unreachable lower capacity limit at
     large k) are recorded, not fatal.  The consensus k is the one chosen
     by the most penalties; ties go to the smaller k.  Every penalty must
@@ -65,15 +66,18 @@ def sweep_k(
     base: dict[int, float] = {}
     solutions: dict[int, Solution] = {}
     errors: dict[int, str] = {}
-    with shared_seeding(problem):
-        for k in k_values:
-            trial = replace(problem, centers=replace(problem.centers, k=k), opening_penalty=0.0)
-            try:
-                best = solve(trial, config)
-                base[k] = best.objective.total
-                solutions[k] = best
-            except CapclustError as exc:
-                errors[k] = str(exc)
+    sequences = None
+    for k in k_values:
+        trial = replace(problem, centers=replace(problem.centers, k=k), opening_penalty=0.0)
+        try:
+            if sequences is None:
+                trial = validate_problem(trial)
+                sequences = _sequences(trial, config)
+            best = solve(trial, config, sequences=sequences)
+            base[k] = best.objective.total
+            solutions[k] = best
+        except CapclustError as exc:
+            errors[k] = str(exc)
     penalized: dict[float, dict[int, float]] = {}
     argmin_k: dict[float, int] = {}
     for lam in lambda_grid:

@@ -4,9 +4,10 @@ Each restart seeds centers (fixed centers first, the rest by weighted
 k-means++), then alternates the exact allocation step with the location
 step (including release decisions for fixed centers) until the objective
 stalls or the centers stop moving.  A solve seeds its restarts together,
-one draw of every restart per round, and a discrete descent whose first
-allocation is the nearest assignment is handed that assignment and its
-site totals by the draw sequence that seeded it.
+one draw of every restart per round, from draw sequences it builds or a
+sweep hands it, and a discrete descent whose first allocation is the
+nearest assignment is handed that assignment and its site totals by the
+draw sequence that seeded it.
 Restarts draw from counter-spawned RNG streams so the set of restarts is
 independent of execution order, and the best restart by total objective
 wins (totals within 1e-12 relative of the lowest tie, and ties go to the
@@ -17,9 +18,9 @@ pricing, per round.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +37,19 @@ from .location import (
 from .model import Assignment, Problem, Solution, evaluate_parts, point_costs, validate_problem
 
 
+# The most restarts a solve runs: each holds a generator and a draw
+# sequence from the start, and a solve reports nothing until all end.
+MAX_RESTARTS = 10_000
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the multi-restart descent.
 
     ``restarts`` of 50-100 give publication-grade robustness; the default
-    favors interactive runs.  ``time_budget`` is seconds per hard
-    allocation call, not for the whole solve.
+    favors interactive runs, and more than ``MAX_RESTARTS`` (10,000) are
+    refused.  ``time_budget`` is seconds per hard allocation call, not for
+    the whole solve.
     """
 
     restarts: int = 10
@@ -52,8 +59,8 @@ class SolverConfig:
     time_budget: float | None = None
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise ValueError(f"restarts must be between 1 and {MAX_RESTARTS}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
         if self.time_budget is not None and not self.time_budget >= 0:  # inf means no limit
@@ -68,46 +75,6 @@ RESTART_TIE_RTOL = 1e-12
 # continuous descents without a capacity window run in lockstep.  Each
 # descent in a group adds about two (n, k) float arrays to the peak memory.
 _LOCKSTEP_CELLS = 1_000_000
-
-# Key in ``Problem.shared`` of the seeding cache while ``shared_seeding`` is open.
-_SEEDING = "seeding"
-
-
-@contextmanager
-def shared_seeding(problem: Problem):
-    """Let every ``kmeanspp_init`` on problems sharing ``problem.shared`` reuse earlier draws.
-
-    k-means++ draws each seed from a distribution that depends only on the
-    seeds before it, so the seeds for k are the first k seeds for any larger
-    k.  While the block is open, calls that start from the same generator
-    state, placement and fixed centers continue one draw sequence instead of
-    drawing it again: a sweep draws each restart's seeds once, up to its
-    largest k.  ``solve`` opens the block for its own length (inside a
-    sweep's block this is a no-op) and draws its restarts' sequences there
-    together.  A discrete sequence drawn for a problem whose first
-    allocation is the nearest assignment (no capacity window, hard
-    membership, every q_i = 1) also keeps that assignment's labels and site
-    totals, which ``solve`` hands to the descent of such a problem at the
-    sequence's length.  The cache goes when the outermost block exits.
-    """
-    if _SEEDING in problem.shared:
-        yield
-        return
-    problem.shared[_SEEDING] = {}
-    try:
-        yield
-    finally:
-        del problem.shared[_SEEDING]
-
-
-def _hashable(value):
-    """A hashable copy of a generator state or an array, equal exactly when the values are."""
-    if isinstance(value, dict):
-        return tuple((key, _hashable(v)) for key, v in sorted(value.items()))
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    return value
-
 
 def _draws(rngs: list, masses: np.ndarray, eligible: np.ndarray | None) -> np.ndarray:
     """One point per row of the (R, n) ``masses``, drawn in proportion to its mass among the eligible ones.
@@ -139,33 +106,34 @@ def _draws(rngs: list, masses: np.ndarray, eligible: np.ndarray | None) -> np.nd
 
 
 class _Seeds:
-    """One k-means++ draw sequence, extended on demand by ``_advance``.
+    """One k-means++ draw sequence, drawn from its own generator ``rng`` and extended on demand by ``_advance``.
 
-    ``chosen`` holds the fixed centers, then the drawn seeds in order;
-    ``states[j]`` is the generator state once the first j draws are made,
-    and ``best`` each point's distance to its nearest seed so far.
+    ``chosen`` holds the fixed centers, then the drawn seeds in order, and
+    ``best`` each point's distance to its nearest seed so far.  Each seed
+    is drawn from a distribution that depends only on the seeds before it,
+    so the seeds for k are the first k seeds for any larger k (``first``):
+    a sweep draws each restart's sequence once, up to its largest k.
 
-    With ``track`` (a sequence in the ``shared_seeding`` cache whose
-    descents start from the nearest assignment) a discrete sequence also
-    keeps ``labels``, the index in ``chosen`` of each point's nearest seed
-    (a later seed takes a point only when it is strictly closer, so ties
-    stay with the lowest index, as in ``np.argmin``), and the site totals
-    of that assignment, T[j, h] = sum over labels_i = j of w'_i S[i, h]:
-    the first seeds (the fixed ones, or else the first draw) start them
-    with one product, and each later draw adds the rows of S of only the
-    points with w' > 0 that switched to it (``add_mass_change``).  ``start``
-    hands them to a descent.  A continuous sequence keeps none: the
-    allocation they would spare a descent costs about what keeping them
-    does (``euclid-outlier`` ran at a per-pair time ratio of 0.998 without
-    them).
+    With ``track`` (a sequence whose descents start from the nearest
+    assignment) a discrete sequence also keeps ``labels``, the index in
+    ``chosen`` of each point's nearest seed (a later seed takes a point only
+    when it is strictly closer, so ties stay with the lowest index, as in
+    ``np.argmin``), and the site totals of that assignment, T[j, h] = sum
+    over labels_i = j of w'_i S[i, h]: the first seeds (the fixed ones, or
+    else the first draw) start them with one product, and each later draw
+    adds the rows of S of only the points with w' > 0 that switched to it
+    (``add_mass_change``).  ``start`` hands them to a descent: against a
+    copy that hands none, ``matrix-sweep`` ran at a per-pair time ratio of
+    0.768 (faster in 20 of 20 pairs).  A continuous sequence keeps none: the allocation they would spare a
+    descent costs about what keeping them does (``euclid-outlier`` ran at
+    a per-pair time ratio of 0.998 without them).
     """
 
     def __init__(self, problem: Problem, rng: np.random.Generator, track: bool = False):
         spec = problem.centers
         self.problem = problem
+        self.rng = rng
         self.discrete = spec.placement == "discrete"
-        self.n_fixed = spec.n_fixed
-        self.states = [rng.bit_generator.state]
         self.best = None
         self.labels = None
         self.track = track and self.discrete
@@ -183,11 +151,10 @@ class _Seeds:
             if self.track:
                 self._track_from(np.argmin(D, axis=0))
 
-    def first(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        """The first k seeds; ``rng`` is left where the last of their draws left it."""
+    def first(self, k: int) -> np.ndarray:
+        """The first k seeds, drawing the sequence on to k when it is shorter."""
         if len(self.chosen) < k:
-            _advance([self], k, [rng])
-        rng.bit_generator.state = self.states[k - self.n_fixed]
+            _advance([self], k)
         if self.discrete:
             return np.asarray(self.chosen[:k], dtype=int)
         return np.vstack(self.chosen[:k])
@@ -223,30 +190,27 @@ class _Seeds:
         add_mass_change(self._totals[:c], self.problem.site_costs, change, switched[points])
 
 
-def _advance(sequences: list[_Seeds], k: int, rngs: list) -> None:
+def _advance(sequences: list[_Seeds], k: int) -> None:
     """Bring each draw sequence of one problem to k seeds, all of them together, one seed per round.
 
-    Sequence r draws from ``rngs[r]``, first set to the state of its last
-    draw.  A round takes the sequences short of k seeds: one (R, n) pass
-    gives their masses w'_i * D(x_i)^2 (plain w' before a first seed) and
-    one more their inverse CDFs (``_draws``), each draws from its own
-    generator, and one distance call (or one gather of site-cost columns)
+    A round takes the sequences short of k seeds: one (R, n) pass gives
+    their masses w'_i * D(x_i)^2 (plain w' before a first seed) and one
+    more their inverse CDFs (``_draws``), each draws from the generator it
+    owns, and one distance call (or one gather of site-cost columns)
     gives the new seeds' distances.  So each sequence gets the seeds,
-    generator states, nearest-seed distances and labels it would get
-    alone.  Under discrete placement a draw snaps to its point's nearest
-    site, a point whose site is taken is not eligible, and a sequence
-    without an eligible point takes the lowest unused site without a draw,
-    or raises ``NotEnoughDistinctSites`` when none is left.
+    generator state, nearest-seed distances and labels it would get alone.
+    Under discrete placement a draw snaps to its point's nearest site, a
+    point whose site is taken is not eligible, and a sequence without an
+    eligible point takes the lowest unused site without a draw, or raises
+    ``NotEnoughDistinctSites`` when none is left.
     """
     problem = sequences[0].problem
     n, w, discrete = problem.n, problem.effective_weights, sequences[0].discrete
-    for seq, rng in zip(sequences, rngs):
-        rng.bit_generator.state = seq.states[-1]
-    group = [(seq, rng) for seq, rng in zip(sequences, rngs) if len(seq.chosen) < k]
-    while group:
+    seqs = [seq for seq in sequences if len(seq.chosen) < k]
+    while seqs:
         # One row per sequence, until one of them holds k seeds; each round
         # leaves every sequence's best and labels views of its rows.
-        seqs, gens = [seq for seq, _ in group], [rng for _, rng in group]
+        gens = [seq.rng for seq in seqs]
         best = np.stack([np.ones(n) if seq.best is None else seq.best for seq in seqs])  # ones: masses w'
         fresh = [i for i, seq in enumerate(seqs) if seq.best is None]
         tracked = [i for i, seq in enumerate(seqs) if seq.track]
@@ -276,9 +240,8 @@ def _advance(sequences: list[_Seeds], k: int, rngs: list) -> None:
             best[fresh] = np.inf
             switched = d < best
             best = np.minimum(best, d)
-            for i, (seq, rng) in enumerate(group):
+            for i, seq in enumerate(seqs):
                 seq.chosen.append(int(new[i]) if discrete else new[i])
-                seq.states.append(rng.bit_generator.state)
                 seq.best = best[i]
             if discrete:
                 taken[np.arange(len(seqs)), new] = True
@@ -294,7 +257,7 @@ def _advance(sequences: list[_Seeds], k: int, rngs: list) -> None:
                     else:
                         seqs[i].labels = row
             fresh = []
-        group = [(seq, rng) for seq, rng in group if len(seq.chosen) < k]
+        seqs = [seq for seq in seqs if len(seq.chosen) < k]
 
 
 def kmeanspp_init(problem: Problem, rng: np.random.Generator):
@@ -303,32 +266,13 @@ def kmeanspp_init(problem: Problem, rng: np.random.Generator):
     Free seeds are drawn from the data with probability proportional to
     w'_i * D(x_i)^2 where D is the configured metric's distance to the
     nearest center chosen so far (plain w' for the very first draw).  In
-    discrete placement each draw snaps to its nearest candidate site and
-    occupied sites are redrawn.
-
-    Inside ``shared_seeding`` a call continues the draw sequence an earlier
-    call started from the same generator state, placement and fixed
-    centers: it returns that sequence's first k seeds and leaves ``rng``
-    exactly as a fresh call would.  ``solve`` draws its restarts'
-    sequences there beforehand, in lockstep (``_advance``), so its calls
-    only read them.  There a discrete sequence also keeps the nearest-seed
-    labels and site totals that ``solve`` hands to ``descend``
-    (``_Seeds``); outside the block nothing could take them, so none are
-    kept, and the call draws one sequence by the same path.
+    discrete placement each draw snaps to its nearest candidate site, and a
+    point whose site is occupied is not drawn.  ``rng`` is left where the
+    last draw left it.  This is one restart's draw sequence (``_Seeds``),
+    drawn by the path by which ``solve`` draws all of its restarts'
+    sequences together.
     """
-    cache = problem.shared.get(_SEEDING)
-    if cache is None:
-        return _Seeds(problem, rng).first(problem.k, rng)
-    key = _seeding_key(problem, rng)
-    if key not in cache:
-        cache[key] = _Seeds(problem, rng, track=_allocates_nearest_labels(problem))
-    return cache[key].first(problem.k, rng)
-
-
-def _seeding_key(problem: Problem, rng: np.random.Generator) -> tuple:
-    """The key in the seeding cache of the draw sequence a ``kmeanspp_init`` call from ``rng`` continues."""
-    spec = problem.centers
-    return spec.placement, _hashable(np.asarray(spec.fixed, dtype=float)), _hashable(rng.bit_generator.state)
+    return _Seeds(problem, rng).first(problem.k)
 
 
 def _reseed(problem: Problem, contrib: np.ndarray, centers: np.ndarray, emptied: list[int]) -> None:
@@ -475,10 +419,11 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     only the points whose mass changed since it last did, so the sums agree
     with a fresh product to rounding only.  They start from zero, and the
     first step takes in every point, unless the descent is handed a start.
-    ``solve`` hands one (``start``, private; ``_Seeds.start``) to every
-    discrete descent of a problem whose first allocation is the nearest
-    assignment: each point's nearest initial center (ties to the lowest
-    index), its distance to it and the site totals of that assignment.  The
+    ``solve`` hands one (``start``, private), kept by the draw sequence
+    that seeded the descent (``_Seeds.start``), to every discrete descent
+    of a problem whose first allocation is the nearest assignment: each
+    point's nearest initial center (ties to the lowest index), its
+    distance to it and the site totals of that assignment.  The
     descent then makes no first ``allocate`` call, and its first step takes
     in only the points sent to the outlier column.  Under continuous
     placement the moving clusters' points with positive mass go, cluster
@@ -779,47 +724,62 @@ def _best_restart(outcomes, restarts: int) -> Solution:
     """The winner of ``restarts`` restarts by the rule of ``descend``, from their ``(index, outcome)`` in any order.
 
     The restarts within the tie rule of the lowest total so far are the
-    only Solutions kept: the rule's bound only falls as the lowest does.
+    only Solutions kept, in a heap with the highest total on top: the
+    rule's bound only falls as the lowest does, so each one is pushed once
+    and popped at most once.
     """
-    tied: list[tuple[int, Solution]] = []
+    tied: list[tuple[float, int, Solution]] = []  # (-total, index, Solution)
+    lowest = math.inf
     objectives = [math.nan] * restarts
     failed: dict[int, str] = {}
     for r, outcome in outcomes:
         if not isinstance(outcome, Solution):
             failed[r] = f"restart {r}: {outcome}"
             continue
-        objectives[r] = outcome.objective.total
-        tied.append((r, outcome))
-        lowest = min(solution.objective.total for _, solution in tied)
-        tied = [(i, solution) for i, solution in tied
-                if solution.objective.total <= lowest + RESTART_TIE_RTOL * abs(lowest)]
+        total = objectives[r] = outcome.objective.total
+        lowest = min(lowest, total)
+        heapq.heappush(tied, (-total, r, outcome))
+        while -tied[0][0] > lowest + RESTART_TIE_RTOL * abs(lowest):
+            heapq.heappop(tied)
     failures = [failed[r] for r in sorted(failed)]
     if not tied:
         raise AllRestartsInfeasible("; ".join(failures))
-    r, best = min(tied, key=lambda pair: pair[0])
+    _, r, best = min(tied, key=lambda entry: entry[1])
     best.diagnostics.update(best_restart=r, restarts=restarts, restart_objectives=objectives,
                             restart_failures=failures)
     return best
 
 
-def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
+def _sequences(problem: Problem, config: SolverConfig) -> list[_Seeds]:
+    """One k-means++ draw sequence per restart of a validated ``problem``, none of them drawn yet.
+
+    Sequence r draws from the r-th stream spawned from ``config.rng_seed``.
+    Under discrete placement, where the first allocation is the nearest
+    assignment, each one tracks its labels and site totals (``_Seeds``).
+    """
+    track = _allocates_nearest_labels(problem)
+    streams = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
+    return [_Seeds(problem, np.random.default_rng(stream), track) for stream in streams]
+
+
+def solve(problem: Problem, config: SolverConfig = SolverConfig(), *, sequences=None) -> Solution:
     """Best of ``config.restarts`` independent k-means++ descents.
 
     Restart r seeds from the r-th stream spawned from ``config.rng_seed``,
-    whatever k is, so inside ``shared_seeding`` a sweep's solves of one
-    problem take each restart's seeds from a single draw sequence.  The
-    solve keeps its restarts' sequences in that cache while it runs (its
-    own ``shared_seeding`` block, a no-op inside a sweep's) and draws them
-    to k together (``_advance``), in groups of as many restarts as keep
-    restarts x n x k at most ``_LOCKSTEP_CELLS``.  Every restart then calls
-    ``kmeanspp_init``, which reads its seeds from its sequence; under
-    discrete placement, where the first allocation is the nearest
-    assignment, the sequence also gives the restart its ``start``, and every
-    other restart gets None.  Then one ``descend`` call runs every restart,
-    in lockstep groups, and returns the winner by its restart rule (totals
-    within ``RESTART_TIE_RTOL``, 1e-12, relative of the lowest tie, and the
-    lowest restart index among them wins, so a change to the order of
+    whatever k is: its seeds are the first k of one draw sequence
+    (``_Seeds``).  The solve builds its restarts' sequences, or takes a
+    sweep's (``sequences``, private; ``sweep_k`` hands the same ones to
+    every k of one problem, so each is drawn once, up to the largest k),
+    and draws them to k together (``_advance``), in groups of as many
+    restarts as keep restarts x n x k at most ``_LOCKSTEP_CELLS``.  Then
+    one ``descend`` call runs every restart from its first k seeds, in
+    lockstep groups, and returns the winner by its restart rule (totals
+    within ``RESTART_TIE_RTOL``, 1e-12, relative of the lowest tie, and
+    the lowest restart index among them wins, so a change to the order of
     floating-point sums leaves the winner, and its center labels, alone).
+    Under discrete placement, where the first allocation is the nearest
+    assignment, each sequence also hands its descent a ``start``; every
+    other descent gets None.
 
     A capacitated problem gets one allocation model (``lp_model``), which
     every descent restarts, so each descent's first LP solves as on a new
@@ -828,25 +788,14 @@ def solve(problem: Problem, config: SolverConfig = SolverConfig()) -> Solution:
     """
     problem = validate_problem(problem)
     t0 = time.monotonic()
-    k, track = problem.k, _allocates_nearest_labels(problem)
-    with shared_seeding(problem):
-        cache = problem.shared[_SEEDING]
-        streams = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
-        rngs = [np.random.default_rng(stream) for stream in streams]
-        sequences = []
-        for rng in rngs:
-            key = _seeding_key(problem, rng)
-            if key not in cache:
-                cache[key] = _Seeds(problem, rng, track)
-            sequences.append(cache[key])
-        size = max(1, _LOCKSTEP_CELLS // (problem.n * k))
-        for group in range(0, len(sequences), size):
-            _advance(sequences[group:group + size], k, rngs[group:group + size])
-        seeds, starts = [], []
-        for seq, rng in zip(sequences, rngs):
-            rng.bit_generator.state = seq.states[0]
-            seeds.append(kmeanspp_init(problem, rng))  # reads the sequence just drawn
-            starts.append(seq.start(k) if track else None)
-        best = descend(problem, np.stack(seeds), config, start=starts)
+    k = problem.k
+    if sequences is None:
+        sequences = _sequences(problem, config)
+    size = max(1, _LOCKSTEP_CELLS // (problem.n * k))
+    for group in range(0, len(sequences), size):
+        _advance(sequences[group:group + size], k)
+    track = _allocates_nearest_labels(problem)
+    starts = [seq.start(k) if track else None for seq in sequences]
+    best = descend(problem, np.stack([seq.first(k) for seq in sequences]), config, start=starts)
     best.diagnostics["wall_time_s"] = time.monotonic() - t0
     return best

@@ -154,6 +154,7 @@ def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
     (["solve", "--k", "1", "--metric", "threshold:abc"], None, 1),
     (["sweep", "--k-range", "1..2", "--lambda-grid", "a"], None, 1),
     (["solve", "--k", "1", "--restarts", "0"], None, 1),
+    (["solve", "--k", "1", "--restarts", "10001"], None, 1),
     (["solve", "--k", "1", "--seed", "-1"], None, 1),
     (["solve", "--k", "1", "--config", "JSON"], '{"restarts": "x"}', 1),
     (["solve", "--k", "1", "--config", "JSON"], '{"capacity": [1]}', 1),
@@ -184,7 +185,7 @@ def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
      "id,x,y,w\n\n  \n", 3),
     (["solve", "--k", "3", "--restarts", "1"], None, 1),
     (["sweep", "--k-range", "1..3", "--lambda-grid", "0", "--restarts", "1"], None, 1),
-], ids=["threshold-radius", "lambda-grid", "restarts-zero", "negative-seed", "config-restarts",
+], ids=["threshold-radius", "lambda-grid", "restarts-zero", "restarts-too-many", "negative-seed", "config-restarts",
         "config-capacity", "spec-unknown-key", "missing-input", "config-array", "config-syntax",
         "spec-nan-weight", "spec-infinite-weight", "spec-infinite-scale", "spec-nan-grid",
         "spec-negative-weight", "spec-negative-grid", "negative-time-budget", "nan-time-budget",

@@ -22,7 +22,6 @@ from capclust import (
     matrix_metric, solve, solver, sqeuclidean, sweep_k, threshold, validate_problem,
 )
 from capclust.errors import CapclustError
-from capclust.solver import shared_seeding
 from oracles import assert_same_solution, reference_descend, reference_lloyd, reference_solve
 
 GEOMETRIC = {"sqeuclidean": sqeuclidean, "manhattan": manhattan, "euclidean": euclidean}
@@ -200,9 +199,9 @@ def test_a_lockstep_group_prices_each_location_call_in_two_calls_at_most(monkeyp
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(problems(capacitated=True, kinds=("matrix", "sqeuclidean"), min_k=2), st.integers(0, 100))
 def test_capacitated_solves_and_solves_in_a_sweep_block_match_the_reference(drawn, rng_seed):
-    # An uncapacitated sweep tracks each restart's nearest-seed labels.  A
-    # capacitated solve on the same shared data continues those draw
-    # sequences, and a solve at a smaller k finds sequences longer than k;
+    # An uncapacitated sweep's draw sequences track each restart's
+    # nearest-seed labels.  A capacitated solve handed those sequences
+    # continues them, and a solve at a smaller k finds them longer than k;
     # neither may start from the tracked labels, and a descent never does.
     free = validate_problem(replace(drawn, capacity=None, membership="hard",
                                     points=tuple(replace(p, q=1) for p in drawn.points)))
@@ -213,9 +212,12 @@ def test_capacitated_solves_and_solves_in_a_sweep_block_match_the_reference(draw
     expect = [_outcome(lambda: reference_solve(p, config)) for p in (drawn, capped, smaller)]
     expect.append(reference_descend(free, sites, config))
     got = [_outcome(lambda: solve(drawn, config))]
-    with shared_seeding(free):
-        sweep_k(free, range(free.k, free.k + 2), [0.0], config)
-        got += [_outcome(lambda: solve(p, config)) for p in (capped, smaller)] + [descend(free, sites, config)]
+    sequences = solver._sequences(free, config)
+    for k in (free.k, free.k + 1):  # the solves of a sweep over these two k
+        _outcome(lambda: solve(_with_k(free, k), config, sequences=sequences))
+    assert all(seq.track == (free.centers.placement == "discrete") for seq in sequences)
+    got += [_outcome(lambda: solve(p, config, sequences=sequences)) for p in (capped, smaller)]
+    got.append(descend(free, sites, config))
     for outcome, expected, rtol in zip(got, expect, (1e-12, 1e-12, 0, 0)):
         _compare(outcome, expected, rtol)
 

@@ -138,14 +138,18 @@ def test_sweep_shares_k_independent_data_and_matches_standalone_solves(monkeypat
     cost_calls, trials = [], []
     real_costs, real_solve = metrics.candidate_distances, selection.solve
     monkeypatch.setattr(metrics, "candidate_distances", lambda *a: cost_calls.append(a) or real_costs(*a))
-    monkeypatch.setattr(selection, "solve", lambda p, c: trials.append(p) or real_solve(p, c))
+    monkeypatch.setattr(selection, "solve", lambda p, c, **kw: trials.append((p, kw)) or real_solve(p, c, **kw))
     report = sweep_k(problem, range(2, 7), [0.0, 50.0], config)
     monkeypatch.undo()
 
     discrete = sites_metric != "continuous"
     assert len(cost_calls) == discrete
-    assert [t.k for t in trials] == [2, 3, 4, 5, 6]
-    for trial in trials:
+    assert [t.k for t, _ in trials] == [2, 3, 4, 5, 6]
+    # Every k is handed the same draw sequences, one per restart.
+    sequences = trials[0][1]["sequences"]
+    assert len(sequences) == config.restarts
+    for trial, kw in trials:
+        assert list(kw) == ["sequences"] and kw["sequences"] is sequences
         assert trial.shared is problem.shared
         assert not discrete or trial.site_costs is problem.site_costs
         assert trial.effective_weights is problem.effective_weights and trial.id_order is problem.id_order

@@ -1,4 +1,3 @@
-import contextlib
 import math
 from dataclasses import replace
 
@@ -12,7 +11,6 @@ from capclust import (
     matrix_metric, solve, sqeuclidean, sweep_k, threshold, validate_problem,
 )
 from capclust import selection, solver
-from capclust.solver import shared_seeding
 from capclust.errors import AllRestartsInfeasible, CapclustError, NotEnoughDistinctSites, ShapeMismatch, ValidationError
 from oracles import assert_same_solution, reference_distances, reference_kmeanspp, reference_solve
 
@@ -43,6 +41,13 @@ def test_negative_or_nan_time_budget_rejected(budget):
 @pytest.mark.parametrize("budget", [None, 0.0, 2.5, math.inf])
 def test_zero_and_infinite_time_budgets_accepted(budget):
     assert SolverConfig(time_budget=budget).time_budget == budget
+
+
+def test_restart_counts_above_10000_rejected():
+    for restarts in (10_001, 100_000_000, 0):
+        with pytest.raises(ValueError, match="restarts must be between 1 and 10000"):
+            SolverConfig(restarts=restarts)
+    assert SolverConfig(restarts=1).restarts == 1 and SolverConfig(restarts=10_000).restarts == 10_000
 
 
 def test_kmeanspp_all_points_become_centers_when_k_equals_n():
@@ -146,27 +151,25 @@ def test_kmeanspp_seeds_for_k_are_the_first_k_of_a_larger_k(case, shared):
         for k in ks:
             assert np.array_equal(fresh[seed, k][0], fresh[seed, k_max][0][:k])
 
+    # "fresh" draws every k from a new generator; "shared" draws one sequence
+    # per seed, both in lockstep, and reads every k from it in any order.
     order = [k_max - 1, base.k, k_max, base.k + 1, k_max, k_max - 1]
-    with shared_seeding(base) if shared else contextlib.nullcontext():
-        for k in order:
-            for seed in (0, 1):
+    sequences = [solver._Seeds(base, np.random.default_rng(seed)) for seed in (0, 1)]
+    longest = 0
+    for k in order:
+        if shared:
+            solver._advance(sequences, k)
+            longest = max(longest, k)
+        for seed in (0, 1):
+            if shared:
+                seq = sequences[seed]
+                assert np.array_equal(seq.first(k), fresh[seed, k][0])
+                # The generator stays where the longest draw left it.
+                assert seq.rng.bit_generator.state == fresh[seed, longest][1]
+            else:
                 rng = np.random.default_rng(seed)
                 assert np.array_equal(kmeanspp_init(_with_k(base, k), rng), fresh[seed, k][0])
                 assert rng.bit_generator.state == fresh[seed, k][1]
-        # One draw sequence per starting state.
-        assert len(base.shared.get(solver._SEEDING, ())) == (2 if shared else 0)
-    assert solver._SEEDING not in base.shared
-
-
-def test_shared_seeding_keeps_other_fixed_centers_apart():
-    base, _ = _seeding_problem("discrete-fixed")
-    other = validate_problem(replace(base, centers=replace(base.centers, fixed=(1, 5), k=5)))
-    assert other.shared is base.shared
-    expect = kmeanspp_init(other, np.random.default_rng(0))
-    with shared_seeding(base):
-        kmeanspp_init(_with_k(base, 5), np.random.default_rng(0))
-        assert np.array_equal(kmeanspp_init(other, np.random.default_rng(0)), expect)
-        assert len(base.shared[solver._SEEDING]) == 2
 
 
 def _choice_draw(rng, masses, eligible):
@@ -269,20 +272,20 @@ def test_solve_and_sweep_seed_as_the_reference_loop(kind, placement, seed, weigh
     problem = _oracle_problem(seed, kind, placement, weights, n_fixed, k_lo + spread, far_sites, capacity)
     ks = list(range(k_lo, problem.k + 1))
     config = SolverConfig(restarts=restarts, rng_seed=seed % 1000)
-    runs, inits = [], []
-    real_init = solver.kmeanspp_init
+    runs, built = [], []
+    real_sequences = solver._sequences
 
-    def seeding(problem, rng):
-        inits.append((real_init(problem, rng), rng.bit_generator.state))
-        return inits[-1][0]
+    def sequencing(problem, cfg):
+        built.append(real_sequences(problem, cfg))
+        return built[-1]
 
     def descending(problem, centers, cfg, *, start):
-        runs.append((problem, centers, start, inits[:]))
-        del inits[:]
+        runs.append((problem, centers, start, [seq.rng.bit_generator.state for seq in built[-1]]))
         raise _Seeded("seeded")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "kmeanspp_init", seeding)
+        mp.setattr(solver, "_sequences", sequencing)
+        mp.setattr(selection, "_sequences", sequencing)
         mp.setattr(solver, "descend", descending)
         if group:
             mp.setattr(solver, "_LOCKSTEP_CELLS", group * problem.n * problem.k)
@@ -290,14 +293,15 @@ def test_solve_and_sweep_seed_as_the_reference_loop(kind, placement, seed, weigh
             with pytest.raises(_Seeded):
                 solve(_with_k(problem, k), config)
         assert sorted(sweep_k(problem, ks, [0.0], config).errors) == ks
+    assert len(built) == len(ks) + 1  # one set per solve, and one for the whole sweep
     assert [run[0].k for run in runs] == ks * 2
-    for prob, centers, starts, seeded in runs:
+    for prob, centers, starts, states in runs:
         assert solver._allocates_nearest_labels(prob) == (not capacity)
         for r, stream in enumerate(np.random.SeedSequence(config.rng_seed).spawn(restarts)):
             rng = np.random.default_rng(stream)
             expect = reference_kmeanspp(prob, rng)
-            assert np.array_equal(seeded[r][0], expect) and np.array_equal(centers[r], expect)
-            assert seeded[r][1] == rng.bit_generator.state
+            assert np.array_equal(centers[r], expect)
+            assert states[r] == rng.bit_generator.state
             if capacity or placement == "continuous":
                 assert starts[r] is None
                 continue
@@ -319,18 +323,20 @@ def test_seeding_runs_out_of_sites_as_the_reference_loop(shared):
     points = tuple(Point(i, coords=tuple(xy[i])) for i in range(8))
     problem = validate_problem(Problem(points=points, metric=euclidean(),
                                        centers=CenterSpec(k=5, placement="discrete", candidates=sites, fixed=(3,))))
+    # "shared" draws the six centers on from the five-center sequence.
     assert set(problem.nearest_site.tolist()) == {0, 1}
-    with shared_seeding(problem) if shared else contextlib.nullcontext():
-        for seed in range(4):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(kmeanspp_init(problem, rng), reference_kmeanspp(problem, ref))
-            assert rng.bit_generator.state == ref.bit_generator.state
-            too_many = replace(problem, centers=replace(problem.centers, k=6))
-            with pytest.raises(NotEnoughDistinctSites) as got:
-                kmeanspp_init(too_many, np.random.default_rng(seed))
-            with pytest.raises(NotEnoughDistinctSites) as expect:
-                reference_kmeanspp(too_many, np.random.default_rng(seed))
-            assert str(got.value) == str(expect.value) == "cannot place 6 centers on 5 sites"
+    for seed in range(4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        seq = solver._Seeds(problem, rng)
+        assert np.array_equal(seq.first(5) if shared else kmeanspp_init(problem, rng),
+                              reference_kmeanspp(problem, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        too_many = replace(problem, centers=replace(problem.centers, k=6))
+        with pytest.raises(NotEnoughDistinctSites) as got:
+            seq.first(6) if shared else kmeanspp_init(too_many, np.random.default_rng(seed))
+        with pytest.raises(NotEnoughDistinctSites) as expect:
+            reference_kmeanspp(too_many, np.random.default_rng(seed))
+        assert str(got.value) == str(expect.value) == "cannot place 6 centers on 5 sites"
 
 
 @pytest.mark.parametrize("case", ["discrete-fixed", "continuous"])
@@ -342,43 +348,6 @@ def test_sweep_draws_each_restart_seeds_once(monkeypatch, case):
     report = sweep_k(base, range(base.k, k_max + 1), [0.0], config)
     assert not report.errors
     assert 0 < len(draws) <= config.restarts * (k_max - base.centers.n_fixed)
-
-
-def test_sweep_removes_the_seeding_cache(monkeypatch):
-    base, _ = _seeding_problem("discrete")
-    config = SolverConfig(restarts=2, rng_seed=0)
-    real = selection.solve
-    opened = []
-
-    def spy(problem, cfg):
-        opened.append(solver._SEEDING in problem.shared)
-        return real(problem, cfg)
-
-    monkeypatch.setattr(selection, "solve", spy)
-    report = sweep_k(base, range(10, 14), [0.0], config)  # 13 centers do not fit on 12 sites
-    assert sorted(report.errors) == [13] and sorted(report.solutions) == [10, 11, 12]
-    assert opened == [True] * 4
-    assert solver._SEEDING not in base.shared
-
-    def fail_at_k3(problem, cfg):
-        if problem.k == 3:
-            raise RuntimeError("stop")
-        return real(problem, cfg)
-
-    monkeypatch.setattr(selection, "solve", fail_at_k3)
-    with pytest.raises(RuntimeError, match="stop"):
-        sweep_k(base, range(2, 5), [0.0], config)
-    assert solver._SEEDING not in base.shared
-
-    # A plain solve keeps its own restarts' sequences while it runs, and removes them.
-    real_init = solver.kmeanspp_init
-    monkeypatch.setattr(solver, "kmeanspp_init",
-                        lambda problem, rng: opened.append(len(problem.shared[solver._SEEDING]))
-                        or real_init(problem, rng))
-    del opened[:]
-    solve(_with_k(base, 4), config)
-    assert opened == [config.restarts] * config.restarts
-    assert solver._SEEDING not in base.shared
 
 
 def _seeded_start_problem(case):
@@ -419,25 +388,26 @@ def test_seeding_keeps_each_points_nearest_seed_and_the_site_totals(case):
     base, k_max = _seeded_start_problem(case)
     S, w = base.site_costs, base.effective_weights
     ties = emptied = 0
-    with shared_seeding(base):
-        for seed in range(4):
-            for k in range(base.k, k_max + 1):
-                rng = np.random.default_rng(seed)
-                key = solver._seeding_key(base, rng)
-                sites = kmeanspp_init(_with_k(base, k), rng)
-                labels, best, totals = base.shared[solver._SEEDING][key].start(k)  # what solve hands descend
-                D = S[:, sites]
-                assert np.array_equal(labels, np.argmin(D, axis=1))  # ties to the lowest index
-                assert np.array_equal(best, D.min(axis=1))
-                masses = np.zeros((k, base.n))
-                masses[labels, np.arange(base.n)] = w
-                fresh = masses @ S
-                if case == "float" or case == "geometric":
-                    assert np.all(np.abs(totals - fresh) <= 1e-12 * fresh)
-                else:
-                    assert np.array_equal(totals, fresh)
-                ties += int(((D == D.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
-                emptied += int((~masses.any(axis=1)).sum())  # seeds left without a point with w' > 0
+    # Four tracked draw sequences, drawn on together from k to k as in a sweep.
+    sequences = [solver._Seeds(base, np.random.default_rng(seed), track=True) for seed in range(4)]
+    for k in range(base.k, k_max + 1):
+        solver._advance(sequences, k)
+        for seed, seq in enumerate(sequences):
+            sites = seq.first(k)
+            assert np.array_equal(sites, kmeanspp_init(_with_k(base, k), np.random.default_rng(seed)))
+            labels, best, totals = seq.start(k)  # what solve hands descend
+            D = S[:, sites]
+            assert np.array_equal(labels, np.argmin(D, axis=1))  # ties to the lowest index
+            assert np.array_equal(best, D.min(axis=1))
+            masses = np.zeros((k, base.n))
+            masses[labels, np.arange(base.n)] = w
+            fresh = masses @ S
+            if case == "float" or case == "geometric":
+                assert np.all(np.abs(totals - fresh) <= 1e-12 * fresh)
+            else:
+                assert np.array_equal(totals, fresh)
+            ties += int(((D == D.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+            emptied += int((~masses.any(axis=1)).sum())  # seeds left without a point with w' > 0
     assert ties or case in ("float", "geometric")
     assert emptied or case == "float"
 
@@ -545,7 +515,8 @@ def test_sweep_descents_without_a_nearest_first_allocation_start_as_alone(monkey
 
 def test_descend_ignores_the_seeding_cache(monkeypatch):
     # Only solve hands a descent its start: a descent from exactly the sites
-    # of a tracked draw sequence allocates first inside the block as outside.
+    # of a tracked draw sequence, while that sequence is alive, allocates
+    # first as it does alone.
     base, _ = _seeded_start_problem("integer")
     problem = _with_k(base, 4)
     sites = kmeanspp_init(problem, np.random.default_rng(3))
@@ -553,9 +524,9 @@ def test_descend_ignores_the_seeding_cache(monkeypatch):
     real, allocated = solver.allocate, []
     monkeypatch.setattr(solver, "allocate",
                         lambda prob, centers, *a, **kw: allocated.append(np.array(centers)) or real(prob, centers, *a, **kw))
-    with shared_seeding(base):
-        assert np.array_equal(kmeanspp_init(problem, np.random.default_rng(3)), sites)
-        got = descend(problem, sites, SolverConfig())
+    seq = solver._Seeds(problem, np.random.default_rng(3), track=True)
+    assert np.array_equal(seq.first(4), sites) and seq.start(4) is not None
+    got = descend(problem, sites, SolverConfig())
     assert_same_solution(got, alone)
     assert np.array_equal(allocated[0], sites)
     assert len(allocated) == got.diagnostics["iterations"] + (got.diagnostics["stop"] != "centers_unchanged")
@@ -564,9 +535,11 @@ def test_descend_ignores_the_seeding_cache(monkeypatch):
 @pytest.mark.parametrize("in_sweep", [False, True], ids=["solve", "sweep"])
 @pytest.mark.parametrize("placement", ["discrete", "continuous", "capacitated"])
 def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, placement, in_sweep):
-    # The benchmark's tracer times kmeanspp_init once per restart and then
-    # one descend per solve, which runs every restart, and reads the counts
-    # of the Solution descend returns: the winning restart's.
+    # The benchmark's tracer times one descend per solve, which runs every
+    # restart, and reads the counts of the Solution descend returns: the
+    # winning restart's.  Its restarts start from the seeds kmeanspp_init
+    # draws from each restart's stream, taken from draw sequences built once
+    # per solve, or once for a whole sweep.
     if placement == "discrete":
         base, _ = _seeded_start_problem("integer")
     else:
@@ -574,17 +547,18 @@ def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, pl
         base = continuous_problem(points, k=2, capacity=(0.0, 20.0) if placement == "capacitated" else None)
     config = SolverConfig(restarts=3, rng_seed=9)
     calls = []
-    real_init, real_descend = solver.kmeanspp_init, solver.descend
+    real_sequences, real_descend = solver._sequences, solver.descend
 
-    def seeding(*args, **kwargs):
-        calls.append(("kmeanspp_init", args, kwargs, real_init(*args, **kwargs)))
+    def sequencing(*args):
+        calls.append(("_sequences", args, {}, real_sequences(*args)))
         return calls[-1][3]
 
     def descending(*args, **kwargs):
         calls.append(("descend", args, kwargs, real_descend(*args, **kwargs)))
         return calls[-1][3]
 
-    monkeypatch.setattr(solver, "kmeanspp_init", seeding)
+    monkeypatch.setattr(solver, "_sequences", sequencing)
+    monkeypatch.setattr(selection, "_sequences", sequencing)
     monkeypatch.setattr(solver, "descend", descending)
     ks = [2, 3, 4] if in_sweep else [base.k]
     if in_sweep:
@@ -592,16 +566,15 @@ def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, pl
         assert sorted(winners) == ks
     else:
         winners = {base.k: solve(base, config)}
-    per_solve = config.restarts + 1
-    assert [name for name, *_ in calls] == (["kmeanspp_init"] * config.restarts + ["descend"]) * len(ks)
-    for k, first in zip(ks, range(0, len(calls), per_solve)):
-        *inits, (_, args, kwargs, got) = calls[first:first + per_solve]
-        problem = inits[0][1][0]
-        assert problem.k == k
-        for _, (init_problem, rng), init_kwargs, _ in inits:
-            assert init_problem is problem and not init_kwargs and isinstance(rng, np.random.Generator)
-        assert len(args) == 3 and args[0] is problem and args[2] is config
-        assert np.array_equal(args[1], np.stack([seeds for *_, seeds in inits]))
+    assert [name for name, *_ in calls] == ["_sequences", "descend"] + ["descend"] * (len(ks) - 1)
+    (_, (built_for, built_config), _, sequences), *descents = calls
+    assert built_config is config and len(sequences) == config.restarts
+    for k, (_, args, kwargs, got) in zip(ks, descents):
+        problem = args[0]
+        assert problem.k == k and problem.shared is built_for.shared
+        assert len(args) == 3 and args[2] is config
+        streams = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
+        assert np.array_equal(args[1], np.stack([kmeanspp_init(problem, np.random.default_rng(s)) for s in streams]))
         assert list(kwargs) == ["start"] and len(kwargs["start"]) == config.restarts
         # A descent is handed its draw sequence's start exactly when it is
         # discrete and its first allocation is the nearest assignment.
@@ -744,6 +717,34 @@ def test_restart_totals_within_rounding_tie_to_the_lowest_index(monkeypatch, tot
     assert sol.diagnostics["best_restart"] == winner
     assert sol.centers.tolist() == [winner]
     assert sol.diagnostics["restart_objectives"] == totals
+
+
+def test_best_restart_reads_each_total_once_among_many_ties():
+    # 2,000 restarts whose totals all lie within the tie rule of the lowest,
+    # and 500 above it, come in a shuffled order: the winner is the lowest
+    # index among the ties, and each total is read a bounded number of times.
+    from capclust.model import ObjectiveBreakdown, Solution
+
+    reads = []
+
+    class Counted(ObjectiveBreakdown):
+        @property
+        def total(self):
+            reads.append(1)
+            return self.distance_term
+
+    rng = np.random.default_rng(31)
+    totals = 100.0 * (1.0 + rng.uniform(0.0, 0.5e-12, size=2500))
+    totals[rng.permutation(2500)[:500]] += 1.0
+    outcomes = [(r, Solution(centers=np.array([r]), assignment=None, released=frozenset(),
+                             objective=Counted(float(t), 0.0, 0.0, 0.0))) for r, t in enumerate(totals)]
+    order = rng.permutation(2500)
+    best = solver._best_restart([outcomes[r] for r in order], 2500)
+    lowest = totals.min()
+    winner = int(np.flatnonzero(totals <= lowest + solver.RESTART_TIE_RTOL * lowest)[0])
+    assert best.diagnostics["best_restart"] == winner and best.centers.tolist() == [winner]
+    assert best.diagnostics["restart_objectives"] == totals.tolist()
+    assert len(reads) <= 2 * len(totals)
 
 
 def test_all_restarts_infeasible():
