@@ -19,8 +19,9 @@ first alternates from one pair to the next: the CPU's speed drifts within
 a pass, and a pair sees the same speed on both sides.  The script prints
 each side's median and quartiles of the seconds per command (a pass's
 time over its number of commands), in how many passes the new side took
-less time, and the median and quartiles of the new/old ratio of the
-pairs' times.  A command that exits with a nonzero status stops the
+less time, the median and quartiles of the new/old ratio of the pairs'
+times, and in how many pairs the new side took less time, ties (equal
+times) counting for neither side.  A command that exits with a nonzero status stops the
 script with status 1.
 
 With ``--fresh`` each command runs as its own ``python3 -m capclust.cli``
@@ -154,6 +155,8 @@ def report(results: dict[str, list[tuple[float, list[float]]]], ratios: list[flo
     lines.append(f"new faster in {won} of {len(times['new'])} passes")
     q1, median, q3 = np.percentile(ratios, [25, 50, 75])
     lines.append(f"new/old per pair: median {median:.4f} q1 {q1:.4f} q3 {q3:.4f} over {len(ratios)} pairs")
+    ties = ratios.count(1.0)
+    lines.append(f"new faster in {sum(r < 1 for r in ratios)} of {len(ratios)} pairs ({ties} ties)")
     for side, passes in results.items():
         peaks = [mb for _seconds, pass_peaks in passes for mb in pass_peaks]
         if peaks:

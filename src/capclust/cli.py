@@ -209,6 +209,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     truth = io.load_labels(args.truth)
     labels = doc.labels()
     common = sorted(set(labels) & set(truth))
+    if not common:  # an index of no points would read as a perfect match
+        raise ValidationError(f"truth and solution share no point id (of {len(labels)}/{len(truth)} ids)")
     if len(common) != len(labels) or len(common) != len(truth):
         print(f"warning: truth and solution share {len(common)} of "
               f"{len(labels)}/{len(truth)} ids", file=sys.stderr)

@@ -280,6 +280,8 @@ def load_labels(path) -> dict[int, int]:
         if point in labels:
             raise ParseError(f"id {point} repeats", ln, 1)
         labels[point] = _parse_int(row, 1, ln, "label")
+    if not labels:
+        raise ParseError("no labels in file", line + 1)
     return labels
 
 

@@ -47,10 +47,11 @@ def sweep_k(
 
     Each k solves a ``dataclasses.replace`` of ``problem``, so every k and
     restart reads the problem's shared per-point arrays and site costs.
-    The sweep builds its restarts' k-means++ draw sequences once, from the
-    first k that validates, and hands them to the solve of every k: each
-    restart draws its seeds once, up to the largest k, and every k takes
-    the first k of them, the seeds a standalone solve would draw.
+    The sweep builds its restarts' k-means++ draw sequences once, in
+    lockstep groups, from the first k that validates, and hands the groups
+    to the solve of every k: each restart draws its seeds once, up to the
+    largest k, and every k takes the first k of them, the seeds a
+    standalone solve would draw.
     Per-k solver failures (e.g. an unreachable lower capacity limit at
     large k) are recorded, not fatal.  The consensus k is the one chosen
     by the most penalties; ties go to the smaller k.  Every penalty must

@@ -3,11 +3,11 @@
 Each restart seeds centers (fixed centers first, the rest by weighted
 k-means++), then alternates the exact allocation step with the location
 step (including release decisions for fixed centers) until the objective
-stalls or the centers stop moving.  A solve seeds its restarts together,
-one draw of every restart per round, from draw sequences it builds or a
-sweep hands it, and a discrete descent whose first allocation is the
-nearest assignment is handed that assignment and its site totals by the
-draw sequence that seeded it.
+stalls or the centers stop moving.  A solve seeds its restarts in
+lockstep groups, one draw of every restart of a group per round, from
+groups it builds or a sweep hands it, and a discrete descent whose first
+allocation is the nearest assignment is handed that assignment and its
+site totals by the group that seeded it.
 Restarts draw from counter-spawned RNG streams so the set of restarts is
 independent of execution order, and the best restart by total objective
 wins (totals within 1e-12 relative of the lowest tie, and ties go to the
@@ -74,6 +74,8 @@ RESTART_TIE_RTOL = 1e-12
 # The most distance-matrix cells, restarts x n x k, of one group of
 # continuous descents without a capacity window run in lockstep.  Each
 # descent in a group adds about two (n, k) float arrays to the peak memory.
+# A lockstep group of k-means++ draw sequences holds at most restarts x n
+# of these cells in each of its (R, n) seeding arrays.
 _LOCKSTEP_CELLS = 1_000_000
 
 def _draws(rngs: list, masses: np.ndarray, eligible: np.ndarray | None) -> np.ndarray:
@@ -105,159 +107,141 @@ def _draws(rngs: list, masses: np.ndarray, eligible: np.ndarray | None) -> np.nd
     return picks
 
 
-class _Seeds:
-    """One k-means++ draw sequence, drawn from its own generator ``rng`` and extended on demand by ``_advance``.
+class _SeedBatch:
+    """The k-means++ draw sequences of one lockstep group of restarts, one row per restart, drawn on together.
 
-    ``chosen`` holds the fixed centers, then the drawn seeds in order, and
-    ``best`` each point's distance to its nearest seed so far.  Each seed
-    is drawn from a distribution that depends only on the seeds before it,
-    so the seeds for k are the first k seeds for any larger k (``first``):
-    a sweep draws each restart's sequence once, up to its largest k.
+    Row r draws from its own generator ``rngs[r]``.  ``chosen`` holds each
+    row's fixed centers, then its drawn seeds in order: (R, c) site indices
+    or (R, c, 2) coordinates, and every row always holds the same number c
+    of seeds.  ``best`` (R, n) holds each point's distance to its row's
+    nearest seed so far, and ``taken`` (R, s), under discrete placement,
+    the sites each row holds.  Each seed is drawn from a distribution that
+    depends only on the seeds before it, so the seeds for k are the first k
+    seeds for any larger k (``first``): a sweep draws each restart's
+    sequence once, up to its largest k.  A row's draws do not depend on the
+    other rows of its group, so grouping never changes them.  The fixed
+    seeds, the same for every row, are priced once for the whole group.
 
-    With ``track`` (a sequence whose descents start from the nearest
-    assignment) a discrete sequence also keeps ``labels``, the index in
-    ``chosen`` of each point's nearest seed (a later seed takes a point only
-    when it is strictly closer, so ties stay with the lowest index, as in
-    ``np.argmin``), and the site totals of that assignment, T[j, h] = sum
-    over labels_i = j of w'_i S[i, h]: the first seeds (the fixed ones, or
-    else the first draw) start them with one product, and each later draw
-    adds the rows of S of only the points with w' > 0 that switched to it
-    (``add_mass_change``).  ``start`` hands them to a descent: against a
-    copy that hands none, ``matrix-sweep`` ran at a per-pair time ratio of
-    0.768 (faster in 20 of 20 pairs).  A continuous sequence keeps none: the allocation they would spare a
-    descent costs about what keeping them does (``euclid-outlier`` ran at
-    a per-pair time ratio of 0.998 without them).
+    With ``track`` (a group whose descents start from the nearest
+    assignment) a discrete group also keeps ``labels`` (R, n), the index in
+    ``chosen`` of each point's nearest seed in its row (a later seed takes
+    a point only when it is strictly closer, so ties stay with the lowest
+    index, as in ``np.argmin``), and ``totals`` (R, k, s), each row's site
+    totals of that assignment, T[j, h] = sum over labels_i = j of
+    w'_i S[i, h]: the first seeds (the fixed ones, or else the first draw),
+    which every row shares, start them with one product for the group, and
+    each later draw adds the rows of S of only the points with w' > 0 that
+    switched to it (``add_mass_change``).  ``starts`` hands them to the
+    descents: against a copy that hands none, ``matrix-sweep`` ran at a
+    per-pair time ratio of 0.768 (faster in 20 of 20 pairs).  A continuous
+    group keeps none: the allocation they would spare a descent costs about
+    what keeping them does (``euclid-outlier`` ran at a per-pair time ratio
+    of 0.998 without them).
     """
 
-    def __init__(self, problem: Problem, rng: np.random.Generator, track: bool = False):
+    def __init__(self, problem: Problem, rngs: list, track: bool = False):
         spec = problem.centers
-        self.problem = problem
-        self.rng = rng
+        self.problem, self.rngs = problem, rngs
         self.discrete = spec.placement == "discrete"
-        self.best = None
-        self.labels = None
         self.track = track and self.discrete
+        self.best = None
+        rows, m = len(rngs), spec.n_fixed
         if self.discrete:
-            self.chosen: list = [int(f) for f in spec.fixed]
-            self.taken = np.zeros(problem.site_costs.shape[1], dtype=bool)
-            self.taken[self.chosen] = True
+            fixed = np.array(spec.fixed, dtype=np.intp)
+            self.taken = np.zeros((rows, problem.site_costs.shape[1]), dtype=bool)
+            self.taken[:, fixed] = True
+            if self.track:
+                self.totals = np.zeros((rows, m, problem.site_costs.shape[1]))
         else:
-            self.chosen = [np.asarray(f, dtype=float) for f in spec.fixed]
-        if self.chosen:
+            fixed = np.array(spec.fixed, dtype=float).reshape(m, 2)
+        self.chosen = np.repeat(fixed[None], rows, axis=0)
+        if m:
             # The fixed seeds' distances, one row per seed: a minimum over rows is one pass.
-            D = (problem.site_cost_columns[:, self.chosen].T if self.discrete else
-                 metrics.geometric_distances(problem.metric.kind, np.vstack(self.chosen), problem.coord_columns))
-            self.best = np.min(D, axis=0)
+            D = (problem.site_cost_columns[:, fixed].T if self.discrete else
+                 metrics.geometric_distances(problem.metric.kind, fixed, problem.coord_columns))
+            self.best = np.broadcast_to(np.min(D, axis=0), (rows, problem.n))
             if self.track:
                 self._track_from(np.argmin(D, axis=0))
 
     def first(self, k: int) -> np.ndarray:
-        """The first k seeds, drawing the sequence on to k when it is shorter."""
-        if len(self.chosen) < k:
-            _advance([self], k)
-        if self.discrete:
-            return np.asarray(self.chosen[:k], dtype=int)
-        return np.vstack(self.chosen[:k])
+        """Each row's first k seeds, (R, k) or (R, k, 2), drawing the group on to k when it holds fewer."""
+        self.advance(k)
+        return self.chosen[:, :k]
 
-    def start(self, k: int):
-        """Copies of ``labels`` and the site totals, and ``best``, if the sequence tracks them and holds k seeds.
+    def starts(self, k: int) -> list:
+        """Each row's start: copies of its labels and site totals, and its ``best``; None unless tracked at k seeds.
 
         A seed without a point of w' > 0 gets a row of exactly 0: points
         switch only to the newest seed, so its row lost them for good.
         """
-        c, w = len(self.chosen), self.problem.effective_weights
-        if self.labels is None or c != k:
-            return None
-        totals = self._totals[:c].copy()
-        totals[np.bincount(self.labels[w > 0], minlength=c) == 0] = 0.0
-        return self.labels.copy(), self.best, totals
+        c, w = self.chosen.shape[1], self.problem.effective_weights
+        if not self.track or c != k:
+            return [None] * len(self.rngs)
+        starts = []
+        for labels, best, totals in zip(self.labels, self.best, self.totals[:, :c]):
+            totals = totals.copy()
+            totals[np.bincount(labels[w > 0], minlength=c) == 0] = 0.0
+            starts.append((labels.copy(), best, totals))
+        return starts
 
-    def _track_from(self, labels: np.ndarray) -> None:
-        """Take ``labels`` of the chosen seeds, and their site totals from one product over every row of S."""
-        self.labels = labels
-        c, S, w = len(self.chosen), self.problem.site_costs, self.problem.effective_weights
-        self._totals = np.zeros((max(2 * c, 8), S.shape[1]))
-        points, change = _mass_changes(labels, None, w, c)
-        add_mass_change(self._totals[:c], S, change, points)
+    def advance(self, k: int) -> None:
+        """Draw every row on to k seeds, one seed of every row per round.
 
-    def _took(self, switched: np.ndarray) -> None:
-        """Add to the site totals the points ``switched`` to the newest seed, before ``labels`` records it."""
-        c = len(self.chosen)  # the newest seed's index is c - 1
-        if c > len(self._totals):  # double the kept rows; the new ones start at zero
-            self._totals = np.concatenate([self._totals, np.zeros_like(self._totals)])
-        points, change = _mass_changes(np.full(switched.size, c - 1), self.labels[switched],
-                                       self.problem.effective_weights[switched], c)
-        add_mass_change(self._totals[:c], self.problem.site_costs, change, switched[points])
-
-
-def _advance(sequences: list[_Seeds], k: int) -> None:
-    """Bring each draw sequence of one problem to k seeds, all of them together, one seed per round.
-
-    A round takes the sequences short of k seeds: one (R, n) pass gives
-    their masses w'_i * D(x_i)^2 (plain w' before a first seed) and one
-    more their inverse CDFs (``_draws``), each draws from the generator it
-    owns, and one distance call (or one gather of site-cost columns)
-    gives the new seeds' distances.  So each sequence gets the seeds,
-    generator state, nearest-seed distances and labels it would get alone.
-    Under discrete placement a draw snaps to its point's nearest site, a
-    point whose site is taken is not eligible, and a sequence without an
-    eligible point takes the lowest unused site without a draw, or raises
-    ``NotEnoughDistinctSites`` when none is left.
-    """
-    problem = sequences[0].problem
-    n, w, discrete = problem.n, problem.effective_weights, sequences[0].discrete
-    seqs = [seq for seq in sequences if len(seq.chosen) < k]
-    while seqs:
-        # One row per sequence, until one of them holds k seeds; each round
-        # leaves every sequence's best and labels views of its rows.
-        gens = [seq.rng for seq in seqs]
-        best = np.stack([np.ones(n) if seq.best is None else seq.best for seq in seqs])  # ones: masses w'
-        fresh = [i for i, seq in enumerate(seqs) if seq.best is None]
-        tracked = [i for i, seq in enumerate(seqs) if seq.track]
-        if tracked:
-            labels = np.stack([np.zeros(n, dtype=np.intp) if seqs[i].labels is None else seqs[i].labels
-                               for i in tracked])
-        if discrete:  # its taken sites are a view of its row from here on
-            taken = np.stack([seq.taken for seq in seqs])
-            for seq, row in zip(seqs, taken):
-                seq.taken = row
-        while all(len(seq.chosen) < k for seq in seqs):
-            index = np.array([len(seq.chosen) for seq in seqs])  # of each one's new seed
-            masses = w * best**2
-            if discrete:
-                picks = _draws(gens, masses, ~taken[:, problem.nearest_site])
+        A round makes one (R, n) pass for the masses w'_i * D(x_i)^2 (plain
+        w' before a first seed) and one more for their inverse CDFs
+        (``_draws``); each row draws from its own generator, and one distance
+        call (or one gather of site-cost columns) prices the R new seeds.
+        So each row gets the seeds, generator state, nearest-seed distances
+        and labels it would get alone.  Under discrete placement a draw
+        snaps to its point's nearest site, a point whose site is taken is
+        not eligible, and a row without an eligible point takes the lowest
+        unused site without a draw.  Every row holds as many distinct sites
+        as seeds, so all of them run out of sites together, which raises
+        ``NotEnoughDistinctSites``.
+        """
+        problem, rows, w = self.problem, np.arange(len(self.rngs)), self.problem.effective_weights
+        if self.track and self.totals.shape[1] < k:  # room for k seeds' totals; the new rows start at zero
+            grow = np.zeros((len(rows), k - self.totals.shape[1], self.totals.shape[2]))
+            self.totals = np.concatenate([self.totals, grow], axis=1)
+        while self.chosen.shape[1] < k:
+            c = self.chosen.shape[1]  # the new seed's index
+            masses = np.tile(w, (len(rows), 1)) if self.best is None else w * self.best**2
+            if self.discrete:
+                if self.taken[0].all():
+                    raise NotEnoughDistinctSites(f"cannot place {c + 1} centers on {self.taken.shape[1]} sites")
+                picks = _draws(self.rngs, masses, ~self.taken[:, problem.nearest_site])
                 new = problem.nearest_site[picks]
-                for i in np.flatnonzero(picks < 0).tolist():  # no eligible point: the lowest unused site
-                    unused = np.flatnonzero(~taken[i])
-                    if not unused.size:
-                        raise NotEnoughDistinctSites(f"cannot place {index[i] + 1} centers on {taken.shape[1]} sites")
-                    new[i] = unused[0]
+                lowest = picks < 0  # no eligible point: the lowest unused site
+                new[lowest] = np.argmin(self.taken[lowest], axis=1)
+                self.taken[rows, new] = True
                 d = problem.site_cost_columns[:, new].T
             else:
-                new = problem.coords[_draws(gens, masses, None)]
+                new = problem.coords[_draws(self.rngs, masses, None)]
                 # |c - x| term by term, as |x - c| the other way round.
                 d = metrics.geometric_distances(problem.metric.kind, new, problem.coord_columns)
-            best[fresh] = np.inf
-            switched = d < best
-            best = np.minimum(best, d)
-            for i, seq in enumerate(seqs):
-                seq.chosen.append(int(new[i]) if discrete else new[i])
-                seq.best = best[i]
-            if discrete:
-                taken[np.arange(len(seqs)), new] = True
-            if tracked:  # the totals take in the switched points while the labels still hold their old seeds
-                moved = switched[tracked]
-                for i, row in zip(tracked, moved):
-                    if seqs[i].labels is not None:
-                        seqs[i]._took(np.flatnonzero(row))
-                labels = np.where(moved, index[tracked, None], labels)
-                for i, row in zip(tracked, labels):
-                    if seqs[i].labels is None:  # the first seed takes every point
-                        seqs[i]._track_from(row)
-                    else:
-                        seqs[i].labels = row
-            fresh = []
-        seqs = [seq for seq in seqs if len(seq.chosen) < k]
+            self.chosen = np.concatenate([self.chosen, new[:, None]], axis=1)
+            if self.best is None:  # the first seed takes every point
+                self.best = d
+                if self.track:
+                    self._track_from(np.zeros(problem.n, dtype=np.intp))
+                continue
+            switched = d < self.best
+            self.best = np.minimum(self.best, d)
+            if self.track:  # the totals take in the switched points while the labels still hold their old seeds
+                for r, moved in enumerate(switched):
+                    moved = np.flatnonzero(moved)
+                    points, change = _mass_changes(np.full(moved.size, c), self.labels[r, moved], w[moved], c + 1)
+                    add_mass_change(self.totals[r, :c + 1], problem.site_costs, change, moved[points])
+                self.labels = np.where(switched, c, self.labels)
+
+    def _track_from(self, labels: np.ndarray) -> None:
+        """Give every row the labels ``labels`` of its seeds so far, and their site totals from one product."""
+        c, S, w = self.chosen.shape[1], self.problem.site_costs, self.problem.effective_weights
+        totals = np.zeros((c, S.shape[1]))
+        points, change = _mass_changes(labels, None, w, c)
+        add_mass_change(totals, S, change, points)
+        self.totals[:, :c] = totals
+        self.labels = np.broadcast_to(labels, (len(self.rngs), len(labels)))
 
 
 def kmeanspp_init(problem: Problem, rng: np.random.Generator):
@@ -268,11 +252,11 @@ def kmeanspp_init(problem: Problem, rng: np.random.Generator):
     nearest center chosen so far (plain w' for the very first draw).  In
     discrete placement each draw snaps to its nearest candidate site, and a
     point whose site is occupied is not drawn.  ``rng`` is left where the
-    last draw left it.  This is one restart's draw sequence (``_Seeds``),
-    drawn by the path by which ``solve`` draws all of its restarts'
-    sequences together.
+    last draw left it.  This is a lockstep group of one restart
+    (``_SeedBatch``), drawn by the path by which ``solve`` draws all of its
+    restarts' sequences.
     """
-    return _Seeds(problem, rng).first(problem.k)
+    return _SeedBatch(problem, [rng]).first(problem.k)[0]
 
 
 def _reseed(problem: Problem, contrib: np.ndarray, centers: np.ndarray, emptied: list[int]) -> None:
@@ -396,7 +380,7 @@ def _checked_centers(problem: Problem, initial_centers) -> tuple[np.ndarray, boo
     return centers.astype(int), stacked
 
 
-def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=None, start=None) -> Solution:
+def descend(problem: Problem, initial_centers, config: SolverConfig, *, start=None) -> Solution:
     """Alternate exact allocation and location steps from the given centers.
 
     The (n, k) distance matrix is computed once, for the initial centers,
@@ -404,12 +388,12 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     are computed again (against the whole matrix, a per-pair time ratio of
     0.924 on ``euclid-outlier``); it is shared by the allocation, the
     objective evaluations, reseeding and the monotone guard.  A capacitated
-    problem takes its allocation model from ``model`` (``lp_model(problem)``)
-    or builds one, which all its descents share.  Each descent restarts the
-    model (``restart``), so its first LP starts from the nearest-assignment
-    basis as on a new model; it then re-solves its LP warm for each new set
-    of centers and, under a time budget, falls back to the assignment it
-    returned last in this descent, so the objective never rises.
+    problem gets one allocation model (``lp_model(problem)``), which all
+    its descents share.  Each descent restarts the model (``restart``), so
+    its first LP starts from the nearest-assignment basis as on a new
+    model; it then re-solves its LP warm for each new set of centers and,
+    under a time budget, falls back to the assignment it returned last in
+    this descent, so the objective never rises.
 
     Every center moves by one rule, and all moving clusters move in one
     batched step.  Under discrete placement the descent keeps one (k, s)
@@ -419,9 +403,10 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     only the points whose mass changed since it last did, so the sums agree
     with a fresh product to rounding only.  They start from zero, and the
     first step takes in every point, unless the descent is handed a start.
-    ``solve`` hands one (``start``, private), kept by the draw sequence
-    that seeded the descent (``_Seeds.start``), to every discrete descent
-    of a problem whose first allocation is the nearest assignment: each
+    ``solve`` hands one (``start``, private), kept by the lockstep group
+    of draw sequences that seeded the descent (``_SeedBatch.starts``), to
+    every discrete descent of a problem whose first allocation is the
+    nearest assignment: each
     point's nearest initial center (ties to the lowest index), its
     distance to it and the site totals of that assignment.  The
     descent then makes no first ``allocate`` call, and its first step takes
@@ -479,9 +464,11 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     starts.  The winning restart is returned: totals within
     ``RESTART_TIE_RTOL`` (1e-12) relative of the lowest tie, and the lowest
     restart index among them wins.  A restart that raises ``Infeasible`` or
-    ``NoIncumbentWithinBudget``, or all of them when building the model
-    does, fails with its message; when every one fails,
-    ``AllRestartsInfeasible`` joins them.  The winner's diagnostics add
+    ``NoIncumbentWithinBudget`` fails with its message; when every one
+    fails, ``AllRestartsInfeasible`` joins them.  When building the model
+    raises ``Infeasible``, no restart can run, and one
+    ``AllRestartsInfeasible`` carries that message once.  The winner's
+    diagnostics add
     ``best_restart``, ``restarts``, ``restart_objectives`` (NaN for a
     failed restart) and ``restart_failures``.
     """
@@ -491,17 +478,15 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, model=No
     if len(starts) != len(restarts):
         raise ValueError(f"{len(starts)} starts for {len(restarts)} restarts")
     try:
-        if model is None:
-            model = lp_model(problem)
+        model = lp_model(problem)
     except Infeasible as exc:
         if not stacked:
             raise
-        outcomes = [(r, exc) for r in range(len(restarts))]
-    else:
-        # A shared model runs one descent at a time.
-        size = 1 if model is not None else max(1, _LOCKSTEP_CELLS // (problem.n * problem.k))
-        descents = [_descent(problem, c, config, model, s) for c, s in zip(restarts, starts)]
-        outcomes = _finished(problem.metric.kind, descents, size)
+        raise AllRestartsInfeasible(f"every restart: {exc}") from exc
+    # A shared model runs one descent at a time.
+    size = 1 if model is not None else max(1, _LOCKSTEP_CELLS // (problem.n * problem.k))
+    descents = [_descent(problem, c, config, model, s) for c, s in zip(restarts, starts)]
+    outcomes = _finished(problem.metric.kind, descents, size)
     if stacked:
         return _best_restart(outcomes, len(restarts))
     [(_, outcome)] = outcomes
@@ -750,52 +735,52 @@ def _best_restart(outcomes, restarts: int) -> Solution:
     return best
 
 
-def _sequences(problem: Problem, config: SolverConfig) -> list[_Seeds]:
-    """One k-means++ draw sequence per restart of a validated ``problem``, none of them drawn yet.
+def _sequences(problem: Problem, config: SolverConfig) -> list[_SeedBatch]:
+    """The k-means++ draw sequences of every restart of a validated ``problem``, none of them drawn yet.
 
-    Sequence r draws from the r-th stream spawned from ``config.rng_seed``.
-    Under discrete placement, where the first allocation is the nearest
-    assignment, each one tracks its labels and site totals (``_Seeds``).
+    Restart r draws from the r-th stream spawned from ``config.rng_seed``.
+    The restarts go, in order, in lockstep groups (``_SeedBatch``) of as
+    many as keep restarts x n at most ``_LOCKSTEP_CELLS``, since a group's
+    seeding state is (R, n) arrays.  Under discrete placement, where the
+    first allocation is the nearest assignment, each group tracks its
+    labels and site totals.
     """
     track = _allocates_nearest_labels(problem)
-    streams = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
-    return [_Seeds(problem, np.random.default_rng(stream), track) for stream in streams]
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.rng_seed).spawn(config.restarts)]
+    size = max(1, _LOCKSTEP_CELLS // problem.n)
+    return [_SeedBatch(problem, rngs[i:i + size], track) for i in range(0, len(rngs), size)]
 
 
 def solve(problem: Problem, config: SolverConfig = SolverConfig(), *, sequences=None) -> Solution:
     """Best of ``config.restarts`` independent k-means++ descents.
 
     Restart r seeds from the r-th stream spawned from ``config.rng_seed``,
-    whatever k is: its seeds are the first k of one draw sequence
-    (``_Seeds``).  The solve builds its restarts' sequences, or takes a
-    sweep's (``sequences``, private; ``sweep_k`` hands the same ones to
-    every k of one problem, so each is drawn once, up to the largest k),
-    and draws them to k together (``_advance``), in groups of as many
-    restarts as keep restarts x n x k at most ``_LOCKSTEP_CELLS``.  Then
-    one ``descend`` call runs every restart from its first k seeds, in
-    lockstep groups, and returns the winner by its restart rule (totals
-    within ``RESTART_TIE_RTOL``, 1e-12, relative of the lowest tie, and
-    the lowest restart index among them wins, so a change to the order of
-    floating-point sums leaves the winner, and its center labels, alone).
-    Under discrete placement, where the first allocation is the nearest
-    assignment, each sequence also hands its descent a ``start``; every
-    other descent gets None.
+    whatever k is: its seeds are the first k of one draw sequence.  The
+    solve builds its restarts' sequences, in lockstep groups
+    (``_sequences``), or takes a sweep's (``sequences``, private;
+    ``sweep_k`` hands the same groups to every k of one problem, so each
+    sequence is drawn once, up to the largest k), and draws each group to
+    k together (``_SeedBatch.first``).  Then one ``descend`` call runs
+    every restart from its first k seeds, in lockstep groups, and returns
+    the winner by its restart rule (totals within ``RESTART_TIE_RTOL``,
+    1e-12, relative of the lowest tie, and the lowest restart index among
+    them wins, so a change to the order of floating-point sums leaves the
+    winner, and its center labels, alone).  Under discrete placement,
+    where the solve's own first allocation is the nearest assignment, each
+    group also hands its descents their starts (``_SeedBatch.starts``);
+    otherwise no descent gets one, even from groups that keep them.
 
     A capacitated problem gets one allocation model (``lp_model``), which
     every descent restarts, so each descent's first LP solves as on a new
-    model.  When its checks raise ``Infeasible``, every restart fails with
-    that message.
+    model.  When its checks raise ``Infeasible``, the solve raises one
+    ``AllRestartsInfeasible`` with that message.
     """
     problem = validate_problem(problem)
     t0 = time.monotonic()
     k = problem.k
-    if sequences is None:
-        sequences = _sequences(problem, config)
-    size = max(1, _LOCKSTEP_CELLS // (problem.n * k))
-    for group in range(0, len(sequences), size):
-        _advance(sequences[group:group + size], k)
-    track = _allocates_nearest_labels(problem)
-    starts = [seq.start(k) if track else None for seq in sequences]
-    best = descend(problem, np.stack([seq.first(k) for seq in sequences]), config, start=starts)
+    groups = _sequences(problem, config) if sequences is None else sequences
+    centers = np.concatenate([group.first(k) for group in groups])
+    starts = [start for group in groups for start in group.starts(k)] if _allocates_nearest_labels(problem) else None
+    best = descend(problem, centers, config, start=starts)
     best.diagnostics["wall_time_s"] = time.monotonic() - t0
     return best

@@ -134,6 +134,24 @@ def test_evaluate_unknown_point_id_exits_3(dataset, tmp_path, capsys):
     assert f"parse error: line {row + 1}: point id 999999" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("truth, code, message", [
+    ("id,label\n900001,0\n900002,1\n", 1, "error: truth and solution share no point id"),
+    ("id,label\n", 3, "parse error: line 2: no labels in file"),
+], ids=["no-shared-id", "header-only"])
+def test_evaluate_with_nothing_to_compare_fails(dataset, tmp_path, capsys, truth, code, message):
+    # An ARI over no points would read 1.000000, a perfect score.
+    points, _ = dataset
+    out = tmp_path / "run"
+    assert main(["solve", "--points", str(points), "--k", "3", "--restarts", "1", "--seed", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    labels = tmp_path / "truth.csv"
+    labels.write_text(truth)
+    assert main(["evaluate", "--solution", str(out / "solution.txt"), "--truth", str(labels)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and "ARI" not in captured.out
+
+
 def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
     rng = np.random.default_rng(8)
     pts = tuple(Point(i, coords=tuple(rng.normal(0, 1, 2)), w=float(rng.uniform(1, 5))) for i in range(30))

@@ -222,6 +222,7 @@ def test_fast_matrix_read_equals_the_per_cell_parser(tmp_path, monkeypatch, layo
     (load_points, b"id,x,y,w\n0,0,0,1\n1,2,0,1\n2,3,\xff4,1\n3,1,1,1\n", 4, 5),
     (load_candidates, b"x,y\n1,2\n3\n", 3, 2),
     (load_labels, b"", 1, 0),
+    (load_labels, b"id,label\n", 2, 0),
     (load_labels, b"id,label\n1,2\n3\n", 3, 2),
     (load_labels, b"id,label\n3,1\n2,0\n3,0\n", 4, 1),
     (load_fixed, b"site\n\n \nx\n", 4, 1),
@@ -230,8 +231,9 @@ def test_fast_matrix_read_equals_the_per_cell_parser(tmp_path, monkeypatch, layo
     # a bad cell before a byte that is not UTF-8 is the first fault
     (load_matrix, b"a,1\n\xff,2\n", 1, 1),
     (load_points, b"id,x,y,w\n0,a,0,1\n1,\xff,0,1\n", 2, 2),
-], ids=["not-utf8", "not-utf8-after-header", "short-row", "empty", "short-label", "repeated-label-id", "blank-rows",
-        "field-over-limit", "comment-line", "matrix-bad-cell-first", "points-bad-cell-first"])
+], ids=["not-utf8", "not-utf8-after-header", "short-row", "empty", "labels-header-only", "short-label",
+        "repeated-label-id", "blank-rows", "field-over-limit", "comment-line", "matrix-bad-cell-first",
+        "points-bad-cell-first"])
 def test_malformed_csv_reports_line_and_column(tmp_path, load, data, line, column):
     f = tmp_path / "in.csv"
     f.write_bytes(data)

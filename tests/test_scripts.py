@@ -133,7 +133,8 @@ def test_ab_time_alternates_passes_of_two_checkouts(tmp_path, workload):
         assert re.fullmatch(side + r" seconds per command: median [0-9.]+ q1 [0-9.]+ q3 [0-9.]+", line)
     assert re.fullmatch(r"new faster in [0-3] of 3 passes", lines[3])
     assert re.fullmatch(RATIO_LINE.format(pairs=3), lines[4])
-    assert len(lines) == 5
+    assert re.fullmatch(r"new faster in [0-3] of 3 pairs \([0-3] ties\)", lines[5])
+    assert len(lines) == 6
 
 
 def test_ab_time_pairs_each_command_and_alternates_the_side_that_goes_first(tmp_path, monkeypatch):
@@ -163,7 +164,10 @@ def test_ab_time_pairs_each_command_and_alternates_the_side_that_goes_first(tmp_
     lines = ab_time.report(results, ratios)
     assert lines[2:] == ["new faster in 2 of 2 passes",
                          "new/old per pair: median 0.7500 q1 0.7500 q3 0.7500 over 6 pairs",
+                         "new faster in 6 of 6 pairs (0 ties)",
                          "new VmHWM MB per command: median 10.0 max 10.0"]
+    # Pairs won count each pair once, and a tie for neither side.
+    assert ab_time.report(results, [0.9, 1.0, 1.2, 0.8, 1.0])[4] == "new faster in 2 of 5 pairs (2 ties)"
 
 
 # Loads ab_time.py and prints each BLAS thread variable as it stood when numpy was first imported.
@@ -203,8 +207,9 @@ def test_ab_time_fresh_runs_each_command_as_a_process(tmp_path):
         assert re.fullmatch(side + r" seconds per command: median [0-9.]+ q1 [0-9.]+ q3 [0-9.]+", line)
     assert re.fullmatch(r"new faster in [0-2] of 2 passes", lines[3])
     assert re.fullmatch(RATIO_LINE.format(pairs=2), lines[4])
-    for side, line in zip(("old", "new"), lines[5:7]):
+    assert re.fullmatch(r"new faster in [0-2] of 2 pairs \([0-2] ties\)", lines[5])
+    for side, line in zip(("old", "new"), lines[6:8]):
         median, peak = map(float, re.fullmatch(side + r" VmHWM MB per command: median ([0-9.]+) max ([0-9.]+)",
                                                line).groups())
         assert 20.0 < median <= peak  # above the launcher's own peak: an interpreter with numpy loaded
-    assert len(lines) == 7
+    assert len(lines) == 8

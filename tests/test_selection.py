@@ -145,9 +145,9 @@ def test_sweep_shares_k_independent_data_and_matches_standalone_solves(monkeypat
     discrete = sites_metric != "continuous"
     assert len(cost_calls) == discrete
     assert [t.k for t, _ in trials] == [2, 3, 4, 5, 6]
-    # Every k is handed the same draw sequences, one per restart.
+    # Every k is handed the same lockstep groups of draw sequences, one sequence per restart.
     sequences = trials[0][1]["sequences"]
-    assert len(sequences) == config.restarts
+    assert sum(len(group.rngs) for group in sequences) == config.restarts
     for trial, kw in trials:
         assert list(kw) == ["sequences"] and kw["sequences"] is sequences
         assert trial.shared is problem.shared

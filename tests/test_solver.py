@@ -152,20 +152,20 @@ def test_kmeanspp_seeds_for_k_are_the_first_k_of_a_larger_k(case, shared):
             assert np.array_equal(fresh[seed, k][0], fresh[seed, k_max][0][:k])
 
     # "fresh" draws every k from a new generator; "shared" draws one sequence
-    # per seed, both in lockstep, and reads every k from it in any order.
+    # per seed, both rows of one lockstep group, and reads every k from it in
+    # any order.
     order = [k_max - 1, base.k, k_max, base.k + 1, k_max, k_max - 1]
-    sequences = [solver._Seeds(base, np.random.default_rng(seed)) for seed in (0, 1)]
+    batch = solver._SeedBatch(base, [np.random.default_rng(seed) for seed in (0, 1)])
     longest = 0
     for k in order:
         if shared:
-            solver._advance(sequences, k)
+            batch.advance(k)
             longest = max(longest, k)
         for seed in (0, 1):
             if shared:
-                seq = sequences[seed]
-                assert np.array_equal(seq.first(k), fresh[seed, k][0])
+                assert np.array_equal(batch.first(k)[seed], fresh[seed, k][0])
                 # The generator stays where the longest draw left it.
-                assert seq.rng.bit_generator.state == fresh[seed, longest][1]
+                assert batch.rngs[seed].bit_generator.state == fresh[seed, longest][1]
             else:
                 rng = np.random.default_rng(seed)
                 assert np.array_equal(kmeanspp_init(_with_k(base, k), rng), fresh[seed, k][0])
@@ -266,8 +266,7 @@ def test_solve_and_sweep_seed_as_the_reference_loop(kind, placement, seed, weigh
     # nearest assignment, starts from each point's nearest seed (ties to the
     # lowest index) and its distance; every other restart gets no start, and
     # an uncapacitated continuous solve still gives the reference's answer.
-    # ``group`` > 0 runs the lockstep draws in groups of that many restarts
-    # at the largest k.
+    # ``group`` > 0 runs the lockstep draws in groups of that many restarts.
     k_lo = max(1, n_fixed)
     problem = _oracle_problem(seed, kind, placement, weights, n_fixed, k_lo + spread, far_sites, capacity)
     ks = list(range(k_lo, problem.k + 1))
@@ -280,7 +279,7 @@ def test_solve_and_sweep_seed_as_the_reference_loop(kind, placement, seed, weigh
         return built[-1]
 
     def descending(problem, centers, cfg, *, start):
-        runs.append((problem, centers, start, [seq.rng.bit_generator.state for seq in built[-1]]))
+        runs.append((problem, centers, start, [rng.bit_generator.state for group in built[-1] for rng in group.rngs]))
         raise _Seeded("seeded")
 
     with pytest.MonkeyPatch.context() as mp:
@@ -288,32 +287,41 @@ def test_solve_and_sweep_seed_as_the_reference_loop(kind, placement, seed, weigh
         mp.setattr(selection, "_sequences", sequencing)
         mp.setattr(solver, "descend", descending)
         if group:
-            mp.setattr(solver, "_LOCKSTEP_CELLS", group * problem.n * problem.k)
+            mp.setattr(solver, "_LOCKSTEP_CELLS", group * problem.n)
         for k in ks:
             with pytest.raises(_Seeded):
                 solve(_with_k(problem, k), config)
         assert sorted(sweep_k(problem, ks, [0.0], config).errors) == ks
     assert len(built) == len(ks) + 1  # one set per solve, and one for the whole sweep
+    for groups in built:
+        sizes = [len(g.rngs) for g in groups]
+        assert sum(sizes) == restarts and all(size == (group or restarts) for size in sizes[:-1])
     assert [run[0].k for run in runs] == ks * 2
     for prob, centers, starts, states in runs:
         assert solver._allocates_nearest_labels(prob) == (not capacity)
+        assert (starts is None) == capacity
         for r, stream in enumerate(np.random.SeedSequence(config.rng_seed).spawn(restarts)):
             rng = np.random.default_rng(stream)
             expect = reference_kmeanspp(prob, rng)
             assert np.array_equal(centers[r], expect)
             assert states[r] == rng.bit_generator.state
             if capacity or placement == "continuous":
-                assert starts[r] is None
+                assert starts is None or starts[r] is None
                 continue
-            labels, best, _ = starts[r]
+            labels, best, totals = starts[r]
             D = reference_distances(prob, expect)
             assert np.array_equal(labels, np.argmin(D, axis=1)) and np.array_equal(best, D.min(axis=1))
+            # The kept site totals are those of a fresh product, to rounding.
+            S, w = prob.site_costs, prob.effective_weights
+            masses = np.zeros((prob.k, prob.n))
+            masses[labels, np.arange(prob.n)] = w
+            assert np.all(np.abs(totals - masses @ S) <= 1e-12 * w.sum() * S.max())
     if placement == "continuous" and not capacity:
         assert_same_solution(solve(problem, config), reference_solve(problem, config))
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
-def test_seeding_runs_out_of_sites_as_the_reference_loop(shared):
+def test_seeding_runs_out_of_sites_as_the_reference_loop(monkeypatch, shared):
     # Every point snaps to site 0 or 1 of five, and site 3 is fixed; once
     # sites 0 and 1 are taken the next seeds are the lowest free sites, and a
     # sixth center has no site left.  The six-center problem is not
@@ -323,20 +331,68 @@ def test_seeding_runs_out_of_sites_as_the_reference_loop(shared):
     points = tuple(Point(i, coords=tuple(xy[i])) for i in range(8))
     problem = validate_problem(Problem(points=points, metric=euclidean(),
                                        centers=CenterSpec(k=5, placement="discrete", candidates=sites, fixed=(3,))))
-    # "shared" draws the six centers on from the five-center sequence.
     assert set(problem.nearest_site.tolist()) == {0, 1}
-    for seed in range(4):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        seq = solver._Seeds(problem, rng)
-        assert np.array_equal(seq.first(5) if shared else kmeanspp_init(problem, rng),
-                              reference_kmeanspp(problem, ref))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        too_many = replace(problem, centers=replace(problem.centers, k=6))
-        with pytest.raises(NotEnoughDistinctSites) as got:
-            seq.first(6) if shared else kmeanspp_init(too_many, np.random.default_rng(seed))
+    too_many = replace(problem, centers=replace(problem.centers, k=6))
+    config = SolverConfig(restarts=4, rng_seed=3)
+    streams = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
+    if shared:  # the restarts of a solve, in two lockstep groups, drawn on from five centers to six
+        monkeypatch.setattr(solver, "_LOCKSTEP_CELLS", 2 * problem.n)
+        groups = solver._sequences(problem, config)
+        assert [len(group.rngs) for group in groups] == [2, 2]
+        rngs = [rng for group in groups for rng in group.rngs]
+        got = np.concatenate([group.first(5) for group in groups])
+        run_out = [group.first for group in groups]
+    else:
+        rngs = [np.random.default_rng(stream) for stream in streams]
+        got = [kmeanspp_init(problem, rng) for rng in rngs]
+        run_out = [lambda k, stream=stream: kmeanspp_init(too_many, np.random.default_rng(stream))
+                   for stream in streams]
+    for r, stream in enumerate(streams):
+        ref = np.random.default_rng(stream)
+        assert np.array_equal(got[r], reference_kmeanspp(problem, ref))
+        assert rngs[r].bit_generator.state == ref.bit_generator.state
         with pytest.raises(NotEnoughDistinctSites) as expect:
-            reference_kmeanspp(too_many, np.random.default_rng(seed))
-        assert str(got.value) == str(expect.value) == "cannot place 6 centers on 5 sites"
+            reference_kmeanspp(too_many, np.random.default_rng(stream))
+        assert str(expect.value) == "cannot place 6 centers on 5 sites"
+    for seeds in run_out:
+        with pytest.raises(NotEnoughDistinctSites) as err:
+            seeds(6)
+        assert str(err.value) == str(expect.value)
+
+
+@pytest.mark.parametrize("case", ["continuous-fixed", "discrete-fixed"])
+def test_solve_prices_the_fixed_seeds_once_per_lockstep_group(monkeypatch, case):
+    # Seven restarts in groups of four and three: the fixed seeds' distances,
+    # and a tracked discrete group's first site totals, are computed once per
+    # group, not once per restart.
+    base, _ = _seeding_problem(case)
+    m = base.centers.n_fixed
+    fixed, geometric, totals = np.array(base.centers.fixed), [], []
+    real_geometric, real_add = solver.metrics.geometric_distances, solver.add_mass_change
+    monkeypatch.setattr(solver.metrics, "geometric_distances",
+                        lambda kind, xy, *a: geometric.append(np.array(xy)) or real_geometric(kind, xy, *a))
+    monkeypatch.setattr(solver, "add_mass_change", lambda T, *a: totals.append(T.shape) or real_add(T, *a))
+    monkeypatch.setattr(solver, "_LOCKSTEP_CELLS", 4 * base.n)
+
+    def descending(*args, **kwargs):
+        raise _Seeded("seeded")
+
+    monkeypatch.setattr(solver, "descend", descending)
+    with pytest.raises(_Seeded):
+        solve(_with_k(base, m + 3), SolverConfig(restarts=7, rng_seed=4))
+    if case == "continuous-fixed":
+        assert sum(xy.shape == fixed.shape and np.array_equal(xy, fixed) for xy in geometric) == 2
+        assert not totals
+    else:
+        assert totals.count((m, base.site_costs.shape[1])) == 2
+
+
+def test_descend_takes_no_model_keyword():
+    # A capacitated descent builds its own allocation model.
+    points = blob_points(np.random.default_rng(45), [(0, 0), (6, 1), (3, 6)], per=10)
+    prob = continuous_problem(points, k=2, capacity=(0.0, 20.0))
+    with pytest.raises(TypeError, match="model"):
+        descend(prob, kmeanspp_init(prob, np.random.default_rng(0)), SolverConfig(), model=None)
 
 
 @pytest.mark.parametrize("case", ["discrete-fixed", "continuous"])
@@ -388,14 +444,14 @@ def test_seeding_keeps_each_points_nearest_seed_and_the_site_totals(case):
     base, k_max = _seeded_start_problem(case)
     S, w = base.site_costs, base.effective_weights
     ties = emptied = 0
-    # Four tracked draw sequences, drawn on together from k to k as in a sweep.
-    sequences = [solver._Seeds(base, np.random.default_rng(seed), track=True) for seed in range(4)]
+    # One tracked group of four draw sequences, drawn on together from k to k as in a sweep.
+    batch = solver._SeedBatch(base, [np.random.default_rng(seed) for seed in range(4)], track=True)
     for k in range(base.k, k_max + 1):
-        solver._advance(sequences, k)
-        for seed, seq in enumerate(sequences):
-            sites = seq.first(k)
+        batch.advance(k)
+        for seed, start in enumerate(batch.starts(k)):
+            sites = batch.first(k)[seed]
             assert np.array_equal(sites, kmeanspp_init(_with_k(base, k), np.random.default_rng(seed)))
-            labels, best, totals = seq.start(k)  # what solve hands descend
+            labels, best, totals = start  # what solve hands descend
             D = S[:, sites]
             assert np.array_equal(labels, np.argmin(D, axis=1))  # ties to the lowest index
             assert np.array_equal(best, D.min(axis=1))
@@ -515,8 +571,8 @@ def test_sweep_descents_without_a_nearest_first_allocation_start_as_alone(monkey
 
 def test_descend_ignores_the_seeding_cache(monkeypatch):
     # Only solve hands a descent its start: a descent from exactly the sites
-    # of a tracked draw sequence, while that sequence is alive, allocates
-    # first as it does alone.
+    # of a tracked draw sequence, while its group is alive, allocates first
+    # as it does alone.
     base, _ = _seeded_start_problem("integer")
     problem = _with_k(base, 4)
     sites = kmeanspp_init(problem, np.random.default_rng(3))
@@ -524,8 +580,8 @@ def test_descend_ignores_the_seeding_cache(monkeypatch):
     real, allocated = solver.allocate, []
     monkeypatch.setattr(solver, "allocate",
                         lambda prob, centers, *a, **kw: allocated.append(np.array(centers)) or real(prob, centers, *a, **kw))
-    seq = solver._Seeds(problem, np.random.default_rng(3), track=True)
-    assert np.array_equal(seq.first(4), sites) and seq.start(4) is not None
+    batch = solver._SeedBatch(problem, [np.random.default_rng(3)], track=True)
+    assert np.array_equal(batch.first(4)[0], sites) and batch.starts(4)[0] is not None
     got = descend(problem, sites, SolverConfig())
     assert_same_solution(got, alone)
     assert np.array_equal(allocated[0], sites)
@@ -538,8 +594,8 @@ def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, pl
     # The benchmark's tracer times one descend per solve, which runs every
     # restart, and reads the counts of the Solution descend returns: the
     # winning restart's.  Its restarts start from the seeds kmeanspp_init
-    # draws from each restart's stream, taken from draw sequences built once
-    # per solve, or once for a whole sweep.
+    # draws from each restart's stream, taken from lockstep groups of draw
+    # sequences built once per solve, or once for a whole sweep.
     if placement == "discrete":
         base, _ = _seeded_start_problem("integer")
     else:
@@ -567,18 +623,20 @@ def test_solve_calls_kmeanspp_init_then_descend_once_per_restart(monkeypatch, pl
     else:
         winners = {base.k: solve(base, config)}
     assert [name for name, *_ in calls] == ["_sequences", "descend"] + ["descend"] * (len(ks) - 1)
-    (_, (built_for, built_config), _, sequences), *descents = calls
-    assert built_config is config and len(sequences) == config.restarts
+    (_, (built_for, built_config), _, groups), *descents = calls
+    assert built_config is config and sum(len(group.rngs) for group in groups) == config.restarts
     for k, (_, args, kwargs, got) in zip(ks, descents):
         problem = args[0]
         assert problem.k == k and problem.shared is built_for.shared
         assert len(args) == 3 and args[2] is config
         streams = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
         assert np.array_equal(args[1], np.stack([kmeanspp_init(problem, np.random.default_rng(s)) for s in streams]))
-        assert list(kwargs) == ["start"] and len(kwargs["start"]) == config.restarts
+        assert list(kwargs) == ["start"]
         # A descent is handed its draw sequence's start exactly when it is
         # discrete and its first allocation is the nearest assignment.
-        assert all((start is not None) == (placement == "discrete") for start in kwargs["start"])
+        starts = kwargs["start"] or [None] * config.restarts
+        assert len(starts) == config.restarts
+        assert all((start is not None) == (placement == "discrete") for start in starts)
         assert solver._allocates_nearest_labels(problem) == (placement != "capacitated")
         if placement == "continuous":  # without a start, still the reference's answer
             assert_same_solution(got, reference_solve(problem, config))
@@ -1349,9 +1407,11 @@ def test_infeasible_window_fails_every_restart_alike(lp_binding, membership):
     prob = replace(_capacitated_blobs(membership), capacity=(20.0, 30.0))  # 3 centers hold at least 60 > 45
     with pytest.raises(Infeasible) as direct:
         allocation.lp_model(prob)
-    with pytest.raises(AllRestartsInfeasible) as err:
-        solve(prob, SolverConfig(restarts=3, rng_seed=8))
-    assert str(err.value) == "; ".join(f"restart {r}: {direct.value}" for r in range(3))
+    # No restart can run, so the message is given once, whatever the number of restarts.
+    for restarts in (3, 30):
+        with pytest.raises(AllRestartsInfeasible) as err:
+            solve(prob, SolverConfig(restarts=restarts, rng_seed=8))
+        assert str(err.value) == f"every restart: {direct.value}"
 
 
 @pytest.mark.parametrize("membership, outlier", [("fractional", None), ("fractional", 30.0), ("hard", None)])
