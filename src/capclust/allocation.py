@@ -28,12 +28,12 @@ their cheapest columns outside the program in every regime.
 
 What a capacitated solve imports, and when: building the first LP model
 loads scipy's private HiGHS extension ``scipy.optimize._highspy._core``
-alone, without executing ``scipy.optimize`` (``_load_highs``), and the
-model's matrix is built with numpy.  ``scipy.sparse`` and
-``scipy.optimize`` (for ``milp``, ``Bounds`` and ``LinearConstraint``)
-load on the first call that runs ``milp`` (``_load_milp``): a hard step
-whose root LP is fractional, or any LP when the extension cannot be found.
-An uncapacitated solve imports neither.
+alone, without executing ``scipy.optimize`` (``_find_binding``); the model
+holds it and builds its matrix with numpy.  ``run_milp`` imports
+``scipy.optimize`` and ``scipy.sparse`` where it runs, so they load on the
+first call that runs ``milp``: a hard step whose root LP is fractional, or
+any LP when the extension cannot be found.  An uncapacitated solve imports
+neither.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ from .model import FRACTIONAL, HARD, Assignment, Problem
 
 # scipy's private HiGHS binding; no other module of capclust reaches it
 _BINDING = "scipy.optimize._highspy._core"
-# the names _load_milp binds as module globals on first use
-_MILP_NAMES = ("sparse", "Bounds", "LinearConstraint", "milp")
 
 
 def _find_binding():
@@ -83,43 +81,6 @@ def _find_binding():
         sys.modules.pop(_BINDING, None)
         return None
     return module
-
-
-def _load_highs() -> None:
-    """Bind ``_highspy`` to the HiGHS extension (or None without it); a name already bound (a test's patch) is kept.
-
-    Only a capacitated allocation needs it, so it loads when the first LP model is built.
-    """
-    if "_highspy" not in globals():
-        globals()["_highspy"] = _find_binding()
-
-
-def _load_milp() -> None:
-    """Bind ``sparse``, ``Bounds``, ``LinearConstraint`` and ``milp``; names already bound (a test's patch) are kept.
-
-    Importing ``scipy.optimize`` and ``scipy.sparse`` costs more than a small
-    solve and most of a capacitated solve's memory, so it happens on the
-    first call that runs ``milp``.
-    """
-    names = globals()
-    if all(name in names for name in _MILP_NAMES):
-        return
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    for name, value in zip(_MILP_NAMES, (sparse, Bounds, LinearConstraint, milp)):
-        names.setdefault(name, value)
-
-
-def __getattr__(name: str):
-    """``allocation.milp``, ``allocation._highspy`` and the other scipy names resolve (and can be patched) early."""
-    if name == "_highspy":
-        _load_highs()
-    elif name in _MILP_NAMES:
-        _load_milp()
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals()[name]
 
 
 def allocate(problem: Problem, centers, time_budget: float | None = None, *, distances=None,
@@ -270,12 +231,12 @@ class _AllocationLP:
     model, the first LP after ``restart``, or after a solve that did not
     end optimal), the LP starts from the basis of the nearest assignment
     instead (``_start_basis``), so a restarted model solves exactly as a
-    new one.  Without the private binding every solve goes through
-    ``milp`` cold, as every MIP does (``run_milp``).  ``pos`` and ``zero``
-    are the rows with a_i > 0 and a_i = 0; ``matrix``, ``row_lower`` and
-    ``row_upper`` hold the LP rows over ``pos`` (``_lp_rows``);
-    ``last_hard`` holds the rows ``pos`` of the last hard assignment made
-    in this descent.
+    new one.  ``hs`` is the private binding (``_find_binding``); without
+    it every solve goes through ``milp`` cold, as every MIP does
+    (``run_milp``).  ``pos`` and ``zero`` are the rows with a_i > 0 and
+    a_i = 0; ``matrix``, ``row_lower`` and ``row_upper`` hold the LP rows
+    over ``pos`` (``_lp_rows``); ``last_hard`` holds the rows ``pos`` of
+    the last hard assignment made in this descent.
     """
 
     def __init__(self, problem: Problem, membership: str):
@@ -305,17 +266,18 @@ class _AllocationLP:
         self._warm = False  # HiGHS holds the optimal basis of the last solve
         if not self.pos.size:  # every point takes its cheapest columns
             return
-        _load_highs()
+        self.hs = _find_binding()
         self.matrix, self.row_lower, self.row_upper = _lp_rows(problem)
         self._index = np.arange(self.matrix[0].size - 1, dtype=np.int32)
-        self._highs = None if _highspy is None else self._pass_model()
+        self._highs = None if self.hs is None else self._pass_model()
 
     def _pass_model(self):
+        hs = self.hs
         start, index, value = self.matrix
-        lp = _highspy.HighsLp()
+        lp = hs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = self._index.size
         lp.num_row_ = lp.a_matrix_.num_row_ = self.row_lower.size
-        lp.a_matrix_.format_ = _highspy.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = hs.MatrixFormat.kColwise
         lp.a_matrix_.start_ = start
         lp.a_matrix_.index_ = index
         lp.a_matrix_.value_ = value
@@ -324,24 +286,27 @@ class _AllocationLP:
         lp.col_upper_ = np.ones(self._index.size)
         lp.row_lower_ = self.row_lower
         lp.row_upper_ = self.row_upper
-        highs = _highspy._Highs()
-        if highs.setOptionValue("output_flag", False) != _highspy.HighsStatus.kOk:
+        highs = hs._Highs()
+        if highs.setOptionValue("output_flag", False) != hs.HighsStatus.kOk:
             raise CapclustError("HiGHS rejected the option output_flag=False")
-        if highs.passModel(lp) == _highspy.HighsStatus.kError:
+        if highs.passModel(lp) == hs.HighsStatus.kError:
             raise CapclustError("HiGHS rejected the allocation LP")
         return highs
 
     @cached_property
-    def _constraint(self) -> LinearConstraint:
+    def _constraint(self):
         """The rows as scipy's ``LinearConstraint`` over a ``csc_array`` of the same arrays (``run_milp``)."""
-        _load_milp()
+        from scipy.optimize import LinearConstraint
+        from scipy.sparse import csc_array
+
         start, index, value = self.matrix
-        A = sparse.csc_array((value, index, start), shape=(self.row_lower.size, self._index.size))
+        A = csc_array((value, index, start), shape=(self.row_lower.size, self._index.size))
         return LinearConstraint(A, self.row_lower, self.row_upper)
 
     def run_milp(self, c: np.ndarray, integrality: int, options: dict | None = None):
-        """scipy's ``milp`` over the rows with 0 <= y <= 1 and costs ``c``; loads it on the first call."""
-        _load_milp()
+        """scipy's ``milp`` over the rows with 0 <= y <= 1 and costs ``c``; imported on the first call."""
+        from scipy.optimize import Bounds, milp
+
         return milp(c, constraints=self._constraint, integrality=integrality, bounds=Bounds(0.0, 1.0), options=options)
 
     def restart(self) -> None:
@@ -352,7 +317,7 @@ class _AllocationLP:
         """
         self.last_hard = None
         self._warm = False
-        if self._highs is not None and self._highs.clearSolver() == _highspy.HighsStatus.kError:
+        if self._highs is not None and self._highs.clearSolver() == self.hs.HighsStatus.kError:
             raise CapclustError("HiGHS could not clear the allocation LP's solver data")
 
     def _start_basis(self, D: np.ndarray):
@@ -372,9 +337,9 @@ class _AllocationLP:
         by_rank = np.sign(q[:, None] - 1 - np.arange(order.shape[1])) + 1
         codes = np.empty_like(order)
         np.put_along_axis(codes, order, by_rank, axis=1)
-        status = _highspy.HighsBasisStatus
+        status = self.hs.HighsBasisStatus
         table = np.array([status.kLower, status.kBasic, status.kUpper], dtype=object)
-        basis = _highspy.HighsBasis()
+        basis = self.hs.HighsBasis()
         basis.col_status = table[codes.ravel()].tolist()
         basis.row_status = [status.kLower] * self.pos.size + [status.kBasic] * self.problem.k
         basis.valid = True
@@ -392,14 +357,15 @@ class _AllocationLP:
             res = self.run_milp(c, integrality=0)
             optimal, infeasible, message, x = res.status == 0, res.status == 2, res.message, res.x
         else:
-            if highs.changeColsCost(c.size, self._index, c) == _highspy.HighsStatus.kError:
+            hs = self.hs
+            if highs.changeColsCost(c.size, self._index, c) == hs.HighsStatus.kError:
                 raise CapclustError("HiGHS rejected the allocation LP's column costs")
-            if not self._warm and highs.setBasis(self._start_basis(D)) == _highspy.HighsStatus.kError:
+            if not self._warm and highs.setBasis(self._start_basis(D)) == hs.HighsStatus.kError:
                 raise CapclustError("HiGHS rejected the allocation LP's start basis")
-            ran = highs.run() != _highspy.HighsStatus.kError
+            ran = highs.run() != hs.HighsStatus.kError
             status = highs.getModelStatus()
-            optimal = ran and status == _highspy.HighsModelStatus.kOptimal
-            infeasible = status == _highspy.HighsModelStatus.kInfeasible
+            optimal = ran and status == hs.HighsModelStatus.kOptimal
+            infeasible = status == hs.HighsModelStatus.kInfeasible
             message = highs.modelStatusToString(status)
             x = np.array(highs.getSolution().col_value) if optimal else None
             self._warm = optimal

@@ -173,6 +173,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(os.path.join(args.out, "sweep.txt"), "w") as fh:
         fh.write(text)
     print(text, end="")
+    if not report.base_objectives:  # every k failed, each with AllRestartsInfeasible
+        raise AllRestartsInfeasible(f"no k in {k_lo}..{k_hi} solved")
     if report.consensus_k is not None and report.consensus_k in report.solutions:
         best = report.solutions[report.consensus_k]
         trial_problem = validate_problem(dataclasses.replace(
@@ -256,6 +258,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         args._config = io.load_json_object(args.config, "config") if getattr(args, "config", None) else {}
+        unknown = sorted(set(args._config) - {"metric", "capacity", "membership", "outlier-lambda", "opening-lambda",
+                                              "release-lambda", "restarts", "seed", "time-budget"})
+        if unknown:  # a misspelt key would otherwise leave its flag at the default
+            raise ValidationError(f"config: unknown key {', '.join(map(repr, unknown))}")
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "sweep":

@@ -63,6 +63,10 @@ class GenSpec:
             raise ValueError("shrink must be in (0, 1]")
         if self.rho is not None and not -1 < self.rho < 1:
             raise ValueError("copula correlation must lie in (-1, 1)")
+        if self.n_outliers < 0:
+            raise ValueError("n_outliers must be nonnegative")
+        if self.edge_weighted is not None and any(not 0 <= c < len(self.cluster_sizes) for c in self.edge_weighted):
+            raise ValueError(f"edge_weighted indices must lie in 0..{len(self.cluster_sizes) - 1}")
 
     @property
     def n_clusters(self) -> int:

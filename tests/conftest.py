@@ -7,5 +7,5 @@ def lp_binding(request, monkeypatch):
     if request.param == "milp":
         from capclust import allocation
 
-        monkeypatch.setattr(allocation, "_highspy", None)
+        monkeypatch.setattr(allocation, "_find_binding", lambda: None)
     return request.param

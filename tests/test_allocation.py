@@ -99,7 +99,7 @@ def presolve_settings(monkeypatch):
 
     def without_presolve(self):
         highs = pass_model(self)
-        assert highs.setOptionValue("presolve", "off") == allocation._highspy.HighsStatus.kOk
+        assert highs.setOptionValue("presolve", "off") == self.hs.HighsStatus.kOk
         return highs
 
     with monkeypatch.context() as patch:
@@ -440,7 +440,7 @@ def test_warm_model_matches_milp_as_centers_move(lp_binding, monkeypatch):
                 assert expect is None
                 break
             with monkeypatch.context() as patch:  # a cold milp solve of the same LP
-                patch.setattr(allocation, "_highspy", None)
+                patch.setattr(allocation, "_find_binding", lambda: None)
                 cold = allocate_fractional(problem, centers)
             tol = 1e-9 * max(1.0, abs(expect))
             assert objective_of(problem, got, D) == pytest.approx(expect, abs=tol)
@@ -557,19 +557,42 @@ def _names_in(node) -> list[str]:
     return []
 
 
+def _globals_writes(tree) -> list[int]:
+    """The lines that write through ``globals()``, directly or through a name bound to it."""
+    def is_globals(node) -> bool:
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "globals"
+                or isinstance(node, ast.Name) and node.id in aliases)
+
+    aliases = set()  # while the aliases are collected, only a globals() call matches
+    aliases = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign) and is_globals(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) and is_globals(node.value)
+            or isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("setdefault", "update")
+            and is_globals(node.func.value)]
+
+
 def test_private_highs_binding_is_imported_in_one_module():
     src = Path(allocation.__file__).parent
-    importers = []
+    importers, writers = [], []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
             if any("_highspy" in name for name in _names_in(node)):
                 importers.append(path.name)
+        writers += [f"{path.name}:{line}" for line in _globals_writes(tree)]
     assert sorted(set(importers)) == ["allocation.py"]
     # each way of reaching the binding counts
     for code in ["from scipy.optimize._highspy import _core", "import scipy.optimize._highspy._core",
                  "importlib.import_module('scipy.optimize._highspy._core')", "sys.modules['scipy.optimize._highspy']",
                  "allocation._highspy.HighsLp()"]:
         assert any("_highspy" in name for node in ast.walk(ast.parse(code)) for name in _names_in(node)), code
+    # No module rebinds its own names at run time; reading globals() is allowed.
+    assert writers == []
+    for code in ["globals()['x'] = 1", "globals().setdefault('x', 1)", "names = globals()\nnames['x'] = 1",
+                 "names = globals()\nnames.setdefault('x', 1)"]:
+        assert _globals_writes(ast.parse(code)), code
+    assert _globals_writes(ast.parse("names = sorted(set(globals()) | {'x'})\nnames.append('y')")) == []
 
 
 def test_a_moved_binding_is_none(monkeypatch):

@@ -203,6 +203,9 @@ def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
      "id,x,y,w\n\n  \n", 3),
     (["solve", "--k", "3", "--restarts", "1"], None, 1),
     (["sweep", "--k-range", "1..3", "--lambda-grid", "0", "--restarts", "1"], None, 1),
+    (["solve", "--k", "1", "--config", "JSON"], '{"restart": 3, "metricc": "euclidean"}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [5, 5], "n_outliers": -3}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [5, 5], "edge_weighted": [7]}', 1),
 ], ids=["threshold-radius", "lambda-grid", "restarts-zero", "restarts-too-many", "negative-seed", "config-restarts",
         "config-capacity", "spec-unknown-key", "missing-input", "config-array", "config-syntax",
         "spec-nan-weight", "spec-infinite-weight", "spec-infinite-scale", "spec-nan-grid",
@@ -210,7 +213,7 @@ def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
         "lambda-grid-nan", "lambda-grid-inf", "lambda-grid-negative", "spec-huge-scale",
         "huge-weight-sum", "huge-weight-times-distance", "fixed-site-without-sites", "config-fractional-restarts",
         "config-boolean-seed", "points-header-only", "points-blank-rows", "k-above-points",
-        "k-range-above-points"])
+        "k-range-above-points", "config-unknown-key", "spec-negative-outliers", "spec-edge-weighted-outside"])
 def test_bad_outside_value_fails_cleanly(tmp_path, capsys, argv, text, code):
     (tmp_path / "in.json").write_text(text or "")
     points = tmp_path / "pts.csv"
@@ -248,6 +251,21 @@ def test_sweep_writes_report(dataset, tmp_path, capsys):
     assert (out / "sweep.txt").exists()
     printed = capsys.readouterr().out
     assert "argmin" in printed
+
+
+def test_sweep_with_no_solved_k_exits_infeasible(tmp_path, capsys):
+    # Every k fails its lower capacity limit; the report is still written.
+    points = tmp_path / "pts.csv"
+    points.write_text("id,x,y,w\n" + "".join(f"{i},{i},0,1\n" for i in range(5)))
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--points", str(points), "--k-range", "1..3", "--lambda-grid", "1,2", "--out", str(out)]
+    assert main(argv + ["--capacity", "10,20"]) == 2
+    assert capsys.readouterr().err == "infeasible: no k in 1..3 solved\n"
+    report = (out / "sweep.txt").read_text().splitlines()
+    assert [row.split()[1] for row in report[1:4]] == ["failed"] * 3 and report[-1] == "consensus None"
+    assert sorted(p.name for p in out.iterdir()) == ["sweep.txt"]
+    # A sweep in which some k solves still succeeds.
+    assert main(argv + ["--capacity", "1,5", "--restarts", "2"]) == 0
 
 
 def test_threshold_metric_and_candidates(tmp_path):
@@ -294,7 +312,7 @@ def test_matrix_metric_rejects_candidates_of_another_site_count(tmp_path, capsys
     assert not (out / "solution.txt").exists()
 
 
-def test_config_file_defaults_with_flag_override(dataset, tmp_path):
+def test_config_file_defaults_with_flag_override(dataset, tmp_path, capsys):
     points, _ = dataset
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"metric": "euclidean", "restarts": 2, "seed": 3}))
@@ -309,6 +327,10 @@ def test_config_file_defaults_with_flag_override(dataset, tmp_path):
                  "--metric", "manhattan", "--out", str(out2)])
     assert code == 0
     assert "metric manhattan" in (out2 / "solution.txt").read_text()
+    # A key that names no flag is an error that names it, not a silent default.
+    config.write_text(json.dumps({"restart": 3, "metricc": "euclidean", "seed": 3}))
+    assert main(["solve", "--points", str(points), "--k", "2", "--config", str(config), "--out", str(out2)]) == 1
+    assert capsys.readouterr().err == "error: config: unknown key 'metricc', 'restart'\n"
 
 
 def test_fixed_centers_flag(dataset, tmp_path):
@@ -395,8 +417,8 @@ def _capacitated_solve_imports(tmp_path, membership: str, window: str, a=None) -
 
     The list holds: whether importing the CLI loaded ``scipy.optimize``, the
     exit code, whether ``scipy.optimize`` and ``scipy.sparse`` were loaded
-    after the solve and ``milp`` bound in ``allocation``, and whether the
-    one HiGHS extension in ``sys.modules`` is ``allocation._highspy``.
+    after the solve, and whether the one HiGHS extension in ``sys.modules``
+    is the one ``allocation._find_binding()`` returns.
     """
     points, _matrix = _small_instance(tmp_path)
     if a is not None:
@@ -407,13 +429,13 @@ def _capacitated_solve_imports(tmp_path, membership: str, window: str, a=None) -
     code = (f"import json, sys; from capclust import allocation; from capclust.cli import main; "
             f"before = 'scipy.optimize' in sys.modules; code = main({argv!r}); "
             f"print(json.dumps([before, code, 'scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules, "
-            f"'milp' in vars(allocation), sys.modules.get('scipy.optimize._highspy._core') is allocation._highspy]))")
+            f"sys.modules.get('scipy.optimize._highspy._core') is allocation._find_binding()]))")
     return _fresh_interpreter(code)
 
 
 def test_capacitated_solve_loads_the_highs_binding(tmp_path):
     # A fractional solve loads the extension alone: no scipy.optimize, no scipy.sparse.
-    assert _capacitated_solve_imports(tmp_path, "fractional", "2,4") == [False, 0, False, False, False, True]
+    assert _capacitated_solve_imports(tmp_path, "fractional", "2,4") == [False, 0, False, False, True]
 
 
 @pytest.mark.parametrize("a, window, milp_ran", [
@@ -422,4 +444,4 @@ def test_capacitated_solve_loads_the_highs_binding(tmp_path):
 ], ids=["integral-lp", "fractional-lp"])
 def test_hard_solve_imports_scipy_optimize_only_for_milp(tmp_path, a, window, milp_ran):
     # After scipy.optimize is imported, the extension is still the one allocation loaded.
-    assert _capacitated_solve_imports(tmp_path, "hard", window, a) == [False, 0, milp_ran, milp_ran, milp_ran, True]
+    assert _capacitated_solve_imports(tmp_path, "hard", window, a) == [False, 0, milp_ran, milp_ran, True]

@@ -948,7 +948,7 @@ def test_truncated_allocation_never_raises_the_objective(monkeypatch, max_iterat
     # (6 iterations) and in the final re-allocation (1 iteration).
     from dataclasses import replace
 
-    from scipy.optimize import OptimizeResult
+    import scipy.optimize
 
     from capclust import allocation
 
@@ -957,7 +957,7 @@ def test_truncated_allocation_never_raises_the_objective(monkeypatch, max_iterat
     pts = tuple(replace(p, a=float(a)) for p, a in zip(pts, rng.uniform(0.5, 2.0, size=len(pts))))
     mean_load = sum(p.a for p in pts) / 3
     prob = continuous_problem(pts, k=3, membership="hard", capacity=(0.99 * mean_load, 1.01 * mean_load))
-    real = allocation.milp
+    real = scipy.optimize.milp
     calls = []
 
     def truncated(c, **kw):
@@ -966,9 +966,9 @@ def test_truncated_allocation_never_raises_the_objective(monkeypatch, max_iterat
         if len(calls) < 2:
             return got
         rolled = np.roll(got.x.reshape(prob.n, prob.k), 1, axis=1).ravel()
-        return OptimizeResult(status=1, x=rolled, mip_gap=0.5, mip_node_count=1, message="time limit reached")
+        return scipy.optimize.OptimizeResult(status=1, x=rolled, mip_gap=0.5, mip_node_count=1, message="time limit reached")
 
-    monkeypatch.setattr(allocation, "milp", truncated)
+    monkeypatch.setattr(scipy.optimize, "milp", truncated)
     monkeypatch.setattr(allocation, "_greedy_incumbent", lambda problem, D: None)
     sol = descend(prob, np.array([[1.0, 1.0], [5.0, 1.0], [3.0, 4.0]]),
                   SolverConfig(max_iterations=max_iterations, convergence_tol=-np.inf))
@@ -1426,33 +1426,20 @@ def test_two_solves_on_one_problem_agree(lp_binding, membership, outlier):
 
 @pytest.mark.parametrize("membership", ["fractional", "hard"])
 def test_milp_fallback_solves_like_the_warm_model(monkeypatch, membership):
+    # A fractional solve makes no milp call with the binding, and one per allocation without it.
+    import scipy.optimize
+
     from capclust import allocation
 
     prob = _capacitated_blobs(membership, 30.0)
+    milp_calls = _counting(monkeypatch, scipy.optimize, "milp")
+    allocations = _counting(monkeypatch, solver, "allocate")
     warm = solve(prob, SolverConfig(restarts=3, rng_seed=8))
-    monkeypatch.setattr(allocation, "_highspy", None)
+    assert membership == "hard" or milp_calls == []
+    milp_calls.clear()
+    allocations.clear()
+    monkeypatch.setattr(allocation, "_find_binding", lambda: None)
     cold = solve(prob, SolverConfig(restarts=3, rng_seed=8))
+    assert membership == "hard" or len(milp_calls) == len(allocations) > 0
     assert cold.objective.total == pytest.approx(warm.objective.total, rel=1e-9)
     assert np.allclose(cold.diagnostics["restart_objectives"], warm.diagnostics["restart_objectives"], rtol=1e-9)
-
-
-def test_lazy_scipy_load_keeps_patched_names(monkeypatch, lp_binding):
-    # Clear the names the loaders bind, except the patched ones, so the
-    # descent's first model runs them again: a patched milp spy and a
-    # patched _highspy = None must both survive them, and scipy.sparse is
-    # bound exactly when milp ran.
-    from capclust import allocation, solver
-
-    milp_calls = _counting(monkeypatch, allocation, "milp")
-    allocations = _counting(monkeypatch, solver, "allocate")
-    for name in allocation._MILP_NAMES:
-        if name != "milp":
-            monkeypatch.delitem(vars(allocation), name)
-    if lp_binding == "highspy":
-        monkeypatch.delitem(vars(allocation), "_highspy", raising=False)
-    prob = _capacitated_blobs("fractional")
-    sol = descend(prob, kmeanspp_init(prob, np.random.default_rng(3)), SolverConfig())
-    assert sol.diagnostics["iterations"] >= 2
-    assert (vars(allocation)["_highspy"] is None) == (lp_binding == "milp")
-    assert len(milp_calls) == (len(allocations) if lp_binding == "milp" else 0)
-    assert ("sparse" in vars(allocation)) == (len(milp_calls) > 0)
