@@ -42,7 +42,6 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -142,24 +141,23 @@ def _nearest_assignment(problem: Problem, nearest: np.ndarray, best: np.ndarray)
     """The assignment of every point (each q_i = 1) to its nearest center, or to the outlier column.
 
     ``nearest`` is each point's nearest center (ties to the lowest index)
-    and ``best`` its distance to it, read only with an outlier column.  A
-    hard assignment carries the labels and builds its y only when read; a
-    fractional one is dense.
+    and ``best`` its distance to it, read only with an outlier column.
+    Every row is one-hot under either membership, so the assignment carries
+    the labels and builds its y only when read.
     """
     if problem.has_outlier_column:
         # The outlier column sorts last, so a tie d == lambda_o stays with the center.
         nearest = np.where(best > problem.outlier_penalty, problem.k, nearest)
-    labelled = Assignment(y=None, membership=problem.membership, has_outlier=problem.has_outlier_column,
-                          labels=nearest, columns=problem.k + (1 if problem.has_outlier_column else 0))
-    return labelled if problem.membership == HARD else replace(labelled, labels=None)
+    return Assignment(y=None, membership=problem.membership, has_outlier=problem.has_outlier_column,
+                      labels=nearest, columns=problem.k + (1 if problem.has_outlier_column else 0))
 
 
 def _allocates_nearest_labels(problem: Problem) -> bool:
     """Whether ``allocate`` gives ``_nearest_assignment`` with labels for any centers.
 
-    It does without a capacity window, under hard membership and with every q_i = 1.
+    It does without a capacity window and with every q_i = 1, under either membership.
     """
-    return problem.capacity is None and problem.membership == HARD and problem.coverages.max() == 1
+    return problem.capacity is None and problem.coverages.max() == 1
 
 
 def allocate_uncapacitated(problem: Problem, centers, *, distances=None) -> Assignment:

@@ -228,10 +228,23 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the parser of each subcommand, whose usage errors raise ValidationError.
+
+    The usage line still goes to stderr first; ``main`` then prints the
+    error and returns 1, where argparse would exit 2, the code for
+    infeasible.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(prog="capclust", description="Capacitated, constrained spatial clustering")
+    parser = _Parser(prog="capclust", description="Capacitated, constrained spatial clustering")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one instance")
@@ -255,8 +268,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         args._config = io.load_json_object(args.config, "config") if getattr(args, "config", None) else {}
         unknown = sorted(set(args._config) - {"metric", "capacity", "membership", "outlier-lambda", "opening-lambda",
                                               "release-lambda", "restarts", "seed", "time-budget"})

@@ -11,7 +11,8 @@ over the bounding box of the true points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -28,7 +29,9 @@ class GenSpec:
     the largest marginal standard deviation among the drawn clusters.
     ``edge_weighted`` lists clusters whose weights grow toward the rim
     (None: every other cluster).  ``shrink`` contracts each cloud toward
-    its mean; 1 leaves the draw untouched.
+    its mean; 1 leaves the draw untouched.  No field takes a boolean, and
+    the counts and indices (``cluster_sizes``, ``n_outliers``,
+    ``edge_weighted``, ``rng_seed``) take integers only.
     """
 
     cluster_sizes: tuple[int, ...] = (20, 20, 40, 40, 50, 50, 60, 60, 80, 80)
@@ -43,6 +46,14 @@ class GenSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            values = value if isinstance(value, (tuple, list)) else [value]
+            if any(isinstance(v, bool) for v in values):  # a bool is an int, so it would count as 0 or 1
+                raise ValueError(f"{field.name} cannot hold a boolean")
+            if (field.name in ("cluster_sizes", "n_outliers", "edge_weighted", "rng_seed") and value is not None
+                    and not all(isinstance(v, numbers.Integral) for v in values)):
+                raise ValueError(f"{field.name} must hold integers (got {value!r})")
         if not self.cluster_sizes:
             raise ValueError("cluster_sizes must be nonempty")
         if any(s < 1 for s in self.cluster_sizes):

@@ -73,7 +73,8 @@ RESTART_TIE_RTOL = 1e-12
 
 # The most distance-matrix cells, restarts x n x k, of one group of
 # continuous descents without a capacity window run in lockstep.  Each
-# descent in a group adds about two (n, k) float arrays to the peak memory.
+# descent in a group adds about two (n, k) float arrays to the peak memory,
+# and one (n, m) array of distances to its m fixed locations.
 # A lockstep group of k-means++ draw sequences holds at most restarts x n
 # of these cells in each of its (R, n) seeding arrays.
 _LOCKSTEP_CELLS = 1_000_000
@@ -121,6 +122,7 @@ class _SeedBatch:
     sequence once, up to its largest k.  A row's draws do not depend on the
     other rows of its group, so grouping never changes them.  The fixed
     seeds, the same for every row, are priced once for the whole group.
+    Every seed distance comes from ``metrics.distances_to_centers``.
 
     With ``track`` (a group whose descents start from the nearest
     assignment) a discrete group also keeps ``labels`` (R, n), the index in
@@ -157,8 +159,7 @@ class _SeedBatch:
         self.chosen = np.repeat(fixed[None], rows, axis=0)
         if m:
             # The fixed seeds' distances, one row per seed: a minimum over rows is one pass.
-            D = (problem.site_cost_columns[:, fixed].T if self.discrete else
-                 metrics.geometric_distances(problem.metric.kind, fixed, problem.coord_columns))
+            D = metrics.distances_to_centers(problem, fixed).T
             self.best = np.broadcast_to(np.min(D, axis=0), (rows, problem.n))
             if self.track:
                 self._track_from(np.argmin(D, axis=0))
@@ -189,8 +190,8 @@ class _SeedBatch:
 
         A round makes one (R, n) pass for the masses w'_i * D(x_i)^2 (plain
         w' before a first seed) and one more for their inverse CDFs
-        (``_draws``); each row draws from its own generator, and one distance
-        call (or one gather of site-cost columns) prices the R new seeds.
+        (``_draws``); each row draws from its own generator, and one
+        ``metrics.distances_to_centers`` call prices the R new seeds.
         So each row gets the seeds, generator state, nearest-seed distances
         and labels it would get alone.  Under discrete placement a draw
         snaps to its point's nearest site, a point whose site is taken is
@@ -214,11 +215,9 @@ class _SeedBatch:
                 lowest = picks < 0  # no eligible point: the lowest unused site
                 new[lowest] = np.argmin(self.taken[lowest], axis=1)
                 self.taken[rows, new] = True
-                d = problem.site_cost_columns[:, new].T
             else:
                 new = problem.coords[_draws(self.rngs, masses, None)]
-                # |c - x| term by term, as |x - c| the other way round.
-                d = metrics.geometric_distances(problem.metric.kind, new, problem.coord_columns)
+            d = metrics.distances_to_centers(problem, new).T
             self.chosen = np.concatenate([self.chosen, new[:, None]], axis=1)
             if self.best is None:  # the first seed takes every point
                 self.best = d
@@ -412,15 +411,19 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, start=No
     descent then makes no first ``allocate`` call, and its first step takes
     in only the points sent to the outlier column.  Under continuous
     placement the moving clusters' points with positive mass go, cluster
-    after cluster, to one ``update_centers_continuous`` call;
-    ``cluster_costs_continuous`` then prices every update, and the fixed
-    location of every moving fixed cluster, in one call each for all the
+    after cluster, to one ``update_centers_continuous`` call, and one
+    ``cluster_costs_continuous`` call prices every update, both for all the
     descents of a lockstep group.  A continuous optimum that costs more
     than the current location (read from the distance matrix) is dropped
-    for it (the monotone guard).  A fixed
-    center is then released when the gain of that location over its fixed
-    one passes ``decide_release``, one center at a time, and put back at its
-    fixed location otherwise.  A fixed center that cannot be released
+    for it (the monotone guard).  A fixed center is then released when the
+    gain of that location over its fixed one passes ``decide_release``, one
+    center at a time, and put back at its fixed location otherwise.  Its
+    cost at its fixed location comes from the descent's (n, m) distances to
+    the m fixed locations, computed once when the release penalty is
+    finite, as its cost where it stands comes
+    from the distance matrix; a discrete descent reads both from its site
+    totals.  Every distance comes from ``metrics.distances_to_centers``.
+    A fixed center that cannot be released
     (infinite penalty or empty cluster) stays fixed without an update.
     Several descents run in lockstep (below) give those clusters to one
     ``update_centers_continuous`` call together; a cluster's result does not
@@ -498,12 +501,10 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, start=No
 def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model, start):
     """One descent of ``descend`` from checked ``centers``, as a generator that returns its Solution.
 
-    At each continuous location step it yields ``(xy, masses, starts,
-    fixed)``, its moving clusters laid out as for
-    ``update_centers_continuous`` and the fixed locations of the leading
-    ones that are fixed.  It is sent back their ``CenterUpdate``, each
-    cluster's cost at its update, and the cost of each of those fixed
-    clusters at its fixed location.  A discrete descent never yields.
+    At each continuous location step it yields ``(xy, masses, starts)``,
+    its moving clusters laid out as for ``update_centers_continuous``, and
+    is sent back their ``CenterUpdate`` and each cluster's cost at its
+    update.  A discrete descent never yields.
     """
     spec = problem.centers
     k, m = spec.k, spec.n_fixed
@@ -517,6 +518,10 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
     D = metrics.distances_to_centers(problem, centers)
     if not discrete:  # row-major, as the allocation's argmin over each row reads it fastest
         D = np.ascontiguousarray(D)
+    # The release gains read a moving fixed cluster's cost at its fixed
+    # location from these; under an infinite penalty no center is weighed.
+    releasable = m and not discrete and math.isfinite(spec.release_penalty)
+    fixed_D = metrics.distances_to_centers(problem, fixed_at) if releasable else None
     if model is not None:
         model.restart()
     # The last iteration's location input (labels or masses); whether each
@@ -591,13 +596,15 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
             xy = problem.coords[points]
             starts = np.searchsorted(rows, np.arange(moving.size))  # each moving cluster holds a point
             # The caller relocates them and prices them (``_finished``).
-            update, then, at_fixed = yield xy, mass, starts, fixed_at[moving[:f]]
+            update, then = yield xy, mass, starts
             last_unconverged[moving] = ~update.converged
             # Keep the current location on the rare non-improving update so
             # the outer descent stays monotone.
             now = np.add.reduceat(mass * D[points, moving[rows]], starts)
             new_centers[moving] = np.where((then <= now)[:, None], update.coords, centers[moving])
             if f:  # min(then, now) is the cost where the center now stands
+                lead = rows < f
+                at_fixed = np.add.reduceat(mass[lead] * fixed_D[points[lead], moving[rows[lead]]], starts[:f])
                 gains = at_fixed - np.minimum(then, now)[:f]
         for j, gain in zip(moving[:f].tolist(), gains.tolist()):
             if decide_release(gain, spec.release_penalty, j in released):
@@ -659,9 +666,8 @@ def _finished(kind: str, descents: list, size: int):
     ``NoIncumbentWithinBudget`` it raised.  The running descents go in
     rounds: each runs on to its next continuous location step, then one
     ``update_centers_continuous`` call takes the clusters of all of them,
-    descent after descent.  One ``cluster_costs_continuous`` call prices
-    every update, and one more every moving fixed cluster at its fixed
-    location; each sum is one ``reduceat`` segment, so a cluster's cost
+    descent after descent, and one ``cluster_costs_continuous`` call prices
+    every update; each sum is one ``reduceat`` segment, so a cluster's cost
     does not depend on its batch.  Each descent is sent its slices.  A
     descent that ends makes room for the next, in index order.
     """
@@ -683,26 +689,18 @@ def _finished(kind: str, descents: list, size: int):
                 yield i, exc
         if not batch:
             continue
-        xy, masses, starts, fixed = zip(*(clusters for *_, clusters in batch))
+        xy, masses, starts = zip(*(clusters for *_, clusters in batch))
         offsets = np.cumsum([0] + [len(m) for m in masses[:-1]])
         xy, masses = np.concatenate(xy), np.concatenate(masses)
         all_starts = np.concatenate([s + offset for s, offset in zip(starts, offsets)])
         update = update_centers_continuous(kind, xy, masses, all_starts)
         then = cluster_costs_continuous(kind, xy, masses, all_starts, update.coords)
-        # Each descent's leading clusters are its moving fixed ones.
-        lead = np.concatenate([np.arange(len(s)) < len(at) for s, at in zip(starts, fixed)])
-        at_fixed = np.zeros(0)
-        if lead.any():
-            sizes = np.diff(all_starts, append=len(xy))
-            rows, lead_sizes = np.repeat(lead, sizes), sizes[lead]
-            at_fixed = cluster_costs_continuous(kind, xy[rows], masses[rows], np.cumsum(lead_sizes) - lead_sizes,
-                                                np.concatenate(fixed))
-        end = tail = 0
-        for (i, descent, _), s, at in zip(batch, starts, fixed):
-            part, part_fixed = slice(end, end + len(s)), slice(tail, tail + len(at))
-            end, tail = part.stop, part_fixed.stop
+        end = 0
+        for (i, descent, _), s in zip(batch, starts):
+            part = slice(end, end + len(s))
+            end = part.stop
             running[i] = descent, (CenterUpdate(update.coords[part], update.iterations[part], update.converged[part]),
-                                   then[part], at_fixed[part_fixed])
+                                   then[part])
 
 
 def _best_restart(outcomes, restarts: int) -> Solution:

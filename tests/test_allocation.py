@@ -383,10 +383,7 @@ def test_nearest_column_matches_the_stacked_argmin(case, membership):
         want = np.argmin(cols, axis=1)
         got = allocate_uncapacitated(prob, np.arange(k))
         assert np.array_equal(got.y, np.eye(cols.shape[1])[want])
-        if membership == "hard":
-            assert np.array_equal(got.labels, want)
-        else:
-            assert got.labels is None
+        assert np.array_equal(got.labels, want)  # one-hot rows under either membership
 
 
 def test_zero_capacity_rows_come_from_the_model(monkeypatch):

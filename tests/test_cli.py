@@ -206,6 +206,12 @@ def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
     (["solve", "--k", "1", "--config", "JSON"], '{"restart": 3, "metricc": "euclidean"}', 1),
     (["generate", "--spec", "JSON"], '{"cluster_sizes": [5, 5], "n_outliers": -3}', 1),
     (["generate", "--spec", "JSON"], '{"cluster_sizes": [5, 5], "edge_weighted": [7]}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [5, 5], "edge_weighted": [true]}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [5, 5], "edge_weighted": [1.5]}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [5, 5], "rng_seed": true}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [5, 5], "shrink": true}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [5, 5], "grid_side": true}', 1),
+    (["generate", "--spec", "JSON"], '{"cluster_sizes": [5, 5], "weight_range": [true, 5]}', 1),
 ], ids=["threshold-radius", "lambda-grid", "restarts-zero", "restarts-too-many", "negative-seed", "config-restarts",
         "config-capacity", "spec-unknown-key", "missing-input", "config-array", "config-syntax",
         "spec-nan-weight", "spec-infinite-weight", "spec-infinite-scale", "spec-nan-grid",
@@ -213,7 +219,9 @@ def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
         "lambda-grid-nan", "lambda-grid-inf", "lambda-grid-negative", "spec-huge-scale",
         "huge-weight-sum", "huge-weight-times-distance", "fixed-site-without-sites", "config-fractional-restarts",
         "config-boolean-seed", "points-header-only", "points-blank-rows", "k-above-points",
-        "k-range-above-points", "config-unknown-key", "spec-negative-outliers", "spec-edge-weighted-outside"])
+        "k-range-above-points", "config-unknown-key", "spec-negative-outliers", "spec-edge-weighted-outside",
+        "spec-boolean-edge-weighted", "spec-fractional-edge-weighted", "spec-boolean-seed", "spec-boolean-shrink",
+        "spec-boolean-grid", "spec-boolean-weight"])
 def test_bad_outside_value_fails_cleanly(tmp_path, capsys, argv, text, code):
     (tmp_path / "in.json").write_text(text or "")
     points = tmp_path / "pts.csv"
@@ -226,6 +234,26 @@ def test_bad_outside_value_fails_cleanly(tmp_path, capsys, argv, text, code):
     err = capsys.readouterr().err
     assert err.startswith("parse error: line " if code == 3 else "error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--k", "abc", "--points", "pts.csv", "--out", "out"],
+    ["solve", "--k", "2", "--out", "out"],
+    ["frobnicate"],
+], ids=["bad-int", "missing-points", "unknown-command"])
+def test_usage_error_exits_1(capsys, argv):
+    # Not argparse's exit 2, which means infeasible; the usage line stays on stderr.
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: capclust") and "\nerror: capclust" in err
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["solve", "--help"])
+    assert done.value.code == 0
+    assert "usage: capclust solve" in capsys.readouterr().out
 
 
 def test_generated_huge_weights_fail_cleanly(tmp_path, capsys):

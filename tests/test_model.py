@@ -540,10 +540,15 @@ def test_label_assignment_matches_its_dense_form(outlier):
     {"membership": "fractional", "capacity": (10.0, 30.0)},
 ])
 def test_multi_cover_fractional_and_capacitated_assignments_stay_dense(kw):
+    # An uncapacitated fractional assignment with every q = 1 is the nearest
+    # assignment, whose rows are one-hot: it carries labels as a hard one does.
     rng = np.random.default_rng(41)
     prob = _weighted_problem(rng, n=60, outlier_penalty=0.8, **kw)
     assignment = allocate(prob, rng.uniform(0.0, 5.0, size=(4, 2)))
-    assert assignment.labels is None
+    if kw == {"membership": "fractional"}:
+        assert np.array_equal(assignment.labels, np.argmax(assignment.y, axis=1))
+    else:
+        assert assignment.labels is None
 
 
 @pytest.mark.parametrize("q", [1, 2])

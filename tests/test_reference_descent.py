@@ -177,8 +177,10 @@ def test_restarts_in_one_lockstep_group_solve_as_one_at_a_time(monkeypatch, case
 
 
 @pytest.mark.parametrize("case", ["euclidean", "manhattan", "sqeuclidean"])
-def test_a_lockstep_group_prices_each_location_call_in_two_calls_at_most(monkeypatch, case):
-    # One call prices every update of the round, one more every moving fixed cluster at its fixed location.
+def test_a_lockstep_group_prices_each_location_call_in_one_call(monkeypatch, case):
+    # One call prices every update of the round, with fixed centers too: a
+    # release gain reads the fixed location's cost from the descent's own
+    # distances to the fixed locations.
     problem = _grouped_problem(case)
     calls = []
     for name in ("update_centers_continuous", "cluster_costs_continuous"):
@@ -187,9 +189,8 @@ def test_a_lockstep_group_prices_each_location_call_in_two_calls_at_most(monkeyp
     monkeypatch.setattr(solver, "_LOCKSTEP_CELLS", 10**12)
     solve(problem, SolverConfig(restarts=5, rng_seed=4))
     located, priced = calls.count("update_centers_continuous"), calls.count("cluster_costs_continuous")
-    assert 0 < located <= priced <= 2 * located
-    if case != "euclidean":  # no fixed centers: one pricing call per location call
-        assert priced == located
+    assert 0 < located == priced
+    assert (problem.centers.n_fixed > 0) == (case == "euclidean")
 
 
 # Manhattan medians sit on data coordinates, and L1 distances through them

@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -1037,8 +1039,9 @@ def test_emptied_centers_take_distinct_free_sites():
 
 
 def test_a_moving_fixed_cluster_prices_its_update_once(monkeypatch):
-    # Free clusters price their update once (the monotone guard); a moving
-    # fixed cluster adds only its fixed location (the release gain).
+    # Every moving cluster prices its update once (the monotone guard), a
+    # fixed one too: its release gain reads its cost at the fixed location
+    # from the descent's distances, so no location call prices it there.
     from capclust import location
 
     pts = blob_points(np.random.default_rng(32), [(0, 0), (7, 0), (3, 6), (9, 7)], per=30)
@@ -1061,15 +1064,16 @@ def test_a_moving_fixed_cluster_prices_its_update_once(monkeypatch):
             batches[-1][key].append(np.asarray(at, dtype=float))
         return cost(kind, xy, masses, starts, locations)
 
+    real_decide, weighed = solver.decide_release, []
     monkeypatch.setattr(solver, "update_centers_continuous", updating)
     monkeypatch.setattr(solver, "cluster_costs_continuous", pricing)
+    monkeypatch.setattr(solver, "decide_release", lambda *args: weighed.append(1) or real_decide(*args))
     for seed in range(3):
         descend(prob, kmeanspp_init(prob, np.random.default_rng(seed)), SolverConfig())
     segments = [priced for batch in batches for priced in batch.values()]
-    at_fixed = [any(np.array_equal(loc, f) for f in fixed) for seg in segments for loc in seg[1:]]
-    assert len(segments) > 0 and any(at_fixed)
-    assert all(len(seg) in (1, 2) for seg in segments)
-    assert all(at_fixed)
+    assert len(segments) > 0 and weighed
+    assert all(len(seg) == 1 for seg in segments)
+    assert not any(np.array_equal(loc, f) for seg in segments for loc in seg for f in fixed)
 
 
 @pytest.mark.parametrize("placement, centers, error", [
@@ -1255,9 +1259,12 @@ def test_kept_site_totals_take_in_an_iteration_without_a_location_step(monkeypat
 
 
 def test_distance_columns_only_for_moved_centers(monkeypatch):
-    # After the initial matrix, a descent computes the distance columns of
-    # the centers that moved and no others; the matrix it evaluates with
-    # stays equal to a full recomputation.
+    # After the initial matrix (and, under continuous placement with fixed
+    # centers that can be released, the distances to the fixed locations,
+    # once), a descent
+    # computes the distance columns of the centers that moved and no
+    # others; the matrix it evaluates with stays equal to a full
+    # recomputation.
     from capclust import metrics, solver
 
     full = metrics.distances_to_centers
@@ -1271,12 +1278,18 @@ def test_distance_columns_only_for_moved_centers(monkeypatch):
     monkeypatch.setattr(metrics, "distances_to_centers", lambda problem, centers: asked.append(centers.copy())
                         or full(problem, centers))
     monkeypatch.setattr(solver, "evaluate_parts", evaluating)
-    idle = 0
-    cases = [*_label_cases(), (_capacitated_blobs("fractional"), np.array([[1.0, 1.0], [5.0, 1.0], [3.0, 5.0]]))]
+    idle = with_fixed = 0
+    never_released = continuous_problem(blob_points(np.random.default_rng(34), [(0, 0), (6, 1), (3, 6)], per=15),
+                                        center_kw={"fixed": ((3.0, 3.0),)})  # an infinite release penalty
+    cases = [*_label_cases(), (_capacitated_blobs("fractional"), np.array([[1.0, 1.0], [5.0, 1.0], [3.0, 5.0]])),
+             (never_released, np.array([[3.0, 3.0], [1.0, 1.0], [5.0, 1.0]]))]
     for prob, centers0 in cases:
         asked.clear()
         sol = descend(prob, centers0, SolverConfig())
-        assert np.array_equal(asked[0], centers0)
+        assert np.array_equal(asked.pop(0), centers0)
+        if prob.centers.n_fixed and prob.centers.placement != "discrete" and np.isfinite(prob.centers.release_penalty):
+            assert np.array_equal(asked.pop(0), np.array(prob.centers.fixed))
+            with_fixed += 1
         expected, before = [], np.asarray(centers0)
         for after in sol.diagnostics["center_trace"]:
             moved = after != before if after.ndim == 1 else (after != before).any(axis=1)
@@ -1284,9 +1297,20 @@ def test_distance_columns_only_for_moved_centers(monkeypatch):
                 expected.append(after[moved])
             idle += not moved.any()
             before = after
-        assert len(asked) == 1 + len(expected)
-        assert all(np.array_equal(a, b) for a, b in zip(asked[1:], expected))
-    assert idle
+        assert len(asked) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(asked, expected))
+    assert idle and with_fixed
+
+
+def test_the_solver_takes_every_distance_from_distances_to_centers():
+    # One distance rule: the solver neither calls the geometric kernel nor
+    # gathers site-cost columns itself, so seeding and descent read the
+    # same values.
+    tree = ast.parse(Path(solver.__file__).read_text())
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert "distances_to_centers" in names
+    assert not names & {"geometric_distances", "site_cost_columns"}
 
 
 def _capacitated_blobs(membership, outlier=None):
