@@ -19,10 +19,8 @@ _HOME = {
     **dict.fromkeys(("allocate", "allocate_fractional", "allocate_hard", "allocate_uncapacitated"), "allocation"),
     **dict.fromkeys(("GenSpec", "generate_dataset", "sample_gamma_copula_cluster"), "datagen"),
     **dict.fromkeys(("adjusted_rand_index", "distance_summary", "solution_labels"), "evaluation"),
-    **dict.fromkeys(("decide_release", "update_center_continuous", "update_center_discrete",
-                     "update_centers_continuous", "weiszfeld"), "location"),
-    **dict.fromkeys(("MetricSpec", "distance", "euclidean", "manhattan", "matrix_metric", "sqeuclidean",
-                     "threshold"), "metrics"),
+    **dict.fromkeys(("decide_release", "update_center_discrete", "update_centers_continuous"), "location"),
+    **dict.fromkeys(("MetricSpec", "euclidean", "manhattan", "matrix_metric", "sqeuclidean", "threshold"), "metrics"),
     **dict.fromkeys(("Assignment", "CenterSpec", "ObjectiveBreakdown", "Point", "PointTable", "Problem", "Solution",
                      "evaluate_objective", "validate_problem"), "model"),
     **dict.fromkeys(("SweepReport", "aic_bic_lambda", "sweep_k"), "selection"),

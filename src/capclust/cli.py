@@ -1,7 +1,8 @@
 """Command-line interface: solve, sweep, generate, evaluate.
 
-Exit codes: 0 success, 1 usage/validation error, 2 infeasible,
-3 parse error, 4 time budget exhausted (best incumbent written).
+Exit codes: 0 success, 1 usage/validation error or not enough memory,
+2 infeasible, 3 parse error, 4 time budget exhausted (best incumbent
+written).
 """
 
 from __future__ import annotations
@@ -290,6 +291,9 @@ def main(argv=None) -> int:
         return 2
     except (CapclustError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 1
 
 

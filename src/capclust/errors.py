@@ -35,10 +35,6 @@ class ShapeMismatch(CapclustError):
     pass
 
 
-class MatrixIndexOutOfRange(CapclustError):
-    pass
-
-
 class QExceedsK(CapclustError):
     """A point requires more memberships than there are columns to hold them."""
 

@@ -2,17 +2,18 @@
 
 Continuous placement uses the exact minimizer for each metric: weighted
 mean (squared Euclidean), geometric median by guarded Newton steps
-(Euclidean) and the coordinatewise weighted lower median (Manhattan).
-``update_centers_continuous`` relocates a batch of clusters in one call.
+(Euclidean, ``_geometric_medians``) and the coordinatewise weighted lower
+median (Manhattan).  ``update_centers_continuous`` relocates a batch of
+clusters in one call; one cluster alone is the batch with starts ``[0]``.
 Their points come one cluster after another, every sum over a cluster is
 one segment of ``np.add.reduceat``, and the geometric medians share one
 Newton loop, run in lockstep, which a cluster leaves when it stops.  A
-cluster's arithmetic does not depend on the clusters beside it, so
-``update_center_continuous`` and ``weiszfeld``, its one-cluster forms, give
-each cluster the same result.  ``cluster_costs_continuous`` prices a batch
-the same way.  Discrete placement picks the candidate site minimizing the
-weighted distance sum, from sums kept across a descent's steps, or a
-draw sequence's seeds, and brought up to date by ``add_mass_change``.
+cluster's arithmetic does not depend on the clusters beside it, so each
+cluster gets the result it would get alone.  ``cluster_costs_continuous``
+prices a batch the same way.  Discrete placement picks the candidate site
+minimizing the weighted distance sum, from sums kept across a descent's
+steps, or a draw sequence's seeds, and brought up to date by
+``add_mass_change``.
 ``decide_release`` is the release rule for a fixed center, applied by the
 solver to the gain of the location it chose.
 """
@@ -31,21 +32,15 @@ _HALVINGS = np.array([[2.0], [4.0], [8.0]])
 
 
 class CenterUpdate(NamedTuple):
-    """New location, iteration count and convergence: scalars for one cluster, arrays over a batch."""
+    """The (c, 2) new locations of a batch of c clusters, and each cluster's iteration count and convergence."""
 
     coords: np.ndarray
-    iterations: int | np.ndarray
-    converged: bool | np.ndarray
-
-
-def weighted_lower_median(values: np.ndarray, masses: np.ndarray) -> float:
-    """Smallest value where the cumulative mass reaches half the total."""
-    values, masses = np.asarray(values, dtype=float), np.asarray(masses, dtype=float)
-    return float(_lower_medians(values, masses, np.zeros(1, dtype=np.intp))[0])
+    iterations: np.ndarray
+    converged: np.ndarray
 
 
 def _lower_medians(values: np.ndarray, masses: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``weighted_lower_median`` of each cluster.
+    """Each cluster's weighted lower median: its smallest value where the cumulative mass reaches half its total.
 
     The clusters become the rows of (c, L) arrays, each padded with copies
     of its first value at zero mass, which change neither a row's running
@@ -68,15 +63,10 @@ def _first(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(np.where(mask, np.arange(len(mask)), len(mask)), starts)
 
 
-def _keep(clusters: np.ndarray, seg: np.ndarray, sizes: np.ndarray):
+def _keep(clusters: np.ndarray, sizes: np.ndarray):
     """The points of the clusters in the mask ``clusters``, by index, and those clusters' sizes and starts."""
-    sizes = sizes[clusters]
-    return np.flatnonzero(clusters[seg]), sizes, np.cumsum(sizes) - sizes
-
-
-def _segments(sizes: np.ndarray) -> np.ndarray:
-    """Each point's cluster, from the clusters' sizes."""
-    return np.repeat(np.arange(len(sizes)), sizes)
+    kept = sizes[clusters]
+    return np.flatnonzero(clusters.repeat(sizes)), kept, np.cumsum(kept) - kept
 
 
 def _at(y: np.ndarray, P: np.ndarray, M: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
@@ -105,7 +95,7 @@ def _pull_tests(P, M, sizes, starts, j, snap):
     return norm <= mass_here, pull, norm, mass_here, np.add.reduceat(inv, starts)
 
 
-def _search(P, M, inv, y, step, cost, has_step, searching, seg, sizes):
+def _search(P, M, inv, y, step, cost, has_step, searching, sizes):
     """The first of its three halved Newton steps and its Weiszfeld step that lowers each searching cluster's cost.
 
     The clusters in the mask ``searching`` price all four at once, over
@@ -115,7 +105,7 @@ def _search(P, M, inv, y, step, cost, has_step, searching, seg, sizes):
     leads, (2, t).
     """
     search = np.flatnonzero(searching)
-    idx, sizes, starts = _keep(searching, seg, sizes)
+    idx, sizes, starts = _keep(searching, sizes)
     P, M, inv = P.take(idx, axis=1), M[idx], inv[idx]
     pulled = np.add.reduceat(inv * P, starts, axis=1) / np.add.reduceat(inv, starts)
     cands = np.concatenate([y[:, None, search] - step[:, None, search] / _HALVINGS, pulled[:, None]], axis=1)
@@ -129,19 +119,37 @@ def _search(P, M, inv, y, step, cost, has_step, searching, seg, sizes):
 
 
 def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> CenterUpdate:
-    """The rules of ``weiszfeld`` for every cluster of (2, N) points P at once, in one lockstep loop.
+    """Weighted geometric median of every cluster of (2, N) points P at once, by guarded Newton steps.
 
-    Every sum over a cluster is one ``reduceat`` segment, so a cluster's
-    arithmetic does not depend on the clusters beside it.  Each iteration
-    prices the full Newton step of every running cluster; only the
-    clusters that need them price the halvings and the Weiszfeld step (all
-    four at once) or run a pull test, over copies of their own points
-    (``_keep``).  A cluster that stops keeps its result, and its points
-    leave the arrays.
+    A thin cluster, whose points all lie within 1e-2 times the data scale
+    of the line through the first data point and the one farthest from it,
+    first tries the data point at the weighted lower median along that line.
+    A collinear cluster returns it, which is optimal since the cost is
+    piecewise linear along the line; another thin cluster returns it exactly
+    if its residual pull does not exceed its own mass, since an iterate
+    would only creep along the narrow valley toward it.  Otherwise the
+    iterate starts at the weighted mean.  The nearest data point is tested
+    in the same way once, when the iterate first comes within 1e-3 times
+    the data scale of it or right after a Weiszfeld step; an iterate on a
+    data point that fails the test takes Kuhn's step off it.  Elsewhere it
+    takes the closed-form 2x2 Newton step, halved up to three times until
+    the cost strictly falls, or else the Weiszfeld step (which creeps
+    toward a kink at an optimal data point, hence the test after it).  It
+    stops when the Weiszfeld step no longer lowers the cost, the gradient
+    norm is at most 1e-13 times the total mass, or a full Newton step is
+    shorter than 1e-9 times the data scale.  The data scale is the diagonal
+    of the cluster's bounding box.
+
+    The clusters run in one lockstep loop.  Every sum over a cluster is
+    one ``reduceat`` segment, so a cluster's arithmetic does not depend on
+    the clusters beside it.  Each iteration prices the full Newton step of
+    every running cluster; only the clusters that need them price the
+    halvings and the Weiszfeld step (all four at once) or run a pull test,
+    over copies of their own points (``_keep``).  A cluster that stops
+    keeps its result, and its points leave the arrays.
     """
     c, N = len(starts), P.shape[1]
     sizes = np.diff(starts, append=N)
-    seg = _segments(sizes)
     coords = np.empty((2, c))
     iterations = np.ones(c, dtype=int)
     converged = np.ones(c, dtype=bool)
@@ -153,7 +161,7 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
     R = P - P[:, starts].repeat(sizes, axis=1)
     lengths = np.sqrt((R * R).sum(axis=0))
     longest = np.maximum.reduceat(lengths, starts)
-    F = R[:, _first(lengths == longest[seg], starts)].repeat(sizes, axis=1)
+    F = R[:, _first(lengths == longest.repeat(sizes), starts)].repeat(sizes, axis=1)
     # The largest distance from the line, times the line's length.
     across = np.maximum.reduceat(np.abs(R[0] * F[1] - R[1] * F[0]), starts)
     thin = across <= 1e-2 * scale * longest
@@ -161,13 +169,13 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
     if np.count_nonzero(thin):
         along = (R * F).sum(axis=0)
         value = np.full(c, np.nan)
-        idx, _, thin_starts = _keep(thin, seg, sizes)
+        idx, _, thin_starts = _keep(thin, sizes)
         value[thin] = _lower_medians(along[idx], M[idx], thin_starts)
-        median = _first(along == value[seg], starts)
+        median = _first(along == value.repeat(sizes), starts)
         done = thin & (across <= 1e-12 * scale * scale)
         tried = thin & ~done
         if np.count_nonzero(tried):
-            idx, tried_sizes, tried_starts = _keep(tried, seg, sizes)
+            idx, tried_sizes, tried_starts = _keep(tried, sizes)
             at = median[tried]
             done[tried] = _pull_tests(P.take(idx, axis=1), M[idx], tried_sizes, tried_starts,
                                       at - starts[tried] + tried_starts, 1e-12 * scale[tried])[0]
@@ -177,8 +185,7 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
     # The clusters still running, their points in cluster order and their state.
     live = np.flatnonzero(~done)
     if live.size < c:
-        idx, sizes, starts = _keep(~done, seg, sizes)
-        seg = _segments(sizes)
+        idx, sizes, starts = _keep(~done, sizes)
         P, M, tested, scale = P.take(idx, axis=1), M[idx], tested[idx], scale[live]
     total = np.add.reduceat(M, starts)
     y = np.add.reduceat(M * P, starts, axis=1) / total
@@ -197,12 +204,12 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
         near |= creeping
         if np.count_nonzero(near):
             on_point = nearest <= snap
-            j = _first(d == nearest[seg], starts)
+            j = _first(d == nearest.repeat(sizes), starts)
             test = near & (on_point | ~tested[j])
             if np.count_nonzero(test):
                 # Priced over the tested clusters' points only; ``tests`` lists those clusters.
                 tests = np.flatnonzero(test)
-                idx, test_sizes, test_starts = _keep(test, seg, sizes)
+                idx, test_sizes, test_starts = _keep(test, sizes)
                 at = j[tests]
                 optimal, pull, norm, mass_here, inv_sum = _pull_tests(
                     P.take(idx, axis=1), M[idx], test_sizes, test_starts, at - starts[tests] + test_starts, snap[tests])
@@ -219,7 +226,7 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
                     D2, d, cost = _at(y, P, M, sizes, starts)
         # Every point of a Newton cluster is farther than snap from its iterate.
         everywhere = np.count_nonzero(newton) == c
-        inv = M / d if everywhere else np.divide(M, d, out=np.zeros(len(M)), where=newton[seg])
+        inv = M / d if everywhere else np.divide(M, d, out=np.zeros(len(M)), where=newton.repeat(sizes))
         T = inv * D2
         g = np.add.reduceat(T, starts, axis=1)
         flat = np.hypot(g[0], g[1]) <= small_grad
@@ -231,7 +238,7 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
         # The Hessian is sum m_i / d_i^3 [[dy^2, -dx dy], [-dx dy, dx^2]]; its inverse is
         # the weighted second moment m = sum m_i / d_i^3 (dx, dy)^T (dx, dy) over its determinant.
         dd = d * d
-        U = T / dd if everywhere else np.divide(T, dd, out=np.zeros(T.shape), where=newton[seg])
+        U = T / dd if everywhere else np.divide(T, dd, out=np.zeros(T.shape), where=newton.repeat(sizes))
         m = np.add.reduceat((U[:, None] * D2).reshape(4, -1), starts, axis=1)
         det = m[0] * m[3] - m[1] * m[2]
         has_step = det > 0
@@ -246,14 +253,14 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
         if taken == c:
             y, D2, d, cost = cand, cD2, cd, ccost
         elif taken:
-            moved = better[seg]
+            moved = better.repeat(sizes)
             y[:, better], cost[better] = cand[:, better], ccost[better]
             D2, d = np.where(moved, cD2, D2), np.where(moved, cd, d)
         creeping &= ~better
         searching = newton & ~better
         if np.count_nonzero(searching):
             # Its three halvings, then the Weiszfeld step; the first that lowers the cost wins.
-            took, first, to = _search(P, M, inv, y, step, cost, has_step, searching, seg, sizes)
+            took, first, to = _search(P, M, inv, y, step, cost, has_step, searching, sizes)
             if took.size:
                 y[:, took] = to
                 D2, d, cost = _at(y, P, M, sizes, starts)
@@ -267,8 +274,7 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
             coords[:, live[stop]] = y[:, stop]
             iterations[live[stop]] = it
             keep = ~stop
-            idx, sizes, starts = _keep(keep, seg, sizes)
-            seg = _segments(sizes)
+            idx, sizes, starts = _keep(keep, sizes)
             P, D2, M, tested, d = P.take(idx, axis=1), D2.take(idx, axis=1), M[idx], tested[idx], d[idx]
             live, scale, total, cost, creeping = live[keep], scale[keep], total[keep], cost[keep], creeping[keep]
             y = y[:, keep]
@@ -308,37 +314,6 @@ def update_centers_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, sta
     return CenterUpdate(coords, np.ones(c, dtype=int), np.ones(c, dtype=bool))
 
 
-def update_center_continuous(kind: str, xy: np.ndarray, masses: np.ndarray) -> CenterUpdate:
-    """Exact continuous relocation of one center for a geometric metric."""
-    coords, iterations, converged = update_centers_continuous(kind, xy, masses, [0])
-    return CenterUpdate(coords[0], int(iterations[0]), bool(converged[0]))
-
-
-def weiszfeld(xy: np.ndarray, masses: np.ndarray) -> CenterUpdate:
-    """Weighted geometric median by guarded Newton steps.
-
-    A thin cluster, whose points all lie within 1e-2 times the data scale
-    of the line through the first data point and the one farthest from it,
-    first tries the data point at the weighted lower median along that line.
-    A collinear cluster returns it, which is optimal since the cost is
-    piecewise linear along the line; another thin cluster returns it exactly
-    if its residual pull does not exceed its own mass, since an iterate
-    would only creep along the narrow valley toward it.  Otherwise the
-    iterate starts at the weighted mean.  The nearest data point is tested
-    in the same way once, when the iterate first comes within 1e-3 times
-    the data scale of it or right after a Weiszfeld step; an iterate on a
-    data point that fails the test takes Kuhn's step off it.  Elsewhere it
-    takes the closed-form 2x2 Newton step, halved up to three times until
-    the cost strictly falls, or else the Weiszfeld step (which creeps
-    toward a kink at an optimal data point, hence the test after it).  It
-    stops when the Weiszfeld step no longer lowers the cost, the gradient
-    norm is at most 1e-13 times the total mass, or a full Newton step is
-    shorter than 1e-9 times the data scale.  The data scale is the diagonal
-    of the cluster's bounding box.
-    """
-    return update_center_continuous(metrics.EUCLIDEAN, xy, masses)
-
-
 def cluster_costs_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, starts, locations) -> np.ndarray:
     """Each cluster's cost at its own location, with clusters laid out as for ``update_centers_continuous``."""
     xy = np.asarray(xy, dtype=float)
@@ -355,10 +330,6 @@ def cluster_costs_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, star
     return np.add.reduceat(np.asarray(masses, dtype=float) * d, starts)
 
 
-def cluster_cost_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, location) -> float:
-    return float(cluster_costs_continuous(kind, xy, masses, [0], np.asarray(location, dtype=float)[None])[0])
-
-
 def add_mass_change(totals: np.ndarray, site_distances: np.ndarray, change: np.ndarray, rows) -> None:
     """Add to kept totals T[j, h] = sum_i m_ij S[i, h], in place, the (c, p) mass change of the points ``rows``.
 
@@ -369,25 +340,18 @@ def add_mass_change(totals: np.ndarray, site_distances: np.ndarray, change: np.n
     totals += change @ (site_distances if len(rows) == len(site_distances) else site_distances[rows])
 
 
-def update_center_discrete(site_distances: np.ndarray, masses: np.ndarray, *, totals=None, rows=None,
-                           empty=None, clusters=None):
-    """Candidate site minimizing the weighted distance sum; ties to the lowest index.
+def update_center_discrete(site_distances: np.ndarray, change: np.ndarray, *, totals: np.ndarray, rows: np.ndarray,
+                           empty: np.ndarray, clusters: np.ndarray) -> np.ndarray:
+    """Candidate site of each of ``clusters`` minimizing its weighted distance sum; ties to the lowest index.
 
-    ``masses`` holds one cluster's mass per row of ``site_distances`` and
-    gives one site index.  A descent passes its kept (k, s) ``totals``
-    instead, and ``masses`` is the (k, p) mass change of the points ``rows``
-    (``add_mass_change``); the rows of the clusters in the mask ``empty``
-    are then set to exactly 0, and the sites of ``clusters`` come back as
-    an array.
+    A descent's kept (k, s) ``totals`` first take in ``change``, the
+    (k, p) mass change of the points ``rows`` (``add_mass_change``); the
+    rows of the clusters in the mask ``empty`` are then set to exactly 0.
+    One of ``clusters`` in ``empty`` raises EmptyCluster.
     """
-    if totals is None:
-        masses = np.asarray(masses, dtype=float)
-        if not masses.sum() > 0:
-            raise EmptyCluster("no mass assigned to this center")
-        return int(np.argmin(masses @ site_distances))
     if empty[clusters].any():
         raise EmptyCluster("no mass assigned to this center")
-    add_mass_change(totals, site_distances, masses, rows)
+    add_mass_change(totals, site_distances, change, rows)
     totals[empty] = 0.0
     return np.argmin(totals[clusters], axis=1)
 

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import MatrixIndexOutOfRange, ValidationError
+from .errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Problem
@@ -99,27 +99,6 @@ def geometric_distances(kind: str, points: np.ndarray, locations: np.ndarray) ->
         dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx) if kind == EUCLIDEAN else dx
-
-
-def distance(metric: MetricSpec, point, location) -> float:
-    """Metric value between one point and one location.
-
-    For geometric metrics and the threshold metric, ``point`` and
-    ``location`` are coordinate pairs.  For the matrix metric, ``point`` is
-    the point's row index and ``location`` a candidate-site column index.
-    """
-    if metric.kind == MATRIX:
-        D = metric.matrix
-        i, h = int(point), int(location)
-        if not (0 <= i < D.shape[0] and 0 <= h < D.shape[1]):
-            raise MatrixIndexOutOfRange(f"matrix index ({i}, {h}) outside {D.shape}")
-        return float(D[i, h])
-    p = np.asarray(point, dtype=float)
-    c = np.asarray(location, dtype=float)
-    if metric.kind == THRESHOLD:
-        d = float(np.sqrt(((p - c) ** 2).sum()))
-        return 0.0 if d < metric.threshold else 1.0
-    return float(geometric_distances(metric.kind, p[None, :], c[None, :])[0, 0])
 
 
 def candidate_distances(metric: MetricSpec, coords: np.ndarray | None, sites: np.ndarray | None) -> np.ndarray:

@@ -7,7 +7,8 @@ hard-assignment oracle enumerates every labeling, the geometric-median
 oracle refines a grid search, the seeding oracle draws one restart's
 k-means++ seeds in a plain loop, and the ARI oracle counts pairs directly.
 The reference descent, the oracle of every shortcut ``descend`` takes, is
-built from the package's one-shot allocation and location functions only.
+built from the package's allocation function and its location functions
+called on one cluster at a time, with nothing kept between calls.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from scipy.optimize import linprog
 
 from capclust import (
     CenterSpec, Point, Problem, Solution, allocate, decide_release, kmeanspp_init, matrix_metric,
-    update_center_continuous, update_center_discrete, validate_problem,
+    update_centers_continuous, validate_problem,
 )
 from capclust.errors import AllRestartsInfeasible, Infeasible, NoIncumbentWithinBudget, NotEnoughDistinctSites
-from capclust.location import cluster_cost_continuous
+from capclust.location import cluster_costs_continuous
 from capclust.metrics import distances_to_centers
 from capclust.model import evaluate_parts
 from capclust.solver import RESTART_TIE_RTOL
@@ -258,9 +259,11 @@ def reference_descend(problem, initial_centers, config) -> Solution:
     """The rules of ``solver.descend``, with nothing passed between iterations but centers and releases.
 
     Each iteration allocates afresh, recomputes every distance and relocates
-    every cluster with the one-cluster location functions.  Fixed centers
-    that are empty or never releasable stay attached; other empty clusters
-    are reseeded in index order at the costliest point whose spot is free.
+    every cluster alone: ``update_centers_continuous`` on a batch of one,
+    or the site minimizing a fresh product of its masses and the site
+    costs (ties to the lowest index).  Fixed centers that are empty or
+    never releasable stay attached; other empty clusters are reseeded in
+    index order at the costliest point whose spot is free.
     """
     problem = validate_problem(problem)
     spec, w, kind = problem.centers, problem.effective_weights, problem.metric.kind
@@ -301,16 +304,18 @@ def reference_descend(problem, initial_centers, config) -> Solution:
             if not members[j].size or j < m and math.isinf(penalty):
                 continue
             if discrete:
-                new[j] = update_center_discrete(problem.site_costs, mass[:, j])
                 sums = mass[:, j] @ problem.site_costs
+                new[j] = int(np.argmin(sums))
                 gain = sums[fixed_at[j]] - sums[new[j]] if j < m else 0.0
             else:
                 xy, mj = problem.coords[members[j]], mass[members[j], j]
-                update = update_center_continuous(kind, xy, mj)
-                diag["weiszfeld_unconverged"] += not update.converged
-                then, now = (cluster_cost_continuous(kind, xy, mj, c) for c in (update.coords, centers[j]))
-                new[j] = update.coords if then <= now else centers[j]
-                gain = cluster_cost_continuous(kind, xy, mj, fixed_at[j]) - min(then, now) if j < m else 0.0
+                update = update_centers_continuous(kind, xy, mj, [0])
+                diag["weiszfeld_unconverged"] += not update.converged[0]
+                then, now = (cluster_costs_continuous(kind, xy, mj, [0], c[None])[0]
+                             for c in (update.coords[0], centers[j]))
+                new[j] = update.coords[0] if then <= now else centers[j]
+                if j < m:
+                    gain = cluster_costs_continuous(kind, xy, mj, [0], fixed_at[j][None])[0] - min(then, now)
             if j < m and decide_release(gain, penalty, j in released):
                 new_released.add(j)
             elif j < m:

@@ -17,12 +17,11 @@ from capclust import (
     CenterSpec, GenSpec, Point, Problem, SolverConfig, adjusted_rand_index,
     aic_bic_lambda, allocate_fractional, allocate_hard,
     descend, distance_summary, euclidean, generate_dataset, kmeanspp_init,
-    matrix_metric, solution_labels, solve, sqeuclidean, sweep_k, validate_problem,
-    weiszfeld,
+    matrix_metric, solution_labels, solve, sqeuclidean, sweep_k, update_centers_continuous, validate_problem,
 )
 from capclust.cli import main as cli_main
 from capclust.errors import Infeasible
-from capclust.location import cluster_cost_continuous
+from capclust.metrics import geometric_distances
 from oracles import (
     brute_force_hard, dense_lp_fractional, grid_refine_median, pair_count_ari,
     random_capacitated_instance, reference_lloyd,
@@ -302,19 +301,18 @@ def test_criterion_8_weiszfeld_against_grid_refinement():
     for trial in range(50):
         xy = rng.uniform(0, 10, size=(5, 2))
         masses = rng.uniform(0.5, 3.0, size=5)
-        mine = weiszfeld(xy, masses).coords
+        mine = update_centers_continuous("euclidean", xy, masses, [0]).coords[0]
         ref = grid_refine_median(xy, masses)
-        my_cost = cluster_cost_continuous("euclidean", xy, masses, mine)
-        ref_cost = cluster_cost_continuous("euclidean", xy, masses, ref)
+        my_cost, ref_cost = masses @ geometric_distances("euclidean", xy, [mine, ref])
         assert my_cost <= ref_cost + 1e-4 * max(1.0, ref_cost), f"trial {trial}"
         assert np.abs(mine - ref).max() < 1e-4 or my_cost <= ref_cost
 
     # symmetric configurations recover the exact center
     square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-    got = weiszfeld(square, np.ones(4)).coords
+    got = update_centers_continuous("euclidean", square, np.ones(4), [0]).coords
     assert np.abs(got).max() < 1e-6
     tri = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, np.sqrt(3.0)]])
-    got = weiszfeld(tri, np.ones(3)).coords
+    got = update_centers_continuous("euclidean", tri, np.ones(3), [0]).coords[0]
     assert np.abs(got - tri.mean(axis=0)).max() < 1e-6
     report(8, "geometric medians within 1e-4 of grid refinement on 50 instances; "
               "symmetric configurations exact to 1e-6")

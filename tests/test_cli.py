@@ -266,6 +266,25 @@ def test_generated_huge_weights_fail_cleanly(tmp_path, capsys):
     assert code == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
+def test_running_out_of_memory_fails_cleanly(tmp_path, monkeypatch, capsys):
+    # A distance array too large for memory raises MemoryError inside the solve.
+    from capclust import metrics
+
+    message = "Unable to allocate 2.24 GiB for an array with shape (15000, 20000) and data type float64"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    points = tmp_path / "pts.csv"
+    points.write_text("id,x,y,w\n" + "".join(f"{i},{i},0,1\n" for i in range(5)))
+    monkeypatch.setattr(metrics, "geometric_distances", no_memory)
+    code = main(["solve", "--points", str(points), "--k", "2", "--restarts", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: not enough memory: {message}\n"
+    assert not (tmp_path / "out" / "solution.txt").exists()
+
+
 def test_sweep_writes_report(dataset, tmp_path, capsys):
     points, _ = dataset
     out = tmp_path / "sweep"

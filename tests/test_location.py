@@ -3,63 +3,76 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from capclust import (
-    decide_release, location, update_center_continuous, update_center_discrete, weiszfeld,
-)
+from capclust import decide_release, location, update_center_discrete, update_centers_continuous
 from capclust.errors import EmptyCluster
-from capclust.location import (
-    WEISZFELD_MAX_ITER, cluster_cost_continuous, cluster_costs_continuous, update_centers_continuous,
-    weighted_lower_median,
-)
+from capclust.location import WEISZFELD_MAX_ITER, cluster_costs_continuous
+from capclust.metrics import geometric_distances
 from oracles import grid_refine_median
 
 
+def _costs(kind, xy, masses, locations):
+    """One cluster's cost at each of the (L, 2) ``locations``, from the metric's distances."""
+    return (masses[:, None] * geometric_distances(kind, xy, locations)).sum(axis=0)
+
+
 def test_weighted_mean_example():
-    got = update_center_continuous("sqeuclidean", np.array([[0.0, 0.0], [2.0, 0.0]]),
-                                   np.array([1.0, 3.0]))
-    assert np.allclose(got.coords, [1.5, 0.0])
+    got = update_centers_continuous("sqeuclidean", np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1.0, 3.0]), [0])
+    assert np.allclose(got.coords, [[1.5, 0.0]])
 
 
 def test_equilateral_triangle_median_is_centroid():
     xy = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-    got = update_center_continuous("euclidean", xy, np.ones(3))
-    assert np.abs(got.coords - xy.mean(axis=0)).max() < 1e-6
+    got = update_centers_continuous("euclidean", xy, np.ones(3), [0])
+    assert np.abs(got.coords[0] - xy.mean(axis=0)).max() < 1e-6
 
 
 def test_collinear_median_is_middle_point():
     xy = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
-    got = update_center_continuous("euclidean", xy, np.ones(3))
-    assert np.abs(got.coords - [1.0, 0.0]).max() < 1e-6
+    got = update_centers_continuous("euclidean", xy, np.ones(3), [0])
+    assert np.abs(got.coords[0] - [1.0, 0.0]).max() < 1e-6
 
 
 def test_manhattan_lower_median_on_ties():
-    assert weighted_lower_median(np.array([0.0, 1.0]), np.array([1.0, 1.0])) == 0.0
-    got = update_center_continuous("manhattan", np.array([[0.0, 5.0], [1.0, 7.0]]),
-                                   np.array([1.0, 1.0]))
-    assert got.coords.tolist() == [0.0, 5.0]
+    # Each coordinate is the smallest value at which the cumulative mass
+    # reaches half the cluster's total, so an exact half goes to the lower.
+    got = update_centers_continuous("manhattan", np.array([[0.0, 5.0], [1.0, 7.0]]), np.array([1.0, 1.0]), [0])
+    assert got.coords.tolist() == [[0.0, 5.0]]
+    xy = np.array([[3.0, 0.0], [1.0, 4.0], [2.0, 1.0], [5.0, 5.0], [4.0, 6.0]])
+    got = update_centers_continuous("manhattan", xy, np.array([1.0, 1.0, 2.0, 1.0, 1.0]), [0, 3])
+    assert got.coords.tolist() == [[2.0, 1.0], [4.0, 5.0]]
 
 
 def test_empty_cluster_raises():
     with pytest.raises(EmptyCluster):
-        update_center_continuous("sqeuclidean", np.zeros((2, 2)), np.zeros(2))
+        update_centers_continuous("sqeuclidean", np.zeros((2, 2)), np.zeros(2), [0])
     with pytest.raises(EmptyCluster):
-        update_center_discrete(np.ones((2, 3)), np.zeros(2))
+        update_center_discrete(np.ones((2, 3)), np.zeros((1, 2)), totals=np.zeros((1, 3)), rows=np.arange(2),
+                               empty=np.array([True]), clusters=np.array([0]))
 
 
 def test_discrete_medoid_example():
     # points and candidates at 0, 1, 5 on a line: weighted sums 6, 5, 9
     site_d = np.abs(np.array([0.0, 1.0, 5.0])[:, None] - np.array([0.0, 1.0, 5.0])[None, :])
-    assert update_center_discrete(site_d, np.ones(3)) == 1
+    totals = np.zeros((1, 3))
+    sites = update_center_discrete(site_d, np.ones((1, 3)), totals=totals, rows=np.arange(3),
+                                   empty=np.array([False]), clusters=np.array([0]))
+    assert sites.tolist() == [1]
+    assert totals.tolist() == [[6.0, 5.0, 9.0]]
 
 
 def test_discrete_single_point_picks_coincident_candidate():
     site_d = np.array([[2.0, 0.0, 3.0]])
-    assert update_center_discrete(site_d, np.array([1.0])) == 1
+    sites = update_center_discrete(site_d, np.ones((1, 1)), totals=np.zeros((1, 3)), rows=np.arange(1),
+                                   empty=np.array([False]), clusters=np.array([0]))
+    assert sites.tolist() == [1]
 
 
 def test_discrete_zero_cost_column_wins():
-    site_d = np.array([[1.0, 0.0], [2.0, 0.0]])
-    assert update_center_discrete(site_d, np.ones(2)) == 1
+    # Sites 1 and 2 tie at zero cost; the tie goes to the lower index.
+    site_d = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    sites = update_center_discrete(site_d, np.ones((1, 2)), totals=np.zeros((1, 3)), rows=np.arange(2),
+                                   empty=np.array([False]), clusters=np.array([0]))
+    assert sites.tolist() == [1]
 
 
 def _label_masses(labels, w, k):
@@ -116,12 +129,11 @@ def test_weiszfeld_close_to_grid_refinement():
     for _ in range(10):
         xy = rng.uniform(0, 10, size=(5, 2))
         masses = rng.uniform(0.5, 3.0, size=5)
-        mine = weiszfeld(xy, masses)
+        mine = update_centers_continuous("euclidean", xy, masses, [0]).coords[0]
         ref = grid_refine_median(xy, masses)
-        my_cost = cluster_cost_continuous("euclidean", xy, masses, mine.coords)
-        ref_cost = cluster_cost_continuous("euclidean", xy, masses, ref)
+        my_cost, ref_cost = _costs("euclidean", xy, masses, np.array([mine, ref]))
         assert my_cost <= ref_cost + 1e-4
-        assert np.abs(mine.coords - ref).max() < 1e-3 or my_cost < ref_cost
+        assert np.abs(mine - ref).max() < 1e-3 or my_cost < ref_cost
 
 
 @settings(max_examples=30, deadline=None)
@@ -133,9 +145,8 @@ def test_update_never_increases_cluster_cost(seed):
     masses = rng.uniform(0.1, 2.0, size=n)
     old = rng.uniform(-5, 5, size=2)
     for kind in ("sqeuclidean", "euclidean", "manhattan"):
-        new = update_center_continuous(kind, xy, masses).coords
-        before = cluster_cost_continuous(kind, xy, masses, old)
-        after = cluster_cost_continuous(kind, xy, masses, new)
+        new = update_centers_continuous(kind, xy, masses, [0]).coords[0]
+        before, after = _costs(kind, xy, masses, np.array([old, new]))
         assert after <= before + 1e-9 * max(1.0, before)
 
 
@@ -146,8 +157,8 @@ def test_mean_and_median_scale_equivariance(seed, s):
     xy = rng.uniform(-3, 3, size=(6, 2))
     masses = rng.uniform(0.5, 2.0, size=6)
     for kind in ("sqeuclidean", "manhattan"):
-        base = update_center_continuous(kind, xy, masses).coords
-        scaled = update_center_continuous(kind, xy * s, masses).coords
+        base = update_centers_continuous(kind, xy, masses, [0]).coords
+        scaled = update_centers_continuous(kind, xy * s, masses, [0]).coords
         assert np.allclose(scaled, base * s, rtol=1e-9, atol=1e-12)
 
 
@@ -155,29 +166,28 @@ def test_weiszfeld_handles_coincident_optimum():
     # median sits exactly on the heavy data point
     xy = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     masses = np.array([10.0, 1.0, 1.0, 1.0, 1.0])
-    got = weiszfeld(xy, masses)
-    assert got.converged
-    assert np.abs(got.coords - [0.0, 0.0]).max() < 1e-9
+    got = update_centers_continuous("euclidean", xy, masses, [0])
+    assert got.converged[0]
+    assert np.abs(got.coords[0] - [0.0, 0.0]).max() < 1e-9
 
 
 def test_weiszfeld_returns_optimal_data_point_exactly():
     # the heavier point is optimal (pull 86 <= mass 87), but the fixed-point
     # iteration only closes in on it by a factor 86/87 per step
     xy = np.array([[0.3, 0.7], [1.9, -2.0]])
-    got = weiszfeld(xy, np.array([87.0, 86.0]))
-    assert got.converged
-    assert got.coords.tolist() == [0.3, 0.7]
-    assert got.iterations <= 5
+    got = update_centers_continuous("euclidean", xy, np.array([87.0, 86.0]), [0])
+    assert got.converged[0]
+    assert got.coords.tolist() == [[0.3, 0.7]]
+    assert got.iterations[0] <= 5
 
 
 def _assert_geometric_median(xy, masses, got, rtol=1e-12, **grid):
-    """Converged, and no costlier than grid refinement or the best data point."""
-    assert got.converged and got.iterations < WEISZFELD_MAX_ITER
-    cost = cluster_cost_continuous("euclidean", xy, masses, got.coords)
-    ref = cluster_cost_continuous("euclidean", xy, masses, grid_refine_median(xy, masses, **grid))
-    best_point = min(cluster_cost_continuous("euclidean", xy, masses, p) for p in xy)
+    """The one cluster of ``got`` converged, no costlier than grid refinement or the best data point."""
+    assert got.converged[0] and got.iterations[0] < WEISZFELD_MAX_ITER
+    cost, ref, *at_points = _costs("euclidean", xy, masses,
+                                   np.vstack([got.coords, grid_refine_median(xy, masses, **grid), xy]))
     assert cost <= ref * (1 + rtol)
-    assert cost <= best_point * (1 + rtol)
+    assert cost <= min(at_points) * (1 + rtol)
 
 
 def test_weiszfeld_converges_on_a_three_point_cluster_off_the_data_points():
@@ -186,7 +196,7 @@ def test_weiszfeld_converges_on_a_three_point_cluster_off_the_data_points():
     xy = np.array([[0.6771581950480576, 2.8952771739432346], [0.6479666005833951, 2.7994740788835184],
                    [0.7844032492134553, 2.9310279461460595]])
     masses = np.array([13.002658610094, 87.75257108289097, 98.86555216970588])
-    got = weiszfeld(xy, masses)
+    got = update_centers_continuous("euclidean", xy, masses, [0])
     _assert_geometric_median(xy, masses, got)
     assert np.hypot(*(xy - got.coords).T).min() > 0.01
 
@@ -197,7 +207,8 @@ def test_weiszfeld_converges_on_tiny_clusters_far_from_the_origin():
         n = int(rng.integers(3, 9))
         xy = 5.0 + 1e-8 * rng.uniform(-1.0, 1.0, size=(n, 2))
         masses = rng.uniform(0.5, 3.0, size=n)
-        _assert_geometric_median(xy, masses, weiszfeld(xy, masses), rtol=1e-9, rounds=10, res=40)
+        got = update_centers_continuous("euclidean", xy, masses, [0])
+        _assert_geometric_median(xy, masses, got, rtol=1e-9, rounds=10, res=40)
 
 
 def test_weiszfeld_is_quick_on_near_collinear_clusters():
@@ -211,8 +222,8 @@ def test_weiszfeld_is_quick_on_near_collinear_clusters():
         along = rng.uniform(-5.0, 5.0, size=n)[:, None] * [np.cos(angle), np.sin(angle)]
         xy = rng.uniform(-10.0, 10.0, size=2) + along + rng.normal(0.0, 1e-9, size=(n, 2))
         masses = rng.uniform(0.5, 3.0, size=n)
-        got = weiszfeld(xy, masses)
-        assert got.iterations <= 20
+        got = update_centers_continuous("euclidean", xy, masses, [0])
+        assert got.iterations[0] <= 20
         _assert_geometric_median(xy, masses, got, rounds=10, res=40)
 
 
@@ -223,10 +234,10 @@ def test_weiszfeld_is_quick_on_near_collinear_clusters():
 ])
 def test_weiszfeld_returns_a_data_point_on_collinear_clusters(xy, masses):
     xy, masses = np.array(xy), np.array(masses)
-    got = weiszfeld(xy, masses)
+    got = update_centers_continuous("euclidean", xy, masses, [0])
     _assert_geometric_median(xy, masses, got)
-    assert got.iterations == 1
-    assert any(got.coords.tolist() == p for p in xy.tolist())
+    assert got.iterations[0] == 1
+    assert any(got.coords[0].tolist() == p for p in xy.tolist())
 
 
 def test_weiszfeld_with_duplicate_points():
@@ -235,13 +246,14 @@ def test_weiszfeld_with_duplicate_points():
         base = rng.uniform(-3.0, 3.0, size=(int(rng.integers(3, 7)), 2))
         xy = base[rng.integers(0, len(base), size=12)]
         masses = rng.uniform(0.5, 3.0, size=12)
-        _assert_geometric_median(xy, masses, weiszfeld(xy, masses), rtol=1e-9, rounds=10, res=40)
+        got = update_centers_continuous("euclidean", xy, masses, [0])
+        _assert_geometric_median(xy, masses, got, rtol=1e-9, rounds=10, res=40)
     # two coincident points are together heavy enough to hold the median
     xy = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     masses = np.array([1.5, 1.5, 1.0, 1.0, 1.0])
-    got = weiszfeld(xy, masses)
+    got = update_centers_continuous("euclidean", xy, masses, [0])
     _assert_geometric_median(xy, masses, got)
-    assert got.coords.tolist() == [0.0, 0.0]
+    assert got.coords.tolist() == [[0.0, 0.0]]
 
 
 CLUSTER_KINDS = ("single", "coincident", "collinear", "thin", "heavy", "blob")
@@ -279,11 +291,12 @@ def _assert_batch_matches_singles(kind, clusters):
     locations = batch.coords + 0.25
     costs = cluster_costs_continuous(kind, xy, masses, starts, locations)
     for r, (points, mass) in enumerate(clusters):
-        alone = update_center_continuous(kind, points, mass)
+        alone = update_centers_continuous(kind, points, mass, [0])
         scale = np.hypot(*(points.max(axis=0) - points.min(axis=0)))
-        assert np.abs(batch.coords[r] - alone.coords).max() <= 1e-12 * scale
-        assert (batch.iterations[r], batch.converged[r]) == (alone.iterations, alone.converged)
-        assert costs[r] == pytest.approx(cluster_cost_continuous(kind, points, mass, locations[r]), rel=1e-12)
+        assert np.abs(batch.coords[r] - alone.coords[0]).max() <= 1e-12 * scale
+        assert (batch.iterations[r], batch.converged[r]) == (alone.iterations[0], alone.converged[0])
+        alone_cost = cluster_costs_continuous(kind, points, mass, [0], locations[r][None])[0]
+        assert costs[r] == pytest.approx(alone_cost, rel=1e-12)
     return batch
 
 
@@ -306,7 +319,7 @@ def test_a_capped_cluster_runs_beside_clusters_that_stop_early(monkeypatch):
     rng = np.random.default_rng(3)
     blob = _cluster(rng, "blob")
     clusters = [_cluster(rng, "single"), blob, _cluster(rng, "collinear"), _cluster(rng, "coincident"), blob]
-    assert weiszfeld(*blob).iterations > 2
+    assert update_centers_continuous("euclidean", *blob, [0]).iterations[0] > 2
     monkeypatch.setattr(location, "WEISZFELD_MAX_ITER", 2)
     batch = _assert_batch_matches_singles("euclidean", clusters)
     assert batch.iterations.tolist()[1::3] == [2, 2]
@@ -343,9 +356,9 @@ def test_the_newton_search_prices_only_the_clusters_that_search(monkeypatch):
     assert tests[0] == 1 and (batch.iterations[1], batch.converged[1]) == (1, True)  # the thin cluster, alone
     monkeypatch.undo()
     for r, (points, mass) in enumerate(clusters):
-        alone = update_center_continuous("euclidean", points, mass)
-        assert batch.coords[r].tolist() == alone.coords.tolist()
-        assert (batch.iterations[r], batch.converged[r]) == (alone.iterations, alone.converged)
+        alone = update_centers_continuous("euclidean", points, mass, [0])
+        assert batch.coords[r].tolist() == alone.coords[0].tolist()
+        assert (batch.iterations[r], batch.converged[r]) == (alone.iterations[0], alone.converged[0])
 
 
 def test_batched_relocation_rejects_an_empty_cluster():

@@ -6,26 +6,26 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from capclust import (
-    CenterSpec, Point, Problem, allocate_uncapacitated, distance, euclidean,
-    manhattan, matrix_metric, sqeuclidean, threshold, validate_problem,
+    CenterSpec, Point, Problem, allocate_uncapacitated, matrix_metric, threshold, validate_problem,
 )
-from capclust.errors import MatrixIndexOutOfRange, ValidationError
-from capclust.metrics import distances_to_centers, geometric_distances
+from capclust.errors import FixedCenterNotCandidate, ShapeMismatch, ValidationError
+from capclust.metrics import candidate_distances, distances_to_centers, geometric_distances
 
 
 def test_manhattan_example():
-    assert distance(manhattan(), (1, 2), (4, 6)) == 7.0
+    assert geometric_distances("manhattan", [(1, 2)], [(4, 6)]).tolist() == [[7.0]]
 
 
 def test_three_four_five():
-    assert distance(sqeuclidean(), (0, 0), (3, 4)) == 25.0
-    assert distance(euclidean(), (0, 0), (3, 4)) == 5.0
+    assert geometric_distances("sqeuclidean", [(0, 0)], [(3, 4)]).tolist() == [[25.0]]
+    assert geometric_distances("euclidean", [(0, 0)], [(3, 4)]).tolist() == [[5.0]]
 
 
 def test_threshold_boundary_counts_as_outside():
     # Euclidean distance exactly 5 is not under the radius, so cost 1.
-    assert distance(threshold(5.0), (0, 0), (3, 4)) == 1.0
-    assert distance(threshold(5.0 + 1e-9), (0, 0), (3, 4)) == 0.0
+    point, site = np.array([(0.0, 0.0)]), np.array([(3.0, 4.0)])
+    assert candidate_distances(threshold(5.0), point, site).tolist() == [[1.0]]
+    assert candidate_distances(threshold(5.0 + 1e-9), point, site).tolist() == [[0.0]]
 
 
 def test_threshold_needs_positive_radius():
@@ -34,13 +34,18 @@ def test_threshold_needs_positive_radius():
 
 
 def test_matrix_lookup_and_range():
+    # The matrix metric's costs are the matrix itself, read by point row and
+    # site column; a problem whose indices fall outside it is refused.
     D = np.array([[1.0, 2.0], [3.0, 4.0]])
     m = matrix_metric(D)
-    assert distance(m, 1, 0) == 3.0
-    with pytest.raises(MatrixIndexOutOfRange):
-        distance(m, 2, 0)
-    with pytest.raises(MatrixIndexOutOfRange):
-        distance(m, 0, 5)
+    assert candidate_distances(m, None, None)[1, 0] == 3.0
+    points = (Point(0), Point(1))
+    prob = validate_problem(Problem(points=points, metric=m, centers=CenterSpec(k=1, placement="discrete")))
+    assert distances_to_centers(prob, [1]).tolist() == [[2.0], [4.0]]
+    with pytest.raises(ShapeMismatch):
+        validate_problem(Problem(points=points + (Point(2),), metric=m, centers=CenterSpec(k=1, placement="discrete")))
+    with pytest.raises(FixedCenterNotCandidate):
+        validate_problem(Problem(points=points, metric=m, centers=CenterSpec(k=1, placement="discrete", fixed=(5,))))
 
 
 def test_matrix_rejects_negative_entries():
@@ -53,31 +58,31 @@ coords = st.tuples(st.floats(-100, 100), st.floats(-100, 100))
 
 @given(coords, coords)
 def test_geometric_symmetry_and_identity(p, q):
-    for metric in (sqeuclidean(), euclidean(), manhattan()):
-        assert distance(metric, p, p) == 0.0
-        assert distance(metric, p, q) == pytest.approx(distance(metric, q, p), rel=1e-12, abs=1e-12)
+    for kind in ("sqeuclidean", "euclidean", "manhattan"):
+        D = geometric_distances(kind, [p, q], [p, q])
+        assert D[0, 0] == D[1, 1] == 0.0
+        assert D[0, 1] == pytest.approx(D[1, 0], rel=1e-12, abs=1e-12)
 
 
 @given(coords, coords, coords)
 def test_triangle_inequality_euclidean_manhattan(p, q, r):
-    for metric in (euclidean(), manhattan()):
-        dpr = distance(metric, p, r)
-        dpq = distance(metric, p, q)
-        dqr = distance(metric, q, r)
+    for kind in ("euclidean", "manhattan"):
+        D = geometric_distances(kind, [p, q], [q, r])
+        dpq, dpr, dqr = D[0, 0], D[0, 1], D[1, 1]
         assert dpr <= dpq + dqr + 1e-9 * (1 + dpq + dqr)
 
 
 def test_squared_euclidean_violates_triangle_inequality():
     # witness triple on a line: 4 > 1 + 1
     a, b, c = (0, 0), (1, 0), (2, 0)
-    m = sqeuclidean()
-    assert distance(m, a, c) > distance(m, a, b) + distance(m, b, c)
+    D = geometric_distances("sqeuclidean", [a, b], [b, c])
+    assert D[0, 1] > D[0, 0] + D[1, 1]
 
 
 @given(coords, coords)
 def test_euclidean_squared_matches_sqeuclidean(p, q):
-    d = distance(euclidean(), p, q)
-    d2 = distance(sqeuclidean(), p, q)
+    d = geometric_distances("euclidean", [p], [q])[0, 0]
+    d2 = geometric_distances("sqeuclidean", [p], [q])[0, 0]
     assert d * d == pytest.approx(d2, rel=1e-12, abs=1e-30)
 
 

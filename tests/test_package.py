@@ -6,6 +6,21 @@ import capclust
 from capclust import solver
 
 
+PUBLIC = [
+    "Assignment", "CenterSpec", "GenSpec", "MetricSpec", "ObjectiveBreakdown", "Point", "PointTable", "Problem",
+    "Solution", "SolverConfig", "SweepReport", "adjusted_rand_index", "aic_bic_lambda", "allocate",
+    "allocate_fractional", "allocate_hard", "allocate_uncapacitated", "decide_release", "descend",
+    "distance_summary", "errors", "euclidean", "evaluate_objective", "generate_dataset", "kmeanspp_init",
+    "manhattan", "matrix_metric", "sample_gamma_copula_cluster", "solution_labels", "solve", "sqeuclidean",
+    "sweep_k", "threshold", "update_center_discrete", "update_centers_continuous", "validate_problem",
+]
+
+
+def test_the_public_names_are_exactly_these():
+    # A public name is added or dropped only by editing this list.
+    assert capclust.__all__ == PUBLIC
+
+
 def test_every_public_name_resolves():
     for name in capclust.__all__:
         obj = getattr(capclust, name)
