@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it (a submodule maps to itself)
 _HOME = {
     "errors": "errors",
-    **dict.fromkeys(("allocate", "allocate_fractional", "allocate_hard", "allocate_uncapacitated"), "allocation"),
+    "allocate": "allocation",
     **dict.fromkeys(("GenSpec", "generate_dataset", "sample_gamma_copula_cluster"), "datagen"),
     **dict.fromkeys(("adjusted_rand_index", "distance_summary", "solution_labels"), "evaluation"),
     **dict.fromkeys(("decide_release", "update_center_discrete", "update_centers_continuous"), "location"),

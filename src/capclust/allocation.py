@@ -1,10 +1,10 @@
 """Allocation step: minimize the objective over memberships with centers fixed.
 
-Three regimes:
+``allocate`` is the one entry point, and the problem picks its regime:
 
-* no capacity window: each point independently takes its cheapest columns
-  (the outlier column costs lambda_o per unit of effective weight), which is
-  exact and identical for hard and fractional membership;
+* no capacity window, or no point with a_i > 0: each point independently
+  takes its cheapest columns (the outlier column costs lambda_o per unit of
+  effective weight), which is exact under either membership;
 * capacity window + fractional membership: an exact linear program over the
   memberships y_ij, solved by HiGHS.  Its rows depend on neither the centers
   nor the restart, so a solve builds its model once (``lp_model``), which
@@ -23,8 +23,9 @@ Three regimes:
   and the model's last assignment, so a budgeted descent never rises and
   never loses a restart after its first allocation.
 
-Points with capacity coefficient a_i = 0 use no capacity, so they take
-their cheapest columns outside the program in every regime.
+Points with capacity coefficient a_i = 0 take their cheapest columns
+outside the program in every regime.  The LP relaxation of a hard problem
+is ``allocate(dataclasses.replace(problem, membership="fractional"), ...)``.
 
 What a capacitated solve imports, and when: building the first LP model
 loads scipy's private HiGHS extension ``scipy.optimize._highspy._core``
@@ -84,18 +85,24 @@ def _find_binding():
 
 def allocate(problem: Problem, centers, time_budget: float | None = None, *, distances=None,
              model=None) -> Assignment:
-    """Optimal memberships for fixed centers.
+    """Optimal memberships for fixed centers, in the regime ``problem`` states.
 
-    ``distances`` is the (n, k) matrix of raw distances to ``centers`` when
-    the caller already holds it; otherwise it is computed here.  ``model``
-    is ``lp_model(problem)`` when the caller re-solves the same problem for
-    many center sets; otherwise a capacitated call builds a one-shot model.
+    ``model`` is ``lp_model(problem)`` when the caller re-solves the same
+    problem for many center sets; otherwise a capacitated call builds a
+    one-shot model.  ``distances`` is the (n, k) matrix of raw distances to
+    ``centers`` when the caller already holds it; otherwise it is computed
+    here.  Without a model, or with no point in its program, every point
+    takes its cheapest columns; otherwise ``problem.membership`` picks the
+    fractional LP or the hard step, which reads ``time_budget``.
     """
-    if problem.capacity is None:
-        return allocate_uncapacitated(problem, centers, distances=distances)
+    model = lp_model(problem) if model is None else model
+    D = metrics.distances_to_centers(problem, centers) if distances is None else distances
+    if model is None or not model.pos.size:
+        return _allocate_uncapacitated(problem, D)
     if problem.membership == FRACTIONAL:
-        return allocate_fractional(problem, centers, distances=distances, model=model)
-    return allocate_hard(problem, centers, time_budget, distances=distances, model=model)
+        y = _membership(problem, D, model, model.solve(_column_costs(problem, D), D))
+        return Assignment(y=y, has_outlier=problem.has_outlier_column)
+    return _allocate_hard(problem, D, model, time_budget)
 
 
 def _column_costs(problem: Problem, D: np.ndarray) -> np.ndarray:
@@ -148,8 +155,8 @@ def _nearest_assignment(problem: Problem, nearest: np.ndarray, best: np.ndarray)
     if problem.has_outlier_column:
         # The outlier column sorts last, so a tie d == lambda_o stays with the center.
         nearest = np.where(best > problem.outlier_penalty, problem.k, nearest)
-    return Assignment(y=None, membership=problem.membership, has_outlier=problem.has_outlier_column,
-                      labels=nearest, columns=problem.k + (1 if problem.has_outlier_column else 0))
+    return Assignment(y=None, has_outlier=problem.has_outlier_column, labels=nearest,
+                      columns=problem.k + (1 if problem.has_outlier_column else 0))
 
 
 def _allocates_nearest_labels(problem: Problem) -> bool:
@@ -160,16 +167,15 @@ def _allocates_nearest_labels(problem: Problem) -> bool:
     return problem.capacity is None and problem.coverages.max() == 1
 
 
-def allocate_uncapacitated(problem: Problem, centers, *, distances=None) -> Assignment:
-    q_max = _check_coverage(problem)
-    D = metrics.distances_to_centers(problem, centers) if distances is None else distances
-    if q_max == 1:  # validation keeps every q_i >= 1, so every q_i is 1
+def _allocate_uncapacitated(problem: Problem, D: np.ndarray) -> Assignment:
+    """Every point's q_i cheapest columns (``_column_order``); raises QExceedsK when q_i exceeds them."""
+    if _check_coverage(problem) == 1:  # validation keeps every q_i >= 1, so every q_i is 1
         nearest = np.argmin(D, axis=1)
         best = D[np.arange(problem.n), nearest] if problem.has_outlier_column else None
         return _nearest_assignment(problem, nearest, best)
     y = np.zeros((problem.n, problem.k + (1 if problem.has_outlier_column else 0)))
     _greedy_rows(D, problem, np.arange(problem.n), y)
-    return Assignment(y=y, membership=problem.membership, has_outlier=problem.has_outlier_column)
+    return Assignment(y=y, has_outlier=problem.has_outlier_column)
 
 
 def _aggregate_certificate(problem: Problem, lo: float, hi: float, names: tuple[str, str] = ("L", "U")) -> None:
@@ -219,7 +225,7 @@ def _lp_rows(problem: Problem) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 class _AllocationLP:
-    """The capacitated allocation of one problem in one membership regime.
+    """The capacitated allocation of one problem, in its membership regime.
 
     The constructor runs the checks that depend on the problem alone.  The
     LP rows depend on neither the centers nor the restart, so between
@@ -237,12 +243,12 @@ class _AllocationLP:
     the last hard assignment made in this descent.
     """
 
-    def __init__(self, problem: Problem, membership: str):
+    def __init__(self, problem: Problem):
         _check_coverage(problem)
         lo, hi = problem.capacity
         _aggregate_certificate(problem, lo, hi)
         a = problem.capacity_coeffs
-        if membership == HARD:
+        if problem.membership == HARD:
             real_needed = problem.coverages - (1 if problem.has_outlier_column else 0)
             too_big = np.flatnonzero((a > hi) & (real_needed >= 1))
             if too_big.size:
@@ -382,7 +388,7 @@ def lp_model(problem: Problem) -> _AllocationLP | None:
     Building it runs, once, the checks that allocation calls would raise on.
     ``solve`` builds one per solve and every descent restarts it.
     """
-    return None if problem.capacity is None else _AllocationLP(problem, problem.membership)
+    return None if problem.capacity is None else _AllocationLP(problem)
 
 
 def _membership(problem: Problem, D: np.ndarray, model: _AllocationLP, x: np.ndarray) -> np.ndarray:
@@ -396,17 +402,6 @@ def _membership(problem: Problem, D: np.ndarray, model: _AllocationLP, x: np.nda
 
 def _objective(problem: Problem, cost: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum((cost * y)[problem.id_order]))
-
-
-def allocate_fractional(problem: Problem, centers, *, distances=None, model=None) -> Assignment:
-    if problem.capacity is None:
-        return allocate_uncapacitated(problem, centers, distances=distances)
-    model = _AllocationLP(problem, FRACTIONAL) if model is None else model
-    if not model.pos.size:
-        return allocate_uncapacitated(problem, centers, distances=distances)
-    D = metrics.distances_to_centers(problem, centers) if distances is None else distances
-    y = _membership(problem, D, model, model.solve(_column_costs(problem, D), D))
-    return Assignment(y=y, membership=FRACTIONAL, has_outlier=problem.has_outlier_column)
 
 
 def _verify_hard(problem: Problem, y: np.ndarray) -> bool:
@@ -485,8 +480,7 @@ def _greedy_incumbent(problem: Problem, D: np.ndarray) -> np.ndarray | None:
     return y
 
 
-def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *, distances=None,
-                  model=None) -> Assignment:
+def _allocate_hard(problem: Problem, D: np.ndarray, model: _AllocationLP, time_budget: float | None) -> Assignment:
     """Optimal binary memberships: an integral root LP as it is, else HiGHS's MIP to a zero gap.
 
     When ``time_budget`` stops the search, the result is the cheapest of
@@ -494,12 +488,6 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
     ``model`` since its ``restart`` (still feasible, since capacities do not
     depend on the centers), with its gap against the root LP bound.
     """
-    if problem.capacity is None:
-        return allocate_uncapacitated(problem, centers, distances=distances)
-    model = _AllocationLP(problem, HARD) if model is None else model
-    if not model.pos.size:
-        return allocate_uncapacitated(problem, centers, distances=distances)
-    D = metrics.distances_to_centers(problem, centers) if distances is None else distances
     cost = _column_costs(problem, D)
     y0 = _membership(problem, D, model, model.solve(cost, D))
     y = np.round(y0)
@@ -541,5 +529,4 @@ def allocate_hard(problem: Problem, centers, time_budget: float | None = None, *
     model.last_hard = y[model.pos]
     # With every q_i = 1 each row is one-hot, so its column labels it.
     labels = np.argmax(y, axis=1) if problem.coverages.max() == 1 else None
-    return Assignment(y=y, membership=HARD, has_outlier=problem.has_outlier_column, diagnostics=diagnostics,
-                      labels=labels)
+    return Assignment(y=y, has_outlier=problem.has_outlier_column, diagnostics=diagnostics, labels=labels)

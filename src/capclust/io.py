@@ -229,12 +229,12 @@ def load_matrix(path) -> np.ndarray:
     values = None if fault else _numpy_rows(lines, ndmin=2)
     if values is not None and np.isfinite(values).all() and (values >= 0).all():
         return values
-    return _matrix_cells(path)
+    return _matrix_cells(_checked(lines, fault))
 
 
-def _matrix_cells(path) -> np.ndarray:
+def _matrix_cells(lines) -> np.ndarray:
     rows: list[np.ndarray] = []
-    for line, cells in _rows(_lines(path, "matrix"), "matrix"):
+    for line, cells in _rows(lines, "matrix"):
         try:
             values = np.array(cells, dtype=float)
             parsed = bool(np.isfinite(values).all())
@@ -258,8 +258,12 @@ def load_fixed(path):
     line, header, rows = _table(path, "fixed-centers")
     if "site" in header:
         col = header.index("site")
-        return [_parse_int(row, col, ln, "site") for ln, row in rows]
-    return _xy_rows(rows, header, line, "fixed-centers header needs x,y or site")
+        fixed = [_parse_int(row, col, ln, "site") for ln, row in rows]
+    else:
+        fixed = _xy_rows(rows, header, line, "fixed-centers header needs x,y or site")
+    if not fixed:
+        raise ParseError("no fixed centers in file", line + 1)
+    return fixed
 
 
 def write_labels(path, ids, labels) -> None:

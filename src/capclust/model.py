@@ -305,19 +305,19 @@ class Assignment:
 
     When the problem has an outlier penalty the last column is the outlier
     column and rows have k+1 entries; otherwise k entries.  Row sums equal
-    each point's coverage q_i.  ``labels``, when set, is the column of each
-    row's single 1 (the outlier column is k): an assignment whose rows are
-    one-hot by construction (every q = 1, and no capacity window or hard
-    membership) carries it, so evaluation indexes the distances instead of
-    multiplying y and the descent takes its masses from it.  Such an assignment may be
-    made with ``y=None`` and its ``columns``: its one-hot ``y`` is then
-    built from the labels on first read and kept, and ``n_centers``,
-    ``shape`` and ``hard_labels`` never build it.  Otherwise ``columns`` is
-    taken from ``y``.
+    each point's coverage q_i; the problem's ``membership``, not repeated
+    here, names the regime that made it.  ``labels``, when set, is the
+    column of each row's single 1 (the outlier column is k): an assignment
+    whose rows are one-hot by construction (every q = 1, and no capacity
+    window or hard membership) carries it, so evaluation indexes the
+    distances instead of multiplying y and the descent takes its masses
+    from it.  Such an assignment may be made with ``y=None`` and its
+    ``columns``: its one-hot ``y`` is then built from the labels on first
+    read and kept, and ``n_centers``, ``shape`` and ``hard_labels`` never
+    build it.  Otherwise ``columns`` is taken from ``y``.
     """
 
     y: np.ndarray | None
-    membership: str
     has_outlier: bool
     diagnostics: dict = field(default_factory=dict)
     labels: np.ndarray | None = None

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -48,8 +49,9 @@ class SolverConfig:
 
     ``restarts`` of 50-100 give publication-grade robustness; the default
     favors interactive runs, and more than ``MAX_RESTARTS`` (10,000) are
-    refused.  ``time_budget`` is seconds per hard allocation call, not for
-    the whole solve.
+    refused.  The counts and ``rng_seed`` take integers, not booleans.
+    ``time_budget`` is seconds per hard allocation call, not for the whole
+    solve.
     """
 
     restarts: int = 10
@@ -59,10 +61,16 @@ class SolverConfig:
     time_budget: float | None = None
 
     def __post_init__(self):
+        for name in ("restarts", "rng_seed", "max_iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # a bool would count as 0 or 1
+                raise ValueError(f"{name} must be an integer (got {value!r})")
         if not 1 <= self.restarts <= MAX_RESTARTS:
             raise ValueError(f"restarts must be between 1 and {MAX_RESTARTS}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if self.time_budget is not None and not self.time_budget >= 0:  # inf means no limit
             raise ValueError("time_budget must be nonnegative")
 
@@ -545,7 +553,6 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
         "center_trace": [],
     }
 
-    assignment: Assignment | None = None
     prev_total = math.inf
     stop = None
     for iteration in range(1, config.max_iterations + 1):

@@ -9,14 +9,14 @@ import math
 import os
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from capclust import (
     CenterSpec, GenSpec, Point, Problem, SolverConfig, adjusted_rand_index,
-    aic_bic_lambda, allocate_fractional, allocate_hard,
-    descend, distance_summary, euclidean, generate_dataset, kmeanspp_init,
+    aic_bic_lambda, allocate, descend, distance_summary, euclidean, generate_dataset, kmeanspp_init,
     matrix_metric, solution_labels, solve, sqeuclidean, sweep_k, update_centers_continuous, validate_problem,
 )
 from capclust.cli import main as cli_main
@@ -49,7 +49,7 @@ def test_criterion_1_allocation_exactness():
         D = problem.metric.matrix
         brute = brute_force_hard(problem, D)
         try:
-            got_hard = allocate_hard(problem, centers)
+            got_hard = allocate(problem, centers)
         except Infeasible:
             assert brute is None
             got_hard = None
@@ -62,7 +62,7 @@ def test_criterion_1_allocation_exactness():
             infeasible_agree += 1
         lp = dense_lp_fractional(problem, D)
         try:
-            got_frac = allocate_fractional(problem, centers)
+            got_frac = allocate(replace(problem, membership="fractional"), centers)
         except Infeasible:
             assert lp is None
             continue
@@ -85,10 +85,10 @@ def test_criterion_2_relaxation_dominance():
         problem, centers = random_capacitated_instance(rng)
         D = problem.metric.matrix
         try:
-            hard = allocate_hard(problem, centers)
+            hard = allocate(problem, centers)
         except Infeasible:
             continue
-        frac = allocate_fractional(problem, centers)
+        frac = allocate(replace(problem, membership="fractional"), centers)
         assert objective_of(problem, frac, D) <= objective_of(problem, hard, D) + 1e-9
         dominated += 1
     # the worked two-point instance: fractional 2.0, hard 3.0
@@ -97,8 +97,8 @@ def test_criterion_2_relaxation_dominance():
         points=(Point(0, w=1.0, a=2.0), Point(1, w=1.0, a=2.0)),
         metric=matrix_metric(D), centers=CenterSpec(k=2, placement="discrete"),
         membership="fractional", capacity=(1.0, 3.0)))
-    frac_val = objective_of(prob, allocate_fractional(prob, np.array([0, 1])), D)
-    hard_val = objective_of(prob, allocate_hard(prob, np.array([0, 1])), D)
+    frac_val = objective_of(prob, allocate(prob, np.array([0, 1])), D)
+    hard_val = objective_of(prob, allocate(replace(prob, membership="hard"), np.array([0, 1])), D)
     assert frac_val == pytest.approx(2.0, abs=1e-9)
     assert hard_val == pytest.approx(3.0, abs=1e-9)
     report(2, f"fractional <= hard on {dominated} feasible instances; worked instance "

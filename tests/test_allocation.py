@@ -1,15 +1,13 @@
 import ast
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from capclust import (
-    CenterSpec, Point, Problem, allocate, allocate_fractional, allocate_hard,
-    allocate_uncapacitated, allocation, matrix_metric, sqeuclidean, validate_problem,
-)
+from capclust import CenterSpec, Point, Problem, allocate, allocation, matrix_metric, sqeuclidean, validate_problem
 from capclust.errors import Infeasible, NoIncumbentWithinBudget, QExceedsK
 from capclust.metrics import distances_to_centers
 from oracles import (
@@ -40,31 +38,31 @@ def objective_of(problem, assignment, D):
 
 def test_point_beyond_lambda_becomes_outlier():
     prob = matrix_problem([[0.3]], lam=0.2)
-    y = allocate_uncapacitated(prob, np.array([0])).y
+    y = allocate(prob, np.array([0])).y
     assert y.tolist() == [[0.0, 1.0]]
 
 
 def test_boundary_distance_stays_assigned():
     prob = matrix_problem([[0.2]], lam=0.2)
-    y = allocate_uncapacitated(prob, np.array([0])).y
+    y = allocate(prob, np.array([0])).y
     assert y.tolist() == [[1.0, 0.0]]
 
 
 def test_coverage_two_takes_two_nearest():
     prob = matrix_problem([[1.0, 2.0, 5.0]], q=[2])
-    y = allocate_uncapacitated(prob, np.array([0, 1, 2])).y
+    y = allocate(prob, np.array([0, 1, 2])).y
     assert y.tolist() == [[1.0, 1.0, 0.0]]
 
 
 def test_coverage_exceeding_columns_raises():
     prob = matrix_problem([[1.0, 2.0]], q=[3])
     with pytest.raises(QExceedsK):
-        allocate_uncapacitated(prob, np.array([0, 1]))
+        allocate(prob, np.array([0, 1]))
 
 
 def test_nearest_tie_breaks_to_lowest_center_index():
     prob = matrix_problem([[2.0, 2.0]])
-    y = allocate_uncapacitated(prob, np.array([0, 1])).y
+    y = allocate(prob, np.array([0, 1])).y
     assert y.tolist() == [[1.0, 0.0]]
 
 
@@ -78,7 +76,7 @@ def ab_problem(membership):
 
 def test_worked_instance_fractional_optimum():
     prob = ab_problem("fractional")
-    got = allocate_fractional(prob, np.array([0, 1]))
+    got = allocate(prob, np.array([0, 1]))
     assert objective_of(prob, got, AB_D) == pytest.approx(2.0, abs=1e-9)
     assert got.y[0, 0] == pytest.approx(1.0, abs=1e-9)
     assert got.y[1, 0] == pytest.approx(0.5, abs=1e-9)
@@ -87,7 +85,7 @@ def test_worked_instance_fractional_optimum():
 
 def test_worked_instance_hard_optimum():
     prob = ab_problem("hard")
-    got = allocate_hard(prob, np.array([0, 1]))
+    got = allocate(prob, np.array([0, 1]))
     assert objective_of(prob, got, AB_D) == pytest.approx(3.0, abs=1e-9)
     assert got.y.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
@@ -122,8 +120,8 @@ def test_unbounded_window_reduces_to_nearest_assignment(monkeypatch):
     for presolve in presolve_settings(monkeypatch):
         for D, w, lam in tie_cases():
             prob = matrix_problem(D, w=w, lam=lam, membership="fractional", capacity=(0.0, math.inf))
-            got = allocate_fractional(prob, np.array([0, 1]))
-            want = allocate_uncapacitated(prob, np.array([0, 1]))
+            got = allocate(prob, np.array([0, 1]))
+            want = allocate(replace(prob, capacity=None), np.array([0, 1]))
             assert np.array_equal(got.y, want.y), (presolve, lam)
 
 
@@ -131,8 +129,8 @@ def test_loose_window_matches_uncapacitated_hard(monkeypatch):
     for presolve in presolve_settings(monkeypatch):
         for D, w, lam in tie_cases():
             prob = matrix_problem(D, w=w, lam=lam, membership="hard", capacity=(0.0, 100.0))
-            got = allocate_hard(prob, np.array([0, 1]))
-            want = allocate_uncapacitated(prob, np.array([0, 1]))
+            got = allocate(prob, np.array([0, 1]))
+            want = allocate(replace(prob, capacity=None), np.array([0, 1]))
             assert got.diagnostics.get("fastpath") == "lp_integral", (presolve, lam)
             assert np.array_equal(got.y, want.y), (presolve, lam)
 
@@ -140,21 +138,20 @@ def test_loose_window_matches_uncapacitated_hard(monkeypatch):
 def test_single_center_overflow_is_infeasible():
     prob = matrix_problem([[1.0], [1.0], [1.0]], a=[2.0, 2.0, 2.0], capacity=(0.0, 5.0))
     with pytest.raises(Infeasible):
-        allocate_hard(prob, np.array([0]))
+        allocate(prob, np.array([0]))
     with pytest.raises(Infeasible):
-        allocate_fractional(matrix_problem([[1.0], [1.0], [1.0]], a=[2.0] * 3,
-                                           capacity=(0.0, 5.0), membership="fractional"),
-                            np.array([0]))
+        allocate(matrix_problem([[1.0], [1.0], [1.0]], a=[2.0] * 3, capacity=(0.0, 5.0), membership="fractional"),
+                 np.array([0]))
 
 
 def test_indivisible_exact_window_hard_infeasible_fractional_fine():
     # loads must hit exactly 4 per center but coefficients 3,3,2 cannot tile
     prob_hard = matrix_problem([[1.0, 2.0]] * 3, a=[3.0, 3.0, 2.0], capacity=(4.0, 4.0))
     with pytest.raises(Infeasible):
-        allocate_hard(prob_hard, np.array([0, 1]))
+        allocate(prob_hard, np.array([0, 1]))
     prob_frac = matrix_problem([[1.0, 2.0]] * 3, a=[3.0, 3.0, 2.0], capacity=(4.0, 4.0),
                                membership="fractional")
-    got = allocate_fractional(prob_frac, np.array([0, 1]))
+    got = allocate(prob_frac, np.array([0, 1]))
     loads = got.loads(prob_frac.capacity_coeffs)
     assert np.allclose(loads, 4.0, atol=1e-6)
 
@@ -162,7 +159,7 @@ def test_indivisible_exact_window_hard_infeasible_fractional_fine():
 def test_indivisible_window_hard_infeasible_is_silent(capfd):
     prob = matrix_problem([[1.0, 2.0]] * 3, a=[3.0, 3.0, 2.0], capacity=(4.0, 4.0))
     with pytest.raises(Infeasible):
-        allocate_hard(prob, np.array([0, 1]))
+        allocate(prob, np.array([0, 1]))
     assert capfd.readouterr() == ("", "")
 
 
@@ -177,7 +174,7 @@ def test_unequal_coefficients_hard_instance_solves_to_optimality():
     a = rng.uniform(0.5, 2.0, size=100)
     mean_load = a.sum() / 5
     prob = matrix_problem(D, a=a, capacity=(0.8 * mean_load, 1.2 * mean_load))
-    got = allocate_hard(prob, np.arange(5), time_budget=20.0)
+    got = allocate(prob, np.arange(5), time_budget=20.0)
     assert "fastpath" not in got.diagnostics
     assert "optimality_gap" not in got.diagnostics
     assert np.isin(got.y, (0.0, 1.0)).all()
@@ -187,17 +184,16 @@ def test_unequal_coefficients_hard_instance_solves_to_optimality():
 
 def test_infeasibility_certificates_mention_failing_bound():
     with pytest.raises(Infeasible, match="upper"):
-        allocate_fractional(matrix_problem([[1.0]], a=[4.0], capacity=(0.0, 2.0),
-                                           membership="fractional"), np.array([0]))
+        allocate(matrix_problem([[1.0]], a=[4.0], capacity=(0.0, 2.0), membership="fractional"), np.array([0]))
     with pytest.raises(Infeasible, match="lower"):
-        allocate_fractional(matrix_problem([[1.0, 1.0]], a=[1.0], capacity=(3.0, 9.0),
-                                           membership="fractional"), np.array([0, 1]))
+        allocate(matrix_problem([[1.0, 1.0]], a=[1.0], capacity=(3.0, 9.0), membership="fractional"),
+                 np.array([0, 1]))
 
 
 def test_equal_coefficients_fast_path_detected():
     D = np.array([[1.0, 2.0], [2.0, 1.0], [1.5, 1.5], [0.5, 3.0]])
     prob = matrix_problem(D, a=[2.0] * 4, capacity=(2.0, 6.0))
-    got = allocate_hard(prob, np.array([0, 1]))
+    got = allocate(prob, np.array([0, 1]))
     assert got.diagnostics.get("fastpath") == "lp_integral"
     assert np.isin(got.y, (0.0, 1.0)).all()
 
@@ -206,7 +202,7 @@ def test_zero_capacity_points_assigned_greedily():
     D = np.array([[1.0, 4.0], [9.0, 2.0]])
     prob = matrix_problem(D, a=[0.0, 3.0], w=[2.0, 1.0], capacity=(0.0, 3.0),
                           membership="fractional")
-    got = allocate_fractional(prob, np.array([0, 1]))
+    got = allocate(prob, np.array([0, 1]))
     assert got.y[0].tolist() == [1.0, 0.0]  # no capacity consumed, takes its nearest
     loads = got.loads(prob.capacity_coeffs)
     assert loads[0] == 0.0 or loads[0] <= 3.0 + 1e-9
@@ -223,7 +219,7 @@ def test_fractional_matches_dense_lp_oracle_on_randoms():
         D = problem.metric.matrix
         expect = dense_lp_fractional(problem, D)
         try:
-            got = allocate_fractional(problem, centers)
+            got = allocate(replace(problem, membership="fractional"), centers)
         except Infeasible:
             assert expect is None
             continue
@@ -253,7 +249,7 @@ def test_hard_matches_brute_force_on_randoms():
         D = problem.metric.matrix
         expect = brute_force_hard(problem, D)
         try:
-            got = allocate_hard(problem, centers)
+            got = allocate(problem, centers)
         except Infeasible:
             assert expect is None
             continue
@@ -270,17 +266,17 @@ def test_relaxation_dominance_on_randoms():
         problem, centers = random_capacitated_instance(rng, n_max=6)
         D = problem.metric.matrix
         try:
-            hard = allocate_hard(problem, centers)
+            hard = allocate(problem, centers)
         except Infeasible:
             continue
-        frac = allocate_fractional(problem, centers)
+        frac = allocate(replace(problem, membership="fractional"), centers)
         assert objective_of(problem, frac, D) <= objective_of(problem, hard, D) + 1e-9
 
 
 def test_coverage_greater_than_one_with_capacity():
     D = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 4.0]])
     prob = matrix_problem(D, a=[1.0, 1.0], q=[2, 1], capacity=(0.0, 2.0))
-    got = allocate_hard(prob, np.array([0, 1, 2]))
+    got = allocate(prob, np.array([0, 1, 2]))
     assert got.row_sums().tolist() == [2.0, 1.0]
     expect = brute_force_coverage_two(prob, D)
     assert objective_of(prob, got, D) == pytest.approx(expect, abs=1e-9)
@@ -310,7 +306,7 @@ def brute_force_coverage_two(problem, D):
 
 def test_exhausted_budget_returns_incumbent_with_gap():
     prob = ab_problem("hard")
-    got = allocate_hard(prob, np.array([0, 1]), time_budget=0.0)
+    got = allocate(prob, np.array([0, 1]), time_budget=0.0)
     assert got.diagnostics.get("optimality_gap", 0.0) > 0.0
     assert objective_of(prob, got, AB_D) == pytest.approx(3.0, abs=1e-9)
 
@@ -318,24 +314,25 @@ def test_exhausted_budget_returns_incumbent_with_gap():
 def test_exhausted_budget_without_incumbent_raises():
     prob = matrix_problem([[1.0, 2.0]] * 3, a=[3.0, 3.0, 2.0], capacity=(4.0, 4.0))
     with pytest.raises((NoIncumbentWithinBudget, Infeasible)):
-        allocate_hard(prob, np.array([0, 1]), time_budget=0.0)
+        allocate(prob, np.array([0, 1]), time_budget=0.0)
 
 
 def test_integral_coefficients_narrow_window_precheck():
     # integer loads cannot reach a fractional-only window
     prob = matrix_problem([[1.0, 2.0]] * 4, a=[1.0] * 4, capacity=(2.2, 2.8))
     with pytest.raises(Infeasible):
-        allocate_hard(prob, np.array([0, 1]))
+        allocate(prob, np.array([0, 1]))
 
 
 def test_dispatcher_routes_by_capacity_and_membership():
     D = np.array([[1.0, 2.0]])
-    uncap = matrix_problem(D)
-    assert allocate(uncap, np.array([0, 1])).y.tolist() == [[1.0, 0.0]]
-    frac = matrix_problem(D, capacity=(0.0, 2.0), membership="fractional")
-    assert allocate(frac, np.array([0, 1])).membership == "fractional"
-    hard = matrix_problem(D, capacity=(0.0, 2.0), membership="hard")
-    assert np.isin(allocate(hard, np.array([0, 1])).y, (0.0, 1.0)).all()
+    uncap = allocate(matrix_problem(D), np.array([0, 1]))
+    assert uncap.y.tolist() == [[1.0, 0.0]] and "nodes" not in uncap.diagnostics
+    # the LP splits point 1 between the centers; only the hard step reports its nodes
+    frac = allocate(ab_problem("fractional"), np.array([0, 1]))
+    assert frac.y[1].tolist() == pytest.approx([0.5, 0.5], abs=1e-9) and "nodes" not in frac.diagnostics
+    hard = allocate(matrix_problem(D, capacity=(0.0, 2.0), membership="hard"), np.array([0, 1]))
+    assert np.isin(hard.y, (0.0, 1.0)).all() and hard.diagnostics["nodes"] == 1
 
 
 def greedy_rows_loop(D, problem, rows, y):
@@ -381,7 +378,7 @@ def test_nearest_column_matches_the_stacked_argmin(case, membership):
         prob = matrix_problem(D, lam=lam, membership=membership)
         cols = D if lam is None else np.column_stack([D, np.full(n, lam)])
         want = np.argmin(cols, axis=1)
-        got = allocate_uncapacitated(prob, np.arange(k))
+        got = allocate(prob, np.arange(k))
         assert np.array_equal(got.y, np.eye(cols.shape[1])[want])
         assert np.array_equal(got.labels, want)  # one-hot rows under either membership
 
@@ -396,7 +393,7 @@ def test_zero_capacity_rows_come_from_the_model(monkeypatch):
     calls = []
     monkeypatch.setattr(np, "flatnonzero", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     for centers in ([0, 1], [1, 0]):
-        got = allocate_fractional(prob, np.array(centers), model=model)
+        got = allocate(prob, np.array(centers), model=model)
         assert got.y[0].tolist() == ([1.0, 0.0] if centers == [0, 1] else [0.0, 1.0])
     assert calls == []
 
@@ -432,13 +429,13 @@ def test_warm_model_matches_milp_as_centers_move(lp_binding, monkeypatch):
             D = distances_to_centers(problem, centers)
             expect = dense_lp_fractional(problem, D)
             try:
-                got = allocate_fractional(problem, centers, model=model)
+                got = allocate(problem, centers, model=model)
             except Infeasible:
                 assert expect is None
                 break
             with monkeypatch.context() as patch:  # a cold milp solve of the same LP
                 patch.setattr(allocation, "_find_binding", lambda: None)
-                cold = allocate_fractional(problem, centers)
+                cold = allocate(problem, centers)
             tol = 1e-9 * max(1.0, abs(expect))
             assert objective_of(problem, got, D) == pytest.approx(expect, abs=tol)
             assert objective_of(problem, got, D) == pytest.approx(objective_of(problem, cold, D), abs=tol)
@@ -478,12 +475,12 @@ def test_first_lp_starts_from_the_nearest_assignment():
         model = allocation.lp_model(problem)
         for _descent in range(2):
             D = distances_to_centers(problem, centers)
-            got = allocate_fractional(problem, centers, distances=D, model=model)
+            got = allocate(problem, centers, distances=D, model=model)
             assert model._highs.getInfo().simplex_iteration_count == 0
-            assert np.array_equal(got.y, allocate_uncapacitated(problem, centers, distances=D).y)
+            assert np.array_equal(got.y, allocate(replace(problem, capacity=None), centers, distances=D).y)
             for _move in range(2):  # warm re-solves, then a new descent
                 centers = centers + rng.normal(0.0, 2.0, size=centers.shape)
-                allocate_fractional(problem, centers, model=model)
+                allocate(problem, centers, model=model)
             model.restart()
 
 
@@ -505,7 +502,7 @@ def test_warm_model_prints_nothing(capfd, lp_binding, monkeypatch):
     for _ in range(3):
         centers = centers + rng.normal(0.0, 1.0, size=centers.shape)
         try:
-            allocate_fractional(problem, centers, model=model)
+            allocate(problem, centers, model=model)
         except Infeasible:
             pass
     monkeypatch.setattr(allocation, "_aggregate_certificate", lambda *args: None)  # reach HiGHS's own verdict
@@ -535,7 +532,7 @@ def test_time_budget_never_returns_worse_than_greedy():
     greedy = allocation._greedy_incumbent(problem, D)
     assert greedy is not None
     for budget in (0.0, 0.002, 0.005, 0.01, 0.02):
-        got = allocate_hard(problem, centers, time_budget=budget)
+        got = allocate(problem, centers, time_budget=budget)
         assert allocation._objective(problem, cost, got.y) <= allocation._objective(problem, cost, greedy)
 
 

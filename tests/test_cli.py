@@ -196,6 +196,7 @@ def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
     (["solve", "--k", "2", "--restarts", "1", "--points", "JSON"],
      "id,x,y,w,gamma,a\n0,0,0,1e306,0,1e306\n1,100,0,1e306,0,1e306\n", 1),
     (["solve", "--k", "2", "--fixed", "JSON"], "site\n1\n", 1),
+    (["solve", "--k", "2", "--restarts", "1", "--fixed", "JSON"], "x,y\n", 3),
     (["solve", "--k", "1", "--config", "JSON"], '{"restarts": 2.7}', 1),
     (["solve", "--k", "1", "--config", "JSON"], '{"seed": true}', 1),
     (["solve", "--k", "1", "--restarts", "1", "--points", "JSON"], "id,x,y,w\n", 3),
@@ -217,8 +218,9 @@ def test_evaluate_statistics_match_distance_summary(tmp_path, capsys):
         "spec-nan-weight", "spec-infinite-weight", "spec-infinite-scale", "spec-nan-grid",
         "spec-negative-weight", "spec-negative-grid", "negative-time-budget", "nan-time-budget",
         "lambda-grid-nan", "lambda-grid-inf", "lambda-grid-negative", "spec-huge-scale",
-        "huge-weight-sum", "huge-weight-times-distance", "fixed-site-without-sites", "config-fractional-restarts",
-        "config-boolean-seed", "points-header-only", "points-blank-rows", "k-above-points",
+        "huge-weight-sum", "huge-weight-times-distance", "fixed-site-without-sites", "fixed-header-only",
+        "config-fractional-restarts", "config-boolean-seed", "points-header-only", "points-blank-rows",
+        "k-above-points",
         "k-range-above-points", "config-unknown-key", "spec-negative-outliers", "spec-edge-weighted-outside",
         "spec-boolean-edge-weighted", "spec-fractional-edge-weighted", "spec-boolean-seed", "spec-boolean-shrink",
         "spec-boolean-grid", "spec-boolean-weight"])

@@ -63,8 +63,7 @@ def solved_instance(xy, w, centers, y, membership="hard", lam=None):
     prob = validate_problem(Problem(points=pts, metric=euclidean(),
                                     centers=CenterSpec(k=len(centers)),
                                     membership=membership, outlier_penalty=lam))
-    assignment = Assignment(y=np.asarray(y, dtype=float), membership=membership,
-                            has_outlier=lam is not None)
+    assignment = Assignment(y=np.asarray(y, dtype=float), has_outlier=lam is not None)
     objective = evaluate_parts(prob, np.asarray(centers, dtype=float), assignment, frozenset())
     return prob, Solution(centers=np.asarray(centers, dtype=float), assignment=assignment,
                           released=frozenset(), objective=objective)

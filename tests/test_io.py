@@ -202,7 +202,7 @@ def test_fast_matrix_read_equals_the_per_cell_parser(tmp_path, monkeypatch, layo
 
     per_cell = []
     real = io._matrix_cells
-    monkeypatch.setattr(io, "_matrix_cells", lambda path: per_cell.append(path) or real(path))
+    monkeypatch.setattr(io, "_matrix_cells", lambda lines: per_cell.append(lines) or real(lines))
     rng = np.random.default_rng(sorted(_MATRIX_LAYOUTS).index(layout))
     for n, m in [(1, 1), (1, 5), (7, 1), (40, 12)]:
         D = rng.uniform(0, 1, (n, m)) * 10.0 ** rng.integers(-8, 8, (n, m))
@@ -212,7 +212,7 @@ def test_fast_matrix_read_equals_the_per_cell_parser(tmp_path, monkeypatch, layo
         f.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
         got = load_matrix(f)
         assert got.tobytes() == D.tobytes() and got.shape == D.shape
-        assert got.tobytes() == real(f).tobytes()
+        assert got.tobytes() == real(io._lines(f, "matrix")).tobytes()
     # every layout but the quoted one is read in one numpy pass
     assert (len(per_cell) > 0) == (layout == "quoted")
 
@@ -226,14 +226,16 @@ def test_fast_matrix_read_equals_the_per_cell_parser(tmp_path, monkeypatch, layo
     (load_labels, b"id,label\n1,2\n3\n", 3, 2),
     (load_labels, b"id,label\n3,1\n2,0\n3,0\n", 4, 1),
     (load_fixed, b"site\n\n \nx\n", 4, 1),
+    (load_fixed, b"x,y\n", 2, 0),
+    (load_fixed, b"site\n\n", 2, 0),
     (load_matrix, b"1," + b"2" * 200_000 + b"\n", 1, 0),
     (load_matrix, b"1,2\n# 3,4\n", 2, 1),
     # a bad cell before a byte that is not UTF-8 is the first fault
     (load_matrix, b"a,1\n\xff,2\n", 1, 1),
     (load_points, b"id,x,y,w\n0,a,0,1\n1,\xff,0,1\n", 2, 2),
 ], ids=["not-utf8", "not-utf8-after-header", "short-row", "empty", "labels-header-only", "short-label",
-        "repeated-label-id", "blank-rows", "field-over-limit", "comment-line", "matrix-bad-cell-first",
-        "points-bad-cell-first"])
+        "repeated-label-id", "blank-rows", "fixed-xy-header-only", "fixed-site-header-only", "field-over-limit",
+        "comment-line", "matrix-bad-cell-first", "points-bad-cell-first"])
 def test_malformed_csv_reports_line_and_column(tmp_path, load, data, line, column):
     f = tmp_path / "in.csv"
     f.write_bytes(data)
@@ -252,6 +254,25 @@ def test_plain_point_file_is_opened_once(tmp_path, monkeypatch):
                         raising=False)
     monkeypatch.setattr(io, "_point_cells", None)  # the numpy path
     assert load_points(f)
+    assert opened == [f]
+
+
+@pytest.mark.parametrize("text, error", [('"1",2\n3,4\n', None), ("1,2\n3,x\n", (2, 2))], ids=["quoted", "bad-cell"])
+def test_matrix_file_numpy_rejects_is_opened_once(tmp_path, monkeypatch, text, error):
+    # The per-cell parser reads the lines load_matrix already holds.
+    from capclust import io
+
+    f = tmp_path / "m.csv"
+    f.write_text(text)
+    opened = []
+    monkeypatch.setattr(io, "open", lambda *args, **kwargs: opened.append(args[0]) or open(*args, **kwargs),
+                        raising=False)
+    if error is None:
+        assert load_matrix(f).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    else:
+        with pytest.raises(ParseError) as err:
+            load_matrix(f)
+        assert (err.value.line, err.value.column) == error
     assert opened == [f]
 
 

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from capclust import (
-    CenterSpec, Point, Problem, allocate_uncapacitated, matrix_metric, threshold, validate_problem,
+    CenterSpec, Point, Problem, allocate, matrix_metric, threshold, validate_problem,
 )
 from capclust.errors import FixedCenterNotCandidate, ShapeMismatch, ValidationError
 from capclust.metrics import candidate_distances, distances_to_centers, geometric_distances
@@ -110,7 +110,7 @@ def test_threshold_assignment_matches_coverage_enumeration(seed):
             best_cost = cost
     mine = min(
         float((prob.effective_weights[:, None] * distances_to_centers(prob, np.array(subset)) *
-               allocate_uncapacitated(prob, np.array(subset)).y).sum())
+               allocate(prob, np.array(subset)).y).sum())
         for subset in itertools.combinations(range(4), 2)
     )
     assert mine == pytest.approx(best_cost, abs=1e-9)

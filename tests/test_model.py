@@ -14,12 +14,11 @@ from capclust.errors import (
     CapacityWindowInverted, FixedCenterNotCandidate, KTooSmall, NegativeWeight,
     ShapeMismatch, ThresholdRequiresDiscrete, ValidationError,
 )
-from capclust.model import HARD, ObjectiveBreakdown, evaluate_parts
+from capclust.model import ObjectiveBreakdown, evaluate_parts
 
 
 def make_solution(problem, centers, y, released=frozenset()):
-    assignment = Assignment(y=np.asarray(y, dtype=float), membership=problem.membership,
-                            has_outlier=problem.has_outlier_column)
+    assignment = Assignment(y=np.asarray(y, dtype=float), has_outlier=problem.has_outlier_column)
     objective = evaluate_parts(problem, centers, assignment, released)
     return Solution(centers=np.asarray(centers), assignment=assignment,
                     released=frozenset(released), objective=objective)
@@ -473,8 +472,7 @@ def test_zero_preference_reduces_to_plain_weighted_loss(seed):
 
 
 def test_hard_labels_prefer_lowest_index_then_center_over_outlier():
-    assignment = Assignment(y=np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]),
-                            membership="fractional", has_outlier=True)
+    assignment = Assignment(y=np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]), has_outlier=True)
     assert assignment.hard_labels().tolist() == [0, 1, -1]
 
 
@@ -516,8 +514,8 @@ def test_label_indexed_evaluation_equals_the_dense_product(outlier):
 @pytest.mark.parametrize("outlier", [False, True])
 def test_label_assignment_matches_its_dense_form(outlier):
     labels = np.array([2, 0, 1, 2, 0, 1, 1])
-    labelled = Assignment(y=None, membership=HARD, has_outlier=outlier, labels=labels, columns=3)
-    dense = Assignment(y=np.eye(3)[labels], membership=HARD, has_outlier=outlier)
+    labelled = Assignment(y=None, has_outlier=outlier, labels=labels, columns=3)
+    dense = Assignment(y=np.eye(3)[labels], has_outlier=outlier)
     assert labelled.n_centers == dense.n_centers == (2 if outlier else 3)
     assert labelled.shape == dense.shape == (7, 3)
     assert np.array_equal(labelled.hard_labels(), dense.hard_labels())
@@ -531,7 +529,7 @@ def test_label_assignment_matches_its_dense_form(outlier):
     assert labelled.y is labelled.y
     assert np.array_equal(replace(labelled, labels=None).y, dense.y)
     with pytest.raises(ValueError, match="labels and columns"):
-        Assignment(y=None, membership=HARD, has_outlier=outlier, labels=labels)
+        Assignment(y=None, has_outlier=outlier, labels=labels)
 
 
 @pytest.mark.parametrize("kw", [

@@ -9,9 +9,8 @@ from capclust import solver
 PUBLIC = [
     "Assignment", "CenterSpec", "GenSpec", "MetricSpec", "ObjectiveBreakdown", "Point", "PointTable", "Problem",
     "Solution", "SolverConfig", "SweepReport", "adjusted_rand_index", "aic_bic_lambda", "allocate",
-    "allocate_fractional", "allocate_hard", "allocate_uncapacitated", "decide_release", "descend",
-    "distance_summary", "errors", "euclidean", "evaluate_objective", "generate_dataset", "kmeanspp_init",
-    "manhattan", "matrix_metric", "sample_gamma_copula_cluster", "solution_labels", "solve", "sqeuclidean",
+    "decide_release", "descend", "distance_summary", "errors", "euclidean", "evaluate_objective",
+    "generate_dataset", "kmeanspp_init", "manhattan", "matrix_metric", "sample_gamma_copula_cluster", "solution_labels", "solve", "sqeuclidean",
     "sweep_k", "threshold", "update_center_discrete", "update_centers_continuous", "validate_problem",
 ]
 

@@ -52,6 +52,23 @@ def test_restart_counts_above_10000_rejected():
     assert SolverConfig(restarts=1).restarts == 1 and SolverConfig(restarts=10_000).restarts == 10_000
 
 
+@pytest.mark.parametrize("field, value", [
+    ("restarts", 2.5), ("restarts", True), ("restarts", "3"), ("rng_seed", 1.5), ("rng_seed", False),
+    ("rng_seed", np.bool_(True)), ("max_iterations", 2.5), ("max_iterations", True), ("max_iterations", None),
+])
+def test_counts_and_seed_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverConfig(**{field: value})
+
+
+def test_max_iterations_below_one_rejected():
+    for max_iterations in (0, -3):
+        with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+            SolverConfig(max_iterations=max_iterations)
+    config = SolverConfig(restarts=np.int64(3), rng_seed=np.uint32(7), max_iterations=np.int16(1))
+    assert (config.restarts, config.rng_seed, config.max_iterations) == (3, 7, 1)
+
+
 def test_kmeanspp_all_points_become_centers_when_k_equals_n():
     pts = tuple(Point(i, coords=(float(i), 0.0)) for i in range(5))
     prob = continuous_problem(pts, k=5)
@@ -906,7 +923,7 @@ def test_reseeded_cluster_is_recomputed(monkeypatch):
 
     def scripted(problem, centers, time_budget=None, *, distances=None, model=None):
         y = script.pop(0) if script else split
-        return Assignment(y=y, membership=problem.membership, has_outlier=False)
+        return Assignment(y=y, has_outlier=False)
 
     monkeypatch.setattr(solver, "allocate", scripted)
     sol = descend(prob, np.array([[10.0, 0.0], [0.5, 0.0]]),
@@ -933,8 +950,7 @@ def test_a_center_empty_twice_is_reseeded_twice(monkeypatch, with_labels):
 
     def scripted(problem, centers, time_budget=None, *, distances=None, model=None):
         labels = np.array(script.pop(0) if script else split)
-        return Assignment(y=np.eye(2)[labels], membership=problem.membership, has_outlier=False,
-                          labels=labels if with_labels else None)
+        return Assignment(y=np.eye(2)[labels], has_outlier=False, labels=labels if with_labels else None)
 
     monkeypatch.setattr(solver, "allocate", scripted)
     sol = descend(prob, np.array([[10.0, 0.0], [0.5, 0.0]]),
@@ -1242,8 +1258,7 @@ def test_kept_site_totals_take_in_an_iteration_without_a_location_step(monkeypat
 
     def scripted(problem, centers, time_budget=None, *, distances=None, model=None):
         labels = np.array(script.pop(0) if script else split)
-        return Assignment(y=np.eye(3)[labels], membership=problem.membership, has_outlier=True,
-                          labels=labels if with_labels else None)
+        return Assignment(y=np.eye(3)[labels], has_outlier=True, labels=labels if with_labels else None)
 
     def locating(site_distances, masses, **kwargs):
         sites = location.update_center_discrete(site_distances, masses, **kwargs)
