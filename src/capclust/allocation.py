@@ -2,19 +2,24 @@
 
 ``allocate`` is the one entry point, and the problem picks its regime:
 
-* no capacity window, or no point with a_i > 0: each point independently
-  takes its cheapest columns (the outlier column costs lambda_o per unit of
-  effective weight), which is exact under either membership;
+* no capacity window: each point independently takes its cheapest columns
+  (the outlier column costs lambda_o per unit of effective weight), which
+  is exact under either membership;
 * capacity window + fractional membership: an exact linear program over the
-  memberships y_ij, solved by HiGHS.  Its rows depend on neither the centers
-  nor the restart, so a solve builds its model once (``lp_model``), which
-  also runs the checks that depend on the problem alone.  Each descent
-  restarts it (``_AllocationLP.restart``), and its first LP starts from the
-  basis of the nearest assignment, which is dual feasible for any costs;
-  HiGHS then re-solves the LP from the last optimal basis for each new set
-  of column costs (a warm start).  Among tied optima the start basis, not
-  HiGHS presolve, decides: where the window does not bind, every point
-  keeps its nearest columns, ties to the lowest index;
+  memberships y_ij of every point, solved by HiGHS.  A point with capacity
+  coefficient a_i = 0 is a coverage row whose columns enter no capacity
+  row.  The rows depend on neither the centers nor the restart, so a solve
+  builds its model once (``lp_model``), which also runs the checks that
+  depend on the problem alone.  Each descent restarts it
+  (``_AllocationLP.restart``), and its first LP starts from the basis of
+  the nearest assignment, which is dual feasible for any costs; HiGHS then
+  re-solves the LP from the last optimal basis for each new set of column
+  costs (a warm start).  Among tied optima the start basis, not HiGHS
+  presolve, decides (the ``milp`` fallback leaves every tie to HiGHS):
+  where the window does not bind, every point keeps its nearest columns,
+  ties to the lowest index.  Where it binds, HiGHS picks among tied optima;
+  an a_i = 0 point, whose reduced costs are its costs less a constant,
+  takes cheapest columns, and one with w'_i = 0 as well any center;
 * capacity window + hard membership: the same program with binary y_ij, a
   mixed-integer program solved by HiGHS through ``scipy.optimize.milp`` to a
   zero optimality gap, after a fast path through the same LP relaxation
@@ -23,9 +28,8 @@
   and the model's last assignment, so a budgeted descent never rises and
   never loses a restart after its first allocation.
 
-Points with capacity coefficient a_i = 0 take their cheapest columns
-outside the program in every regime.  The LP relaxation of a hard problem
-is ``allocate(dataclasses.replace(problem, membership="fractional"), ...)``.
+The LP relaxation of a hard problem is
+``allocate(dataclasses.replace(problem, membership="fractional"), ...)``.
 
 What a capacitated solve imports, and when: building the first LP model
 loads scipy's private HiGHS extension ``scipy.optimize._highspy._core``
@@ -91,16 +95,16 @@ def allocate(problem: Problem, centers, time_budget: float | None = None, *, dis
     problem for many center sets; otherwise a capacitated call builds a
     one-shot model.  ``distances`` is the (n, k) matrix of raw distances to
     ``centers`` when the caller already holds it; otherwise it is computed
-    here.  Without a model, or with no point in its program, every point
-    takes its cheapest columns; otherwise ``problem.membership`` picks the
-    fractional LP or the hard step, which reads ``time_budget``.
+    here.  Without a model every point takes its cheapest columns;
+    otherwise ``problem.membership`` picks the fractional LP or the hard
+    step, which reads ``time_budget``.
     """
     model = lp_model(problem) if model is None else model
     D = metrics.distances_to_centers(problem, centers) if distances is None else distances
-    if model is None or not model.pos.size:
+    if model is None:
         return _allocate_uncapacitated(problem, D)
     if problem.membership == FRACTIONAL:
-        y = _membership(problem, D, model, model.solve(_column_costs(problem, D), D))
+        y = model.solve(_column_costs(problem, D), D).reshape(problem.n, -1)
         return Assignment(y=y, has_outlier=problem.has_outlier_column)
     return _allocate_hard(problem, D, model, time_budget)
 
@@ -197,31 +201,27 @@ def _aggregate_certificate(problem: Problem, lo: float, hi: float, names: tuple[
 
 
 def _lp_rows(problem: Problem) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """Coverage and capacity rows over y_ij of the points with a_i > 0, as HiGHS takes them.
+    """Coverage and capacity rows over y_ij of every point, as HiGHS takes them.
 
-    Variables are y_ij for those points over every column, row-major;
-    coverage rows fix sum_j y_ij = q_i and capacity rows keep
-    sum_i a_i y_ij in [L, U] for each real center.  Returns the column-wise
-    matrix (start, index, value), where column (i, j) holds 1 in coverage
-    row i and, for a real center j, a_i in capacity row j, and the row
-    lower and upper bounds.
+    Variables are y_ij over every point and column, row-major; coverage
+    rows fix sum_j y_ij = q_i and capacity rows keep sum_i a_i y_ij in
+    [L, U] for each real center.  Returns the column-wise matrix (start,
+    index, value), where column (i, j) holds 1 in coverage row i and, for a
+    real center j, a_i in capacity row j (an explicit 0 when a_i = 0), and
+    the row lower and upper bounds.
     """
     lo, hi = problem.capacity
-    k = problem.k
-    a = problem.capacity_coeffs
-    pos = np.flatnonzero(a > 0)
-    m, outlier = pos.size, int(problem.has_outlier_column)
-    per_point = 2 * k + outlier  # entries of one point's columns
-    index = np.empty((m, per_point), dtype=np.intp)
-    value = np.ones((m, per_point))
-    index[:, 0:2 * k:2] = index[:, 2 * k:] = np.arange(m)[:, None]
-    index[:, 1:2 * k:2] = m + np.arange(k)
-    value[:, 1:2 * k:2] = a[pos][:, None]
+    n, k = problem.n, problem.k
+    per_point = 2 * k + int(problem.has_outlier_column)  # entries of one point's columns
+    index = np.empty((n, per_point), dtype=np.intp)
+    value = np.ones((n, per_point))
+    index[:, 0:2 * k:2] = index[:, 2 * k:] = np.arange(n)[:, None]
+    index[:, 1:2 * k:2] = n + np.arange(k)
+    value[:, 1:2 * k:2] = problem.capacity_coeffs[:, None]
     first = np.arange(0, per_point, 2)  # where each of a point's columns starts in its run of entries
-    start = np.append((per_point * np.arange(m)[:, None] + first).ravel(), m * per_point)
-    q = problem.coverages[pos]
+    start = np.append((per_point * np.arange(n)[:, None] + first).ravel(), n * per_point)
     return ((start, index.ravel(), value.ravel()),
-            np.concatenate([q, np.full(k, lo)]), np.concatenate([q, np.full(k, hi)]))
+            np.concatenate([problem.coverages, np.full(k, lo)]), np.concatenate([problem.coverages, np.full(k, hi)]))
 
 
 class _AllocationLP:
@@ -237,10 +237,9 @@ class _AllocationLP:
     instead (``_start_basis``), so a restarted model solves exactly as a
     new one.  ``hs`` is the private binding (``_find_binding``); without
     it every solve goes through ``milp`` cold, as every MIP does
-    (``run_milp``).  ``pos`` and ``zero`` are the rows with a_i > 0 and
-    a_i = 0; ``matrix``, ``row_lower`` and ``row_upper`` hold the LP rows
-    over ``pos`` (``_lp_rows``); ``last_hard`` holds the rows ``pos`` of
-    the last hard assignment made in this descent.
+    (``run_milp``).  ``matrix``, ``row_lower`` and ``row_upper`` hold the
+    LP rows over every point (``_lp_rows``); ``last_hard`` holds the last
+    hard assignment made in this descent.
     """
 
     def __init__(self, problem: Problem):
@@ -263,13 +262,8 @@ class _AllocationLP:
                 _aggregate_certificate(problem, math.ceil(lo - 1e-9),
                                        math.floor(hi + 1e-9) if math.isfinite(hi) else hi, ("ceil(L)", "floor(U)"))
         self.problem = problem
-        self.pos = np.flatnonzero(a > 0)
-        self.zero = np.flatnonzero(a == 0)
         self.last_hard = None
-        self._highs = None
         self._warm = False  # HiGHS holds the optimal basis of the last solve
-        if not self.pos.size:  # every point takes its cheapest columns
-            return
         self.hs = _find_binding()
         self.matrix, self.row_lower, self.row_upper = _lp_rows(problem)
         self._index = np.arange(self.matrix[0].size - 1, dtype=np.int32)
@@ -325,7 +319,7 @@ class _AllocationLP:
             raise CapclustError("HiGHS could not clear the allocation LP's solver data")
 
     def _start_basis(self, D: np.ndarray):
-        """The basis of the nearest assignment: each row ``pos`` holds its q_i cheapest columns.
+        """The basis of the nearest assignment: each point holds its q_i cheapest columns.
 
         The q_i-th cheapest column is basic, the cheaper ones sit at their
         upper bound 1 and the rest at 0; coverage rows are at their bound and
@@ -335,27 +329,27 @@ class _AllocationLP:
         simplex only repairs the loads outside the window.  With a valid
         basis HiGHS also skips presolve, so the column order decides ties.
         """
-        order = _column_order(D, self.problem, self.pos)
-        q = self.problem.coverages[self.pos]
+        problem = self.problem
+        order = _column_order(D, problem, np.arange(problem.n))
         # rank r < q-1 -> 2 (upper), r == q-1 -> 1 (basic), r > q-1 -> 0 (lower)
-        by_rank = np.sign(q[:, None] - 1 - np.arange(order.shape[1])) + 1
+        by_rank = np.sign(problem.coverages[:, None] - 1 - np.arange(order.shape[1])) + 1
         codes = np.empty_like(order)
         np.put_along_axis(codes, order, by_rank, axis=1)
         status = self.hs.HighsBasisStatus
         table = np.array([status.kLower, status.kBasic, status.kUpper], dtype=object)
         basis = self.hs.HighsBasis()
         basis.col_status = table[codes.ravel()].tolist()
-        basis.row_status = [status.kLower] * self.pos.size + [status.kBasic] * self.problem.k
+        basis.row_status = [status.kLower] * problem.n + [status.kBasic] * problem.k
         basis.valid = True
         return basis
 
     def solve(self, cost: np.ndarray, D: np.ndarray) -> np.ndarray:
-        """Optimal y over the points with a_i > 0; raises Infeasible when there is none.
+        """Optimal y of every point, flat and row-major; raises Infeasible when there is none.
 
         ``cost`` holds the (n, columns) column costs and ``D`` the raw
         distances they come from, whose column order gives the start basis.
         """
-        c = cost[self.pos].ravel()
+        c = cost.ravel()
         highs = self._highs
         if highs is None:
             res = self.run_milp(c, integrality=0)
@@ -391,15 +385,6 @@ def lp_model(problem: Problem) -> _AllocationLP | None:
     return None if problem.capacity is None else _AllocationLP(problem)
 
 
-def _membership(problem: Problem, D: np.ndarray, model: _AllocationLP, x: np.ndarray) -> np.ndarray:
-    """(n, columns) memberships: rows ``model.zero`` take their greedy choice, rows ``model.pos`` hold x."""
-    y = np.zeros((problem.n, problem.k + (1 if problem.has_outlier_column else 0)))
-    if model.zero.size:
-        _greedy_rows(D, problem, model.zero, y)
-    y[model.pos] = x.reshape(model.pos.size, -1)
-    return y
-
-
 def _objective(problem: Problem, cost: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum((cost * y)[problem.id_order]))
 
@@ -432,9 +417,7 @@ def _greedy_incumbent(problem: Problem, D: np.ndarray) -> np.ndarray | None:
     q = problem.coverages
     cols_cost = _column_costs(problem, D)
     y = np.zeros((problem.n, n_cols))
-    zero = np.flatnonzero(a == 0)
-    if zero.size:
-        _greedy_rows(D, problem, zero, y)
+    _greedy_rows(D, problem, np.flatnonzero(a == 0), y)
     loads = np.zeros(k)
     order = sorted(np.flatnonzero(a > 0), key=lambda i: (-a[i], i))
     for i in order:
@@ -489,7 +472,7 @@ def _allocate_hard(problem: Problem, D: np.ndarray, model: _AllocationLP, time_b
     depend on the centers), with its gap against the root LP bound.
     """
     cost = _column_costs(problem, D)
-    y0 = _membership(problem, D, model, model.solve(cost, D))
+    y0 = model.solve(cost, D).reshape(problem.n, -1)
     y = np.round(y0)
     if np.all(np.abs(y0 - y) <= 1e-7) and _verify_hard(problem, y):
         diagnostics = {"nodes": 1, "fastpath": "lp_integral"}
@@ -499,7 +482,7 @@ def _allocate_hard(problem: Problem, D: np.ndarray, model: _AllocationLP, time_b
         options = {"mip_rel_gap": 0.0, "presolve": False}
         if time_budget is not None:
             options["time_limit"] = time_budget
-        res = model.run_milp(cost[model.pos].ravel(), integrality=1, options=options)
+        res = model.run_milp(cost.ravel(), integrality=1, options=options)
         diagnostics = {"nodes": int(res.mip_node_count or 0)}
         if res.status == 2:
             lo, hi = problem.capacity
@@ -508,16 +491,13 @@ def _allocate_hard(problem: Problem, D: np.ndarray, model: _AllocationLP, time_b
                 f"(L={lo:g}, U={hi:g}; capacity coefficients cannot be split)"
             )
         # HiGHS may return -0.0 or values a rounding error away from 0 and 1
-        y = None if res.x is None else _membership(problem, D, model, np.round(res.x) + 0.0)
+        y = None if res.x is None else np.round(res.x).reshape(problem.n, -1) + 0.0
         if res.status == 1:
             # The budget ran out.  The greedy incumbent can be far better than
             # HiGHS's early in the search; the last one keeps a descent from rising.
             incumbents = [] if y is None else [(_objective(problem, cost, y), float(res.mip_gap), y)]
-            others = [_greedy_incumbent(problem, D)]
-            if model.last_hard is not None:
-                others.append(_membership(problem, D, model, model.last_hard))
             bound = _objective(problem, cost, y0)
-            for other in others:
+            for other in (_greedy_incumbent(problem, D), model.last_hard):
                 if other is not None:
                     value = _objective(problem, cost, other)
                     incumbents.append((value, (value - bound) / max(1.0, abs(value)), other))
@@ -526,7 +506,7 @@ def _allocate_hard(problem: Problem, D: np.ndarray, model: _AllocationLP, time_b
             _value, diagnostics["optimality_gap"], y = min(incumbents, key=lambda item: item[0])
         elif res.status != 0:
             raise CapclustError(f"HiGHS did not solve the hard allocation: {res.message}")
-    model.last_hard = y[model.pos]
+    model.last_hard = y
     # With every q_i = 1 each row is one-hot, so its column labels it.
     labels = np.argmax(y, axis=1) if problem.coverages.max() == 1 else None
     return Assignment(y=y, has_outlier=problem.has_outlier_column, diagnostics=diagnostics, labels=labels)

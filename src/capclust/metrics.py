@@ -8,6 +8,7 @@ make sense with discrete center placement, which validation enforces.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,7 +44,7 @@ class MetricSpec:
         if self.kind not in (*GEOMETRIC_KINDS, THRESHOLD, MATRIX):
             raise ValidationError(f"unknown metric kind: {self.kind!r}")
         if self.kind == THRESHOLD:
-            if self.threshold is None or not self.threshold > 0:
+            if not (isinstance(self.threshold, numbers.Real) and self.threshold > 0):
                 raise ValidationError("threshold metric needs a positive radius")
         if self.kind == MATRIX:
             if self.matrix is None:

@@ -16,6 +16,7 @@ computes on first use); evaluation is pure.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -414,8 +415,8 @@ def validate_problem(problem: Problem) -> Problem:
     inherits the dict of a validated one skips them.
     """
     spec = problem.centers
-    if spec.k < 1:
-        raise ValidationError("k must be positive")
+    if not _is_integer(spec.k) or spec.k < 1:
+        raise ValidationError(f"k must be a positive integer (got {spec.k!r})")
     if spec.candidates is not None:  # before the point checks, which measure the sites too
         if spec.candidates.ndim != 2 or spec.candidates.shape[1] != 2:
             raise ShapeMismatch(f"candidate sites of shape {spec.candidates.shape}, expected (s, 2)")
@@ -431,7 +432,11 @@ def validate_problem(problem: Problem) -> Problem:
         raise ValidationError(f"unknown membership mode: {problem.membership!r}")
 
     if problem.capacity is not None:
-        lo, hi = problem.capacity
+        window = problem.capacity
+        if not isinstance(window, Sequence | np.ndarray) or len(window) != 2 or not all(
+                isinstance(limit, numbers.Real) for limit in window):
+            raise ValidationError(f"capacity window {window!r} must be two numbers (L, U)")
+        lo, hi = window
         if not math.isfinite(lo) or math.isnan(hi):
             raise ValidationError(f"capacity window [{lo}, {hi}]: L must be finite and U a number")
         if lo > hi:
@@ -439,9 +444,9 @@ def validate_problem(problem: Problem) -> Problem:
         if lo < 0:
             raise ValidationError("capacity lower limit must be nonnegative")
 
-    if problem.outlier_penalty is not None and not 0 <= problem.outlier_penalty < math.inf:
+    if problem.outlier_penalty is not None and not _finite_nonnegative(problem.outlier_penalty):
         raise ValidationError("outlier penalty must be finite and nonnegative")
-    if not 0 <= problem.opening_penalty < math.inf:
+    if not _finite_nonnegative(problem.opening_penalty):
         raise ValidationError("opening penalty must be finite and nonnegative")
 
     if problem.metric.kind == metrics.THRESHOLD and spec.placement != "discrete":
@@ -477,7 +482,7 @@ def validate_problem(problem: Problem) -> Problem:
 
     if spec.n_fixed > spec.k:
         raise KTooSmall(f"k={spec.k} is smaller than the number of fixed centers ({spec.n_fixed})")
-    if not spec.release_penalty >= 0:  # infinity means never releasable
+    if not (isinstance(spec.release_penalty, numbers.Real) and spec.release_penalty >= 0):  # inf: never releasable
         raise ValidationError("release penalty must be nonnegative")
 
     fixed = spec.fixed
@@ -508,6 +513,14 @@ def validate_problem(problem: Problem) -> Problem:
     if _same_values(fixed, normalized):
         return problem
     return replace(problem, centers=replace(spec, fixed=normalized))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)  # a bool would count as 0 or 1
+
+
+def _finite_nonnegative(penalty) -> bool:
+    return isinstance(penalty, numbers.Real) and 0 <= penalty < math.inf
 
 
 def _site_index(site) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import CapclustError, NonpositiveVariance, ValidationError
-from .model import Problem, Solution, validate_problem
+from .model import Problem, Solution, _finite_nonnegative, _is_integer, validate_problem
 from .solver import SolverConfig, _sequences, solve
 
 import math
@@ -57,13 +57,16 @@ def sweep_k(
     by the most penalties; ties go to the smaller k.  Every penalty must
     be finite and nonnegative, as an opening penalty must.
     """
-    k_values = sorted(set(int(k) for k in k_range))
+    k_range, lambda_grid = list(k_range), list(lambda_grid)
+    for k in k_range:
+        if not _is_integer(k):
+            raise ValidationError(f"k_range must hold integers (got {k!r})")
+    for lam in lambda_grid:
+        if not _finite_nonnegative(lam):
+            raise ValidationError(f"opening penalty {lam!r} in the lambda grid must be finite and nonnegative")
+    k_values, lambda_grid = sorted(set(int(k) for k in k_range)), [float(lam) for lam in lambda_grid]
     if not k_values:
         raise ValueError("k_range must be nonempty")
-    lambda_grid = [float(lam) for lam in lambda_grid]
-    for lam in lambda_grid:
-        if not 0 <= lam < math.inf:
-            raise ValidationError(f"opening penalty {lam} in the lambda grid must be finite and nonnegative")
     base: dict[int, float] = {}
     solutions: dict[int, Solution] = {}
     errors: dict[int, str] = {}

@@ -35,7 +35,7 @@ from .location import (
     CenterUpdate, add_mass_change, cluster_costs_continuous, decide_release, update_center_discrete,
     update_centers_continuous,
 )
-from .model import Assignment, Problem, Solution, evaluate_parts, point_costs, validate_problem
+from .model import Assignment, Problem, Solution, _is_integer, evaluate_parts, point_costs, validate_problem
 
 
 # The most restarts a solve runs: each holds a generator and a draw
@@ -63,7 +63,7 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("restarts", "rng_seed", "max_iterations"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # a bool would count as 0 or 1
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer (got {value!r})")
         if not 1 <= self.restarts <= MAX_RESTARTS:
             raise ValueError(f"restarts must be between 1 and {MAX_RESTARTS}")
@@ -71,8 +71,10 @@ class SolverConfig:
             raise ValueError("rng_seed must be nonnegative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.time_budget is not None and not self.time_budget >= 0:  # inf means no limit
-            raise ValueError("time_budget must be nonnegative")
+        if self.time_budget is not None and not (isinstance(self.time_budget, numbers.Real) and self.time_budget >= 0):
+            raise ValueError("time_budget must be a nonnegative number")  # inf means no limit
+        if not isinstance(self.convergence_tol, numbers.Real) or math.isnan(self.convergence_tol):
+            raise ValueError("convergence_tol must be a number")  # -inf turns the stall test off
 
 
 # Restart totals within this relative distance of the lowest tie, and the

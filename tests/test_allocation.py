@@ -384,11 +384,10 @@ def test_nearest_column_matches_the_stacked_argmin(case, membership):
 
 
 def test_zero_capacity_rows_come_from_the_model(monkeypatch):
-    # The a_i = 0 rows are found once, when the model is built, not per allocation.
+    # The a_i = 0 rows are rows of the model's program, not found per allocation.
     prob = matrix_problem([[1.0, 4.0], [9.0, 2.0], [3.0, 1.0]], a=[0.0, 3.0, 2.0], capacity=(0.0, 4.0),
                           membership="fractional")
     model = allocation.lp_model(prob)
-    assert model.zero.tolist() == [0] and model.pos.tolist() == [1, 2]
     real = np.flatnonzero
     calls = []
     monkeypatch.setattr(np, "flatnonzero", lambda *a, **kw: calls.append(a) or real(*a, **kw))
@@ -603,14 +602,13 @@ def coo_constraint(problem):
 
     lo, hi = problem.capacity
     k, a = problem.k, problem.capacity_coeffs
-    pos = np.flatnonzero(a > 0)
-    m, n_cols = pos.size, k + (1 if problem.has_outlier_column else 0)
+    m, n_cols = problem.n, k + (1 if problem.has_outlier_column else 0)
     var = np.arange(m * n_cols).reshape(m, n_cols)
     rows = np.concatenate([np.repeat(np.arange(m), n_cols), m + np.tile(np.arange(k), m)])
     cols = np.concatenate([var.ravel(), var[:, :k].ravel()])
-    vals = np.concatenate([np.ones(m * n_cols), np.repeat(a[pos], k)])
+    vals = np.concatenate([np.ones(m * n_cols), np.repeat(a, k)])
     A = sparse.csc_array((vals, (rows, cols)), shape=(m + k, m * n_cols))
-    q = problem.coverages[pos]
+    q = problem.coverages
     return LinearConstraint(A, np.concatenate([q, np.full(k, lo)]), np.concatenate([q, np.full(k, hi)]))
 
 
@@ -634,6 +632,73 @@ def test_lp_rows_equal_scipys_csc_and_bounds(lam, zeros, twos):
     assert made.A.shape == expect.A.shape
     assert all(np.array_equal(getattr(made.A, name), getattr(expect.A, name)) for name in ("indptr", "indices", "data"))
     assert np.array_equal(made.lb, expect.lb) and np.array_equal(made.ub, expect.ub)
+
+
+def full_milp_objective(problem, D):
+    """Hard optimum of one ``milp`` over every y_ij, on the rows of ``coo_constraint``; None if infeasible."""
+    from scipy.optimize import Bounds, milp
+
+    w = problem.effective_weights
+    cost = w[:, None] * D
+    if problem.has_outlier_column:
+        cost = np.column_stack([cost, w * problem.outlier_penalty])
+    res = milp(cost.ravel(), constraints=coo_constraint(problem), integrality=1, bounds=Bounds(0.0, 1.0),
+               options={"mip_rel_gap": 0.0})
+    assert res.status in (0, 2), res.message
+    return None if res.status == 2 else float(res.fun)
+
+
+def zero_capacity_corpus(rng, count):
+    """(D, a, w, q, lam) on integer distances, so many columns tie, with a_i = 0 points.
+
+    Points 0 and 1 have a_i = 0, and point 1 also w'_i = 0; about a third
+    of the others have a_i = 0, and w ranges over {0, 1, 2}.
+    """
+    for _ in range(count):
+        n, k = int(rng.integers(4, 10)), int(rng.integers(2, 4))
+        D = rng.integers(0, 5, size=(n, k)).astype(float)
+        a = np.where(rng.random(n) < 0.3, 0.0, rng.integers(1, 4, size=n).astype(float))
+        w = rng.integers(0, 3, size=n).astype(float)
+        a[:2], w[1] = 0.0, 0.0
+        yield D, a, w, rng.integers(1, 3, size=n), (3.0 if rng.random() < 0.5 else None)
+
+
+@pytest.mark.parametrize("membership", ["hard", "fractional"])
+def test_zero_capacity_points_under_wide_and_binding_windows(lp_binding, membership):
+    # A wide window gives every point, a_i = 0 and w'_i = 0 included, its
+    # nearest columns, ties to the lowest index; a binding one gives the optimum.
+    rng = np.random.default_rng(38)
+    bound = 0
+    for D, a, w, q, lam in zero_capacity_corpus(rng, 80):
+        k = D.shape[1]
+        demand = float(a @ q)
+        wide = matrix_problem(D, a=a, w=w, q=q, lam=lam, capacity=(0.0, demand + 1.0), membership=membership)
+        got = allocate(wide, np.arange(k))
+        if lp_binding == "highspy":  # milp has no start basis, so HiGHS picks among tied optima
+            assert np.array_equal(got.y, allocate(replace(wide, capacity=None), np.arange(k)).y)
+        nearest = objective_of(wide, allocate(replace(wide, capacity=None), np.arange(k)), D)
+        assert objective_of(wide, got, D) == pytest.approx(nearest, abs=1e-9)
+        tight = replace(wide, capacity=(0.8 * demand / k, 1.2 * demand / k))
+        expect = dense_lp_fractional(tight, D) if membership == "fractional" else full_milp_objective(tight, D)
+        try:
+            value = objective_of(tight, allocate(tight, np.arange(k)), D)
+        except Infeasible:
+            assert expect is None
+            continue
+        assert value == pytest.approx(expect, abs=1e-9 * max(1.0, expect))
+        bound += value > nearest + 1e-9
+    assert bound >= 8  # windows that bind: 10 hard and 31 fractional
+
+
+@pytest.mark.parametrize("membership", ["hard", "fractional"])
+def test_all_zero_capacity_problem_allocates_as_uncapacitated(lp_binding, membership):
+    rng = np.random.default_rng(39)
+    for _ in range(30):
+        n, k = int(rng.integers(1, 10)), int(rng.integers(2, 5))
+        prob = matrix_problem(rng.uniform(0.0, 5.0, (n, k)), a=np.zeros(n), q=rng.integers(1, 3, size=n),
+                              lam=(2.5 if rng.random() < 0.5 else None), capacity=(0.0, 5.0), membership=membership)
+        want = allocate(replace(prob, capacity=None), np.arange(k)).y
+        assert np.array_equal(allocate(prob, np.arange(k)).y, want)
 
 
 def greedy_incumbent_loop(problem, D):

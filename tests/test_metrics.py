@@ -29,8 +29,9 @@ def test_threshold_boundary_counts_as_outside():
 
 
 def test_threshold_needs_positive_radius():
-    with pytest.raises(ValidationError):
-        threshold(0.0)
+    for radius in (0.0, "1", None):
+        with pytest.raises(ValidationError):
+            threshold(radius)
 
 
 def test_matrix_lookup_and_range():

@@ -70,6 +70,31 @@ def test_a_problem_without_points_is_rejected():
         validate_problem(Problem(points=(), metric=sqeuclidean(), centers=CenterSpec(k=1)))
 
 
+WRONG_TYPED = {
+    "k-float": dict(centers=CenterSpec(k=2.5)), "k-whole-float": dict(centers=CenterSpec(k=3.0)),
+    "k-bool": dict(centers=CenterSpec(k=True)), "capacity-one": dict(capacity=(1,)),
+    "capacity-strings": dict(capacity=("1", "9")), "capacity-none": dict(capacity=(0, None)),
+    "capacity-scalar": dict(capacity=5), "outlier-string": dict(outlier_penalty="1"),
+    "opening-string": dict(opening_penalty="0"),
+    "release-string": dict(centers=CenterSpec(k=2, fixed=((0.0, 0.0),), release_penalty="inf")),
+}
+
+
+@pytest.mark.parametrize("fields", WRONG_TYPED.values(), ids=WRONG_TYPED.keys())
+def test_wrong_typed_fields_raise_validation_error(fields):
+    pts = tuple(Point(i, coords=(float(i), float(i % 3))) for i in range(6))
+    problem = Problem(**{"points": pts, "metric": sqeuclidean(), "centers": CenterSpec(k=2), **fields})
+    with pytest.raises(ValidationError):
+        solve(problem, SolverConfig(restarts=1))
+
+
+def test_numpy_integer_k_and_window_solve():
+    pts = tuple(Point(i, coords=(float(i), float(i % 3))) for i in range(6))
+    problem = Problem(points=pts, metric=sqeuclidean(), centers=CenterSpec(k=np.int64(2)),
+                      membership="fractional", capacity=np.array([2.0, 4.0]))
+    assert solve(problem, SolverConfig(restarts=1)).centers.shape == (2, 2)
+
+
 def test_continuous_k_beyond_the_points_is_rejected():
     # k-means++ draws each free seed from the points: two points seed at most
     # two free centers, whatever the fixed ones, as two sites host at most two.

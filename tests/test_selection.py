@@ -84,6 +84,30 @@ def test_lambda_grid_outside_the_opening_penalty_range_fails_before_solving(monk
     assert calls == []
 
 
+@pytest.mark.parametrize("k_range, grid, match", [
+    ([2.5, 3], [0.0], "k_range"), ([True, 3], [0.0], "k_range"), ([1, True], [0.0], "k_range"),
+    (["a"], [0.0], "k_range"), ([2], ["x"], "lambda grid"), ([2], ["1.5"], "lambda grid"),
+], ids=["k-float", "k-bool", "k-bool-after-one", "k-string", "lambda-string", "lambda-numeric-string"])
+def test_non_integer_k_or_non_real_penalty_fails_before_solving(monkeypatch, k_range, grid, match):
+    from capclust import selection
+
+    calls = []
+    monkeypatch.setattr(selection, "solve", lambda *a: calls.append(a))
+    prob = validate_problem(Problem(points=paired_blobs(np.random.default_rng(35), [(0, 0), (5, 0)]),
+                                    metric=sqeuclidean(), centers=CenterSpec(k=1)))
+    with pytest.raises(ValidationError, match=match):
+        sweep_k(prob, k_range, grid, SolverConfig(restarts=1))
+    assert calls == []
+
+
+def test_numpy_k_values_and_penalties_are_accepted():
+    prob = validate_problem(Problem(points=paired_blobs(np.random.default_rng(36), [(0, 0), (5, 0)]),
+                                    metric=sqeuclidean(), centers=CenterSpec(k=1)))
+    report = sweep_k(prob, np.arange(1, 3), [np.float64(0.5), 1], SolverConfig(restarts=1))
+    assert report.k_values == [1, 2] and all(type(k) is int for k in report.k_values)
+    assert list(report.penalized) == [0.5, 1.0]
+
+
 def test_first_differences_reports_drops(small_report):
     diffs = small_report.first_differences()
     ks = sorted(small_report.base_objectives)

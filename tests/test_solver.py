@@ -40,6 +40,18 @@ def test_negative_or_nan_time_budget_rejected(budget):
         SolverConfig(time_budget=budget)
 
 
+@pytest.mark.parametrize("field, value", [("time_budget", "1"), ("convergence_tol", "1e-9"),
+                                          ("convergence_tol", math.nan), ("convergence_tol", None)])
+def test_non_numeric_budget_or_tolerance_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, -math.inf, np.float32(1e-6)])
+def test_negative_and_infinite_tolerances_accepted(tol):
+    assert SolverConfig(convergence_tol=tol).convergence_tol == tol
+
+
 @pytest.mark.parametrize("budget", [None, 0.0, 2.5, math.inf])
 def test_zero_and_infinite_time_budgets_accepted(budget):
     assert SolverConfig(time_budget=budget).time_budget == budget
