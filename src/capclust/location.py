@@ -28,7 +28,8 @@ from . import metrics
 from .errors import EmptyCluster
 
 WEISZFELD_MAX_ITER = 1000
-_HALVINGS = np.array([[2.0], [4.0], [8.0]])
+_HALVINGS = np.array([[[2.0]], [[4.0]], [[8.0]]])
+_SCALED = np.array([[1e-12], [1e-3], [1e-9]])
 
 
 class CenterUpdate(NamedTuple):
@@ -66,14 +67,16 @@ def _first(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def _keep(clusters: np.ndarray, sizes: np.ndarray):
     """The points of the clusters in the mask ``clusters``, by index, and those clusters' sizes and starts."""
     kept = sizes[clusters]
-    return np.flatnonzero(clusters.repeat(sizes)), kept, np.cumsum(kept) - kept
+    return clusters.repeat(sizes).nonzero()[0], kept, kept.cumsum() - kept
 
 
 def _at(y: np.ndarray, P: np.ndarray, M: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
     """Offsets (2, N) from the points to their cluster's iterate in the (2, c) y, their lengths, each cluster's cost."""
-    D2 = y.repeat(sizes, axis=1) - P
+    D2 = y.repeat(sizes, axis=1)
+    D2 -= P
     sq = D2 * D2
-    d = np.sqrt(sq[0] + sq[1])
+    d = sq[0] + sq[1]
+    np.sqrt(d, out=d)
     return D2, d, np.add.reduceat(M * d, starts)
 
 
@@ -95,33 +98,47 @@ def _pull_tests(P, M, sizes, starts, j, snap):
     return norm <= mass_here, pull, norm, mass_here, np.add.reduceat(inv, starts)
 
 
-def _search(P, M, inv, y, step, cost, has_step, searching, sizes):
+def _search(P, M, inv, y, step, cost, searching, sizes):
     """The first of its three halved Newton steps and its Weiszfeld step that lowers each searching cluster's cost.
 
     The clusters in the mask ``searching`` price all four at once, over
     copies of their own points (``_keep``): each sum is still one
-    ``reduceat`` segment per cluster.  Gives the clusters that found one,
-    by index, which step each takes (3 for the Weiszfeld step) and where it
-    leads, (2, t).
+    ``reduceat`` segment per cluster.  A cluster without a Newton step
+    (zero) prices its own iterate three times, by the arithmetic that
+    priced its cost there, so at exactly its cost, and only its Weiszfeld
+    step can lower it.  Gives the searching clusters,
+    by index, which step each takes (3 for the Weiszfeld step, 4 for none)
+    and where it leads, (2, t): its own iterate when no step lowers the
+    cost.
     """
-    search = np.flatnonzero(searching)
+    search = searching.nonzero()[0]
     idx, sizes, starts = _keep(searching, sizes)
     P, M, inv = P.take(idx, axis=1), M[idx], inv[idx]
-    pulled = np.add.reduceat(inv * P, starts, axis=1) / np.add.reduceat(inv, starts)
-    cands = np.concatenate([y[:, None, search] - step[:, None, search] / _HALVINGS, pulled[:, None]], axis=1)
-    sq = cands.repeat(sizes, axis=2) - P[:, None]
+    t = len(search)
+    cands = np.empty((5, 2, t))  # the halvings, the Weiszfeld step and the iterate itself
+    cands[4] = y[:, search]
+    np.divide(step[:, search], _HALVINGS, out=cands[:3])
+    np.subtract(cands[4], cands[:3], out=cands[:3])
+    np.divide(np.add.reduceat(inv * P, starts, axis=1), np.add.reduceat(inv, starts), out=cands[3])
+    sq = cands[:4].repeat(sizes, axis=2)
+    sq -= P
     sq *= sq
-    lower = np.add.reduceat(M * np.sqrt(sq[0] + sq[1]), starts, axis=1) < cost[search]
-    lower[:3] &= has_step[search]
-    took = np.flatnonzero(lower.any(axis=0))
-    first = lower[:, took].argmax(axis=0)
-    return search[took], first, cands[:, first, took]
+    dist = sq[:, 0] + sq[:, 1]
+    np.sqrt(dist, out=dist)
+    dist *= M
+    lower = np.empty((5, t), dtype=bool)
+    np.less(np.add.reduceat(dist, starts, axis=1), cost[search], out=lower[:4])
+    lower[4] = True
+    first = lower.argmax(axis=0)
+    return search, first, cands[first, :, np.arange(t)].T
 
 
-def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> CenterUpdate:
+def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                       total: np.ndarray) -> CenterUpdate:
     """Weighted geometric median of every cluster of (2, N) points P at once, by guarded Newton steps.
 
-    A thin cluster, whose points all lie within 1e-2 times the data scale
+    ``sizes`` and ``total`` are each cluster's point count and mass.  A
+    thin cluster, whose points all lie within 1e-2 times the data scale
     of the line through the first data point and the one farthest from it,
     first tries the data point at the weighted lower median along that line.
     A collinear cluster returns it, which is optimal since the cost is
@@ -147,9 +164,21 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
     halvings and the Weiszfeld step (all four at once) or run a pull test,
     over copies of their own points (``_keep``).  A cluster that stops
     keeps its result, and its points leave the arrays.
+
+    A round costs its count of numpy calls more than its arithmetic, so a
+    round makes only the calls some running cluster needs.  Every cluster
+    that goes on stands at its full-step candidate, unless it takes a
+    search step, so the candidate's offsets replace the old ones whole,
+    without a merge.  After a search step every cluster is priced again,
+    once the stopped clusters' points have left.  The tolerances are
+    computed once per call, and the search's candidates lie one (2, t)
+    block per step.  A solve sends each distinct cluster here once
+    (``solver._finished``).  Replaying the location calls of a seed-1
+    euclid-outlier pass (``scripts/location_replay.py``), these cuts alone
+    take 0.83-0.85 of the time of the loop before them, and with that
+    memo the pass's calls take 0.68 of the time.
     """
     c, N = len(starts), P.shape[1]
-    sizes = np.diff(starts, append=N)
     coords = np.empty((2, c))
     iterations = np.ones(c, dtype=int)
     converged = np.ones(c, dtype=bool)
@@ -159,7 +188,9 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
 
     # The line through each cluster's first point and the point farthest from it.
     R = P - P[:, starts].repeat(sizes, axis=1)
-    lengths = np.sqrt((R * R).sum(axis=0))
+    sq = R * R
+    lengths = sq[0] + sq[1]
+    np.sqrt(lengths, out=lengths)
     longest = np.maximum.reduceat(lengths, starts)
     F = R[:, _first(lengths == longest.repeat(sizes), starts)].repeat(sizes, axis=1)
     # The largest distance from the line, times the line's length.
@@ -167,7 +198,8 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
     thin = across <= 1e-2 * scale * longest
     done = np.zeros(c, dtype=bool)
     if np.count_nonzero(thin):
-        along = (R * F).sum(axis=0)
+        RF = R * F
+        along = RF[0] + RF[1]
         value = np.full(c, np.nan)
         idx, _, thin_starts = _keep(thin, sizes)
         value[thin] = _lower_medians(along[idx], M[idx], thin_starts)
@@ -182,23 +214,26 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
             tested[at] = True
         coords[:, done] = P[:, median[done]]
 
+    # Each cluster's tolerances: snap, close and tiny times its data scale, and the flat gradient norm.
+    limits = np.empty((4, c))
+    np.multiply(scale, _SCALED, out=limits[:3])
+    np.multiply(1e-13, total, out=limits[3])
     # The clusters still running, their points in cluster order and their state.
-    live = np.flatnonzero(~done)
+    live = (~done).nonzero()[0]
     if live.size < c:
         idx, sizes, starts = _keep(~done, sizes)
-        P, M, tested, scale = P.take(idx, axis=1), M[idx], tested[idx], scale[live]
-    total = np.add.reduceat(M, starts)
+        P, M, tested, limits, total = P.take(idx, axis=1), M[idx], tested[idx], limits[:, live], total[live]
     y = np.add.reduceat(M * P, starts, axis=1) / total
     D2, d, cost = _at(y, P, M, sizes, starts)
     creeping = np.zeros(live.size, dtype=bool)
+    snap, close, tiny, small_grad = limits
     for it in range(1, WEISZFELD_MAX_ITER + 1):
         c = live.size
         if not c:
             break
-        if it == 1 or stopped:
-            snap, close, tiny, small_grad = 1e-12 * scale, 1e-3 * scale, 1e-9 * scale, 1e-13 * total
         stop = np.zeros(c, dtype=bool)  # clusters that give their result in this iteration
-        newton = np.ones(c, dtype=bool)  # clusters that take a Newton or Weiszfeld step
+        newton = ~stop  # clusters that take a Newton or Weiszfeld step
+        everywhere = True  # every cluster is a Newton cluster
         nearest = np.minimum.reduceat(d, starts)
         near = nearest <= close
         near |= creeping
@@ -208,7 +243,7 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
             test = near & (on_point | ~tested[j])
             if np.count_nonzero(test):
                 # Priced over the tested clusters' points only; ``tests`` lists those clusters.
-                tests = np.flatnonzero(test)
+                tests = test.nonzero()[0]
                 idx, test_sizes, test_starts = _keep(test, sizes)
                 at = j[tests]
                 optimal, pull, norm, mass_here, inv_sum = _pull_tests(
@@ -217,20 +252,22 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
                 y[:, tests[optimal]] = P[:, at[optimal]]
                 stop[tests[optimal]] = True
                 newton[tests[optimal]] = False
+                everywhere = not np.count_nonzero(optimal)
                 # Kuhn's step off a data point that is not optimal, along the pull.
                 kuhn = ~optimal & on_point[tests]
                 if np.count_nonzero(kuhn):
                     y[:, tests[kuhn]] = (P[:, at[kuhn]]
                                          + (1.0 - mass_here[kuhn] / norm[kuhn]) * pull[:, kuhn] / inv_sum[kuhn])
                     newton[tests[kuhn]] = False
+                    everywhere = False
                     D2, d, cost = _at(y, P, M, sizes, starts)
         # Every point of a Newton cluster is farther than snap from its iterate.
-        everywhere = np.count_nonzero(newton) == c
         inv = M / d if everywhere else np.divide(M, d, out=np.zeros(len(M)), where=newton.repeat(sizes))
         T = inv * D2
         g = np.add.reduceat(T, starts, axis=1)
         flat = np.hypot(g[0], g[1]) <= small_grad
-        flat &= newton
+        if not everywhere:
+            flat &= newton
         if np.count_nonzero(flat):
             stop |= flat
             newton &= ~flat
@@ -243,41 +280,43 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray) -> Cent
         det = m[0] * m[3] - m[1] * m[2]
         has_step = det > 0
         has_step &= newton
-        step = np.divide((m.reshape(2, 2, c) * g).sum(axis=1), det, out=np.zeros((2, c)), where=has_step)
+        mg = m.reshape(2, 2, c) * g
+        step = np.divide(mg[:, 0] + mg[:, 1], det, out=np.zeros((2, c)), where=has_step)
         # The full Newton step, priced for every cluster (one without a step stays put).
         cand = y - step
-        cD2, cd, ccost = _at(cand, P, M, sizes, starts)
+        D2, d, ccost = _at(cand, P, M, sizes, starts)
         better = ccost < cost
         better &= has_step
-        taken = np.count_nonzero(better)
-        if taken == c:
-            y, D2, d, cost = cand, cD2, cd, ccost
-        elif taken:
-            moved = better.repeat(sizes)
-            y[:, better], cost[better] = cand[:, better], ccost[better]
-            D2, d = np.where(moved, cD2, D2), np.where(moved, cd, d)
-        creeping &= ~better
-        searching = newton & ~better
+        # Every cluster that goes on now stands at its candidate: one whose step is better moved there, one
+        # without a step stands there already, and one that searches takes a search step below or stops.
+        np.copyto(y, cand, where=better)
+        np.copyto(cost, ccost, where=better)
+        creeping[better] = False
+        searching = newton ^ better
+        searched = False  # whether a cluster took a search step, so that every cluster is priced again below
         if np.count_nonzero(searching):
             # Its three halvings, then the Weiszfeld step; the first that lowers the cost wins.
-            took, first, to = _search(P, M, inv, y, step, cost, has_step, searching, sizes)
-            if took.size:
-                y[:, took] = to
-                D2, d, cost = _at(y, P, M, sizes, starts)
-                creeping[took] = first == 3
-                searching[took] = False
+            search, first, to = _search(P, M, inv, y, step, cost, searching, sizes)
+            y[:, search] = to
+            creeping[search] = first == 3
+            searching[search] = first == 4
+            searched = np.count_nonzero(searching) < len(search)
         # A cluster that no step improves stops where it is, as does one whose full Newton step is tiny.
-        stop |= searching
-        stop |= has_step & ~searching & (np.hypot(step[0], step[1]) < tiny)
+        stop |= searching | (has_step & (np.hypot(step[0], step[1]) < tiny))
         stopped = np.count_nonzero(stop)
         if stopped:
-            coords[:, live[stop]] = y[:, stop]
-            iterations[live[stop]] = it
+            ended = live[stop]
+            coords[:, ended] = y[:, stop]
+            iterations[ended] = it
             keep = ~stop
             idx, sizes, starts = _keep(keep, sizes)
-            P, D2, M, tested, d = P.take(idx, axis=1), D2.take(idx, axis=1), M[idx], tested[idx], d[idx]
-            live, scale, total, cost, creeping = live[keep], scale[keep], total[keep], cost[keep], creeping[keep]
-            y = y[:, keep]
+            P, M, tested = P.take(idx, axis=1), M[idx], tested[idx]
+            if not searched:
+                D2, d = D2.take(idx, axis=1), d[idx]
+            live, limits, cost, creeping, y = live[keep], limits[:, keep], cost[keep], creeping[keep], y[:, keep]
+            snap, close, tiny, small_grad = limits
+        if searched:
+            D2, d, cost = _at(y, P, M, sizes, starts)
     coords[:, live] = y
     iterations[live] = WEISZFELD_MAX_ITER
     converged[live] = False
@@ -291,20 +330,38 @@ def update_centers_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, sta
     another, and ``starts`` the offset of each cluster's first point, from
     0 up.  Gives the (c, 2) locations with per-cluster ``iterations`` and
     ``converged`` arrays.  A cluster gets the same result as it would alone;
-    one without mass raises EmptyCluster.
+    one without mass raises EmptyCluster.  Points not of shape (n, 2), a
+    mass count other than n, starts that are not one row rising from 0 to
+    at most n, a coordinate that is not finite and a mass that is negative
+    or not finite raise ValueError, checked once over the batch.
     """
-    P = np.asarray(xy, dtype=float).reshape(-1, 2).T.copy()
+    xy = np.asarray(xy, dtype=float)
     masses = np.asarray(masses, dtype=float)
     starts = np.asarray(starts, dtype=np.intp)
-    if not starts.size or starts[0] != 0:
-        raise ValueError("cluster starts must begin at point 0")
-    # A cluster without points has no mass either.
-    totals = np.add.reduceat(masses, starts) if (np.diff(starts, append=P.shape[1]) > 0).all() else np.zeros(1)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"points of shape {xy.shape}, not (n, 2)")
+    n = len(xy)
+    if masses.shape != (n,):
+        raise ValueError(f"masses of shape {masses.shape} for {n} points")
+    if starts.ndim != 1 or not starts.size or starts[0] != 0:
+        raise ValueError("cluster starts must be one row beginning at point 0")
+    if not np.isfinite(xy).all():
+        raise ValueError("point coordinates must be finite")
+    # A NaN fails the first test, an infinite mass the second.
+    if not (masses.min(initial=0.0) >= 0.0 and masses.max(initial=0.0) < np.inf):
+        raise ValueError("masses must be finite and non-negative")
+    P = xy.T.copy()
+    sizes = np.concatenate([starts[1:], [n]]) - starts
+    if not (sizes > 0).all():
+        if (sizes < 0).any():
+            raise ValueError("cluster starts must not fall, nor pass the last point")
+        raise EmptyCluster("no mass assigned to this center")  # a cluster without points has no mass either
+    totals = np.add.reduceat(masses, starts)
     if not (totals > 0).all():
         raise EmptyCluster("no mass assigned to this center")
     c = len(starts)
     if kind == metrics.EUCLIDEAN:
-        return _geometric_medians(P, masses, starts)
+        return _geometric_medians(P, masses, starts, sizes, totals)
     if kind == metrics.SQEUCLIDEAN:
         coords = (np.add.reduceat(masses * P, starts, axis=1) / totals).T
     elif kind == metrics.MANHATTAN:

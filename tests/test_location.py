@@ -340,9 +340,9 @@ def test_the_newton_search_prices_only_the_clusters_that_search(monkeypatch):
     real_search, real_pull_tests = location._search, location._pull_tests
 
     def search(*args):
-        took, first, to = real_search(*args)
-        searches.append((args[7].copy(), first))  # the mask of searching clusters, and the step each one took
-        return took, first, to
+        search, first, to = real_search(*args)
+        searches.append((args[6].copy(), first))  # the mask of searching clusters, and the step each one took
+        return search, first, to
 
     def pull_tests(P, M, sizes, starts, j, snap):
         tests.append(len(starts))
@@ -359,6 +359,79 @@ def test_the_newton_search_prices_only_the_clusters_that_search(monkeypatch):
         alone = update_centers_continuous("euclidean", points, mass, [0])
         assert batch.coords[r].tolist() == alone.coords[0].tolist()
         assert (batch.iterations[r], batch.converged[r]) == (alone.iterations[0], alone.converged[0])
+
+
+def _kuhn_cluster():
+    """A cluster whose weighted mean, where its iterate starts, is its first point, which is not optimal."""
+    return np.array([[0.0, 0.0], [2.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]]), np.array([0.01, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+def test_batches_that_repeat_clusters_match_one_cluster_at_a_time(monkeypatch, cap):
+    # The clusters of the search test above, a collinear cluster and one
+    # that Kuhn's step takes off a data point.  Batches repeat some of them,
+    # within one call and across calls beside other clusters, and each copy
+    # gets, to the last bit, the CenterUpdate its cluster gets alone.
+    # Uncapped, every way to a result occurs: the collinear median, a thin
+    # cluster's pull test, Kuhn's step, a search step and the Weiszfeld
+    # creep; capped, clusters end unconverged at the cap.
+    rng = np.random.default_rng(0)
+    clusters = [_cluster(rng, kind) for kind in ("blob", "thin", "heavy", "blob", "coincident", "heavy")]
+    clusters += [_cluster(rng, "collinear"), _kuhn_cluster()]
+    if cap:
+        monkeypatch.setattr(location, "WEISZFELD_MAX_ITER", cap)
+    real_search, real_pull_tests = location._search, location._pull_tests
+    firsts, optimal = [], []  # per cluster alone: the search steps it took (4: none), its pull tests' answers
+
+    def search(*args):
+        found = real_search(*args)
+        firsts[-1] += found[1].tolist()
+        return found
+
+    def pull_tests(*args):
+        found = real_pull_tests(*args)
+        optimal[-1] += found[0].tolist()
+        return found
+
+    monkeypatch.setattr(location, "_search", search)
+    monkeypatch.setattr(location, "_pull_tests", pull_tests)
+    alone = []
+    for points, mass in clusters:
+        firsts.append([])
+        optimal.append([])
+        alone.append(update_centers_continuous("euclidean", points, mass, [0]))
+    if cap:
+        assert [update.converged[0] for update in alone].count(False) >= 2
+        assert all(update.iterations[0] == cap for update in alone if not update.converged[0])
+    else:
+        assert all(update.converged[0] for update in alone)
+        assert alone[6].iterations[0] == 1 and firsts[6] == optimal[6] == []  # collinear
+        assert alone[1].iterations[0] == 1 and optimal[1] == [True]  # thin, decided by its pull test
+        assert False in optimal[7] and alone[7].iterations[0] > 1  # Kuhn's step off its first point
+        steps = sum(firsts[:6], [])
+        assert 3 in steps and any(first < 3 for first in steps)  # the creep, and a halved or full Newton step
+    for picked in ([0, 1, 2, 3, 0, 4, 5, 6, 7, 3, 7, 1], [7, 0, 7], [2, 5, 6, 1, 4, 3, 2]):
+        batch = update_centers_continuous("euclidean", *_batch([clusters[r] for r in picked]))
+        for row, r in enumerate(picked):
+            assert batch.coords[row].tolist() == alone[r].coords[0].tolist()
+            assert (batch.iterations[row], batch.converged[row]) == (alone[r].iterations[0], alone[r].converged[0])
+
+
+@pytest.mark.parametrize("kind, xy, masses, starts, fault", [
+    ("euclidean", [[0.0, 0.0], [1.0, np.nan], [2.0, 2.0]], [1.0, 1.0, 1.0], [0], "coordinates must be finite"),
+    ("sqeuclidean", [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [1.0, 1.0, 1.0, -0.5], [0],
+     "masses must be finite and non-negative"),
+    ("euclidean", [[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]], [1.0, np.inf, 1.0], [0, 2], "masses must be finite"),
+    ("sqeuclidean", [[0.0, 0.0], [1.0, 1.0]], [1.0, np.inf], [0], "masses must be finite"),
+    ("manhattan", [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [1.0, 1.0], [0], r"masses of shape \(2,\) for 3 points"),
+    ("euclidean", [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], [1.0, 1.0, 1.0], [0], r"points of shape \(2, 3\)"),
+    ("euclidean", [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [1.0, 1.0, 1.0], [0, 2, 1], "must not fall"),
+    ("euclidean", [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [1.0, 1.0, 1.0], [[0], [1]], "one row"),
+], ids=["nan-coordinate", "negative-mass", "infinite-mass", "infinite-mass-sqeuclidean", "short-masses",
+        "points-by-column", "falling-starts", "starts-in-two-rows"])
+def test_batched_relocation_rejects_bad_inputs(kind, xy, masses, starts, fault):
+    with pytest.raises(ValueError, match=fault):
+        update_centers_continuous(kind, np.array(xy), np.array(masses), starts)
 
 
 def test_batched_relocation_rejects_an_empty_cluster():

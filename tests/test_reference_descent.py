@@ -176,6 +176,42 @@ def test_restarts_in_one_lockstep_group_solve_as_one_at_a_time(monkeypatch, case
         assert alone.released and (alone.assignment.labels == problem.k).any()  # released, and some outliers
 
 
+@pytest.mark.parametrize("case", ["euclidean", "sqeuclidean"])
+def test_a_solve_relocates_each_distinct_euclidean_cluster_once(monkeypatch, case):
+    # Restarts that reach the same clusters share their relocation: under
+    # the Euclidean metric the location calls take fewer clusters than the
+    # descents send, and the answers are the reference's.  The weighted
+    # mean costs less than keying its clusters, so every one is relocated.
+    problem = _grouped_problem(case)
+    config = SolverConfig(restarts=8, rng_seed=4)
+    sent, located = [], []
+    real_descent, real_update = solver._descent, solver.update_centers_continuous
+
+    def descent(*args):
+        steps, update = real_descent(*args), None
+        try:
+            while True:
+                clusters = steps.send(update)
+                sent.append(len(clusters[2]))
+                update = yield clusters
+        except StopIteration as end:
+            return end.value
+
+    def update_centers(kind, xy, masses, starts):
+        located.append(len(starts))
+        return real_update(kind, xy, masses, starts)
+
+    monkeypatch.setattr(solver, "_descent", descent)
+    monkeypatch.setattr(solver, "update_centers_continuous", update_centers)
+    got = solve(problem, config)
+    monkeypatch.undo()
+    assert_same_solution(got, reference_solve(problem, config))
+    if case == "euclidean":
+        assert 0 < sum(located) < sum(sent)
+    else:
+        assert sum(located) == sum(sent)
+
+
 @pytest.mark.parametrize("case", ["euclidean", "manhattan", "sqeuclidean"])
 def test_a_lockstep_group_prices_each_location_call_in_one_call(monkeypatch, case):
     # One call prices every update of the round, with fixed centers too: a

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -213,3 +214,46 @@ def test_ab_time_fresh_runs_each_command_as_a_process(tmp_path):
                                                line).groups())
         assert 20.0 < median <= peak  # above the launcher's own peak: an interpreter with numpy loaded
     assert len(lines) == 8
+
+
+def test_location_replay_checks_and_times_two_checkouts(tmp_path):
+    done = run_script("location_replay.py", ROOT, ROOT, "--workload", "euclid-outlier", "--seed", "1", "--passes", "2",
+                      "--small", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "workload euclid-outlier seed 1: 1 commands, 2 pairs"
+    counts = [re.fullmatch(side + r": ([0-9]+) calls, ([0-9]+) clusters, ([0-9]+) iterations", line).groups()
+              for side, line in zip(("old", "new"), lines[1:3])]
+    assert counts[0] == counts[1] and int(counts[0][0]) > 0
+    assert lines[3] == "every cluster of new matches old"
+    for side, line in zip(("old", "new"), lines[4:6]):
+        assert re.fullmatch(side + r" seconds per replay: median [0-9.]+ q1 [0-9.]+ q3 [0-9.]+", line)
+    assert re.fullmatch(RATIO_LINE.format(pairs=2), lines[6])
+    assert len(lines) == 7
+
+
+def test_location_replay_names_a_cluster_that_new_relocates_otherwise(monkeypatch):
+    monkeypatch.setattr(os, "environ", os.environ.copy())  # loading the script sets its BLAS thread variables
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))  # and restores the path the script extends
+    path = os.path.join(ROOT, "scripts", "location_replay.py")
+    spec = importlib.util.spec_from_file_location("location_replay", path)
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    from capclust.location import CenterUpdate
+
+    def call(xy, masses, starts, coords, iterations):
+        update = CenterUpdate(np.array(coords), np.array(iterations), np.ones(len(starts), dtype=bool))
+        return ("euclidean", np.array(xy), np.array(masses), np.array(starts)), update
+
+    xy, masses = [[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]], [1.0, 2.0, 1.0]
+    old = [call(xy, masses, [0, 2], [[0.5, 0.0], [5.0, 5.0]], [3, 1])]
+    # The same clusters, once each and in another order, match; so does a
+    # call that repeats one.
+    assert replay.mismatch(old, [call(xy[2:] + xy[:2], masses[2:] + masses[:2], [0, 1], [[5.0, 5.0], [0.5, 0.0]],
+                                      [1, 3])]) is None
+    assert replay.mismatch(old, [call(xy[2:] * 2, masses[2:] * 2, [0, 1], [[5.0, 5.0]] * 2, [1, 1])]) is None
+    assert replay.mismatch(old, [call(xy[2:], masses[2:], [0], [[5.0, 5.0]], [2])]) == (
+        "cluster 0 of NEW: [5.0, 5.0] after 2 iterations, converged True; "
+        "OLD: [5.0, 5.0] after 1 iterations, converged True")
+    assert replay.mismatch(old, [call(xy[:2], [1.0, 3.0], [0], [[0.5, 0.0]], [3])]) == \
+        "cluster 0 of NEW was never relocated by OLD"
