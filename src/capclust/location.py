@@ -133,6 +133,21 @@ def _search(P, M, inv, y, step, cost, searching, sizes):
     return search, first, cands[first, :, np.arange(t)].T
 
 
+def _newton_steps(m: np.ndarray, g: np.ndarray, newton: np.ndarray):
+    """Each cluster's Newton step (2, c) from its gradient g and the adjugate m (4, c) of its Hessian.
+
+    The adjugate is the Hessian's inverse times its determinant, which is
+    also the adjugate's own.  Also gives whether a cluster has a step: it
+    is in the mask ``newton`` and that determinant is positive.  Any other
+    cluster's step is zero.
+    """
+    det = m[0] * m[3] - m[1] * m[2]
+    has_step = det > 0
+    has_step &= newton
+    mg = m.reshape(2, 2, -1) * g
+    return np.divide(mg[:, 0] + mg[:, 1], det, out=np.zeros(g.shape), where=has_step), has_step
+
+
 def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
                        total: np.ndarray) -> CenterUpdate:
     """Weighted geometric median of every cluster of (2, N) points P at once, by guarded Newton steps.
@@ -172,11 +187,11 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray, sizes: 
     without a merge.  After a search step every cluster is priced again,
     once the stopped clusters' points have left.  The tolerances are
     computed once per call, and the search's candidates lie one (2, t)
-    block per step.  A solve sends each distinct cluster here once
-    (``solver._finished``).  Replaying the location calls of a seed-1
-    euclid-outlier pass (``scripts/location_replay.py``), these cuts alone
-    take 0.83-0.85 of the time of the loop before them, and with that
-    memo the pass's calls take 0.68 of the time.
+    block per step.  A solve of several restarts sends each distinct
+    cluster here once (``solver._finished``).  Replaying the location
+    calls of a seed-1 euclid-outlier pass (``scripts/location_replay.py``),
+    these cuts alone take 0.83-0.85 of the time of the loop before them,
+    and with that memo the pass's calls take 0.68 of the time.
     """
     c, N = len(starts), P.shape[1]
     coords = np.empty((2, c))
@@ -277,11 +292,7 @@ def _geometric_medians(P: np.ndarray, M: np.ndarray, starts: np.ndarray, sizes: 
         dd = d * d
         U = T / dd if everywhere else np.divide(T, dd, out=np.zeros(T.shape), where=newton.repeat(sizes))
         m = np.add.reduceat((U[:, None] * D2).reshape(4, -1), starts, axis=1)
-        det = m[0] * m[3] - m[1] * m[2]
-        has_step = det > 0
-        has_step &= newton
-        mg = m.reshape(2, 2, c) * g
-        step = np.divide(mg[:, 0] + mg[:, 1], det, out=np.zeros((2, c)), where=has_step)
+        step, has_step = _newton_steps(m, g, newton)
         # The full Newton step, priced for every cluster (one without a step stays put).
         cand = y - step
         D2, d, ccost = _at(cand, P, M, sizes, starts)
@@ -332,8 +343,10 @@ def update_centers_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, sta
     ``converged`` arrays.  A cluster gets the same result as it would alone;
     one without mass raises EmptyCluster.  Points not of shape (n, 2), a
     mass count other than n, starts that are not one row rising from 0 to
-    at most n, a coordinate that is not finite and a mass that is negative
-    or not finite raise ValueError, checked once over the batch.
+    at most n, a coordinate that is not finite, a mass that is negative or
+    not finite and a cluster whose total mass overflows raise ValueError.
+    One pass over the coordinates and one over the masses check them; the
+    masses' finiteness is read from the cluster totals the step sums anyway.
     """
     xy = np.asarray(xy, dtype=float)
     masses = np.asarray(masses, dtype=float)
@@ -347,8 +360,7 @@ def update_centers_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, sta
         raise ValueError("cluster starts must be one row beginning at point 0")
     if not np.isfinite(xy).all():
         raise ValueError("point coordinates must be finite")
-    # A NaN fails the first test, an infinite mass the second.
-    if not (masses.min(initial=0.0) >= 0.0 and masses.max(initial=0.0) < np.inf):
+    if not masses.min(initial=0.0) >= 0.0:  # a NaN fails too; an infinite mass fails on its cluster's total below
         raise ValueError("masses must be finite and non-negative")
     P = xy.T.copy()
     sizes = np.concatenate([starts[1:], [n]]) - starts
@@ -359,6 +371,8 @@ def update_centers_continuous(kind: str, xy: np.ndarray, masses: np.ndarray, sta
     totals = np.add.reduceat(masses, starts)
     if not (totals > 0).all():
         raise EmptyCluster("no mass assigned to this center")
+    if not totals.max() < np.inf:
+        raise ValueError("masses must be finite, and so must each cluster's total")
     c = len(starts)
     if kind == metrics.EUCLIDEAN:
         return _geometric_medians(P, masses, starts, sizes, totals)

@@ -88,6 +88,9 @@ RESTART_TIE_RTOL = 1e-12
 # A lockstep group of k-means++ draw sequences holds at most restarts x n
 # of these cells in each of its (R, n) seeding arrays.
 _LOCKSTEP_CELLS = 1_000_000
+# The most bytes the relocation memo of one ``descend`` call holds (``_Relocations``):
+# as many as the distance matrices of a full lockstep group.
+_MEMO_BYTES = 8 * _LOCKSTEP_CELLS
 
 def _draws(rngs: list, masses: np.ndarray, eligible: np.ndarray | None) -> np.ndarray:
     """One point per row of the (R, n) ``masses``, drawn in proportion to its mass among the eligible ones.
@@ -438,13 +441,14 @@ def descend(problem: Problem, initial_centers, config: SolverConfig, *, start=No
     Several descents run in lockstep (below) give those clusters to one
     ``update_centers_continuous`` call together; a cluster's result does not
     depend on its batch, so each descent ends as it would alone.  For the
-    same reason a Euclidean cluster, whose location is the Newton loop of
-    the geometric median, is relocated and priced once per call of
-    ``descend``: a cluster with the point indices and masses of one sent
+    same reason, when several restarts run, a Euclidean cluster, whose
+    location is the Newton loop of the geometric median, is relocated and
+    priced once: a cluster with the point indices and masses of one sent
     before takes its stored update and cost (``_finished``; 16 bytes per
-    relocated point).  At seed 1 of the benchmark's euclid-outlier
-    workload that relocates 5,945 of the 8,491 clusters the descents send,
-    in 272 location calls instead of 290.
+    relocated point, and at most ``_MEMO_BYTES``, 8 MB, before the memo
+    starts over).  At seed 1 of the benchmark's euclid-outlier workload
+    that relocates 5,945 of the 8,491 clusters the descents send, in 272
+    location calls instead of 290.
 
     Each iteration sorts the clusters with masks.  A cluster is skipped,
     and keeps its center, when it holds mass and its masses are those of
@@ -687,22 +691,27 @@ def _finished(problem: Problem, descents: list, size: int):
     slices.  A descent that ends makes room for the next, in index order.
 
     Under the Euclidean metric, whose location step is the Newton loop of
-    ``location._geometric_medians``, a cluster is relocated once per call:
-    the update and cost of every cluster relocated so far are kept under
-    its point indices and masses (``_relocated``), so the location calls
-    take only the clusters that no earlier round or descent sent, and a
-    round whose clusters are all known makes neither call.  The keys hold
-    16 bytes per relocated point (an 8-byte index and an 8-byte mass), and
-    each cluster takes about 150 bytes more (its row, the key's header and
-    the dict entry); the largest such memo of a seed-1 euclid-outlier pass
-    held 257 clusters in 0.28 MB of keys.  In that pass 5,945 of the 8,491
+    ``location._geometric_medians``, and with more than one descent, a
+    cluster is relocated once: the update and cost of every cluster
+    relocated so far are kept under its point indices and masses
+    (``_Relocations``), so the location calls take only the clusters that
+    no earlier round or descent sent, and a round whose clusters are all
+    known makes neither call.  The memo holds 16 bytes per relocated point
+    and about 150 bytes more per cluster, and it empties once it passes
+    ``_MEMO_BYTES`` (8 MB).  The largest memo of a seed-1 euclid-outlier
+    pass held 257 clusters in 0.28 MB; in that pass 5,945 of the 8,491
     clusters the descents send are distinct, and the 290 location calls
-    fall to 272.  The mean and the lower median cost less than building
-    the keys would, so other metrics relocate every cluster sent.
+    fall to 272.  Solving 130,000 such points with k = 20 and 10 restarts,
+    the peak memory was 187-196 MB with the budget, 270-272 MB without it
+    and 201-221 MB before the memo (three runs each).  A single descent
+    meets no other descent's clusters and skips its own unchanged ones, so
+    it relocates every cluster sent, as do the other metrics: the mean and
+    the lower median cost less than the keys (with the memo, 7.8% of the
+    clusters of a seed-1 cap-fractional pass repeat, and its commands took
+    4.9% longer).
     """
     kind, coords = problem.metric.kind, problem.coords
-    known: dict[bytes, int] | None = {} if kind == metrics.EUCLIDEAN else None  # key -> row of ``kept``
-    kept = CenterUpdate(np.empty((0, 2)), np.empty(0, dtype=int), np.empty(0, dtype=bool)), np.empty(0)
+    memo = _Relocations(kind, coords) if kind == metrics.EUCLIDEAN and len(descents) > 1 else None
     pending = list(enumerate(descents))[::-1]
     running: dict = {}  # index -> (descent, what it is sent next)
     while pending or running:
@@ -725,12 +734,12 @@ def _finished(problem: Problem, descents: list, size: int):
         offsets = np.cumsum([0] + [len(m) for m in masses[:-1]])
         points, masses = np.concatenate(points), np.concatenate(masses)
         all_starts = np.concatenate([s + offset for s, offset in zip(starts, offsets)])
-        if known is None:  # every cluster relocated, in batch order
+        if memo is None:  # every cluster relocated, in batch order
             xy = coords.take(points, axis=0)
             update = update_centers_continuous(kind, xy, masses, all_starts)
             then = cluster_costs_continuous(kind, xy, masses, all_starts, update.coords)
         else:
-            update, then, kept = _relocated(kind, coords, points, masses, all_starts, known, kept)
+            update, then = memo.relocate(points, masses, all_starts)
         end = 0
         for (i, descent, _), s in zip(batch, starts):
             part = slice(end, end + len(s))
@@ -739,39 +748,55 @@ def _finished(problem: Problem, descents: list, size: int):
                                    then[part])
 
 
-def _relocated(kind: str, coords: np.ndarray, points: np.ndarray, masses: np.ndarray, starts: np.ndarray,
-               known: dict, kept: tuple):
-    """Each cluster's update and cost, relocating and pricing only the clusters that ``known`` lacks.
+class _Relocations:
+    """The update and cost of each cluster that one ``_finished`` has relocated, kept under the cluster's key.
 
-    ``kept`` holds a CenterUpdate and the costs, one row per key of
-    ``known``, and a cluster's key is the bytes of its point indices and
-    masses.  Gives the batch's CenterUpdate and costs, in batch order, and
-    ``kept`` with the new clusters' rows appended.
+    A cluster's key is the bytes of its point indices and masses, 16 bytes
+    per point.  With its dict entry and its rows of ``update`` and
+    ``costs``, a cluster holds about 150 bytes more.  Once those bytes pass
+    ``_MEMO_BYTES``, the memo empties before its next round, so it never
+    holds more than that and one round's clusters.
     """
-    records = np.empty((len(points), 2), dtype=np.int64)  # one 16-byte record per point: index, then mass bits
-    records[:, 0], records[:, 1] = points, masses.view(np.int64)
-    records = records.tobytes()
-    bounds = starts.tolist() + [len(points)]
-    keys = [records[16 * s:16 * e] for s, e in zip(bounds, bounds[1:])]
-    rows = list(map(known.get, keys))
-    fresh = np.zeros(len(keys), dtype=bool)
-    for r in [r for r, row in enumerate(rows) if row is None]:
-        row = known.get(keys[r])  # a cluster repeated in the batch is fresh only where it comes first
-        if row is None:
-            row = known[keys[r]] = len(known)
-            fresh[r] = True
-        rows[r] = row
-    if len(known) > len(kept[1]):
-        take, _, new_starts = _keep(fresh, np.concatenate([starts[1:], [len(points)]]) - starts)
-        xy, new_masses = coords.take(points.take(take), axis=0), masses.take(take)
-        update = update_centers_continuous(kind, xy, new_masses, new_starts)
-        then = cluster_costs_continuous(kind, xy, new_masses, new_starts, update.coords)
-        old, costs = kept
-        kept = CenterUpdate(*map(np.concatenate, zip(old, update))), np.concatenate([costs, then])
-    update, costs = kept
-    rows = np.array(rows)
-    batch = CenterUpdate(update.coords.take(rows, axis=0), update.iterations[rows], update.converged[rows])
-    return batch, costs[rows], kept
+
+    def __init__(self, kind: str, coords: np.ndarray):
+        self.kind, self.coords = kind, coords
+        self._empty()
+
+    def _empty(self) -> None:
+        self.rows: dict[bytes, int] = {}  # key -> row of ``update`` and ``costs``
+        self.update = CenterUpdate(np.empty((0, 2)), np.empty(0, dtype=int), np.empty(0, dtype=bool))
+        self.costs = np.empty(0)
+        self.held = 0  # bytes, as counted above
+
+    def relocate(self, points: np.ndarray, masses: np.ndarray, starts: np.ndarray):
+        """The CenterUpdate and costs of a batch, in batch order, relocating and pricing only clusters not kept."""
+        if self.held > _MEMO_BYTES:
+            self._empty()
+        records = np.empty((len(points), 2), dtype=np.int64)  # one 16-byte record per point: index, then mass bits
+        records[:, 0], records[:, 1] = points, masses.view(np.int64)
+        records = records.tobytes()
+        bounds = starts.tolist() + [len(points)]
+        keys = [records[16 * s:16 * e] for s, e in zip(bounds, bounds[1:])]
+        known = self.rows
+        rows = list(map(known.get, keys))
+        fresh = np.zeros(len(keys), dtype=bool)
+        for r in [r for r, row in enumerate(rows) if row is None]:
+            row = known.get(keys[r])  # a cluster repeated in the batch is fresh only where it comes first
+            if row is None:
+                row = known[keys[r]] = len(known)
+                fresh[r] = True
+                self.held += len(keys[r]) + 150
+            rows[r] = row
+        if len(known) > len(self.costs):
+            take, _, new_starts = _keep(fresh, np.diff(bounds))
+            xy, new_masses = self.coords.take(points.take(take), axis=0), masses.take(take)
+            update = update_centers_continuous(self.kind, xy, new_masses, new_starts)
+            then = cluster_costs_continuous(self.kind, xy, new_masses, new_starts, update.coords)
+            self.update = CenterUpdate(*map(np.concatenate, zip(self.update, update)))
+            self.costs = np.concatenate([self.costs, then])
+        rows, kept = np.array(rows), self.update
+        batch = CenterUpdate(kept.coords.take(rows, axis=0), kept.iterations[rows], kept.converged[rows])
+        return batch, self.costs[rows]
 
 
 def _best_restart(outcomes, restarts: int) -> Solution:

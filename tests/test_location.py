@@ -361,6 +361,50 @@ def test_the_newton_search_prices_only_the_clusters_that_search(monkeypatch):
         assert (batch.iterations[r], batch.converged[r]) == (alone.iterations[0], alone.converged[0])
 
 
+@pytest.mark.parametrize("moment", [[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 2.0, 1.0]], ids=["zero", "negative"])
+def test_a_cluster_without_a_positive_hessian_determinant_stops_where_its_weiszfeld_step_fails(monkeypatch, moment):
+    # Every cluster's Hessian adjugate is replaced by one whose determinant
+    # is 0 or negative, so no cluster has a Newton step and each step is
+    # zero.  Its halvings then price its own iterate at exactly its cost and
+    # never win: each round it takes the Weiszfeld step, and in the round
+    # where that step fails to lower the cost it stops, at the iterate it
+    # held, to the last bit.  A batch of such clusters, some repeated,
+    # gives each the CenterUpdate it gets alone.
+    rng = np.random.default_rng(3)
+    clusters = [_cluster(rng, "blob") for _ in range(4)] + [_kuhn_cluster()]
+    real_steps, real_search = location._newton_steps, location._search
+    rounds, searches = [], []  # per round, the step of each cluster that searched and its iterate before it
+
+    def newton_steps(m, g, newton):
+        rounds.append(None)
+        return real_steps(np.repeat(np.array(moment)[:, None], m.shape[1], axis=1), g, newton)
+
+    def search(P, M, inv, y, step, cost, searching, sizes):
+        assert not step.any()
+        found = real_search(P, M, inv, y, step, cost, searching, sizes)
+        searches.append((len(rounds), found[1], y[:, found[0]].T.copy(), found[2].T))
+        return found
+
+    monkeypatch.setattr(location, "_newton_steps", newton_steps)
+    monkeypatch.setattr(location, "_search", search)
+    alone = []
+    for points, mass in clusters:
+        rounds.clear()
+        searches.clear()
+        update = update_centers_continuous("euclidean", points, mass, [0])
+        assert update.converged[0] and update.iterations[0] == len(rounds) > 1
+        assert all(len(first) == 1 and first[0] in (3, 4) for _, first, _, _ in searches)  # no halving wins
+        last_round, first, before, after = searches[-1]
+        assert last_round == len(rounds) and first[0] == 4  # its Weiszfeld step failed in its last round
+        assert update.coords[0].tolist() == before[0].tolist() == after[0].tolist()
+        alone.append(update)
+    picked = [0, 1, 4, 2, 1, 3, 4]
+    batch = update_centers_continuous("euclidean", *_batch([clusters[r] for r in picked]))
+    for row, r in enumerate(picked):
+        assert batch.coords[row].tolist() == alone[r].coords[0].tolist()
+        assert (batch.iterations[row], batch.converged[row]) == (alone[r].iterations[0], alone[r].converged[0])
+
+
 def _kuhn_cluster():
     """A cluster whose weighted mean, where its iterate starts, is its first point, which is not optimal."""
     return np.array([[0.0, 0.0], [2.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]]), np.array([0.01, 1.0, 1.0, 1.0])
@@ -432,6 +476,11 @@ def test_batches_that_repeat_clusters_match_one_cluster_at_a_time(monkeypatch, c
 def test_batched_relocation_rejects_bad_inputs(kind, xy, masses, starts, fault):
     with pytest.raises(ValueError, match=fault):
         update_centers_continuous(kind, np.array(xy), np.array(masses), starts)
+
+
+def test_batched_relocation_rejects_a_cluster_whose_total_mass_overflows():
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match="each cluster's total"):
+        update_centers_continuous("euclidean", np.zeros((3, 2)), np.array([1e308, 1e308, 1.0]), [0, 2])
 
 
 def test_batched_relocation_rejects_an_empty_cluster():

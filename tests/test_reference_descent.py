@@ -176,14 +176,15 @@ def test_restarts_in_one_lockstep_group_solve_as_one_at_a_time(monkeypatch, case
         assert alone.released and (alone.assignment.labels == problem.k).any()  # released, and some outliers
 
 
-@pytest.mark.parametrize("case", ["euclidean", "sqeuclidean"])
-def test_a_solve_relocates_each_distinct_euclidean_cluster_once(monkeypatch, case):
+@pytest.mark.parametrize("case, restarts", [("euclidean", 8), ("sqeuclidean", 8), ("euclidean", 1)])
+def test_a_solve_relocates_each_distinct_euclidean_cluster_once(monkeypatch, case, restarts):
     # Restarts that reach the same clusters share their relocation: under
     # the Euclidean metric the location calls take fewer clusters than the
     # descents send, and the answers are the reference's.  The weighted
-    # mean costs less than keying its clusters, so every one is relocated.
+    # mean costs less than keying its clusters, so every one is relocated,
+    # as is every cluster of a single descent, which cannot meet another's.
     problem = _grouped_problem(case)
-    config = SolverConfig(restarts=8, rng_seed=4)
+    config = SolverConfig(restarts=restarts, rng_seed=4)
     sent, located = [], []
     real_descent, real_update = solver._descent, solver.update_centers_continuous
 
@@ -203,13 +204,39 @@ def test_a_solve_relocates_each_distinct_euclidean_cluster_once(monkeypatch, cas
 
     monkeypatch.setattr(solver, "_descent", descent)
     monkeypatch.setattr(solver, "update_centers_continuous", update_centers)
+    if restarts == 1:
+        monkeypatch.setattr(solver, "_Relocations", None)  # no memo is built
     got = solve(problem, config)
     monkeypatch.undo()
     assert_same_solution(got, reference_solve(problem, config))
-    if case == "euclidean":
+    if case == "euclidean" and restarts > 1:
         assert 0 < sum(located) < sum(sent)
     else:
-        assert sum(located) == sum(sent)
+        assert 0 < sum(located) == sum(sent)
+
+
+@pytest.mark.parametrize("budget", [0, 3000])
+def test_the_relocation_memo_empties_once_past_its_budget(monkeypatch, budget):
+    # The memo of a solve's Euclidean relocations empties before the round
+    # after its bytes pass ``_MEMO_BYTES``, so it never holds more than that
+    # and one round's clusters, and the answers are still the reference's.
+    problem = _grouped_problem("euclidean")
+    config = SolverConfig(restarts=8, rng_seed=4)
+    held = []  # after each round: the memo's bytes, and the most one round can add
+    real_relocate = solver._Relocations.relocate
+
+    def relocate(memo, points, masses, starts):
+        found = real_relocate(memo, points, masses, starts)
+        held.append((memo.held, 16 * len(points) + 150 * len(starts)))
+        return found
+
+    monkeypatch.setattr(solver._Relocations, "relocate", relocate)
+    monkeypatch.setattr(solver, "_MEMO_BYTES", budget)
+    got = solve(problem, config)
+    monkeypatch.undo()
+    assert_same_solution(got, reference_solve(problem, config))
+    assert all(memo <= budget + most for memo, most in held)
+    assert any(later < earlier for (earlier, _), (later, _) in zip(held, held[1:]))  # it emptied
 
 
 @pytest.mark.parametrize("case", ["euclidean", "manhattan", "sqeuclidean"])
