@@ -50,7 +50,7 @@ def main():
         for label, window in windows.items():
             problem = validate_problem(Problem(
                 points=points, metric=matrix_metric(D),
-                centers=CenterSpec(k=args.k, placement="discrete"),
+                centers=CenterSpec(k=args.k),
                 membership=membership, capacity=window,
             ))
             budget = args.time_budget if (membership == "hard" and args.time_budget > 0) else None

@@ -184,6 +184,7 @@ def _allocate_uncapacitated(problem: Problem, D: np.ndarray) -> Assignment:
 
 def _aggregate_certificate(problem: Problem, lo: float, hi: float, names: tuple[str, str] = ("L", "U")) -> None:
     """Raise Infeasible when the loads of all k centers cannot meet the demand within [lo, hi]."""
+    lo, hi = float(lo), float(hi)  # as Python floats, k * hi overflows to inf without an error or a warning
     a = problem.capacity_coeffs
     demand = float(math.fsum(a * problem.coverages))
     outlier_slack = float(math.fsum(a)) if problem.has_outlier_column else 0.0
@@ -259,8 +260,7 @@ class _AllocationLP:
             if np.allclose(a, np.round(a), atol=1e-12):
                 # integral coefficients make every binary load an integer, so the
                 # window effectively shrinks to [ceil(L), floor(U)]
-                _aggregate_certificate(problem, math.ceil(lo - 1e-9),
-                                       math.floor(hi + 1e-9) if math.isfinite(hi) else hi, ("ceil(L)", "floor(U)"))
+                _aggregate_certificate(problem, np.ceil(lo - 1e-9), np.floor(hi + 1e-9), ("ceil(L)", "floor(U)"))
         self.problem = problem
         self.last_hard = None
         self._warm = False  # HiGHS holds the optimal basis of the last solve
@@ -351,10 +351,7 @@ class _AllocationLP:
         """
         c = cost.ravel()
         highs = self._highs
-        if highs is None:
-            res = self.run_milp(c, integrality=0)
-            optimal, infeasible, message, x = res.status == 0, res.status == 2, res.message, res.x
-        else:
+        if highs is not None:
             hs = self.hs
             if highs.changeColsCost(c.size, self._index, c) == hs.HighsStatus.kError:
                 raise CapclustError("HiGHS rejected the allocation LP's column costs")
@@ -364,9 +361,11 @@ class _AllocationLP:
             status = highs.getModelStatus()
             optimal = ran and status == hs.HighsModelStatus.kOptimal
             infeasible = status == hs.HighsModelStatus.kInfeasible
-            message = highs.modelStatusToString(status)
             x = np.array(highs.getSolution().col_value) if optimal else None
             self._warm = optimal
+        if highs is None or not (optimal or infeasible):  # a warm run may end Unknown on badly scaled costs
+            res = self.run_milp(c, integrality=0)
+            optimal, infeasible, message, x = res.status == 0, res.status == 2, res.message, res.x
         if infeasible:
             lo, hi = self.problem.capacity
             raise Infeasible(f"the capacity window admits no fractional assignment (L={lo:g}, U={hi:g})")

@@ -90,14 +90,12 @@ def _build_problem(args: argparse.Namespace, k: int) -> Problem:
     matrix = io.load_matrix(args.matrix) if args.matrix else None
     candidates = io.load_candidates(args.candidates) if args.candidates else None
     metric = _parse_metric(_merged(args, "metric", "sqeuclidean", str), matrix)
-    placement = "discrete" if (candidates is not None or matrix is not None) else "continuous"
     fixed = io.load_fixed(args.fixed) if args.fixed else []
     problem = Problem(
         points=points,
         metric=metric,
         centers=CenterSpec(
             k=k,
-            placement=placement,
             candidates=candidates,
             fixed=tuple(fixed),
             release_penalty=_merged(args, "release-lambda", math.inf, float),

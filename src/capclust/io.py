@@ -342,7 +342,7 @@ class SolutionDocument:
 def write_solution(problem: Problem, solution: Solution, path, emit_timing: bool = False) -> None:
     """Serialize a solution to the structured text document."""
     spec = problem.centers
-    discrete = spec.placement == "discrete"
+    discrete = problem.placement == "discrete"
     obj = solution.objective
     D = metrics.distances_to_centers(problem, solution.centers)
     y = solution.assignment.y
@@ -355,7 +355,7 @@ def write_solution(problem: Problem, solution: Solution, path, emit_timing: bool
     )
     lines.append(
         f"problem n {problem.n} k {problem.k} metric {problem.metric.kind} "
-        f"membership {problem.membership} placement {spec.placement}"
+        f"membership {problem.membership} placement {problem.placement}"
     )
     if problem.capacity is not None:
         lines.append(f"capacity {repr(float(problem.capacity[0]))} {repr(float(problem.capacity[1]))}")

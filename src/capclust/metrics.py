@@ -3,7 +3,8 @@
 Geometric metrics (squared Euclidean, Euclidean, Manhattan) operate on
 planar coordinates.  The threshold metric is a 0/1 coverage cost derived
 from the Euclidean distance; it and the pure distance-matrix metric only
-make sense with discrete center placement, which validation enforces.
+make sense on candidate sites, which a cost matrix implies and validation
+requires of a threshold metric (``Problem.placement``).
 """
 
 from __future__ import annotations
@@ -127,6 +128,6 @@ def distances_to_centers(problem: "Problem", centers) -> np.ndarray:
     each pass then runs over the n points, not the k centers.  The values
     are those of ``geometric_distances(kind, coords, centers)``.
     """
-    if problem.centers.placement == "discrete":
+    if problem.placement == "discrete":
         return problem.site_cost_columns[:, np.asarray(centers, dtype=int)]
     return geometric_distances(problem.metric.kind, np.asarray(centers, dtype=float), problem.coord_columns).T

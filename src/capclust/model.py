@@ -125,7 +125,7 @@ class PointTable(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class CenterSpec:
-    """Placement rules for the k centers.
+    """The k centers: their candidate sites, which make placement discrete (``Problem.placement``), and fixed ones.
 
     ``fixed`` holds predetermined locations: coordinate pairs in continuous
     placement, candidate-site indices in discrete placement (coordinates are
@@ -134,7 +134,6 @@ class CenterSpec:
     """
 
     k: int
-    placement: str = "continuous"
     candidates: np.ndarray | None = None
     fixed: tuple = ()
     release_penalty: float = math.inf
@@ -212,6 +211,11 @@ class Problem:
     @property
     def k(self) -> int:
         return self.centers.k
+
+    @property
+    def placement(self) -> str:
+        """``"discrete"`` (centers on sites) with candidate sites or a cost matrix, else ``"continuous"``."""
+        return "discrete" if self.centers.candidates is not None or self.metric.kind == metrics.MATRIX else "continuous"
 
     @property
     def has_outlier_column(self) -> bool:
@@ -409,6 +413,9 @@ class Solution:
 def validate_problem(problem: Problem) -> Problem:
     """Check structural invariants and return a normalized copy.
 
+    Placement is ``Problem.placement``: a threshold metric without candidate
+    sites is refused, as are penalty terms λ_k·k + λ_f·(fixed centers) that
+    overflow (every restart would tie at inf).
     Normalization turns fixed-center coordinates into candidate-site
     indices under discrete placement.  The per-point checks run once per
     ``shared`` dict, which records that they passed: a problem that
@@ -449,44 +456,39 @@ def validate_problem(problem: Problem) -> Problem:
     if not _finite_nonnegative(problem.opening_penalty):
         raise ValidationError("opening penalty must be finite and nonnegative")
 
-    if problem.metric.kind == metrics.THRESHOLD and spec.placement != "discrete":
-        raise ThresholdRequiresDiscrete("threshold metric requires discrete placement")
-    if problem.metric.kind == metrics.MATRIX and spec.placement != "discrete":
-        raise ValidationError("distance-matrix metric requires discrete placement")
+    discrete = problem.placement == "discrete"
+    if problem.metric.kind == metrics.THRESHOLD and not discrete:
+        raise ThresholdRequiresDiscrete("threshold metric requires candidate sites")
 
-    if spec.placement == "discrete":
+    if discrete:
         if problem.metric.kind == metrics.MATRIX:
-            n_sites = problem.metric.matrix.shape[1]
-            if problem.metric.matrix.shape[0] != problem.n:
-                raise ShapeMismatch(
-                    f"cost matrix has {problem.metric.matrix.shape[0]} rows for {problem.n} points"
-                )
+            rows, n_sites = problem.metric.matrix.shape
+            if rows != problem.n:
+                raise ShapeMismatch(f"cost matrix has {rows} rows for {problem.n} points")
             if spec.candidates is not None and spec.candidates.shape != (n_sites, 2):
                 raise ShapeMismatch(
                     f"candidate coordinates of shape {spec.candidates.shape} for a cost matrix with {n_sites} columns"
                 )
         else:
-            if spec.candidates is None:
-                raise ValidationError("discrete placement needs candidate sites")
             n_sites = spec.candidates.shape[0]
         if n_sites < spec.k:
             raise ValidationError(f"{n_sites} candidate sites cannot host k={spec.k} centers")
-    elif spec.placement != "continuous":
-        raise ValidationError(f"unknown placement: {spec.placement!r}")
     elif spec.k - spec.n_fixed > problem.n:
         raise ValidationError(f"{problem.n} points cannot seed the {spec.k - spec.n_fixed} free centers of k={spec.k}")
 
-    if problem.metric.is_geometric or problem.metric.kind == metrics.THRESHOLD:
-        if problem.coords is None:
-            raise ValidationError("geometric metrics require point coordinates")
+    if problem.coords is None and problem.metric.kind != metrics.MATRIX:
+        raise ValidationError("geometric metrics require point coordinates")
 
     if spec.n_fixed > spec.k:
         raise KTooSmall(f"k={spec.k} is smaller than the number of fixed centers ({spec.n_fixed})")
     if not (isinstance(spec.release_penalty, numbers.Real) and spec.release_penalty >= 0):  # inf: never releasable
         raise ValidationError("release penalty must be nonnegative")
+    release_term = float(spec.release_penalty) * spec.n_fixed if math.isfinite(spec.release_penalty) else 0.0
+    if not math.isfinite(float(problem.opening_penalty) * float(spec.k) + release_term):
+        raise ValidationError(f"opening penalty times k={spec.k} plus release penalty times fixed centers overflows")
 
     fixed = spec.fixed
-    if spec.placement == "discrete" and fixed:
+    if discrete and fixed:
         resolved = []
         for f in fixed:
             if np.isscalar(f):
@@ -570,34 +572,34 @@ def _validate_points(problem: Problem) -> None:
     if repeated.size:
         raise ValidationError(f"point ids must be unique (id {ids[repeated[0]]} repeats)")
     # k-means++ draws with masses w'_i * D_i^2, which must sum to a finite number.
-    s = _largest_distance(problem)
-    with np.errstate(over="ignore"):
-        total = np.sum(problem.effective_weights) * np.float64(max(1.0, s)) ** 2
+    s, span = _largest_distance(problem)
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = np.float64(max(1.0, s)) ** 2
+        total = np.sum(problem.effective_weights) * square
     if not np.isfinite(total):
-        raise ValidationError(
-            f"weights too large for the distances: sum of w' * max(1, d)^2 is not finite for the largest distance d = {s:g}"
-        )
+        culprit = "weights too large for the distances" if np.isfinite(square) else f"distances too large {span}"
+        raise ValidationError(f"{culprit}: sum of w' * max(1, d)^2 is not finite for the largest distance d = {s:g}")
 
 
-def _largest_distance(problem: Problem) -> float:
-    """The largest distance the metric can give between two points, or a point and a candidate site.
+def _largest_distance(problem: Problem) -> tuple[float, str]:
+    """The largest distance the metric can give between two points, or a point and a candidate site, and where.
 
     For a geometric metric this is its value across the diagonal of the
     bounding box of the points and sites, which bounds every such distance;
-    inf when it overflows.
+    inf when it overflows.  "Where" names the matrix or the box's corners.
     """
     metric = problem.metric
     if metric.kind == metrics.MATRIX:
-        return float(metric.matrix.max(initial=0.0))
-    if metric.kind == metrics.THRESHOLD:
-        return 1.0
-    if problem.coords is None:
-        return 0.0
+        return float(metric.matrix.max(initial=0.0)), "in the cost matrix"
+    if metric.kind == metrics.THRESHOLD or problem.coords is None:  # a 0/1 cost, or no coordinates (refused later)
+        return 1.0, ""
     box = problem.coords
     if problem.centers.candidates is not None:
         box = np.vstack([box, problem.centers.candidates])
+    lo, hi = box.min(axis=0), box.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(metrics.geometric_distances(metric.kind, box.min(axis=0), box.max(axis=0))[0, 0])
+        d = float(metrics.geometric_distances(metric.kind, lo, hi)[0, 0])
+    return d, f"across coordinates spanning {lo.tolist()} to {hi.tolist()}"
 
 
 def _same_values(given: tuple, normalized: tuple) -> bool:

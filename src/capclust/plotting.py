@@ -29,7 +29,7 @@ def can_plot(problem: Problem) -> bool:
     """Plots need point coordinates and, under discrete placement, site coordinates."""
     if problem.coords is None:
         return False
-    return problem.centers.placement != "discrete" or problem.centers.candidates is not None
+    return problem.placement != "discrete" or problem.centers.candidates is not None
 
 
 def render_plot(problem: Problem, solution: Solution, path) -> None:
@@ -38,7 +38,7 @@ def render_plot(problem: Problem, solution: Solution, path) -> None:
         raise CapclustError("cannot plot an instance without coordinates for points and sites")
     xy = problem.coords
     spec = problem.centers
-    if spec.placement == "discrete":
+    if problem.placement == "discrete":
         centers_xy = spec.candidates[np.asarray(solution.centers, dtype=int)]
     else:
         centers_xy = np.asarray(solution.centers, dtype=float)

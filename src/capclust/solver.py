@@ -157,7 +157,7 @@ class _SeedBatch:
     def __init__(self, problem: Problem, rngs: list, track: bool = False):
         spec = problem.centers
         self.problem, self.rngs = problem, rngs
-        self.discrete = spec.placement == "discrete"
+        self.discrete = problem.placement == "discrete"
         self.track = track and self.discrete
         self.best = None
         rows, m = len(rngs), spec.n_fixed
@@ -278,7 +278,7 @@ def _reseed(problem: Problem, contrib: np.ndarray, centers: np.ndarray, emptied:
     holds: the site of the costliest point whose site is free, else the
     lowest free site.
     """
-    discrete = problem.centers.placement == "discrete"
+    discrete = problem.placement == "discrete"
     # Under continuous placement every point is its own spot.
     snap = problem.nearest_site if discrete else np.arange(problem.n)
     held = np.zeros(problem.site_costs.shape[1] if discrete else problem.n, dtype=bool)
@@ -372,13 +372,12 @@ def _checked_centers(problem: Problem, initial_centers) -> tuple[np.ndarray, boo
     A center set is k sites in [0, n_sites) or k finite coordinate pairs; a
     stack of them has one more leading axis and at least one set.
     """
-    spec = problem.centers
-    discrete = spec.placement == "discrete"
+    discrete = problem.placement == "discrete"
     try:
         centers = np.array(initial_centers, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError("initial centers must be numbers") from None
-    shape = (spec.k,) if discrete else (spec.k, 2)
+    shape = (problem.k,) if discrete else (problem.k, 2)
     stacked = centers.ndim == len(shape) + 1
     if centers.shape[stacked:] != shape or not centers.size:
         raise ShapeMismatch(f"initial centers of shape {centers.shape}, expected {shape} or one such set per restart")
@@ -529,7 +528,7 @@ def _descent(problem: Problem, centers: np.ndarray, config: SolverConfig, model,
     """
     spec = problem.centers
     k, m = spec.k, spec.n_fixed
-    discrete = spec.placement == "discrete"
+    discrete = problem.placement == "discrete"
     kind = problem.metric.kind
     w = problem.effective_weights
 

@@ -52,7 +52,7 @@ def random_capacitated_instance(rng, n_max=8, k_max=3, with_outlier=None, integr
     points = tuple(Point(i, w=float(w[i]), a=float(a[i])) for i in range(n))
     problem = validate_problem(Problem(
         points=points, metric=matrix_metric(D),
-        centers=CenterSpec(k=k, placement="discrete"),
+        centers=CenterSpec(k=k),
         membership="hard", capacity=(lo, hi), outlier_penalty=lam,
     ))
     return problem, np.arange(k)
@@ -172,7 +172,7 @@ def reference_distances(problem, centers) -> np.ndarray:
     coordinate pairs otherwise.
     """
     kind = problem.metric.kind
-    if problem.centers.placement == "discrete":
+    if problem.placement == "discrete":
         if kind == "matrix":
             return problem.metric.matrix[:, np.asarray(centers, dtype=int)]
         locations = problem.centers.candidates[np.asarray(centers, dtype=int)]
@@ -204,7 +204,7 @@ def reference_kmeanspp(problem, rng) -> np.ndarray:
     ``NotEnoughDistinctSites``.
     """
     spec = problem.centers
-    discrete = spec.placement == "discrete"
+    discrete = problem.placement == "discrete"
     w = problem.effective_weights
     n = len(w)
     if discrete:
@@ -268,7 +268,7 @@ def reference_descend(problem, initial_centers, config) -> Solution:
     problem = validate_problem(problem)
     spec, w, kind = problem.centers, problem.effective_weights, problem.metric.kind
     k, m, penalty = spec.k, spec.n_fixed, spec.release_penalty
-    discrete = spec.placement == "discrete"
+    discrete = problem.placement == "discrete"
     centers = np.array(initial_centers, dtype=int if discrete else float)
     fixed_at = np.array(spec.fixed, dtype=centers.dtype).reshape(centers[:m].shape)
     released: set[int] = set()

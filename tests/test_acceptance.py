@@ -95,7 +95,7 @@ def test_criterion_2_relaxation_dominance():
     D = np.array([[0.0, 5.0], [1.0, 3.0]])
     prob = validate_problem(Problem(
         points=(Point(0, w=1.0, a=2.0), Point(1, w=1.0, a=2.0)),
-        metric=matrix_metric(D), centers=CenterSpec(k=2, placement="discrete"),
+        metric=matrix_metric(D), centers=CenterSpec(k=2),
         membership="fractional", capacity=(1.0, 3.0)))
     frac_val = objective_of(prob, allocate(prob, np.array([0, 1])), D)
     hard_val = objective_of(prob, allocate(replace(prob, membership="hard"), np.array([0, 1])), D)
@@ -270,7 +270,7 @@ def test_criterion_7_recycling_benchmark():
     D = load_matrix(matrix_path)
     assert D.shape[1] == 50, "expected 50 candidate sites"
     base = dict(points=tuple(points), metric=matrix_metric(D),
-                centers=CenterSpec(k=12, placement="discrete"))
+                centers=CenterSpec(k=12))
     wide = validate_problem(Problem(membership="fractional", capacity=(2963.0, 4962.0), **base))
     sol = solve(wide, SolverConfig(restarts=10, rng_seed=0))
     # the reference summaries' weighting convention is unstated: try both

@@ -23,7 +23,7 @@ def matrix_problem(D, a=None, w=None, q=None, lam=None, capacity=None, membershi
     pts = tuple(Point(i, w=float(w[i]), a=float(a[i]), q=int(q[i])) for i in range(n))
     return validate_problem(Problem(
         points=pts, metric=matrix_metric(np.asarray(D, dtype=float)),
-        centers=CenterSpec(k=k, placement="discrete"),
+        centers=CenterSpec(k=k),
         membership=membership, capacity=capacity, outlier_penalty=lam,
     ))
 

@@ -361,6 +361,67 @@ def test_matrix_metric_rejects_candidates_of_another_site_count(tmp_path, capsys
     assert not (out / "solution.txt").exists()
 
 
+@pytest.mark.parametrize("inputs, placement", [
+    ("candidates", "discrete"),
+    ("matrix", "discrete"),
+    ("points", "continuous"),
+])
+def test_solve_writes_the_placement_its_inputs_imply(tmp_path, inputs, placement):
+    points, matrix = _small_instance(tmp_path)
+    cands = tmp_path / "cands.csv"
+    cands.write_text("x,y\n0,0\n5,5\n9,0\n")
+    extra = {"candidates": ["--candidates", str(cands)],
+             "matrix": ["--matrix", str(matrix), "--metric", "matrix"], "points": []}[inputs]
+    out = tmp_path / "out"
+    assert main(["solve", "--points", str(points), "--k", "3", "--restarts", "2", *extra, "--out", str(out)]) == 0
+    header = next(line for line in (out / "solution.txt").read_text().splitlines() if line.startswith("problem "))
+    assert header.endswith(f"placement {placement}")
+
+
+def _solve_summary(tmp_path, capsys, name, *flags) -> tuple[int, str, str]:
+    """Exit code, stdout's first line and stderr of ``solve`` on the small instance with ``flags``."""
+    points, _ = _small_instance(tmp_path)
+    code = main(["solve", "--points", str(points), "--restarts", "3", *flags, "--out", str(tmp_path / name)])
+    out, err = capsys.readouterr()
+    return code, (out.splitlines() or [""])[0], err
+
+
+def test_capacity_limit_near_the_float_range_solves_as_an_infinite_one(tmp_path, capsys):
+    # The integral window [ceil(L), floor(U)] once became Python ints, and k * U overflowed converting to float.
+    huge = _solve_summary(tmp_path, capsys, "huge", "--k", "2", "--capacity", "0,1e308")
+    assert huge[0] == 0 and "Traceback" not in huge[2]
+    assert huge == _solve_summary(tmp_path, capsys, "inf", "--k", "2", "--capacity", "0,inf")
+
+
+def test_opening_penalty_whose_total_overflows_exits_1(tmp_path, capsys):
+    code, _, err = _solve_summary(tmp_path, capsys, "out", "--k", "2", "--opening-lambda", "1e308")
+    assert code == 1 and err.startswith("error: opening penalty times k=2") and "overflows" in err
+    assert not (tmp_path / "out" / "solution.txt").exists()
+
+
+@pytest.mark.parametrize("outlier_lambda", ["1e15", "1e17"])
+def test_warm_lp_that_ends_unsolved_is_solved_cold(tmp_path, outlier_lambda):
+    # At these penalties some restarts' first warm HiGHS run ends in status Unknown;
+    # milp solves the same costs to optimality.
+    points = tmp_path / "pts.csv"
+    points.write_text("id,x,y,w\n0,0,0,1\n1,1,0,1\n2,0,1,1\n3,5,5,1\n4,6,5,0\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--points", str(points), "--k", "2", "--capacity", "0,1.5", "--membership", "fractional",
+                 "--outlier-lambda", outlier_lambda, "--out", str(out)]) == 0
+    assert "placement continuous" in (out / "solution.txt").read_text()
+
+
+def test_coordinates_whose_distance_overflows_are_refused_without_a_warning(tmp_path, capfd):
+    points = tmp_path / "pts.csv"
+    points.write_text("id,x,y,w\n0,0,0,0\n1,1e200,0,0\n2,0,1e200,0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(capclust.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "capclust.cli", "solve", "--points", str(points), "--k", "1",
+                           "--out", str(tmp_path / "out")], env=env)
+    err = capfd.readouterr().err
+    assert done.returncode == 1 and "Warning" not in err
+    assert err.startswith("error: distances too large across coordinates spanning [0.0, 0.0] to [1e+200, 1e+200]")
+
+
 def test_config_file_defaults_with_flag_override(dataset, tmp_path, capsys):
     points, _ = dataset
     config = tmp_path / "config.json"

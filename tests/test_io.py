@@ -507,7 +507,7 @@ def _per_point_svg(problem, solution):
 
     xy = problem.coords
     spec = problem.centers
-    if spec.placement == "discrete":
+    if problem.placement == "discrete":
         centers_xy = spec.candidates[np.asarray(solution.centers, dtype=int)]
     else:
         centers_xy = np.asarray(solution.centers, dtype=float)
@@ -565,7 +565,7 @@ def _output_cases():
     D = rng.uniform(1.0, 9.0, size=(20, 6))
     yield "matrix", Problem(points=tuple(Point(i, w=float(rng.uniform(1, 2))) for i in range(20)),
                             metric=matrix_metric(D), outlier_penalty=3.0,
-                            centers=CenterSpec(k=3, placement="discrete"))
+                            centers=CenterSpec(k=3))
     ids = rng.permutation(1000)[:len(pts)] * 7 + 3
     yield "unsorted-ids", Problem(
         points=tuple(Point(int(pid), coords=p.coords, w=p.w) for pid, p in zip(ids, pts)),

@@ -41,12 +41,12 @@ def test_matrix_lookup_and_range():
     m = matrix_metric(D)
     assert candidate_distances(m, None, None)[1, 0] == 3.0
     points = (Point(0), Point(1))
-    prob = validate_problem(Problem(points=points, metric=m, centers=CenterSpec(k=1, placement="discrete")))
+    prob = validate_problem(Problem(points=points, metric=m, centers=CenterSpec(k=1)))
     assert distances_to_centers(prob, [1]).tolist() == [[2.0], [4.0]]
     with pytest.raises(ShapeMismatch):
-        validate_problem(Problem(points=points + (Point(2),), metric=m, centers=CenterSpec(k=1, placement="discrete")))
+        validate_problem(Problem(points=points + (Point(2),), metric=m, centers=CenterSpec(k=1)))
     with pytest.raises(FixedCenterNotCandidate):
-        validate_problem(Problem(points=points, metric=m, centers=CenterSpec(k=1, placement="discrete", fixed=(5,))))
+        validate_problem(Problem(points=points, metric=m, centers=CenterSpec(k=1, fixed=(5,))))
 
 
 def test_matrix_rejects_negative_entries():
@@ -100,7 +100,7 @@ def test_threshold_assignment_matches_coverage_enumeration(seed):
     pts = [Point(i, coords=tuple(xy[i]), w=float(w[i])) for i in range(5)]
     prob = validate_problem(Problem(
         points=tuple(pts), metric=threshold(radius),
-        centers=CenterSpec(k=2, placement="discrete", candidates=sites),
+        centers=CenterSpec(k=2, candidates=sites),
     ))
     euclid = geometric_distances("euclidean", xy, sites)
     best_cost = None

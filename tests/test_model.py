@@ -26,7 +26,7 @@ def make_solution(problem, centers, y, released=frozenset()):
 
 def test_points_without_coordinates_read_back_as_given():
     pts = (Point(5, w=3.0), Point(2, coords=(1, 2), w=2.0, gamma=0.5, q=2))
-    prob = Problem(points=pts, metric=matrix_metric([[1.0], [2.0]]), centers=CenterSpec(k=1, placement="discrete"))
+    prob = Problem(points=pts, metric=matrix_metric([[1.0], [2.0]]), centers=CenterSpec(k=1))
     assert isinstance(prob.points, PointTable) and prob.points == PointTable.of(pts)
     assert list(prob.points) == list(pts) and prob.points[-1] == pts[1]
     assert prob.points[0].coords is None and prob.points[1].coords == (1.0, 2.0)
@@ -53,16 +53,38 @@ def test_threshold_requires_discrete():
     with pytest.raises(ThresholdRequiresDiscrete):
         validate_problem(Problem(
             points=(Point(0, coords=(0, 0)),), metric=threshold(1.0),
-            centers=CenterSpec(k=1, placement="continuous"),
+            centers=CenterSpec(k=1),
         ))
 
 
-def test_matrix_requires_discrete():
-    with pytest.raises(ValidationError):
-        validate_problem(Problem(
-            points=(Point(0, coords=(0, 0)),), metric=matrix_metric([[1.0]]),
-            centers=CenterSpec(k=1, placement="continuous"),
-        ))
+def test_placement_follows_from_the_candidates_and_the_metric():
+    pts = (Point(0, coords=(0, 0)), Point(1, coords=(3, 0)), Point(2, coords=(0, 2)))
+    sites = [[0.0, 0.0], [3.0, 0.0], [1.0, 1.0]]
+    on_sites = Problem(points=pts, metric=sqeuclidean(), centers=CenterSpec(k=2, candidates=sites))
+    assert on_sites.placement == "discrete"
+    solution = solve(on_sites, SolverConfig(restarts=2, rng_seed=0))
+    assert solution.centers.dtype.kind == "i" and set(solution.centers) <= {0, 1, 2}
+    by_matrix = Problem(points=pts, metric=matrix_metric(np.ones((3, 2))), centers=CenterSpec(k=2))
+    assert by_matrix.placement == "discrete"
+    assert Problem(points=pts, metric=sqeuclidean(), centers=CenterSpec(k=2)).placement == "continuous"
+    with pytest.raises(TypeError):
+        CenterSpec(k=2, placement="discrete")
+
+
+def test_penalty_terms_that_overflow_are_rejected():
+    # An infinite constant term makes every restart total inf, and the tie rule then picks restart 0.
+    pts = tuple(Point(i, coords=(float(i), 0.0)) for i in range(6))
+
+    def problem(k, opening=0.0, fixed=(), release=math.inf):
+        return Problem(points=pts, metric=sqeuclidean(), opening_penalty=opening,
+                       centers=CenterSpec(k=k, fixed=fixed, release_penalty=release))
+
+    validate_problem(problem(1, opening=1e308))
+    with pytest.raises(ValidationError, match="opening penalty .* overflows"):
+        validate_problem(problem(4, opening=1e308))
+    validate_problem(problem(2, fixed=((0.0, 0.0),), release=1e308))
+    with pytest.raises(ValidationError, match="release penalty .* overflows"):
+        validate_problem(problem(2, fixed=((0.0, 0.0), (3.0, 0.0)), release=1e308))
 
 
 def test_a_problem_without_points_is_rejected():
@@ -154,7 +176,7 @@ def test_non_finite_problem_values_rejected(field, value):
 def _far_site_problem():
     pts = (Point(0, coords=(0.0, 0.0)), Point(1, coords=(1.0, 0.0)))
     return Problem(points=pts, metric=euclidean(),
-                   centers=CenterSpec(k=1, placement="discrete", candidates=[[0.0, 0.0], [1e160, 0.0]]))
+                   centers=CenterSpec(k=1, candidates=[[0.0, 0.0], [1e160, 0.0]]))
 
 
 @pytest.mark.parametrize("make", [
@@ -165,7 +187,7 @@ def _far_site_problem():
     lambda: Problem(points=(Point(0, coords=(0.0, 0.0), w=1e306), Point(1, coords=(100.0, 0.0), w=1e306)),
                     metric=sqeuclidean(), centers=CenterSpec(k=2)),
     lambda: Problem(points=(Point(0, w=1e300), Point(1, w=1e300)), metric=matrix_metric([[0.0, 1e5], [1e5, 0.0]]),
-                    centers=CenterSpec(k=2, placement="discrete")),
+                    centers=CenterSpec(k=2)),
     # Two close points, but a candidate site far from both.
     _far_site_problem,
 ], ids=["weight-sum", "weight-times-distance", "matrix", "far-site"])
@@ -252,16 +274,14 @@ def test_fixed_center_must_be_candidate_site():
     with pytest.raises(FixedCenterNotCandidate):
         validate_problem(Problem(
             points=(Point(0, coords=(0, 0)),), metric=sqeuclidean(),
-            centers=CenterSpec(k=1, placement="discrete",
-                               candidates=[[0.0, 0.0], [1.0, 0.0]], fixed=((0.5, 0.5),)),
+            centers=CenterSpec(k=1, candidates=[[0.0, 0.0], [1.0, 0.0]], fixed=((0.5, 0.5),)),
         ))
 
 
 def test_fixed_coordinates_resolve_to_site_indices():
     prob = validate_problem(Problem(
         points=(Point(0, coords=(0, 0)),), metric=sqeuclidean(),
-        centers=CenterSpec(k=1, placement="discrete",
-                           candidates=[[0.0, 0.0], [1.0, 0.0]], fixed=((1.0, 0.0),)),
+        centers=CenterSpec(k=1, candidates=[[0.0, 0.0], [1.0, 0.0]], fixed=((1.0, 0.0),)),
     ))
     assert prob.centers.fixed == (1,)
 
@@ -277,7 +297,7 @@ BAD_PAIRS = {"one-number": (1.0,), "three-numbers": (1, 2, 3), "nan": (math.nan,
 ], ids=[*(f"continuous-{name}" for name in BAD_PAIRS),
         *(f"discrete-{name}" for name in BAD_PAIRS if name not in ("site-index", "text"))])
 def test_fixed_coordinates_must_be_a_finite_pair(placement, fixed):
-    kw = {"placement": "discrete", "candidates": [[0.0, 0.0], [1.0, 0.0]]} if placement == "discrete" else {}
+    kw = {"candidates": [[0.0, 0.0], [1.0, 0.0]]} if placement == "discrete" else {}
     with pytest.raises(ValidationError, match="pair of finite numbers"):
         validate_problem(Problem(points=(Point(0, coords=(0, 0)),), metric=sqeuclidean(),
                                  centers=CenterSpec(k=1, fixed=(fixed,), **kw)))
@@ -288,7 +308,7 @@ def test_fixed_coordinates_must_be_a_finite_pair(placement, fixed):
 def test_matrix_candidates_must_match_the_columns(candidates):
     def problem(candidates):
         return Problem(points=(Point(0), Point(1)), metric=matrix_metric([[1, 2, 3], [4, 5, 6]]),
-                       centers=CenterSpec(k=2, placement="discrete", candidates=candidates))
+                       centers=CenterSpec(k=2, candidates=candidates))
 
     validate_problem(problem([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
     with pytest.raises(ShapeMismatch):
@@ -297,7 +317,7 @@ def test_matrix_candidates_must_match_the_columns(candidates):
 
 def _site_problem(fixed=(), candidates=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))):
     return Problem(points=(Point(0, coords=(0.0, 0.0)), Point(1, coords=(2.0, 0.0))), metric=euclidean(),
-                   centers=CenterSpec(k=1, placement="discrete", candidates=candidates, fixed=fixed))
+                   centers=CenterSpec(k=1, candidates=candidates, fixed=fixed))
 
 
 @pytest.mark.parametrize("site", [1.5, "ab", math.nan, math.inf, 10**400],
@@ -331,7 +351,7 @@ def test_geometric_candidate_sites_must_be_finite_pairs(candidates, error):
 @pytest.mark.parametrize("centers", [
     CenterSpec(k=2),
     CenterSpec(k=2, fixed=(np.array([1, 0]),)),
-    CenterSpec(k=2, placement="discrete", candidates=[[0.0, 0.0], [1.0, 0.0]], fixed=((1.0, 0.0),)),
+    CenterSpec(k=2, candidates=[[0.0, 0.0], [1.0, 0.0]], fixed=((1.0, 0.0),)),
 ])
 def test_validating_a_validated_problem_returns_it(centers):
     points = (Point(0, coords=(0, 0)), Point(1, coords=(2, 1)))
@@ -350,7 +370,7 @@ def test_replace_rebuilds_shared_values_only_when_the_data_changes():
     pts = tuple(Point(i, coords=tuple(rng.uniform(0.0, 5.0, 2)), w=float(rng.uniform(1.0, 3.0)))
                 for i in range(8))
     sites = rng.uniform(0.0, 5.0, size=(4, 2))
-    spec = CenterSpec(k=2, placement="discrete", candidates=sites)
+    spec = CenterSpec(k=2, candidates=sites)
     prob = validate_problem(Problem(points=pts, metric=euclidean(), centers=spec))
     costs = prob.site_costs
     columns = prob.site_cost_columns
@@ -406,7 +426,7 @@ def test_split_membership_objective_terms():
     # one unit-weight point split half/half between centers at distances 1 and 3
     D = np.array([[1.0, 3.0]])
     prob = validate_problem(Problem(points=(Point(0, w=1.0),), metric=matrix_metric(D),
-                                    centers=CenterSpec(k=2, placement="discrete"),
+                                    centers=CenterSpec(k=2),
                                     membership="fractional", opening_penalty=0.1))
     sol = make_solution(prob, np.array([0, 1]), [[0.5, 0.5]])
     assert sol.objective.distance_term == pytest.approx(2.0, abs=1e-12)
@@ -419,7 +439,7 @@ def test_two_split_points_cross_checked_by_direct_sum():
     y = np.array([[0.5, 0.5], [0.25, 0.75]])
     prob = validate_problem(Problem(points=tuple(Point(i, w=w[i]) for i in range(2)),
                                     metric=matrix_metric(D),
-                                    centers=CenterSpec(k=2, placement="discrete"),
+                                    centers=CenterSpec(k=2),
                                     membership="fractional"))
     sol = make_solution(prob, np.array([0, 1]), y)
     direct = sum(w[i] * D[i, j] * y[i, j] for i in range(2) for j in range(2))

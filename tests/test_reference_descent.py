@@ -55,7 +55,7 @@ def problems(draw, capacitated=False, kinds=("matrix", "threshold", *GEOMETRIC),
             metric = matrix_metric(values((n, s), 30))
         else:
             metric = threshold(2.5) if kind == "threshold" else GEOMETRIC[kind]()
-        centers = CenterSpec(k=k, placement="discrete", candidates=None if kind == "matrix" else values((s, 2), 8),
+        centers = CenterSpec(k=k, candidates=None if kind == "matrix" else values((s, 2), 8),
                              fixed=tuple(rng.choice(s, m, replace=False).tolist()), release_penalty=penalty)
     else:
         metric, centers = GEOMETRIC[kind](), CenterSpec(k=k, fixed=tuple(map(tuple, values((m, 2), 8))),
@@ -74,7 +74,7 @@ def _start(problem, seed, spread):
     rng, spec = np.random.default_rng(seed), problem.centers
     if not spread:
         return kmeanspp_init(problem, rng)
-    if spec.placement == "discrete":
+    if problem.placement == "discrete":
         free = np.setdiff1d(np.arange(problem.site_costs.shape[1]), spec.fixed)
         return np.concatenate([spec.fixed, rng.choice(free, spec.k - spec.n_fixed, replace=False)]).astype(int)
     return np.vstack([np.reshape(spec.fixed, (-1, 2)), rng.uniform(-4, 12, (spec.k - spec.n_fixed, 2))])
@@ -144,7 +144,7 @@ def _grouped_problem(case):
         "manhattan": {"metric": manhattan(), "centers": CenterSpec(k=4)},
         "sqeuclidean": {"metric": sqeuclidean(), "centers": CenterSpec(k=4)},
         "discrete": {"metric": euclidean(),
-                     "centers": CenterSpec(k=4, placement="discrete", candidates=rng.uniform(-1, 10, (12, 2)))},
+                     "centers": CenterSpec(k=4, candidates=rng.uniform(-1, 10, (12, 2)))},
         "capacitated-fractional": {"metric": sqeuclidean(), "centers": CenterSpec(k=4), "membership": "fractional",
                                    "capacity": (0.6 * w.sum() / 4, 1.3 * w.sum() / 4)},
     }[case]
@@ -279,7 +279,7 @@ def test_capacitated_solves_and_solves_in_a_sweep_block_match_the_reference(draw
     sequences = solver._sequences(free, config)
     for k in (free.k, free.k + 1):  # the solves of a sweep over these two k
         _outcome(lambda: solve(_with_k(free, k), config, sequences=sequences))
-    assert all(seq.track == (free.centers.placement == "discrete") for seq in sequences)
+    assert all(seq.track == (free.placement == "discrete") for seq in sequences)
     got += [_outcome(lambda: solve(p, config, sequences=sequences)) for p in (capped, smaller)]
     got.append(descend(free, sites, config))
     for outcome, expected, rtol in zip(got, expect, (1e-12, 1e-12, 0, 0)):

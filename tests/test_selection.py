@@ -150,11 +150,11 @@ def test_sweep_shares_k_independent_data_and_matches_standalone_solves(monkeypat
         pts = tuple(Point(i, coords=tuple(xy[i]), w=float(w[i])) for i in range(60))
         if sites_metric == "matrix":
             return Problem(points=pts, metric=matrix_metric(costs.copy()),
-                           centers=CenterSpec(k=k, placement="discrete"))
+                           centers=CenterSpec(k=k))
         if sites_metric == "continuous":  # squared Euclidean without candidate sites
             return Problem(points=pts, metric=sqeuclidean(), centers=CenterSpec(k=k))
         return Problem(points=pts, metric=euclidean(),
-                       centers=CenterSpec(k=k, placement="discrete", candidates=sites.copy(),
+                       centers=CenterSpec(k=k, candidates=sites.copy(),
                                           fixed=(4,), release_penalty=5.0))
 
     config = SolverConfig(restarts=3, rng_seed=6)

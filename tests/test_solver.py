@@ -118,7 +118,7 @@ def test_kmeanspp_discrete_snaps_to_distinct_sites():
     pts = tuple(Point(i, coords=tuple(xy[i])) for i in range(30))
     sites = rng.uniform(0, 10, size=(8, 2))
     prob = validate_problem(Problem(points=pts, metric=euclidean(),
-                                    centers=CenterSpec(k=4, placement="discrete", candidates=sites)))
+                                    centers=CenterSpec(k=4, candidates=sites)))
     centers = kmeanspp_init(prob, np.random.default_rng(3))
     assert len(set(centers.tolist())) == 4
     assert all(0 <= c < 8 for c in centers)
@@ -134,8 +134,7 @@ def test_kmeanspp_discrete_matches_reference_loop(n_sites, fixed):
     pts = tuple(Point(i, coords=tuple(xy[i]), w=float(rng.uniform(0.5, 2))) for i in range(40))
     sites = rng.uniform(0, 10, size=(n_sites, 2)) if n_sites > 3 else np.array([[5.0, 5.0], [50.0, 0], [60.0, 0]])
     prob = validate_problem(Problem(points=pts, metric=euclidean(),
-                                    centers=CenterSpec(k=3 if n_sites == 3 else 6, placement="discrete",
-                                                       candidates=sites, fixed=fixed)))
+                                    centers=CenterSpec(k=3 if n_sites == 3 else 6, candidates=sites, fixed=fixed)))
     if n_sites == 3:
         assert (prob.nearest_site == 0).all()
     for seed in range(5):
@@ -150,11 +149,10 @@ def _seeding_problem(case):
     pts = tuple(Point(i, coords=tuple(xy[i]), w=float(rng.uniform(0.5, 2))) for i in range(40))
     sites = rng.uniform(0, 10, size=(12, 2))
     centers = {
-        "discrete": CenterSpec(k=1, placement="discrete", candidates=sites),
-        "discrete-fixed": CenterSpec(k=2, placement="discrete", candidates=sites, fixed=(3, 7)),
+        "discrete": CenterSpec(k=1, candidates=sites),
+        "discrete-fixed": CenterSpec(k=2, candidates=sites, fixed=(3, 7)),
         # Every point snaps to site 0, so later seeds take the lowest free site without a draw.
-        "discrete-one-snap": CenterSpec(k=1, placement="discrete",
-                                        candidates=np.array([[5.0, 5.0], [50.0, 0.0], [60.0, 0.0]])),
+        "discrete-one-snap": CenterSpec(k=1, candidates=np.array([[5.0, 5.0], [50.0, 0.0], [60.0, 0.0]])),
         "continuous": CenterSpec(k=1),
         "continuous-fixed": CenterSpec(k=2, fixed=((2.0, 2.0), (8.0, 5.0))),
     }[case]
@@ -273,7 +271,7 @@ def _oracle_problem(seed, kind, placement, weights, n_fixed, k, far_sites, capac
         if far_sites:
             sites[n_sites // 2:] += 1000.0
         fixed = tuple(int(h) for h in rng.permutation(n_sites)[:n_fixed])
-        centers = CenterSpec(k=k, placement="discrete", candidates=sites, fixed=fixed, release_penalty=1.0)
+        centers = CenterSpec(k=k, candidates=sites, fixed=fixed, release_penalty=1.0)
         metric = {"sqeuclidean": sqeuclidean(), "euclidean": euclidean(), "manhattan": manhattan(),
                   "threshold": threshold(3.0),
                   "matrix": matrix_metric(np.sqrt(((xy[:, None] - sites[None]) ** 2).sum(axis=2)).round(1))}[kind]
@@ -361,7 +359,7 @@ def test_seeding_runs_out_of_sites_as_the_reference_loop(monkeypatch, shared):
     sites = np.array([[2.0, 2.0], [8.0, 8.0], [5000.0, 0.0], [6000.0, 0.0], [7000.0, 0.0]])
     points = tuple(Point(i, coords=tuple(xy[i])) for i in range(8))
     problem = validate_problem(Problem(points=points, metric=euclidean(),
-                                       centers=CenterSpec(k=5, placement="discrete", candidates=sites, fixed=(3,))))
+                                       centers=CenterSpec(k=5, candidates=sites, fixed=(3,))))
     assert set(problem.nearest_site.tolist()) == {0, 1}
     too_many = replace(problem, centers=replace(problem.centers, k=6))
     config = SolverConfig(restarts=4, rng_seed=3)
@@ -463,7 +461,7 @@ def _seeded_start_problem(case):
     }[case]
     k = max(2, len(center_kw.get("fixed", ())))
     prob = validate_problem(Problem(points=pts, metric=metric, **kw,
-                                    centers=CenterSpec(k=k, placement="discrete", **center_kw)))
+                                    centers=CenterSpec(k=k, **center_kw)))
     return prob, 14
 
 
@@ -580,7 +578,7 @@ def _guarded_problem(case):
         "q2": {"outlier_penalty": 6.0},
     }[case]
     prob = validate_problem(Problem(points=pts, metric=matrix_metric(S), **kw,
-                                    centers=CenterSpec(k=2, placement="discrete", fixed=(1,), release_penalty=4.0)))
+                                    centers=CenterSpec(k=2, fixed=(1,), release_penalty=4.0)))
     return prob, 5
 
 
@@ -724,7 +722,7 @@ def test_uncapacitated_hard_solve_builds_no_dense_memberships(placement, outlier
     rng = np.random.default_rng(14)
     pts = blob_points(rng, [(0, 0), (6, 1), (3, 6)], per=20)
     sites = rng.uniform(-1.0, 7.0, size=(12, 2))
-    center_kw = {"placement": "discrete", "candidates": sites} if placement == "discrete" else {}
+    center_kw = {"candidates": sites} if placement == "discrete" else {}
     prob = continuous_problem(pts, outlier_penalty=outlier, center_kw=center_kw)
     assignment = solve(prob, SolverConfig(restarts=3, rng_seed=2)).assignment
     assert assignment.labels is not None
@@ -840,7 +838,7 @@ def test_all_restarts_infeasible():
     D = np.array([[1.0], [1.0]])
     pts = (Point(0, a=2.0), Point(1, a=2.0))
     prob = validate_problem(Problem(points=pts, metric=matrix_metric(D),
-                                    centers=CenterSpec(k=1, placement="discrete"),
+                                    centers=CenterSpec(k=1),
                                     membership="hard", capacity=(0.0, 3.0)))
     with pytest.raises(AllRestartsInfeasible):
         solve(prob, SolverConfig(restarts=2, rng_seed=0))
@@ -852,7 +850,7 @@ def test_discrete_hard_terminates_without_iteration_cap():
     pts = tuple(Point(i, coords=tuple(xy[i]), w=float(rng.uniform(0.5, 2))) for i in range(40))
     sites = rng.uniform(0, 10, size=(10, 2))
     prob = validate_problem(Problem(points=pts, metric=euclidean(),
-                                    centers=CenterSpec(k=4, placement="discrete", candidates=sites),
+                                    centers=CenterSpec(k=4, candidates=sites),
                                     membership="hard"))
     sol = solve(prob, SolverConfig(restarts=3, rng_seed=6, max_iterations=500))
     assert sol.diagnostics["iterations"] < 500
@@ -892,7 +890,7 @@ def test_unreleasable_fixed_center_runs_no_location_update(monkeypatch, placemen
     rng = np.random.default_rng(34)
     pts = blob_points(rng, [(0, 0), (9, 0)], per=10)
     if placement == "discrete":
-        center_kw = {"placement": "discrete", "candidates": rng.uniform(-1, 10, size=(8, 2)), "fixed": (3,)}
+        center_kw = {"candidates": rng.uniform(-1, 10, size=(8, 2)), "fixed": (3,)}
     else:
         center_kw = {"fixed": ((4.0, 8.0),)}
     prob = continuous_problem(pts, metric=euclidean(), k=1, center_kw={**center_kw, "release_penalty": np.inf})
@@ -1060,7 +1058,7 @@ def test_emptied_centers_take_distinct_free_sites():
     sites = np.array([[0, 0.05], [10, 0.05], [50, 50], [60, 60]])
     D = np.sqrt(((xy[:, None] - sites[None]) ** 2).sum(axis=2))
     prob = validate_problem(Problem(points=tuple(Point(i) for i in range(6)), metric=matrix_metric(D),
-                                    centers=CenterSpec(k=4, placement="discrete")))
+                                    centers=CenterSpec(k=4)))
     sol = descend(prob, np.array([0, 1, 2, 3]), SolverConfig())
     assert sorted(sol.centers.tolist()) == [0, 1, 2, 3]
     assert sol.diagnostics["empty_reseeds"] == 2
@@ -1119,7 +1117,7 @@ def test_a_moving_fixed_cluster_prices_its_update_once(monkeypatch):
 def test_descend_rejects_malformed_initial_centers(placement, centers, error):
     rng = np.random.default_rng(35)
     pts = blob_points(rng, [(0, 0), (6, 0)], per=5)
-    center_kw = {"placement": "discrete", "candidates": rng.uniform(-1, 7, size=(6, 2))} if placement == "discrete" else {}
+    center_kw = {"candidates": rng.uniform(-1, 7, size=(6, 2))} if placement == "discrete" else {}
     prob = continuous_problem(pts, k=3, center_kw=center_kw)
     with pytest.raises(error):
         descend(prob, centers, SolverConfig())
@@ -1147,7 +1145,7 @@ def _label_cases():
     yield sq, np.array([[1.0, 1.0], [6.0, 1.0], [4.0, 5.0], [80.0, 80.0]])
     sites = np.vstack([rng.uniform(-1, 10, size=(15, 2)), [[50.0, 50.0], [60.0, -40.0]]])
     discrete = validate_problem(Problem(points=pts, metric=euclidean(), outlier_penalty=5.0,
-                                        centers=CenterSpec(k=5, placement="discrete", candidates=sites,
+                                        centers=CenterSpec(k=5, candidates=sites,
                                                            fixed=(2,), release_penalty=5.0)))
     for seed in range(3):
         yield discrete, kmeanspp_init(discrete, np.random.default_rng(seed))
@@ -1176,7 +1174,7 @@ def _site_cost_cases():
     S = np.sqrt(((xy[:, None] - sites[None]) ** 2).sum(axis=2))
     prob = validate_problem(Problem(points=pts, metric=matrix_metric(S),
                                     outlier_penalty=6.0,
-                                    centers=CenterSpec(k=8, placement="discrete", fixed=(2,), release_penalty=5.0)))
+                                    centers=CenterSpec(k=8, fixed=(2,), release_penalty=5.0)))
     for seed in range(6):
         yield prob, kmeanspp_init(prob, np.random.default_rng(seed))
     yield prob, np.array([2, 0, 1, 40, 41, 3, 4, 5])
@@ -1263,7 +1261,7 @@ def test_kept_site_totals_take_in_an_iteration_without_a_location_step(monkeypat
 
     S = np.array([[0.0, 4.0, 9.0, 9.0], [1.0, 3.0, 8.0, 8.0], [9.0, 1.0, 0.0, 1.0], [8.0, 2.0, 3.0, 1.0]])
     prob = validate_problem(Problem(points=tuple(Point(i) for i in range(4)), metric=matrix_metric(S),
-                                    outlier_penalty=5.0, centers=CenterSpec(k=2, placement="discrete")))
+                                    outlier_penalty=5.0, centers=CenterSpec(k=2)))
     split, out = [0, 0, 1, 1], [0, 0, 2, 2]
     script = [split, out, split]
     steps = []
@@ -1314,7 +1312,7 @@ def test_distance_columns_only_for_moved_centers(monkeypatch):
         asked.clear()
         sol = descend(prob, centers0, SolverConfig())
         assert np.array_equal(asked.pop(0), centers0)
-        if prob.centers.n_fixed and prob.centers.placement != "discrete" and np.isfinite(prob.centers.release_penalty):
+        if prob.centers.n_fixed and prob.placement != "discrete" and np.isfinite(prob.centers.release_penalty):
             assert np.array_equal(asked.pop(0), np.array(prob.centers.fixed))
             with_fixed += 1
         expected, before = [], np.asarray(centers0)
@@ -1403,7 +1401,7 @@ def _tied_matrix_problem(membership):
     rng = np.random.default_rng(0)
     D = rng.integers(0, 5, (30, 8)).astype(float)
     return validate_problem(Problem(points=tuple(Point(i) for i in range(30)), metric=matrix_metric(D),
-                                    centers=CenterSpec(k=3, placement="discrete"), membership=membership,
+                                    centers=CenterSpec(k=3), membership=membership,
                                     capacity=(9.0, 11.0)))
 
 
